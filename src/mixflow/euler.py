@@ -30,12 +30,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import DensityFloor, ValidationError, WrongFrame
 from .field import EULERIAN, Grid1D, State, Trajectory, average_velocity
 from .model import DerivedMatrices, MixtureParams
-from .timestepping import INTEGRATORS, RK2, run_loop, step_once
+from .timestepping import INTEGRATORS, RK2, SEMI_IMPLICIT, run_loop, step_once, tridiagonal_solve
 
 UPWIND = "first-order-upwind"
 CENTRAL = "central-2"
@@ -182,21 +181,11 @@ class EulerKernel:
         """
         d = self.derived
         h = self.grid.h
-        W = d.Q.T @ B
-        out = np.empty_like(W)
         base = coef / (rho * h * h)
-        for k in range(self.params.N):
-            c = d.lam[k] * base
-            c[0] = 0.0
-            c[-1] = 0.0
-            ab = np.zeros((3, rho.size))
-            ab[0, 1:] = -c[:-1]
-            ab[1, :] = 1.0 + 2.0 * c
-            ab[1, 0] = 1.0
-            ab[1, -1] = 1.0
-            ab[2, :-1] = -c[1:]
-            out[k] = solve_banded((1, 1), ab, W[k])
-        return d.Q @ out
+        c = d.lam[:, None] * base
+        c[:, 0] = 0.0  # wall rows are the identity
+        c[:, -1] = 0.0
+        return d.Q @ tridiagonal_solve(-c[:, 1:], 1.0 + 2.0 * c, -c[:, :-1], d.Q.T @ B)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +232,7 @@ def stable_dt(state: State, params: MixtureParams, derived: DerivedMatrices, sch
     """Largest stable step: acoustic CFL, and the viscous h^2 limit when explicit."""
     _require_eulerian(state)
     kern = EulerKernel(state.grid, params, derived, scheme)
-    explicit = scheme.time_integrator != "semi-implicit-viscosity"
+    explicit = scheme.time_integrator != SEMI_IMPLICIT
     return kern.stable_dt(np.asarray(state.rho), np.asarray(state.U), explicit) * scheme.cfl
 
 
@@ -259,7 +248,7 @@ def step(
     _require_eulerian(state)
     kern = EulerKernel(state.grid, params, derived, scheme, forcing)
     if dt is None:
-        explicit = scheme.time_integrator != "semi-implicit-viscosity"
+        explicit = scheme.time_integrator != SEMI_IMPLICIT
         dt = kern.stable_dt(np.asarray(state.rho), np.asarray(state.U), explicit) * scheme.cfl
     rho, U = step_once(kern, state.time, np.asarray(state.rho), np.asarray(state.U), dt, scheme)
     return State(time=state.time + dt, frame=EULERIAN, grid=state.grid, rho=rho, U=U)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.linalg import solve_banded
 
 from .errors import DensityFloor, DomainLengthDrift, ValidationError, WrongFrame
 from .euler import Forcing, SchemeConfig
@@ -35,7 +34,7 @@ from .field import (
     sbp_derivative,
 )
 from .model import DerivedMatrices, MixtureParams
-from .timestepping import run_loop, step_once
+from .timestepping import SEMI_IMPLICIT, run_loop, step_once, tridiagonal_solve
 
 
 # ---------------------------------------------------------------------------
@@ -227,23 +226,19 @@ class LagrangeKernel:
     def viscous_solve(self, rho, B, coef):
         d = self.derived
         h = self.grid.h
-        n = rho.size
         rho_hat = 2.0 * rho[1:] * rho[:-1] / (rho[1:] + rho[:-1])
         conduct = rho_hat / (h * h)  # face conductances
-        W = d.Q.T @ B
-        out = np.empty_like(W)
-        for k in range(self.params.N):
-            c = coef * d.lam[k] * conduct  # one value per face
-            ab = np.zeros((3, n))
-            ab[1, 0] = 1.0
-            ab[1, -1] = 1.0
-            ab[1, 1:-1] = 1.0 + c[:-1] + c[1:]
-            # upper diagonal: row j's coefficient on w_{j+1} is -c[j], rows 1..n-2
-            ab[0, 2:] = -c[1:]
-            # lower diagonal: row j's coefficient on w_{j-1} is -c[j-1], rows 1..n-2
-            ab[2, :-2] = -c[:-1]
-            out[k] = solve_banded((1, 1), ab, W[k])
-        return d.Q @ out
+        c = (coef * d.lam)[:, None] * conduct  # one value per face
+        # wall rows are the identity (first upper and last lower entry zero);
+        # interior row j couples w_{j-1} and w_{j+1} through the conductances
+        # c[j-1] and c[j] of its two faces
+        diag = np.ones((c.shape[0], rho.size))
+        diag[:, 1:-1] = 1.0 + c[:, :-1] + c[:, 1:]
+        upper = -c
+        lower = upper.copy()
+        lower[:, -1] = 0.0
+        upper[:, 0] = 0.0
+        return d.Q @ tridiagonal_solve(lower, diag, upper, d.Q.T @ B)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +273,7 @@ def step_lagrangian(
     kern = LagrangeKernel(state.grid, params, derived, scheme)
     tau = kern.to_evolved(np.asarray(state.rho, dtype=float))
     if dt is None:
-        explicit = scheme.time_integrator != "semi-implicit-viscosity"
+        explicit = scheme.time_integrator != SEMI_IMPLICIT
         dt = kern.stable_dt(tau, np.asarray(state.U), explicit) * scheme.cfl
     tau, U = step_once(kern, state.time, tau, np.asarray(state.U), dt, scheme)
     return State(

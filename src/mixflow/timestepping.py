@@ -13,7 +13,8 @@ A solver provides a *kernel* object with the small interface used below:
 ``kernel.explicit_tendencies(t, q, U) -> (dq, dU)``
     right-hand side without the viscous velocity coupling (IMEX path)
 ``kernel.viscous_solve(rho, B, coef) -> U``
-    solves ``(I - coef * L_visc(rho)) U = B`` with Dirichlet walls
+    solves ``(I - coef * L_visc(rho)) U = B`` with Dirichlet walls; raises
+    :class:`~mixflow.errors.NonFinite` on non-finite input
 ``kernel.stable_dt(q, U, explicit_viscosity) -> dt``
 
 Density positivity is enforced as a hard check at every stage: a violation
@@ -27,8 +28,9 @@ import math
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
-from .errors import DensityFloor, NonFinite, SolverBlowup, ValidationError
+from .errors import DensityFloor, NonFinite, SingularMatrix, SolverBlowup, ValidationError
 from .field import State, Trajectory
 
 RK2 = "explicit-RK2"
@@ -41,13 +43,35 @@ _ARS_GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
 _ARS_DELTA = 1.0 - 1.0 / (2.0 * _ARS_GAMMA)
 
 
+def tridiagonal_solve(lower, diag, upper, W):
+    """Solve ``T_k x_k = W[k]`` for each row k with LAPACK ``dgtsv``.
+
+    Row k of ``lower`` (N, n-1), ``diag`` (N, n) and ``upper`` (N, n-1) holds
+    the sub-, main and super-diagonal of ``T_k``; the result has the shape of
+    ``W`` (N, n).  Non-finite input raises :class:`NonFinite` so a blow-up in
+    an implicit stage ends the run like any other; a zero pivot raises
+    :class:`SingularMatrix`.
+    """
+    for a in (lower, diag, upper, W):
+        if not np.isfinite(a).all():
+            raise NonFinite("non-finite input to the tridiagonal solve")
+    out = np.empty_like(W)
+    for k in range(W.shape[0]):
+        _, _, _, out[k], info = dgtsv(lower[k], diag[k], upper[k], W[k])
+        if info > 0:
+            raise SingularMatrix(f"tridiagonal system {k} is singular (zero pivot {info})")
+    return out
+
+
 def _check_stage(kernel, q, U, floor, where):
+    """Raise on non-finite or sub-floor fields; return the checked density."""
     rho = kernel.density_view(q)
     if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(U))):
         raise NonFinite(f"non-finite values in {where}")
     m = rho.min()
     if m <= floor:
         raise DensityFloor(f"min(rho) = {m:.3e} <= floor {floor:.1e} in {where}")
+    return rho
 
 
 def step_once(kernel, t, q, U, dt, scheme):
@@ -82,15 +106,15 @@ def step_once(kernel, t, q, U, dt, scheme):
         g, d = _ARS_GAMMA, _ARS_DELTA
         k1r, k1u = kernel.explicit_tendencies(t, q, U)
         q2 = q + g * dt * k1r
-        _check_stage(kernel, q2, U, floor, "IMEX stage")
+        rho2 = _check_stage(kernel, q2, U, floor, "IMEX stage")
         b2 = U + g * dt * k1u
-        U2 = kernel.viscous_solve(kernel.density_view(q2), b2, g * dt)
+        U2 = kernel.viscous_solve(rho2, b2, g * dt)
         k2i = (U2 - b2) / (g * dt)  # = L_visc(rho2) @ U2, recovered from the solve
         k2r, k2u = kernel.explicit_tendencies(t + g * dt, q2, U2)
         q_n = q + dt * (d * k1r + (1.0 - d) * k2r)
-        _check_stage(kernel, q_n, U2, floor, "IMEX stage")
+        rho_n = _check_stage(kernel, q_n, U2, floor, "IMEX stage")
         b3 = U + dt * (d * k1u + (1.0 - d) * k2u + (1.0 - g) * k2i)
-        U_n = kernel.viscous_solve(kernel.density_view(q_n), b3, g * dt)
+        U_n = kernel.viscous_solve(rho_n, b3, g * dt)
 
     else:
         raise ValidationError(f"unknown time integrator {scheme.time_integrator!r}")
