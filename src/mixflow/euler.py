@@ -80,7 +80,16 @@ class EulerKernel:
         self.scheme = scheme
         self.forcing = forcing
         self.nodes = grid.nodes()
-        self._row_sum_A = params.A.sum(axis=1)
+        self._row_sum_A = params.A.sum(axis=1)[:, None]
+        self._N = params.N
+        self._h = grid.h
+        self._2h = 2 * grid.h
+        self._hh = grid.h * grid.h
+        self._g1 = params.gamma - 1.0
+        self._p_coef = params.gamma / (params.gamma - 1.0)
+        self._Kg = params.K * params.gamma
+        self._2lam_max = 2.0 * derived.lam_max
+        self._upwind = scheme.advection == UPWIND
 
     # density itself is the evolved variable in this frame
     @staticmethod
@@ -91,21 +100,36 @@ class EulerKernel:
     def density_view(q):
         return q
 
+    def _density(self, rho, where):
+        m = rho.min()
+        if m <= self.scheme.artificial_floor:
+            raise DensityFloor(f"min(rho) = {m:.3e} {where}")
+        return rho
+
     # -- fluxes ------------------------------------------------------------
 
     def mass_flux(self, rho, v):
-        """Face mass flux; the upwind variant adds a density-jump diffusion."""
-        v_f = 0.5 * (v[1:] + v[:-1])
-        rho_f = 0.5 * (rho[1:] + rho[:-1])
+        """Face mass flux F and face density; the upwind variant adds the
+        density-jump diffusion with face coefficient ``a = 0.5 |v_f|``, returned
+        as the third value (None for central fluxes)."""
+        v_f = v[1:] + v[:-1]
+        v_f *= 0.5
+        rho_f = rho[1:] + rho[:-1]
+        rho_f *= 0.5
         F = v_f * rho_f
-        if self.scheme.advection == UPWIND:
-            F = F - 0.5 * np.abs(v_f) * (rho[1:] - rho[:-1])
-        return F, v_f, rho_f
+        a = None
+        if self._upwind:
+            a = np.abs(v_f)
+            a *= 0.5
+            F -= a * (rho[1:] - rho[:-1])
+        return F, rho_f, a
 
     def continuity(self, rho, F):
-        h = self.grid.h
+        h = self._h
         drho = np.empty_like(rho)
-        drho[1:-1] = -(F[1:] - F[:-1]) / h
+        d = np.subtract(F[1:], F[:-1], out=drho[1:-1])
+        np.negative(d, out=d)
+        d /= h
         # half cells at the walls; the wall flux itself is rho*v = 0 there
         drho[0] = -2.0 * F[0] / h
         drho[-1] = 2.0 * F[-1] / h
@@ -114,64 +138,76 @@ class EulerKernel:
     # -- tendencies ----------------------------------------------------------
 
     def tendencies(self, t, rho, U):
-        return self._tendencies(t, rho, U, include_viscous=True)
+        return self._rhs(t, rho, U, self._density(rho, f"at t = {t:.6g}"), True)
 
     def explicit_tendencies(self, t, rho, U):
-        return self._tendencies(t, rho, U, include_viscous=False)
+        return self._rhs(t, rho, U, self._density(rho, f"at t = {t:.6g}"), False)
 
-    def _tendencies(self, t, rho, U, include_viscous):
+    def _shared(self, rho, U):
+        """Mean velocity and rho**(gamma-1), used by stable_dt and the tendencies."""
+        return np.add.reduce(U, 0) / self._N, rho ** self._g1
+
+    def _rhs(self, t, q, U, rho, include_viscous, shared=None):
         p = self.params
-        h = self.grid.h
-        if rho.min() <= self.scheme.artificial_floor:
-            raise DensityFloor(f"min(rho) = {rho.min():.3e} at t = {t:.6g}")
-
-        v = U.mean(axis=0)
-        F, v_f, rho_f = self.mass_flux(rho, v)
+        h = self._h
+        v, rg = shared if shared is not None else self._shared(rho, U)
+        F, rho_f, a = self.mass_flux(rho, v)
         drho = self.continuity(rho, F)
 
-        dU = np.zeros_like(U)
         jump = U[:, 1:] - U[:, :-1]                       # (N, n) face jumps
-        conv = -(F[1:] * jump[:, 1:] + F[:-1] * jump[:, :-1]) / (2 * h)
+        rhs = F[1:] * jump[:, 1:]
+        rhs += F[:-1] * jump[:, :-1]
+        np.negative(rhs, out=rhs)
+        rhs /= self._2h                                   # convection
 
-        rg = rho ** (p.gamma - 1.0)
-        P = (p.gamma / (p.gamma - 1.0)) * rho_f * (rg[1:] - rg[:-1])
-        grad_p = (P[1:] + P[:-1]) / (2 * h)
-
-        rhs = conv - p.K * grad_p
+        P = self._p_coef * rho_f
+        P *= rg[1:] - rg[:-1]
+        grad_p = P[1:] + P[:-1]
+        grad_p /= self._2h
+        grad_p *= p.K
+        rhs -= grad_p
 
         if include_viscous:
-            d2u = (U[:, 2:] - 2.0 * U[:, 1:-1] + U[:, :-2]) / (h * h)
-            rhs = rhs + p.M @ d2u
+            d2u = U[:, 2:] - 2.0 * U[:, 1:-1]
+            d2u += U[:, :-2]
+            d2u /= self._hh
+            rhs += p.M @ d2u
 
-        fric = p.A @ U - self._row_sum_A[:, None] * U
-        rhs = rhs + fric[:, 1:-1]
+        fric = p.A @ U
+        fric -= self._row_sum_A * U
+        rhs += fric[:, 1:-1]
 
-        if self.scheme.advection == UPWIND:
-            q = (0.5 * np.abs(v_f) * rho_f) * jump        # theta * du / h * h
-            rhs = rhs + (q[:, 1:] - q[:, :-1]) / h
+        if a is not None:
+            flux = (a * rho_f) * jump                     # theta * du / h * h
+            d = flux[:, 1:] - flux[:, :-1]
+            d /= h
+            rhs += d
 
-        dU[:, 1:-1] = rhs / rho[1:-1]
+        dU = np.empty_like(U)
+        dU[:, 0] = 0.0
+        dU[:, -1] = 0.0
+        np.divide(rhs, rho[1:-1], out=dU[:, 1:-1])
 
         if self.forcing is not None:
             s_rho, s_u = self.forcing(t, self.nodes)
-            drho = drho + s_rho
-            dU[:, 1:-1] = dU[:, 1:-1] + s_u[:, 1:-1]
+            drho += s_rho
+            dU[:, 1:-1] += s_u[:, 1:-1]
         return drho, dU
 
     # -- stability & implicit solve ------------------------------------------
 
     def stable_dt(self, rho, U, explicit_viscosity=True):
-        p = self.params
-        h = self.grid.h
-        rho_min = rho.min()
-        if rho_min <= self.scheme.artificial_floor:
-            raise DensityFloor(f"min(rho) = {rho_min:.3e} in stable_dt")
-        c = np.sqrt(p.K * p.gamma * rho ** (p.gamma - 1.0))
-        speed = np.abs(U.mean(axis=0)) + c
-        dt = h / speed.max()
+        return self._stable_dt(self._density(rho, "in stable_dt"), U, explicit_viscosity)[0]
+
+    def _stable_dt(self, rho, U, explicit_viscosity):
+        shared = self._shared(rho, U)
+        v, rg = shared
+        speed = np.abs(v)
+        speed += np.sqrt(self._Kg * rg)
+        dt = self._h / speed.max()
         if explicit_viscosity:
-            dt = min(dt, h * h * rho_min / (2.0 * self.derived.lam_max))
-        return float(dt)
+            dt = min(dt, self._hh * rho.min() / self._2lam_max)
+        return float(dt), shared
 
     def viscous_solve(self, rho, B, coef):
         """Solve (I - coef * diag(1/rho) M d2) U = B, Dirichlet walls.
@@ -180,12 +216,12 @@ class EulerKernel:
         an independent scalar tridiagonal system.
         """
         d = self.derived
-        h = self.grid.h
+        h = self._h
         base = coef / (rho * h * h)
         c = d.lam[:, None] * base
         c[:, 0] = 0.0  # wall rows are the identity
         c[:, -1] = 0.0
-        return d.Q @ tridiagonal_solve(-c[:, 1:], 1.0 + 2.0 * c, -c[:, :-1], d.Q.T @ B)
+        return tridiagonal_solve(d.Q, -c[:, 1:], 1.0 + 2.0 * c, -c[:, :-1], B)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +286,7 @@ def step(
     if dt is None:
         explicit = scheme.time_integrator != SEMI_IMPLICIT
         dt = kern.stable_dt(np.asarray(state.rho), np.asarray(state.U), explicit) * scheme.cfl
-    rho, U = step_once(kern, state.time, np.asarray(state.rho), np.asarray(state.U), dt, scheme)
+    rho, U, _ = step_once(kern, state.time, np.asarray(state.rho), np.asarray(state.U), dt, scheme)
     return State(time=state.time + dt, frame=EULERIAN, grid=state.grid, rho=rho, U=U)
 
 

@@ -220,8 +220,9 @@ def sbp_derivative(f: np.ndarray, grid: Grid1D) -> np.ndarray:
 
     Interior rows are central; the end rows are the first-order one-sided
     differences that make ``integrate(sbp_derivative(f)) == f[-1] - f[0]``
-    hold exactly.  The Lagrangian continuity update uses this operator so the
-    discrete fluid volume is conserved to round-off.
+    hold exactly.  The Lagrangian continuity update uses these differences
+    (written out in ``LagrangeKernel._rhs``) so the discrete fluid volume is
+    conserved to round-off.
     """
     f = np.asarray(f, dtype=float)
     if f.shape[-1] != grid.n_nodes:

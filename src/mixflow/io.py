@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 
 import numpy as np
@@ -62,13 +63,10 @@ def params_hash(p: MixtureParams) -> str:
 def write_snapshot(path: str, state: State):
     n_comp = state.U.shape[0]
     header = "x_or_y,rho," + ",".join(f"u{i+1}" for i in range(n_comp))
-    x = state.grid.nodes()
+    rows = np.vstack([state.grid.nodes(), state.rho, state.U]).T.tolist()
+    lines = [header, *(",".join(map(repr, row)) for row in rows)]
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for j in range(x.size):
-            row = [_fmt(x[j]), _fmt(state.rho[j])]
-            row += [_fmt(state.U[i, j]) for i in range(n_comp)]
-            fh.write(",".join(row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_snapshot(path: str, time: float, frame: str) -> State:
@@ -84,14 +82,11 @@ def read_snapshot(path: str, time: float, frame: str) -> State:
 
 
 def write_diagnostics(path: str, records: list[DiagnosticsRecord]):
+    values = operator.attrgetter(*DiagnosticsRecord.FIELDS)
+    lines = [",".join(DiagnosticsRecord.FIELDS)]
+    lines += [",".join("" if v is None else _fmt(v) for v in values(r)) for r in records]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(DiagnosticsRecord.FIELDS) + "\n")
-        for r in records:
-            vals = []
-            for name in DiagnosticsRecord.FIELDS:
-                v = getattr(r, name)
-                vals.append("" if v is None else _fmt(v))
-            fh.write(",".join(vals) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_diagnostics(path: str) -> list[DiagnosticsRecord]:

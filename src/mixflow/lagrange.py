@@ -31,7 +31,6 @@ from .field import (
     Grid1D,
     State,
     Trajectory,
-    sbp_derivative,
 )
 from .model import DerivedMatrices, MixtureParams
 from .timestepping import SEMI_IMPLICIT, run_loop, step_once, tridiagonal_solve
@@ -161,7 +160,14 @@ class LagrangeKernel:
         self.scheme = scheme
         self.forcing = forcing
         self.nodes = grid.nodes()
-        self._row_sum_A = params.A.sum(axis=1)
+        self._row_sum_A = params.A.sum(axis=1)[:, None]
+        self._N = params.N
+        self._h = grid.h
+        self._2h = 2 * grid.h
+        self._hh = grid.h * grid.h
+        self._g1 = params.gamma - 1.0
+        self._Kg = params.K * params.gamma
+        self._2lam_max = 2.0 * derived.lam_max
 
     @staticmethod
     def to_evolved(rho):
@@ -172,62 +178,85 @@ class LagrangeKernel:
         with np.errstate(divide="ignore", over="ignore"):
             return 1.0 / q
 
+    def _density(self, q, where):
+        rho = self.density_view(q)
+        if not np.isfinite(rho).all() or rho.min() <= self.scheme.artificial_floor:
+            raise DensityFloor(f"density below floor {where}")
+        return rho
+
     def tendencies(self, t, q, U):
-        return self._tendencies(t, q, U, include_viscous=True)
+        return self._rhs(t, q, U, self._density(q, f"at t = {t:.6g}"), True)
 
     def explicit_tendencies(self, t, q, U):
-        return self._tendencies(t, q, U, include_viscous=False)
+        return self._rhs(t, q, U, self._density(q, f"at t = {t:.6g}"), False)
 
-    def _tendencies(self, t, tau, U, include_viscous):
+    def _rhs(self, t, tau, U, rho, include_viscous, shared=None):
+        # ``shared`` is unused: stable_dt computes nothing the tendencies need
         p = self.params
-        g = self.grid
-        rho = self.density_view(tau)
-        if not np.all(np.isfinite(rho)) or rho.min() <= self.scheme.artificial_floor:
-            raise DensityFloor(f"density below floor at t = {t:.6g}")
+        h, h2 = self._h, self._2h
 
-        v = U.mean(axis=0)
-        dtau = sbp_derivative(v, g)
+        # dv/dy with the SBP closure of field.sbp_derivative, written out
+        v = np.add.reduce(U, 0) / self._N
+        dtau = np.empty_like(v)
+        d = np.subtract(v[2:], v[:-2], out=dtau[1:-1])
+        d /= h2
+        dtau[0] = (v[1] - v[0]) / h
+        dtau[-1] = (v[-1] - v[-2]) / h
 
-        dU = np.zeros_like(U)
-        grad_p = sbp_derivative(rho**p.gamma, g)
-        rhs = -p.K * grad_p[1:-1] + (p.A @ U - self._row_sum_A[:, None] * U)[:, 1:-1] / rho[1:-1]
+        pg = rho**p.gamma
+        grad_p = pg[2:] - pg[:-2]                         # interior SBP rows
+        grad_p /= h2
+        grad_p *= -p.K
+        fric = p.A @ U
+        fric -= self._row_sum_A * U
 
+        dU = np.empty_like(U)
+        dU[:, 0] = 0.0
+        dU[:, -1] = 0.0
+        rhs = np.divide(fric[:, 1:-1], rho[1:-1], out=dU[:, 1:-1])
+        np.add(grad_p, rhs, out=rhs)
         if include_viscous:
-            rhs = rhs + p.M @ self._flux_laplacian(rho, U)
+            rhs += p.M @ self._flux_laplacian(rho, U)
 
-        dU[:, 1:-1] = rhs
         if self.forcing is not None:
             s_rho, s_u = self.forcing(t, self.nodes)
             # d(tau)/dt = -s_rho / rho^2 for a density source s_rho
-            dtau = dtau - s_rho * tau * tau
-            dU[:, 1:-1] = dU[:, 1:-1] + s_u[:, 1:-1]
+            s = s_rho * tau
+            s *= tau
+            dtau -= s
+            rhs += s_u[:, 1:-1]
         return dtau, dU
+
+    @staticmethod
+    def _face_density(rho):
+        """Harmonic mean of the two node densities of each face."""
+        rho_hat = 2.0 * rho[1:]
+        rho_hat *= rho[:-1]
+        rho_hat /= rho[1:] + rho[:-1]
+        return rho_hat
 
     def _flux_laplacian(self, rho, U):
         """d(rho du/dy)/dy at interior nodes, flux form, harmonic face density."""
-        h = self.grid.h
-        rho_hat = 2.0 * rho[1:] * rho[:-1] / (rho[1:] + rho[:-1])
-        flux = rho_hat * (U[:, 1:] - U[:, :-1])
-        return (flux[:, 1:] - flux[:, :-1]) / (h * h)
+        flux = self._face_density(rho) * (U[:, 1:] - U[:, :-1])
+        lap = flux[:, 1:] - flux[:, :-1]
+        lap /= self._hh
+        return lap
 
     def stable_dt(self, q, U, explicit_viscosity=True):
-        p = self.params
-        h = self.grid.h
-        rho = self.density_view(q)
-        if not np.all(np.isfinite(rho)) or rho.min() <= self.scheme.artificial_floor:
-            raise DensityFloor("density below floor in stable_dt")
+        return self._stable_dt(self._density(q, "in stable_dt"), U, explicit_viscosity)[0]
+
+    def _stable_dt(self, rho, U, explicit_viscosity):
         # signal speed in mass coordinates is rho * c
-        c = np.sqrt(p.K * p.gamma * rho ** (p.gamma - 1.0))
-        dt = h / (rho * c).max()
+        c = np.sqrt(self._Kg * rho ** self._g1)
+        c *= rho
+        dt = self._h / c.max()
         if explicit_viscosity:
-            dt = min(dt, h * h / (2.0 * self.derived.lam_max * rho.max()))
-        return float(dt)
+            dt = min(dt, self._hh / (self._2lam_max * rho.max()))
+        return float(dt), None
 
     def viscous_solve(self, rho, B, coef):
         d = self.derived
-        h = self.grid.h
-        rho_hat = 2.0 * rho[1:] * rho[:-1] / (rho[1:] + rho[:-1])
-        conduct = rho_hat / (h * h)  # face conductances
+        conduct = self._face_density(rho) / self._hh  # face conductances
         c = (coef * d.lam)[:, None] * conduct  # one value per face
         # wall rows are the identity (first upper and last lower entry zero);
         # interior row j couples w_{j-1} and w_{j+1} through the conductances
@@ -238,7 +267,7 @@ class LagrangeKernel:
         lower = upper.copy()
         lower[:, -1] = 0.0
         upper[:, 0] = 0.0
-        return d.Q @ tridiagonal_solve(lower, diag, upper, d.Q.T @ B)
+        return tridiagonal_solve(d.Q, lower, diag, upper, B)
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +304,8 @@ def step_lagrangian(
     if dt is None:
         explicit = scheme.time_integrator != SEMI_IMPLICIT
         dt = kern.stable_dt(tau, np.asarray(state.U), explicit) * scheme.cfl
-    tau, U = step_once(kern, state.time, tau, np.asarray(state.U), dt, scheme)
-    return State(
-        time=state.time + dt, frame=LAGRANGIAN, grid=state.grid,
-        rho=kern.density_view(tau), U=U,
-    )
+    _, U, rho = step_once(kern, state.time, tau, np.asarray(state.U), dt, scheme)
+    return State(time=state.time + dt, frame=LAGRANGIAN, grid=state.grid, rho=rho, U=U)
 
 
 def run_lagrangian(
