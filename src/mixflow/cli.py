@@ -58,7 +58,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ms.add_argument("--t-end", type=float, default=0.25)
     ms.add_argument("--out-dir", default=None)
 
-    rep = sub.add_parser("report", help="render SVG plots for a stored run")
+    rep = sub.add_parser(
+        "report",
+        help="render SVG plots for a stored run from diag.csv and the last snapshot "
+        "(check validates every snapshot)",
+    )
     rep.add_argument("--traj", required=True)
     rep.add_argument("--out-dir", default=None, help="defaults next to the trajectory")
 
@@ -113,24 +117,19 @@ def _cmd_run(args) -> int:
     return EXIT_OK if result.report.passed else EXIT_AUDIT_FAIL
 
 
-def _load_dir(path):
-    traj, params, manifest = io.load_trajectory(path)
-    return traj, params, manifest
-
-
 def _cmd_check(args) -> int:
     """Recompute the diagnostics from the snapshots, cross-check the stored
     ledger, then re-run the audits; any mismatch or FAIL exits 1."""
     root = args.traj
     dirs = {}
     if os.path.exists(os.path.join(root, "manifest.json")):
-        traj, params, _ = _load_dir(root)
+        traj, params, _ = io.load_trajectory(root)
         dirs[traj.frame] = (traj, params)
     else:
         for frame in (EULERIAN, LAGRANGIAN):
             sub = os.path.join(root, frame)
             if os.path.exists(os.path.join(sub, "manifest.json")):
-                traj, params, _ = _load_dir(sub)
+                traj, params, _ = io.load_trajectory(sub)
                 dirs[frame] = (traj, params)
     if not dirs:
         raise ParseError(f"no trajectory manifest under {root}")
@@ -183,7 +182,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_mms(args) -> int:
-    levels = tuple(int(s) for s in args.levels.split(","))
+    try:
+        levels = tuple(int(s) for s in args.levels.split(","))
+    except ValueError:
+        raise ParseError(f"--levels takes comma-separated integers, got {args.levels!r}") from None
     adv = {"central": "central-2", "upwind": "first-order-upwind"}.get(args.advection, args.advection)
     table = mms.mms_study(frame=args.frame, advection=adv, levels=levels, t_end=args.t_end)
     print(table.render_text())
@@ -222,7 +224,7 @@ def _cmd_report(args) -> int:
     if not targets:
         raise ParseError(f"no trajectory manifest under {root}")
     for sub in targets:
-        traj, _, _ = _load_dir(sub)
+        traj, _, _ = io.load_trajectory(sub, final_only=True)
         out_dir = args.out_dir or sub
         os.makedirs(out_dir, exist_ok=True)
         made += io.render_report_plots(out_dir, traj)

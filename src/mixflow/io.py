@@ -70,9 +70,14 @@ def write_snapshot(path: str, state: State):
 
 
 def read_snapshot(path: str, time: float, frame: str) -> State:
-    with open(path, newline="") as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    try:
+        with open(path, newline="") as fh:
+            header = fh.readline().strip().split(",")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except OSError as exc:
+        raise FileFormatError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # a cell that is not a number, a ragged row
+        raise FileFormatError(f"{path}: {exc}") from None
     if header[:2] != ["x_or_y", "rho"]:
         raise FileFormatError(f"{path}: expected header x_or_y,rho,u1,..., got {header}")
     x = data[:, 0]
@@ -90,18 +95,29 @@ def write_diagnostics(path: str, records: list[DiagnosticsRecord]):
 
 
 def read_diagnostics(path: str) -> list[DiagnosticsRecord]:
-    with open(path, newline="") as fh:
-        header = fh.readline().strip().split(",")
-        if header != list(DiagnosticsRecord.FIELDS):
-            raise FileFormatError(f"{path}: unexpected diagnostics columns {header}")
-        records = []
-        for line in fh:
-            cells = line.strip().split(",")
+    try:
+        with open(path, newline="") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise FileFormatError(f"cannot read {path}: {exc.strerror}") from None
+    header = lines[0].strip().split(",") if lines else []
+    if header != list(DiagnosticsRecord.FIELDS):
+        raise FileFormatError(f"{path}: unexpected diagnostics columns {header}")
+    records = []
+    for k, line in enumerate(lines[1:], start=2):
+        cells = line.strip().split(",")
+        if len(cells) != len(header):
+            raise FileFormatError(
+                f"{path}: line {k} has {len(cells)} cells, expected {len(header)}"
+            )
+        try:
             kw = {
                 name: (None if cell == "" else float(cell))
                 for name, cell in zip(header, cells)
             }
-            records.append(DiagnosticsRecord(**kw))
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: line {k}: {exc}") from None
+        records.append(DiagnosticsRecord(**kw))
     return records
 
 
@@ -138,7 +154,15 @@ def save_trajectory(out_dir: str, traj: Trajectory, params: MixtureParams, schem
     return out_dir
 
 
-def load_trajectory(out_dir: str) -> tuple[Trajectory, MixtureParams, dict]:
+def load_trajectory(
+    out_dir: str, final_only: bool = False
+) -> tuple[Trajectory, MixtureParams, dict]:
+    """Read a trajectory directory; with ``final_only`` only its last snapshot.
+
+    Every format fault (a missing or unreadable file, a missing manifest
+    field, a malformed row or cell) raises :class:`FileFormatError` naming
+    the file.
+    """
     mpath = os.path.join(out_dir, "manifest.json")
     try:
         with open(mpath) as fh:
@@ -150,12 +174,20 @@ def load_trajectory(out_dir: str) -> tuple[Trajectory, MixtureParams, dict]:
     if manifest.get("format") != FORMAT_NAME:
         raise FileFormatError(f"{mpath} is not a {FORMAT_NAME} manifest")
 
-    params = params_from_dict(manifest["params"])
-    grid = Grid1D(domain_length=manifest["domain_length"], n_cells=manifest["n_cells"])
-    traj = Trajectory(manifest["frame"], grid)
-    for t, name in zip(manifest["times"], manifest["snapshots"]):
-        s = read_snapshot(os.path.join(out_dir, name), t, manifest["frame"])
-        traj.states.append(s)
+    try:
+        params = params_from_dict(manifest["params"])
+        grid = Grid1D(domain_length=manifest["domain_length"], n_cells=manifest["n_cells"])
+        frame, times, snaps = manifest["frame"], manifest["times"], manifest["snapshots"]
+    except KeyError as exc:
+        raise FileFormatError(f"{mpath}: missing field {exc}") from None
+    if not snaps or len(times) != len(snaps):
+        raise FileFormatError(f"{mpath}: {len(times)} times for {len(snaps)} snapshots")
+    pairs = list(zip(times, snaps))
+    if final_only:
+        pairs = pairs[-1:]
+    traj = Trajectory(frame, grid)
+    for t, name in pairs:
+        traj.states.append(read_snapshot(os.path.join(out_dir, name), t, frame))
     dpath = os.path.join(out_dir, "diag.csv")
     if os.path.exists(dpath):
         traj.diagnostics = read_diagnostics(dpath)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,8 @@ from .euler import CENTRAL, UPWIND, SchemeConfig
 ORDER_THRESHOLDS = {CENTRAL: 1.7, UPWIND: 0.8}
 
 _DEFAULT_C = (0.14, 0.10)
+#: node arrays whose spatial forcing factors one ManufacturedFields keeps
+_MAX_GRIDS = 8
 
 
 def default_params(T_final: float = 2.0) -> MixtureParams:
@@ -62,11 +65,15 @@ class ManufacturedFields:
     def __post_init__(self):
         if len(self.c) != self.params.N:
             raise ValidationError("need one velocity amplitude per component")
+        # evaluation state; the fields are frozen, so what it holds stays valid
+        object.__setattr__(self, "_c", np.array(self.c))
+        object.__setattr__(self, "_row_sum_A", self.params.A.sum(axis=1))
+        object.__setattr__(self, "_cache", _ForcingCache())
 
     # -- exact fields --------------------------------------------------------
 
     def g(self, t: float) -> np.ndarray:
-        return np.array(self.c) * math.cos(t)
+        return self._c * math.cos(t)
 
     def rho(self, x: np.ndarray, t: float) -> np.ndarray:
         s = 2.0 * math.pi / self.domain_length
@@ -88,73 +95,126 @@ class ManufacturedFields:
     # -- forcing -------------------------------------------------------------
 
     def forcing(self, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Source terms ``(s_rho, s_U)`` at time ``t`` on the nodes ``x``.
+
+        The factors that depend on ``x`` alone are computed once per node
+        array, keyed by its values, and the result for the last ``(t, x)`` is
+        returned again for a repeat: in RK2 the second stage of one step and
+        the first stage of the next run at the same time.  The returned
+        arrays are shared between such calls and therefore read-only.  Every
+        precomputed product keeps the factor order of the closed form, so the
+        result is bit-equal to evaluating it from scratch.
+        """
+        x = np.asarray(x, dtype=float)
+        # hex: the signs of zero sources follow the sign of a zero t
+        key = (float(t).hex(), x.shape, x.tobytes())
+        cache = self._cache
+        if cache.last[0] == key:
+            return cache.last[1]
+        spatial = cache.grids.get(key[1:])
+        if spatial is None:
+            if len(cache.grids) >= _MAX_GRIDS:
+                del cache.grids[next(iter(cache.grids))]
+            spatial = cache.grids[key[1:]] = self._spatial_factors(x)
         if self.frame == EULERIAN:
-            return self._forcing_eulerian(t, x)
-        return self._forcing_lagrangian(t, x)
+            out = self._forcing_eulerian(t, spatial)
+        else:
+            out = self._forcing_lagrangian(t, spatial)
+        for a in out:
+            a.flags.writeable = False
+        cache.last = (key, out)
+        return out
 
-    def _forcing_eulerian(self, t, x):
-        p = self.params
+    def _spatial_factors(self, x):
+        if self.frame == EULERIAN:  # the physical-space closed form uses pi, 2 pi
+            s1, s2 = math.pi, 2.0 * math.pi
+        else:
+            s1, s2 = math.pi / self.domain_length, 2.0 * math.pi / self.domain_length
+        sin1 = np.sin(s1 * x)
+        cos1 = np.cos(s1 * x)
+        sin2 = np.sin(s2 * x)
+        return _Spatial(
+            sin1=sin1,
+            cos1=cos1,
+            amp_sin2=self.rho_amp * sin2,
+            neg_amp_sin2=-self.rho_amp * sin2,
+            amp_s2_cos2=self.rho_amp * s2 * np.cos(s2 * x),
+            s1_cos1=s1 * cos1,
+            neg_pi2_sin1=-(math.pi**2) * sin1,
+        )
+
+    def _time_factors(self, t):
         ct, st = math.cos(t), math.sin(t)
-        g = self.g(t)
-        gbar = g.mean()
-        dg = -np.array(self.c) * st
+        g = self._c * ct
+        gbar = np.add.reduce(g) / g.size  # the sum and division of g.mean()
+        return ct, st, g, gbar, -self._c * st
 
-        two_pi = 2.0 * math.pi
-        sin1 = np.sin(math.pi * x)
-        cos1 = np.cos(math.pi * x)
-        rho = self.rho_base + self.rho_amp * np.sin(two_pi * x) * ct
-        drho_dt = -self.rho_amp * np.sin(two_pi * x) * st
-        drho_dx = self.rho_amp * two_pi * np.cos(two_pi * x) * ct
+    def _forcing_eulerian(self, t, f):
+        p = self.params
+        ct, st, g, gbar, dg = self._time_factors(t)
+        rho = self.rho_base + f.amp_sin2 * ct
+        drho_dt = f.neg_amp_sin2 * st
+        drho_dx = f.amp_s2_cos2 * ct
 
-        v = sin1 * gbar
-        dv_dx = math.pi * cos1 * gbar
+        v = f.sin1 * gbar
+        dv_dx = f.s1_cos1 * gbar
         s_rho = drho_dt + drho_dx * v + rho * dv_dx
 
         dpress_dx = p.gamma * rho ** (p.gamma - 1.0) * drho_dx
         mu_g = p.M @ g
-        exch = p.A @ g - p.A.sum(axis=1) * g  # sum_j a_ij (g_j - g_i)
+        exch = p.A @ g - self._row_sum_A * g  # sum_j a_ij (g_j - g_i)
 
-        s_u = np.empty((p.N, x.size))
-        for i in range(p.N):
-            du_dt = sin1 * dg[i]
-            conv = v * math.pi * cos1 * g[i]
-            visc = -(math.pi**2) * sin1 * mu_g[i] / rho
-            fric = sin1 * exch[i] / rho
-            s_u[i] = du_dt + conv + p.K * dpress_dx / rho - visc - fric
+        # row i: du_dt + conv + K dpress/rho - visc - fric, each term in the
+        # factor order of the per-component closed form
+        du_dt = f.sin1 * dg[:, None]
+        conv = (v * math.pi * f.cos1) * g[:, None]
+        visc = f.neg_pi2_sin1 * mu_g[:, None] / rho
+        fric = f.sin1 * exch[:, None] / rho
+        s_u = du_dt + conv + p.K * dpress_dx / rho - visc - fric
         return s_rho, s_u
 
-    def _forcing_lagrangian(self, t, y):
+    def _forcing_lagrangian(self, t, f):
         p = self.params
-        d = self.domain_length
-        ct, st = math.cos(t), math.sin(t)
-        g = self.g(t)
-        gbar = g.mean()
-        dg = -np.array(self.c) * st
+        s1 = math.pi / self.domain_length
+        ct, st, g, gbar, dg = self._time_factors(t)
+        rho = self.rho_base + f.amp_sin2 * ct
+        drho_dt = f.neg_amp_sin2 * st
+        drho_dy = f.amp_s2_cos2 * ct
 
-        s1 = math.pi / d
-        s2 = 2.0 * math.pi / d
-        sin1 = np.sin(s1 * y)
-        cos1 = np.cos(s1 * y)
-        rho = self.rho_base + self.rho_amp * np.sin(s2 * y) * ct
-        drho_dt = -self.rho_amp * np.sin(s2 * y) * st
-        drho_dy = self.rho_amp * s2 * np.cos(s2 * y) * ct
-
-        dv_dy = s1 * cos1 * gbar
+        dv_dy = f.s1_cos1 * gbar
         s_rho = drho_dt + rho * rho * dv_dy
 
         dpress_dy = p.gamma * rho ** (p.gamma - 1.0) * drho_dy
         # d/dy (rho du_j/dy) = g_j s1 (drho/dy cos - rho s1 sin)
-        diffusion_shape = s1 * (drho_dy * cos1 - rho * s1 * sin1)
+        diffusion_shape = s1 * (drho_dy * f.cos1 - rho * s1 * f.sin1)
         mu_g = p.M @ g
-        exch = p.A @ g - p.A.sum(axis=1) * g
+        exch = p.A @ g - self._row_sum_A * g
 
-        s_u = np.empty((p.N, y.size))
-        for i in range(p.N):
-            du_dt = sin1 * dg[i]
-            visc = mu_g[i] * diffusion_shape
-            fric = sin1 * exch[i] / rho
-            s_u[i] = du_dt + p.K * dpress_dy - visc - fric
+        du_dt = f.sin1 * dg[:, None]
+        visc = mu_g[:, None] * diffusion_shape
+        fric = f.sin1 * exch[:, None] / rho
+        s_u = du_dt + p.K * dpress_dy - visc - fric
         return s_rho, s_u
+
+
+class _Spatial(NamedTuple):
+    """Forcing factors that depend on the nodes alone (s1 = pi/d, s2 = 2 pi/d)."""
+
+    sin1: np.ndarray  # sin(s1 x)
+    cos1: np.ndarray  # cos(s1 x)
+    amp_sin2: np.ndarray  # rho_amp sin(s2 x)
+    neg_amp_sin2: np.ndarray  # -rho_amp sin(s2 x)
+    amp_s2_cos2: np.ndarray  # rho_amp s2 cos(s2 x)
+    s1_cos1: np.ndarray  # s1 cos(s1 x)
+    neg_pi2_sin1: np.ndarray  # -pi^2 sin(s1 x), physical-space viscous shape
+
+
+class _ForcingCache:
+    """Per-grid spatial factors and the last evaluated ``(t, x)``."""
+
+    def __init__(self):
+        self.grids: dict = {}
+        self.last = (None, None)  # (key, result)
 
 
 @dataclass
@@ -222,6 +282,10 @@ def mms_study(
     """
     if len(levels) < 2:
         raise ValidationError("need at least two refinement levels")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValidationError(f"refinement levels must strictly increase, got {list(levels)}")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValidationError(f"t_end must be positive and finite, got {t_end}")
     params = params or default_params(T_final=max(2.0, t_end))
     d = 1.0 if frame == EULERIAN else 2.0
     fields = ManufacturedFields(params=params, frame=frame, domain_length=d)

@@ -105,6 +105,7 @@ def step_once(kernel, t, q, U, dt, scheme, rho=None, shared=None):
     rhs = kernel._rhs
     if rho is None:
         rho = kernel._density(q, f"at t = {t:.6g}")
+    rho_n = None  # density of q_n, when a stage has checked it already
 
     if scheme.time_integrator == RK2:
         k1r, k1u = rhs(t, q, U, rho, True, shared)
@@ -149,7 +150,12 @@ def step_once(kernel, t, q, U, dt, scheme, rho=None, shared=None):
     # Dirichlet walls: tendencies are zero there, but enforce exactly anyway
     U_n[:, 0] = 0.0
     U_n[:, -1] = 0.0
-    return q_n, U_n, _check_stage(kernel, q_n, U_n, floor, "step result")
+    if rho_n is None:
+        return q_n, U_n, _check_stage(kernel, q_n, U_n, floor, "step result")
+    # IMEX: q_n passed the stage check before the second solve; only U_n is new
+    if not np.isfinite(U_n).all():
+        raise NonFinite("non-finite values in step result")
+    return q_n, U_n, rho_n
 
 
 def run_loop(

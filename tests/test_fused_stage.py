@@ -418,9 +418,26 @@ def poison(fn, call, field, value):
     return wrapped
 
 
-# each poisoned tendency call feeds one stage check; the last feeds only the
-# step result; -1e12 in q drives the density below the floor
-STAGE_CALLS = [(RK2, c) for c in (1, 2)] + [(RK4, c) for c in (1, 2, 3, 4)]
+def poison_solve(solve, call, value):
+    """Wrap a viscous solve so that its ``call``-th result carries ``value``
+    at an interior node of the second velocity."""
+    count = [0]
+
+    def wrapped(*args):
+        U = solve(*args)
+        count[0] += 1
+        if count[0] == call:
+            U[1, 5] = value
+        return U
+
+    return wrapped
+
+
+# each poisoned tendency call feeds one stage check, or in IMEX the right-hand
+# side of a solve; the last explicit one feeds only the step result; -1e12 in
+# q drives the density below the floor
+CALLS_PER_STEP = {RK2: 2, RK4: 4, SEMI_IMPLICIT: 2}
+STAGE_CALLS = [(i, c) for i, n in CALLS_PER_STEP.items() for c in range(1, n + 1)]
 BAD = [("q", np.nan), ("q", np.inf), ("q", -np.inf), ("q", -1e12),
        ("U", np.nan), ("U", np.inf), ("U", -np.inf)]
 
@@ -450,7 +467,7 @@ def test_run_loop_fault_keeps_trajectory(frame, integrator, call, field, value):
     case = smooth_case(frame)
     kern, scheme = make_kernel(case, integrator)
     state = State(time=0.0, frame=frame, grid=case["grid"], rho=case["rho"], U=case["U"])
-    call += 2 * (2 if integrator == RK2 else 4)
+    call += 2 * CALLS_PER_STEP[integrator]
     with pytest.raises(SolverBlowup) as want:
         ref_run_loop(kern, state, 1.0, scheme, poison(ref_tend(kern), call, field, value))
     kern._rhs = poison(kern._rhs, call, field, value)
@@ -462,6 +479,35 @@ def test_run_loop_fault_keeps_trajectory(frame, integrator, call, field, value):
     assert [s.time for s in got.states] == [s.time for s in want.states]
     assert_bit_equal([s.rho for s in got.states], [s.rho for s in want.states])
     assert_bit_equal([s.U for s in got.states], [s.U for s in want.states])
+
+
+# an infinite first solve reaches the second stage's tendencies, whose
+# arithmetic on it warns before the stage check raises
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("frame", [EULERIAN, LAGRANGIAN])
+@pytest.mark.parametrize("call", [1, 2])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_imex_solve_fault_same_as_unfused(frame, call, value):
+    # the second solve feeds only the step result, which checks U_n without
+    # re-checking the density of q_n
+    case = smooth_case(frame)
+    kern, scheme = make_kernel(case, SEMI_IMPLICIT)
+    q = kern.to_evolved(case["rho"])
+    U, t = case["U"], case["t"]
+    dt = 0.5 * kern.stable_dt(q, U, False)
+    solve = kern.viscous_solve
+    kern.viscous_solve = poison_solve(solve, call, value)
+    want = outcome(ref_step_once, kern, t, q, U, dt, scheme, ref_tend(kern))
+    assert want[0] == "raise"
+    kern.viscous_solve = poison_solve(solve, call, value)
+    assert outcome(step_once, kern, t, q, U, dt, scheme) == want
+
+    state = State(time=0.0, frame=frame, grid=case["grid"], rho=case["rho"], U=U)
+    kern.viscous_solve = poison_solve(solve, call + 2 * 2, value)  # third step, two solves each
+    with pytest.raises(SolverBlowup) as info:
+        run_loop(kern, state, 1.0, scheme, 1)
+    assert (type(info.value), str(info.value)) == want[1:]
+    assert len(info.value.trajectory) == 3
 
 
 @pytest.mark.parametrize("frame", [EULERIAN, LAGRANGIAN])

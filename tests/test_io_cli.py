@@ -1,10 +1,12 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from mixflow import estimates, io
+from mixflow.errors import FileFormatError
 from mixflow.cli import cli_main
 from mixflow.config import parse_config
 from mixflow.euler import SchemeConfig, run
@@ -232,3 +234,93 @@ snapshot_every = 10
         assert manifest["n_cells"] == 32
         assert manifest["scheme"]["time_integrator"] == "explicit-RK4"
         assert manifest["scheme"]["cfl"] == 0.3
+
+
+class TestMmsArguments:
+    @pytest.mark.parametrize("args", [
+        ["--levels", "32,x"],
+        ["--levels", "32"],
+        ["--levels", "32,32"],
+        ["--levels", "64,32"],
+        ["--t-end", "0"],
+        ["--t-end", "-0.1"],
+        ["--t-end", "nan"],
+        ["--t-end", "inf"],
+    ])
+    def test_bad_arguments_exit_2_one_line(self, args, capsys):
+        assert cli_main(["mms", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert len(err.strip().splitlines()) == 1
+
+
+@pytest.fixture(scope="module")
+def stored_run(tmp_path_factory):
+    """A small Eulerian run on disk; tests corrupt copies of it."""
+    root = tmp_path_factory.mktemp("stored")
+    cfg = root / "case.ini"
+    cfg.write_text(SMALL_CONFIG.replace("frame = both", "frame = eulerian"))
+    out = str(root / "out")
+    assert cli_main(["run", "--config", str(cfg), "--out-dir", out]) == 0
+    return out
+
+
+class TestTrajectoryFormatFaults:
+    def _copy(self, stored_run, tmp_path):
+        out = str(tmp_path / "copy")
+        shutil.copytree(stored_run, out)
+        return out
+
+    def _check_fails_naming(self, out, name, capsys):
+        assert cli_main(["check", "--traj", out]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: ") and name in err
+
+    def test_missing_snapshot_file(self, stored_run, tmp_path, capsys):
+        out = self._copy(stored_run, tmp_path)
+        os.remove(os.path.join(out, "snap_00001.csv"))
+        self._check_fails_naming(out, "snap_00001.csv", capsys)
+
+    def test_short_diagnostics_row(self, stored_run, tmp_path, capsys):
+        out = self._copy(stored_run, tmp_path)
+        diag = os.path.join(out, "diag.csv")
+        lines = open(diag).read().splitlines()
+        lines[2] = lines[2].rsplit(",", 3)[0]
+        open(diag, "w").write("\n".join(lines) + "\n")
+        self._check_fails_naming(out, "diag.csv", capsys)
+        with pytest.raises(FileFormatError, match="line 3"):
+            io.read_diagnostics(diag)
+
+    def test_non_numeric_snapshot_cell(self, stored_run, tmp_path, capsys):
+        out = self._copy(stored_run, tmp_path)
+        snap = os.path.join(out, "snap_00002.csv")
+        lines = open(snap).read().splitlines()
+        cells = lines[4].split(",")
+        cells[1] = "abc"
+        lines[4] = ",".join(cells)
+        open(snap, "w").write("\n".join(lines) + "\n")
+        self._check_fails_naming(out, "snap_00002.csv", capsys)
+
+    def test_manifest_index_mismatch(self, stored_run, tmp_path, capsys):
+        out = self._copy(stored_run, tmp_path)
+        mpath = os.path.join(out, "manifest.json")
+        manifest = json.load(open(mpath))
+        manifest["times"].pop()
+        json.dump(manifest, open(mpath, "w"))
+        self._check_fails_naming(out, "manifest.json", capsys)
+
+    def test_report_reads_only_the_last_snapshot(self, stored_run, tmp_path, capsys):
+        # the same SVGs as rendered from the fully loaded trajectory, even with
+        # an earlier snapshot gone, which check still reports
+        full = str(tmp_path / "full")
+        os.makedirs(full)
+        io.render_report_plots(full, io.load_trajectory(stored_run)[0])
+        out = self._copy(stored_run, tmp_path)
+        os.remove(os.path.join(out, "snap_00000.csv"))
+        assert cli_main(["report", "--traj", out]) == 0
+        for name in os.listdir(full):
+            assert open(os.path.join(out, name), "rb").read() == open(
+                os.path.join(full, name), "rb").read()
+        capsys.readouterr()
+        self._check_fails_naming(out, "snap_00000.csv", capsys)
