@@ -117,22 +117,25 @@ def _cmd_run(args) -> int:
     return EXIT_OK if result.report.passed else EXIT_AUDIT_FAIL
 
 
+def _trajectory_dirs(root: str) -> list[str]:
+    """``root`` when it holds a manifest, else its per-frame subdirectories."""
+    if os.path.exists(os.path.join(root, "manifest.json")):
+        return [root]
+    subs = [os.path.join(root, frame) for frame in (EULERIAN, LAGRANGIAN)]
+    subs = [sub for sub in subs if os.path.exists(os.path.join(sub, "manifest.json"))]
+    if not subs:
+        raise ParseError(f"no trajectory manifest under {root}")
+    return subs
+
+
 def _cmd_check(args) -> int:
     """Recompute the diagnostics from the snapshots, cross-check the stored
     ledger, then re-run the audits; any mismatch or FAIL exits 1."""
     root = args.traj
     dirs = {}
-    if os.path.exists(os.path.join(root, "manifest.json")):
-        traj, params, _ = io.load_trajectory(root)
+    for sub in _trajectory_dirs(root):
+        traj, params, _ = io.load_trajectory(sub)
         dirs[traj.frame] = (traj, params)
-    else:
-        for frame in (EULERIAN, LAGRANGIAN):
-            sub = os.path.join(root, frame)
-            if os.path.exists(os.path.join(sub, "manifest.json")):
-                traj, params, _ = io.load_trajectory(sub)
-                dirs[frame] = (traj, params)
-    if not dirs:
-        raise ParseError(f"no trajectory manifest under {root}")
 
     params = next(iter(dirs.values()))[1]
     derived = derive_matrices(params)
@@ -146,8 +149,7 @@ def _cmd_check(args) -> int:
             ledger_ok = False
         else:
             for k, (a, b) in enumerate(zip(stored, fresh)):
-                for name in ("time", "energy", "dissipation_visc", "dissipation_fric",
-                             "rho_min", "rho_max", "w_norm", "grad_rho_l2", "u_linf"):
+                for name in estimates.DiagnosticsRecord.STATE_FIELDS:
                     va, vb = getattr(a, name), getattr(b, name)
                     if abs(va - vb) > 1e-9 * max(1.0, abs(vb)):
                         print(
@@ -211,19 +213,8 @@ def _cmd_mms(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    root = args.traj
     made = []
-    targets = []
-    if os.path.exists(os.path.join(root, "manifest.json")):
-        targets.append(root)
-    else:
-        for frame in (EULERIAN, LAGRANGIAN):
-            sub = os.path.join(root, frame)
-            if os.path.exists(os.path.join(sub, "manifest.json")):
-                targets.append(sub)
-    if not targets:
-        raise ParseError(f"no trajectory manifest under {root}")
-    for sub in targets:
+    for sub in _trajectory_dirs(args.traj):
         traj, _, _ = io.load_trajectory(sub, final_only=True)
         out_dir = args.out_dir or sub
         os.makedirs(out_dir, exist_ok=True)

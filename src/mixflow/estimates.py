@@ -31,6 +31,7 @@ from .field import (
     Trajectory,
     diff,
     face_gradient,
+    face_harmonic_mean,
     face_mean,
     integrate,
     l2_norm,
@@ -43,16 +44,20 @@ PASS = "PASS"
 FAIL = "FAIL"
 SKIP = "SKIP"
 
-KNOWN_AUDITS = (
-    "energy_budget",
-    "density_bounds",
-    "w_balance",
-    "gronwall",
-    "alpha_growth",
-    "pointwise_bounds",
-    "derivative_norms",
-    "velocity_damping",
-)
+# name -> (frame the audit reads, None for either; records it needs before
+# build_report calls it, 0 for just the frame; call(traj, params, derived, d)).
+# Each call looks its audit up by module-level name when it runs.
+_AUDITS = {
+    "energy_budget": (EULERIAN, 0, lambda tr, p, dm, d: audit_energy_budget(tr, p, dm)),
+    "density_bounds": (None, 0, lambda tr, p, dm, d: audit_density_bounds(tr, d)),
+    "w_balance": (LAGRANGIAN, 3, lambda tr, p, dm, d: audit_w_balance(tr, p, dm)),
+    "gronwall": (LAGRANGIAN, 3, lambda tr, p, dm, d: audit_gronwall_chain(tr, p, dm)),
+    "alpha_growth": (EULERIAN, 3, lambda tr, p, dm, d: audit_alpha_growth(tr, p, dm)),
+    "pointwise_bounds": (LAGRANGIAN, 0, lambda tr, p, dm, d: audit_pointwise_bounds(tr)),
+    "derivative_norms": (EULERIAN, 2, lambda tr, p, dm, d: derivative_norm_report(tr, p)),
+    "velocity_damping": (None, 0, lambda tr, p, dm, d: audit_velocity_damping(tr, p)),
+}
+KNOWN_AUDITS = tuple(_AUDITS)
 
 
 # ---------------------------------------------------------------------------
@@ -63,21 +68,14 @@ def energy(state: State, params: MixtureParams) -> float:
     """Total energy: sum_i int(0.5 rho u_i^2 + K/(gamma-1) rho^gamma) dx.
 
     The pressure part is counted once per component, mirroring the estimate
-    the budget audit discretizes.
+    the budget audit discretizes.  In mass coordinates dx = dy / rho.
     """
-    if state.frame != EULERIAN:
-        raise WrongFrame("energy expects an Eulerian state")
-    return _energy_any(state, params)
-
-
-def _energy_any(state: State, params: MixtureParams) -> float:
     g = state.grid
     K, gam, N = params.K, params.gamma, params.N
     if state.frame == EULERIAN:
         kinetic = 0.5 * integrate(state.rho * (state.U**2).sum(axis=0), g)
         internal = N * K / (gam - 1.0) * integrate(state.rho**gam, g)
     else:
-        # mass coordinates: dx = dy / rho
         kinetic = 0.5 * integrate((state.U**2).sum(axis=0), g)
         internal = N * K / (gam - 1.0) * integrate(state.rho ** (gam - 1.0), g)
     return kinetic + internal
@@ -120,7 +118,7 @@ def _visc_quad(state: State, params: MixtureParams) -> tuple[float, float]:
         quad = float(np.einsum("if,jf,ij->", jump, jump, params.M) * w)
         grad_sq = float((jump**2).sum() * w)
     else:
-        rh = _harmonic_face(state.rho)
+        rh = face_harmonic_mean(state.rho)
         quad = float(g.h * np.einsum("if,jf,f,ij->", jump, jump, rh, params.M))
         grad_sq = float(g.h * (rh * jump**2).sum())
     return quad, grad_sq
@@ -164,10 +162,6 @@ def pairwise_velocity_gap_sq(state: State) -> float:
             if i != j:
                 total += integrate((U[i] - U[j]) ** 2 * wgt, g)
     return total
-
-
-def _harmonic_face(rho: np.ndarray) -> np.ndarray:
-    return 2.0 * rho[1:] * rho[:-1] / (rho[1:] + rho[:-1])
 
 
 def w_field(state: State) -> np.ndarray:
@@ -229,18 +223,19 @@ class DiagnosticsRecord:
     alpha: float | None = None
     identity_residual: float | None = None
 
-    FIELDS = (
+    #: the fields make_record fills from one state
+    STATE_FIELDS = (
         "time", "energy", "dissipation_visc", "dissipation_fric", "rho_min",
-        "rho_max", "w_norm", "grad_rho_l2", "u_linf", "dt_rho_l2", "alpha",
-        "identity_residual",
+        "rho_max", "w_norm", "grad_rho_l2", "u_linf",
     )
+    FIELDS = STATE_FIELDS + ("dt_rho_l2", "alpha", "identity_residual")
 
 
 def make_record(state: State, params: MixtureParams, derived: DerivedMatrices) -> DiagnosticsRecord:
     visc, _ = _visc_quad(state, params)
     return DiagnosticsRecord(
         time=state.time,
-        energy=_energy_any(state, params),
+        energy=energy(state, params),
         dissipation_visc=visc,
         dissipation_fric=friction_dissipation(state, params),
         rho_min=float(state.rho.min()),
@@ -616,11 +611,6 @@ def alpha_series(traj: Trajectory, params: MixtureParams, derived: DerivedMatric
     return np.asarray(quad) + _cumtrapz(times, np.asarray(inst))
 
 
-def alpha(traj: Trajectory, params: MixtureParams, derived: DerivedMatrices, upto: int = -1) -> float:
-    """alpha at one record time (the last by default)."""
-    return float(alpha_series(traj, params, derived)[upto])
-
-
 def audit_alpha_growth(
     traj: Trajectory, params: MixtureParams, derived: DerivedMatrices
 ) -> AuditResult:
@@ -838,52 +828,30 @@ def build_report(
         else:
             dval = integrate(eulerian.states[0].rho, eulerian.grid)
 
+    trajs = {EULERIAN: eulerian, LAGRANGIAN: lagrangian,
+             None: eulerian if eulerian is not None else lagrangian}
     results: dict[str, AuditResult] = {}
-
-    def skip(name, why):
-        results[name] = AuditResult(name, SKIP, margin=0.0, details={"reason": why})
-
     for name in audits:
-        if name == "energy_budget":
-            if eulerian is not None:
-                results[name] = audit_energy_budget(eulerian, params, derived)
-            else:
-                skip(name, "no Eulerian trajectory")
-        elif name == "density_bounds":
-            traj = eulerian if eulerian is not None else lagrangian
-            results[name] = audit_density_bounds(traj, dval)
-            if eulerian is not None and lagrangian is not None:
-                lag = audit_density_bounds(lagrangian, dval)
-                if not lag.passed:
-                    results[name] = lag
-        elif name == "w_balance":
-            if lagrangian is not None and len(lagrangian) >= 3:
-                results[name] = audit_w_balance(lagrangian, params, derived)
-            else:
-                skip(name, "needs a Lagrangian trajectory with >= 3 records")
-        elif name == "gronwall":
-            if lagrangian is not None and len(lagrangian) >= 3:
-                results[name] = audit_gronwall_chain(lagrangian, params, derived)
-            else:
-                skip(name, "needs a Lagrangian trajectory with >= 3 records")
-        elif name == "pointwise_bounds":
-            if lagrangian is not None:
-                results[name] = audit_pointwise_bounds(lagrangian)
-            else:
-                skip(name, "no Lagrangian trajectory")
-        elif name == "alpha_growth":
-            if eulerian is not None and len(eulerian) >= 3:
-                results[name] = audit_alpha_growth(eulerian, params, derived)
-            else:
-                skip(name, "needs an Eulerian trajectory with >= 3 records")
-        elif name == "derivative_norms":
-            if eulerian is not None and len(eulerian) >= 2:
-                results[name] = derivative_norm_report(eulerian, params)
-            else:
-                skip(name, "needs an Eulerian trajectory with >= 2 records")
-        elif name == "velocity_damping":
-            traj = eulerian if eulerian is not None else lagrangian
-            results[name] = audit_velocity_damping(traj, params)
+        frame, need, call = _AUDITS[name]
+        traj = trajs[frame]
+        if traj is None or len(traj) < need:
+            results[name] = AuditResult(name, SKIP, margin=0.0,
+                                         details={"reason": _skip_reason(frame, need)})
+            continue
+        results[name] = call(traj, params, derived, dval)
+        if name == "density_bounds" and traj is eulerian and lagrangian is not None:
+            # with both frames, a Lagrangian failure is the reported result
+            lag = call(lagrangian, params, derived, dval)
+            if not lag.passed:
+                results[name] = lag
 
-    consts = empirical_constants(eulerian if eulerian is not None else lagrangian, params)
+    consts = empirical_constants(trajs[None], params)
     return EstimateReport(results=results, empirical_constants=consts)
+
+
+def _skip_reason(frame: str, need: int) -> str:
+    label = frame.capitalize()
+    if need == 0:
+        return f"no {label} trajectory"
+    article = "an" if frame == EULERIAN else "a"
+    return f"needs {article} {label} trajectory with >= {need} records"

@@ -32,9 +32,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DensityFloor, ValidationError, WrongFrame
-from .field import EULERIAN, Grid1D, State, Trajectory, average_velocity
+from .field import EULERIAN, Grid1D, State, Trajectory
 from .model import DerivedMatrices, MixtureParams
-from .timestepping import INTEGRATORS, RK2, SEMI_IMPLICIT, run_loop, step_once, tridiagonal_solve
+from .timestepping import INTEGRATORS, RK2, Kernel, run_loop, tridiagonal_solve
 
 UPWIND = "first-order-upwind"
 CENTRAL = "central-2"
@@ -61,7 +61,7 @@ class SchemeConfig:
             raise ValidationError("artificial_floor must be positive")
 
 
-class EulerKernel:
+class EulerKernel(Kernel):
     """Vectorized right-hand side of the Eulerian system."""
 
     frame = EULERIAN
@@ -74,21 +74,8 @@ class EulerKernel:
         scheme: SchemeConfig,
         forcing: Forcing | None = None,
     ):
-        self.grid = grid
-        self.params = params
-        self.derived = derived
-        self.scheme = scheme
-        self.forcing = forcing
-        self.nodes = grid.nodes()
-        self._row_sum_A = params.A.sum(axis=1)[:, None]
-        self._N = params.N
-        self._h = grid.h
-        self._2h = 2 * grid.h
-        self._hh = grid.h * grid.h
-        self._g1 = params.gamma - 1.0
+        super().__init__(grid, params, derived, scheme, forcing)
         self._p_coef = params.gamma / (params.gamma - 1.0)
-        self._Kg = params.K * params.gamma
-        self._2lam_max = 2.0 * derived.lam_max
         self._upwind = scheme.advection == UPWIND
 
     # density itself is the evolved variable in this frame
@@ -228,68 +215,6 @@ class EulerKernel:
 # public operations
 
 
-def _require_eulerian(state: State):
-    if state.frame != EULERIAN:
-        raise WrongFrame(f"expected an Eulerian state, got {state.frame}")
-
-
-def rhs_continuity(state: State, params: MixtureParams, scheme: SchemeConfig | None = None) -> np.ndarray:
-    """Density tendency -d(rho v)/dx in conservative flux form.
-
-    The trapezoid integral of the result is zero to round-off (mass
-    conservation telescopes).
-    """
-    _require_eulerian(state)
-    scheme = scheme or SchemeConfig()
-    kern = EulerKernel(state.grid, params, _trivial_derived(params), scheme)
-    v = average_velocity(state)
-    F, _, _ = kern.mass_flux(state.rho, v)
-    return kern.continuity(state.rho, F)
-
-
-def rhs_momentum(
-    state: State,
-    params: MixtureParams,
-    derived: DerivedMatrices,
-    scheme: SchemeConfig | None = None,
-) -> np.ndarray:
-    """Velocity tendencies: convection, pressure, viscosity and friction over rho.
-
-    Wall rows are exactly zero (Dirichlet boundary conditions).
-    """
-    _require_eulerian(state)
-    scheme = scheme or SchemeConfig()
-    kern = EulerKernel(state.grid, params, derived, scheme)
-    _, dU = kern.tendencies(state.time, np.asarray(state.rho), np.asarray(state.U))
-    return dU
-
-
-def stable_dt(state: State, params: MixtureParams, derived: DerivedMatrices, scheme: SchemeConfig) -> float:
-    """Largest stable step: acoustic CFL, and the viscous h^2 limit when explicit."""
-    _require_eulerian(state)
-    kern = EulerKernel(state.grid, params, derived, scheme)
-    explicit = scheme.time_integrator != SEMI_IMPLICIT
-    return kern.stable_dt(np.asarray(state.rho), np.asarray(state.U), explicit) * scheme.cfl
-
-
-def step(
-    state: State,
-    params: MixtureParams,
-    derived: DerivedMatrices,
-    scheme: SchemeConfig,
-    dt: float | None = None,
-    forcing: Forcing | None = None,
-) -> State:
-    """Advance one time step (dt defaults to the stable step)."""
-    _require_eulerian(state)
-    kern = EulerKernel(state.grid, params, derived, scheme, forcing)
-    if dt is None:
-        explicit = scheme.time_integrator != SEMI_IMPLICIT
-        dt = kern.stable_dt(np.asarray(state.rho), np.asarray(state.U), explicit) * scheme.cfl
-    rho, U, _ = step_once(kern, state.time, np.asarray(state.rho), np.asarray(state.U), dt, scheme)
-    return State(time=state.time + dt, frame=EULERIAN, grid=state.grid, rho=rho, U=U)
-
-
 def run(
     initial: State,
     params: MixtureParams,
@@ -301,17 +226,9 @@ def run(
     make_record=None,
 ) -> Trajectory:
     """Integrate from the initial state to ``t_end``; records every k-th step."""
-    _require_eulerian(initial)
+    if initial.frame != EULERIAN:
+        raise WrongFrame(f"expected an Eulerian state, got {initial.frame}")
     if t_end > params.T_final:
         raise ValidationError(f"t_end = {t_end} exceeds T_final = {params.T_final}")
     kern = EulerKernel(initial.grid, params, derived, scheme, forcing)
     return run_loop(kern, initial, t_end, scheme, snapshot_every, make_record)
-
-
-def _trivial_derived(params: MixtureParams) -> DerivedMatrices:
-    # rhs_continuity never touches the derived matrices; avoid recomputing them
-    n = params.N
-    eye = np.eye(n)
-    ones = np.ones(n)
-    return DerivedMatrices(M_inv=eye, C0=1.0, K_tilde=params.K, V_weights=ones / n,
-                           lam=ones, Q=eye)

@@ -139,15 +139,6 @@ class Trajectory:
 # discrete calculus
 
 
-def average_velocity(state: State) -> np.ndarray:
-    """Arithmetic mean of the component velocities, pointwise.
-
-    This is the single advecting velocity of the model: the shared density is
-    transported by it and every momentum equation is convected by it.
-    """
-    return state.U.mean(axis=0)
-
-
 def integrate(f: np.ndarray, grid: Grid1D) -> float:
     """Composite trapezoidal quadrature; exact for affine integrands."""
     f = np.asarray(f)
@@ -207,12 +198,16 @@ def face_mean(f: np.ndarray) -> np.ndarray:
     return 0.5 * (f[..., 1:] + f[..., :-1])
 
 
-def face_integrate(f_faces: np.ndarray, grid: Grid1D) -> float:
-    """Midpoint quadrature over faces (weight h per face)."""
-    f_faces = np.asarray(f_faces)
-    if f_faces.shape[-1] != grid.n_cells:
-        raise LengthMismatch(f"array length {f_faces.shape[-1]} != {grid.n_cells} faces")
-    return float(grid.h * f_faces.sum(axis=-1))
+def face_harmonic_mean(rho: np.ndarray) -> np.ndarray:
+    """Harmonic mean ``2 a b / (a + b)`` of the two node values of each face.
+
+    The mass-coordinate viscous operator and its dissipation audit weight
+    face gradients with it.
+    """
+    out = 2.0 * rho[1:]
+    out *= rho[:-1]
+    out /= rho[1:] + rho[:-1]
+    return out
 
 
 def sbp_derivative(f: np.ndarray, grid: Grid1D) -> np.ndarray:

@@ -17,13 +17,14 @@ import hashlib
 import json
 import operator
 import os
+import warnings
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, MixflowError
 from .estimates import DiagnosticsRecord
-from .field import Grid1D, State, Trajectory
-from .model import MixtureParams
+from .field import EULERIAN, LAGRANGIAN, Grid1D, State, Trajectory
+from .model import MixtureParams, validate_params
 
 FORMAT_NAME = "mixflow-trajectory"
 FORMAT_VERSION = 1
@@ -70,8 +71,10 @@ def write_snapshot(path: str, state: State):
 
 
 def read_snapshot(path: str, time: float, frame: str) -> State:
+    """Read one snapshot; every format fault raises :class:`FileFormatError`."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data rows: checked below
             header = fh.readline().strip().split(",")
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
@@ -80,10 +83,18 @@ def read_snapshot(path: str, time: float, frame: str) -> State:
         raise FileFormatError(f"{path}: {exc}") from None
     if header[:2] != ["x_or_y", "rho"]:
         raise FileFormatError(f"{path}: expected header x_or_y,rho,u1,..., got {header}")
-    x = data[:, 0]
-    n_cells = x.size - 1
-    grid = Grid1D(domain_length=float(x[-1]), n_cells=n_cells)
-    return State(time=time, frame=frame, grid=grid, rho=data[:, 1], U=data[:, 2:].T)
+    if data.shape[0] == 0:
+        raise FileFormatError(f"{path}: no data rows")
+    if data.shape[1] != len(header) or data.shape[1] < 3:
+        raise FileFormatError(
+            f"{path}: {data.shape[1]} columns for the {len(header)} of header "
+            f"{','.join(header)}; expected x_or_y, rho and one column per velocity"
+        )
+    try:
+        grid = Grid1D(domain_length=float(data[-1, 0]), n_cells=data.shape[0] - 1)
+        return State(time=time, frame=frame, grid=grid, rho=data[:, 1], U=data[:, 2:].T)
+    except MixflowError as exc:  # too few nodes, non-finite or non-positive values
+        raise FileFormatError(f"{path}: {exc}") from None
 
 
 def write_diagnostics(path: str, records: list[DiagnosticsRecord]):
@@ -159,9 +170,13 @@ def load_trajectory(
 ) -> tuple[Trajectory, MixtureParams, dict]:
     """Read a trajectory directory; with ``final_only`` only its last snapshot.
 
-    Every format fault (a missing or unreadable file, a missing manifest
-    field, a malformed row or cell) raises :class:`FileFormatError` naming
-    the file.
+    Every format fault raises :class:`FileFormatError` naming the file: a
+    missing or unreadable file, a missing manifest field, parameters that
+    fail :func:`~mixflow.model.validate_params` or do not match the stored
+    ``params_hash``, an unknown frame, times that are not finite,
+    non-negative and strictly increasing, a snapshot index that is not a list of file names, a malformed row or
+    cell, and a snapshot whose grid or velocity count differs from the
+    manifest.
     """
     mpath = os.path.join(out_dir, "manifest.json")
     try:
@@ -175,11 +190,26 @@ def load_trajectory(
         raise FileFormatError(f"{mpath} is not a {FORMAT_NAME} manifest")
 
     try:
-        params = params_from_dict(manifest["params"])
+        params = validate_params(params_from_dict(manifest["params"]))
         grid = Grid1D(domain_length=manifest["domain_length"], n_cells=manifest["n_cells"])
         frame, times, snaps = manifest["frame"], manifest["times"], manifest["snapshots"]
+        stored_hash = manifest["params_hash"]
+        stamps = np.array(times, dtype=float)
     except KeyError as exc:
         raise FileFormatError(f"{mpath}: missing field {exc}") from None
+    except (MixflowError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"{mpath}: {exc}") from None
+    if stored_hash != params_hash(params):
+        raise FileFormatError(f"{mpath}: params_hash does not match the stored parameters")
+    if frame not in (EULERIAN, LAGRANGIAN):
+        raise FileFormatError(f"{mpath}: unknown frame {frame!r}")
+    if (stamps.ndim != 1 or not np.isfinite(stamps).all() or (stamps[:1] < 0).any()
+            or (np.diff(stamps) <= 0).any()):
+        raise FileFormatError(
+            f"{mpath}: times must be finite, non-negative and strictly increasing"
+        )
+    if not isinstance(snaps, list) or not all(isinstance(name, str) for name in snaps):
+        raise FileFormatError(f"{mpath}: snapshots must be a list of file names")
     if not snaps or len(times) != len(snaps):
         raise FileFormatError(f"{mpath}: {len(times)} times for {len(snaps)} snapshots")
     pairs = list(zip(times, snaps))
@@ -187,7 +217,15 @@ def load_trajectory(
         pairs = pairs[-1:]
     traj = Trajectory(frame, grid)
     for t, name in pairs:
-        traj.states.append(read_snapshot(os.path.join(out_dir, name), t, frame))
+        path = os.path.join(out_dir, name)
+        state = read_snapshot(path, t, frame)
+        if state.grid != grid or state.n_components != params.N:
+            raise FileFormatError(
+                f"{path}: {state.grid.n_nodes} nodes on (0, {state.grid.domain_length}) and "
+                f"{state.n_components} velocities, the manifest gives {grid.n_nodes} nodes on "
+                f"(0, {grid.domain_length}) and {params.N}"
+            )
+        traj.states.append(state)
     dpath = os.path.join(out_dir, "diag.csv")
     if os.path.exists(dpath):
         traj.diagnostics = read_diagnostics(dpath)

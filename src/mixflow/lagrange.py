@@ -25,15 +25,9 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import DensityFloor, DomainLengthDrift, ValidationError, WrongFrame
 from .euler import Forcing, SchemeConfig
-from .field import (
-    EULERIAN,
-    LAGRANGIAN,
-    Grid1D,
-    State,
-    Trajectory,
-)
+from .field import EULERIAN, LAGRANGIAN, Grid1D, State, Trajectory, face_harmonic_mean
 from .model import DerivedMatrices, MixtureParams
-from .timestepping import SEMI_IMPLICIT, run_loop, step_once, tridiagonal_solve
+from .timestepping import Kernel, run_loop, tridiagonal_solve
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +129,7 @@ def lagrange_to_euler(state: State, n_cells: int | None = None, drift_tol: float
 # kernel
 
 
-class LagrangeKernel:
+class LagrangeKernel(Kernel):
     """Right-hand side of the mass-coordinate system.
 
     Time integration acts on the specific volume tau = 1/rho, whose tendency
@@ -145,29 +139,6 @@ class LagrangeKernel:
     """
 
     frame = LAGRANGIAN
-
-    def __init__(
-        self,
-        grid: Grid1D,
-        params: MixtureParams,
-        derived: DerivedMatrices,
-        scheme: SchemeConfig,
-        forcing: Forcing | None = None,
-    ):
-        self.grid = grid
-        self.params = params
-        self.derived = derived
-        self.scheme = scheme
-        self.forcing = forcing
-        self.nodes = grid.nodes()
-        self._row_sum_A = params.A.sum(axis=1)[:, None]
-        self._N = params.N
-        self._h = grid.h
-        self._2h = 2 * grid.h
-        self._hh = grid.h * grid.h
-        self._g1 = params.gamma - 1.0
-        self._Kg = params.K * params.gamma
-        self._2lam_max = 2.0 * derived.lam_max
 
     @staticmethod
     def to_evolved(rho):
@@ -227,17 +198,9 @@ class LagrangeKernel:
             rhs += s_u[:, 1:-1]
         return dtau, dU
 
-    @staticmethod
-    def _face_density(rho):
-        """Harmonic mean of the two node densities of each face."""
-        rho_hat = 2.0 * rho[1:]
-        rho_hat *= rho[:-1]
-        rho_hat /= rho[1:] + rho[:-1]
-        return rho_hat
-
     def _flux_laplacian(self, rho, U):
         """d(rho du/dy)/dy at interior nodes, flux form, harmonic face density."""
-        flux = self._face_density(rho) * (U[:, 1:] - U[:, :-1])
+        flux = face_harmonic_mean(rho) * (U[:, 1:] - U[:, :-1])
         lap = flux[:, 1:] - flux[:, :-1]
         lap /= self._hh
         return lap
@@ -256,7 +219,7 @@ class LagrangeKernel:
 
     def viscous_solve(self, rho, B, coef):
         d = self.derived
-        conduct = self._face_density(rho) / self._hh  # face conductances
+        conduct = face_harmonic_mean(rho) / self._hh  # face conductances
         c = (coef * d.lam)[:, None] * conduct  # one value per face
         # wall rows are the identity (first upper and last lower entry zero);
         # interior row j couples w_{j-1} and w_{j+1} through the conductances
@@ -272,40 +235,6 @@ class LagrangeKernel:
 
 # ---------------------------------------------------------------------------
 # public operations
-
-
-def rhs_lagrangian(
-    state: State,
-    params: MixtureParams,
-    derived: DerivedMatrices,
-    scheme: SchemeConfig | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tendencies (drho/dt, du_i/dt) of the mass-coordinate system."""
-    if state.frame != LAGRANGIAN:
-        raise WrongFrame("rhs_lagrangian expects a Lagrangian state")
-    scheme = scheme or SchemeConfig()
-    kern = LagrangeKernel(state.grid, params, derived, scheme)
-    rho = np.asarray(state.rho)
-    dtau, dU = kern.tendencies(state.time, 1.0 / rho, np.asarray(state.U))
-    return -(rho * rho) * dtau, dU
-
-
-def step_lagrangian(
-    state: State,
-    params: MixtureParams,
-    derived: DerivedMatrices,
-    scheme: SchemeConfig,
-    dt: float | None = None,
-) -> State:
-    if state.frame != LAGRANGIAN:
-        raise WrongFrame("step_lagrangian expects a Lagrangian state")
-    kern = LagrangeKernel(state.grid, params, derived, scheme)
-    tau = kern.to_evolved(np.asarray(state.rho, dtype=float))
-    if dt is None:
-        explicit = scheme.time_integrator != SEMI_IMPLICIT
-        dt = kern.stable_dt(tau, np.asarray(state.U), explicit) * scheme.cfl
-    _, U, rho = step_once(kern, state.time, tau, np.asarray(state.U), dt, scheme)
-    return State(time=state.time + dt, frame=LAGRANGIAN, grid=state.grid, rho=rho, U=U)
 
 
 def run_lagrangian(

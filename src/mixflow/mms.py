@@ -65,6 +65,11 @@ class ManufacturedFields:
     def __post_init__(self):
         if len(self.c) != self.params.N:
             raise ValidationError("need one velocity amplitude per component")
+        if self.frame == EULERIAN and self.domain_length != 1.0:
+            raise ValidationError(
+                f"the Eulerian frame lives on the unit interval, got domain_length = "
+                f"{self.domain_length}"
+            )
         # evaluation state; the fields are frozen, so what it holds stays valid
         object.__setattr__(self, "_c", np.array(self.c))
         object.__setattr__(self, "_row_sum_A", self.params.A.sum(axis=1))
@@ -126,10 +131,7 @@ class ManufacturedFields:
         return out
 
     def _spatial_factors(self, x):
-        if self.frame == EULERIAN:  # the physical-space closed form uses pi, 2 pi
-            s1, s2 = math.pi, 2.0 * math.pi
-        else:
-            s1, s2 = math.pi / self.domain_length, 2.0 * math.pi / self.domain_length
+        s1, s2 = math.pi / self.domain_length, 2.0 * math.pi / self.domain_length
         sin1 = np.sin(s1 * x)
         cos1 = np.cos(s1 * x)
         sin2 = np.sin(s2 * x)

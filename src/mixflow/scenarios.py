@@ -26,10 +26,6 @@ CORPUS = (
 )
 
 
-def corpus_names() -> tuple[str, ...]:
-    return CORPUS
-
-
 def scenario_text(name: str) -> str:
     if name not in CORPUS:
         raise ValidationError(f"unknown scenario {name!r}; corpus: {CORPUS}")

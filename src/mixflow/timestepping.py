@@ -1,6 +1,10 @@
 """Shared time integrators and the run loop driving both solvers.
 
-A solver provides a *kernel* object with the small interface used below:
+A solver provides a *kernel* object with the small interface used below.
+Both kernels derive from :class:`Kernel`, whose constructor
+``(grid, params, derived, scheme, forcing=None)`` keeps the inputs and the
+grid and parameter constants every right-hand side and stable-step estimate
+reads; each kernel adds only what its own frame needs.
 
 ``kernel.grid``, ``kernel.frame``
     grid and coordinate frame of the evolved fields
@@ -56,6 +60,26 @@ INTEGRATORS = (RK2, RK4, SEMI_IMPLICIT)
 # ARS(2,2,2) IMEX coefficients; the implicit half is L-stable.
 _ARS_GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
 _ARS_DELTA = 1.0 - 1.0 / (2.0 * _ARS_GAMMA)
+
+
+class Kernel:
+    """Inputs and constants shared by the Eulerian and the mass-coordinate kernel."""
+
+    def __init__(self, grid, params, derived, scheme, forcing=None):
+        self.grid = grid
+        self.params = params
+        self.derived = derived
+        self.scheme = scheme
+        self.forcing = forcing
+        self.nodes = grid.nodes()
+        self._row_sum_A = params.A.sum(axis=1)[:, None]
+        self._N = params.N
+        self._h = grid.h
+        self._2h = 2 * grid.h
+        self._hh = grid.h * grid.h
+        self._g1 = params.gamma - 1.0
+        self._Kg = params.K * params.gamma
+        self._2lam_max = 2.0 * derived.lam_max
 
 
 def tridiagonal_solve(Q, lower, diag, upper, B):

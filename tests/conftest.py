@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mixflow.euler import SchemeConfig
+from mixflow.euler import EulerKernel, SchemeConfig
 from mixflow.field import EULERIAN, Grid1D, State
+from mixflow.lagrange import LagrangeKernel
 from mixflow.model import derive_matrices, make_params
 
 
@@ -52,3 +53,17 @@ def upwind_scheme():
 @pytest.fixture
 def central_scheme():
     return SchemeConfig(advection="central-2")
+
+
+def euler_tendencies(state, params, derived, scheme=None):
+    """(drho/dt, dU/dt) of an Eulerian state through the kernel."""
+    kern = EulerKernel(state.grid, params, derived, scheme or SchemeConfig())
+    return kern.tendencies(state.time, np.asarray(state.rho), np.asarray(state.U))
+
+
+def lagrange_tendencies(state, params, derived, scheme=None):
+    """(drho/dt, dU/dt) of a mass-coordinate state; the kernel evolves 1/rho."""
+    kern = LagrangeKernel(state.grid, params, derived, scheme or SchemeConfig())
+    rho = np.asarray(state.rho)
+    dtau, dU = kern.tendencies(state.time, 1.0 / rho, np.asarray(state.U))
+    return -(rho * rho) * dtau, dU

@@ -49,10 +49,16 @@ class TestEnergy:
             9.0 * (e0 - pressure), rel=1e-12
         )
 
-    def test_wrong_frame(self, params2, grid64):
-        s = lag_state(grid64, np.ones(grid64.n_nodes), np.zeros((2, grid64.n_nodes)))
-        with pytest.raises(WrongFrame):
-            est.energy(s, params2)
+    def test_mass_coordinate_hand_value(self):
+        # rho = 2 on (0, 2), K = 1, gamma = 2, N = 2, dx = dy / rho: the
+        # internal part is 2 * int rho dy = 8 and the kinetic part
+        # 0.5 * int u1^2 dy = 0.5 * h * 7 = 0.875 (u1 = 1 at 7 interior nodes)
+        p = make_params(2, 1.0, 2.0, np.eye(2) * 0.1, [[0, 1], [1, 0]], 1.0)
+        g = Grid1D(2.0, 8)
+        u1 = np.ones(g.n_nodes)
+        u1[[0, -1]] = 0.0
+        s = lag_state(g, np.full(g.n_nodes, 2.0), np.array([u1, 0 * u1]))
+        assert est.energy(s, p) == pytest.approx(8.875, abs=1e-14)
 
 
 class TestDissipation:
@@ -332,6 +338,58 @@ class TestRecordsAndReport:
         assert rep.passed
         txt = rep.render_text()
         assert "energy_budget" in txt and "PASS" in txt
+
+    def test_build_report_skip_reasons(self, params2, derived2, shear_state):
+        scheme = SchemeConfig()
+        traj_e = run(shear_state, params2, derived2, scheme, 0.1, snapshot_every=10,
+                     make_record=est.record_maker(params2, derived2))
+        traj_l = run_lagrangian(euler_to_lagrange(shear_state), params2, derived2, scheme, 0.1,
+                                snapshot_every=10, make_record=est.record_maker(params2, derived2))
+
+        def reasons(**trajs):
+            rep = est.build_report(params2, derived2, **trajs)
+            return {k: r.details["reason"] for k, r in rep.results.items() if r.verdict == est.SKIP}
+
+        assert reasons(eulerian=traj_e) == {
+            "w_balance": "needs a Lagrangian trajectory with >= 3 records",
+            "gronwall": "needs a Lagrangian trajectory with >= 3 records",
+            "pointwise_bounds": "no Lagrangian trajectory",
+        }
+        assert reasons(lagrangian=traj_l) == {
+            "energy_budget": "no Eulerian trajectory",
+            "alpha_growth": "needs an Eulerian trajectory with >= 3 records",
+            "derivative_norms": "needs an Eulerian trajectory with >= 2 records",
+        }
+        two = Trajectory(EULERIAN, traj_e.grid)
+        for s, rec in list(zip(traj_e.states, traj_e.diagnostics))[:2]:
+            two.append(s, rec)
+        assert reasons(eulerian=two) == {
+            "w_balance": "needs a Lagrangian trajectory with >= 3 records",
+            "gronwall": "needs a Lagrangian trajectory with >= 3 records",
+            "alpha_growth": "needs an Eulerian trajectory with >= 3 records",
+            "pointwise_bounds": "no Lagrangian trajectory",
+        }
+
+    def test_density_bounds_reports_a_lagrangian_failure(self, params2, derived2, grid64):
+        def single(frame, rho):
+            tr = Trajectory(frame, grid64)
+            tr.append(State(time=0.0, frame=frame, grid=grid64,
+                            rho=rho, U=np.zeros((2, grid64.n_nodes))))
+            return tr
+
+        def bounds(lag_rho):
+            rep = est.build_report(params2, derived2,
+                                   eulerian=single(EULERIAN, np.ones(grid64.n_nodes)),
+                                   lagrangian=single(LAGRANGIAN, lag_rho),
+                                   audits=("density_bounds",), dval=1.0)
+            return rep.results["density_bounds"]
+
+        # both pass: the Eulerian result (rho_inf = 1) is the reported one
+        passing = bounds(np.linspace(0.5, 1.5, grid64.n_nodes))
+        assert passing.verdict == est.PASS and passing.details["rho_inf"] == 1.0
+        # min rho = 2 > d = 1 in the mass coordinate: the Lagrangian failure wins
+        failing = bounds(np.full(grid64.n_nodes, 2.0))
+        assert failing.verdict == est.FAIL and failing.details["rho_inf"] == 2.0
 
     def test_report_dict_shape(self, params2, derived2, shear_state):
         traj = run(shear_state, params2, derived2, SchemeConfig(), 0.1, snapshot_every=10,

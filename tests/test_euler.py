@@ -4,20 +4,13 @@ import numpy as np
 import pytest
 
 from mixflow import estimates
-from mixflow.errors import DensityFloor, ValidationError, WrongFrame
-from mixflow.euler import (
-    CENTRAL,
-    UPWIND,
-    EulerKernel,
-    SchemeConfig,
-    rhs_continuity,
-    rhs_momentum,
-    run,
-    stable_dt,
-    step,
-)
-from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D, State, integrate, l2_norm, total_mass
+from mixflow.errors import DensityFloor, ValidationError
+from mixflow.euler import CENTRAL, UPWIND, EulerKernel, SchemeConfig, run
+from mixflow.field import EULERIAN, Grid1D, State, integrate, l2_norm, total_mass
 from mixflow.model import derive_matrices, make_params
+from mixflow.timestepping import SEMI_IMPLICIT, step_once
+
+from conftest import euler_tendencies
 
 
 def rest_state(grid, n_comp=2, rho0=1.0):
@@ -25,6 +18,21 @@ def rest_state(grid, n_comp=2, rho0=1.0):
         time=0.0, frame=EULERIAN, grid=grid,
         rho=np.full(grid.n_nodes, rho0), U=np.zeros((n_comp, grid.n_nodes)),
     )
+
+
+def stable_dt(state, params, derived, scheme):
+    kern = EulerKernel(state.grid, params, derived, scheme)
+    explicit = scheme.time_integrator != SEMI_IMPLICIT
+    return kern.stable_dt(np.asarray(state.rho), np.asarray(state.U), explicit) * scheme.cfl
+
+
+def step(state, params, derived, scheme, dt=None):
+    """One step of ``scheme`` (the stable step by default) as (dt, rho, U)."""
+    kern = EulerKernel(state.grid, params, derived, scheme)
+    if dt is None:
+        dt = stable_dt(state, params, derived, scheme)
+    rho, U, _ = step_once(kern, state.time, np.asarray(state.rho), np.asarray(state.U), dt, scheme)
+    return dt, rho, U
 
 
 class TestSchemeConfig:
@@ -47,10 +55,10 @@ class TestSchemeConfig:
 
 
 class TestContinuity:
-    def test_rest_is_steady(self, params2, grid64):
-        assert np.all(rhs_continuity(rest_state(grid64), params2) == 0.0)
+    def test_rest_is_steady(self, params2, derived2, grid64):
+        assert np.all(euler_tendencies(rest_state(grid64), params2, derived2)[0] == 0.0)
 
-    def test_analytic_divergence(self, params2):
+    def test_analytic_divergence(self, params2, derived2):
         # rho = 1, every u_i = sin(pi x) -> v = sin(pi x), flux = sin(pi x),
         # tendency = -pi cos(pi x)
         g = Grid1D(1.0, 256)
@@ -58,24 +66,18 @@ class TestContinuity:
         u = np.sin(np.pi * x)
         u[[0, -1]] = 0.0
         s = State(time=0.0, frame=EULERIAN, grid=g, rho=np.ones_like(x), U=np.array([u, u]))
-        tend = rhs_continuity(s, params2, SchemeConfig(advection=CENTRAL))
+        tend, _ = euler_tendencies(s, params2, derived2, SchemeConfig(advection=CENTRAL))
         assert np.abs(tend - (-np.pi * np.cos(np.pi * x))).max() < 2e-4
 
     @pytest.mark.parametrize("advection", [UPWIND, CENTRAL])
-    def test_tendency_integrates_to_zero(self, params2, shear_state, advection):
-        tend = rhs_continuity(shear_state, params2, SchemeConfig(advection=advection))
+    def test_tendency_integrates_to_zero(self, params2, derived2, shear_state, advection):
+        tend, _ = euler_tendencies(shear_state, params2, derived2, SchemeConfig(advection=advection))
         assert abs(integrate(tend, shear_state.grid)) <= 1e-12 * l2_norm(shear_state.rho, shear_state.grid)
-
-    def test_wrong_frame(self, params2, grid64):
-        s = State(time=0.0, frame=LAGRANGIAN, grid=grid64,
-                  rho=np.ones(grid64.n_nodes), U=np.zeros((2, grid64.n_nodes)))
-        with pytest.raises(WrongFrame):
-            rhs_continuity(s, params2)
 
 
 class TestMomentum:
     def test_constant_rest_steady(self, params2, derived2, grid64):
-        dU = rhs_momentum(rest_state(grid64), params2, derived2)
+        _, dU = euler_tendencies(rest_state(grid64), params2, derived2)
         assert np.all(dU == 0.0)
 
     def test_equal_velocities_kill_friction(self, derived2, grid64):
@@ -88,11 +90,11 @@ class TestMomentum:
         f[[0, -1]] = 0.0
         s = State(time=0.0, frame=EULERIAN, grid=grid64,
                   rho=1.0 + 0.2 * np.sin(2 * np.pi * x) ** 2, U=np.array([f, f]))
-        dU = rhs_momentum(s, p, d)
+        _, dU = euler_tendencies(s, p, d)
         assert np.array_equal(dU[0], dU[1])
 
     def test_boundary_rows_zero(self, params2, derived2, shear_state):
-        dU = rhs_momentum(shear_state, params2, derived2)
+        _, dU = euler_tendencies(shear_state, params2, derived2)
         assert np.all(dU[:, 0] == 0.0) and np.all(dU[:, -1] == 0.0)
 
     def test_density_floor_guard(self, params2, derived2, grid64):
@@ -133,19 +135,19 @@ class TestStableDt:
 class TestStep:
     def test_rest_fixed_point(self, params2, derived2, grid64):
         s = rest_state(grid64)
-        s1 = step(s, params2, derived2, SchemeConfig())
-        assert s1.time > 0
-        assert np.array_equal(s1.rho, s.rho)
-        assert np.array_equal(s1.U, s.U)
+        dt, rho, U = step(s, params2, derived2, SchemeConfig())
+        assert dt > 0
+        assert np.array_equal(rho, s.rho)
+        assert np.array_equal(U, s.U)
 
     def test_rk2_vs_rk4_third_order_agreement(self, params2, derived2, shear_state):
         # one step from the same state: RK2 and RK4 differ at O(dt^3)
         diffs = []
         for dt in (2e-4, 1e-4):
-            s2 = step(shear_state, params2, derived2, SchemeConfig(advection=CENTRAL), dt=dt)
-            s4 = step(shear_state, params2, derived2,
-                      SchemeConfig(time_integrator="explicit-RK4", advection=CENTRAL), dt=dt)
-            diffs.append(max(np.abs(s2.rho - s4.rho).max(), np.abs(s2.U - s4.U).max()))
+            _, rho2, U2 = step(shear_state, params2, derived2, SchemeConfig(advection=CENTRAL), dt=dt)
+            _, rho4, U4 = step(shear_state, params2, derived2,
+                               SchemeConfig(time_integrator="explicit-RK4", advection=CENTRAL), dt=dt)
+            diffs.append(max(np.abs(rho2 - rho4).max(), np.abs(U2 - U4).max()))
         ratio = diffs[0] / diffs[1]
         assert 6.0 <= ratio <= 10.0  # 2^3 = 8
 
@@ -155,7 +157,6 @@ class TestStep:
         U = np.asarray(s.U).copy()
         U[0, 5] = np.nan
         from mixflow.errors import NonFinite
-        from mixflow.timestepping import step_once
 
         with pytest.raises(NonFinite):
             step_once(kern, 0.0, np.asarray(s.rho).copy(), U, 1e-5, SchemeConfig())

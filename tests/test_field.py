@@ -12,10 +12,9 @@ from mixflow.field import (
     Grid1D,
     State,
     Trajectory,
-    average_velocity,
     diff,
     face_gradient,
-    face_integrate,
+    face_harmonic_mean,
     integrate,
     l2_norm,
     linf_norm,
@@ -72,28 +71,6 @@ class TestGridState:
         s0 = make_state(grid64, np.ones(grid64.n_nodes), np.zeros((1, grid64.n_nodes)))
         with pytest.raises(WrongFrame):
             tr.append(s0)
-
-
-class TestAverageVelocity:
-    def test_two_components(self, grid64):
-        x = grid64.nodes()
-        u1 = np.sin(np.pi * x)
-        u2 = 3 * np.sin(np.pi * x)
-        u1[[0, -1]] = 0
-        u2[[0, -1]] = 0
-        s = make_state(grid64, np.ones_like(x), np.array([u1, u2]))
-        assert np.allclose(average_velocity(s), 2 * np.sin(np.pi * x), atol=1e-15)
-
-    def test_zero(self, grid64):
-        s = make_state(grid64, np.ones(grid64.n_nodes), np.zeros((3, grid64.n_nodes)))
-        assert np.all(average_velocity(s) == 0.0)
-
-    def test_equal_components_identity(self, grid64):
-        x = grid64.nodes()
-        f = 0.3 * np.sin(2 * np.pi * x)
-        f[[0, -1]] = 0
-        s = make_state(grid64, np.ones_like(x), np.array([f, f, f]))
-        assert np.allclose(average_velocity(s), f, atol=1e-16)
 
 
 class TestQuadrature:
@@ -213,6 +190,11 @@ class TestFaceHelpers:
         g = Grid1D(1.0, 16)
         assert np.allclose(face_gradient(2.0 * g.nodes(), g), 2.0, atol=1e-13)
 
-    def test_face_quadrature_counts_cells(self):
-        g = Grid1D(1.0, 16)
-        assert face_integrate(np.ones(g.n_cells), g) == pytest.approx(1.0, abs=1e-15)
+    def test_face_harmonic_mean_hand_values(self):
+        # 2 * 1 * 3 / 4 = 1.5, and equal neighbours give their common value
+        assert np.array_equal(face_harmonic_mean(np.array([1.0, 3.0, 3.0])), [1.5, 3.0])
+
+    def test_face_harmonic_mean_operation_order(self):
+        rho = np.random.default_rng(3).uniform(0.05, 5.0, 97)
+        expect = 2.0 * rho[1:] * rho[:-1] / (rho[1:] + rho[:-1])
+        assert np.array_equal(face_harmonic_mean(rho), expect)

@@ -265,6 +265,25 @@ def stored_run(tmp_path_factory):
     return out
 
 
+def _snapshot_edit(edit, name="snap_00001.csv"):
+    """A corruption that rewrites the lines of one snapshot file."""
+    def corrupt(out):
+        path = os.path.join(out, name)
+        lines = open(path).read().splitlines()
+        open(path, "w").write("\n".join(edit(lines)) + "\n")
+    return corrupt
+
+
+def _manifest_edit(edit):
+    """A corruption that edits the parsed manifest in place and writes it back."""
+    def corrupt(out):
+        path = os.path.join(out, "manifest.json")
+        manifest = json.load(open(path))
+        edit(manifest)
+        json.dump(manifest, open(path, "w"))
+    return corrupt
+
+
 class TestTrajectoryFormatFaults:
     def _copy(self, stored_run, tmp_path):
         out = str(tmp_path / "copy")
@@ -276,6 +295,41 @@ class TestTrajectoryFormatFaults:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("error: ") and name in err
+        return err
+
+    @pytest.mark.parametrize("corrupt, name, reason", [
+        (_snapshot_edit(lambda lines: lines[:1]), "snap_00001.csv", "no data rows"),
+        (_snapshot_edit(lambda lines: [",".join(r.split(",")[:2]) for r in lines]),
+         "snap_00001.csv", "2 columns"),
+        (_snapshot_edit(lambda lines: lines[:1] + [r.rsplit(",", 1)[0] for r in lines[1:]]),
+         "snap_00001.csv", "3 columns for the 4 of header"),
+        (_snapshot_edit(lambda lines: [r.rsplit(",", 1)[0] for r in lines]),
+         "snap_00001.csv", "1 velocities"),
+        (_snapshot_edit(lambda lines: lines[:5] + lines[6:]), "snap_00001.csv", "48 nodes"),
+        (_manifest_edit(lambda m: m["params"].update(gamma=1.0)),
+         "manifest.json", "gamma must be > 1"),
+        (_manifest_edit(lambda m: m["params"]["viscosity"][0].__setitem__(1, 0.03)),
+         "manifest.json", "M is not symmetric"),
+        (_manifest_edit(lambda m: m["params"].update(pressure_coeff=1.5)),
+         "manifest.json", "params_hash does not match"),
+        (_manifest_edit(lambda m: m["times"].reverse()),
+         "manifest.json", "strictly increasing"),
+        (_manifest_edit(lambda m: m["times"].__setitem__(1, float("nan"))),
+         "manifest.json", "strictly increasing"),
+        (_manifest_edit(lambda m: m.update(times=[t - 1.0 for t in m["times"]])),
+         "manifest.json", "non-negative"),
+        (_manifest_edit(lambda m: m.update(frame="physical")), "manifest.json", "unknown frame"),
+        (_manifest_edit(lambda m: m["snapshots"].__setitem__(0, 7)),
+         "manifest.json", "list of file names"),
+        (_manifest_edit(lambda m: m.update(domain_length=3.0)), "snap_00000.csv", "(0, 3.0)"),
+    ], ids=["header-only-snapshot", "two-column-snapshot", "columns-differ-from-header",
+            "velocity-count", "node-count", "gamma-one", "asymmetric-viscosity",
+            "params-hash", "reversed-times", "non-finite-time", "negative-time",
+            "unknown-frame", "snapshot-index", "domain-length"])
+    def test_corrupt_store(self, stored_run, tmp_path, capsys, corrupt, name, reason):
+        out = self._copy(stored_run, tmp_path)
+        corrupt(out)
+        assert reason in self._check_fails_naming(out, name, capsys)
 
     def test_missing_snapshot_file(self, stored_run, tmp_path, capsys):
         out = self._copy(stored_run, tmp_path)

@@ -8,16 +8,16 @@ from mixflow.errors import DomainLengthDrift, WrongFrame
 from mixflow.euler import CENTRAL, SchemeConfig
 from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D, State, diff, integrate, l2_norm
 from mixflow.lagrange import (
+    LagrangeKernel,
     euler_to_lagrange,
     lagrange_to_euler,
     mass_map,
-    rhs_lagrangian,
     run_lagrangian,
-    step_lagrangian,
 )
 from mixflow.model import derive_matrices, make_params
+from mixflow.timestepping import step_once
 
-from conftest import smooth_state
+from conftest import euler_tendencies, lagrange_tendencies, smooth_state
 
 
 def lagrangian_rest(grid, n_comp=2, rho0=2.0):
@@ -113,7 +113,7 @@ class TestRhs:
     def test_rest_steady(self):
         p = make_params(2, 1.0, 1.4, [[0.1, 0.02], [0.02, 0.1]], [[0, 1], [1, 0]], 1.0)
         d = derive_matrices(p)
-        drho, dU = rhs_lagrangian(lagrangian_rest(Grid1D(2.0, 64)), p, d)
+        drho, dU = lagrange_tendencies(lagrangian_rest(Grid1D(2.0, 64)), p, d)
         assert np.abs(drho).max() == 0.0
         assert np.all(dU == 0.0)
 
@@ -125,7 +125,7 @@ class TestRhs:
         v = 0.2 * np.sin(np.pi * y / 2.0)
         v[[0, -1]] = 0.0
         s = State(time=0.0, frame=LAGRANGIAN, grid=g, rho=rho, U=np.array([v, v]))
-        drho, _ = rhs_lagrangian(s, params2, derived2)
+        drho, _ = lagrange_tendencies(s, params2, derived2)
         exact = -(rho**2) * 0.2 * (np.pi / 2.0) * np.cos(np.pi * y / 2.0)
         assert np.abs(drho - exact)[1:-1].max() <= 5e-4
 
@@ -164,9 +164,9 @@ class TestRhs:
         errs = []
         for n in (64, 128):
             se, sl, x_of_y = self._affine_pair(n)
-            drho_l, dU_l = rhs_lagrangian(sl, params2, derived2, SchemeConfig(advection=CENTRAL))
-            drho_e = euler.rhs_continuity(se, params2, SchemeConfig(advection=CENTRAL))
-            dU_e = euler.rhs_momentum(se, params2, derived2, SchemeConfig(advection=CENTRAL))
+            central = SchemeConfig(advection=CENTRAL)
+            drho_l, dU_l = lagrange_tendencies(sl, params2, derived2, central)
+            drho_e, dU_e = euler_tendencies(se, params2, derived2, central)
             v = se.U.mean(axis=0)
             x = se.grid.nodes()
             worst = 0.0
@@ -188,8 +188,8 @@ class TestRhs:
             g = Grid1D(1.0, n)
             s = smooth_state(g)
             sl = euler_to_lagrange(s)
-            dU_l = rhs_lagrangian(sl, params2, derived2, SchemeConfig(advection=CENTRAL))[1]
-            dU_e = euler.rhs_momentum(s, params2, derived2, SchemeConfig(advection=CENTRAL))
+            dU_l = lagrange_tendencies(sl, params2, derived2, SchemeConfig(advection=CENTRAL))[1]
+            dU_e = euler_tendencies(s, params2, derived2, SchemeConfig(advection=CENTRAL))[1]
             m = mass_map(s)
             v = s.U.mean(axis=0)
             x = g.nodes()
@@ -210,9 +210,16 @@ class TestRun:
 
     def test_step_matches_run_start(self, params2, derived2, shear_state):
         sl = euler_to_lagrange(shear_state)
-        s1 = step_lagrangian(sl, params2, derived2, SchemeConfig())
-        assert s1.time > sl.time
-        assert np.all(s1.U[:, [0, -1]] == 0.0)
+        scheme = SchemeConfig()
+        kern = LagrangeKernel(sl.grid, params2, derived2, scheme)
+        tau = kern.to_evolved(np.array(sl.rho))
+        dt = kern.stable_dt(tau, np.asarray(sl.U), True) * scheme.cfl
+        _, U, rho = step_once(kern, sl.time, tau, np.asarray(sl.U), dt, scheme)
+        assert dt > 0
+        assert np.all(U[:, [0, -1]] == 0.0)
+        first = run_lagrangian(sl, params2, derived2, scheme, t_end=dt, snapshot_every=1).final
+        assert first.time == dt
+        assert np.array_equal(first.rho, rho) and np.array_equal(first.U, U)
 
     def test_volume_exactly_conserved(self, params2, derived2, shear_state):
         sl = euler_to_lagrange(shear_state)

@@ -1,10 +1,12 @@
 import numpy as np
 
-from mixflow import euler, lagrange
+from mixflow import euler
 from mixflow.euler import CENTRAL, UPWIND, SchemeConfig
 from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D
 from mixflow.mms import ManufacturedFields, default_params, mms_study
 from mixflow.model import derive_matrices
+
+from conftest import euler_tendencies, lagrange_tendencies
 
 
 class TestForcing:
@@ -33,8 +35,7 @@ class TestForcing:
         for n in (64, 128):
             g = Grid1D(1.0, n)
             s = fields.state(g)
-            drho = euler.rhs_continuity(s, p, SchemeConfig(advection=CENTRAL))
-            dU = euler.rhs_momentum(s, p, d, SchemeConfig(advection=CENTRAL))
+            drho, dU = euler_tendencies(s, p, d, SchemeConfig(advection=CENTRAL))
             s_rho, s_u = fields.forcing(0.0, g.nodes())
             # at t = 0, d rho*/dt = 0 and d u*/dt = 0 (cos factors), so the
             # forcing should cancel the discrete tendencies
@@ -50,7 +51,7 @@ class TestForcing:
         for n in (64, 128):
             g = Grid1D(2.0, n)
             s = fields.state(g)
-            drho, dU = lagrange.rhs_lagrangian(s, p, d)
+            drho, dU = lagrange_tendencies(s, p, d)
             s_rho, s_u = fields.forcing(0.0, g.nodes())
             err = np.abs(drho + s_rho)[1:-1].max() + np.abs(dU + s_u)[:, 1:-1].max()
             res.append(err)

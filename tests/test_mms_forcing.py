@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixflow.errors import ValidationError
 from mixflow.euler import EulerKernel, SchemeConfig
 from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D
 from mixflow.lagrange import LagrangeKernel
@@ -119,7 +120,8 @@ def forcing_cases(draw):
     a = draw(st.floats(0.01, 1.0))
     A = a * (np.ones((N, N)) - np.eye(N))
     params = make_params(N=N, K=draw(st.floats(0.2, 3.0)), gamma=gamma, M=M, A=A, T_final=2.0)
-    length = draw(st.floats(0.5, 3.0))
+    # the Eulerian closed form lives on the unit interval
+    length = 1.0 if frame == EULERIAN else draw(st.floats(0.5, 3.0))
     fields = ManufacturedFields(
         params=params,
         frame=frame,
@@ -143,6 +145,11 @@ def test_forcing_bit_identical_to_closed_form(case):
     for t, k in calls:
         x = grids[k]
         assert_bit_equal(fields.forcing(t, x), ref_forcing(fields, t, x))
+
+
+def test_eulerian_fields_reject_other_domains():
+    with pytest.raises(ValidationError, match="unit interval"):
+        ManufacturedFields(params=default_params(), frame=EULERIAN, domain_length=2.0)
 
 
 @pytest.mark.parametrize("frame", [EULERIAN, LAGRANGIAN])
