@@ -9,7 +9,7 @@ Verbs::
     transform  map a snapshot between the two coordinate frames
 
 Exit codes: 0 success / all audits PASS, 1 audit FAIL, 2 usage or config
-error, 3 solver blow-up.
+error, 3 solver blow-up, 4 a forked frame worker died without a result.
 """
 
 from __future__ import annotations
@@ -18,18 +18,22 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from . import estimates, io, lagrange, mms
 from .config import RunConfig, parse_config_file
-from .errors import MixflowError, ParseError, SolverBlowup, ValidationError
+from .errors import (
+    FileFormatError, MixflowError, ParseError, SolverBlowup, ValidationError, WorkerDied,
+)
 from .field import EULERIAN, LAGRANGIAN
 from .model import derive_matrices
-from .runner import execute, save_result
+from .runner import concurrently, execute, save_result
 
 EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BLOWUP = 3
+EXIT_WORKER_DIED = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,22 +132,32 @@ def _trajectory_dirs(root: str) -> list[str]:
     return subs
 
 
-def _cmd_check(args) -> int:
-    """Recompute the diagnostics from the snapshots, cross-check the stored
-    ledger, then re-run the audits; any mismatch or FAIL exits 1."""
-    root = args.traj
-    dirs = {}
-    for sub in _trajectory_dirs(root):
-        traj, params, _ = io.load_trajectory(sub)
-        dirs[traj.frame] = (traj, params)
+def _recompute(sub: str):
+    """A stored trajectory with its diagnostics recomputed from the snapshots,
+    its parameters and the stored diagnostics."""
+    traj, params, _ = io.load_trajectory(sub)
+    derived = derive_matrices(params)
+    stored = traj.diagnostics
+    traj.diagnostics = [estimates.make_record(s, params, derived) for s in traj.states]
+    if len(traj) >= 2:
+        estimates.attach_time_fields(traj, params, derived)
+    return traj, params, stored
 
-    params = next(iter(dirs.values()))[1]
+
+def _cmd_check(args) -> int:
+    """Recompute the diagnostics from the snapshots (one frame per forked
+    worker), cross-check the stored ledger, then re-run the audits; any
+    mismatch or FAIL exits 1."""
+    root = args.traj
+    loaded = concurrently([partial(_recompute, sub) for sub in _trajectory_dirs(root)])
+    params = loaded[0][1]
+    if any(p != params for _, p, _ in loaded[1:]):
+        raise FileFormatError(f"{root}: the frames' manifests give different params")
     derived = derive_matrices(params)
     ledger_ok = True
     recomputed = {}
-    for frame, (traj, _) in dirs.items():
-        fresh = [estimates.make_record(s, params, derived) for s in traj.states]
-        stored = traj.diagnostics
+    for traj, _, stored in loaded:
+        frame, fresh = traj.frame, traj.diagnostics
         if len(stored) != len(fresh):
             print(f"{frame}: diagnostics rows != snapshots", file=sys.stderr)
             ledger_ok = False
@@ -162,9 +176,6 @@ def _cmd_check(args) -> int:
                 else:
                     continue
                 break
-        traj.diagnostics = fresh
-        if len(traj) >= 2:
-            estimates.attach_time_fields(traj, params, derived)
         recomputed[frame] = traj
 
     audits = estimates.KNOWN_AUDITS if args.audits.strip() == "all" else tuple(
@@ -256,6 +267,9 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SolverBlowup as exc:
         print(f"solver blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
+    except WorkerDied as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER_DIED
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

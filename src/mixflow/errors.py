@@ -75,3 +75,7 @@ class FileFormatError(MixflowError):
 
 class ParseError(MixflowError):
     """Config text could not be parsed; message carries location context."""
+
+
+class WorkerDied(MixflowError):
+    """A forked frame worker exited without returning a result or an error."""

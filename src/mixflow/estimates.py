@@ -809,24 +809,23 @@ def build_report(
     eulerian: Trajectory | None = None,
     lagrangian: Trajectory | None = None,
     audits: tuple[str, ...] = KNOWN_AUDITS,
-    dval: float | None = None,
 ) -> EstimateReport:
     """Run the requested audits on whichever trajectories are available.
 
     Audits whose frame is absent are reported as SKIP (they do not fail the
-    report).  ``dval`` defaults to the Lagrangian domain length or the initial
-    Eulerian total mass.
+    report).  The total mass ``d`` is the initial Eulerian mass when that
+    frame is present, else the Lagrangian domain length, so `run` and
+    `check` audit a trajectory against the same ``d``.
     """
     for name in audits:
         if name not in KNOWN_AUDITS:
             raise ValidationError(f"unknown audit {name!r}; known: {KNOWN_AUDITS}")
     if eulerian is None and lagrangian is None:
         raise EmptyTrajectory("no trajectory supplied")
-    if dval is None:
-        if lagrangian is not None:
-            dval = lagrangian.grid.domain_length
-        else:
-            dval = integrate(eulerian.states[0].rho, eulerian.grid)
+    if eulerian is not None:
+        dval = integrate(eulerian.states[0].rho, eulerian.grid)
+    else:
+        dval = lagrangian.grid.domain_length
 
     trajs = {EULERIAN: eulerian, LAGRANGIAN: lagrangian,
              None: eulerian if eulerian is not None else lagrangian}

@@ -83,6 +83,11 @@ class State:
         object.__setattr__(self, "U", _readonly(np.atleast_2d(self.U)))
         self.validate()
 
+    def __setstate__(self, state):  # unpickled arrays come back writable
+        self.__dict__.update(state)
+        self.rho.setflags(write=False)
+        self.U.setflags(write=False)
+
     def validate(self):
         n = self.grid.n_nodes
         if self.rho.shape != (n,):

@@ -45,14 +45,39 @@ def params_to_dict(p: MixtureParams) -> dict:
     }
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# JSON value kinds a manifest field can be required to have
+_KINDS = {
+    "an object": lambda v: isinstance(v, dict),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": _is_number,
+    "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "a matrix of numbers": lambda v: (
+        isinstance(v, list) and all(isinstance(r, list) and all(map(_is_number, r)) for r in v)
+        and len({len(r) for r in v}) <= 1
+    ),
+}
+
+
+def _field(d: dict, key: str, kind: str):
+    """``d[key]`` if it is ``kind`` (a key of ``_KINDS``), else an error naming ``key``."""
+    value = d[key]
+    if not _KINDS[kind](value):
+        raise FileFormatError(f"field {key!r} must be {kind}, got {json.dumps(value)[:60]}")
+    return value
+
+
 def params_from_dict(d: dict) -> MixtureParams:
     return MixtureParams(
-        N=d["n_components"],
-        K=d["pressure_coeff"],
-        gamma=d["gamma"],
-        M=np.array(d["viscosity"]),
-        A=np.array(d["friction"]),
-        T_final=d["t_final"],
+        N=_field(d, "n_components", "an integer"),
+        K=_field(d, "pressure_coeff", "a number"),
+        gamma=_field(d, "gamma", "a number"),
+        M=np.array(_field(d, "viscosity", "a matrix of numbers")),
+        A=np.array(_field(d, "friction", "a matrix of numbers")),
+        T_final=_field(d, "t_final", "a number"),
     )
 
 
@@ -92,7 +117,10 @@ def read_snapshot(path: str, time: float, frame: str) -> State:
         )
     try:
         grid = Grid1D(domain_length=float(data[-1, 0]), n_cells=data.shape[0] - 1)
-        return State(time=time, frame=frame, grid=grid, rho=data[:, 1], U=data[:, 2:].T)
+        # C-contiguous copies: reductions over strided columns can round
+        # differently from the same reductions in `run`
+        return State(time=time, frame=frame, grid=grid, rho=np.ascontiguousarray(data[:, 1]),
+                     U=np.ascontiguousarray(data[:, 2:].T))
     except MixflowError as exc:  # too few nodes, non-finite or non-positive values
         raise FileFormatError(f"{path}: {exc}") from None
 
@@ -171,12 +199,13 @@ def load_trajectory(
     """Read a trajectory directory; with ``final_only`` only its last snapshot.
 
     Every format fault raises :class:`FileFormatError` naming the file: a
-    missing or unreadable file, a missing manifest field, parameters that
-    fail :func:`~mixflow.model.validate_params` or do not match the stored
+    missing or unreadable file, a manifest field that is missing or of the
+    wrong JSON type, parameters that fail
+    :func:`~mixflow.model.validate_params` or do not match the stored
     ``params_hash``, an unknown frame, times that are not finite,
-    non-negative and strictly increasing, a snapshot index that is not a list of file names, a malformed row or
-    cell, and a snapshot whose grid or velocity count differs from the
-    manifest.
+    non-negative and strictly increasing, a snapshot index that is not a
+    list of file names, a malformed row or cell, and a snapshot whose grid
+    or velocity count differs from the manifest.
     """
     mpath = os.path.join(out_dir, "manifest.json")
     try:
@@ -186,13 +215,15 @@ def load_trajectory(
         raise FileFormatError(f"cannot read {mpath}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"bad manifest {mpath}: {exc}") from None
-    if manifest.get("format") != FORMAT_NAME:
+    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
         raise FileFormatError(f"{mpath} is not a {FORMAT_NAME} manifest")
 
     try:
-        params = validate_params(params_from_dict(manifest["params"]))
-        grid = Grid1D(domain_length=manifest["domain_length"], n_cells=manifest["n_cells"])
-        frame, times, snaps = manifest["frame"], manifest["times"], manifest["snapshots"]
+        params = validate_params(params_from_dict(_field(manifest, "params", "an object")))
+        grid = Grid1D(domain_length=_field(manifest, "domain_length", "a number"),
+                      n_cells=_field(manifest, "n_cells", "an integer"))
+        frame, snaps = manifest["frame"], manifest["snapshots"]
+        times = _field(manifest, "times", "a list of numbers")
         stored_hash = manifest["params_hash"]
         stamps = np.array(times, dtype=float)
     except KeyError as exc:

@@ -381,7 +381,7 @@ class TestRecordsAndReport:
             rep = est.build_report(params2, derived2,
                                    eulerian=single(EULERIAN, np.ones(grid64.n_nodes)),
                                    lagrangian=single(LAGRANGIAN, lag_rho),
-                                   audits=("density_bounds",), dval=1.0)
+                                   audits=("density_bounds",))
             return rep.results["density_bounds"]
 
         # both pass: the Eulerian result (rho_inf = 1) is the reported one

@@ -322,14 +322,49 @@ class TestTrajectoryFormatFaults:
         (_manifest_edit(lambda m: m["snapshots"].__setitem__(0, 7)),
          "manifest.json", "list of file names"),
         (_manifest_edit(lambda m: m.update(domain_length=3.0)), "snap_00000.csv", "(0, 3.0)"),
+        (_manifest_edit(lambda m: m.update(params=[1, 2])),
+         "manifest.json", "field 'params' must be an object, got [1, 2]"),
+        (_manifest_edit(lambda m: m.update(n_cells="x")),
+         "manifest.json", "field 'n_cells' must be an integer, got \"x\""),
+        (_manifest_edit(lambda m: m.update(domain_length=None)),
+         "manifest.json", "field 'domain_length' must be a number, got null"),
+        (_manifest_edit(lambda m: m["params"].update(gamma="1.4")),
+         "manifest.json", "field 'gamma' must be a number"),
+        (_manifest_edit(lambda m: m["params"]["friction"][1].pop()),
+         "manifest.json", "field 'friction' must be a matrix of numbers"),
+        (_manifest_edit(lambda m: m["times"].__setitem__(1, "0.1")),
+         "manifest.json", "field 'times' must be a list of numbers"),
     ], ids=["header-only-snapshot", "two-column-snapshot", "columns-differ-from-header",
             "velocity-count", "node-count", "gamma-one", "asymmetric-viscosity",
             "params-hash", "reversed-times", "non-finite-time", "negative-time",
-            "unknown-frame", "snapshot-index", "domain-length"])
+            "unknown-frame", "snapshot-index", "domain-length", "params-type",
+            "n-cells-type", "domain-length-type", "gamma-type", "ragged-friction",
+            "times-type"])
     def test_corrupt_store(self, stored_run, tmp_path, capsys, corrupt, name, reason):
         out = self._copy(stored_run, tmp_path)
         corrupt(out)
         assert reason in self._check_fails_naming(out, name, capsys)
+
+    def test_typed_field_from_the_check_worker(self, small_run, tmp_path, capsys):
+        # with both frames stored, the Lagrangian directory is read in a forked worker
+        rc, _ = small_run
+        out = str(tmp_path / "both")
+        shutil.copytree(rc.out_dir, out)
+        _manifest_edit(lambda m: m.update(n_cells="x"))(os.path.join(out, "lagrangian"))
+        err = self._check_fails_naming(out, os.path.join("lagrangian", "manifest.json"), capsys)
+        assert "field 'n_cells' must be an integer" in err
+
+    def test_frames_with_different_params(self, small_run, tmp_path, capsys):
+        rc, _ = small_run
+        out = str(tmp_path / "both")
+        shutil.copytree(rc.out_dir, out)
+
+        def edit(m):  # valid parameters with a matching hash, but not the Eulerian ones
+            m["params"]["pressure_coeff"] = 1.5
+            m["params_hash"] = io.params_hash(io.params_from_dict(m["params"]))
+
+        _manifest_edit(edit)(os.path.join(out, "lagrangian"))
+        self._check_fails_naming(out, "the frames' manifests give different params", capsys)
 
     def test_missing_snapshot_file(self, stored_run, tmp_path, capsys):
         out = self._copy(stored_run, tmp_path)
