@@ -147,32 +147,6 @@ def parse_velocity_spec(text: str, context: str = "u") -> VelocitySpec:
     return VelocitySpec("sine", (("modes", tuple(modes)),))
 
 
-def _render_rho_spec(spec: RhoSpec) -> str:
-    kv = spec.argdict()
-    if spec.kind == "constant":
-        return f"constant:value={kv['value']!r}"
-    if spec.kind == "affine":
-        return f"affine:base={kv['base']!r},slope={kv['slope']!r}"
-    if spec.kind == "gaussian":
-        return (
-            f"gaussian:base={kv['base']!r},amp={kv['amp']!r},"
-            f"center={kv['center']!r},width={kv['width']!r}"
-        )
-    if spec.kind == "table":
-        return f"table:file={kv['file']},column={kv['column']}"
-    raise ValidationError(f"unknown rho spec {spec.kind!r}")
-
-
-def _render_velocity_spec(spec: VelocitySpec) -> str:
-    if spec.kind == "zero":
-        return "zero"
-    if spec.kind == "table":
-        kv = spec.argdict()
-        return f"table:file={kv['file']},column={kv['column']}"
-    kv = spec.argdict()
-    return " + ".join(f"sine:k={k},amp={amp!r}" for k, amp in kv["modes"])
-
-
 def _read_table_column(path: str, column: str) -> tuple[np.ndarray, np.ndarray]:
     """Read (x, column) from a snapshot-format CSV."""
     try:
@@ -394,40 +368,3 @@ def parse_config_file(path: str) -> RunConfig:
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from None
     return parse_config(text, base_dir=os.path.dirname(os.path.abspath(path)))
-
-
-def serialize_config(rc: RunConfig) -> str:
-    """Render a RunConfig back to INI text; parse(serialize(rc)) == rc."""
-    p = rc.params
-    lines = [
-        "[params]",
-        f"n_components = {p.N}",
-        f"pressure_coeff = {p.K!r}",
-        f"gamma = {p.gamma!r}",
-        f"viscosity = {json.dumps(p.M.tolist())}",
-        f"friction = {json.dumps(p.A.tolist())}",
-        f"t_final = {p.T_final!r}",
-        "",
-        "[scheme]",
-        f"integrator = {rc.scheme.time_integrator}",
-        f"advection = {rc.scheme.advection}",
-        f"cfl = {rc.scheme.cfl!r}",
-        f"density_floor = {rc.scheme.artificial_floor!r}",
-        f"n_cells = {rc.n_cells}",
-        f"t_end = {rc.t_end!r}",
-        f"frame = {rc.frame}",
-        "",
-        "[initial]",
-        f"rho = {_render_rho_spec(rc.initial.rho)}",
-    ]
-    for i, spec in enumerate(rc.initial.u, start=1):
-        lines.append(f"u{i} = {_render_velocity_spec(spec)}")
-    lines += [
-        "",
-        "[output]",
-        f"out_dir = {rc.out_dir}",
-        f"snapshot_every = {rc.snapshot_every}",
-        f"audits = {','.join(rc.audit_set)}",
-        "",
-    ]
-    return "\n".join(lines)

@@ -144,13 +144,15 @@ class Trajectory:
 # discrete calculus
 
 
-def integrate(f: np.ndarray, grid: Grid1D) -> float:
-    """Composite trapezoidal quadrature; exact for affine integrands."""
+def integrate(f: np.ndarray, grid: Grid1D) -> float | np.ndarray:
+    """Composite trapezoidal quadrature along the last axis; exact for affine
+    integrands.  A float for one sampled field, an array over the leading
+    axes for a stack of them (each row summed as in the one-field call)."""
     f = np.asarray(f)
     if f.shape[-1] != grid.n_nodes:
         raise LengthMismatch(f"array length {f.shape[-1]} != {grid.n_nodes} nodes")
     h = grid.h
-    return float(h * (f[..., 1:-1].sum(axis=-1) + 0.5 * (f[..., 0] + f[..., -1])))
+    return _scalar(h * (f[..., 1:-1].sum(axis=-1) + 0.5 * (f[..., 0] + f[..., -1])))
 
 
 def diff(f: np.ndarray, grid: Grid1D) -> np.ndarray:
@@ -166,8 +168,13 @@ def diff(f: np.ndarray, grid: Grid1D) -> np.ndarray:
     return out
 
 
-def l2_norm(f: np.ndarray, grid: Grid1D) -> float:
-    return float(np.sqrt(max(integrate(np.asarray(f) ** 2, grid), 0.0)))
+def l2_norm(f: np.ndarray, grid: Grid1D) -> float | np.ndarray:
+    return _scalar(np.sqrt(np.maximum(integrate(np.asarray(f) ** 2, grid), 0.0)))
+
+
+def _scalar(x: np.ndarray) -> float | np.ndarray:
+    """A Python float for a 0-d result, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def linf_norm(f: np.ndarray) -> float:
@@ -192,10 +199,12 @@ def total_mass(state: State) -> float:
 
 
 def face_gradient(f: np.ndarray, grid: Grid1D) -> np.ndarray:
-    f = np.asarray(f)
+    f = np.asarray(f, dtype=float)
     if f.shape[-1] != grid.n_nodes:
         raise LengthMismatch(f"array length {f.shape[-1]} != {grid.n_nodes} nodes")
-    return (f[..., 1:] - f[..., :-1]) / grid.h
+    out = f[..., 1:] - f[..., :-1]
+    out /= grid.h
+    return out
 
 
 def face_mean(f: np.ndarray) -> np.ndarray:

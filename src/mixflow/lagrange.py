@@ -56,12 +56,6 @@ class MassGridMap:
     def total_mass(self) -> float:
         return float(self.y_nodes[-1])
 
-    def y_of_x(self, x: np.ndarray) -> np.ndarray:
-        return PchipInterpolator(self.x_nodes, self.y_nodes)(x)
-
-    def x_of_y(self, y: np.ndarray) -> np.ndarray:
-        return PchipInterpolator(self.y_nodes, self.x_nodes)(y)
-
 
 def mass_map(state: State) -> MassGridMap:
     """y(x) = int_0^x rho ds by exact trapezoid accumulation."""

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -31,9 +33,9 @@ def concurrently(calls, announce=None) -> list:
     """Results of the zero-argument ``calls`` in call order, computed at once.
 
     ``calls[0]`` runs in this process; each further call runs in a worker
-    started with the POSIX ``fork`` method, so it needs no pickling on the
-    way in, and its result or exception comes back pickled through a pipe.
-    A single call runs in this process and forks nothing.
+    made with ``os.fork``, so it needs no pickling on the way in, and its
+    result or exception comes back pickled through a pipe.  A single call
+    runs in this process and forks nothing.
 
     ``announce(k)``, when given, runs in this process before call ``k``'s
     result is taken and only once every earlier call has succeeded, so
@@ -43,56 +45,68 @@ def concurrently(calls, announce=None) -> list:
     raises :class:`WorkerDied`.  Workers whose result is no longer needed
     are terminated, and every worker is reaped before this returns.
     """
-    workers, results = [], []
+    workers, results = [], []  # workers: [pid, read end of its pipe, reaped]
     try:
         if len(calls) > 1:
-            import multiprocessing  # only a call that forks pays for the import
-
-            ctx = multiprocessing.get_context("fork")
             sys.stdout.flush()  # a buffer copied by fork would be written twice
             sys.stderr.flush()
-            for call in calls[1:]:
-                recv, send = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_work, args=(call, send), daemon=True)
-                proc.start()
-                send.close()
-                workers.append((proc, recv))
+        for call in calls[1:]:
+            rfd, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(rfd)
+                _work(call, wfd)
+            os.close(wfd)
+            workers.append([pid, open(rfd, "rb"), False])
         for k, call in enumerate(calls):
             if announce is not None:
                 announce(k)
             if k == 0:
                 results.append(call())
                 continue
-            proc, recv = workers[k - 1]
-            try:
-                ok, value = recv.recv()
-            except EOFError:
-                proc.join()
-                raise WorkerDied(
-                    f"worker {proc.pid} exited with code {proc.exitcode} before returning a result"
-                ) from None
+            worker = workers[k - 1]
+            pid, pipe, _ = worker
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            worker[2] = True
+            if code != 0 or not data:
+                raise WorkerDied(f"worker {pid} exited with code {code} before returning a result")
+            ok, value = pickle.loads(data)
             if not ok:
                 raise value
             results.append(value)
         return results
     finally:
-        for k, (proc, recv) in enumerate(workers, start=1):
-            if len(results) <= k:
-                proc.terminate()
-            proc.join()
-            recv.close()
+        for k, (pid, pipe, reaped) in enumerate(workers, start=1):
+            if not reaped:
+                if len(results) <= k:
+                    os.kill(pid, signal.SIGTERM)
+                os.waitpid(pid, 0)
+            pipe.close()
 
 
-def _work(call, send):
-    """Body of a forked worker: send ``(True, result)`` or ``(False, error)``."""
+def _work(call, fd: int):
+    """Body of a forked worker: write the pickled ``(True, result)`` or
+    ``(False, error)`` to ``fd`` and leave with ``os._exit``, so none of the
+    parent's exit handlers or pending ``finally`` blocks run here."""
+    code = 1
     try:
-        outcome = (True, call())
-    except BaseException as exc:  # raised again in the parent
-        outcome = (False, exc)
-    try:
-        send.send(outcome)
-    except Exception as exc:  # a result or an error that does not pickle
-        send.send((False, MixflowError(f"worker result not returned: {type(exc).__name__}: {exc}")))
+        try:
+            outcome = (True, call())
+        except BaseException as exc:  # raised again in the parent
+            outcome = (False, exc)
+        try:
+            data = pickle.dumps(outcome)
+        except Exception as exc:  # a result or an error that does not pickle
+            data = pickle.dumps(
+                (False, MixflowError(f"worker result not returned: {type(exc).__name__}: {exc}")))
+        with open(fd, "wb") as pipe:
+            pipe.write(data)
+        sys.stdout.flush()
+        sys.stderr.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def execute(rc: RunConfig, progress=None) -> RunResult:

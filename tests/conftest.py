@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mixflow.euler import EulerKernel, SchemeConfig
-from mixflow.field import EULERIAN, Grid1D, State
+from mixflow.field import EULERIAN, Grid1D, State, integrate
 from mixflow.lagrange import LagrangeKernel
 from mixflow.model import derive_matrices, make_params
 
@@ -53,6 +53,15 @@ def upwind_scheme():
 @pytest.fixture
 def central_scheme():
     return SchemeConfig(advection="central-2")
+
+
+def friction_power(state, params):
+    """-sum_ij A[i,j] int (u_j - u_i) u_i dx (dy/rho in mass coordinates), the
+    power of the friction force; equals ``friction_dissipation`` exactly."""
+    row = params.A.sum(axis=1)
+    exch = params.A @ state.U - row[:, None] * state.U
+    wgt = 1.0 if state.frame == EULERIAN else 1.0 / state.rho
+    return -integrate((exch * state.U).sum(axis=0) * wgt, state.grid)
 
 
 def euler_tendencies(state, params, derived, scheme=None):

@@ -1,6 +1,5 @@
 """Frames in forked workers: `runner.concurrently` and the CLI verbs built on it."""
 
-import multiprocessing
 import os
 import time
 
@@ -44,6 +43,12 @@ def _raise(exc):
     raise exc
 
 
+def _assert_no_children():
+    """Every worker was reaped: this process has no child left, running or exited."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _tree(root):
     """Relative path -> bytes of every file under ``root``."""
     return {
@@ -58,7 +63,7 @@ class TestConcurrently:
         assert pids[0] == os.getpid()
         assert len(set(pids)) == 3
         assert concurrently([lambda k=k: k * k for k in range(4)]) == [0, 1, 4, 9]
-        assert not multiprocessing.active_children()
+        _assert_no_children()
 
     def test_states_come_back_read_only(self, shear_state):
         state = concurrently([lambda: 0, lambda: shear_state])[1]
@@ -74,7 +79,7 @@ class TestConcurrently:
             concurrently([lambda: 1,
                           lambda: _raise(SolverBlowup("stage 2", trajectory=[1.5, 2.5]))])
         assert info.value.trajectory == [1.5, 2.5]
-        assert not multiprocessing.active_children()
+        _assert_no_children()
 
     def test_first_failure_in_call_order_wins(self):
         with pytest.raises(FileFormatError, match="first"):
@@ -83,24 +88,24 @@ class TestConcurrently:
         with pytest.raises(KeyError, match="second"):
             concurrently([lambda: 0, lambda: _raise(KeyError("second")),
                           lambda: _raise(ValueError("third"))])
-        assert not multiprocessing.active_children()
+        _assert_no_children()
 
     def test_unneeded_workers_are_terminated(self):
         t0 = time.perf_counter()
         with pytest.raises(ZeroDivisionError):
             concurrently([lambda: 1 / 0, lambda: time.sleep(60)])
         assert time.perf_counter() - t0 < 30
-        assert not multiprocessing.active_children()
+        _assert_no_children()
 
     def test_worker_death_raises_worker_died(self):
         with pytest.raises(WorkerDied, match="exited with code 7 before returning a result"):
             concurrently([lambda: 1, lambda: os._exit(7)])
-        assert not multiprocessing.active_children()
+        _assert_no_children()
 
     def test_unpicklable_result_is_one_error(self):
         with pytest.raises(Exception, match="worker result not returned"):
             concurrently([lambda: 1, lambda: (lambda: 2)])
-        assert not multiprocessing.active_children()
+        _assert_no_children()
 
     def test_announce_follows_success_in_order(self):
         said = []
@@ -131,7 +136,7 @@ class TestFramesInWorkers:
             del alone["report.json"]
             assert alone == paired
             assert any(name.startswith("snap_") for name in paired) and "diag.csv" in paired
-        assert not multiprocessing.active_children()
+        _assert_no_children()
 
     @pytest.mark.parametrize("frame", ["both", "eulerian", "lagrangian"])
     def test_check_reproduces_run_report(self, tmp_path, frame):
@@ -154,7 +159,7 @@ class TestFramesInWorkers:
         t0 = time.perf_counter()
         assert _run(tmp_path, BLOWUP_CONFIG, tmp_path / "both") == EXIT_BLOWUP
         assert time.perf_counter() - t0 < 30
-        assert not multiprocessing.active_children()
+        _assert_no_children()
         err = capsys.readouterr().err.replace(str(tmp_path / "both"), "OUT")
         assert err == alone_err
         assert "running lagrangian solver" not in err
@@ -169,7 +174,7 @@ class TestFramesInWorkers:
             euler, "run", lambda initial, p, d, scheme, t_end, **kw: real_run(
                 initial, p, d, scheme, 0.01, **kw))
         assert _run(tmp_path, BLOWUP_CONFIG, tmp_path / "both") == EXIT_BLOWUP
-        assert not multiprocessing.active_children()
+        _assert_no_children()
         err = capsys.readouterr().err.replace(str(tmp_path / "both"), "OUT").splitlines()
         assert err[0].startswith("running eulerian solver")
         assert err[1:] == alone_err.splitlines()
@@ -178,7 +183,7 @@ class TestFramesInWorkers:
     def test_dead_worker_is_one_line_and_exit_4(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(lagrange, "run_lagrangian", lambda *a, **k: os._exit(9))
         assert _run(tmp_path, SMALL_CONFIG, tmp_path / "out") == EXIT_WORKER_DIED == 4
-        assert not multiprocessing.active_children()
+        _assert_no_children()
         err = capsys.readouterr().err.splitlines()
         assert err[:2] == ["running eulerian solver to t = 0.15",
                            "running lagrangian solver to t = 0.15"]

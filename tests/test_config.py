@@ -1,16 +1,86 @@
+import json
+
 import numpy as np
 import pytest
 
 from mixflow.config import (
+    RhoSpec,
+    RunConfig,
+    VelocitySpec,
     make_initial,
     parse_config,
     parse_rho_spec,
     parse_velocity_spec,
-    serialize_config,
 )
 from mixflow.errors import NonPositiveDensity, ParseError, ValidationError
 from mixflow.field import EULERIAN, Grid1D
 from mixflow.scenarios import CORPUS, scenario_config, scenario_text
+
+
+# INI rendering of a parsed config, for the round-trip test
+
+def _render_rho_spec(spec: RhoSpec) -> str:
+    kv = spec.argdict()
+    if spec.kind == "constant":
+        return f"constant:value={kv['value']!r}"
+    if spec.kind == "affine":
+        return f"affine:base={kv['base']!r},slope={kv['slope']!r}"
+    if spec.kind == "gaussian":
+        return (
+            f"gaussian:base={kv['base']!r},amp={kv['amp']!r},"
+            f"center={kv['center']!r},width={kv['width']!r}"
+        )
+    if spec.kind == "table":
+        return f"table:file={kv['file']},column={kv['column']}"
+    raise ValueError(f"unknown rho spec {spec.kind!r}")
+
+
+def _render_velocity_spec(spec: VelocitySpec) -> str:
+    if spec.kind == "zero":
+        return "zero"
+    if spec.kind == "table":
+        kv = spec.argdict()
+        return f"table:file={kv['file']},column={kv['column']}"
+    kv = spec.argdict()
+    return " + ".join(f"sine:k={k},amp={amp!r}" for k, amp in kv["modes"])
+
+
+def serialize_config(rc: RunConfig) -> str:
+    """Render a RunConfig back to INI text; parse(serialize(rc)) == rc."""
+    p = rc.params
+    lines = [
+        "[params]",
+        f"n_components = {p.N}",
+        f"pressure_coeff = {p.K!r}",
+        f"gamma = {p.gamma!r}",
+        f"viscosity = {json.dumps(p.M.tolist())}",
+        f"friction = {json.dumps(p.A.tolist())}",
+        f"t_final = {p.T_final!r}",
+        "",
+        "[scheme]",
+        f"integrator = {rc.scheme.time_integrator}",
+        f"advection = {rc.scheme.advection}",
+        f"cfl = {rc.scheme.cfl!r}",
+        f"density_floor = {rc.scheme.artificial_floor!r}",
+        f"n_cells = {rc.n_cells}",
+        f"t_end = {rc.t_end!r}",
+        f"frame = {rc.frame}",
+        "",
+        "[initial]",
+        f"rho = {_render_rho_spec(rc.initial.rho)}",
+    ]
+    for i, spec in enumerate(rc.initial.u, start=1):
+        lines.append(f"u{i} = {_render_velocity_spec(spec)}")
+    lines += [
+        "",
+        "[output]",
+        f"out_dir = {rc.out_dir}",
+        f"snapshot_every = {rc.snapshot_every}",
+        f"audits = {','.join(rc.audit_set)}",
+        "",
+    ]
+    return "\n".join(lines)
+
 
 MINIMAL = """
 [params]

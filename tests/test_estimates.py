@@ -10,7 +10,7 @@ from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D, State, Trajectory, integ
 from mixflow.lagrange import euler_to_lagrange, run_lagrangian
 from mixflow.model import derive_matrices, make_params
 
-from conftest import smooth_state
+from conftest import friction_power, smooth_state
 
 
 def eul_state(grid, rho, U, t=0.0):
@@ -115,7 +115,7 @@ class TestDissipation:
 
     def test_friction_identity_exact(self, params2, shear_state):
         a = est.friction_dissipation(shear_state, params2)
-        b = est.friction_power(shear_state, params2)
+        b = friction_power(shear_state, params2)
         assert abs(a - b) <= 1e-10 * max(1.0, a)
 
 

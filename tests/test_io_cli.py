@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 
@@ -365,6 +366,29 @@ class TestTrajectoryFormatFaults:
 
         _manifest_edit(edit)(os.path.join(out, "lagrangian"))
         self._check_fails_naming(out, "the frames' manifests give different params", capsys)
+
+    @pytest.mark.parametrize("speed", ["1e154", "1e160"])
+    def test_overflowing_derivative_norms_fail_the_audit(self, stored_run, tmp_path, capsys,
+                                                         speed):
+        # finite interior velocities whose squared gradients (1e154) or
+        # squares (1e160) overflow make an audit FAIL (exit 1), not a solver
+        # blow-up (exit 3) or an OverflowError
+        out = self._copy(stored_run, tmp_path)
+
+        def huge(lines):
+            rows = [line.split(",") for line in lines]
+            for row in rows[2:-1]:  # below the header, between the walls
+                row[2:] = [speed] * (len(row) - 2)
+            return [",".join(row) for row in rows]
+
+        _snapshot_edit(huge)(out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli_main(["check", "--traj", out]) == 1
+        assert "derivative_norms     FAIL" in capsys.readouterr().out
+        with open(os.path.join(out, "report.json")) as fh:
+            audit = json.load(fh)["audits"]["derivative_norms"]
+        assert audit["verdict"] == "FAIL" and audit["margin"] == -math.inf
+        assert not math.isfinite(audit["details"]["sup_grad_u_l2"])
 
     def test_missing_snapshot_file(self, stored_run, tmp_path, capsys):
         out = self._copy(stored_run, tmp_path)
