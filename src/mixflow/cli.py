@@ -20,6 +20,8 @@ import os
 import sys
 from functools import partial
 
+import numpy as np
+
 from . import estimates, io, lagrange, mms
 from .config import RunConfig, parse_config_file
 from .errors import (
@@ -136,12 +138,22 @@ def _recompute(sub: str):
     """A stored trajectory with its diagnostics recomputed from the snapshots,
     its parameters and the stored diagnostics."""
     traj, params, _ = io.load_trajectory(sub)
-    derived = derive_matrices(params)
     stored = traj.diagnostics
-    traj.diagnostics = [estimates.make_record(s, params, derived) for s in traj.states]
-    if len(traj) >= 2:
-        estimates.attach_time_fields(traj, params, derived)
-    return traj, params, stored
+    return estimates.diagnose(traj, params, derive_matrices(params)), params, stored
+
+
+def _ledger_mismatch(stored, fresh) -> tuple[int, str] | None:
+    """(row, field) of the first stored state field that differs from its
+    recomputation, in row order; None when all agree.  Two values agree when
+    they are identical (equal infinities, or both NaN) or finite and within
+    a relative 1e-9."""
+    names = estimates.DiagnosticsRecord.STATE_FIELDS
+    a, b = (np.array([[getattr(r, f) for f in names] for r in recs], dtype=float)
+            for recs in (stored, fresh))
+    with np.errstate(invalid="ignore", over="ignore"):
+        close = np.isfinite(b) & (np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b)))
+    bad = np.argwhere(~((a == b) | (np.isnan(a) & np.isnan(b)) | close))
+    return (int(bad[0, 0]), names[bad[0, 1]]) if len(bad) else None
 
 
 def _cmd_check(args) -> int:
@@ -161,21 +173,11 @@ def _cmd_check(args) -> int:
         if len(stored) != len(fresh):
             print(f"{frame}: diagnostics rows != snapshots", file=sys.stderr)
             ledger_ok = False
-        else:
-            for k, (a, b) in enumerate(zip(stored, fresh)):
-                for name in estimates.DiagnosticsRecord.STATE_FIELDS:
-                    va, vb = getattr(a, name), getattr(b, name)
-                    if abs(va - vb) > 1e-9 * max(1.0, abs(vb)):
-                        print(
-                            f"{frame}: stored {name} row {k} = {va!r} "
-                            f"!= recomputed {vb!r}",
-                            file=sys.stderr,
-                        )
-                        ledger_ok = False
-                        break
-                else:
-                    continue
-                break
+        elif (bad := _ledger_mismatch(stored, fresh)) is not None:
+            k, name = bad
+            print(f"{frame}: stored {name} row {k} = {getattr(stored[k], name)!r} "
+                  f"!= recomputed {getattr(fresh[k], name)!r}", file=sys.stderr)
+            ledger_ok = False
         recomputed[frame] = traj
 
     audits = estimates.KNOWN_AUDITS if args.audits.strip() == "all" else tuple(

@@ -38,7 +38,6 @@ from .field import (
     face_mean,
     integrate,
     l2_norm,
-    linf_norm,
     sbp_derivative,
 )
 from .model import DerivedMatrices, MixtureParams
@@ -67,7 +66,33 @@ KNOWN_AUDITS = tuple(_AUDITS)
 # per-state functionals
 
 
-def energy(state: State, params: MixtureParams) -> float:
+class Records(NamedTuple):
+    """A trajectory's records stacked on a leading record axis.
+
+    ``rho`` is (R, n) and ``U`` is (R, N, n), both C-contiguous, so a
+    reduction along the last axis sums each record exactly as the
+    one-state call does.  The per-state functionals accept it in place of a
+    :class:`State` and return one value (or row) per record.
+    """
+
+    frame: str
+    grid: Grid1D
+    times: np.ndarray
+    rho: np.ndarray
+    U: np.ndarray
+
+
+def _require_states(traj: Trajectory, min_len: int = 1):
+    if len(traj) < min_len:
+        raise EmptyTrajectory(f"need at least {min_len} recorded states, have {len(traj)}")
+
+
+def _stack(traj: Trajectory) -> Records:
+    return Records(traj.frame, traj.grid, traj.times(),
+                   np.array([s.rho for s in traj.states]), np.array([s.U for s in traj.states]))
+
+
+def energy(state: State | Records, params: MixtureParams) -> float | np.ndarray:
     """Total energy: sum_i int(0.5 rho u_i^2 + K/(gamma-1) rho^gamma) dx.
 
     The pressure part is counted once per component, mirroring the estimate
@@ -76,15 +101,15 @@ def energy(state: State, params: MixtureParams) -> float:
     g = state.grid
     K, gam, N = params.K, params.gamma, params.N
     if state.frame == EULERIAN:
-        kinetic = 0.5 * integrate(state.rho * (state.U**2).sum(axis=0), g)
+        kinetic = 0.5 * integrate(state.rho * (state.U**2).sum(axis=-2), g)
         internal = N * K / (gam - 1.0) * integrate(state.rho**gam, g)
     else:
-        kinetic = 0.5 * integrate((state.U**2).sum(axis=0), g)
+        kinetic = 0.5 * integrate((state.U**2).sum(axis=-2), g)
         internal = N * K / (gam - 1.0) * integrate(state.rho ** (gam - 1.0), g)
     return kinetic + internal
 
 
-def velocity_gradient_sq(state: State) -> float:
+def velocity_gradient_sq(state: State | Records) -> float | np.ndarray:
     """sum_i ||d u_i/dx||_2^2 in face form (Eulerian measure in both frames)."""
     g = state.grid
     sq = face_gradient(state.U, g) ** 2
@@ -107,33 +132,32 @@ def dissipation(
     """
     if state.frame != EULERIAN:
         raise WrongFrame("dissipation expects an Eulerian state")
-    visc, grad_sq = _visc_quad(state, params)
+    visc = _visc_quad(state, params)
     fric = friction_dissipation(state, params)
-    ok = visc >= derived.C0 * grad_sq - 1e-10
+    ok = visc >= derived.C0 * velocity_gradient_sq(state) - 1e-10
     return visc, fric, ok
 
 
-def _visc_quad(state: State, params: MixtureParams) -> tuple[float, float]:
-    """(sum_ij M_ij <u_i', u_j'>, sum_i <u_i', u_i'>) with the frame's weight."""
+def _visc_quad(state: State | Records, params: MixtureParams) -> float | np.ndarray:
+    """sum_ij M_ij <u_i', u_j'> with the frame's face weight."""
     g = state.grid
     jump = face_gradient(state.U, g)
     if state.frame == EULERIAN:
-        w = g.h
-        quad = float(np.einsum("if,jf,ij->", jump, jump, params.M) * w)
-        grad_sq = float((jump**2).sum() * w)
-    else:
-        rh = face_harmonic_mean(state.rho)
-        quad = float(g.h * np.einsum("if,jf,f,ij->", jump, jump, rh, params.M))
-        grad_sq = float(g.h * (rh * jump**2).sum())
-    return quad, grad_sq
+        return _scalar(np.einsum("...if,...jf,ij->...", jump, jump, params.M) * g.h)
+    rh = face_harmonic_mean(state.rho)
+    # one contraction per record: the stacked four-operand einsum sums in
+    # another order and moves the last bits
+    quad = [np.einsum("if,jf,f,ij->", j, j, r, params.M)
+            for j, r in zip(jump.reshape(-1, *jump.shape[-2:]), rh.reshape(-1, rh.shape[-1]))]
+    return _scalar(g.h * np.array(quad).reshape(jump.shape[:-2]))
 
 
-def _x_weight(state: State) -> np.ndarray | float:
+def _x_weight(state: State | Records) -> np.ndarray | float:
     """Node weight turning a mass-coordinate integral into the x-measure one."""
     return 1.0 if state.frame == EULERIAN else 1.0 / state.rho
 
 
-def friction_dissipation(state: State, params: MixtureParams) -> float:
+def friction_dissipation(state: State | Records, params: MixtureParams) -> float | np.ndarray:
     """0.5 sum_ij A[i,j] int (u_i - u_j)^2 dx (dy/rho in mass coordinates)."""
     g = state.grid
     U = state.U
@@ -141,11 +165,11 @@ def friction_dissipation(state: State, params: MixtureParams) -> float:
     total = 0.0
     for i in range(params.N):
         for j in range(i + 1, params.N):
-            total += params.A[i, j] * integrate((U[i] - U[j]) ** 2 * wgt, g)
+            total += params.A[i, j] * integrate((U[..., i, :] - U[..., j, :]) ** 2 * wgt, g)
     return total  # = 0.5 * sum over ordered pairs
 
 
-def pairwise_velocity_gap_sq(state: State) -> float:
+def pairwise_velocity_gap_sq(state: State | Records) -> float | np.ndarray:
     """sum_ij int (u_i - u_j)^2 dx (unweighted, both orders)."""
     g = state.grid
     U = state.U
@@ -159,7 +183,7 @@ def pairwise_velocity_gap_sq(state: State) -> float:
     return total
 
 
-def w_field(state: State) -> np.ndarray:
+def w_field(state: State | Records) -> np.ndarray:
     """Slope of ln rho on the mass grid, sampled at faces.
 
     Face sampling (rather than node-centered differences) is what makes the
@@ -170,7 +194,7 @@ def w_field(state: State) -> np.ndarray:
     return face_gradient(np.log(state.rho), state.grid)
 
 
-def w_norm(state: State) -> float:
+def w_norm(state: State | Records) -> float | np.ndarray:
     """||d(ln rho)/dy||_{L2(0,d)}; for Eulerian states via the coordinate map.
 
     In Eulerian variables the same quantity is int (d ln rho/dx)^2 / rho dx.
@@ -182,14 +206,14 @@ def w_norm(state: State) -> float:
     return _scalar(np.sqrt(g.h * sq.sum(axis=-1)))
 
 
-def grad_rho_l2_eulerian(state: State) -> float:
+def grad_rho_l2_eulerian(state: State | Records) -> float | np.ndarray:
     """||d rho/dx||_{L2(0,1)} regardless of the stored frame."""
     g = state.grid
     d = diff(state.rho, g)
     if state.frame == EULERIAN:
         return l2_norm(d, g)
     # d rho/dx = rho d rho/dy, dx = dy/rho -> integrand rho (d rho/dy)^2
-    return float(np.sqrt(max(integrate(state.rho * d**2, g), 0.0)))
+    return _scalar(np.sqrt(np.maximum(integrate(state.rho * d**2, g), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +242,7 @@ class DiagnosticsRecord:
     alpha: float | None = None
     identity_residual: float | None = None
 
-    #: the fields make_record fills from one state
+    #: the fields diagnose fills from each state alone
     STATE_FIELDS = (
         "time", "energy", "dissipation_visc", "dissipation_fric", "rho_min",
         "rho_max", "w_norm", "grad_rho_l2", "u_linf",
@@ -226,54 +250,35 @@ class DiagnosticsRecord:
     FIELDS = STATE_FIELDS + ("dt_rho_l2", "alpha", "identity_residual")
 
 
-def make_record(state: State, params: MixtureParams, derived: DerivedMatrices) -> DiagnosticsRecord:
-    visc, _ = _visc_quad(state, params)
-    return DiagnosticsRecord(
-        time=state.time,
-        energy=energy(state, params),
-        dissipation_visc=visc,
-        dissipation_fric=friction_dissipation(state, params),
-        rho_min=float(state.rho.min()),
-        rho_max=float(state.rho.max()),
-        w_norm=w_norm(state),
-        grad_rho_l2=grad_rho_l2_eulerian(state),
-        u_linf=max(linf_norm(state.U[i]) for i in range(state.U.shape[0])),
+def diagnose(traj: Trajectory, params: MixtureParams, derived: DerivedMatrices) -> Trajectory:
+    """Fill ``traj.diagnostics``, one record per state, and return ``traj``.
+
+    The state fields come from one stack of the trajectory, as array ops
+    along the last axis; with at least two records the time fields are then
+    attached by :func:`attach_time_fields`.
+    """
+    _require_states(traj)
+    st = _stack(traj)
+    cols = np.broadcast_arrays(
+        st.times, energy(st, params), _visc_quad(st, params), friction_dissipation(st, params),
+        st.rho.min(axis=-1), st.rho.max(axis=-1), w_norm(st), grad_rho_l2_eulerian(st),
+        np.abs(st.U).max(axis=-1).max(axis=-1),
     )
+    traj.diagnostics = [DiagnosticsRecord(*row) for row in np.column_stack(cols).tolist()]
+    if len(traj) >= 2:
+        attach_time_fields(traj, params, derived)
+    return traj
 
 
-def record_maker(params: MixtureParams, derived: DerivedMatrices):
-    return lambda state: make_record(state, params, derived)
+def make_record(state: State, params: MixtureParams, derived: DerivedMatrices) -> DiagnosticsRecord:
+    """The state fields of one state: :func:`diagnose` on a one-record trajectory."""
+    one = Trajectory(state.frame, state.grid)
+    one.append(state)
+    return diagnose(one, params, derived).diagnostics[0]
 
 
 # ---------------------------------------------------------------------------
 # time reconstruction helpers
-
-
-def _require_states(traj: Trajectory, min_len: int = 1):
-    if len(traj) < min_len:
-        raise EmptyTrajectory(f"need at least {min_len} recorded states, have {len(traj)}")
-
-
-class Records(NamedTuple):
-    """A trajectory's records stacked on a leading record axis.
-
-    ``rho`` is (R, n) and ``U`` is (R, N, n), both C-contiguous, so a
-    reduction along the last axis sums each record exactly as the
-    one-state call does.  ``velocity_gradient_sq``, the two pair functionals,
-    ``w_field`` and ``w_norm`` accept it in place of a :class:`State` and
-    return one value (or row) per record.
-    """
-
-    frame: str
-    grid: Grid1D
-    times: np.ndarray
-    rho: np.ndarray
-    U: np.ndarray
-
-
-def _stack(traj: Trajectory) -> Records:
-    return Records(traj.frame, traj.grid, traj.times(),
-                   np.array([s.rho for s in traj.states]), np.array([s.U for s in traj.states]))
 
 
 def time_derivative_series(times: np.ndarray, values) -> np.ndarray:
@@ -312,15 +317,15 @@ def _cumtrapz(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
 def _linf_sq(U: np.ndarray) -> np.ndarray:
     """||u_i||_inf^2 per record and component.  Each max is squared as a
     Python float (C ``pow``), like the one-state functionals, since numpy's
-    ``x * x`` differs from it in the last bit for about 1 value in 1000; a
-    square that overflows is inf, as in numpy."""
+    ``x * x`` differs from it in the last bit for about 1 value in 1000."""
     linf = np.maximum(U.max(axis=-1), -U.min(axis=-1))
-    return np.array([[_square(u) for u in rec] for rec in linf.tolist()])
+    return np.array([[_or_inf(pow, u, 2) for u in rec] for rec in linf.tolist()])
 
 
-def _square(x: float) -> float:
+def _or_inf(f, *args) -> float:
+    """``f(*args)`` on Python floats, inf where it overflows, as in numpy."""
     try:
-        return x**2
+        return f(*args)
     except OverflowError:
         return math.inf
 
@@ -342,7 +347,7 @@ def attach_time_fields(traj: Trajectory, params: MixtureParams, derived: Derived
         dv = sbp_derivative(st.U.mean(axis=1), g)
         fields["identity_residual"] = l2_norm(st.rho * dv + dln_dt, g)
     else:
-        fields["alpha"] = _alpha(st, params.M)
+        fields["alpha"] = _alpha(st, params)
     for name, values in fields.items():
         for rec, value in zip(traj.diagnostics, values.tolist()):
             setattr(rec, name, value)
@@ -604,17 +609,15 @@ def alpha_series(traj: Trajectory, params: MixtureParams, derived: DerivedMatric
     if traj.frame != EULERIAN:
         raise WrongFrame("alpha is defined on Eulerian trajectories")
     _require_states(traj, 2)
-    return _alpha(_stack(traj), params.M)
+    return _alpha(_stack(traj), params)
 
 
-def _alpha(st: Records, M: np.ndarray) -> np.ndarray:
+def _alpha(st: Records, params: MixtureParams) -> np.ndarray:
     g = st.grid
     du_dt = time_derivative_series(st.times, st.U)
-    jump = face_gradient(st.U, g)
-    quad = np.einsum("rif,rjf,ij->r", jump, jump, M) * g.h  # as _visc_quad, per record
-    md2 = M @ _second_derivative(st.U, g.h)
+    md2 = params.M @ _second_derivative(st.U, g.h)
     inst = integrate(st.rho * _sum_sq(du_dt) + _sum_sq(md2) / st.rho, g)
-    return quad + _cumtrapz(st.times, inst)
+    return _visc_quad(st, params) + _cumtrapz(st.times, inst)
 
 
 def audit_alpha_growth(
@@ -632,7 +635,7 @@ def audit_alpha_growth(
     _require_states(traj, 3)
     st = _stack(traj)
     g, times = st.grid, st.times
-    a = _alpha(st, params.M)
+    a = _alpha(st, params)
 
     row = params.A.sum(axis=1)
     exch = params.A @ st.U
@@ -653,7 +656,8 @@ def audit_alpha_growth(
     margin = float(gaps[1:].min()) if gaps.size > 1 else float(gaps.min())
     if gaps.min() < 0:
         margin = float(gaps.min())
-    sup_alpha_bound = float((a[0] + c10 * (times[-1] - times[0])) * math.exp(c11 * _cumtrapz(times, uinf_sq)[-1]))
+    sup_alpha_bound = float((a[0] + c10 * (times[-1] - times[0]))
+                            * _or_inf(math.exp, c11 * _cumtrapz(times, uinf_sq)[-1]))
     verdict = PASS if margin >= 0 else FAIL
     return AuditResult(
         "alpha_growth",

@@ -223,7 +223,6 @@ def run(
     t_end: float,
     snapshot_every: int = 20,
     forcing: Forcing | None = None,
-    make_record=None,
 ) -> Trajectory:
     """Integrate from the initial state to ``t_end``; records every k-th step."""
     if initial.frame != EULERIAN:
@@ -231,4 +230,4 @@ def run(
     if t_end > params.T_final:
         raise ValidationError(f"t_end = {t_end} exceeds T_final = {params.T_final}")
     kern = EulerKernel(initial.grid, params, derived, scheme, forcing)
-    return run_loop(kern, initial, t_end, scheme, snapshot_every, make_record)
+    return run_loop(kern, initial, t_end, scheme, snapshot_every)

@@ -112,7 +112,8 @@ class State:
 
 
 class Trajectory:
-    """Time-ordered states plus per-record diagnostics from one run."""
+    """Time-ordered states plus per-record diagnostics from one run; the
+    diagnostics are filled afterwards by :func:`mixflow.estimates.diagnose`."""
 
     def __init__(self, frame: str, grid: Grid1D):
         self.frame = frame
@@ -120,14 +121,12 @@ class Trajectory:
         self.states: list[State] = []
         self.diagnostics: list["DiagnosticsRecord"] = []
 
-    def append(self, state: State, record: "DiagnosticsRecord | None" = None):
+    def append(self, state: State):
         if state.frame != self.frame:
             raise WrongFrame(f"appending {state.frame} state to {self.frame} trajectory")
         if self.states and state.time <= self.states[-1].time:
             raise ValidationError("trajectory time stamps must strictly increase")
         self.states.append(state)
-        if record is not None:
-            self.diagnostics.append(record)
 
     def times(self) -> np.ndarray:
         return np.array([s.time for s in self.states])
@@ -216,11 +215,12 @@ def face_harmonic_mean(rho: np.ndarray) -> np.ndarray:
     """Harmonic mean ``2 a b / (a + b)`` of the two node values of each face.
 
     The mass-coordinate viscous operator and its dissipation audit weight
-    face gradients with it.
+    face gradients with it.  Faces of a stack of densities lie along the
+    last axis.
     """
-    out = 2.0 * rho[1:]
-    out *= rho[:-1]
-    out /= rho[1:] + rho[:-1]
+    out = 2.0 * rho[..., 1:]
+    out *= rho[..., :-1]
+    out /= rho[..., 1:] + rho[..., :-1]
     return out
 
 

@@ -239,7 +239,6 @@ def run_lagrangian(
     t_end: float,
     snapshot_every: int = 20,
     forcing: Forcing | None = None,
-    make_record=None,
 ) -> Trajectory:
     """Integrate the mass-coordinate system; mirrors :func:`mixflow.euler.run`."""
     if initial.frame != LAGRANGIAN:
@@ -247,4 +246,4 @@ def run_lagrangian(
     if t_end > params.T_final:
         raise ValidationError(f"t_end = {t_end} exceeds T_final = {params.T_final}")
     kern = LagrangeKernel(initial.grid, params, derived, scheme, forcing)
-    return run_loop(kern, initial, t_end, scheme, snapshot_every, make_record)
+    return run_loop(kern, initial, t_end, scheme, snapshot_every)

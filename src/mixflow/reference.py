@@ -44,7 +44,6 @@ def single_fluid_reference(
     t_end: float,
     T_final: float | None = None,
     snapshot_every: int = 20,
-    make_record=None,
 ) -> Trajectory:
     params = single_fluid_params(K, gamma, mu, T_final or max(t_end, 1.0))
     derived = derive_matrices(params)
@@ -52,7 +51,4 @@ def single_fluid_reference(
         time=0.0, frame=EULERIAN, grid=grid, rho=np.asarray(rho0, dtype=float),
         U=np.asarray(u0, dtype=float).reshape(1, -1),
     )
-    return euler.run(
-        initial, params, derived, scheme, t_end,
-        snapshot_every=snapshot_every, make_record=make_record,
-    )
+    return euler.run(initial, params, derived, scheme, t_end, snapshot_every=snapshot_every)

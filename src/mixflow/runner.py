@@ -11,8 +11,8 @@ from functools import partial
 
 from . import euler, lagrange
 from .config import RunConfig, make_initial
-from .errors import MixflowError, WorkerDied
-from .estimates import EstimateReport, attach_time_fields, build_report, record_maker
+from .errors import MixflowError, SolverBlowup, WorkerDied
+from .estimates import EstimateReport, build_report, diagnose
 from .field import EULERIAN, LAGRANGIAN, Grid1D, State, Trajectory, total_mass
 from .io import render_report_plots, save_report, save_trajectory
 from .model import DerivedMatrices, derive_matrices
@@ -118,18 +118,20 @@ def execute(rc: RunConfig, progress=None) -> RunResult:
     grid = Grid1D(domain_length=1.0, n_cells=rc.n_cells)
     initial = make_initial(rc.initial, grid)
     derived = derive_matrices(rc.params)
-    rec = record_maker(rc.params, derived)
 
     def solve(frame: str) -> Trajectory:
         if frame == EULERIAN:
             solver, start = euler.run, initial
         else:
             solver, start = lagrange.run_lagrangian, lagrange.euler_to_lagrange(initial)
-        traj = solver(start, rc.params, derived, rc.scheme, rc.t_end,
-                      snapshot_every=rc.snapshot_every, make_record=rec)
-        if len(traj) >= 2:
-            attach_time_fields(traj, rc.params, derived)
-        return traj
+        try:
+            traj = solver(start, rc.params, derived, rc.scheme, rc.t_end,
+                          snapshot_every=rc.snapshot_every)
+        except SolverBlowup as exc:  # the saved partial trajectory keeps its ledger
+            if exc.trajectory is not None:
+                diagnose(exc.trajectory, rc.params, derived)
+            raise
+        return diagnose(traj, rc.params, derived)
 
     frames = [f for f in (EULERIAN, LAGRANGIAN) if rc.frame in (f, "both")]
     announce = progress and (lambda k: progress(f"running {frames[k]} solver to t = {rc.t_end}"))

@@ -44,7 +44,6 @@ stable-step estimate and first stage.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -182,26 +181,21 @@ def step_once(kernel, t, q, U, dt, scheme, rho=None, shared=None):
     return q_n, U_n, rho_n
 
 
-def run_loop(
-    kernel,
-    initial: State,
-    t_end: float,
-    scheme,
-    snapshot_every: int = 20,
-    make_record: Callable[[State], object] | None = None,
-) -> Trajectory:
+def run_loop(kernel, initial: State, t_end: float, scheme, snapshot_every: int = 20) -> Trajectory:
     """March from ``initial`` to ``t_end``, recording every ``snapshot_every`` steps.
 
-    The initial and final states are always recorded.  On blow-up the partial
-    trajectory is attached to the raised :class:`SolverBlowup`.
+    The initial and final states are always recorded.  The trajectory holds
+    states only; :func:`mixflow.estimates.diagnose` fills its diagnostics.
+    On blow-up the partial trajectory is attached to the raised
+    :class:`SolverBlowup`.
     """
     if snapshot_every < 1:
         raise ValidationError("snapshot_every must be >= 1")
     traj = Trajectory(kernel.frame, kernel.grid)
 
     def record(t, rho, U):
-        s = State(time=t, frame=kernel.frame, grid=kernel.grid, rho=np.array(rho), U=U.copy())
-        traj.append(s, make_record(s) if make_record is not None else None)
+        traj.append(State(time=t, frame=kernel.frame, grid=kernel.grid,
+                          rho=np.array(rho), U=U.copy()))
 
     t = float(initial.time)
     q = kernel.to_evolved(np.array(initial.rho, dtype=float))

@@ -1,10 +1,11 @@
 """Per-record loop versions of the trajectory functionals, kept as the oracle.
 
-These are the audits, ``attach_time_fields`` and ``empirical_constants`` as
-they were written before the estimates module moved to arrays over the
-record axis: one state at a time, Python loops over records and component
-pairs.  ``tests/test_record_axis.py`` requires the array versions to
-reproduce them bit for bit.
+These are ``make_record`` with its per-state functionals, the audits,
+``attach_time_fields`` and ``empirical_constants`` as they were written
+before the estimates module moved to arrays over the record axis: one state
+at a time, Python loops over records and component pairs.
+``tests/test_record_axis.py`` requires the array versions to reproduce them
+bit for bit.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ import numpy as np
 
 from mixflow.errors import EmptyTrajectory, NonFinite, ValidationError, WrongFrame
 from mixflow.estimates import (
-    FAIL, PASS, SKIP, AuditResult, EstimateReport, _skip_reason, _visc_quad, _x_weight,
-    w_field, w_norm,
+    FAIL, PASS, SKIP, AuditResult, DiagnosticsRecord, EstimateReport, _skip_reason, w_field,
 )
 from mixflow.field import (
-    EULERIAN, LAGRANGIAN, diff, face_gradient, face_mean, integrate, l2_norm, linf_norm,
-    sbp_derivative,
+    EULERIAN, LAGRANGIAN, _scalar, diff, face_gradient, face_harmonic_mean, face_mean, integrate,
+    l2_norm, linf_norm, sbp_derivative,
 )
 
 _AUDITS = {
@@ -34,6 +34,96 @@ _AUDITS = {
     "velocity_damping": (None, 0, lambda tr, p, dm, d: audit_velocity_damping(tr, p)),
 }
 KNOWN_AUDITS = tuple(_AUDITS)
+
+
+# ---------------------------------------------------------------------------
+# per-state diagnostics: make_record and its functionals, one state per call
+
+
+def energy(state: State, params: MixtureParams) -> float:
+    """Total energy: sum_i int(0.5 rho u_i^2 + K/(gamma-1) rho^gamma) dx.
+
+    The pressure part is counted once per component, mirroring the estimate
+    the budget audit discretizes.  In mass coordinates dx = dy / rho.
+    """
+    g = state.grid
+    K, gam, N = params.K, params.gamma, params.N
+    if state.frame == EULERIAN:
+        kinetic = 0.5 * integrate(state.rho * (state.U**2).sum(axis=0), g)
+        internal = N * K / (gam - 1.0) * integrate(state.rho**gam, g)
+    else:
+        kinetic = 0.5 * integrate((state.U**2).sum(axis=0), g)
+        internal = N * K / (gam - 1.0) * integrate(state.rho ** (gam - 1.0), g)
+    return kinetic + internal
+
+
+def _visc_quad(state: State, params: MixtureParams) -> tuple[float, float]:
+    """(sum_ij M_ij <u_i', u_j'>, sum_i <u_i', u_i'>) with the frame's weight."""
+    g = state.grid
+    jump = face_gradient(state.U, g)
+    if state.frame == EULERIAN:
+        w = g.h
+        quad = float(np.einsum("if,jf,ij->", jump, jump, params.M) * w)
+        grad_sq = float((jump**2).sum() * w)
+    else:
+        rh = face_harmonic_mean(state.rho)
+        quad = float(g.h * np.einsum("if,jf,f,ij->", jump, jump, rh, params.M))
+        grad_sq = float(g.h * (rh * jump**2).sum())
+    return quad, grad_sq
+
+
+def _x_weight(state: State) -> np.ndarray | float:
+    """Node weight turning a mass-coordinate integral into the x-measure one."""
+    return 1.0 if state.frame == EULERIAN else 1.0 / state.rho
+
+
+def friction_dissipation(state: State, params: MixtureParams) -> float:
+    """0.5 sum_ij A[i,j] int (u_i - u_j)^2 dx (dy/rho in mass coordinates)."""
+    g = state.grid
+    U = state.U
+    wgt = _x_weight(state)
+    total = 0.0
+    for i in range(params.N):
+        for j in range(i + 1, params.N):
+            total += params.A[i, j] * integrate((U[i] - U[j]) ** 2 * wgt, g)
+    return total  # = 0.5 * sum over ordered pairs
+
+
+def w_norm(state: State) -> float:
+    """||d(ln rho)/dy||_{L2(0,d)}; for Eulerian states via the coordinate map.
+
+    In Eulerian variables the same quantity is int (d ln rho/dx)^2 / rho dx.
+    """
+    g = state.grid
+    sq = face_gradient(np.log(state.rho), g) ** 2
+    if state.frame == EULERIAN:
+        sq /= face_mean(state.rho)
+    return _scalar(np.sqrt(g.h * sq.sum(axis=-1)))
+
+
+def grad_rho_l2_eulerian(state: State) -> float:
+    """||d rho/dx||_{L2(0,1)} regardless of the stored frame."""
+    g = state.grid
+    d = diff(state.rho, g)
+    if state.frame == EULERIAN:
+        return l2_norm(d, g)
+    # d rho/dx = rho d rho/dy, dx = dy/rho -> integrand rho (d rho/dy)^2
+    return float(np.sqrt(max(integrate(state.rho * d**2, g), 0.0)))
+
+
+def make_record(state: State, params: MixtureParams, derived: DerivedMatrices) -> DiagnosticsRecord:
+    visc, _ = _visc_quad(state, params)
+    return DiagnosticsRecord(
+        time=state.time,
+        energy=energy(state, params),
+        dissipation_visc=visc,
+        dissipation_fric=friction_dissipation(state, params),
+        rho_min=float(state.rho.min()),
+        rho_max=float(state.rho.max()),
+        w_norm=w_norm(state),
+        grad_rho_l2=grad_rho_l2_eulerian(state),
+        u_linf=max(linf_norm(state.U[i]) for i in range(state.U.shape[0])),
+    )
 
 
 def velocity_gradient_sq(state: State) -> float:

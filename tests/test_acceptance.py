@@ -100,13 +100,10 @@ def shear_residual_runs():
     runs = {}
     for n in (64, 128, 256):
         init = make_initial(rc.initial, Grid1D(1.0, n))
-        traj = lagrange.run_lagrangian(
+        runs[n] = est.diagnose(lagrange.run_lagrangian(
             lagrange.euler_to_lagrange(init), rc.params, derived, scheme,
             t_end=0.3, snapshot_every=2,
-            make_record=est.record_maker(rc.params, derived),
-        )
-        est.attach_time_fields(traj, rc.params, derived)
-        runs[n] = traj
+        ), rc.params, derived)
     return rc.params, derived, runs
 
 
@@ -300,14 +297,12 @@ def test_c12_gronwall_and_alpha(corpus_results):
     consts = {}
     for n in (256, 512):
         init = make_initial(rc.initial, Grid1D(1.0, n))
-        rec = est.record_maker(rc.params, derived)
-        traj_e = euler.run(init, rc.params, derived, scheme, 1.0,
-                           snapshot_every=8, make_record=rec)
-        est.attach_time_fields(traj_e, rc.params, derived)
-        traj_l = lagrange.run_lagrangian(
+        traj_e = est.diagnose(euler.run(init, rc.params, derived, scheme, 1.0,
+                                        snapshot_every=8), rc.params, derived)
+        traj_l = est.diagnose(lagrange.run_lagrangian(
             lagrange.euler_to_lagrange(init), rc.params, derived, scheme, 1.0,
-            snapshot_every=8, make_record=rec,
-        )
+            snapshot_every=8,
+        ), rc.params, derived)
         gron = est.audit_gronwall_chain(traj_l, rc.params, derived)
         alph = est.audit_alpha_growth(traj_e, rc.params, derived)
         consts[n] = {

@@ -45,15 +45,14 @@ def test_every_target_resolves_and_is_restored():
 
 
 def test_build_report_spans_one_per_audit(params2, derived2, grid64):
-    make_record = estimates.record_maker(params2, derived2)
     s = smooth_state(grid64)
     scheme = SchemeConfig()
-    traj_e = run(s, params2, derived2, scheme, 0.05, snapshot_every=10, make_record=make_record)
+    traj_e = run(s, params2, derived2, scheme, 0.05, snapshot_every=10)
     traj_l = run_lagrangian(euler_to_lagrange(s), params2, derived2, scheme, 0.05,
-                            snapshot_every=10, make_record=make_record)
+                            snapshot_every=10)
     for traj in (traj_e, traj_l):
         assert len(traj) >= 3
-        estimates.attach_time_fields(traj, params2, derived2)
+        estimates.diagnose(traj, params2, derived2)
 
     tracer = tracing.Tracer()
     tracer.install()

@@ -155,22 +155,22 @@ class TestWField:
 class TestEnergyBudget:
     def test_rest_budget_constant(self, params2, derived2, grid64):
         s = eul_state(grid64, np.ones(grid64.n_nodes), np.zeros((2, grid64.n_nodes)))
-        traj = run(s, params2, derived2, SchemeConfig(), 0.2, snapshot_every=20,
-                   make_record=est.record_maker(params2, derived2))
+        traj = est.diagnose(run(s, params2, derived2, SchemeConfig(), 0.2,
+                                snapshot_every=20), params2, derived2)
         r = est.audit_energy_budget(traj, params2, derived2)
         assert r.verdict == est.PASS
         assert r.details["max_excess"] == pytest.approx(0.0, abs=1e-13)
 
     def test_decaying_run_passes(self, params2, derived2, shear_state):
-        traj = run(shear_state, params2, derived2, SchemeConfig(), 0.3, snapshot_every=10,
-                   make_record=est.record_maker(params2, derived2))
+        traj = est.diagnose(run(shear_state, params2, derived2, SchemeConfig(), 0.3,
+                                snapshot_every=10), params2, derived2)
         r = est.audit_energy_budget(traj, params2, derived2)
         assert r.verdict == est.PASS
         assert r.margin > 0
 
     def test_injected_energy_fails(self, params2, derived2, shear_state):
-        traj = run(shear_state, params2, derived2, SchemeConfig(), 0.3, snapshot_every=10,
-                   make_record=est.record_maker(params2, derived2))
+        traj = est.diagnose(run(shear_state, params2, derived2, SchemeConfig(), 0.3,
+                                snapshot_every=10), params2, derived2)
         traj.diagnostics[-1].energy *= 1.01  # corrupt the ledger
         r = est.audit_energy_budget(traj, params2, derived2)
         assert r.verdict == est.FAIL
@@ -198,17 +198,17 @@ class TestWBalanceAndGronwall:
     def _lag_run(self, params2, derived2, n=48, t_end=0.2):
         s = smooth_state(Grid1D(1.0, n))
         sl = euler_to_lagrange(s)
-        return run_lagrangian(
+        return est.diagnose(run_lagrangian(
             sl, params2, derived2,
             SchemeConfig(time_integrator="semi-implicit-viscosity", cfl=0.3),
-            t_end, snapshot_every=2, make_record=est.record_maker(params2, derived2),
-        )
+            t_end, snapshot_every=2,
+        ), params2, derived2)
 
     def test_rest_residual_zero(self, params2, derived2):
         g = Grid1D(1.5, 32)
         sl = lag_state(g, np.full(g.n_nodes, 1.5), np.zeros((2, g.n_nodes)))
-        traj = run_lagrangian(sl, params2, derived2, SchemeConfig(), 0.05, snapshot_every=2,
-                              make_record=est.record_maker(params2, derived2))
+        traj = est.diagnose(run_lagrangian(sl, params2, derived2, SchemeConfig(), 0.05,
+                                           snapshot_every=2), params2, derived2)
         r = est.audit_w_balance(traj, params2, derived2)
         assert r.details["max_residual"] <= 1e-13
 
@@ -222,9 +222,8 @@ class TestWBalanceAndGronwall:
         f[[0, -1]] = 0.0
         tr = Trajectory(LAGRANGIAN, g)
         for k, t in enumerate((0.0, 0.01, 0.02)):
-            st = lag_state(g, np.ones(g.n_nodes), np.array([f, f]) * (1 + 0.1 * k), t=t)
-            tr.append(st, est.make_record(st, p, d))
-        r = est.audit_w_balance(tr, p, d)
+            tr.append(lag_state(g, np.ones(g.n_nodes), np.array([f, f]) * (1 + 0.1 * k), t=t))
+        r = est.audit_w_balance(est.diagnose(tr, p, d), p, d)
         assert r.details["max_residual"] <= 1e-13
 
     def test_wbalance_residual_refines(self, params2, derived2):
@@ -246,8 +245,8 @@ class TestWBalanceAndGronwall:
     def test_gronwall_rest_passes(self, params2, derived2):
         g = Grid1D(1.5, 32)
         sl = lag_state(g, np.full(g.n_nodes, 1.5), np.zeros((2, g.n_nodes)))
-        traj = run_lagrangian(sl, params2, derived2, SchemeConfig(), 0.05, snapshot_every=2,
-                              make_record=est.record_maker(params2, derived2))
+        traj = est.diagnose(run_lagrangian(sl, params2, derived2, SchemeConfig(), 0.05,
+                                           snapshot_every=2), params2, derived2)
         r = est.audit_gronwall_chain(traj, params2, derived2)
         assert r.verdict == est.PASS
 
@@ -260,8 +259,8 @@ class TestWBalanceAndGronwall:
 class TestAlpha:
     def test_rest_alpha_zero(self, params2, derived2, grid64):
         s = eul_state(grid64, np.ones(grid64.n_nodes), np.zeros((2, grid64.n_nodes)))
-        traj = run(s, params2, derived2, SchemeConfig(), 0.1, snapshot_every=10,
-                   make_record=est.record_maker(params2, derived2))
+        traj = est.diagnose(run(s, params2, derived2, SchemeConfig(), 0.1,
+                                snapshot_every=10), params2, derived2)
         a = est.alpha_series(traj, params2, derived2)
         assert np.abs(a).max() <= 1e-20
 
@@ -284,14 +283,13 @@ class TestAlpha:
         tr = Trajectory(EULERIAN, g)
         times = (0.0, 0.05, 0.1, 0.15)
         for t in times:
-            st = eul_state(g, np.ones(9), U, t=t)
-            tr.append(st, est.make_record(st, p, d))
-        a = est.alpha_series(tr, p, d)
+            tr.append(eul_state(g, np.ones(9), U, t=t))
+        a = est.alpha_series(est.diagnose(tr, p, d), p, d)
         assert np.allclose(a, 4.0 + 1120.0 * np.array(times), atol=1e-10)
 
     def test_alpha_growth_audit_passes(self, params2, derived2, shear_state):
-        traj = run(shear_state, params2, derived2, SchemeConfig(), 0.3, snapshot_every=10,
-                   make_record=est.record_maker(params2, derived2))
+        traj = est.diagnose(run(shear_state, params2, derived2, SchemeConfig(), 0.3,
+                                snapshot_every=10), params2, derived2)
         r = est.audit_alpha_growth(traj, params2, derived2)
         assert r.verdict == est.PASS
         assert math.isfinite(r.details["sup_alpha"])
@@ -300,8 +298,8 @@ class TestAlpha:
 
 class TestDerivativeNorms:
     def test_report_finite_for_smooth_run(self, params2, derived2, shear_state):
-        traj = run(shear_state, params2, derived2, SchemeConfig(), 0.2, snapshot_every=10,
-                   make_record=est.record_maker(params2, derived2))
+        traj = est.diagnose(run(shear_state, params2, derived2, SchemeConfig(), 0.2,
+                                snapshot_every=10), params2, derived2)
         r = est.derivative_norm_report(traj, params2)
         assert r.verdict == est.PASS
         for v in r.details.values():
@@ -310,9 +308,10 @@ class TestDerivativeNorms:
     def test_resolution_stability(self, params2, derived2):
         values = []
         for n in (128, 256):
-            traj = run(smooth_state(Grid1D(1.0, n)), params2, derived2,
-                       SchemeConfig(time_integrator="semi-implicit-viscosity", cfl=0.3),
-                       0.2, snapshot_every=4, make_record=est.record_maker(params2, derived2))
+            traj = est.diagnose(run(smooth_state(Grid1D(1.0, n)), params2, derived2,
+                                    SchemeConfig(time_integrator="semi-implicit-viscosity",
+                                                 cfl=0.3),
+                                    0.2, snapshot_every=4), params2, derived2)
             values.append(est.derivative_norm_report(traj, params2).details)
         for key in ("sup_grad_u_l2", "rho_x_sup_l2", "u_l2_linf"):
             assert values[0][key] == pytest.approx(values[1][key], rel=0.05)
@@ -320,18 +319,16 @@ class TestDerivativeNorms:
 
 class TestRecordsAndReport:
     def test_attach_time_fields(self, params2, derived2, shear_state):
-        traj = run(shear_state, params2, derived2, SchemeConfig(), 0.1, snapshot_every=10,
-                   make_record=est.record_maker(params2, derived2))
-        est.attach_time_fields(traj, params2, derived2)
-        for rec in traj.diagnostics:
+        traj = est.diagnose(run(shear_state, params2, derived2, SchemeConfig(), 0.1,
+                                snapshot_every=10), params2, derived2)
+        for rec in traj.diagnostics:  # attached by diagnose
             assert rec.dt_rho_l2 is not None and math.isfinite(rec.dt_rho_l2)
             assert rec.alpha is not None
             assert rec.identity_residual is None  # Eulerian
 
     def test_build_report_skips_missing_frames(self, params2, derived2, shear_state):
-        traj = run(shear_state, params2, derived2, SchemeConfig(), 0.1, snapshot_every=10,
-                   make_record=est.record_maker(params2, derived2))
-        est.attach_time_fields(traj, params2, derived2)
+        traj = est.diagnose(run(shear_state, params2, derived2, SchemeConfig(), 0.1,
+                                snapshot_every=10), params2, derived2)
         rep = est.build_report(params2, derived2, eulerian=traj)
         assert rep.results["w_balance"].verdict == est.SKIP
         assert rep.results["energy_budget"].verdict == est.PASS
@@ -341,10 +338,10 @@ class TestRecordsAndReport:
 
     def test_build_report_skip_reasons(self, params2, derived2, shear_state):
         scheme = SchemeConfig()
-        traj_e = run(shear_state, params2, derived2, scheme, 0.1, snapshot_every=10,
-                     make_record=est.record_maker(params2, derived2))
-        traj_l = run_lagrangian(euler_to_lagrange(shear_state), params2, derived2, scheme, 0.1,
-                                snapshot_every=10, make_record=est.record_maker(params2, derived2))
+        traj_e = est.diagnose(run(shear_state, params2, derived2, scheme, 0.1,
+                                  snapshot_every=10), params2, derived2)
+        traj_l = est.diagnose(run_lagrangian(euler_to_lagrange(shear_state), params2, derived2,
+                                             scheme, 0.1, snapshot_every=10), params2, derived2)
 
         def reasons(**trajs):
             rep = est.build_report(params2, derived2, **trajs)
@@ -361,9 +358,9 @@ class TestRecordsAndReport:
             "derivative_norms": "needs an Eulerian trajectory with >= 2 records",
         }
         two = Trajectory(EULERIAN, traj_e.grid)
-        for s, rec in list(zip(traj_e.states, traj_e.diagnostics))[:2]:
-            two.append(s, rec)
-        assert reasons(eulerian=two) == {
+        for s in traj_e.states[:2]:
+            two.append(s)
+        assert reasons(eulerian=est.diagnose(two, params2, derived2)) == {
             "w_balance": "needs a Lagrangian trajectory with >= 3 records",
             "gronwall": "needs a Lagrangian trajectory with >= 3 records",
             "alpha_growth": "needs an Eulerian trajectory with >= 3 records",
@@ -392,17 +389,16 @@ class TestRecordsAndReport:
         assert failing.verdict == est.FAIL and failing.details["rho_inf"] == 2.0
 
     def test_report_dict_shape(self, params2, derived2, shear_state):
-        traj = run(shear_state, params2, derived2, SchemeConfig(), 0.1, snapshot_every=10,
-                   make_record=est.record_maker(params2, derived2))
-        est.attach_time_fields(traj, params2, derived2)
+        traj = est.diagnose(run(shear_state, params2, derived2, SchemeConfig(), 0.1,
+                                snapshot_every=10), params2, derived2)
         rep = est.build_report(params2, derived2, eulerian=traj)
         dd = rep.to_dict()
         assert set(dd) == {"passed", "audits", "empirical_constants"}
         assert "gronwall" in dd["audits"]
 
     def test_audits_are_deterministic(self, params2, derived2, shear_state):
-        traj = run(shear_state, params2, derived2, SchemeConfig(), 0.1, snapshot_every=10,
-                   make_record=est.record_maker(params2, derived2))
+        traj = est.diagnose(run(shear_state, params2, derived2, SchemeConfig(), 0.1,
+                                snapshot_every=10), params2, derived2)
         r1 = est.audit_energy_budget(traj, params2, derived2)
         r2 = est.audit_energy_budget(traj, params2, derived2)
         assert r1.margin == r2.margin and r1.details == r2.details

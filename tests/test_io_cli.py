@@ -12,6 +12,7 @@ from mixflow.cli import cli_main
 from mixflow.config import parse_config
 from mixflow.euler import SchemeConfig, run
 from mixflow.field import EULERIAN
+from mixflow.model import derive_matrices
 from mixflow.runner import execute, save_result
 
 SMALL_CONFIG = """
@@ -52,9 +53,8 @@ def small_run(tmp_path_factory):
 
 class TestTrajectoryIO:
     def test_round_trip(self, params2, derived2, shear_state, tmp_path):
-        traj = run(shear_state, params2, derived2, SchemeConfig(), 0.1, snapshot_every=10,
-                   make_record=estimates.record_maker(params2, derived2))
-        estimates.attach_time_fields(traj, params2, derived2)
+        traj = estimates.diagnose(run(shear_state, params2, derived2, SchemeConfig(), 0.1,
+                                      snapshot_every=10), params2, derived2)
         io.save_trajectory(str(tmp_path), traj, params2, SchemeConfig())
         back, params_back, manifest = io.load_trajectory(str(tmp_path))
         assert params_back == params2
@@ -182,8 +182,15 @@ snapshot_every = 10
         out = str(tmp_path / "blow_out")
         code = cli_main(["run", "--config", str(cfg), "--out-dir", out])
         assert code == 3
-        # the last valid trajectory is preserved on disk
-        assert os.path.exists(os.path.join(out, "eulerian", "manifest.json"))
+        # the last valid trajectory is preserved on disk, with the time
+        # fields of its ledger as check recomputes them
+        traj, params, _ = io.load_trajectory(os.path.join(out, "eulerian"))
+        stored = traj.diagnostics
+        fresh = estimates.diagnose(traj, params, derive_matrices(params)).diagnostics
+        assert len(stored) >= 2
+        for a, b in zip(stored, fresh):
+            assert a.dt_rho_l2 is not None and a.alpha is not None
+            assert (a.dt_rho_l2, a.alpha) == (b.dt_rho_l2, b.alpha)
 
     def test_transform_round_trip(self, tmp_path, shear_state):
         snap = tmp_path / "s.csv"
@@ -285,6 +292,16 @@ def _manifest_edit(edit):
     return corrupt
 
 
+def _interior_speed(speed, sub=EULERIAN):
+    """Every interior velocity of ``sub/snap_00001.csv`` set to ``speed``."""
+    def edit(lines):
+        rows = [line.split(",") for line in lines]
+        for row in rows[2:-1]:  # below the header, between the walls
+            row[2:] = [speed] * (len(row) - 2)
+        return [",".join(row) for row in rows]
+    return lambda out: _snapshot_edit(edit)(os.path.join(out, sub))
+
+
 class TestTrajectoryFormatFaults:
     def _copy(self, stored_run, tmp_path):
         out = str(tmp_path / "copy")
@@ -374,14 +391,7 @@ class TestTrajectoryFormatFaults:
         # squares (1e160) overflow make an audit FAIL (exit 1), not a solver
         # blow-up (exit 3) or an OverflowError
         out = self._copy(stored_run, tmp_path)
-
-        def huge(lines):
-            rows = [line.split(",") for line in lines]
-            for row in rows[2:-1]:  # below the header, between the walls
-                row[2:] = [speed] * (len(row) - 2)
-            return [",".join(row) for row in rows]
-
-        _snapshot_edit(huge)(out)
+        _interior_speed(speed, "")(out)
         with np.errstate(over="ignore", invalid="ignore"):
             assert cli_main(["check", "--traj", out]) == 1
         assert "derivative_norms     FAIL" in capsys.readouterr().out
@@ -437,3 +447,98 @@ class TestTrajectoryFormatFaults:
                 os.path.join(full, name), "rb").read()
         capsys.readouterr()
         self._check_fails_naming(out, "snap_00000.csv", capsys)
+
+
+@pytest.fixture(scope="module")
+def shear_run(tmp_path_factory):
+    """The shipped shear scenario in both frames, stored to t = 0.02."""
+    out = str(tmp_path_factory.mktemp("shear") / "out")
+    cfg = os.path.join(os.path.dirname(estimates.__file__), "data", "shear.ini")
+    assert cli_main(["run", "--config", cfg, "--t-end", "0.02", "--out-dir", out]) == 0
+    return out
+
+
+def _diag_edit(name, row, value):
+    """A corruption that sets one cell of the Eulerian ``diag.csv``."""
+    def corrupt(out):
+        path = os.path.join(out, EULERIAN, "diag.csv")
+        lines = open(path).read().splitlines()
+        cells = lines[row + 1].split(",")
+        col = lines[0].split(",").index(name)
+        cells[col] = value(cells[col])
+        lines[row + 1] = ",".join(cells)
+        open(path, "w").write("\n".join(lines) + "\n")
+    return corrupt
+
+
+class TestLedger:
+    """``check`` compares the stored state fields of ``diag.csv`` with their
+    recomputation and names the first mismatch in row order in one line."""
+
+    def _check(self, shear_run, tmp_path, capsys, corrupt):
+        out = str(tmp_path / "copy")
+        shutil.copytree(shear_run, out)
+        corrupt(out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli_main(["check", "--traj", out])
+        err = capsys.readouterr().err
+        reasons = [line for line in err.splitlines() if ": stored " in line]
+        with open(os.path.join(out, "report.json")) as fh:
+            return code, reasons, json.load(fh)["audits"]
+
+    @pytest.mark.parametrize("corrupt, reason", [
+        # math.exp of the Gronwall ceiling overflows: the ceiling is inf
+        (_interior_speed("1e3"), "eulerian: stored energy row 1 = "),
+        # the energy recomputes to inf; an inf never passes the tolerance test
+        (_interior_speed("1e160"), "eulerian: stored energy row 1 = "),
+        (_diag_edit("dissipation_fric", 1, lambda c: repr(float(c) * 1.5 + 1e-3)),
+         "eulerian: stored dissipation_fric row 1 = "),
+        (_diag_edit("energy", 2, lambda c: ""), "eulerian: stored energy row 2 = None != "),
+        (_diag_edit("u_linf", 3, lambda c: "inf"), "eulerian: stored u_linf row 3 = inf != "),
+    ], ids=["speed-1e3", "speed-1e160", "fric-cell", "empty-cell", "inf-cell"])
+    def test_first_mismatch_named(self, shear_run, tmp_path, capsys, corrupt, reason):
+        code, reasons, audits = self._check(shear_run, tmp_path, capsys, corrupt)
+        assert code == 1
+        assert len(reasons) == 1 and reasons[0].startswith(reason), reasons
+        assert "np.float64(" not in reasons[0]
+        assert " != recomputed " in reasons[0]
+        assert audits["alpha_growth"]["verdict"] in ("PASS", "FAIL")
+
+    def test_overflowing_gronwall_ceiling_is_inf(self, shear_run, tmp_path, capsys):
+        _, _, audits = self._check(shear_run, tmp_path, capsys, _interior_speed("1e3"))
+        assert audits["alpha_growth"]["details"]["gronwall_ceiling"] == math.inf
+
+    def test_untouched_ledger_passes(self, shear_run, tmp_path, capsys):
+        code, reasons, _ = self._check(shear_run, tmp_path, capsys, lambda out: None)
+        assert code == 0 and reasons == []
+
+
+@pytest.mark.parametrize("stored, fresh, match", [
+    (math.inf, math.inf, True),
+    (-math.inf, -math.inf, True),
+    (math.nan, math.nan, True),
+    (1.0 + 5e-10, 1.0, True),
+    (2e9 + 1.0, 2e9, True),
+    (1.0 + 2e-9, 1.0, False),
+    (1.0, math.inf, False),
+    (math.inf, 1.0, False),
+    (-math.inf, math.inf, False),
+    (math.nan, 1.0, False),
+    (1.0, math.nan, False),
+    (None, 1.0, False),
+    (1e308, -1e308, False),
+])
+def test_ledger_comparison(stored, fresh, match):
+    from mixflow.cli import _ledger_mismatch
+
+    # the case is the energy of row 1, between an agreeing row 0 and a row 2
+    # whose u_linf disagrees
+    names = estimates.DiagnosticsRecord.STATE_FIELDS
+
+    def records(energy, u_linf):
+        rows = [[0.0] * len(names) for _ in range(3)]
+        rows[1][1], rows[2][-1] = energy, u_linf
+        return [estimates.DiagnosticsRecord(*row) for row in rows]
+
+    got = _ledger_mismatch(records(stored, 3.0), records(fresh, 4.0))
+    assert got == ((2, "u_linf") if match else (1, "energy"))

@@ -249,10 +249,8 @@ class TestRun:
             U[:, 0] = 0.0
             U[:, -1] = 0.0
             sl = State(time=0.0, frame=LAGRANGIAN, grid=g, rho=rho, U=U)
-            traj = run_lagrangian(sl, params2, derived2, scheme, t_end=0.15,
-                                  snapshot_every=2,
-                                  make_record=estimates.record_maker(params2, derived2))
-            estimates.attach_time_fields(traj, params2, derived2)
+            traj = estimates.diagnose(run_lagrangian(sl, params2, derived2, scheme, t_end=0.15,
+                                                     snapshot_every=2), params2, derived2)
             late = [r.identity_residual for r in traj.diagnostics[1:-1]
                     if r.time >= 0.25 * 0.15]
             res.append(max(late))
