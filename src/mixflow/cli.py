@@ -156,10 +156,12 @@ def _ledger_mismatch(stored, fresh) -> tuple[int, str] | None:
     return (int(bad[0, 0]), names[bad[0, 1]]) if len(bad) else None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_check(args) -> int:
     """Recompute the diagnostics from the snapshots (one frame per forked
     worker), cross-check the stored ledger, then re-run the audits; any
-    mismatch or FAIL exits 1."""
+    mismatch or FAIL exits 1.  Huge stored values overflow to inf or NaN
+    without numpy warnings: the ledger reason and the verdicts report them."""
     root = args.traj
     loaded = concurrently([partial(_recompute, sub) for sub in _trajectory_dirs(root)])
     params = loaded[0][1]

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .estimates import KNOWN_AUDITS
 from .euler import CENTRAL, UPWIND, SchemeConfig
-from .field import EULERIAN, LAGRANGIAN, Grid1D, State
+from .field import EULERIAN, LAGRANGIAN, Grid1D, State, pchip
 from .model import MixtureParams, validate_params
 from .timestepping import INTEGRATORS, RK2, RK4, SEMI_IMPLICIT
 
@@ -163,14 +163,12 @@ def _read_table_column(path: str, column: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sample_table(path: str, column: str, x: np.ndarray) -> np.ndarray:
-    from scipy.interpolate import PchipInterpolator
-
     xs, vals = _read_table_column(path, column)
     if xs.size == x.size and np.allclose(xs, x, atol=1e-14):
         return vals.copy()
     if np.any(np.diff(xs) <= 0):
         raise FileFormatError(f"table {path} abscissae must strictly increase")
-    return PchipInterpolator(xs, vals)(x)
+    return pchip(xs, vals, x)
 
 
 def make_initial(data: InitialData, grid: Grid1D) -> State:

@@ -651,11 +651,14 @@ def audit_alpha_growth(
     scale = max(a.max(), 1.0)
     slack = 1e-9 * scale + 1e-12
     gaps = bound + slack - a
-    # the first record satisfies the bound as an identity; report the margin
-    # where the inequality actually has content
-    margin = float(gaps[1:].min()) if gaps.size > 1 else float(gaps.min())
-    if gaps.min() < 0:
+    if not np.isfinite(gaps).all():  # alpha or its bound overflowed
+        margin = -math.inf
+    elif gaps.min() < 0 or gaps.size == 1:
         margin = float(gaps.min())
+    else:
+        # the first record satisfies the bound as an identity; report the
+        # margin where the inequality actually has content
+        margin = float(gaps[1:].min())
     sup_alpha_bound = float((a[0] + c10 * (times[-1] - times[0]))
                             * _or_inf(math.exp, c11 * _cumtrapz(times, uinf_sq)[-1]))
     verdict = PASS if margin >= 0 else FAIL

@@ -176,6 +176,19 @@ def _scalar(x: np.ndarray) -> float | np.ndarray:
     return float(x) if np.ndim(x) == 0 else x
 
 
+def pchip(x: np.ndarray, y: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The monotone cubic (PCHIP) interpolant of ``y`` over the strictly
+    increasing ``x``, evaluated at ``at``; it does not overshoot the data.
+
+    scipy.interpolate is imported on the first call, not with mixflow: the
+    verbs that never interpolate (``check``, ``report``, ``mms``) start
+    without it.
+    """
+    from scipy.interpolate import PchipInterpolator
+
+    return PchipInterpolator(x, y)(at)
+
+
 def linf_norm(f: np.ndarray) -> float:
     return float(np.abs(f).max())
 

@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DensityFloor, DomainLengthDrift, ValidationError, WrongFrame
 from .euler import Forcing, SchemeConfig
-from .field import EULERIAN, LAGRANGIAN, Grid1D, State, Trajectory, face_harmonic_mean
+from .field import EULERIAN, LAGRANGIAN, Grid1D, State, Trajectory, face_harmonic_mean, pchip
 from .model import DerivedMatrices, MixtureParams
 from .timestepping import Kernel, run_loop, tridiagonal_solve
 
@@ -65,6 +64,16 @@ def mass_map(state: State) -> MassGridMap:
     return MassGridMap(x_nodes=state.grid.nodes(), y_nodes=y)
 
 
+def _resample(s_old: np.ndarray, state: State, s_new: np.ndarray):
+    """``state.rho`` and ``state.U`` moved from the nodes ``s_old`` to
+    ``s_new`` by monotone cubics, with the wall velocities set to zero."""
+    rho = pchip(s_old, state.rho, s_new)
+    U = np.array([pchip(s_old, u, s_new) for u in state.U])
+    U[:, 0] = 0.0
+    U[:, -1] = 0.0
+    return rho, U
+
+
 def euler_to_lagrange(state: State, n_cells: int | None = None) -> State:
     """Resample an Eulerian state onto the uniform mass grid over (0, d).
 
@@ -79,14 +88,7 @@ def euler_to_lagrange(state: State, n_cells: int | None = None) -> State:
     m = mass_map(state)
     d = m.total_mass
     grid_y = Grid1D(domain_length=d, n_cells=n)
-    y_new = grid_y.nodes()
-
-    rho_new = PchipInterpolator(m.y_nodes, state.rho)(y_new)
-    U_new = np.empty((state.U.shape[0], y_new.size))
-    for i in range(state.U.shape[0]):
-        U_new[i] = PchipInterpolator(m.y_nodes, state.U[i])(y_new)
-    U_new[:, 0] = 0.0
-    U_new[:, -1] = 0.0
+    rho_new, U_new = _resample(m.y_nodes, state, grid_y.nodes())
     return State(time=state.time, frame=LAGRANGIAN, grid=grid_y, rho=rho_new, U=U_new)
 
 
@@ -108,14 +110,7 @@ def lagrange_to_euler(state: State, n_cells: int | None = None, drift_tol: float
         )
     x = x / length
     grid_x = Grid1D(domain_length=1.0, n_cells=n)
-    x_new = grid_x.nodes()
-
-    rho_new = PchipInterpolator(x, state.rho)(x_new)
-    U_new = np.empty((state.U.shape[0], x_new.size))
-    for i in range(state.U.shape[0]):
-        U_new[i] = PchipInterpolator(x, state.U[i])(x_new)
-    U_new[:, 0] = 0.0
-    U_new[:, -1] = 0.0
+    rho_new, U_new = _resample(x, state, grid_x.nodes())
     return State(time=state.time, frame=EULERIAN, grid=grid_x, rho=rho_new, U=U_new)
 
 

@@ -119,21 +119,22 @@ def execute(rc: RunConfig, progress=None) -> RunResult:
     initial = make_initial(rc.initial, grid)
     derived = derive_matrices(rc.params)
 
+    frames = [f for f in (EULERIAN, LAGRANGIAN) if rc.frame in (f, "both")]
+    # the mass-coordinate start is built here, before any fork, so that a
+    # frame worker inherits scipy.interpolate instead of importing it anew
+    starts = {f: initial if f == EULERIAN else lagrange.euler_to_lagrange(initial) for f in frames}
+    solvers = {EULERIAN: euler.run, LAGRANGIAN: lagrange.run_lagrangian}
+
     def solve(frame: str) -> Trajectory:
-        if frame == EULERIAN:
-            solver, start = euler.run, initial
-        else:
-            solver, start = lagrange.run_lagrangian, lagrange.euler_to_lagrange(initial)
         try:
-            traj = solver(start, rc.params, derived, rc.scheme, rc.t_end,
-                          snapshot_every=rc.snapshot_every)
+            traj = solvers[frame](starts[frame], rc.params, derived, rc.scheme, rc.t_end,
+                                  snapshot_every=rc.snapshot_every)
         except SolverBlowup as exc:  # the saved partial trajectory keeps its ledger
             if exc.trajectory is not None:
                 diagnose(exc.trajectory, rc.params, derived)
             raise
         return diagnose(traj, rc.params, derived)
 
-    frames = [f for f in (EULERIAN, LAGRANGIAN) if rc.frame in (f, "both")]
     announce = progress and (lambda k: progress(f"running {frames[k]} solver to t = {rc.t_end}"))
     trajs = dict(zip(frames, concurrently([partial(solve, f) for f in frames], announce)))
     traj_e, traj_l = trajs.get(EULERIAN), trajs.get(LAGRANGIAN)

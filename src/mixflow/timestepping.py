@@ -43,10 +43,10 @@ stable-step estimate and first stage.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import DensityFloor, NonFinite, SingularMatrix, SolverBlowup, ValidationError
 from .field import State, Trajectory
@@ -81,6 +81,16 @@ class Kernel:
         self._2lam_max = 2.0 * derived.lam_max
 
 
+@functools.cache
+def _dgtsv():
+    """LAPACK ``dgtsv``, imported on the first solve rather than with mixflow:
+    only the semi-implicit scheme solves, and the other verbs start without
+    scipy."""
+    from scipy.linalg.lapack import dgtsv
+
+    return dgtsv
+
+
 def tridiagonal_solve(Q, lower, diag, upper, B):
     """Solve the systems ``T_k`` in the eigenbasis ``Q`` with LAPACK ``dgtsv``.
 
@@ -98,6 +108,7 @@ def tridiagonal_solve(Q, lower, diag, upper, B):
     if not np.isfinite(W).all():
         raise NonFinite("non-finite input to the tridiagonal solve")
     out = np.empty_like(W)
+    dgtsv = _dgtsv()
     for k in range(W.shape[0]):
         _, _, _, out[k], info = dgtsv(lower[k], diag[k], upper[k], W[k])
         if info > 0:

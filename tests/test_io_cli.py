@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -392,13 +393,32 @@ class TestTrajectoryFormatFaults:
         # blow-up (exit 3) or an OverflowError
         out = self._copy(stored_run, tmp_path)
         _interior_speed(speed, "")(out)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
             assert cli_main(["check", "--traj", out]) == 1
-        assert "derivative_norms     FAIL" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "derivative_norms     FAIL" in captured.out
+        # the one-line ledger reason, then the closing line, and nothing else
+        reason, closing = captured.err.splitlines()
+        assert reason.startswith("eulerian: stored energy row 1 = ")
+        assert closing == "stored diagnostics disagree with the snapshots"
         with open(os.path.join(out, "report.json")) as fh:
             audit = json.load(fh)["audits"]["derivative_norms"]
         assert audit["verdict"] == "FAIL" and audit["margin"] == -math.inf
         assert not math.isfinite(audit["details"]["sup_grad_u_l2"])
+
+    def test_overflowing_alpha_fails_with_margin_minus_inf(self, stored_run, tmp_path, capsys):
+        # alpha and its bound overflow to inf, so their gap is inf - inf: the
+        # margin is -inf, not NaN, and report.json holds no NaN
+        out = self._copy(stored_run, tmp_path)
+        _interior_speed("1e160", "")(out)
+        assert cli_main(["check", "--traj", out]) == 1
+        assert "alpha_growth         FAIL     -inf" in capsys.readouterr().out
+        with open(os.path.join(out, "report.json")) as fh:
+            report = json.load(fh, parse_constant=lambda c: pytest.fail(f"{c} in report.json")
+                               if c == "NaN" else float(c))
+        audit = report["audits"]["alpha_growth"]
+        assert audit["verdict"] == "FAIL" and audit["margin"] == -math.inf
 
     def test_missing_snapshot_file(self, stored_run, tmp_path, capsys):
         out = self._copy(stored_run, tmp_path)
@@ -479,8 +499,7 @@ class TestLedger:
         out = str(tmp_path / "copy")
         shutil.copytree(shear_run, out)
         corrupt(out)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = cli_main(["check", "--traj", out])
+        code = cli_main(["check", "--traj", out])
         err = capsys.readouterr().err
         reasons = [line for line in err.splitlines() if ": stored " in line]
         with open(os.path.join(out, "report.json")) as fh:
