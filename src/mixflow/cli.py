@@ -18,12 +18,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, replace
 from functools import partial
 
 import numpy as np
 
 from . import estimates, io, lagrange, mms
-from .config import RunConfig, parse_config_file
+from .config import RunConfig, advection, integrator, parse_config_file
 from .errors import (
     FileFormatError, MixflowError, ParseError, SolverBlowup, ValidationError, WorkerDied,
 )
@@ -51,10 +52,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scheme", default=None, help="override the time integrator")
     run.add_argument("--cfl", type=float, default=None)
     run.add_argument("--plots", action="store_true", help="also emit SVG plots")
+    run.set_defaults(command=_cmd_run)
 
     chk = sub.add_parser("check", help="re-audit a stored trajectory")
     chk.add_argument("--traj", required=True, help="run output directory")
     chk.add_argument("--audits", default="all")
+    chk.set_defaults(command=_cmd_check)
 
     ms = sub.add_parser("mms", help="manufactured-solution convergence study")
     ms.add_argument("--frame", default=EULERIAN, choices=(EULERIAN, LAGRANGIAN))
@@ -63,6 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ms.add_argument("--levels", default="32,64,128")
     ms.add_argument("--t-end", type=float, default=0.25)
     ms.add_argument("--out-dir", default=None)
+    ms.set_defaults(command=_cmd_mms)
 
     rep = sub.add_parser(
         "report",
@@ -71,39 +75,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     rep.add_argument("--traj", required=True)
     rep.add_argument("--out-dir", default=None, help="defaults next to the trajectory")
+    rep.set_defaults(command=_cmd_report)
 
     tr = sub.add_parser("transform", help="map a snapshot between frames")
     tr.add_argument("--snap", required=True, help="snapshot CSV file")
     tr.add_argument("--frame", required=True, choices=(EULERIAN, LAGRANGIAN),
                     help="frame the snapshot is currently in")
     tr.add_argument("--out", required=True)
+    tr.set_defaults(command=_cmd_transform)
     return ap
 
 
 def _apply_overrides(rc: RunConfig, args) -> RunConfig:
-    kw = {}
-    if args.out_dir is not None:
-        kw["out_dir"] = args.out_dir
-    if args.frame is not None:
-        kw["frame"] = args.frame
-    if args.n_cells is not None:
-        kw["n_cells"] = args.n_cells
-    if args.t_end is not None:
-        kw["t_end"] = args.t_end
+    kw = {key: value for key in ("out_dir", "frame", "n_cells", "t_end")
+          if (value := getattr(args, key)) is not None}
     if args.scheme is not None or args.cfl is not None:
-        from .config import _INTEGRATOR_ALIASES
-
-        integ = args.scheme.lower() if args.scheme else rc.scheme.time_integrator.lower()
-        if integ not in _INTEGRATOR_ALIASES:
-            raise ParseError(f"unknown integrator {args.scheme!r}")
-        from dataclasses import replace
-
         kw["scheme"] = replace(
             rc.scheme,
-            time_integrator=_INTEGRATOR_ALIASES[integ],
+            time_integrator=integrator(args.scheme or rc.scheme.time_integrator),
             cfl=args.cfl if args.cfl is not None else rc.scheme.cfl,
         )
-    return rc.replace(**kw) if kw else rc
+    return replace(rc, **kw)
 
 
 def _cmd_run(args) -> int:
@@ -203,26 +195,14 @@ def _cmd_mms(args) -> int:
         levels = tuple(int(s) for s in args.levels.split(","))
     except ValueError:
         raise ParseError(f"--levels takes comma-separated integers, got {args.levels!r}") from None
-    adv = {"central": "central-2", "upwind": "first-order-upwind"}.get(args.advection, args.advection)
+    adv = advection(args.advection)
     table = mms.mms_study(frame=args.frame, advection=adv, levels=levels, t_end=args.t_end)
     print(table.render_text())
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
         out = os.path.join(args.out_dir, f"mms_{args.frame}_{adv}.json")
         with open(out, "w") as fh:
-            json.dump(
-                {
-                    "frame": table.frame,
-                    "advection": table.advection,
-                    "levels": table.levels,
-                    "errors": table.errors,
-                    "orders": table.orders,
-                    "slope": table.slope,
-                    "threshold": table.threshold,
-                    "passed": table.passed,
-                },
-                fh, indent=1, sort_keys=True,
-            )
+            json.dump(asdict(table), fh, indent=1, sort_keys=True)
             fh.write("\n")
     return EXIT_OK if table.passed else EXIT_AUDIT_FAIL
 
@@ -241,10 +221,8 @@ def _cmd_report(args) -> int:
 
 def _cmd_transform(args) -> int:
     state = io.read_snapshot(args.snap, time=0.0, frame=args.frame)
-    if args.frame == EULERIAN:
-        out = lagrange.euler_to_lagrange(state)
-    else:
-        out = lagrange.lagrange_to_euler(state)
+    to_other = lagrange.euler_to_lagrange if args.frame == EULERIAN else lagrange.lagrange_to_euler
+    out = to_other(state)
     io.write_snapshot(args.out, out)
     print(f"{args.frame} -> {out.frame}: wrote {args.out}")
     return EXIT_OK
@@ -257,17 +235,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.verb == "run":
-            return _cmd_run(args)
-        if args.verb == "check":
-            return _cmd_check(args)
-        if args.verb == "mms":
-            return _cmd_mms(args)
-        if args.verb == "report":
-            return _cmd_report(args)
-        if args.verb == "transform":
-            return _cmd_transform(args)
-        return EXIT_USAGE
+        return args.command(args)
     except SolverBlowup as exc:
         print(f"solver blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP

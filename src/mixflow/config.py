@@ -51,6 +51,24 @@ _ADVECTION_ALIASES = {
 }
 
 
+def integrator(name: str) -> str:
+    """The time integrator named by ``name`` or its alias, case-insensitively
+    (the INI ``integrator`` key and ``run --scheme``)."""
+    try:
+        return _INTEGRATOR_ALIASES[name.lower()]
+    except KeyError:
+        raise ParseError(f"unknown integrator {name!r}") from None
+
+
+def advection(name: str) -> str:
+    """The advection scheme named by ``name`` or its alias (the INI
+    ``advection`` key and ``mms --advection``)."""
+    try:
+        return _ADVECTION_ALIASES[name]
+    except KeyError:
+        raise ParseError(f"unknown advection {name!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # initial data descriptors
 
@@ -243,11 +261,6 @@ class RunConfig:
             if name not in KNOWN_AUDITS:
                 raise ValidationError(f"unknown audit {name!r}; known: {KNOWN_AUDITS}")
 
-    def replace(self, **kw) -> "RunConfig":
-        from dataclasses import replace as dc_replace
-
-        return dc_replace(self, **kw)
-
 
 _SECTION_KEYS = {
     "params": {"n_components", "pressure_coeff", "gamma", "viscosity", "friction", "t_final"},
@@ -308,16 +321,10 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         except ValueError as exc:
             raise ParseError(f"bad value for {key!r}: {exc}") from None
 
-    integ = get(s, "integrator", RK2)
-    if integ.lower() not in _INTEGRATOR_ALIASES:
-        raise ParseError(f"unknown integrator {integ!r}")
-    adv = get(s, "advection", UPWIND)
-    if adv not in _ADVECTION_ALIASES:
-        raise ParseError(f"unknown advection {adv!r}")
     scheme = SchemeConfig(
-        time_integrator=_INTEGRATOR_ALIASES[integ.lower()],
+        time_integrator=integrator(get(s, "integrator", RK2)),
+        advection=advection(get(s, "advection", UPWIND)),
         cfl=get(s, "cfl", 0.4, float),
-        advection=_ADVECTION_ALIASES[adv],
         artificial_floor=get(s, "density_floor", 1e-12, float),
     )
     n_cells = get(s, "n_cells", 256, int)

@@ -189,10 +189,6 @@ def pchip(x: np.ndarray, y: np.ndarray, at: np.ndarray) -> np.ndarray:
     return PchipInterpolator(x, y)(at)
 
 
-def linf_norm(f: np.ndarray) -> float:
-    return float(np.abs(f).max())
-
-
 def total_mass(state: State) -> float:
     """Total mass of an Eulerian state; defines the Lagrangian domain length."""
     if state.frame != EULERIAN:

@@ -18,8 +18,6 @@ with harmonic face densities, keeping it symmetric negative semidefinite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DensityFloor, DomainLengthDrift, ValidationError, WrongFrame
@@ -40,33 +38,13 @@ def _cumulative_trapezoid(f: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class MassGridMap:
-    """Monotone map between physical position x and mass coordinate y."""
-
-    x_nodes: np.ndarray
-    y_nodes: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.diff(self.y_nodes) <= 0) or np.any(np.diff(self.x_nodes) <= 0):
-            raise ValidationError("mass map must be strictly monotone")
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.y_nodes[-1])
-
-
-def mass_map(state: State) -> MassGridMap:
-    """y(x) = int_0^x rho ds by exact trapezoid accumulation."""
-    if state.frame != EULERIAN:
-        raise WrongFrame("mass_map expects an Eulerian state")
-    y = _cumulative_trapezoid(np.asarray(state.rho), state.grid.h)
-    return MassGridMap(x_nodes=state.grid.nodes(), y_nodes=y)
-
-
 def _resample(s_old: np.ndarray, state: State, s_new: np.ndarray):
     """``state.rho`` and ``state.U`` moved from the nodes ``s_old`` to
-    ``s_new`` by monotone cubics, with the wall velocities set to zero."""
+    ``s_new`` by monotone cubics, with the wall velocities set to zero.
+    A map whose nodes ``s_old`` do not strictly increase (a density so
+    extreme that a cell's increment rounds away) raises ValidationError."""
+    if np.any(np.diff(s_old) <= 0):
+        raise ValidationError("mass map must be strictly monotone")
     rho = pchip(s_old, state.rho, s_new)
     U = np.array([pchip(s_old, u, s_new) for u in state.U])
     U[:, 0] = 0.0
@@ -82,13 +60,10 @@ def euler_to_lagrange(state: State, n_cells: int | None = None) -> State:
     """
     if state.frame != EULERIAN:
         raise WrongFrame("euler_to_lagrange expects an Eulerian state")
-    if state.rho.min() <= 0:
-        raise DensityFloor("density must be positive for the mass map")
     n = n_cells or state.grid.n_cells
-    m = mass_map(state)
-    d = m.total_mass
-    grid_y = Grid1D(domain_length=d, n_cells=n)
-    rho_new, U_new = _resample(m.y_nodes, state, grid_y.nodes())
+    y = _cumulative_trapezoid(np.asarray(state.rho), state.grid.h)  # y(x) = int_0^x rho ds
+    grid_y = Grid1D(domain_length=float(y[-1]), n_cells=n)
+    rho_new, U_new = _resample(y, state, grid_y.nodes())
     return State(time=state.time, frame=LAGRANGIAN, grid=grid_y, rho=rho_new, U=U_new)
 
 

@@ -247,17 +247,9 @@ def _run_level(fields: ManufacturedFields, n: int, scheme: SchemeConfig, t_end: 
     grid = Grid1D(domain_length=fields.domain_length, n_cells=n)
     derived = derive_matrices(fields.params)
     initial = fields.state(grid, 0.0)
-    if fields.frame == EULERIAN:
-        traj = euler.run(
-            initial, fields.params, derived, scheme, t_end,
-            snapshot_every=10**9, forcing=fields.forcing,
-        )
-    else:
-        traj = lagrange.run_lagrangian(
-            initial, fields.params, derived, scheme, t_end,
-            snapshot_every=10**9, forcing=fields.forcing,
-        )
-    final = traj.final
+    solve = euler.run if fields.frame == EULERIAN else lagrange.run_lagrangian
+    final = solve(initial, fields.params, derived, scheme, t_end,
+                  snapshot_every=10**9, forcing=fields.forcing).final
     x = grid.nodes()
     errs = {"rho": l2_norm(final.rho - fields.rho(x, final.time), grid)}
     exact_u = fields.u(x, final.time)

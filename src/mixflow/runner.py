@@ -13,7 +13,7 @@ from . import euler, lagrange
 from .config import RunConfig, make_initial
 from .errors import MixflowError, SolverBlowup, WorkerDied
 from .estimates import EstimateReport, build_report, diagnose
-from .field import EULERIAN, LAGRANGIAN, Grid1D, State, Trajectory, total_mass
+from .field import EULERIAN, LAGRANGIAN, Grid1D, State, Trajectory
 from .io import render_report_plots, save_report, save_trajectory
 from .model import DerivedMatrices, derive_matrices
 
@@ -23,7 +23,6 @@ class RunResult:
     config: RunConfig
     derived: DerivedMatrices
     initial: State
-    dval: float
     eulerian: Trajectory | None
     lagrangian: Trajectory | None
     report: EstimateReport
@@ -141,7 +140,7 @@ def execute(rc: RunConfig, progress=None) -> RunResult:
     report = build_report(rc.params, derived, eulerian=traj_e, lagrangian=traj_l,
                           audits=rc.audit_set)
     return RunResult(
-        config=rc, derived=derived, initial=initial, dval=total_mass(initial),
+        config=rc, derived=derived, initial=initial,
         eulerian=traj_e, lagrangian=traj_l, report=report,
     )
 

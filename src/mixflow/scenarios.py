@@ -26,13 +26,10 @@ CORPUS = (
 )
 
 
-def scenario_text(name: str) -> str:
+def scenario_config(name: str) -> RunConfig:
     if name not in CORPUS:
         raise ValidationError(f"unknown scenario {name!r}; corpus: {CORPUS}")
-    return resources.files("mixflow.data").joinpath(f"{name}.ini").read_text()
-
-
-def scenario_config(name: str) -> RunConfig:
-    text = scenario_text(name)
-    with resources.as_file(resources.files("mixflow.data")) as base:
+    data = resources.files("mixflow.data")
+    text = data.joinpath(f"{name}.ini").read_text()
+    with resources.as_file(data) as base:
         return parse_config(text, base_dir=str(base))

@@ -7,6 +7,8 @@ from mixflow.config import (
     RhoSpec,
     RunConfig,
     VelocitySpec,
+    advection,
+    integrator,
     make_initial,
     parse_config,
     parse_rho_spec,
@@ -14,7 +16,7 @@ from mixflow.config import (
 )
 from mixflow.errors import NonPositiveDensity, ParseError, ValidationError
 from mixflow.field import EULERIAN, Grid1D
-from mixflow.scenarios import CORPUS, scenario_config, scenario_text
+from mixflow.scenarios import CORPUS, scenario_config
 
 
 # INI rendering of a parsed config, for the round-trip test
@@ -136,6 +138,25 @@ class TestParse:
         with pytest.raises(ValidationError):
             parse_config(MINIMAL + "\n[scheme]\nt_end = 3.0\n")
 
+    @pytest.mark.parametrize("key, value, resolve, field", [
+        ("integrator", "RK4", integrator, "time_integrator"),
+        ("integrator", "explicit-rk4", integrator, "time_integrator"),
+        ("advection", "central", advection, "advection"),
+        ("advection", "first-order-upwind", advection, "advection"),
+    ])
+    def test_ini_keys_resolve_through_the_name_table(self, key, value, resolve, field):
+        rc = parse_config(MINIMAL + f"\n[scheme]\n{key} = {value}\n")
+        assert getattr(rc.scheme, field) == resolve(value)
+
+    @pytest.mark.parametrize("key, resolve", [("integrator", integrator),
+                                              ("advection", advection)])
+    def test_unknown_name_same_error_from_ini_and_table(self, key, resolve):
+        with pytest.raises(ParseError) as from_ini:
+            parse_config(MINIMAL + f"\n[scheme]\n{key} = bogus\n")
+        with pytest.raises(ParseError) as from_table:
+            resolve("bogus")
+        assert str(from_ini.value) == str(from_table.value) == f"unknown {key} 'bogus'"
+
     def test_round_trip(self):
         rc = parse_config(MINIMAL + "\n[scheme]\nintegrator = semi-implicit\ncfl = 0.3\n")
         text = serialize_config(rc)
@@ -237,4 +258,4 @@ class TestScenarios:
 
     def test_unknown_scenario(self):
         with pytest.raises(ValidationError):
-            scenario_text("piston")
+            scenario_config("piston")

@@ -62,18 +62,19 @@ class TestEnergy:
 
 
 class TestDissipation:
+    # the record's rates; the coercivity bound visc >= C0 * sum_i ||u_i'||^2
+    # is exact per face because C0 is the smallest eigenvalue of M
     def test_zero_velocity(self, params2, derived2, grid64):
         s = eul_state(grid64, np.ones(grid64.n_nodes), np.zeros((2, grid64.n_nodes)))
-        visc, fric, ok = est.dissipation(s, params2, derived2)
-        assert visc == 0.0 and fric == 0.0 and ok
+        rec = est.make_record(s, params2, derived2)
+        assert rec.dissipation_visc == 0.0 and rec.dissipation_fric == 0.0
 
     def test_equal_velocities_no_friction(self, params2, derived2, grid64):
         x = grid64.nodes()
         f = 0.3 * np.sin(np.pi * x)
         f[[0, -1]] = 0.0
         s = eul_state(grid64, np.ones_like(x), np.array([f, f]))
-        _, fric, _ = est.dissipation(s, params2, derived2)
-        assert fric == 0.0
+        assert est.make_record(s, params2, derived2).dissipation_fric == 0.0
 
     def test_single_active_component_analytic(self):
         # M = [[2,1],[1,2]], u1 = sin(pi x), u2 = 0:
@@ -85,11 +86,11 @@ class TestDissipation:
         u1 = np.sin(np.pi * x)
         u1[[0, -1]] = 0.0
         s = eul_state(g, np.ones_like(x), np.array([u1, 0 * u1]))
-        visc, fric, ok = est.dissipation(s, p, d)
-        assert visc == pytest.approx(2 * np.pi**2 / 2, rel=1e-4)
-        assert ok
+        rec = est.make_record(s, p, d)
+        assert rec.dissipation_visc == pytest.approx(2 * np.pi**2 / 2, rel=1e-4)
+        assert rec.dissipation_visc >= d.C0 * est.velocity_gradient_sq(s) - 1e-10
         # a_12 * int (u1 - u2)^2 = int sin^2 = 1/2
-        assert fric == pytest.approx(0.5, rel=1e-4)
+        assert rec.dissipation_fric == pytest.approx(0.5, rel=1e-4)
 
     def test_coercivity_random_states(self):
         # random SPD matrices and random smooth states: the face-based forms
@@ -109,9 +110,9 @@ class TestDissipation:
             U[:, 0] = 0.0
             U[:, -1] = 0.0
             s = eul_state(g, 1.0 + 0.5 * rng.random() * np.sin(np.pi * x) ** 2, U)
-            visc, fric, ok = est.dissipation(s, p, d)
-            assert ok
-            assert fric >= 0.0
+            rec = est.make_record(s, p, d)
+            assert rec.dissipation_visc >= d.C0 * est.velocity_gradient_sq(s) - 1e-10
+            assert rec.dissipation_fric >= 0.0
 
     def test_friction_identity_exact(self, params2, shear_state):
         a = est.friction_dissipation(shear_state, params2)
@@ -261,7 +262,7 @@ class TestAlpha:
         s = eul_state(grid64, np.ones(grid64.n_nodes), np.zeros((2, grid64.n_nodes)))
         traj = est.diagnose(run(s, params2, derived2, SchemeConfig(), 0.1,
                                 snapshot_every=10), params2, derived2)
-        a = est.alpha_series(traj, params2, derived2)
+        a = np.array([rec.alpha for rec in traj.diagnostics])
         assert np.abs(a).max() <= 1e-20
 
     def test_frozen_trajectory_hand_value(self):
@@ -284,7 +285,7 @@ class TestAlpha:
         times = (0.0, 0.05, 0.1, 0.15)
         for t in times:
             tr.append(eul_state(g, np.ones(9), U, t=t))
-        a = est.alpha_series(est.diagnose(tr, p, d), p, d)
+        a = [rec.alpha for rec in est.diagnose(tr, p, d).diagnostics]
         assert np.allclose(a, 4.0 + 1120.0 * np.array(times), atol=1e-10)
 
     def test_alpha_growth_audit_passes(self, params2, derived2, shear_state):

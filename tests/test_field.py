@@ -17,7 +17,6 @@ from mixflow.field import (
     face_harmonic_mean,
     integrate,
     l2_norm,
-    linf_norm,
     sbp_derivative,
     total_mass,
 )
@@ -149,7 +148,6 @@ class TestNorms:
         g = Grid1D(1.0, 16)
         f = np.ones(g.n_nodes)
         assert l2_norm(f, g) == pytest.approx(1.0, abs=1e-14)
-        assert linf_norm(f) == 1.0
 
     def test_linear_profile(self):
         g = Grid1D(1.0, 1000)
@@ -159,7 +157,6 @@ class TestNorms:
         g = Grid1D(1.0, 16)
         z = np.zeros(g.n_nodes)
         assert l2_norm(z, g) == 0.0
-        assert linf_norm(z) == 0.0
 
     @given(lam=st.floats(-10, 10, allow_nan=False))
     @settings(max_examples=50, deadline=None)

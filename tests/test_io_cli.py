@@ -3,18 +3,20 @@ import math
 import os
 import shutil
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mixflow import estimates, io
 from mixflow.errors import FileFormatError
-from mixflow.cli import cli_main
+from mixflow.cli import _apply_overrides, _build_parser, cli_main
 from mixflow.config import parse_config
 from mixflow.euler import SchemeConfig, run
-from mixflow.field import EULERIAN
+from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D, State
 from mixflow.model import derive_matrices
 from mixflow.runner import execute, save_result
+from mixflow.timestepping import SEMI_IMPLICIT
 
 SMALL_CONFIG = """
 [params]
@@ -46,7 +48,7 @@ audits = all
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
-    rc = parse_config(SMALL_CONFIG).replace(out_dir=str(out / "traj"))
+    rc = replace(parse_config(SMALL_CONFIG), out_dir=str(out / "traj"))
     result = execute(rc)
     save_result(result, rc.out_dir)
     return rc, result
@@ -86,7 +88,7 @@ class TestTrajectoryIO:
         assert "params_hash" in manifest and len(manifest["params_hash"]) == 64
 
     def test_determinism_bit_identical(self, tmp_path):
-        rc = parse_config(SMALL_CONFIG).replace(frame=EULERIAN, n_cells=32, t_end=0.05)
+        rc = replace(parse_config(SMALL_CONFIG), frame=EULERIAN, n_cells=32, t_end=0.05)
         blobs = []
         for sub in ("a", "b"):
             out = tmp_path / sub
@@ -243,6 +245,67 @@ snapshot_every = 10
         assert manifest["n_cells"] == 32
         assert manifest["scheme"]["time_integrator"] == "explicit-RK4"
         assert manifest["scheme"]["cfl"] == 0.3
+
+
+class TestNameTableAndDispatch:
+    """``run --scheme`` and ``mms --advection`` resolve names through the
+    table the INI keys use; each verb dispatches to its handler."""
+
+    @staticmethod
+    def _overridden(rc, *flags):
+        args = _build_parser().parse_args(["run", "--config", "case.ini", *flags])
+        return _apply_overrides(rc, args)
+
+    @pytest.mark.parametrize("name", ["rk2", "RK4", "semi-implicit", "explicit-RK2"])
+    def test_scheme_flag_matches_ini_integrator(self, name):
+        ini = parse_config(SMALL_CONFIG.replace("integrator = rk2", f"integrator = {name}"))
+        assert self._overridden(parse_config(SMALL_CONFIG), "--scheme", name) == ini
+
+    def test_cfl_alone_keeps_the_ini_integrator(self):
+        base = parse_config(SMALL_CONFIG.replace("integrator = rk2", "integrator = semi-implicit"))
+        rc = self._overridden(base, "--cfl", "0.3")
+        assert rc == replace(base, scheme=replace(base.scheme, cfl=0.3))
+        assert rc.scheme.time_integrator == SEMI_IMPLICIT
+
+    def test_unknown_scheme_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "case.ini"
+        cfg.write_text(SMALL_CONFIG)
+        assert cli_main(["run", "--config", str(cfg), "--scheme", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: unknown integrator 'bogus'\n"
+        assert captured.out == ""
+
+    def test_mms_advection_alias_writes_the_same_file(self, tmp_path):
+        blobs = []
+        for spelling in ("upwind", "first-order-upwind"):
+            out = tmp_path / spelling
+            cli_main(["mms", "--advection", spelling, "--levels", "8,16", "--t-end", "0.01",
+                      "--out-dir", str(out)])
+            assert os.listdir(out) == ["mms_eulerian_first-order-upwind.json"]
+            blobs.append((out / "mms_eulerian_first-order-upwind.json").read_bytes())
+        assert blobs[0] == blobs[1]
+        assert sorted(json.loads(blobs[0])) == [
+            "advection", "errors", "frame", "levels", "orders", "passed", "slope", "threshold"]
+
+    def test_no_verb_and_help(self, capsys):
+        assert cli_main([]) == 2
+        assert "the following arguments are required: verb" in capsys.readouterr().err
+        assert cli_main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: mixflow ")
+
+    def test_transform_degenerate_mass_map_exit_2(self, tmp_path, capsys):
+        # two adjacent nodes so dense that their cell adds nothing to
+        # x(y) = int dy / rho; the other nodes are scaled so the volume is 1
+        g = Grid1D(1.0, 64)
+        rho = np.full(g.n_nodes, 62 / 64)
+        rho[30:32] = 1e300
+        snap = tmp_path / "lag.csv"
+        io.write_snapshot(str(snap), State(time=0.0, frame=LAGRANGIAN, grid=g, rho=rho,
+                                           U=np.zeros((2, g.n_nodes))))
+        assert cli_main(["transform", "--snap", str(snap), "--frame", LAGRANGIAN,
+                         "--out", str(tmp_path / "eul.csv")]) == 2
+        assert capsys.readouterr().err == "config error: mass map must be strictly monotone\n"
+        assert not (tmp_path / "eul.csv").exists()
 
 
 class TestMmsArguments:
@@ -526,6 +589,22 @@ class TestLedger:
     def test_overflowing_gronwall_ceiling_is_inf(self, shear_run, tmp_path, capsys):
         _, _, audits = self._check(shear_run, tmp_path, capsys, _interior_speed("1e3"))
         assert audits["alpha_growth"]["details"]["gronwall_ceiling"] == math.inf
+
+    def test_overflowing_gronwall_bound_fails(self, shear_run, tmp_path, capsys):
+        # Lagrangian velocities of 1e160 overflow C4 and with it the bound:
+        # an infinite bound proves nothing, so gronwall FAILs with margin
+        # -inf, and report.json holds no NaN
+        out = str(tmp_path / "copy")
+        shutil.copytree(shear_run, out)
+        _interior_speed("1e160", LAGRANGIAN)(out)
+        assert cli_main(["check", "--traj", out]) == 1
+        assert "gronwall             FAIL     -inf" in capsys.readouterr().out
+        with open(os.path.join(out, "report.json")) as fh:
+            report = json.load(fh, parse_constant=lambda c: pytest.fail(f"{c} in report.json")
+                               if c == "NaN" else float(c))
+        audit = report["audits"]["gronwall"]
+        assert audit["verdict"] == "FAIL" and audit["margin"] == -math.inf
+        assert audit["details"]["c4"] == math.inf
 
     def test_untouched_ledger_passes(self, shear_run, tmp_path, capsys):
         code, reasons, _ = self._check(shear_run, tmp_path, capsys, lambda out: None)

@@ -5,14 +5,14 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 
 from mixflow import estimates, euler
-from mixflow.errors import DomainLengthDrift, WrongFrame
+from mixflow.errors import DomainLengthDrift, ValidationError, WrongFrame
 from mixflow.euler import CENTRAL, SchemeConfig
 from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D, State, diff, integrate, l2_norm
 from mixflow.lagrange import (
     LagrangeKernel,
     euler_to_lagrange,
+    _cumulative_trapezoid,
     lagrange_to_euler,
-    mass_map,
     run_lagrangian,
 )
 from mixflow.model import derive_matrices, make_params
@@ -27,25 +27,38 @@ def lagrangian_rest(grid, n_comp=2, rho0=2.0):
 
 
 class TestMassMap:
+    # y(x) = int_0^x rho ds at the nodes, the map euler_to_lagrange resamples by
     def test_unit_density_is_identity(self, grid64):
         s = State(time=0.0, frame=EULERIAN, grid=grid64,
                   rho=np.ones(grid64.n_nodes), U=np.zeros((2, grid64.n_nodes)))
-        m = mass_map(s)
-        assert np.allclose(m.y_nodes, m.x_nodes, atol=1e-15)
-        assert m.total_mass == pytest.approx(1.0, abs=1e-14)
+        y = _cumulative_trapezoid(s.rho, grid64.h)
+        assert np.allclose(y, grid64.nodes(), atol=1e-15)
+        assert euler_to_lagrange(s).grid.domain_length == pytest.approx(1.0, abs=1e-14)
 
     def test_monotone_and_round_trip(self, shear_state):
-        m = mass_map(shear_state)
-        assert np.all(np.diff(m.y_nodes) > 0)
+        x_nodes = shear_state.grid.nodes()
+        y_nodes = _cumulative_trapezoid(shear_state.rho, shear_state.grid.h)
+        assert np.all(np.diff(y_nodes) > 0)
         x = np.linspace(0, 1, 23)
-        y = PchipInterpolator(m.x_nodes, m.y_nodes)(x)
-        back = PchipInterpolator(m.y_nodes, m.x_nodes)(y)
+        y = PchipInterpolator(x_nodes, y_nodes)(x)
+        back = PchipInterpolator(y_nodes, x_nodes)(y)
         assert np.abs(back - x).max() <= 2 * shear_state.grid.h
 
     def test_endpoints(self, shear_state):
-        m = mass_map(shear_state)
-        assert m.y_nodes[0] == 0.0
-        assert m.total_mass == pytest.approx(integrate(shear_state.rho, shear_state.grid), abs=1e-14)
+        y = _cumulative_trapezoid(shear_state.rho, shear_state.grid.h)
+        assert y[0] == 0.0
+        d = euler_to_lagrange(shear_state).grid.domain_length
+        assert d == y[-1]
+        assert d == pytest.approx(integrate(shear_state.rho, shear_state.grid), abs=1e-14)
+
+    def test_degenerate_map_rejected(self, grid64):
+        # two adjacent nodes so dense that their cell adds nothing to
+        # x(y) = int dy / rho: the map stalls and PCHIP would reject it
+        rho = np.ones(grid64.n_nodes)
+        rho[30:32] = 1e300
+        s = State(time=0.0, frame=LAGRANGIAN, grid=grid64, rho=rho, U=np.zeros((2, rho.size)))
+        with pytest.raises(ValidationError, match="strictly monotone"):
+            lagrange_to_euler(s, drift_tol=1.0)
 
 
 class TestTransforms:
@@ -190,11 +203,10 @@ class TestRhs:
             sl = euler_to_lagrange(s)
             dU_l = lagrange_tendencies(sl, params2, derived2, SchemeConfig(advection=CENTRAL))[1]
             dU_e = euler_tendencies(s, params2, derived2, SchemeConfig(advection=CENTRAL))[1]
-            m = mass_map(s)
             v = s.U.mean(axis=0)
             x = g.nodes()
             y = sl.grid.nodes()
-            xs = PchipInterpolator(m.y_nodes, m.x_nodes)(y)
+            xs = PchipInterpolator(_cumulative_trapezoid(s.rho, g.h), x)(y)
             material = dU_e[0] + v * diff(s.U[0], g)
             err = dU_l[0] - PchipInterpolator(x, material)(xs)
             errs.append(l2_norm(err, sl.grid))
