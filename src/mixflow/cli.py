@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from . import estimates, io, lagrange, mms
-from .config import RunConfig, advection, integrator, parse_config_file
+from .config import RunConfig, advection, audit_names, integrator, parse_config_file
 from .errors import (
     FileFormatError, MixflowError, ParseError, SolverBlowup, ValidationError, WorkerDied,
 )
@@ -100,6 +100,7 @@ def _apply_overrides(rc: RunConfig, args) -> RunConfig:
 
 def _cmd_run(args) -> int:
     rc = _apply_overrides(parse_config_file(args.config), args)
+    os.makedirs(rc.out_dir, exist_ok=True)  # a path that cannot be one fails before the solve
     try:
         result = execute(rc, progress=lambda msg: print(msg, file=sys.stderr))
     except SolverBlowup as exc:
@@ -155,6 +156,7 @@ def _cmd_check(args) -> int:
     mismatch or FAIL exits 1.  Huge stored values overflow to inf or NaN
     without numpy warnings: the ledger reason and the verdicts report them."""
     root = args.traj
+    audits = audit_names(args.audits)
     loaded = concurrently([partial(_recompute, sub) for sub in _trajectory_dirs(root)])
     params = loaded[0][1]
     if any(p != params for _, p, _ in loaded[1:]):
@@ -174,9 +176,6 @@ def _cmd_check(args) -> int:
             ledger_ok = False
         recomputed[frame] = traj
 
-    audits = estimates.KNOWN_AUDITS if args.audits.strip() == "all" else tuple(
-        a.strip() for a in args.audits.split(",") if a.strip()
-    )
     report = estimates.build_report(
         params, derived,
         eulerian=recomputed.get(EULERIAN),
@@ -196,10 +195,11 @@ def _cmd_mms(args) -> int:
     except ValueError:
         raise ParseError(f"--levels takes comma-separated integers, got {args.levels!r}") from None
     adv = advection(args.advection)
+    if args.out_dir:
+        os.makedirs(args.out_dir, exist_ok=True)  # before the study, as in run
     table = mms.mms_study(frame=args.frame, advection=adv, levels=levels, t_end=args.t_end)
     print(table.render_text())
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
         out = os.path.join(args.out_dir, f"mms_{args.frame}_{adv}.json")
         with open(out, "w") as fh:
             json.dump(asdict(table), fh, indent=1, sort_keys=True)
@@ -247,6 +247,11 @@ def cli_main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except MixflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # an output path that cannot be written
+        if exc.filename is None:
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
 
 

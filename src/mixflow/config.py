@@ -69,6 +69,17 @@ def advection(name: str) -> str:
         raise ParseError(f"unknown advection {name!r}") from None
 
 
+def audit_names(text: str) -> tuple[str, ...]:
+    """The audits an ``audits`` value requests: ``all`` or a comma-separated
+    list (the INI ``audits`` key and ``check --audits``), never none."""
+    if text.strip() == "all":
+        return KNOWN_AUDITS
+    names = tuple(a.strip() for a in text.split(",") if a.strip())
+    if not names:
+        raise ParseError("no audits requested")
+    return names
+
+
 # ---------------------------------------------------------------------------
 # initial data descriptors
 
@@ -347,12 +358,6 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     initial = InitialData(rho=rho_spec, u=tuple(u_specs), base_dir=base_dir)
 
     o = cp["output"] if "output" in cp else {}
-    audits_txt = get(o, "audits", "all")
-    if audits_txt.strip() == "all":
-        audit_set = KNOWN_AUDITS
-    else:
-        audit_set = tuple(a.strip() for a in audits_txt.split(",") if a.strip())
-
     return RunConfig(
         params=params,
         scheme=scheme,
@@ -361,7 +366,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         frame=frame,
         initial=initial,
         snapshot_every=get(o, "snapshot_every", 20, int),
-        audit_set=audit_set,
+        audit_set=audit_names(get(o, "audits", "all")),
         out_dir=get(o, "out_dir", "out"),
     )
 

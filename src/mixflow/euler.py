@@ -77,6 +77,20 @@ class EulerKernel(Kernel):
         super().__init__(grid, params, derived, scheme, forcing)
         self._p_coef = params.gamma / (params.gamma - 1.0)
         self._upwind = scheme.advection == UPWIND
+        n, N = self.nodes.size, params.N
+        # node, face and interior-node scratch, and the views the tendencies read
+        self._v, self._speed, self._e2 = np.empty((3, n))
+        self._v_f, self._rho_f, self._F, self._a, self._P, self._e = np.empty((6, n - 1))
+        self._gp = np.empty(n - 2)
+        self._D, self._flux = np.empty((1 + N, n - 1)), np.empty((N, n - 1))
+        self._rhsb, self._tmp, self._Md = np.empty((3, N, n - 2))
+        self._fric, self._fr = np.empty((2, N, n))
+        self._v_l, self._v_r = self._v[:-1], self._v[1:]
+        self._F_l, self._F_r, self._P_l, self._P_r = self._F[:-1], self._F[1:], self._P[:-1], self._P[1:]
+        self._drho, self._jump = self._D[0], self._D[1:]
+        self._jump_l, self._jump_r = self._jump[:, :-1], self._jump[:, 1:]
+        self._flux_l, self._flux_r = self._flux[:, :-1], self._flux[:, 1:]
+        self._fric_c = self._fric[:, 1:-1]
 
     # density itself is the evolved variable in this frame
     @staticmethod
@@ -93,93 +107,88 @@ class EulerKernel(Kernel):
             raise DensityFloor(f"min(rho) = {m:.3e} {where}")
         return rho
 
-    # -- fluxes ------------------------------------------------------------
-
-    def mass_flux(self, rho, v):
-        """Face mass flux F and face density; the upwind variant adds the
-        density-jump diffusion with face coefficient ``a = 0.5 |v_f|``, returned
-        as the third value (None for central fluxes)."""
-        v_f = v[1:] + v[:-1]
-        v_f *= 0.5
-        rho_f = rho[1:] + rho[:-1]
-        rho_f *= 0.5
-        F = v_f * rho_f
-        a = None
-        if self._upwind:
-            a = np.abs(v_f)
-            a *= 0.5
-            F -= a * (rho[1:] - rho[:-1])
-        return F, rho_f, a
-
-    def continuity(self, rho, F):
-        h = self._h
-        drho = np.empty_like(rho)
-        d = np.subtract(F[1:], F[:-1], out=drho[1:-1])
-        np.negative(d, out=d)
-        d /= h
-        # half cells at the walls; the wall flux itself is rho*v = 0 there
-        drho[0] = -2.0 * F[0] / h
-        drho[-1] = 2.0 * F[-1] / h
-        return drho
-
     # -- tendencies ----------------------------------------------------------
 
     def tendencies(self, t, rho, U):
-        return self._rhs(t, rho, U, self._density(rho, f"at t = {t:.6g}"), True)
+        return self._fresh_rhs(t, rho, U, True)
 
     def explicit_tendencies(self, t, rho, U):
-        return self._rhs(t, rho, U, self._density(rho, f"at t = {t:.6g}"), False)
+        return self._fresh_rhs(t, rho, U, False)
 
     def _shared(self, rho, U):
-        """Mean velocity and rho**(gamma-1), used by stable_dt and the tendencies."""
-        return np.add.reduce(U, 0) / self._N, rho ** self._g1
+        """``rho**(gamma-1)`` for stable_dt and the tendencies; mean velocity into ``_v``."""
+        np.add.reduce(U, 0, out=self._v)
+        self._v /= self._N
+        return rho ** self._g1
 
-    def _rhs(self, t, q, U, rho, include_viscous, shared=None):
+    def _rhs(self, t, Y, rho, include_viscous, out, shared=None):
         p = self.params
         h = self._h
-        v, rg = shared if shared is not None else self._shared(rho, U)
-        F, rho_f, a = self.mass_flux(rho, v)
-        drho = self.continuity(rho, F)
+        y, o = self._views(Y), self._views(out)
+        rg = self._shared(rho, y.U) if shared is None else shared
 
-        jump = U[:, 1:] - U[:, :-1]                       # (N, n) face jumps
-        rhs = F[1:] * jump[:, 1:]
-        rhs += F[:-1] * jump[:, :-1]
+        # face mass flux F; the upwind variant adds the density-jump diffusion
+        # with face coefficient a = 0.5 |v_f|
+        v_f, rho_f, F, a = self._v_f, self._rho_f, self._F, self._a
+        np.add(self._v_r, self._v_l, out=v_f)
+        v_f *= 0.5
+        np.add(y.q_r, y.q_l, out=rho_f)
+        rho_f *= 0.5
+        np.multiply(v_f, rho_f, out=F)
+        np.subtract(y.Y_r, y.Y_l, out=self._D)  # face jumps of rho and of each u_i
+        if self._upwind:
+            np.abs(v_f, out=a)
+            a *= 0.5
+            self._drho *= a
+            F -= self._drho
+
+        # continuity; half cells at the walls, where the wall flux rho*v is 0
+        d = np.subtract(self._F_r, self._F_l, out=o.q_c)
+        np.negative(d, out=d)
+        d /= h
+        o.q[0] = -2.0 * F[0] / h
+        o.q[-1] = 2.0 * F[-1] / h
+
+        rhs, tmp = self._rhsb, self._tmp
+        np.multiply(self._F_r, self._jump_r, out=rhs)
+        rhs += np.multiply(self._F_l, self._jump_l, out=tmp)
         np.negative(rhs, out=rhs)
         rhs /= self._2h                                   # convection
 
-        P = self._p_coef * rho_f
-        P *= rg[1:] - rg[:-1]
-        grad_p = P[1:] + P[:-1]
+        P, grad_p = self._P, self._gp
+        np.multiply(self._p_coef, rho_f, out=P)
+        P *= np.subtract(rg[1:], rg[:-1], out=self._e)
+        np.add(self._P_r, self._P_l, out=grad_p)
         grad_p /= self._2h
         grad_p *= p.K
         rhs -= grad_p
 
         if include_viscous:
-            d2u = U[:, 2:] - 2.0 * U[:, 1:-1]
-            d2u += U[:, :-2]
+            d2u = np.multiply(y.U_c, 2.0, out=tmp)
+            np.subtract(y.U_rr, d2u, out=d2u)
+            d2u += y.U_ll
             d2u /= self._hh
-            rhs += p.M @ d2u
+            rhs += np.matmul(p.M, d2u, out=self._Md)
 
-        fric = p.A @ U
-        fric -= self._row_sum_A * U
-        rhs += fric[:, 1:-1]
+        fric = np.matmul(p.A, y.U, out=self._fric)
+        fric -= np.multiply(self._row_sum_A, y.U, out=self._fr)
+        rhs += self._fric_c
 
-        if a is not None:
-            flux = (a * rho_f) * jump                     # theta * du / h * h
-            d = flux[:, 1:] - flux[:, :-1]
+        if self._upwind:
+            a *= rho_f
+            np.multiply(a, self._jump, out=self._flux)  # theta * du / h * h
+            d = np.subtract(self._flux_r, self._flux_l, out=tmp)
             d /= h
             rhs += d
 
-        dU = np.empty_like(U)
-        dU[:, 0] = 0.0
-        dU[:, -1] = 0.0
-        np.divide(rhs, rho[1:-1], out=dU[:, 1:-1])
+        o.walls[...] = 0.0
+        np.divide(rhs, y.q_c, out=o.U_c)
 
         if self.forcing is not None:
             s_rho, s_u = self.forcing(t, self.nodes)
-            drho += s_rho
-            dU[:, 1:-1] += s_u[:, 1:-1]
-        return drho, dU
+            o.q += s_rho
+            o.U_c += s_u[:, 1:-1]
+        return out
 
     # -- stability & implicit solve ------------------------------------------
 
@@ -187,14 +196,14 @@ class EulerKernel(Kernel):
         return self._stable_dt(self._density(rho, "in stable_dt"), U, explicit_viscosity)[0]
 
     def _stable_dt(self, rho, U, explicit_viscosity):
-        shared = self._shared(rho, U)
-        v, rg = shared
-        speed = np.abs(v)
-        speed += np.sqrt(self._Kg * rg)
-        dt = self._h / speed.max()
+        rg = self._shared(rho, U)
+        speed = np.abs(self._v, out=self._speed)
+        speed += np.sqrt(np.multiply(self._Kg, rg, out=self._e2), out=self._e2)
+        # extremes by arg-index lookups, cheaper than ufunc reductions
+        dt = self._h / speed[speed.argmax()]
         if explicit_viscosity:
-            dt = min(dt, self._hh * rho.min() / self._2lam_max)
-        return float(dt), shared
+            dt = min(dt, self._hh * rho[rho.argmin()] / self._2lam_max)
+        return float(dt), rg
 
     def viscous_solve(self, rho, B, coef):
         """Solve (I - coef * diag(1/rho) M d2) U = B, Dirichlet walls.

@@ -104,6 +104,16 @@ class LagrangeKernel(Kernel):
 
     frame = LAGRANGIAN
 
+    def __init__(self, grid, params, derived, scheme, forcing=None):
+        super().__init__(grid, params, derived, scheme, forcing)
+        n, N = self.nodes.size, params.N
+        # node, face and interior-node scratch, and the views the tendencies read
+        self._v, self._gp = np.empty(n), np.empty(n - 2)
+        self._jump, (self._lap, self._Ml) = np.empty((N, n - 1)), np.empty((2, N, n - 2))
+        self._fric, self._fr = np.empty((2, N, n))
+        self._v_ll, self._v_rr, self._fric_c = self._v[:-2], self._v[2:], self._fric[:, 1:-1]
+        self._flux_l, self._flux_r = self._jump[:, :-1], self._jump[:, 1:]
+
     @staticmethod
     def to_evolved(rho):
         return 1.0 / rho
@@ -120,54 +130,51 @@ class LagrangeKernel(Kernel):
         return rho
 
     def tendencies(self, t, q, U):
-        return self._rhs(t, q, U, self._density(q, f"at t = {t:.6g}"), True)
+        return self._fresh_rhs(t, q, U, True)
 
     def explicit_tendencies(self, t, q, U):
-        return self._rhs(t, q, U, self._density(q, f"at t = {t:.6g}"), False)
+        return self._fresh_rhs(t, q, U, False)
 
-    def _rhs(self, t, tau, U, rho, include_viscous, shared=None):
+    def _rhs(self, t, Y, rho, include_viscous, out, shared=None):
         # ``shared`` is unused: stable_dt computes nothing the tendencies need
         p = self.params
         h, h2 = self._h, self._2h
+        y, o = self._views(Y), self._views(out)
 
         # dv/dy with the SBP closure of field.sbp_derivative, written out
-        v = np.add.reduce(U, 0) / self._N
-        dtau = np.empty_like(v)
-        d = np.subtract(v[2:], v[:-2], out=dtau[1:-1])
+        v = np.add.reduce(y.U, 0, out=self._v)
+        v /= self._N
+        d = np.subtract(self._v_rr, self._v_ll, out=o.q_c)
         d /= h2
-        dtau[0] = (v[1] - v[0]) / h
-        dtau[-1] = (v[-1] - v[-2]) / h
+        o.q[0] = (v[1] - v[0]) / h
+        o.q[-1] = (v[-1] - v[-2]) / h
 
         pg = rho**p.gamma
-        grad_p = pg[2:] - pg[:-2]                         # interior SBP rows
+        grad_p = np.subtract(pg[2:], pg[:-2], out=self._gp)  # interior SBP rows
         grad_p /= h2
         grad_p *= -p.K
-        fric = p.A @ U
-        fric -= self._row_sum_A * U
+        fric = np.matmul(p.A, y.U, out=self._fric)
+        fric -= np.multiply(self._row_sum_A, y.U, out=self._fr)
 
-        dU = np.empty_like(U)
-        dU[:, 0] = 0.0
-        dU[:, -1] = 0.0
-        rhs = np.divide(fric[:, 1:-1], rho[1:-1], out=dU[:, 1:-1])
+        o.walls[...] = 0.0
+        rhs = np.divide(self._fric_c, rho[1:-1], out=o.U_c)
         np.add(grad_p, rhs, out=rhs)
         if include_viscous:
-            rhs += p.M @ self._flux_laplacian(rho, U)
+            # d(rho du/dy)/dy at interior nodes, flux form, harmonic face density
+            flux = np.subtract(y.U_r, y.U_l, out=self._jump)
+            flux *= face_harmonic_mean(rho)
+            lap = np.subtract(self._flux_r, self._flux_l, out=self._lap)
+            lap /= self._hh
+            rhs += np.matmul(p.M, lap, out=self._Ml)
 
         if self.forcing is not None:
             s_rho, s_u = self.forcing(t, self.nodes)
             # d(tau)/dt = -s_rho / rho^2 for a density source s_rho
-            s = s_rho * tau
-            s *= tau
-            dtau -= s
+            s = s_rho * y.q
+            s *= y.q
+            o.q -= s
             rhs += s_u[:, 1:-1]
-        return dtau, dU
-
-    def _flux_laplacian(self, rho, U):
-        """d(rho du/dy)/dy at interior nodes, flux form, harmonic face density."""
-        flux = face_harmonic_mean(rho) * (U[:, 1:] - U[:, :-1])
-        lap = flux[:, 1:] - flux[:, :-1]
-        lap /= self._hh
-        return lap
+        return out
 
     def stable_dt(self, q, U, explicit_viscosity=True):
         return self._stable_dt(self._density(q, "in stable_dt"), U, explicit_viscosity)[0]
@@ -176,9 +183,10 @@ class LagrangeKernel(Kernel):
         # signal speed in mass coordinates is rho * c
         c = np.sqrt(self._Kg * rho ** self._g1)
         c *= rho
-        dt = self._h / c.max()
+        # extremes by arg-index lookups, cheaper than ufunc reductions
+        dt = self._h / c[c.argmax()]
         if explicit_viscosity:
-            dt = min(dt, self._hh / (self._2lam_max * rho.max()))
+            dt = min(dt, self._hh / (self._2lam_max * rho[rho.argmax()]))
         return float(dt), None
 
     def viscous_solve(self, rho, B, coef):

@@ -64,6 +64,11 @@ def friction_power(state, params):
     return -integrate((exch * state.U).sum(axis=0) * wgt, state.grid)
 
 
+def stack(q, U):
+    """The integrators' state layout: q in row 0, one velocity per row below."""
+    return np.concatenate([np.asarray(q, dtype=float)[None], np.asarray(U, dtype=float)])
+
+
 def euler_tendencies(state, params, derived, scheme=None):
     """(drho/dt, dU/dt) of an Eulerian state through the kernel."""
     kern = EulerKernel(state.grid, params, derived, scheme or SchemeConfig())

@@ -10,7 +10,7 @@ from mixflow.field import EULERIAN, Grid1D, State, integrate, l2_norm, total_mas
 from mixflow.model import derive_matrices, make_params
 from mixflow.timestepping import SEMI_IMPLICIT, step_once
 
-from conftest import euler_tendencies
+from conftest import euler_tendencies, stack
 
 
 def rest_state(grid, n_comp=2, rho0=1.0):
@@ -31,8 +31,8 @@ def step(state, params, derived, scheme, dt=None):
     kern = EulerKernel(state.grid, params, derived, scheme)
     if dt is None:
         dt = stable_dt(state, params, derived, scheme)
-    rho, U, _ = step_once(kern, state.time, np.asarray(state.rho), np.asarray(state.U), dt, scheme)
-    return dt, rho, U
+    Y, _ = step_once(kern, state.time, stack(state.rho, state.U), dt, scheme)
+    return dt, Y[0], Y[1:]
 
 
 class TestSchemeConfig:
@@ -159,7 +159,7 @@ class TestStep:
         from mixflow.errors import NonFinite
 
         with pytest.raises(NonFinite):
-            step_once(kern, 0.0, np.asarray(s.rho).copy(), U, 1e-5, SchemeConfig())
+            step_once(kern, 0.0, stack(s.rho, U), 1e-5, SchemeConfig())
 
 
 class TestRun:

@@ -1,11 +1,13 @@
-"""The fused explicit stage path reproduces the unfused one bit for bit.
+"""The stacked, workspace-based step path reproduces the unfused one bit for bit.
 
 The reference below is the kernel and integrator code as it was before the
-stages handed their checked density to the private ``_rhs`` entry: every
-tendency call recomputed and re-checked the density, the mean velocity came
-from ``U.mean`` and the SBP differences from ``field.sbp_derivative``.  Arrays
-are compared through int64 views so that a -0.0 or NaN difference shows, and
-failures by exception class and message.
+stages handed their checked density to the private ``_rhs`` entry and before
+the integrators carried one stacked state ``Y = [q; U]`` through kernel-owned
+buffers: every tendency call recomputed and re-checked the density, returned
+fresh ``(dq, dU)`` arrays, the mean velocity came from ``U.mean`` and the SBP
+differences from ``field.sbp_derivative``.  Arrays are compared through int64
+views so that a -0.0 or NaN difference shows, and failures by exception class
+and message.
 """
 
 import numpy as np
@@ -29,6 +31,8 @@ from mixflow.timestepping import (
     run_loop,
     step_once,
 )
+
+from conftest import stack
 
 KERNELS = {EULERIAN: EulerKernel, LAGRANGIAN: LagrangeKernel}
 
@@ -347,19 +351,19 @@ def test_step_once_bit_identical(integrator, case):
     want = outcome(ref_step_once, kern, t, q, U, dt, scheme, ref_tend(kern))
 
     # standalone: the step checks the density of q itself
-    got = outcome(step_once, kern, t, q, U, dt, scheme)
+    got = outcome(step_once, kern, t, stack(q, U), dt, scheme)
     if got[0] == "ok":
-        q_n, U_n, rho_n = got[1]
-        assert_bit_equal([rho_n], [kern.density_view(q_n)])
-        got = ("ok", (q_n, U_n))
+        Y_n, rho_n = got[1]
+        assert_bit_equal([rho_n], [kern.density_view(Y_n[0])])
+        got = ("ok", (Y_n[0], Y_n[1:]))
     assert_same_outcome(got, want)
 
     # run-loop hand-off: checked density and stable_dt's shared values
     rho = kern._density(q, "in stable_dt")
     _, shared = kern._stable_dt(rho, U, explicit)
-    got = outcome(step_once, kern, t, q, U, dt, scheme, rho, shared)
+    got = outcome(step_once, kern, t, stack(q, U), dt, scheme, rho, shared)
     if got[0] == "ok":
-        got = ("ok", got[1][:2])
+        got = ("ok", (got[1][0][0], got[1][0][1:]))
     assert_same_outcome(got, want)
 
 
@@ -402,18 +406,21 @@ def smooth_case(frame, N=2):
 
 def poison(fn, call, field, value):
     """Wrap a tendency function so that its ``call``-th result (counted from
-    1) carries ``value`` at an interior node of q or of the second velocity."""
+    1) carries ``value`` at an interior node of q or of the second velocity;
+    the result is a ``(dq, dU)`` pair from the reference, the stacked ``out``
+    buffer from a kernel's ``_rhs``."""
     count = [0]
 
     def wrapped(*args, **kwargs):
-        dq, dU = fn(*args, **kwargs)
+        result = fn(*args, **kwargs)
         count[0] += 1
         if count[0] == call:
+            dq, dU = result if isinstance(result, tuple) else (result[0], result[1:])
             if field == "q":
                 dq[5] = value
             else:
                 dU[1, 5] = value
-        return dq, dU
+        return result
 
     return wrapped
 
@@ -455,7 +462,7 @@ def test_stage_fault_same_as_unfused(frame, integrator, call, field, value):
                    poison(ref_tend(kern), call, field, value))
     assert want[0] == "raise"
     kern._rhs = poison(kern._rhs, call, field, value)
-    got = outcome(step_once, kern, t, q, U, dt, scheme)
+    got = outcome(step_once, kern, t, stack(q, U), dt, scheme)
     assert got == want
 
 
@@ -500,7 +507,7 @@ def test_imex_solve_fault_same_as_unfused(frame, call, value):
     want = outcome(ref_step_once, kern, t, q, U, dt, scheme, ref_tend(kern))
     assert want[0] == "raise"
     kern.viscous_solve = poison_solve(solve, call, value)
-    assert outcome(step_once, kern, t, q, U, dt, scheme) == want
+    assert outcome(step_once, kern, t, stack(q, U), dt, scheme) == want
 
     state = State(time=0.0, frame=frame, grid=case["grid"], rho=case["rho"], U=U)
     kern.viscous_solve = poison_solve(solve, call + 2 * 2, value)  # third step, two solves each
@@ -521,7 +528,7 @@ def test_entry_density_at_floor_same_as_unfused(frame, integrator):
     U, t = case["U"], case["t"]
     want = outcome(ref_step_once, kern, t, q, U, 1e-4, scheme, ref_tend(kern))
     assert want[0] == "raise" and want[1] is DensityFloor
-    assert outcome(step_once, kern, t, q, U, 1e-4, scheme) == want
+    assert outcome(step_once, kern, t, stack(q, U), 1e-4, scheme) == want
 
     # in the run loop the first stable-step estimate reports it
     state = State(time=0.0, frame=frame, grid=case["grid"], rho=case["rho"], U=U)
@@ -530,3 +537,107 @@ def test_entry_density_at_floor_same_as_unfused(frame, integrator):
         run_loop(kern, state, 1.0, scheme)
     assert ("raise", DensityFloor, str(info.value)) == want
     assert len(info.value.trajectory) == 1
+
+
+# ---------------------------------------------------------------------------
+# workspace isolation: each kernel owns its buffers, results outlive them
+
+
+def march(kern, scheme, state, steps):
+    """Yield ``(t, Y)`` after each of ``steps`` steps, as ``run_loop`` takes them."""
+    Y = stack(kern.to_evolved(np.array(state.rho)), state.U)
+    rho = kern._density(Y[0], "in stable_dt")
+    t = state.time
+    explicit = scheme.time_integrator != SEMI_IMPLICIT
+    for _ in range(steps):
+        dt, shared = kern._stable_dt(rho, Y[1:], explicit)
+        Y, rho = step_once(kern, t, Y, dt * scheme.cfl, scheme, rho, shared)
+        t += dt * scheme.cfl
+        yield t, Y
+
+
+def fresh_state(case):
+    return State(time=case["t"], frame=case["frame"], grid=case["grid"], rho=case["rho"],
+                 U=case["U"])
+
+
+@pytest.mark.parametrize("frame", [EULERIAN, LAGRANGIAN])
+@pytest.mark.parametrize("integrator", [RK2, RK4, SEMI_IMPLICIT])
+def test_interleaved_kernels_equal_solo_runs(frame, integrator):
+    cases = []
+    for n_cells in (24, 40):
+        case = smooth_case(frame)
+        x = np.linspace(0.0, 1.0, n_cells + 1)
+        case.update(grid=Grid1D(case["grid"].domain_length, n_cells),
+                    rho=1.0 + 0.3 * np.exp(-(((x - 0.4) / 0.15) ** 2)),
+                    U=np.array([0.12 * np.sin(np.pi * x), -0.08 * np.sin(np.pi * x)]))
+        case["U"][:, [0, -1]] = 0.0
+        cases.append(case)
+    solo = []
+    for case in cases:
+        kern, scheme = make_kernel(case, integrator)
+        solo.append([(t, Y.copy()) for t, Y in march(kern, scheme, fresh_state(case), 6)])
+    kernels = [make_kernel(case, integrator) for case in cases]
+    together = zip(*(march(k, s, fresh_state(c), 6) for (k, s), c in zip(kernels, cases)))
+    for step, results in enumerate(together):
+        for (t, Y), want in zip(results, solo):
+            assert t == want[step][0]
+            assert_bit_equal([Y], [want[step][1]])
+
+
+@pytest.mark.parametrize("frame", [EULERIAN, LAGRANGIAN])
+def test_rk4_keeps_four_derivatives_alive(frame):
+    case = smooth_case(frame)
+    kern, scheme = make_kernel(case, RK4)
+    q = kern.to_evolved(case["rho"])
+    U, t = case["U"], case["t"]
+    dt = 0.5 * kern.stable_dt(q, U, True)
+    outs, rhs = [], kern._rhs
+
+    def recording(t, Y, rho, include_viscous, out, shared=None):
+        outs.append(out)
+        return rhs(t, Y, rho, include_viscous, out, shared)
+
+    kern._rhs = recording
+    Y_n, _ = step_once(kern, t, stack(q, U), dt, scheme)
+    assert len(outs) == 4
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(outs) for b in outs[i + 1:])
+    assert not any(np.shares_memory(a, Y_n) for a in outs)
+    want = ref_step_once(kern, t, q, U, dt, scheme, ref_tend(kern))
+    assert_bit_equal([Y_n[0], Y_n[1:]], want)
+
+
+def assert_states_unchanged(traj, copies):
+    assert_bit_equal([s.rho for s in traj.states], [rho for rho, _ in copies])
+    assert_bit_equal([s.U for s in traj.states], [U for _, U in copies])
+
+
+@pytest.mark.parametrize("frame", [EULERIAN, LAGRANGIAN])
+@pytest.mark.parametrize("integrator", [RK2, RK4, SEMI_IMPLICIT])
+def test_recorded_states_are_copies(frame, integrator):
+    case = smooth_case(frame)
+    kern, scheme = make_kernel(case, integrator)
+    state = State(time=0.0, frame=frame, grid=case["grid"], rho=case["rho"], U=case["U"])
+    traj = run_loop(kern, state, 4.5 * scheme.cfl * kern.stable_dt(
+        kern.to_evolved(case["rho"]), case["U"], integrator != SEMI_IMPLICIT), scheme, 1)
+    assert len(traj) >= 5
+    buffers = (*kern._states, *kern._derivs)
+    assert not any(np.shares_memory(a, b) for s in traj.states for a in (s.rho, s.U)
+                   for b in buffers)
+    copies = [(s.rho.copy(), s.U.copy()) for s in traj.states]
+    for _ in march(kern, scheme, traj.final, 5):  # the same kernel steps on
+        pass
+    assert_states_unchanged(traj, copies)
+
+    # a blow-up's partial trajectory, then more steps on the same kernel
+    rhs = kern._rhs
+    kern._rhs = poison(rhs, 2 * CALLS_PER_STEP[integrator] + 1, "q", np.nan)
+    with pytest.raises(SolverBlowup) as info:
+        run_loop(kern, state, 1.0, scheme, 1)
+    partial = info.value.trajectory
+    assert len(partial) == 3
+    copies = [(s.rho.copy(), s.U.copy()) for s in partial.states]
+    kern._rhs = rhs
+    for _ in march(kern, scheme, state, 5):
+        pass
+    assert_states_unchanged(partial, copies)

@@ -326,6 +326,64 @@ class TestMmsArguments:
         assert len(err.strip().splitlines()) == 1
 
 
+class TestUnwritableOutputs:
+    """An output path that cannot be written exits 2 with one line naming it."""
+
+    def _one_line(self, capsys, path):
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: ")
+        assert len(captured.err.splitlines()) == 1
+        return captured
+
+    def test_run_out_dir_below_a_file(self, tmp_path, capsys):
+        cfg = tmp_path / "case.ini"
+        cfg.write_text(SMALL_CONFIG)
+        (tmp_path / "afile").write_text("")
+        out = str(tmp_path / "afile" / "run")
+        assert cli_main(["run", "--config", str(cfg), "--out-dir", out]) == 2
+        captured = self._one_line(capsys, out)
+        assert captured.err.endswith(": Not a directory\n")
+        assert captured.out == ""  # the solve never started
+
+    def test_mms_out_dir_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "afile"
+        out.write_text("")
+        assert cli_main(["mms", "--levels", "8,16", "--t-end", "0.01",
+                         "--out-dir", str(out)]) == 2
+        assert self._one_line(capsys, out).err.endswith(": File exists\n")
+        assert out.read_text() == ""
+
+    def test_transform_out_in_missing_directory(self, tmp_path, capsys, shear_state):
+        snap = tmp_path / "s.csv"
+        io.write_snapshot(str(snap), shear_state)
+        out = str(tmp_path / "missing" / "lag.csv")
+        assert cli_main(["transform", "--snap", str(snap), "--frame", EULERIAN,
+                         "--out", out]) == 2
+        assert self._one_line(capsys, out).err.endswith(": No such file or directory\n")
+
+
+class TestEmptyAuditList:
+    @pytest.mark.parametrize("audits", [",", " , ", ""])
+    def test_check_flag(self, small_run, audits, capsys):
+        rc, _ = small_run
+        assert cli_main(["check", "--traj", rc.out_dir, "--audits", audits]) == 2
+        assert capsys.readouterr().err == "config error: no audits requested\n"
+
+    @pytest.mark.parametrize("value", ["", ",", " , ,"])
+    def test_ini_key(self, tmp_path, value, capsys):
+        cfg = tmp_path / "case.ini"
+        cfg.write_text(SMALL_CONFIG.replace("audits = all", f"audits = {value}"))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: no audits requested\n"
+        assert not out.exists()
+
+    def test_all_and_named_lists_unchanged(self):
+        assert parse_config(SMALL_CONFIG).audit_set == estimates.KNOWN_AUDITS
+        named = parse_config(SMALL_CONFIG.replace("audits = all", "audits = gronwall, ,"))
+        assert named.audit_set == ("gronwall",)
+
+
 @pytest.fixture(scope="module")
 def stored_run(tmp_path_factory):
     """A small Eulerian run on disk; tests corrupt copies of it."""

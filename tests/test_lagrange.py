@@ -18,7 +18,7 @@ from mixflow.lagrange import (
 from mixflow.model import derive_matrices, make_params
 from mixflow.timestepping import step_once
 
-from conftest import euler_tendencies, lagrange_tendencies, smooth_state
+from conftest import euler_tendencies, lagrange_tendencies, smooth_state, stack
 
 
 def lagrangian_rest(grid, n_comp=2, rho0=2.0):
@@ -226,7 +226,8 @@ class TestRun:
         kern = LagrangeKernel(sl.grid, params2, derived2, scheme)
         tau = kern.to_evolved(np.array(sl.rho))
         dt = kern.stable_dt(tau, np.asarray(sl.U), True) * scheme.cfl
-        _, U, rho = step_once(kern, sl.time, tau, np.asarray(sl.U), dt, scheme)
+        Y, rho = step_once(kern, sl.time, stack(tau, sl.U), dt, scheme)
+        U = Y[1:]
         assert dt > 0
         assert np.all(U[:, [0, -1]] == 0.0)
         first = run_lagrangian(sl, params2, derived2, scheme, t_end=dt, snapshot_every=1).final
