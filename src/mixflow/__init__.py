@@ -6,12 +6,12 @@ discrete counterparts of the model's a priori bounds (energy budget, density
 bounds, log-density balance, derivative norms) along every run.
 """
 
-from . import config, errors, estimates, euler, field, io, lagrange, mms, model, reference, runner, scenarios
+from . import config, errors, estimates, euler, field, io, lagrange, mms, model, runner, scenarios
 from .config import InitialData, RunConfig, make_initial, parse_config
 from .estimates import DiagnosticsRecord, EstimateReport
-from .euler import CENTRAL, UPWIND, SchemeConfig
 from .field import EULERIAN, LAGRANGIAN, Grid1D, State, Trajectory
 from .model import DerivedMatrices, MixtureParams, derive_matrices, make_params, validate_params
+from .timestepping import CENTRAL, UPWIND, SchemeConfig
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     "mms",
     "model",
     "parse_config",
-    "reference",
     "runner",
     "scenarios",
     "validate_params",

@@ -30,10 +30,9 @@ from .errors import (
     ValidationError,
 )
 from .estimates import KNOWN_AUDITS
-from .euler import CENTRAL, UPWIND, SchemeConfig
 from .field import EULERIAN, LAGRANGIAN, Grid1D, State, pchip
 from .model import MixtureParams, validate_params
-from .timestepping import INTEGRATORS, RK2, RK4, SEMI_IMPLICIT
+from .timestepping import CENTRAL, INTEGRATORS, RK2, RK4, SEMI_IMPLICIT, UPWIND, SchemeConfig
 
 FRAMES = (EULERIAN, LAGRANGIAN, "both")
 
@@ -71,12 +70,16 @@ def advection(name: str) -> str:
 
 def audit_names(text: str) -> tuple[str, ...]:
     """The audits an ``audits`` value requests: ``all`` or a comma-separated
-    list (the INI ``audits`` key and ``check --audits``), never none."""
+    list of known names (the INI ``audits`` key and ``check --audits``),
+    never none."""
     if text.strip() == "all":
         return KNOWN_AUDITS
     names = tuple(a.strip() for a in text.split(",") if a.strip())
     if not names:
         raise ParseError("no audits requested")
+    for name in names:
+        if name not in KNOWN_AUDITS:
+            raise ValidationError(f"unknown audit {name!r}; known: {KNOWN_AUDITS}")
     return names
 
 
@@ -118,9 +121,22 @@ def _parse_kv(body: str, context: str) -> dict[str, str]:
     for item in body.split(","):
         if "=" not in item:
             raise ParseError(f"{context}: expected key=value, got {item!r}")
-        k, v = item.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (part.strip() for part in item.split("=", 1))
+        if k in out:
+            raise ParseError(f"{context}: duplicate argument {k!r}")
+        out[k] = v
     return out
+
+
+def _no_more(kv: dict[str, str], context: str, kind: str):
+    """Reject what is left in ``kv`` once the arguments of ``kind`` are taken."""
+    if kv:
+        raise ParseError(f"{context}: unknown argument {next(iter(kv))!r} for {kind!r}")
+
+
+#: the float arguments of each analytic density descriptor, in order
+_RHO_ARGS = {"constant": ("value",), "affine": ("base", "slope"),
+             "gaussian": ("base", "amp", "center", "width")}
 
 
 def parse_rho_spec(text: str, context: str = "rho") -> RhoSpec:
@@ -128,40 +144,35 @@ def parse_rho_spec(text: str, context: str = "rho") -> RhoSpec:
     kind = kind.strip()
     kv = _parse_kv(body, context)
     try:
-        if kind == "constant":
-            return RhoSpec("constant", (("value", float(kv.pop("value"))),))
-        if kind == "affine":
-            return RhoSpec("affine", (("base", float(kv.pop("base"))), ("slope", float(kv.pop("slope")))))
-        if kind == "gaussian":
-            return RhoSpec(
-                "gaussian",
-                (
-                    ("base", float(kv.pop("base"))),
-                    ("amp", float(kv.pop("amp"))),
-                    ("center", float(kv.pop("center"))),
-                    ("width", float(kv.pop("width"))),
-                ),
-            )
-        if kind == "table":
-            return RhoSpec("table", (("file", kv.pop("file")), ("column", kv.pop("column", "rho"))))
+        if kind in _RHO_ARGS:
+            args = tuple((name, float(kv.pop(name))) for name in _RHO_ARGS[kind])
+        elif kind == "table":
+            args = (("file", kv.pop("file")), ("column", kv.pop("column", "rho")))
+        else:
+            raise ParseError(f"{context}: unknown density descriptor {kind!r}")
     except KeyError as exc:
         raise ParseError(f"{context}: missing argument {exc} for {kind!r}") from None
     except ValueError as exc:
         raise ParseError(f"{context}: {exc}") from None
-    raise ParseError(f"{context}: unknown density descriptor {kind!r}")
+    _no_more(kv, context, kind)
+    if kind == "gaussian" and not dict(args)["width"] > 0:
+        raise ParseError(f"{context}: gaussian width must be positive, got {dict(args)['width']}")
+    return RhoSpec(kind, args)
 
 
 def parse_velocity_spec(text: str, context: str = "u") -> VelocitySpec:
     text = text.strip()
     if text == "zero":
         return VelocitySpec("zero", ())
-    if text.startswith("table"):
-        _, _, body = text.partition(":")
+    kind, _, body = text.partition(":")
+    if kind.strip() == "table":
         kv = _parse_kv(body, context)
         try:
-            return VelocitySpec("table", (("file", kv.pop("file")), ("column", kv.pop("column"))))
+            spec = VelocitySpec("table", (("file", kv.pop("file")), ("column", kv.pop("column"))))
         except KeyError as exc:
             raise ParseError(f"{context}: missing argument {exc} for table") from None
+        _no_more(kv, context, "table")
+        return spec
     modes = []
     for term in text.split("+"):
         term = term.strip()
@@ -173,6 +184,7 @@ def parse_velocity_spec(text: str, context: str = "u") -> VelocitySpec:
             modes.append((int(kv.pop("k")), float(kv.pop("amp"))))
         except (KeyError, ValueError) as exc:
             raise ParseError(f"{context}: bad sine mode ({exc})") from None
+        _no_more(kv, context, "sine")
     return VelocitySpec("sine", (("modes", tuple(modes)),))
 
 
@@ -268,9 +280,6 @@ class RunConfig:
             raise ValidationError(
                 f"initial data lists {len(self.initial.u)} velocities for N = {self.params.N}"
             )
-        for name in self.audit_set:
-            if name not in KNOWN_AUDITS:
-                raise ValidationError(f"unknown audit {name!r}; known: {KNOWN_AUDITS}")
 
 
 _SECTION_KEYS = {

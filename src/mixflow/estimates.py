@@ -1,7 +1,7 @@
 """Functionals and inequality audits evaluated along trajectories.
 
-Every audit is a pure function of a finished trajectory: repeated evaluation
-is bit-identical, and nothing here feeds back into the solvers.  Time
+Every audit is a pure function of a trajectory's stack and ledger: repeated
+evaluation is bit-identical, and nothing here feeds back into the solvers.  Time
 derivatives of stored fields are reconstructed by finite differences over the
 recorded snapshots (3-point non-uniform interior stencils, one-sided at the
 trajectory ends) so the diagnostics stay decoupled from integrator internals.
@@ -47,17 +47,18 @@ FAIL = "FAIL"
 SKIP = "SKIP"
 
 # name -> (frame the audit reads, None for either; records it needs before
-# build_report calls it, 0 for just the frame; call(traj, params, derived, d)).
-# Each call looks its audit up by module-level name when it runs.
+# build_report calls it, 0 for just the frame; call(st, led, params, derived,
+# d) on that frame's stack and ledger columns).  Each call looks its audit up
+# by module-level name when it runs.
 _AUDITS = {
-    "energy_budget": (EULERIAN, 0, lambda tr, p, dm, d: audit_energy_budget(tr, p, dm)),
-    "density_bounds": (None, 0, lambda tr, p, dm, d: audit_density_bounds(tr, d)),
-    "w_balance": (LAGRANGIAN, 3, lambda tr, p, dm, d: audit_w_balance(tr, p, dm)),
-    "gronwall": (LAGRANGIAN, 3, lambda tr, p, dm, d: audit_gronwall_chain(tr, p, dm)),
-    "alpha_growth": (EULERIAN, 3, lambda tr, p, dm, d: audit_alpha_growth(tr, p, dm)),
-    "pointwise_bounds": (LAGRANGIAN, 0, lambda tr, p, dm, d: audit_pointwise_bounds(tr)),
-    "derivative_norms": (EULERIAN, 2, lambda tr, p, dm, d: derivative_norm_report(tr, p)),
-    "velocity_damping": (None, 0, lambda tr, p, dm, d: audit_velocity_damping(tr, p)),
+    "energy_budget": (EULERIAN, 0, lambda st, led, p, dm, d: audit_energy_budget(led)),
+    "density_bounds": (None, 0, lambda st, led, p, dm, d: audit_density_bounds(led, d)),
+    "w_balance": (LAGRANGIAN, 3, lambda st, led, p, dm, d: audit_w_balance(st, p, dm)),
+    "gronwall": (LAGRANGIAN, 3, lambda st, led, p, dm, d: audit_gronwall_chain(st, p, dm)),
+    "alpha_growth": (EULERIAN, 3, lambda st, led, p, dm, d: audit_alpha_growth(st, led, p, dm)),
+    "pointwise_bounds": (LAGRANGIAN, 0, lambda st, led, p, dm, d: audit_pointwise_bounds(st, led)),
+    "derivative_norms": (EULERIAN, 2, lambda st, led, p, dm, d: derivative_norm_report(st, led)),
+    "velocity_damping": (None, 0, lambda st, led, p, dm, d: audit_velocity_damping(st, p)),
 }
 KNOWN_AUDITS = tuple(_AUDITS)
 
@@ -82,14 +83,19 @@ class Records(NamedTuple):
     U: np.ndarray
 
 
-def _require_states(traj: Trajectory, min_len: int = 1):
-    if len(traj) < min_len:
-        raise EmptyTrajectory(f"need at least {min_len} recorded states, have {len(traj)}")
-
-
 def _stack(traj: Trajectory) -> Records:
     return Records(traj.frame, traj.grid, traj.times(),
                    np.array([s.rho for s in traj.states]), np.array([s.U for s in traj.states]))
+
+
+def _ledger(traj: Trajectory) -> dict[str, np.ndarray]:
+    """The diagnostics of ``traj`` as one float column per record field, NaN
+    where a field is None; a trajectory without one row per state raises."""
+    recs = traj.diagnostics
+    if not recs or len(recs) != len(traj):
+        raise EmptyTrajectory(f"{len(recs)} diagnostics records for {len(traj)} states")
+    rows = np.array([[getattr(r, f) for f in DiagnosticsRecord.FIELDS] for r in recs], dtype=float)
+    return dict(zip(DiagnosticsRecord.FIELDS, rows.T.copy()))
 
 
 def energy(state: State | Records, params: MixtureParams) -> float | np.ndarray:
@@ -237,9 +243,10 @@ def diagnose(traj: Trajectory, params: MixtureParams, derived: DerivedMatrices) 
 
     The state fields come from one stack of the trajectory, as array ops
     along the last axis; with at least two records the time fields are then
-    attached by :func:`attach_time_fields`.
+    attached from the same stack by :func:`attach_time_fields`.
     """
-    _require_states(traj)
+    if not len(traj):
+        raise EmptyTrajectory("need at least 1 recorded states, have 0")
     st = _stack(traj)
     cols = np.broadcast_arrays(
         st.times, energy(st, params), _visc_quad(st, params), friction_dissipation(st, params),
@@ -248,12 +255,16 @@ def diagnose(traj: Trajectory, params: MixtureParams, derived: DerivedMatrices) 
     )
     traj.diagnostics = [DiagnosticsRecord(*row) for row in np.column_stack(cols).tolist()]
     if len(traj) >= 2:
-        attach_time_fields(traj, params, derived)
+        attach_time_fields(traj, st, params)
     return traj
 
 
 def make_record(state: State, params: MixtureParams, derived: DerivedMatrices) -> DiagnosticsRecord:
-    """The state fields of one state: :func:`diagnose` on a one-record trajectory."""
+    """The state fields of one state: :func:`diagnose` on a one-record trajectory.
+
+    The program does not call it; it is kept because the benchmark's probe
+    and tracer (``perfbench/probe.py``, ``perfbench/tracing.py``) resolve it.
+    """
     one = Trajectory(state.frame, state.grid)
     one.append(state)
     return diagnose(one, params, derived).diagnostics[0]
@@ -318,10 +329,9 @@ def _sum_sq(X: np.ndarray) -> np.ndarray:
     return np.square(X, out=X).sum(axis=1)
 
 
-def attach_time_fields(traj: Trajectory, params: MixtureParams, derived: DerivedMatrices):
-    """Fill the snapshot-difference diagnostics on an existing trajectory."""
-    _require_states(traj, 2)
-    st = _stack(traj)
+def attach_time_fields(traj: Trajectory, st: Records, params: MixtureParams):
+    """Fill the snapshot-difference diagnostics of ``traj``, whose stack is
+    ``st``, on its existing records."""
     g = st.grid
     fields = {"dt_rho_l2": l2_norm(time_derivative_series(st.times, st.rho), g)}
     if traj.frame == LAGRANGIAN:
@@ -364,23 +374,14 @@ class AuditResult:
 # audits
 
 
-def audit_energy_budget(
-    traj: Trajectory, params: MixtureParams, derived: DerivedMatrices, rel_tol: float = 1e-6
-) -> AuditResult:
+def audit_energy_budget(led: dict[str, np.ndarray], rel_tol: float = 1e-6) -> AuditResult:
     """E(t) + int_0^t (visc + fric) must never exceed E(0) (1 + rel_tol).
 
-    Records carry the scheme-consistent dissipation rates; the time integral
-    is the trapezoid over record times.
+    The ledger ``led`` carries the scheme-consistent dissipation rates; the
+    time integral is the trapezoid over record times.
     """
-    if traj.frame != EULERIAN:
-        raise WrongFrame("energy budget is audited on the Eulerian trajectory")
-    _require_states(traj)
-    recs = traj.diagnostics
-    if not recs:
-        raise EmptyTrajectory("trajectory has no diagnostics records")
-    times = np.array([r.time for r in recs])
-    e = np.array([r.energy for r in recs])
-    dissipated = _cumtrapz(times, np.array([r.dissipation_visc + r.dissipation_fric for r in recs]))
+    e = led["energy"]
+    dissipated = _cumtrapz(led["time"], led["dissipation_visc"] + led["dissipation_fric"])
     e0 = e[0]
     excess = float((e + dissipated - e0).max())
     tol = rel_tol * e0
@@ -398,37 +399,29 @@ def audit_energy_budget(
     )
 
 
-def audit_density_bounds(traj: Trajectory, dval: float, rel_tol: float = 1e-8) -> AuditResult:
-    """Positivity plus the mean-value bracket min rho <= d <= max rho per record.
+def audit_density_bounds(led: dict[str, np.ndarray], dval: float,
+                         rel_tol: float = 1e-8) -> AuditResult:
+    """Positivity plus the mean-value bracket min rho <= d <= max rho per
+    record, read from the ledger's ``rho_min`` and ``rho_max``.
 
     The bracket is exact for the conservative schemes: the trapezoid mean of
     rho (Eulerian) or of 1/rho (Lagrangian) pins d between the extremes.
     """
-    _require_states(traj)
-    rho = _stack(traj).rho
     tol = rel_tol * dval
-    over, under = rho.min(axis=-1) - dval, dval - rho.max(axis=-1)
-    lo = float(rho.min())
+    over, under = led["rho_min"] - dval, dval - led["rho_max"]
+    lo = float(led["rho_min"].min())
     worst = max(0.0, float(over.max()), float(under.max()))
     ok = lo > 0.0 and not ((over > tol) | (under > tol)).any()
     return AuditResult(
         "density_bounds",
         PASS if ok else FAIL,
         margin=tol - worst,
-        details={"rho_inf": lo, "rho_sup": float(rho.max()), "d": dval,
+        details={"rho_inf": lo, "rho_sup": float(led["rho_max"].max()), "d": dval,
                  "max_bracket_defect": worst},
     )
 
 
-def _lagrangian_only(traj: Trajectory, what: str):
-    if traj.frame != LAGRANGIAN:
-        raise WrongFrame(f"{what} is audited on the Lagrangian trajectory")
-    _require_states(traj, 3)
-
-
-def audit_w_balance(
-    traj: Trajectory, params: MixtureParams, derived: DerivedMatrices
-) -> AuditResult:
+def audit_w_balance(st: Records, params: MixtureParams, derived: DerivedMatrices) -> AuditResult:
     """Residual of the log-density slope balance along the trajectory.
 
     0.5 d/dt ||w||^2 + Ktilde*gamma int rho^gamma w^2
@@ -439,8 +432,6 @@ def audit_w_balance(
     under simultaneous (h, dt) refinement, which is what the acceptance test
     measures.
     """
-    _lagrangian_only(traj, "w balance")
-    st = _stack(traj)
     g, times = st.grid, st.times
     vw = derived.V_weights
     A = params.A
@@ -487,17 +478,13 @@ def pair_gap_over_sqrt_rho(state: State) -> float:
     return total
 
 
-def audit_gronwall_chain(
-    traj: Trajectory, params: MixtureParams, derived: DerivedMatrices
-) -> AuditResult:
+def audit_gronwall_chain(st: Records, params: MixtureParams, derived: DerivedMatrices) -> AuditResult:
     """Gronwall reconstruction of ||w(t)||^2 <= C4 exp(C5 int S).
 
     C5 comes from the friction/viscosity constants alone; C4 collects the
     initial data terms and the measured suprema of the a-priori-bounded
     quantities (the empirical stand-ins for the existence constants).
     """
-    _lagrangian_only(traj, "gronwall chain")
-    st = _stack(traj)
     g, times = st.grid, st.times
     d = g.domain_length
     vw = derived.V_weights
@@ -545,20 +532,18 @@ def audit_gronwall_chain(
     )
 
 
-def audit_pointwise_bounds(traj: Trajectory, abs_tol: float = 1e-8) -> AuditResult:
-    """Hoelder bound on 1/sqrt(rho) and the pointwise bound on |ln rho|.
+def audit_pointwise_bounds(st: Records, led: dict[str, np.ndarray],
+                           abs_tol: float = 1e-8) -> AuditResult:
+    """Hoelder bound on 1/sqrt(rho) and the pointwise bound on |ln rho|,
+    with ||w|| the ledger's ``w_norm``.
 
     max 1/sqrt(rho) <= d^(-1/2) + 0.5 ||w||
     max |ln rho|    <= |ln d| + sqrt(d) ||w||
 
     With the face-based w these hold exactly; abs_tol only absorbs round-off.
     """
-    if traj.frame != LAGRANGIAN:
-        raise WrongFrame("pointwise bounds are audited on the Lagrangian trajectory")
-    _require_states(traj)
-    st = _stack(traj)
     d = st.grid.domain_length
-    wn = w_norm(st)
+    wn = led["w_norm"]
     lhs_h = (1.0 / np.sqrt(st.rho)).max(axis=-1)
     worst_h = float((lhs_h - (d**-0.5 + 0.5 * wn)).max())
     lhs_l = np.abs(np.log(st.rho)).max(axis=-1)
@@ -596,21 +581,18 @@ def _alpha(st: Records, params: MixtureParams) -> np.ndarray:
 
 
 def audit_alpha_growth(
-    traj: Trajectory, params: MixtureParams, derived: DerivedMatrices
+    st: Records, led: dict[str, np.ndarray], params: MixtureParams, derived: DerivedMatrices
 ) -> AuditResult:
-    """Check the measured alpha against its own growth inequality.
+    """Check the measured alpha (the ledger's column) against its own growth
+    inequality.
 
     alpha'(t) equals the squared right-hand side of the momentum equations
     over rho, which is bounded by C10 + C11 (sum_j ||u_j||_inf^2) alpha with
     C10, C11 measured suprema.  The audit verifies the integrated form and
     reports the Gronwall exponential bound as the ceiling constant.
     """
-    if traj.frame != EULERIAN:
-        raise WrongFrame("alpha audit expects the Eulerian trajectory")
-    _require_states(traj, 3)
-    st = _stack(traj)
     g, times = st.grid, st.times
-    a = _alpha(st, params)
+    a = led["alpha"]
 
     row = params.A.sum(axis=1)
     exch = params.A @ st.U
@@ -619,7 +601,7 @@ def audit_alpha_growth(
     c10_terms = 3.0 * integrate((_sum_sq(exch) + params.N * params.K**2 * press**2) / st.rho, g)
     c10 = float(c10_terms.max())
     uinf_sq = sum(_linf_sq(st.U).T)  # sum over components, left to right
-    c11 = 3.0 * float(st.rho.max()) / (params.N * derived.C0)
+    c11 = 3.0 * float(led["rho_max"].max()) / (params.N * derived.C0)
 
     growth = _cumtrapz(times, uinf_sq * a)
     bound = a[0] + c10 * (times - times[0]) + c11 * growth
@@ -650,10 +632,8 @@ def audit_alpha_growth(
     )
 
 
-def audit_velocity_damping(traj: Trajectory, params: MixtureParams) -> AuditResult:
+def audit_velocity_damping(st: Records, params: MixtureParams) -> AuditResult:
     """Time integral of the pairwise velocity gaps; finite by the energy estimate."""
-    _require_states(traj)
-    st = _stack(traj)
     gaps = pairwise_velocity_gap_sq(st)
     total = float(_cumtrapz(st.times, gaps)[-1])
     verdict = PASS if math.isfinite(total) else FAIL
@@ -665,18 +645,15 @@ def audit_velocity_damping(traj: Trajectory, params: MixtureParams) -> AuditResu
     )
 
 
-def derivative_norm_report(traj: Trajectory, params: MixtureParams | None = None) -> AuditResult:
+def derivative_norm_report(st: Records, led: dict[str, np.ndarray]) -> AuditResult:
     """Suprema and space-time integrals of the derivative norms.
 
     Reports sup_t sum_i ||u_i'||_2, ||u_i''||_{L2(Q)}, ||du_i/dt||_{L2(Q)},
-    sup_t ||d rho/dt||_2, sup_t ||d rho/dx||_2 and sum_i ||u_i||_{L2(0,T;Linf)}.
+    sup_t ||d rho/dt||_2 and sup_t ||d rho/dx||_2 (the ledger's
+    ``dt_rho_l2`` and ``grad_rho_l2``) and sum_i ||u_i||_{L2(0,T;Linf)}.
     Finiteness is the verdict; values are the empirical stand-ins for the
     regularity constants.
     """
-    if traj.frame != EULERIAN:
-        raise WrongFrame("derivative norm report expects the Eulerian trajectory")
-    _require_states(traj, 2)
-    st = _stack(traj)
     g, times = st.grid, st.times
 
     def l2_qt(X):  # sqrt(sum_i ||X_i||^2_{L2(Q)}) of an (R, N, n) stack
@@ -689,8 +666,8 @@ def derivative_norm_report(traj: Trajectory, params: MixtureParams | None = None
                                .sum(axis=-1).max()),
         "u_xx_l2_qt": l2_qt(_second_derivative(st.U, g.h)),
         "u_t_l2_qt": l2_qt(time_derivative_series(times, st.U)),
-        "rho_t_sup_l2": float(l2_norm(time_derivative_series(times, st.rho), g).max()),
-        "rho_x_sup_l2": float(l2_norm(diff(st.rho, g), g).max()),
+        "rho_t_sup_l2": float(led["dt_rho_l2"].max()),
+        "rho_x_sup_l2": float(led["grad_rho_l2"].max()),
         "u_l2_linf": float(
             sum(np.sqrt(_cumtrapz(times, uinf_sq[:, i])[-1]) for i in range(uinf_sq.shape[1]))
         ),
@@ -728,11 +705,11 @@ class EstimateReport:
         return "\n".join(lines)
 
 
-def empirical_constants(traj: Trajectory, params: MixtureParams) -> dict[str, float]:
+def empirical_constants(st: Records, led: dict[str, np.ndarray],
+                        params: MixtureParams) -> dict[str, float]:
     """Measured suprema of the norms the first a priori estimate controls."""
-    st = _stack(traj)
     g, times = st.grid, st.times
-    if traj.frame == EULERIAN:
+    if st.frame == EULERIAN:
         u_l2 = l2_norm(np.sqrt(st.rho)[:, None, :] * st.U, g)
         rho_int = integrate(st.rho**params.gamma, g)
     else:
@@ -744,8 +721,8 @@ def empirical_constants(traj: Trajectory, params: MixtureParams) -> dict[str, fl
         "sup_t_rho_lgamma": float(rho_int.max()) ** (1.0 / params.gamma),
         "grad_u_l2_qt": float(np.sqrt(_cumtrapz(times, velocity_gradient_sq(st))[-1])),
         "velocity_gap_l2_qt": float(np.sqrt(_cumtrapz(times, pairwise_velocity_gap_sq(st))[-1])),
-        "rho_inf": float(st.rho.min()),
-        "rho_sup": float(st.rho.max()),
+        "rho_inf": float(led["rho_min"].min()),
+        "rho_sup": float(led["rho_max"].max()),
     }
 
 
@@ -756,41 +733,48 @@ def build_report(
     lagrangian: Trajectory | None = None,
     audits: tuple[str, ...] = KNOWN_AUDITS,
 ) -> EstimateReport:
-    """Run the requested audits on whichever trajectories are available.
+    """Run the requested audits on whichever diagnosed trajectories are given.
 
-    Audits whose frame is absent are reported as SKIP (they do not fail the
-    report).  The total mass ``d`` is the initial Eulerian mass when that
-    frame is present, else the Lagrangian domain length, so `run` and
-    `check` audit a trajectory against the same ``d``.
+    Each given frame is stacked once, and its stack and ledger columns go to
+    every audit of that frame and to :func:`empirical_constants`.  Audits
+    whose frame is absent, or that need more records than it has, are
+    reported as SKIP (they do not fail the report).  The total mass ``d`` is
+    the initial Eulerian mass when that frame is present, else the Lagrangian
+    domain length, so `run` and `check` audit a trajectory against the same
+    ``d``.
     """
     for name in audits:
         if name not in KNOWN_AUDITS:
             raise ValidationError(f"unknown audit {name!r}; known: {KNOWN_AUDITS}")
-    if eulerian is None and lagrangian is None:
+    given = {f: t for f, t in ((EULERIAN, eulerian), (LAGRANGIAN, lagrangian)) if t is not None}
+    if not given:
         raise EmptyTrajectory("no trajectory supplied")
+    inputs = {}
+    for frame, traj in given.items():
+        if traj.frame != frame:
+            raise WrongFrame(f"a {traj.frame} trajectory passed as the {frame} one")
+        inputs[frame] = (_stack(traj), _ledger(traj))
+    inputs[None] = next(iter(inputs.values()))  # the Eulerian frame when present
     if eulerian is not None:
         dval = integrate(eulerian.states[0].rho, eulerian.grid)
     else:
         dval = lagrangian.grid.domain_length
 
-    trajs = {EULERIAN: eulerian, LAGRANGIAN: lagrangian,
-             None: eulerian if eulerian is not None else lagrangian}
     results: dict[str, AuditResult] = {}
     for name in audits:
         frame, need, call = _AUDITS[name]
-        traj = trajs[frame]
-        if traj is None or len(traj) < need:
+        if frame not in inputs or len(inputs[frame][0].times) < need:
             results[name] = AuditResult(name, SKIP, margin=0.0,
                                          details={"reason": _skip_reason(frame, need)})
             continue
-        results[name] = call(traj, params, derived, dval)
-        if name == "density_bounds" and traj is eulerian and lagrangian is not None:
+        results[name] = call(*inputs[frame], params, derived, dval)
+        if name == "density_bounds" and len(given) == 2:
             # with both frames, a Lagrangian failure is the reported result
-            lag = call(lagrangian, params, derived, dval)
+            lag = call(*inputs[LAGRANGIAN], params, derived, dval)
             if not lag.passed:
                 results[name] = lag
 
-    consts = empirical_constants(trajs[None], params)
+    consts = empirical_constants(*inputs[None], params)
     return EstimateReport(results=results, empirical_constants=consts)
 
 

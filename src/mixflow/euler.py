@@ -26,39 +26,13 @@ which is what the energy-budget audit measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-from .errors import DensityFloor, ValidationError, WrongFrame
-from .field import EULERIAN, Grid1D, State, Trajectory
+from .errors import DensityFloor
+from .field import EULERIAN, Grid1D
 from .model import DerivedMatrices, MixtureParams
-from .timestepping import INTEGRATORS, RK2, Kernel, run_loop, tridiagonal_solve
-
-UPWIND = "first-order-upwind"
-CENTRAL = "central-2"
-
-#: forcing callback: (t, nodes) -> (s_rho, s_U) tendencies to add
-Forcing = Callable[[float, np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-
-@dataclass(frozen=True)
-class SchemeConfig:
-    time_integrator: str = RK2
-    cfl: float = 0.4
-    advection: str = UPWIND
-    artificial_floor: float = 1e-12
-
-    def __post_init__(self):
-        if self.time_integrator not in INTEGRATORS:
-            raise ValidationError(f"unknown time integrator {self.time_integrator!r}")
-        if self.advection not in (UPWIND, CENTRAL):
-            raise ValidationError(f"unknown advection scheme {self.advection!r}")
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValidationError(f"cfl must be in (0, 1], got {self.cfl}")
-        if not self.artificial_floor > 0:
-            raise ValidationError("artificial_floor must be positive")
+# run_loop is not called here: perfbench/selftest.py resolves it as euler.run_loop
+from .timestepping import UPWIND, Forcing, Kernel, SchemeConfig, run_loop, tridiagonal_solve  # noqa: F401
 
 
 class EulerKernel(Kernel):
@@ -218,25 +192,3 @@ class EulerKernel(Kernel):
         c[:, 0] = 0.0  # wall rows are the identity
         c[:, -1] = 0.0
         return tridiagonal_solve(d.Q, -c[:, 1:], 1.0 + 2.0 * c, -c[:, :-1], B)
-
-
-# ---------------------------------------------------------------------------
-# public operations
-
-
-def run(
-    initial: State,
-    params: MixtureParams,
-    derived: DerivedMatrices,
-    scheme: SchemeConfig,
-    t_end: float,
-    snapshot_every: int = 20,
-    forcing: Forcing | None = None,
-) -> Trajectory:
-    """Integrate from the initial state to ``t_end``; records every k-th step."""
-    if initial.frame != EULERIAN:
-        raise WrongFrame(f"expected an Eulerian state, got {initial.frame}")
-    if t_end > params.T_final:
-        raise ValidationError(f"t_end = {t_end} exceeds T_final = {params.T_final}")
-    kern = EulerKernel(initial.grid, params, derived, scheme, forcing)
-    return run_loop(kern, initial, t_end, scheme, snapshot_every)

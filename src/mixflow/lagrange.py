@@ -21,10 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DensityFloor, DomainLengthDrift, ValidationError, WrongFrame
-from .euler import Forcing, SchemeConfig
-from .field import EULERIAN, LAGRANGIAN, Grid1D, State, Trajectory, face_harmonic_mean, pchip
-from .model import DerivedMatrices, MixtureParams
-from .timestepping import Kernel, run_loop, tridiagonal_solve
+from .field import EULERIAN, LAGRANGIAN, Grid1D, State, face_harmonic_mean, pchip
+from .timestepping import Kernel, tridiagonal_solve
 
 
 # ---------------------------------------------------------------------------
@@ -203,25 +201,3 @@ class LagrangeKernel(Kernel):
         lower[:, -1] = 0.0
         upper[:, 0] = 0.0
         return tridiagonal_solve(d.Q, lower, diag, upper, B)
-
-
-# ---------------------------------------------------------------------------
-# public operations
-
-
-def run_lagrangian(
-    initial: State,
-    params: MixtureParams,
-    derived: DerivedMatrices,
-    scheme: SchemeConfig,
-    t_end: float,
-    snapshot_every: int = 20,
-    forcing: Forcing | None = None,
-) -> Trajectory:
-    """Integrate the mass-coordinate system; mirrors :func:`mixflow.euler.run`."""
-    if initial.frame != LAGRANGIAN:
-        raise WrongFrame("run_lagrangian expects a Lagrangian initial state")
-    if t_end > params.T_final:
-        raise ValidationError(f"t_end = {t_end} exceeds T_final = {params.T_final}")
-    kern = LagrangeKernel(initial.grid, params, derived, scheme, forcing)
-    return run_loop(kern, initial, t_end, scheme, snapshot_every)

@@ -26,11 +26,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import euler, lagrange
 from .errors import ValidationError
 from .field import EULERIAN, Grid1D, State, l2_norm
 from .model import MixtureParams, derive_matrices, make_params
-from .euler import CENTRAL, UPWIND, SchemeConfig
+from .runner import integrate
+from .timestepping import CENTRAL, UPWIND, SchemeConfig
 
 #: observed spatial order must not fall below these
 ORDER_THRESHOLDS = {CENTRAL: 1.7, UPWIND: 0.8}
@@ -247,9 +247,8 @@ def _run_level(fields: ManufacturedFields, n: int, scheme: SchemeConfig, t_end: 
     grid = Grid1D(domain_length=fields.domain_length, n_cells=n)
     derived = derive_matrices(fields.params)
     initial = fields.state(grid, 0.0)
-    solve = euler.run if fields.frame == EULERIAN else lagrange.run_lagrangian
-    final = solve(initial, fields.params, derived, scheme, t_end,
-                  snapshot_every=10**9, forcing=fields.forcing).final
+    final = integrate(initial, fields.params, derived, scheme, t_end,
+                      snapshot_every=10**9, forcing=fields.forcing).final
     x = grid.nodes()
     errs = {"rho": l2_norm(final.rho - fields.rho(x, final.time), grid)}
     exact_u = fields.u(x, final.time)

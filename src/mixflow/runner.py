@@ -9,13 +9,18 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 
-from . import euler, lagrange
 from .config import RunConfig, make_initial
-from .errors import MixflowError, SolverBlowup, WorkerDied
+from .errors import MixflowError, SolverBlowup, ValidationError, WorkerDied
 from .estimates import EstimateReport, build_report, diagnose
+from .euler import EulerKernel
 from .field import EULERIAN, LAGRANGIAN, Grid1D, State, Trajectory
 from .io import render_report_plots, save_report, save_trajectory
-from .model import DerivedMatrices, derive_matrices
+from .lagrange import LagrangeKernel, euler_to_lagrange
+from .model import DerivedMatrices, MixtureParams, derive_matrices
+from .timestepping import Forcing, SchemeConfig, run_loop
+
+#: the kernel that integrates a state of each frame
+KERNELS = {EULERIAN: EulerKernel, LAGRANGIAN: LagrangeKernel}
 
 
 @dataclass
@@ -26,6 +31,23 @@ class RunResult:
     eulerian: Trajectory | None
     lagrangian: Trajectory | None
     report: EstimateReport
+
+
+def integrate(
+    initial: State,
+    params: MixtureParams,
+    derived: DerivedMatrices,
+    scheme: SchemeConfig,
+    t_end: float,
+    snapshot_every: int = 20,
+    forcing: Forcing | None = None,
+) -> Trajectory:
+    """Integrate ``initial`` to ``t_end`` with the kernel of its frame,
+    recording every ``snapshot_every``-th step (see :func:`run_loop`)."""
+    if t_end > params.T_final:
+        raise ValidationError(f"t_end = {t_end} exceeds T_final = {params.T_final}")
+    kernel = KERNELS[initial.frame](initial.grid, params, derived, scheme, forcing)
+    return run_loop(kernel, initial, t_end, scheme, snapshot_every)
 
 
 def concurrently(calls, announce=None) -> list:
@@ -121,13 +143,12 @@ def execute(rc: RunConfig, progress=None) -> RunResult:
     frames = [f for f in (EULERIAN, LAGRANGIAN) if rc.frame in (f, "both")]
     # the mass-coordinate start is built here, before any fork, so that a
     # frame worker inherits scipy.interpolate instead of importing it anew
-    starts = {f: initial if f == EULERIAN else lagrange.euler_to_lagrange(initial) for f in frames}
-    solvers = {EULERIAN: euler.run, LAGRANGIAN: lagrange.run_lagrangian}
+    starts = {f: initial if f == EULERIAN else euler_to_lagrange(initial) for f in frames}
 
     def solve(frame: str) -> Trajectory:
         try:
-            traj = solvers[frame](starts[frame], rc.params, derived, rc.scheme, rc.t_end,
-                                  snapshot_every=rc.snapshot_every)
+            traj = integrate(starts[frame], rc.params, derived, rc.scheme, rc.t_end,
+                             snapshot_every=rc.snapshot_every)
         except SolverBlowup as exc:  # the saved partial trajectory keeps its ledger
             if exc.trajectory is not None:
                 diagnose(exc.trajectory, rc.params, derived)

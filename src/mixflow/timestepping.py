@@ -1,4 +1,7 @@
-"""Shared time integrators and the run loop driving both solvers.
+"""Shared time integrators, the scheme settings and the run loop driving
+both solvers.  Runs enter through :func:`mixflow.runner.integrate`, which
+builds the kernel of the start's frame (``runner.KERNELS``) and calls
+:func:`run_loop`.
 
 The integrators carry one C-contiguous state ``Y`` of shape ``(1 + N, n)``:
 row 0 the evolved q (rho; in mass coordinates the specific volume 1/rho,
@@ -14,7 +17,9 @@ buffers, all live in RK4; each kernel adds its own scratch the same way.
 Public entries check the density of ``q`` against the floor on every call and
 return new arrays: ``tendencies(t, q, U) -> (dq, dU)`` (full right-hand
 side), ``explicit_tendencies`` (without the viscous coupling, for IMEX),
-``stable_dt(q, U, explicit_viscosity) -> dt``, ``viscous_solve(rho, B,
+``stable_dt(q, U, explicit_viscosity) -> dt`` (these three are there for the
+benchmark harness, ``perfbench/``, and the tests; runs do not call them),
+``viscous_solve(rho, B,
 coef)``, which solves ``(I - coef * L_visc(rho)) U = B`` with Dirichlet
 walls and raises :class:`~mixflow.errors.NonFinite` on non-finite input,
 and ``to_evolved(rho)``/``density_view(q)``.  The integrators use private
@@ -41,6 +46,8 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -51,10 +58,33 @@ RK2 = "explicit-RK2"
 RK4 = "explicit-RK4"
 SEMI_IMPLICIT = "semi-implicit-viscosity"
 INTEGRATORS = (RK2, RK4, SEMI_IMPLICIT)
+UPWIND = "first-order-upwind"
+CENTRAL = "central-2"
+
+#: forcing callback: (t, nodes) -> (s_rho, s_U) tendencies to add
+Forcing = Callable[[float, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 # ARS(2,2,2) IMEX coefficients; the implicit half is L-stable.
 _ARS_GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
 _ARS_DELTA = 1.0 - 1.0 / (2.0 * _ARS_GAMMA)
+
+
+@dataclass(frozen=True)
+class SchemeConfig:
+    time_integrator: str = RK2
+    cfl: float = 0.4
+    advection: str = UPWIND
+    artificial_floor: float = 1e-12
+
+    def __post_init__(self):
+        if self.time_integrator not in INTEGRATORS:
+            raise ValidationError(f"unknown time integrator {self.time_integrator!r}")
+        if self.advection not in (UPWIND, CENTRAL):
+            raise ValidationError(f"unknown advection scheme {self.advection!r}")
+        if not 0.0 < self.cfl <= 1.0:
+            raise ValidationError(f"cfl must be in (0, 1], got {self.cfl}")
+        if not self.artificial_floor > 0:
+            raise ValidationError("artificial_floor must be positive")
 
 
 class Kernel:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from mixflow.euler import EulerKernel, SchemeConfig
+from mixflow.euler import EulerKernel
 from mixflow.field import EULERIAN, Grid1D, State, integrate
 from mixflow.lagrange import LagrangeKernel
 from mixflow.model import derive_matrices, make_params
+from mixflow.timestepping import SchemeConfig
 
 
 @pytest.fixture

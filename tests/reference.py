@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import euler
-from .errors import NonPositiveEntry
-from .field import EULERIAN, Grid1D, State, Trajectory
-from .model import MixtureParams, derive_matrices
+from mixflow.errors import NonPositiveEntry
+from mixflow.field import EULERIAN, Grid1D, State, Trajectory
+from mixflow.model import MixtureParams, derive_matrices
+from mixflow.runner import integrate
+from mixflow.timestepping import SchemeConfig
 
 
 def single_fluid_params(K: float, gamma: float, mu: float, T_final: float) -> MixtureParams:
@@ -39,7 +40,7 @@ def single_fluid_reference(
     K: float,
     gamma: float,
     mu: float,
-    scheme: euler.SchemeConfig,
+    scheme: SchemeConfig,
     grid: Grid1D,
     t_end: float,
     T_final: float | None = None,
@@ -51,4 +52,4 @@ def single_fluid_reference(
         time=0.0, frame=EULERIAN, grid=grid, rho=np.asarray(rho0, dtype=float),
         U=np.asarray(u0, dtype=float).reshape(1, -1),
     )
-    return euler.run(initial, params, derived, scheme, t_end, snapshot_every=snapshot_every)
+    return integrate(initial, params, derived, scheme, t_end, snapshot_every=snapshot_every)

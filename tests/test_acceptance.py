@@ -15,18 +15,18 @@ import numpy as np
 import pytest
 
 from mixflow import estimates as est
-from mixflow import euler, io, lagrange
+from mixflow import io, lagrange
 from mixflow.cli import cli_main
 from mixflow.config import make_initial
-from mixflow.euler import CENTRAL, UPWIND, SchemeConfig
 from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D, State, l2_norm, total_mass
 from mixflow.mms import mms_study
 from mixflow.model import derive_matrices, make_params
-from mixflow.reference import single_fluid_reference
-from mixflow.runner import execute
+from mixflow.runner import execute, integrate
 from mixflow.scenarios import CORPUS, scenario_config
+from mixflow.timestepping import CENTRAL, UPWIND, SchemeConfig
 
 from conftest import friction_power
+from reference import single_fluid_reference
 
 SEMI = "semi-implicit-viscosity"
 
@@ -101,7 +101,7 @@ def shear_residual_runs():
     runs = {}
     for n in (64, 128, 256):
         init = make_initial(rc.initial, Grid1D(1.0, n))
-        runs[n] = est.diagnose(lagrange.run_lagrangian(
+        runs[n] = est.diagnose(integrate(
             lagrange.euler_to_lagrange(init), rc.params, derived, scheme,
             t_end=0.3, snapshot_every=2,
         ), rc.params, derived)
@@ -207,9 +207,9 @@ def test_c07_dual_formulation_agreement():
     dist = {}
     for n in (128, 256, 512):
         init = make_initial(rc.initial, Grid1D(1.0, n))
-        traj_e = euler.run(init, rc.params, derived, scheme, 0.5, snapshot_every=10**9)
+        traj_e = integrate(init, rc.params, derived, scheme, 0.5, snapshot_every=10**9)
         from_e = lagrange.euler_to_lagrange(traj_e.final)
-        traj_l = lagrange.run_lagrangian(
+        traj_l = integrate(
             lagrange.euler_to_lagrange(init), rc.params, derived, scheme, 0.5,
             snapshot_every=10**9,
         )
@@ -258,7 +258,7 @@ def test_c10_w_balance_residual(shear_residual_runs):
     params, derived, runs = shear_residual_runs
     res = {}
     for n, traj in runs.items():
-        audit = est.audit_w_balance(traj, params, derived)
+        audit = est.audit_w_balance(est._stack(traj), params, derived)
         late = [abs(r) for t, r in zip(audit.details["times"], audit.details["residuals"])
                 if t >= 0.25 * 0.3]
         res[n] = max(late)
@@ -298,14 +298,15 @@ def test_c12_gronwall_and_alpha(corpus_results):
     consts = {}
     for n in (256, 512):
         init = make_initial(rc.initial, Grid1D(1.0, n))
-        traj_e = est.diagnose(euler.run(init, rc.params, derived, scheme, 1.0,
+        traj_e = est.diagnose(integrate(init, rc.params, derived, scheme, 1.0,
                                         snapshot_every=8), rc.params, derived)
-        traj_l = est.diagnose(lagrange.run_lagrangian(
+        traj_l = est.diagnose(integrate(
             lagrange.euler_to_lagrange(init), rc.params, derived, scheme, 1.0,
             snapshot_every=8,
         ), rc.params, derived)
-        gron = est.audit_gronwall_chain(traj_l, rc.params, derived)
-        alph = est.audit_alpha_growth(traj_e, rc.params, derived)
+        gron = est.audit_gronwall_chain(est._stack(traj_l), rc.params, derived)
+        alph = est.audit_alpha_growth(est._stack(traj_e), est._ledger(traj_e),
+                                      rc.params, derived)
         consts[n] = {
             "c4": gron.details["c4"],
             "c5": gron.details["c5"],

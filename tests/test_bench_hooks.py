@@ -13,8 +13,9 @@ from collections import Counter
 
 import mixflow.cli  # noqa: F401  (imports every module the tracer patches)
 from mixflow import estimates
-from mixflow.euler import SchemeConfig, run
-from mixflow.lagrange import euler_to_lagrange, run_lagrangian
+from mixflow.lagrange import euler_to_lagrange
+from mixflow.runner import integrate
+from mixflow.timestepping import SchemeConfig
 
 from conftest import smooth_state
 
@@ -47,9 +48,8 @@ def test_every_target_resolves_and_is_restored():
 def test_build_report_spans_one_per_audit(params2, derived2, grid64):
     s = smooth_state(grid64)
     scheme = SchemeConfig()
-    traj_e = run(s, params2, derived2, scheme, 0.05, snapshot_every=10)
-    traj_l = run_lagrangian(euler_to_lagrange(s), params2, derived2, scheme, 0.05,
-                            snapshot_every=10)
+    traj_e = integrate(s, params2, derived2, scheme, 0.05, snapshot_every=10)
+    traj_l = integrate(euler_to_lagrange(s), params2, derived2, scheme, 0.05, snapshot_every=10)
     for traj in (traj_e, traj_l):
         assert len(traj) >= 3
         estimates.diagnose(traj, params2, derived2)

@@ -5,9 +5,10 @@ import time
 
 import pytest
 
-from mixflow import euler, lagrange
+from mixflow import runner
 from mixflow.cli import EXIT_BLOWUP, EXIT_WORKER_DIED, cli_main
 from mixflow.errors import FileFormatError, SolverBlowup, WorkerDied
+from mixflow.field import EULERIAN, LAGRANGIAN
 from mixflow.runner import concurrently
 
 from test_io_cli import SMALL_CONFIG
@@ -118,6 +119,13 @@ class TestConcurrently:
         assert said == [0]
 
 
+def _replace_lagrangian_solve(monkeypatch, body):
+    """Make ``runner.integrate`` call ``body()`` for a Lagrangian start."""
+    real_integrate = runner.integrate
+    monkeypatch.setattr(runner, "integrate", lambda initial, *a, **k: body()
+                        if initial.frame == LAGRANGIAN else real_integrate(initial, *a, **k))
+
+
 def _run(tmp_path, text, out, *extra):
     cfg = tmp_path / "case.ini"
     cfg.write_text(text)
@@ -155,7 +163,7 @@ class TestFramesInWorkers:
         assert alone == EXIT_BLOWUP
         alone_err = capsys.readouterr().err.replace(str(tmp_path / "alone"), "OUT")
         # the Lagrangian frame would blow up as well, later; here it never ends
-        monkeypatch.setattr(lagrange, "run_lagrangian", lambda *a, **k: time.sleep(60))
+        _replace_lagrangian_solve(monkeypatch, lambda: time.sleep(60))
         t0 = time.perf_counter()
         assert _run(tmp_path, BLOWUP_CONFIG, tmp_path / "both") == EXIT_BLOWUP
         assert time.perf_counter() - t0 < 30
@@ -169,10 +177,10 @@ class TestFramesInWorkers:
         alone = _run(tmp_path, BLOWUP_CONFIG, tmp_path / "alone", "--frame", "lagrangian")
         assert alone == EXIT_BLOWUP
         alone_err = capsys.readouterr().err.replace(str(tmp_path / "alone"), "OUT")
-        real_run = euler.run
+        real_integrate = runner.integrate
         monkeypatch.setattr(  # an Eulerian frame that finishes before the floor is reached
-            euler, "run", lambda initial, p, d, scheme, t_end, **kw: real_run(
-                initial, p, d, scheme, 0.01, **kw))
+            runner, "integrate", lambda initial, p, d, scheme, t_end, **kw: real_integrate(
+                initial, p, d, scheme, 0.01 if initial.frame == EULERIAN else t_end, **kw))
         assert _run(tmp_path, BLOWUP_CONFIG, tmp_path / "both") == EXIT_BLOWUP
         _assert_no_children()
         err = capsys.readouterr().err.replace(str(tmp_path / "both"), "OUT").splitlines()
@@ -181,7 +189,7 @@ class TestFramesInWorkers:
         assert _tree(tmp_path / "both" / "lagrangian") == _tree(tmp_path / "alone" / "lagrangian")
 
     def test_dead_worker_is_one_line_and_exit_4(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(lagrange, "run_lagrangian", lambda *a, **k: os._exit(9))
+        _replace_lagrangian_solve(monkeypatch, lambda: os._exit(9))
         assert _run(tmp_path, SMALL_CONFIG, tmp_path / "out") == EXIT_WORKER_DIED == 4
         _assert_no_children()
         err = capsys.readouterr().err.splitlines()

@@ -14,9 +14,14 @@ from mixflow.config import (
     parse_rho_spec,
     parse_velocity_spec,
 )
+from mixflow import io
+from mixflow.cli import cli_main
 from mixflow.errors import NonPositiveDensity, ParseError, ValidationError
+from mixflow.estimates import KNOWN_AUDITS
 from mixflow.field import EULERIAN, Grid1D
 from mixflow.scenarios import CORPUS, scenario_config
+
+from test_io_cli import SMALL_CONFIG
 
 
 # INI rendering of a parsed config, for the round-trip test
@@ -259,3 +264,42 @@ class TestScenarios:
     def test_unknown_scenario(self):
         with pytest.raises(ValidationError):
             scenario_config("piston")
+
+
+# descriptors that ran, or were misread, instead of being rejected
+MALFORMED = {
+    "misspelt-gaussian-argument": ("rho", "gaussian:base=1.0,amp=0.3,center=0.4,width=0.15,wdith=9"),
+    "unknown-sine-argument": ("u1", "sine:k=1,amp=0.1,phase=3"),
+    "table-prefix": ("u1", "tablex:file=a,column=b"),
+    "repeated-argument": ("rho", "constant:value=1,value=2"),
+    "zero-gaussian-width": ("rho", "gaussian:base=1.0,amp=0.3,center=0.4,width=0"),
+}
+
+
+@pytest.mark.parametrize("key, spec", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_descriptor_exits_2_with_one_line(tmp_path, capsys, key, spec):
+    shipped = {"rho": "gaussian:base=1.0,amp=0.3,center=0.4,width=0.15", "u1": "sine:k=1,amp=0.1"}
+    cfg = tmp_path / "case.ini"
+    cfg.write_text(SMALL_CONFIG.replace(f"{key} = {shipped[key]}", f"{key} = {spec}"))
+    assert cli_main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: [initial] {key}: "), err
+
+
+def test_unknown_audit_fails_before_any_load(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "case.ini"
+    cfg.write_text(SMALL_CONFIG)
+    out = str(tmp_path / "out")
+    assert cli_main(["run", "--config", str(cfg), "--out-dir", out]) == 0
+    capsys.readouterr()
+    loads = []
+
+    def load(*args, **kwargs):
+        loads.append(args)
+        raise AssertionError("a trajectory was loaded")
+
+    monkeypatch.setattr(io, "load_trajectory", load)
+    assert cli_main(["check", "--traj", out, "--audits", "gronwall,bogus"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: unknown audit 'bogus'; known: {KNOWN_AUDITS}"]
+    assert loads == []

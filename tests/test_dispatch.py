@@ -1,0 +1,110 @@
+"""One table per dispatch.
+
+``runner.integrate`` picks the kernel from the start's frame through
+``runner.KERNELS``; ``estimates.build_report`` stacks each frame once and
+hands that stack and the frame's ledger to every audit through
+``estimates._AUDITS``.
+"""
+
+import numpy as np
+import pytest
+
+from mixflow import estimates as est
+from mixflow.errors import EmptyTrajectory, ValidationError, WrongFrame
+from mixflow.euler import EulerKernel
+from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D
+from mixflow.lagrange import LagrangeKernel, euler_to_lagrange
+from mixflow.mms import ManufacturedFields, default_params
+from mixflow.model import derive_matrices
+from mixflow.runner import integrate
+from mixflow.timestepping import CENTRAL, SchemeConfig, run_loop
+
+from conftest import smooth_state
+
+FRAMES = [EULERIAN, LAGRANGIAN]
+BUILT = {EULERIAN: EulerKernel, LAGRANGIAN: LagrangeKernel}
+
+
+def _start(frame, grid):
+    s = smooth_state(grid)
+    return s if frame == EULERIAN else euler_to_lagrange(s)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def _assert_same_states(a, b):
+    assert a.frame == b.frame and len(a) == len(b)
+    for x, y in zip(a.states, b.states):
+        assert _bits(x.time) == _bits(y.time)
+        assert np.array_equal(_bits(x.rho), _bits(y.rho))
+        assert np.array_equal(_bits(x.U), _bits(y.U))
+
+
+@pytest.mark.parametrize("frame", FRAMES)
+def test_integrate_equals_run_loop(frame, params2, derived2, grid64):
+    start = _start(frame, grid64)
+    scheme = SchemeConfig()
+    kern = BUILT[frame](start.grid, params2, derived2, scheme)
+    want = run_loop(kern, start, 0.02, scheme, 7)
+    assert len(want) >= 3
+    _assert_same_states(integrate(start, params2, derived2, scheme, 0.02, snapshot_every=7), want)
+
+
+@pytest.mark.parametrize("frame", FRAMES)
+def test_integrate_equals_run_loop_with_mms_forcing(frame):
+    params = default_params()
+    derived = derive_matrices(params)
+    d = 1.0 if frame == EULERIAN else 2.0
+    scheme = SchemeConfig(advection=CENTRAL)
+    runs = []
+    for build in (True, False):  # each with its own forcing cache
+        fields = ManufacturedFields(params=params, frame=frame, domain_length=d)
+        start = fields.state(Grid1D(d, 32))
+        if build:
+            kern = BUILT[frame](start.grid, params, derived, scheme, fields.forcing)
+            runs.append(run_loop(kern, start, 0.05, scheme, 5))
+        else:
+            runs.append(integrate(start, params, derived, scheme, 0.05, snapshot_every=5,
+                                  forcing=fields.forcing))
+    assert len(runs[0]) >= 3
+    _assert_same_states(runs[1], runs[0])
+
+
+@pytest.mark.parametrize("frame", FRAMES)
+def test_integrate_rejects_t_end_beyond_the_horizon(frame, params2, derived2, grid64):
+    with pytest.raises(ValidationError, match="exceeds T_final"):
+        integrate(_start(frame, grid64), params2, derived2, SchemeConfig(), 1.5 * params2.T_final)
+
+
+def _two_frames(params2, derived2, grid64):
+    return [integrate(_start(f, grid64), params2, derived2, SchemeConfig(), 0.05, snapshot_every=10)
+            for f in FRAMES]
+
+
+def test_one_stack_per_diagnose_and_per_frame_of_a_report(monkeypatch, params2, derived2, grid64):
+    trajs = _two_frames(params2, derived2, grid64)
+    stacked = []
+    real_stack = est._stack
+    monkeypatch.setattr(est, "_stack", lambda traj: stacked.append(traj.frame) or real_stack(traj))
+    for traj in trajs:
+        assert len(traj) >= 3
+        est.diagnose(traj, params2, derived2)
+        assert stacked == [traj.frame]
+        stacked.clear()
+    report = est.build_report(params2, derived2, eulerian=trajs[0], lagrangian=trajs[1])
+    assert all(r.verdict != est.SKIP for r in report.results.values())
+    assert sorted(stacked) == FRAMES
+
+
+def test_report_needs_each_frame_in_its_place_with_its_ledger(params2, derived2, grid64):
+    traj_e, traj_l = _two_frames(params2, derived2, grid64)
+    with pytest.raises(EmptyTrajectory):  # no ledger yet
+        est.build_report(params2, derived2, eulerian=traj_e, audits=("velocity_damping",))
+    est.diagnose(traj_e, params2, derived2)
+    est.diagnose(traj_l, params2, derived2)
+    with pytest.raises(WrongFrame):
+        est.build_report(params2, derived2, lagrangian=traj_e, audits=("velocity_damping",))
+    with pytest.raises(WrongFrame):
+        est.build_report(params2, derived2, eulerian=traj_l, audits=("density_bounds",))

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from mixflow import estimates as est
+from mixflow import runner
 from mixflow.errors import EmptyTrajectory, WrongFrame
-from mixflow.euler import SchemeConfig, run
 from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D, State, Trajectory, integrate
-from mixflow.lagrange import euler_to_lagrange, run_lagrangian
+from mixflow.lagrange import euler_to_lagrange
 from mixflow.model import derive_matrices, make_params
+from mixflow.timestepping import SchemeConfig
 
 from conftest import friction_power, smooth_state
 
@@ -19,6 +20,12 @@ def eul_state(grid, rho, U, t=0.0):
 
 def lag_state(grid, rho, U, t=0.0):
     return State(time=t, frame=LAGRANGIAN, grid=grid, rho=rho, U=U)
+
+
+def inputs(traj):
+    """What build_report hands a diagnosed trajectory's audits: its stack and
+    ledger columns."""
+    return est._stack(traj), est._ledger(traj)
 
 
 class TestEnergy:
@@ -156,42 +163,44 @@ class TestWField:
 class TestEnergyBudget:
     def test_rest_budget_constant(self, params2, derived2, grid64):
         s = eul_state(grid64, np.ones(grid64.n_nodes), np.zeros((2, grid64.n_nodes)))
-        traj = est.diagnose(run(s, params2, derived2, SchemeConfig(), 0.2,
-                                snapshot_every=20), params2, derived2)
-        r = est.audit_energy_budget(traj, params2, derived2)
+        traj = est.diagnose(runner.integrate(s, params2, derived2, SchemeConfig(), 0.2,
+                                             snapshot_every=20), params2, derived2)
+        r = est.audit_energy_budget(est._ledger(traj))
         assert r.verdict == est.PASS
         assert r.details["max_excess"] == pytest.approx(0.0, abs=1e-13)
 
     def test_decaying_run_passes(self, params2, derived2, shear_state):
-        traj = est.diagnose(run(shear_state, params2, derived2, SchemeConfig(), 0.3,
-                                snapshot_every=10), params2, derived2)
-        r = est.audit_energy_budget(traj, params2, derived2)
+        traj = est.diagnose(runner.integrate(shear_state, params2, derived2, SchemeConfig(), 0.3,
+                                             snapshot_every=10), params2, derived2)
+        r = est.audit_energy_budget(est._ledger(traj))
         assert r.verdict == est.PASS
         assert r.margin > 0
 
     def test_injected_energy_fails(self, params2, derived2, shear_state):
-        traj = est.diagnose(run(shear_state, params2, derived2, SchemeConfig(), 0.3,
-                                snapshot_every=10), params2, derived2)
+        traj = est.diagnose(runner.integrate(shear_state, params2, derived2, SchemeConfig(), 0.3,
+                                             snapshot_every=10), params2, derived2)
         traj.diagnostics[-1].energy *= 1.01  # corrupt the ledger
-        r = est.audit_energy_budget(traj, params2, derived2)
+        r = est.audit_energy_budget(est._ledger(traj))
         assert r.verdict == est.FAIL
 
     def test_empty_trajectory(self, params2, derived2, grid64):
         with pytest.raises(EmptyTrajectory):
-            est.audit_energy_budget(Trajectory(EULERIAN, grid64), params2, derived2)
+            est.build_report(params2, derived2, eulerian=Trajectory(EULERIAN, grid64),
+                             audits=("energy_budget",))
 
 
 class TestDensityBounds:
-    def test_constant_equals_mass(self, grid64):
+    def test_constant_equals_mass(self, params2, derived2, grid64):
         tr = Trajectory(EULERIAN, grid64)
         tr.append(eul_state(grid64, np.full(grid64.n_nodes, 1.3), np.zeros((2, grid64.n_nodes))))
-        r = est.audit_density_bounds(tr, 1.3)
+        r = est.audit_density_bounds(est._ledger(est.diagnose(tr, params2, derived2)), 1.3)
         assert r.verdict == est.PASS
 
-    def test_bracket_violation_detected(self, grid64):
+    def test_bracket_violation_detected(self, params2, derived2, grid64):
         tr = Trajectory(EULERIAN, grid64)
         tr.append(eul_state(grid64, np.full(grid64.n_nodes, 1.3), np.zeros((2, grid64.n_nodes))))
-        r = est.audit_density_bounds(tr, 2.0)  # d above sup(rho): corrupted
+        led = est._ledger(est.diagnose(tr, params2, derived2))
+        r = est.audit_density_bounds(led, 2.0)  # d above sup(rho): corrupted
         assert r.verdict == est.FAIL
 
 
@@ -199,7 +208,7 @@ class TestWBalanceAndGronwall:
     def _lag_run(self, params2, derived2, n=48, t_end=0.2):
         s = smooth_state(Grid1D(1.0, n))
         sl = euler_to_lagrange(s)
-        return est.diagnose(run_lagrangian(
+        return est.diagnose(runner.integrate(
             sl, params2, derived2,
             SchemeConfig(time_integrator="semi-implicit-viscosity", cfl=0.3),
             t_end, snapshot_every=2,
@@ -208,9 +217,9 @@ class TestWBalanceAndGronwall:
     def test_rest_residual_zero(self, params2, derived2):
         g = Grid1D(1.5, 32)
         sl = lag_state(g, np.full(g.n_nodes, 1.5), np.zeros((2, g.n_nodes)))
-        traj = est.diagnose(run_lagrangian(sl, params2, derived2, SchemeConfig(), 0.05,
-                                           snapshot_every=2), params2, derived2)
-        r = est.audit_w_balance(traj, params2, derived2)
+        traj = est.diagnose(runner.integrate(sl, params2, derived2, SchemeConfig(), 0.05,
+                                             snapshot_every=2), params2, derived2)
+        r = est.audit_w_balance(est._stack(traj), params2, derived2)
         assert r.details["max_residual"] <= 1e-13
 
     def test_uniform_density_equal_velocity_zero(self, derived2):
@@ -224,14 +233,14 @@ class TestWBalanceAndGronwall:
         tr = Trajectory(LAGRANGIAN, g)
         for k, t in enumerate((0.0, 0.01, 0.02)):
             tr.append(lag_state(g, np.ones(g.n_nodes), np.array([f, f]) * (1 + 0.1 * k), t=t))
-        r = est.audit_w_balance(est.diagnose(tr, p, d), p, d)
+        r = est.audit_w_balance(est._stack(est.diagnose(tr, p, d)), p, d)
         assert r.details["max_residual"] <= 1e-13
 
     def test_wbalance_residual_refines(self, params2, derived2):
         res = []
         for n in (32, 64):
             traj = self._lag_run(params2, derived2, n=n)
-            r = est.audit_w_balance(traj, params2, derived2)
+            r = est.audit_w_balance(est._stack(traj), params2, derived2)
             settle = [abs(x) for t, x in zip(r.details["times"], r.details["residuals"])
                       if t >= 0.05]
             res.append(max(settle))
@@ -239,29 +248,29 @@ class TestWBalanceAndGronwall:
 
     def test_gronwall_passes_generic(self, params2, derived2):
         traj = self._lag_run(params2, derived2)
-        r = est.audit_gronwall_chain(traj, params2, derived2)
+        r = est.audit_gronwall_chain(est._stack(traj), params2, derived2)
         assert r.verdict == est.PASS
         assert r.margin > 0
 
     def test_gronwall_rest_passes(self, params2, derived2):
         g = Grid1D(1.5, 32)
         sl = lag_state(g, np.full(g.n_nodes, 1.5), np.zeros((2, g.n_nodes)))
-        traj = est.diagnose(run_lagrangian(sl, params2, derived2, SchemeConfig(), 0.05,
-                                           snapshot_every=2), params2, derived2)
-        r = est.audit_gronwall_chain(traj, params2, derived2)
+        traj = est.diagnose(runner.integrate(sl, params2, derived2, SchemeConfig(), 0.05,
+                                             snapshot_every=2), params2, derived2)
+        r = est.audit_gronwall_chain(est._stack(traj), params2, derived2)
         assert r.verdict == est.PASS
 
     def test_pointwise_bounds_hold(self, params2, derived2):
         traj = self._lag_run(params2, derived2)
-        r = est.audit_pointwise_bounds(traj)
+        r = est.audit_pointwise_bounds(*inputs(traj))
         assert r.verdict == est.PASS
 
 
 class TestAlpha:
     def test_rest_alpha_zero(self, params2, derived2, grid64):
         s = eul_state(grid64, np.ones(grid64.n_nodes), np.zeros((2, grid64.n_nodes)))
-        traj = est.diagnose(run(s, params2, derived2, SchemeConfig(), 0.1,
-                                snapshot_every=10), params2, derived2)
+        traj = est.diagnose(runner.integrate(s, params2, derived2, SchemeConfig(), 0.1,
+                                             snapshot_every=10), params2, derived2)
         a = np.array([rec.alpha for rec in traj.diagnostics])
         assert np.abs(a).max() <= 1e-20
 
@@ -289,9 +298,9 @@ class TestAlpha:
         assert np.allclose(a, 4.0 + 1120.0 * np.array(times), atol=1e-10)
 
     def test_alpha_growth_audit_passes(self, params2, derived2, shear_state):
-        traj = est.diagnose(run(shear_state, params2, derived2, SchemeConfig(), 0.3,
-                                snapshot_every=10), params2, derived2)
-        r = est.audit_alpha_growth(traj, params2, derived2)
+        traj = est.diagnose(runner.integrate(shear_state, params2, derived2, SchemeConfig(), 0.3,
+                                             snapshot_every=10), params2, derived2)
+        r = est.audit_alpha_growth(*inputs(traj), params2, derived2)
         assert r.verdict == est.PASS
         assert math.isfinite(r.details["sup_alpha"])
         assert r.details["gronwall_ceiling"] >= r.details["sup_alpha"] * 0.99
@@ -299,9 +308,9 @@ class TestAlpha:
 
 class TestDerivativeNorms:
     def test_report_finite_for_smooth_run(self, params2, derived2, shear_state):
-        traj = est.diagnose(run(shear_state, params2, derived2, SchemeConfig(), 0.2,
-                                snapshot_every=10), params2, derived2)
-        r = est.derivative_norm_report(traj, params2)
+        traj = est.diagnose(runner.integrate(shear_state, params2, derived2, SchemeConfig(), 0.2,
+                                             snapshot_every=10), params2, derived2)
+        r = est.derivative_norm_report(*inputs(traj))
         assert r.verdict == est.PASS
         for v in r.details.values():
             assert math.isfinite(v)
@@ -309,27 +318,27 @@ class TestDerivativeNorms:
     def test_resolution_stability(self, params2, derived2):
         values = []
         for n in (128, 256):
-            traj = est.diagnose(run(smooth_state(Grid1D(1.0, n)), params2, derived2,
-                                    SchemeConfig(time_integrator="semi-implicit-viscosity",
-                                                 cfl=0.3),
-                                    0.2, snapshot_every=4), params2, derived2)
-            values.append(est.derivative_norm_report(traj, params2).details)
+            traj = est.diagnose(runner.integrate(smooth_state(Grid1D(1.0, n)), params2, derived2,
+                                                 SchemeConfig(time_integrator="semi-implicit-viscosity",
+                                                              cfl=0.3),
+                                                 0.2, snapshot_every=4), params2, derived2)
+            values.append(est.derivative_norm_report(*inputs(traj)).details)
         for key in ("sup_grad_u_l2", "rho_x_sup_l2", "u_l2_linf"):
             assert values[0][key] == pytest.approx(values[1][key], rel=0.05)
 
 
 class TestRecordsAndReport:
     def test_attach_time_fields(self, params2, derived2, shear_state):
-        traj = est.diagnose(run(shear_state, params2, derived2, SchemeConfig(), 0.1,
-                                snapshot_every=10), params2, derived2)
+        traj = est.diagnose(runner.integrate(shear_state, params2, derived2, SchemeConfig(), 0.1,
+                                             snapshot_every=10), params2, derived2)
         for rec in traj.diagnostics:  # attached by diagnose
             assert rec.dt_rho_l2 is not None and math.isfinite(rec.dt_rho_l2)
             assert rec.alpha is not None
             assert rec.identity_residual is None  # Eulerian
 
     def test_build_report_skips_missing_frames(self, params2, derived2, shear_state):
-        traj = est.diagnose(run(shear_state, params2, derived2, SchemeConfig(), 0.1,
-                                snapshot_every=10), params2, derived2)
+        traj = est.diagnose(runner.integrate(shear_state, params2, derived2, SchemeConfig(), 0.1,
+                                             snapshot_every=10), params2, derived2)
         rep = est.build_report(params2, derived2, eulerian=traj)
         assert rep.results["w_balance"].verdict == est.SKIP
         assert rep.results["energy_budget"].verdict == est.PASS
@@ -339,10 +348,10 @@ class TestRecordsAndReport:
 
     def test_build_report_skip_reasons(self, params2, derived2, shear_state):
         scheme = SchemeConfig()
-        traj_e = est.diagnose(run(shear_state, params2, derived2, scheme, 0.1,
-                                  snapshot_every=10), params2, derived2)
-        traj_l = est.diagnose(run_lagrangian(euler_to_lagrange(shear_state), params2, derived2,
-                                             scheme, 0.1, snapshot_every=10), params2, derived2)
+        traj_e = est.diagnose(runner.integrate(shear_state, params2, derived2, scheme, 0.1,
+                                               snapshot_every=10), params2, derived2)
+        traj_l = est.diagnose(runner.integrate(euler_to_lagrange(shear_state), params2, derived2,
+                                               scheme, 0.1, snapshot_every=10), params2, derived2)
 
         def reasons(**trajs):
             rep = est.build_report(params2, derived2, **trajs)
@@ -373,7 +382,7 @@ class TestRecordsAndReport:
             tr = Trajectory(frame, grid64)
             tr.append(State(time=0.0, frame=frame, grid=grid64,
                             rho=rho, U=np.zeros((2, grid64.n_nodes))))
-            return tr
+            return est.diagnose(tr, params2, derived2)
 
         def bounds(lag_rho):
             rep = est.build_report(params2, derived2,
@@ -390,16 +399,16 @@ class TestRecordsAndReport:
         assert failing.verdict == est.FAIL and failing.details["rho_inf"] == 2.0
 
     def test_report_dict_shape(self, params2, derived2, shear_state):
-        traj = est.diagnose(run(shear_state, params2, derived2, SchemeConfig(), 0.1,
-                                snapshot_every=10), params2, derived2)
+        traj = est.diagnose(runner.integrate(shear_state, params2, derived2, SchemeConfig(), 0.1,
+                                             snapshot_every=10), params2, derived2)
         rep = est.build_report(params2, derived2, eulerian=traj)
         dd = rep.to_dict()
         assert set(dd) == {"passed", "audits", "empirical_constants"}
         assert "gronwall" in dd["audits"]
 
     def test_audits_are_deterministic(self, params2, derived2, shear_state):
-        traj = est.diagnose(run(shear_state, params2, derived2, SchemeConfig(), 0.1,
-                                snapshot_every=10), params2, derived2)
-        r1 = est.audit_energy_budget(traj, params2, derived2)
-        r2 = est.audit_energy_budget(traj, params2, derived2)
+        traj = est.diagnose(runner.integrate(shear_state, params2, derived2, SchemeConfig(), 0.1,
+                                             snapshot_every=10), params2, derived2)
+        r1 = est.audit_energy_budget(est._ledger(traj))
+        r2 = est.audit_energy_budget(est._ledger(traj))
         assert r1.margin == r2.margin and r1.details == r2.details

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from mixflow import estimates
+from mixflow import estimates, runner
 from mixflow.errors import DensityFloor, ValidationError
-from mixflow.euler import CENTRAL, UPWIND, EulerKernel, SchemeConfig, run
+from mixflow.euler import EulerKernel
 from mixflow.field import EULERIAN, Grid1D, State, integrate, l2_norm, total_mass
 from mixflow.model import derive_matrices, make_params
-from mixflow.timestepping import SEMI_IMPLICIT, step_once
+from mixflow.timestepping import CENTRAL, SEMI_IMPLICIT, UPWIND, SchemeConfig, step_once
 
 from conftest import euler_tendencies, stack
 
@@ -164,18 +164,18 @@ class TestStep:
 
 class TestRun:
     def test_rest_long_run_identity(self, params2, derived2, grid64):
-        traj = run(rest_state(grid64), params2, derived2, SchemeConfig(), t_end=1.0,
-                   snapshot_every=200)
+        traj = runner.integrate(rest_state(grid64), params2, derived2, SchemeConfig(), t_end=1.0,
+                                snapshot_every=200)
         assert traj.final.time == pytest.approx(1.0, abs=1e-12)
         assert np.abs(traj.final.rho - 1.0).max() <= 1e-12
         assert np.abs(traj.final.U).max() <= 1e-12
 
     def test_t_end_capped_by_horizon(self, params2, derived2, grid64):
         with pytest.raises(ValidationError):
-            run(rest_state(grid64), params2, derived2, SchemeConfig(), t_end=5.0)
+            runner.integrate(rest_state(grid64), params2, derived2, SchemeConfig(), t_end=5.0)
 
     def test_mass_conservation_and_bcs(self, params2, derived2, shear_state):
-        traj = run(shear_state, params2, derived2, SchemeConfig(), t_end=0.25, snapshot_every=25)
+        traj = runner.integrate(shear_state, params2, derived2, SchemeConfig(), t_end=0.25, snapshot_every=25)
         m0 = total_mass(traj.states[0])
         for s in traj.states:
             assert abs(total_mass(s) - m0) <= 1e-10 * m0
@@ -191,14 +191,14 @@ class TestRun:
         f[[0, -1]] = 0.0
         s = State(time=0.0, frame=EULERIAN, grid=grid64,
                   rho=1.0 + 0.2 * np.exp(-(((x - 0.5) / 0.2) ** 2)), U=np.array([f, f]))
-        traj = run(s, p, d, SchemeConfig(), t_end=0.5, snapshot_every=100)
+        traj = runner.integrate(s, p, d, SchemeConfig(), t_end=0.5, snapshot_every=100)
         for st in traj.states:
             assert np.abs(st.U[0] - st.U[1]).max() <= 1e-10
 
     def test_per_step_energy_decay_semi_implicit(self, params2, derived2, shear_state):
         scheme = SchemeConfig(time_integrator="semi-implicit-viscosity")
-        traj = estimates.diagnose(run(shear_state, params2, derived2, scheme, t_end=0.3,
-                                      snapshot_every=1), params2, derived2)
+        traj = estimates.diagnose(runner.integrate(shear_state, params2, derived2, scheme, t_end=0.3,
+                                                   snapshot_every=1), params2, derived2)
         e = np.array([r.energy for r in traj.diagnostics])
         tol_step = 1e-8 * e[0]
         assert np.all(np.diff(e) <= tol_step)
@@ -218,7 +218,7 @@ class TestRun:
         scheme = SchemeConfig(advection=CENTRAL)
         finals = {}
         for n in (32, 64, 128):
-            traj = run(initial(n), params2, derived2, scheme, t_end=0.1, snapshot_every=10**9)
+            traj = runner.integrate(initial(n), params2, derived2, scheme, t_end=0.1, snapshot_every=10**9)
             finals[n] = traj.final
 
         def dist(a, b):
@@ -249,6 +249,6 @@ class TestRun:
 
         scheme = SchemeConfig(cfl=1.0, artificial_floor=9e-5)
         with pytest.raises(SolverBlowup) as exc_info:
-            run(s, p, d, scheme, t_end=5.0, snapshot_every=1)
+            runner.integrate(s, p, d, scheme, t_end=5.0, snapshot_every=1)
         assert exc_info.value.trajectory is not None
         assert len(exc_info.value.trajectory) >= 1

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mixflow.errors import DensityFloor, NonFinite, SolverBlowup, ValidationError
-from mixflow.euler import CENTRAL, UPWIND, EulerKernel, SchemeConfig
+from mixflow.euler import EulerKernel
 from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D, State, Trajectory, sbp_derivative
 from mixflow.lagrange import LagrangeKernel
 from mixflow.mms import ManufacturedFields
@@ -25,9 +25,12 @@ from mixflow.model import derive_matrices, make_params
 from mixflow.timestepping import (
     _ARS_DELTA,
     _ARS_GAMMA,
+    CENTRAL,
     RK2,
     RK4,
     SEMI_IMPLICIT,
+    UPWIND,
+    SchemeConfig,
     run_loop,
     step_once,
 )

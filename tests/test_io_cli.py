@@ -12,11 +12,10 @@ from mixflow import estimates, io
 from mixflow.errors import FileFormatError
 from mixflow.cli import _apply_overrides, _build_parser, cli_main
 from mixflow.config import parse_config
-from mixflow.euler import SchemeConfig, run
 from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D, State
 from mixflow.model import derive_matrices
-from mixflow.runner import execute, save_result
-from mixflow.timestepping import SEMI_IMPLICIT
+from mixflow.runner import execute, integrate, save_result
+from mixflow.timestepping import SEMI_IMPLICIT, SchemeConfig
 
 SMALL_CONFIG = """
 [params]
@@ -56,8 +55,8 @@ def small_run(tmp_path_factory):
 
 class TestTrajectoryIO:
     def test_round_trip(self, params2, derived2, shear_state, tmp_path):
-        traj = estimates.diagnose(run(shear_state, params2, derived2, SchemeConfig(), 0.1,
-                                      snapshot_every=10), params2, derived2)
+        traj = estimates.diagnose(integrate(shear_state, params2, derived2, SchemeConfig(), 0.1,
+                                            snapshot_every=10), params2, derived2)
         io.save_trajectory(str(tmp_path), traj, params2, SchemeConfig())
         back, params_back, manifest = io.load_trajectory(str(tmp_path))
         assert params_back == params2

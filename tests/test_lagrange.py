@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
-from mixflow import estimates, euler
+from mixflow import estimates, runner
 from mixflow.errors import DomainLengthDrift, ValidationError, WrongFrame
-from mixflow.euler import CENTRAL, SchemeConfig
 from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D, State, diff, integrate, l2_norm
 from mixflow.lagrange import (
     LagrangeKernel,
     euler_to_lagrange,
     _cumulative_trapezoid,
     lagrange_to_euler,
-    run_lagrangian,
 )
 from mixflow.model import derive_matrices, make_params
-from mixflow.timestepping import step_once
+from mixflow.timestepping import CENTRAL, SchemeConfig, step_once
 
 from conftest import euler_tendencies, lagrange_tendencies, smooth_state, stack
 
@@ -216,7 +214,7 @@ class TestRhs:
 class TestRun:
     def test_rest_fixed_point(self, params2, derived2):
         s = lagrangian_rest(Grid1D(2.0, 64))
-        traj = run_lagrangian(s, params2, derived2, SchemeConfig(), t_end=0.5, snapshot_every=100)
+        traj = runner.integrate(s, params2, derived2, SchemeConfig(), t_end=0.5, snapshot_every=100)
         assert np.abs(traj.final.rho - 2.0).max() <= 1e-12
         assert np.abs(traj.final.U).max() <= 1e-12
 
@@ -230,13 +228,13 @@ class TestRun:
         U = Y[1:]
         assert dt > 0
         assert np.all(U[:, [0, -1]] == 0.0)
-        first = run_lagrangian(sl, params2, derived2, scheme, t_end=dt, snapshot_every=1).final
+        first = runner.integrate(sl, params2, derived2, scheme, t_end=dt, snapshot_every=1).final
         assert first.time == dt
         assert np.array_equal(first.rho, rho) and np.array_equal(first.U, U)
 
     def test_volume_exactly_conserved(self, params2, derived2, shear_state):
         sl = euler_to_lagrange(shear_state)
-        traj = run_lagrangian(sl, params2, derived2, SchemeConfig(), t_end=0.3, snapshot_every=20)
+        traj = runner.integrate(sl, params2, derived2, SchemeConfig(), t_end=0.3, snapshot_every=20)
         vol0 = integrate(1.0 / np.asarray(traj.states[0].rho), sl.grid)
         for s in traj.states:
             assert integrate(1.0 / np.asarray(s.rho), sl.grid) == pytest.approx(vol0, abs=1e-13)
@@ -244,7 +242,7 @@ class TestRun:
     def test_mean_value_bracket(self, params2, derived2, shear_state):
         sl = euler_to_lagrange(shear_state)
         d = sl.grid.domain_length
-        traj = run_lagrangian(sl, params2, derived2, SchemeConfig(), t_end=0.3, snapshot_every=20)
+        traj = runner.integrate(sl, params2, derived2, SchemeConfig(), t_end=0.3, snapshot_every=20)
         for s in traj.states:
             assert s.rho.min() <= d <= s.rho.max()
 
@@ -262,8 +260,8 @@ class TestRun:
             U[:, 0] = 0.0
             U[:, -1] = 0.0
             sl = State(time=0.0, frame=LAGRANGIAN, grid=g, rho=rho, U=U)
-            traj = estimates.diagnose(run_lagrangian(sl, params2, derived2, scheme, t_end=0.15,
-                                                     snapshot_every=2), params2, derived2)
+            traj = estimates.diagnose(runner.integrate(sl, params2, derived2, scheme, t_end=0.15,
+                                                       snapshot_every=2), params2, derived2)
             late = [r.identity_residual for r in traj.diagnostics[1:-1]
                     if r.time >= 0.25 * 0.15]
             res.append(max(late))
@@ -278,10 +276,10 @@ class TestRun:
         for n in (32, 64, 128):
             s = smooth_state(Grid1D(1.0, n))
             scheme = SchemeConfig(advection=CENTRAL)
-            traj_e = euler.run(s, params2, derived2, scheme, t_end=0.2, snapshot_every=10**9)
+            traj_e = runner.integrate(s, params2, derived2, scheme, t_end=0.2, snapshot_every=10**9)
             from_e = euler_to_lagrange(traj_e.final)
-            traj_l = run_lagrangian(euler_to_lagrange(s), params2, derived2, scheme,
-                                    t_end=0.2, snapshot_every=10**9)
+            traj_l = runner.integrate(euler_to_lagrange(s), params2, derived2, scheme,
+                                      t_end=0.2, snapshot_every=10**9)
             sl = traj_l.final
             # both live on uniform mass grids over (0, d) with matching n
             err = l2_norm(from_e.rho - sl.rho, sl.grid) ** 2

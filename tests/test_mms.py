@@ -1,10 +1,10 @@
 import numpy as np
 
-from mixflow import euler
-from mixflow.euler import CENTRAL, UPWIND, SchemeConfig
 from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D
 from mixflow.mms import ManufacturedFields, default_params, mms_study
 from mixflow.model import derive_matrices
+from mixflow.runner import integrate
+from mixflow.timestepping import CENTRAL, UPWIND, SchemeConfig
 
 from conftest import euler_tendencies, lagrange_tendencies
 
@@ -20,7 +20,7 @@ class TestForcing:
         assert np.abs(s_rho).max() <= 1e-15
         assert np.abs(s_u).max() <= 1e-15
         d = derive_matrices(p)
-        traj = euler.run(fields.state(g), p, d, SchemeConfig(), 0.1,
+        traj = integrate(fields.state(g), p, d, SchemeConfig(), 0.1,
                          snapshot_every=10**9, forcing=fields.forcing)
         assert np.abs(traj.final.rho - 2.0).max() <= 1e-12
         assert np.abs(traj.final.U).max() <= 1e-12

@@ -15,12 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixflow.errors import ValidationError
-from mixflow.euler import EulerKernel, SchemeConfig
+from mixflow.euler import EulerKernel
 from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D
 from mixflow.lagrange import LagrangeKernel
 from mixflow.mms import ManufacturedFields, default_params
 from mixflow.model import derive_matrices, make_params
-from mixflow.timestepping import RK2, run_loop
+from mixflow.timestepping import RK2, SchemeConfig, run_loop
 
 # ---------------------------------------------------------------------------
 # reference: the closed form, evaluated from scratch on every call

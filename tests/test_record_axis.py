@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 import estimates_reference as ref
 from mixflow import estimates as est
 from mixflow.config import make_initial
-from mixflow.euler import run
 from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D, State, Trajectory
-from mixflow.lagrange import euler_to_lagrange, run_lagrangian
+from mixflow.lagrange import euler_to_lagrange
 from mixflow.model import derive_matrices, make_params
+from mixflow.runner import integrate
 from mixflow.scenarios import CORPUS, scenario_config
 
 
@@ -111,11 +111,12 @@ def test_record_axis_matches_per_record_loops(seed, n_comp, n_cells, n_rec):
     assert all(r.verdict != est.SKIP for r in report.results.values())
     _assert_same(report.to_dict(), expected.to_dict())
     for frame in new:  # the frame-less functionals on the other frame as well
-        _assert_same(est.empirical_constants(new[frame], params),
+        inputs = est._stack(new[frame]), est._ledger(new[frame])
+        _assert_same(est.empirical_constants(*inputs, params),
                      ref.empirical_constants(old[frame], params))
         for name in ("density_bounds", "velocity_damping"):
             call_new, call_old = est._AUDITS[name][2], ref._AUDITS[name][2]
-            _assert_same(call_new(new[frame], params, derived, 1.0).to_dict(),
+            _assert_same(call_new(*inputs, params, derived, 1.0).to_dict(),
                          call_old(old[frame], params, derived, 1.0).to_dict())
 
 
@@ -126,8 +127,8 @@ def test_diagnose_matches_the_oracle_on_solver_runs(name):
     rc = scenario_config(name)
     derived = derive_matrices(rc.params)
     initial = make_initial(rc.initial, Grid1D(1.0, rc.n_cells))
-    for solver, start in ((run, initial), (run_lagrangian, euler_to_lagrange(initial))):
-        traj = solver(start, rc.params, derived, rc.scheme, 0.01, snapshot_every=2)
+    for start in (initial, euler_to_lagrange(initial)):
+        traj = integrate(start, rc.params, derived, rc.scheme, 0.01, snapshot_every=2)
         assert len(traj) >= 3
         new, old = _diagnose_both(traj, rc.params, derived)
         _assert_same_records(new.diagnostics, old.diagnostics)

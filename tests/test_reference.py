@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from mixflow.errors import NonPositiveEntry
-from mixflow.euler import SchemeConfig, run
 from mixflow.field import EULERIAN, Grid1D, State, l2_norm, total_mass
 from mixflow.model import derive_matrices, make_params
-from mixflow.reference import single_fluid_params, single_fluid_reference
+from mixflow.runner import integrate
+from mixflow.timestepping import SchemeConfig
+
+from reference import single_fluid_params, single_fluid_reference
 
 
 def bump_initial(n):
@@ -45,7 +47,7 @@ class TestSingleFluid:
         g, rho, u = bump_initial(96)
         s = State(time=0.0, frame=EULERIAN, grid=g, rho=rho, U=np.array([u, u, u]))
         scheme = SchemeConfig()
-        traj_mix = run(s, p, d, scheme, 0.4, snapshot_every=50)
+        traj_mix = integrate(s, p, d, scheme, 0.4, snapshot_every=50)
         traj_one = single_fluid_reference(rho, u, K=1.0, gamma=1.4, mu=mu,
                                           scheme=scheme, grid=g, t_end=0.4,
                                           snapshot_every=50)

@@ -10,11 +10,11 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_banded
 
 from mixflow.errors import NonFinite
-from mixflow.euler import EulerKernel, SchemeConfig
+from mixflow.euler import EulerKernel
 from mixflow.field import Grid1D
 from mixflow.lagrange import LagrangeKernel
 from mixflow.model import derive_matrices, make_params
-from mixflow.timestepping import SEMI_IMPLICIT, run_loop
+from mixflow.timestepping import SEMI_IMPLICIT, SchemeConfig, run_loop
 
 IMEX = SchemeConfig(time_integrator=SEMI_IMPLICIT)
 KERNELS = (EulerKernel, LagrangeKernel)
