@@ -8,7 +8,7 @@ bounds, log-density balance, derivative norms) along every run.
 
 from . import config, errors, estimates, euler, field, io, lagrange, mms, model, runner, scenarios
 from .config import InitialData, RunConfig, make_initial, parse_config
-from .estimates import DiagnosticsRecord, EstimateReport
+from .estimates import EstimateReport
 from .field import EULERIAN, LAGRANGIAN, Grid1D, State, Trajectory
 from .model import DerivedMatrices, MixtureParams, derive_matrices, make_params, validate_params
 from .timestepping import CENTRAL, UPWIND, SchemeConfig
@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CENTRAL",
     "DerivedMatrices",
-    "DiagnosticsRecord",
     "EstimateReport",
     "EULERIAN",
     "Grid1D",

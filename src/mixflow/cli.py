@@ -140,9 +140,8 @@ def _ledger_mismatch(stored, fresh) -> tuple[int, str] | None:
     recomputation, in row order; None when all agree.  Two values agree when
     they are identical (equal infinities, or both NaN) or finite and within
     a relative 1e-9."""
-    names = estimates.DiagnosticsRecord.STATE_FIELDS
-    a, b = (np.array([[getattr(r, f) for f in names] for r in recs], dtype=float)
-            for recs in (stored, fresh))
+    names = estimates.STATE_FIELDS
+    a, b = (np.column_stack([led[f] for f in names]) for led in (stored, fresh))
     with np.errstate(invalid="ignore", over="ignore"):
         close = np.isfinite(b) & (np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b)))
     bad = np.argwhere(~((a == b) | (np.isnan(a) & np.isnan(b)) | close))
@@ -166,13 +165,13 @@ def _cmd_check(args) -> int:
     recomputed = {}
     for traj, _, stored in loaded:
         frame, fresh = traj.frame, traj.diagnostics
-        if len(stored) != len(fresh):
+        if len(stored.get("time", ())) != len(traj):
             print(f"{frame}: diagnostics rows != snapshots", file=sys.stderr)
             ledger_ok = False
         elif (bad := _ledger_mismatch(stored, fresh)) is not None:
             k, name = bad
-            print(f"{frame}: stored {name} row {k} = {getattr(stored[k], name)!r} "
-                  f"!= recomputed {getattr(fresh[k], name)!r}", file=sys.stderr)
+            print(f"{frame}: stored {name} row {k} = {stored[name][k].item()!r} "
+                  f"!= recomputed {fresh[name][k].item()!r}", file=sys.stderr)
             ledger_ok = False
         recomputed[frame] = traj
 

@@ -134,6 +134,14 @@ def _no_more(kv: dict[str, str], context: str, kind: str):
         raise ParseError(f"{context}: unknown argument {next(iter(kv))!r} for {kind!r}")
 
 
+def _finite(kv: dict[str, str], name: str, context: str) -> float:
+    """The number ``kv[name]``, removed from ``kv``; a non-finite one is rejected."""
+    value = float(kv.pop(name))
+    if not math.isfinite(value):
+        raise ParseError(f"{context}: {name} must be finite, got {value}")
+    return value
+
+
 #: the float arguments of each analytic density descriptor, in order
 _RHO_ARGS = {"constant": ("value",), "affine": ("base", "slope"),
              "gaussian": ("base", "amp", "center", "width")}
@@ -145,7 +153,7 @@ def parse_rho_spec(text: str, context: str = "rho") -> RhoSpec:
     kv = _parse_kv(body, context)
     try:
         if kind in _RHO_ARGS:
-            args = tuple((name, float(kv.pop(name))) for name in _RHO_ARGS[kind])
+            args = tuple((name, _finite(kv, name, context)) for name in _RHO_ARGS[kind])
         elif kind == "table":
             args = (("file", kv.pop("file")), ("column", kv.pop("column", "rho")))
         else:
@@ -181,7 +189,7 @@ def parse_velocity_spec(text: str, context: str = "u") -> VelocitySpec:
             raise ParseError(f"{context}: unknown velocity descriptor {kind.strip()!r}")
         kv = _parse_kv(body, context)
         try:
-            modes.append((int(kv.pop("k")), float(kv.pop("amp"))))
+            modes.append((int(kv.pop("k")), _finite(kv, "amp", context)))
         except (KeyError, ValueError) as exc:
             raise ParseError(f"{context}: bad sine mode ({exc})") from None
         _no_more(kv, context, "sine")

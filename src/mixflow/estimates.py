@@ -89,13 +89,11 @@ def _stack(traj: Trajectory) -> Records:
 
 
 def _ledger(traj: Trajectory) -> dict[str, np.ndarray]:
-    """The diagnostics of ``traj`` as one float column per record field, NaN
-    where a field is None; a trajectory without one row per state raises."""
-    recs = traj.diagnostics
-    if not recs or len(recs) != len(traj):
-        raise EmptyTrajectory(f"{len(recs)} diagnostics records for {len(traj)} states")
-    rows = np.array([[getattr(r, f) for f in DiagnosticsRecord.FIELDS] for r in recs], dtype=float)
-    return dict(zip(DiagnosticsRecord.FIELDS, rows.T.copy()))
+    """The ledger of ``traj``; a trajectory without one row per state raises."""
+    rows = len(traj.diagnostics.get("time", ()))
+    if not rows or rows != len(traj):
+        raise EmptyTrajectory(f"{rows} diagnostics records for {len(traj)} states")
+    return traj.diagnostics
 
 
 def energy(state: State | Records, params: MixtureParams) -> float | np.ndarray:
@@ -145,30 +143,24 @@ def _x_weight(state: State | Records) -> np.ndarray | float:
     return 1.0 if state.frame == EULERIAN else 1.0 / state.rho
 
 
+def _pairs(n: int, ordered: bool = True):
+    """The component pairs (i, j), i != j, in row order; i < j only unless
+    ``ordered``.  Sums over them start from 0.0 and add in this order."""
+    return ((i, j) for i in range(n) for j in range(0 if ordered else i + 1, n) if i != j)
+
+
 def friction_dissipation(state: State | Records, params: MixtureParams) -> float | np.ndarray:
     """0.5 sum_ij A[i,j] int (u_i - u_j)^2 dx (dy/rho in mass coordinates)."""
-    g = state.grid
-    U = state.U
-    wgt = _x_weight(state)
-    total = 0.0
-    for i in range(params.N):
-        for j in range(i + 1, params.N):
-            total += params.A[i, j] * integrate((U[..., i, :] - U[..., j, :]) ** 2 * wgt, g)
-    return total  # = 0.5 * sum over ordered pairs
+    U, wgt = state.U, _x_weight(state)
+    return sum((params.A[i, j] * integrate((U[..., i, :] - U[..., j, :]) ** 2 * wgt, state.grid)
+                for i, j in _pairs(params.N, ordered=False)), 0.0)
 
 
 def pairwise_velocity_gap_sq(state: State | Records) -> float | np.ndarray:
     """sum_ij int (u_i - u_j)^2 dx (unweighted, both orders)."""
-    g = state.grid
-    U = state.U
-    wgt = _x_weight(state)
-    n = U.shape[-2]
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                total += integrate((U[..., i, :] - U[..., j, :]) ** 2 * wgt, g)
-    return total
+    U, wgt = state.U, _x_weight(state)
+    return sum((integrate((U[..., i, :] - U[..., j, :]) ** 2 * wgt, state.grid)
+                for i, j in _pairs(U.shape[-2])), 0.0)
 
 
 def w_field(state: State | Records) -> np.ndarray:
@@ -208,41 +200,23 @@ def grad_rho_l2_eulerian(state: State | Records) -> float | np.ndarray:
 # per-record diagnostics
 
 
-@dataclass
-class DiagnosticsRecord:
-    """One row of the diagnostics table.
-
-    ``alpha`` (Eulerian), ``identity_residual`` (Lagrangian) and ``dt_rho_l2``
-    need time differences across snapshots and are attached after the run by
-    :func:`attach_time_fields`; they stay None where not applicable.
-    """
-
-    time: float
-    energy: float
-    dissipation_visc: float
-    dissipation_fric: float
-    rho_min: float
-    rho_max: float
-    w_norm: float
-    grad_rho_l2: float
-    u_linf: float
-    dt_rho_l2: float | None = None
-    alpha: float | None = None
-    identity_residual: float | None = None
-
-    #: the fields diagnose fills from each state alone
-    STATE_FIELDS = (
-        "time", "energy", "dissipation_visc", "dissipation_fric", "rho_min",
-        "rho_max", "w_norm", "grad_rho_l2", "u_linf",
-    )
-    FIELDS = STATE_FIELDS + ("dt_rho_l2", "alpha", "identity_residual")
+#: the ledger's fields that diagnose fills from each state alone
+STATE_FIELDS = (
+    "time", "energy", "dissipation_visc", "dissipation_fric", "rho_min",
+    "rho_max", "w_norm", "grad_rho_l2", "u_linf",
+)
+#: then the time fields, which need snapshot differences and so at least two
+#: records: dt_rho_l2, alpha (Eulerian only) and identity_residual
+#: (Lagrangian only); a ledger lacks those that do not apply
+FIELDS = STATE_FIELDS + ("dt_rho_l2", "alpha", "identity_residual")
 
 
 def diagnose(traj: Trajectory, params: MixtureParams, derived: DerivedMatrices) -> Trajectory:
-    """Fill ``traj.diagnostics``, one record per state, and return ``traj``.
+    """Fill ``traj.diagnostics``, the ledger, and return ``traj``.
 
-    The state fields come from one stack of the trajectory, as array ops
-    along the last axis; with at least two records the time fields are then
+    The ledger holds one float column per field with one row per state.  The
+    state fields come from one stack of the trajectory, as array ops along
+    the last axis; with at least two records the time fields are then
     attached from the same stack by :func:`attach_time_fields`.
     """
     if not len(traj):
@@ -253,13 +227,13 @@ def diagnose(traj: Trajectory, params: MixtureParams, derived: DerivedMatrices) 
         st.rho.min(axis=-1), st.rho.max(axis=-1), w_norm(st), grad_rho_l2_eulerian(st),
         np.abs(st.U).max(axis=-1).max(axis=-1),
     )
-    traj.diagnostics = [DiagnosticsRecord(*row) for row in np.column_stack(cols).tolist()]
+    traj.diagnostics = dict(zip(STATE_FIELDS, np.array(cols, dtype=float)))
     if len(traj) >= 2:
         attach_time_fields(traj, st, params)
     return traj
 
 
-def make_record(state: State, params: MixtureParams, derived: DerivedMatrices) -> DiagnosticsRecord:
+def make_record(state: State, params: MixtureParams, derived: DerivedMatrices) -> dict[str, float]:
     """The state fields of one state: :func:`diagnose` on a one-record trajectory.
 
     The program does not call it; it is kept because the benchmark's probe
@@ -267,7 +241,7 @@ def make_record(state: State, params: MixtureParams, derived: DerivedMatrices) -
     """
     one = Trajectory(state.frame, state.grid)
     one.append(state)
-    return diagnose(one, params, derived).diagnostics[0]
+    return {name: col.item() for name, col in diagnose(one, params, derived).diagnostics.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +304,7 @@ def _sum_sq(X: np.ndarray) -> np.ndarray:
 
 
 def attach_time_fields(traj: Trajectory, st: Records, params: MixtureParams):
-    """Fill the snapshot-difference diagnostics of ``traj``, whose stack is
-    ``st``, on its existing records."""
+    """Add the time fields of ``traj``, whose stack is ``st``, to its ledger."""
     g = st.grid
     fields = {"dt_rho_l2": l2_norm(time_derivative_series(st.times, st.rho), g)}
     if traj.frame == LAGRANGIAN:
@@ -340,9 +313,7 @@ def attach_time_fields(traj: Trajectory, st: Records, params: MixtureParams):
         fields["identity_residual"] = l2_norm(st.rho * dv + dln_dt, g)
     else:
         fields["alpha"] = _alpha(st, params)
-    for name, values in fields.items():
-        for rec, value in zip(traj.diagnostics, values.tolist()):
-            setattr(rec, name, value)
+    traj.diagnostics.update(fields)
     return traj
 
 
@@ -445,12 +416,8 @@ def audit_w_balance(st: Records, params: MixtureParams, derived: DerivedMatrices
     rho_f = face_mean(st.rho[1:-1])
     pressure = ktg * g.h * (rho_f**gam * w**2).sum(axis=-1)
     dvw = g.h * (face_mean(dv_dt) * w).sum(axis=-1)
-    fric = 0.0
-    for j in range(params.N):
-        for k in range(params.N):
-            if k != j:
-                gap = face_mean(U[:, k] - U[:, j]) / rho_f
-                fric += vw[j] * A[j, k] * g.h * (gap * w).sum(axis=-1)
+    fric = sum((vw[j] * A[j, k] * g.h * (face_mean(U[:, k] - U[:, j]) / rho_f * w).sum(axis=-1)
+                for j, k in _pairs(params.N)), 0.0)
     residuals = np.abs(0.5 * dphi + pressure + dvw - fric)
     max_res = float(residuals.max()) if residuals.size else 0.0
     return AuditResult(
@@ -467,15 +434,9 @@ def audit_w_balance(st: Records, params: MixtureParams, derived: DerivedMatrices
 
 def pair_gap_over_sqrt_rho(state: State) -> float:
     """S(t) = sum_{j,k} ||(u_k - u_j)/sqrt(rho)||_2 over ordered pairs."""
-    g = state.grid
-    U = state.U
-    sqrt_rho = np.sqrt(state.rho)
-    total = 0.0
-    for j in range(U.shape[-2]):
-        for k in range(U.shape[-2]):
-            if j != k:
-                total += l2_norm((U[..., k, :] - U[..., j, :]) / sqrt_rho, g)
-    return total
+    U, sqrt_rho = state.U, np.sqrt(state.rho)
+    return sum((l2_norm((U[..., k, :] - U[..., j, :]) / sqrt_rho, state.grid)
+                for j, k in _pairs(U.shape[-2])), 0.0)
 
 
 def audit_gronwall_chain(st: Records, params: MixtureParams, derived: DerivedMatrices) -> AuditResult:
@@ -494,12 +455,7 @@ def audit_gronwall_chain(st: Records, params: MixtureParams, derived: DerivedMat
     v = np.einsum("j,rjx->rx", vw, st.U)
     int_s = _cumtrapz(times, pair_gap_over_sqrt_rho(st))
 
-    c3 = max(
-        abs(vw[j]) * params.A[j, k]
-        for j in range(params.N)
-        for k in range(params.N)
-        if j != k
-    )
+    c3 = max(abs(vw[j]) * params.A[j, k] for j, k in _pairs(params.N))
     sup_v2 = float(l2_norm(v, g).max()) ** 2
     cross = g.h * (
         face_mean(st.rho)

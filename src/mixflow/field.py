@@ -12,14 +12,10 @@ difference operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import LengthMismatch, NonPositiveDensity, ValidationError, WrongFrame
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .estimates import DiagnosticsRecord
 
 EULERIAN = "eulerian"
 LAGRANGIAN = "lagrangian"
@@ -112,14 +108,15 @@ class State:
 
 
 class Trajectory:
-    """Time-ordered states plus per-record diagnostics from one run; the
-    diagnostics are filled afterwards by :func:`mixflow.estimates.diagnose`."""
+    """Time-ordered states plus the ledger of one run, one float column per
+    diagnostics field with one row per state; the ledger is filled afterwards
+    by :func:`mixflow.estimates.diagnose`."""
 
     def __init__(self, frame: str, grid: Grid1D):
         self.frame = frame
         self.grid = grid
         self.states: list[State] = []
-        self.diagnostics: list["DiagnosticsRecord"] = []
+        self.diagnostics: dict[str, np.ndarray] = {}
 
     def append(self, state: State):
         if state.frame != self.frame:

@@ -4,7 +4,9 @@ A trajectory directory contains::
 
     manifest.json   frame, grid, times, parameter echo + hash, file index
     snap_<k>.csv    one snapshot per recorded time, header x_or_y,rho,u1,...,uN
-    diag.csv        one row per record, columns = DiagnosticsRecord fields
+    diag.csv        the ledger: one column per estimates.FIELDS name, one row
+                    per record; a time field that does not apply is empty
+                    throughout, every other column complete
     report.json     EstimateReport (written by `run` and `check`)
 
 All numeric formatting is repr-based (locale independent, round-trips float64
@@ -15,23 +17,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-import operator
 import os
 import warnings
 
 import numpy as np
 
 from .errors import FileFormatError, MixflowError
-from .estimates import DiagnosticsRecord
+from .estimates import FIELDS, STATE_FIELDS
 from .field import EULERIAN, LAGRANGIAN, Grid1D, State, Trajectory
 from .model import MixtureParams, validate_params
 
 FORMAT_NAME = "mixflow-trajectory"
 FORMAT_VERSION = 1
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def params_to_dict(p: MixtureParams) -> dict:
@@ -125,39 +122,43 @@ def read_snapshot(path: str, time: float, frame: str) -> State:
         raise FileFormatError(f"{path}: {exc}") from None
 
 
-def write_diagnostics(path: str, records: list[DiagnosticsRecord]):
-    values = operator.attrgetter(*DiagnosticsRecord.FIELDS)
-    lines = [",".join(DiagnosticsRecord.FIELDS)]
-    lines += [",".join("" if v is None else _fmt(v) for v in values(r)) for r in records]
+def write_diagnostics(path: str, ledger: dict[str, np.ndarray]):
+    rows = len(ledger["time"])
+    cols = [map(repr, ledger[f].tolist()) if f in ledger else [""] * rows for f in FIELDS]
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([",".join(FIELDS), *map(",".join, zip(*cols))]) + "\n")
 
 
-def read_diagnostics(path: str) -> list[DiagnosticsRecord]:
+def _cell(path: str, k: int, name: str, cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: line {k}: {exc if cell else f'{name} is empty'}") from None
+
+
+def read_diagnostics(path: str) -> dict[str, np.ndarray]:
+    """The ledger stored in ``path``, empty for a file without rows.  A time
+    field whose column is empty throughout is absent; any other empty cell,
+    a cell that is not a number or a row of the wrong length raises
+    :class:`FileFormatError` naming its line."""
     try:
         with open(path, newline="") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc.strerror}") from None
     header = lines[0].strip().split(",") if lines else []
-    if header != list(DiagnosticsRecord.FIELDS):
+    if header != list(FIELDS):
         raise FileFormatError(f"{path}: unexpected diagnostics columns {header}")
-    records = []
-    for k, line in enumerate(lines[1:], start=2):
-        cells = line.strip().split(",")
+    rows = [line.strip().split(",") for line in lines[1:]]
+    for k, cells in enumerate(rows, start=2):
         if len(cells) != len(header):
-            raise FileFormatError(
-                f"{path}: line {k} has {len(cells)} cells, expected {len(header)}"
-            )
-        try:
-            kw = {
-                name: (None if cell == "" else float(cell))
-                for name, cell in zip(header, cells)
-            }
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: line {k}: {exc}") from None
-        records.append(DiagnosticsRecord(**kw))
-    return records
+            raise FileFormatError(f"{path}: line {k} has {len(cells)} cells, expected {len(header)}")
+    if not rows:
+        return {}
+    names = [f for i, f in enumerate(FIELDS) if f in STATE_FIELDS or any(r[i] for r in rows)]
+    values = [[_cell(path, k, f, c) for f, c in zip(FIELDS, cells) if f in names]
+              for k, cells in enumerate(rows, start=2)]
+    return dict(zip(names, np.array(values).T.copy()))
 
 
 def save_trajectory(out_dir: str, traj: Trajectory, params: MixtureParams, scheme=None) -> str:
@@ -326,36 +327,22 @@ def plot_series_svg(path: str, x: np.ndarray, series: dict[str, np.ndarray], tit
         fh.write("\n".join(parts) + "\n")
 
 
+#: the ledger's panels: file, title and {label: field}
+_PANELS = (
+    ("plot_energy.svg", "energy and dissipation rates",
+     {"energy": "energy", "visc": "dissipation_visc", "fric": "dissipation_fric"}),
+    ("plot_density.svg", "density bounds and w norm",
+     {"rho_min": "rho_min", "rho_max": "rho_max", "w_norm": "w_norm"}),
+)
+
+
 def render_report_plots(out_dir: str, traj: Trajectory):
-    """Diagnostics time series and final profiles as standalone SVG files."""
-    recs = traj.diagnostics
+    """Ledger time series and final profiles as standalone SVG files."""
+    led = traj.diagnostics
     written = []
-    if recs:
-        t = np.array([r.time for r in recs])
-        p1 = os.path.join(out_dir, "plot_energy.svg")
-        plot_series_svg(
-            p1,
-            t,
-            {
-                "energy": np.array([r.energy for r in recs]),
-                "visc": np.array([r.dissipation_visc for r in recs]),
-                "fric": np.array([r.dissipation_fric for r in recs]),
-            },
-            "energy and dissipation rates",
-        )
-        written.append(p1)
-        p2 = os.path.join(out_dir, "plot_density.svg")
-        plot_series_svg(
-            p2,
-            t,
-            {
-                "rho_min": np.array([r.rho_min for r in recs]),
-                "rho_max": np.array([r.rho_max for r in recs]),
-                "w_norm": np.array([r.w_norm for r in recs]),
-            },
-            "density bounds and w norm",
-        )
-        written.append(p2)
+    for name, title, series in _PANELS if led else ():
+        written.append(os.path.join(out_dir, name))
+        plot_series_svg(written[-1], led["time"], {k: led[f] for k, f in series.items()}, title)
     final = traj.final
     x = final.grid.nodes()
     profiles = {"rho": np.asarray(final.rho)}

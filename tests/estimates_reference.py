@@ -11,12 +11,13 @@ bit for bit.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from mixflow.errors import EmptyTrajectory, NonFinite, ValidationError, WrongFrame
 from mixflow.estimates import (
-    FAIL, PASS, SKIP, AuditResult, DiagnosticsRecord, EstimateReport, _skip_reason, w_field,
+    FAIL, PASS, SKIP, AuditResult, EstimateReport, _skip_reason, w_field,
 )
 from mixflow.field import (
     EULERIAN, LAGRANGIAN, _scalar, diff, face_gradient, face_harmonic_mean, face_mean, integrate,
@@ -38,6 +39,36 @@ KNOWN_AUDITS = tuple(_AUDITS)
 
 # ---------------------------------------------------------------------------
 # per-state diagnostics: make_record and its functionals, one state per call
+
+
+@dataclass
+class DiagnosticsRecord:
+    """One row of the diagnostics table.
+
+    ``alpha`` (Eulerian), ``identity_residual`` (Lagrangian) and ``dt_rho_l2``
+    need time differences across snapshots and are attached after the run by
+    :func:`attach_time_fields`; they stay None where not applicable.
+    """
+
+    time: float
+    energy: float
+    dissipation_visc: float
+    dissipation_fric: float
+    rho_min: float
+    rho_max: float
+    w_norm: float
+    grad_rho_l2: float
+    u_linf: float
+    dt_rho_l2: float | None = None
+    alpha: float | None = None
+    identity_residual: float | None = None
+
+    #: the fields diagnose fills from each state alone
+    STATE_FIELDS = (
+        "time", "energy", "dissipation_visc", "dissipation_fric", "rho_min",
+        "rho_max", "w_norm", "grad_rho_l2", "u_linf",
+    )
+    FIELDS = STATE_FIELDS + ("dt_rho_l2", "alpha", "identity_residual")
 
 
 def energy(state: State, params: MixtureParams) -> float:

@@ -243,8 +243,8 @@ def test_c09_identity_residual(shear_residual_runs):
     params, derived, runs = shear_residual_runs
     res = {}
     for n, traj in runs.items():
-        late = [r.identity_residual for r in traj.diagnostics[1:-1]
-                if r.time >= 0.25 * 0.3]
+        led = traj.diagnostics
+        late = led["identity_residual"][1:-1][led["time"][1:-1] >= 0.25 * 0.3]
         res[n] = max(late)
     o1 = math.log2(res[64] / res[128])
     o2 = math.log2(res[128] / res[256])

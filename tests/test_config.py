@@ -286,6 +286,26 @@ def test_malformed_descriptor_exits_2_with_one_line(tmp_path, capsys, key, spec)
     assert len(err) == 1 and err[0].startswith(f"config error: [initial] {key}: "), err
 
 
+@pytest.mark.parametrize("key, spec, reason", [
+    ("rho", "constant:value=nan", "value must be finite, got nan"),
+    ("rho", "gaussian:base=1.0,amp=0.3,center=0.4,width=inf", "width must be finite, got inf"),
+    ("rho", "affine:base=1.0,slope=-inf", "slope must be finite, got -inf"),
+    ("u1", "sine:k=1,amp=inf", "amp must be finite, got inf"),
+    ("u1", "sine:k=1,amp=-inf", "amp must be finite, got -inf"),
+    ("u1", "sine:k=1,amp=0.1 + sine:k=2,amp=nan", "amp must be finite, got nan"),
+], ids=["rho-nan", "gaussian-width-inf", "affine-slope-minus-inf", "sine-amp-inf",
+        "sine-amp-minus-inf", "second-mode-amp-nan"])
+def test_non_finite_descriptor_number_exits_2_before_any_output(tmp_path, capsys, key, spec,
+                                                                reason):
+    shipped = {"rho": "gaussian:base=1.0,amp=0.3,center=0.4,width=0.15", "u1": "sine:k=1,amp=0.1"}
+    cfg = tmp_path / "case.ini"
+    cfg.write_text(SMALL_CONFIG.replace(f"{key} = {shipped[key]}", f"{key} = {spec}"))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: [initial] {key}: {reason}"]
+    assert not out.exists()
+
+
 def test_unknown_audit_fails_before_any_load(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "case.ini"
     cfg.write_text(SMALL_CONFIG)

@@ -199,7 +199,7 @@ class TestRun:
         scheme = SchemeConfig(time_integrator="semi-implicit-viscosity")
         traj = estimates.diagnose(runner.integrate(shear_state, params2, derived2, scheme, t_end=0.3,
                                                    snapshot_every=1), params2, derived2)
-        e = np.array([r.energy for r in traj.diagnostics])
+        e = traj.diagnostics["energy"]
         tol_step = 1e-8 * e[0]
         assert np.all(np.diff(e) <= tol_step)
 

@@ -262,8 +262,8 @@ class TestRun:
             sl = State(time=0.0, frame=LAGRANGIAN, grid=g, rho=rho, U=U)
             traj = estimates.diagnose(runner.integrate(sl, params2, derived2, scheme, t_end=0.15,
                                                        snapshot_every=2), params2, derived2)
-            late = [r.identity_residual for r in traj.diagnostics[1:-1]
-                    if r.time >= 0.25 * 0.15]
+            led = traj.diagnostics
+            late = led["identity_residual"][1:-1][led["time"][1:-1] >= 0.25 * 0.15]
             res.append(max(late))
         order1 = math.log2(res[0] / res[1])
         order2 = math.log2(res[1] / res[2])

@@ -57,15 +57,17 @@ def _diagnose_both(traj, params, derived):
     return est.diagnose(traj, params, derived), old
 
 
-def _assert_same_records(new, old, names=est.DiagnosticsRecord.FIELDS):
-    """The ``names`` of every record equal in their bits; the new ones are floats."""
-    assert len(new) == len(old)
-    for k, (a, b) in enumerate(zip(new, old)):
-        for name in names:
-            va, vb = getattr(a, name), getattr(b, name)
-            assert (va is None) == (vb is None), (name, k)
-            if vb is not None:
-                assert type(va) is float and _bits(va) == _bits(vb), (name, k, va, vb)
+def _assert_same_ledger(ledger, old, names=est.FIELDS):
+    """Each of the ``names`` a float64 column of ``ledger`` whose bits equal
+    the oracle's records ``old``; absent exactly where the oracle holds None."""
+    for name in names:
+        want = [getattr(r, name) for r in old]
+        if want[0] is None:
+            assert name not in ledger and set(want) == {None}, name
+            continue
+        col = ledger[name]
+        assert col.dtype == np.float64 and col.shape == (len(old),), name
+        assert None not in want and (_bits(col) == _bits(want)).all(), (name, col, want)
 
 
 def _assert_same(new, old, path="report"):
@@ -101,10 +103,13 @@ def test_record_axis_matches_per_record_loops(seed, n_comp, n_cells, n_rec):
     for frame, r in zip((EULERIAN, LAGRANGIAN), n_rec):
         traj = _trajectory(rng, frame, grids[frame], n_comp, r)
         new[frame], old[frame] = _diagnose_both(traj, params, derived)
-        _assert_same_records(new[frame].diagnostics, old[frame].diagnostics)
-        # make_record is diagnose on one state
-        _assert_same_records([est.make_record(s, params, derived) for s in traj.states],
-                             old[frame].diagnostics, est.DiagnosticsRecord.STATE_FIELDS)
+        _assert_same_ledger(new[frame].diagnostics, old[frame].diagnostics)
+        # make_record is diagnose on one state, as Python floats
+        recs = [est.make_record(s, params, derived) for s in traj.states]
+        assert all(list(r) == list(est.STATE_FIELDS) for r in recs)
+        assert all(type(v) is float for r in recs for v in r.values())
+        _assert_same_ledger({f: np.array([r[f] for r in recs]) for f in est.STATE_FIELDS},
+                            old[frame].diagnostics, est.STATE_FIELDS)
 
     report = est.build_report(params, derived, eulerian=new[EULERIAN], lagrangian=new[LAGRANGIAN])
     expected = ref.build_report(params, derived, eulerian=old[EULERIAN], lagrangian=old[LAGRANGIAN])
@@ -131,4 +136,4 @@ def test_diagnose_matches_the_oracle_on_solver_runs(name):
         traj = integrate(start, rc.params, derived, rc.scheme, 0.01, snapshot_every=2)
         assert len(traj) >= 3
         new, old = _diagnose_both(traj, rc.params, derived)
-        _assert_same_records(new.diagnostics, old.diagnostics)
+        _assert_same_ledger(new.diagnostics, old.diagnostics)
