@@ -105,7 +105,7 @@ def _cmd_run(args) -> int:
         result = execute(rc, progress=lambda msg: print(msg, file=sys.stderr))
     except SolverBlowup as exc:
         print(f"solver blow-up: {exc}", file=sys.stderr)
-        if exc.trajectory is not None and len(exc.trajectory):
+        if exc.trajectory is not None:
             sub = os.path.join(rc.out_dir, exc.trajectory.frame)
             io.save_trajectory(sub, exc.trajectory, rc.params, rc.scheme)
             print(f"last valid trajectory saved under {sub}", file=sys.stderr)
@@ -135,13 +135,28 @@ def _recompute(sub: str):
     return estimates.diagnose(traj, params, derive_matrices(params)), params, stored
 
 
+def _ledger_fault(stored, fresh) -> str | None:
+    """Why the stored ledger disagrees with its recomputation ``fresh`` (a row
+    count, a field on one side only, the first differing value), else None."""
+    if len(stored.get("time", ())) != len(fresh["time"]):
+        return "diagnostics rows != snapshots"
+    for name in estimates.FIELDS:
+        if (name in stored) != (name in fresh):
+            return (f"stored diagnostics lack {name}" if name in fresh
+                    else f"stored diagnostics have {name}, which does not apply")
+    if (bad := _ledger_mismatch(stored, fresh)) is not None:
+        k, name = bad
+        return (f"stored {name} row {k} = {stored[name][k].item()!r} "
+                f"!= recomputed {fresh[name][k].item()!r}")
+
+
 def _ledger_mismatch(stored, fresh) -> tuple[int, str] | None:
-    """(row, field) of the first stored state field that differs from its
-    recomputation, in row order; None when all agree.  Two values agree when
-    they are identical (equal infinities, or both NaN) or finite and within
-    a relative 1e-9."""
-    names = estimates.STATE_FIELDS
-    a, b = (np.column_stack([led[f] for f in names]) for led in (stored, fresh))
+    """(row, field) of the first field of ``fresh`` whose stored value
+    differs, in row order; None when all agree.  Two values agree when they
+    are identical (equal infinities, or both NaN) or finite and within a
+    relative 1e-9."""
+    names = [f for f in estimates.FIELDS if f in fresh]
+    a, b = (np.stack([led[f] for f in names], axis=-1) for led in (stored, fresh))
     with np.errstate(invalid="ignore", over="ignore"):
         close = np.isfinite(b) & (np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b)))
     bad = np.argwhere(~((a == b) | (np.isnan(a) & np.isnan(b)) | close))
@@ -161,19 +176,11 @@ def _cmd_check(args) -> int:
     if any(p != params for _, p, _ in loaded[1:]):
         raise FileFormatError(f"{root}: the frames' manifests give different params")
     derived = derive_matrices(params)
-    ledger_ok = True
-    recomputed = {}
-    for traj, _, stored in loaded:
-        frame, fresh = traj.frame, traj.diagnostics
-        if len(stored.get("time", ())) != len(traj):
-            print(f"{frame}: diagnostics rows != snapshots", file=sys.stderr)
-            ledger_ok = False
-        elif (bad := _ledger_mismatch(stored, fresh)) is not None:
-            k, name = bad
-            print(f"{frame}: stored {name} row {k} = {stored[name][k].item()!r} "
-                  f"!= recomputed {fresh[name][k].item()!r}", file=sys.stderr)
-            ledger_ok = False
-        recomputed[frame] = traj
+    faults = [f"{traj.frame}: {why}" for traj, _, stored in loaded
+              if (why := _ledger_fault(stored, traj.diagnostics)) is not None]
+    for line in faults:
+        print(line, file=sys.stderr)
+    recomputed = {traj.frame: traj for traj, _, _ in loaded}
 
     report = estimates.build_report(
         params, derived,
@@ -183,9 +190,9 @@ def _cmd_check(args) -> int:
     )
     io.save_report(os.path.join(root, "report.json"), report)
     print(report.render_text())
-    if not ledger_ok:
+    if faults:
         print("stored diagnostics disagree with the snapshots", file=sys.stderr)
-    return EXIT_OK if (report.passed and ledger_ok) else EXIT_AUDIT_FAIL
+    return EXIT_OK if (report.passed and not faults) else EXIT_AUDIT_FAIL
 
 
 def _cmd_mms(args) -> int:

@@ -31,6 +31,7 @@ from .errors import (
 )
 from .estimates import KNOWN_AUDITS
 from .field import EULERIAN, LAGRANGIAN, Grid1D, State, pchip
+from .io import read_table
 from .model import MixtureParams, validate_params
 from .timestepping import CENTRAL, INTEGRATORS, RK2, RK4, SEMI_IMPLICIT, UPWIND, SchemeConfig
 
@@ -197,18 +198,14 @@ def parse_velocity_spec(text: str, context: str = "u") -> VelocitySpec:
 
 
 def _read_table_column(path: str, column: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read (x, column) from a snapshot-format CSV."""
-    try:
-        with open(path, newline="") as fh:
-            header = fh.readline().strip().split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except OSError as exc:
-        raise FileFormatError(f"cannot read table {path}: {exc}") from None
-    except ValueError as exc:
-        raise FileFormatError(f"bad table {path}: {exc}") from None
+    """Read (x, column) from a snapshot-format CSV: 2 or more rows, finite values."""
+    header, data = read_table(path)
     if header[0] != "x_or_y" or column not in header:
         raise FileFormatError(f"table {path} lacks column {column!r} (header: {header})")
-    return data[:, 0], data[:, header.index(column)]
+    xs, vals = data[:, 0], data[:, header.index(column)]
+    if len(xs) < 2 or not (np.isfinite(xs).all() and np.isfinite(vals).all()):
+        raise FileFormatError(f"table {path} needs 2 or more rows of finite x_or_y and {column}")
+    return xs, vals
 
 
 def _sample_table(path: str, column: str, x: np.ndarray) -> np.ndarray:

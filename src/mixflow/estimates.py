@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .errors import EmptyTrajectory, ValidationError, WrongFrame
 from .field import (
     EULERIAN,
     LAGRANGIAN,
-    Grid1D,
     State,
     Trajectory,
     _scalar,
@@ -48,8 +46,8 @@ SKIP = "SKIP"
 
 # name -> (frame the audit reads, None for either; records it needs before
 # build_report calls it, 0 for just the frame; call(st, led, params, derived,
-# d) on that frame's stack and ledger columns).  Each call looks its audit up
-# by module-level name when it runs.
+# d) on that frame's trajectory st and its ledger columns).  Each call looks
+# its audit up by module-level name when it runs.
 _AUDITS = {
     "energy_budget": (EULERIAN, 0, lambda st, led, p, dm, d: audit_energy_budget(led)),
     "density_bounds": (None, 0, lambda st, led, p, dm, d: audit_density_bounds(led, d)),
@@ -67,36 +65,14 @@ KNOWN_AUDITS = tuple(_AUDITS)
 # per-state functionals
 
 
-class Records(NamedTuple):
-    """A trajectory's records stacked on a leading record axis.
-
-    ``rho`` is (R, n) and ``U`` is (R, N, n), both C-contiguous, so a
-    reduction along the last axis sums each record exactly as the
-    one-state call does.  The per-state functionals accept it in place of a
-    :class:`State` and return one value (or row) per record.
-    """
-
-    frame: str
-    grid: Grid1D
-    times: np.ndarray
-    rho: np.ndarray
-    U: np.ndarray
-
-
-def _stack(traj: Trajectory) -> Records:
-    return Records(traj.frame, traj.grid, traj.times(),
-                   np.array([s.rho for s in traj.states]), np.array([s.U for s in traj.states]))
-
-
 def _ledger(traj: Trajectory) -> dict[str, np.ndarray]:
     """The ledger of ``traj``; a trajectory without one row per state raises."""
-    rows = len(traj.diagnostics.get("time", ()))
-    if not rows or rows != len(traj):
+    if (rows := len(traj.diagnostics.get("time", ()))) != len(traj):
         raise EmptyTrajectory(f"{rows} diagnostics records for {len(traj)} states")
     return traj.diagnostics
 
 
-def energy(state: State | Records, params: MixtureParams) -> float | np.ndarray:
+def energy(state: State | Trajectory, params: MixtureParams) -> float | np.ndarray:
     """Total energy: sum_i int(0.5 rho u_i^2 + K/(gamma-1) rho^gamma) dx.
 
     The pressure part is counted once per component, mirroring the estimate
@@ -113,7 +89,7 @@ def energy(state: State | Records, params: MixtureParams) -> float | np.ndarray:
     return kinetic + internal
 
 
-def velocity_gradient_sq(state: State | Records) -> float | np.ndarray:
+def velocity_gradient_sq(state: State | Trajectory) -> float | np.ndarray:
     """sum_i ||d u_i/dx||_2^2 in face form (Eulerian measure in both frames)."""
     g = state.grid
     sq = face_gradient(state.U, g) ** 2
@@ -124,7 +100,7 @@ def velocity_gradient_sq(state: State | Records) -> float | np.ndarray:
     return _scalar(g.h * sq.reshape(*sq.shape[:-2], -1).sum(axis=-1))
 
 
-def _visc_quad(state: State | Records, params: MixtureParams) -> float | np.ndarray:
+def _visc_quad(state: State | Trajectory, params: MixtureParams) -> float | np.ndarray:
     """sum_ij M_ij <u_i', u_j'> with the frame's face weight."""
     g = state.grid
     jump = face_gradient(state.U, g)
@@ -138,7 +114,7 @@ def _visc_quad(state: State | Records, params: MixtureParams) -> float | np.ndar
     return _scalar(g.h * np.array(quad).reshape(jump.shape[:-2]))
 
 
-def _x_weight(state: State | Records) -> np.ndarray | float:
+def _x_weight(state: State | Trajectory) -> np.ndarray | float:
     """Node weight turning a mass-coordinate integral into the x-measure one."""
     return 1.0 if state.frame == EULERIAN else 1.0 / state.rho
 
@@ -149,21 +125,21 @@ def _pairs(n: int, ordered: bool = True):
     return ((i, j) for i in range(n) for j in range(0 if ordered else i + 1, n) if i != j)
 
 
-def friction_dissipation(state: State | Records, params: MixtureParams) -> float | np.ndarray:
+def friction_dissipation(state: State | Trajectory, params: MixtureParams) -> float | np.ndarray:
     """0.5 sum_ij A[i,j] int (u_i - u_j)^2 dx (dy/rho in mass coordinates)."""
     U, wgt = state.U, _x_weight(state)
     return sum((params.A[i, j] * integrate((U[..., i, :] - U[..., j, :]) ** 2 * wgt, state.grid)
                 for i, j in _pairs(params.N, ordered=False)), 0.0)
 
 
-def pairwise_velocity_gap_sq(state: State | Records) -> float | np.ndarray:
+def pairwise_velocity_gap_sq(state: State | Trajectory) -> float | np.ndarray:
     """sum_ij int (u_i - u_j)^2 dx (unweighted, both orders)."""
     U, wgt = state.U, _x_weight(state)
     return sum((integrate((U[..., i, :] - U[..., j, :]) ** 2 * wgt, state.grid)
                 for i, j in _pairs(U.shape[-2])), 0.0)
 
 
-def w_field(state: State | Records) -> np.ndarray:
+def w_field(state: State | Trajectory) -> np.ndarray:
     """Slope of ln rho on the mass grid, sampled at faces.
 
     Face sampling (rather than node-centered differences) is what makes the
@@ -174,7 +150,7 @@ def w_field(state: State | Records) -> np.ndarray:
     return face_gradient(np.log(state.rho), state.grid)
 
 
-def w_norm(state: State | Records) -> float | np.ndarray:
+def w_norm(state: State | Trajectory) -> float | np.ndarray:
     """||d(ln rho)/dy||_{L2(0,d)}; for Eulerian states via the coordinate map.
 
     In Eulerian variables the same quantity is int (d ln rho/dx)^2 / rho dx.
@@ -186,7 +162,7 @@ def w_norm(state: State | Records) -> float | np.ndarray:
     return _scalar(np.sqrt(g.h * sq.sum(axis=-1)))
 
 
-def grad_rho_l2_eulerian(state: State | Records) -> float | np.ndarray:
+def grad_rho_l2_eulerian(state: State | Trajectory) -> float | np.ndarray:
     """||d rho/dx||_{L2(0,1)} regardless of the stored frame."""
     g = state.grid
     d = diff(state.rho, g)
@@ -214,22 +190,19 @@ FIELDS = STATE_FIELDS + ("dt_rho_l2", "alpha", "identity_residual")
 def diagnose(traj: Trajectory, params: MixtureParams, derived: DerivedMatrices) -> Trajectory:
     """Fill ``traj.diagnostics``, the ledger, and return ``traj``.
 
-    The ledger holds one float column per field with one row per state.  The
-    state fields come from one stack of the trajectory, as array ops along
-    the last axis; with at least two records the time fields are then
-    attached from the same stack by :func:`attach_time_fields`.
+    The ledger holds one float column per field with one row per record.
+    The state fields are array ops on the trajectory's stack along the last
+    axis; with at least two records :func:`attach_time_fields` then adds the
+    time fields.
     """
-    if not len(traj):
-        raise EmptyTrajectory("need at least 1 recorded states, have 0")
-    st = _stack(traj)
     cols = np.broadcast_arrays(
-        st.times, energy(st, params), _visc_quad(st, params), friction_dissipation(st, params),
-        st.rho.min(axis=-1), st.rho.max(axis=-1), w_norm(st), grad_rho_l2_eulerian(st),
-        np.abs(st.U).max(axis=-1).max(axis=-1),
+        traj.times, energy(traj, params), _visc_quad(traj, params),
+        friction_dissipation(traj, params), traj.rho.min(axis=-1), traj.rho.max(axis=-1),
+        w_norm(traj), grad_rho_l2_eulerian(traj), np.abs(traj.U).max(axis=-1).max(axis=-1),
     )
     traj.diagnostics = dict(zip(STATE_FIELDS, np.array(cols, dtype=float)))
     if len(traj) >= 2:
-        attach_time_fields(traj, st, params)
+        attach_time_fields(traj, params)
     return traj
 
 
@@ -239,9 +212,8 @@ def make_record(state: State, params: MixtureParams, derived: DerivedMatrices) -
     The program does not call it; it is kept because the benchmark's probe
     and tracer (``perfbench/probe.py``, ``perfbench/tracing.py``) resolve it.
     """
-    one = Trajectory(state.frame, state.grid)
-    one.append(state)
-    return {name: col.item() for name, col in diagnose(one, params, derived).diagnostics.items()}
+    one = diagnose(Trajectory.stack([state]), params, derived)
+    return {name: col.item() for name, col in one.diagnostics.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +247,7 @@ def time_derivative_series(times: np.ndarray, values) -> np.ndarray:
 
 def _cumtrapz(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
     out = np.zeros_like(vals, dtype=float)
-    if len(times) > 1:
-        dt = np.diff(times)
-        out[1:] = np.cumsum(0.5 * dt * (vals[1:] + vals[:-1]))
+    out[1:] = np.cumsum(0.5 * np.diff(times) * (vals[1:] + vals[:-1]))
     return out
 
 
@@ -303,16 +273,16 @@ def _sum_sq(X: np.ndarray) -> np.ndarray:
     return np.square(X, out=X).sum(axis=1)
 
 
-def attach_time_fields(traj: Trajectory, st: Records, params: MixtureParams):
-    """Add the time fields of ``traj``, whose stack is ``st``, to its ledger."""
-    g = st.grid
-    fields = {"dt_rho_l2": l2_norm(time_derivative_series(st.times, st.rho), g)}
+def attach_time_fields(traj: Trajectory, params: MixtureParams):
+    """Add the time fields of ``traj`` to its ledger."""
+    g = traj.grid
+    fields = {"dt_rho_l2": l2_norm(time_derivative_series(traj.times, traj.rho), g)}
     if traj.frame == LAGRANGIAN:
-        dln_dt = time_derivative_series(st.times, np.log(st.rho))
-        dv = sbp_derivative(st.U.mean(axis=1), g)
-        fields["identity_residual"] = l2_norm(st.rho * dv + dln_dt, g)
+        dln_dt = time_derivative_series(traj.times, np.log(traj.rho))
+        dv = sbp_derivative(traj.U.mean(axis=1), g)
+        fields["identity_residual"] = l2_norm(traj.rho * dv + dln_dt, g)
     else:
-        fields["alpha"] = _alpha(st, params)
+        fields["alpha"] = _alpha(traj, params)
     traj.diagnostics.update(fields)
     return traj
 
@@ -392,7 +362,7 @@ def audit_density_bounds(led: dict[str, np.ndarray], dval: float,
     )
 
 
-def audit_w_balance(st: Records, params: MixtureParams, derived: DerivedMatrices) -> AuditResult:
+def audit_w_balance(st: Trajectory, params: MixtureParams, derived: DerivedMatrices) -> AuditResult:
     """Residual of the log-density slope balance along the trajectory.
 
     0.5 d/dt ||w||^2 + Ktilde*gamma int rho^gamma w^2
@@ -432,14 +402,14 @@ def audit_w_balance(st: Records, params: MixtureParams, derived: DerivedMatrices
     )
 
 
-def pair_gap_over_sqrt_rho(state: State) -> float:
+def pair_gap_over_sqrt_rho(state: State | Trajectory) -> float | np.ndarray:
     """S(t) = sum_{j,k} ||(u_k - u_j)/sqrt(rho)||_2 over ordered pairs."""
     U, sqrt_rho = state.U, np.sqrt(state.rho)
     return sum((l2_norm((U[..., k, :] - U[..., j, :]) / sqrt_rho, state.grid)
                 for j, k in _pairs(U.shape[-2])), 0.0)
 
 
-def audit_gronwall_chain(st: Records, params: MixtureParams, derived: DerivedMatrices) -> AuditResult:
+def audit_gronwall_chain(st: Trajectory, params: MixtureParams, derived: DerivedMatrices) -> AuditResult:
     """Gronwall reconstruction of ||w(t)||^2 <= C4 exp(C5 int S).
 
     C5 comes from the friction/viscosity constants alone; C4 collects the
@@ -488,7 +458,7 @@ def audit_gronwall_chain(st: Records, params: MixtureParams, derived: DerivedMat
     )
 
 
-def audit_pointwise_bounds(st: Records, led: dict[str, np.ndarray],
+def audit_pointwise_bounds(st: Trajectory, led: dict[str, np.ndarray],
                            abs_tol: float = 1e-8) -> AuditResult:
     """Hoelder bound on 1/sqrt(rho) and the pointwise bound on |ln rho|,
     with ||w|| the ledger's ``w_norm``.
@@ -525,7 +495,7 @@ def _second_derivative(f: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _alpha(st: Records, params: MixtureParams) -> np.ndarray:
+def _alpha(st: Trajectory, params: MixtureParams) -> np.ndarray:
     """alpha at the record times of an Eulerian stack:
     sum_ij M_ij int u_i' u_j' dx
     + int_0^t sum_i int[ rho (du_i/dt)^2 + (sum_j M_ij u_j'')^2 / rho ]."""
@@ -537,7 +507,7 @@ def _alpha(st: Records, params: MixtureParams) -> np.ndarray:
 
 
 def audit_alpha_growth(
-    st: Records, led: dict[str, np.ndarray], params: MixtureParams, derived: DerivedMatrices
+    st: Trajectory, led: dict[str, np.ndarray], params: MixtureParams, derived: DerivedMatrices
 ) -> AuditResult:
     """Check the measured alpha (the ledger's column) against its own growth
     inequality.
@@ -588,7 +558,7 @@ def audit_alpha_growth(
     )
 
 
-def audit_velocity_damping(st: Records, params: MixtureParams) -> AuditResult:
+def audit_velocity_damping(st: Trajectory, params: MixtureParams) -> AuditResult:
     """Time integral of the pairwise velocity gaps; finite by the energy estimate."""
     gaps = pairwise_velocity_gap_sq(st)
     total = float(_cumtrapz(st.times, gaps)[-1])
@@ -601,7 +571,7 @@ def audit_velocity_damping(st: Records, params: MixtureParams) -> AuditResult:
     )
 
 
-def derivative_norm_report(st: Records, led: dict[str, np.ndarray]) -> AuditResult:
+def derivative_norm_report(st: Trajectory, led: dict[str, np.ndarray]) -> AuditResult:
     """Suprema and space-time integrals of the derivative norms.
 
     Reports sup_t sum_i ||u_i'||_2, ||u_i''||_{L2(Q)}, ||du_i/dt||_{L2(Q)},
@@ -661,7 +631,7 @@ class EstimateReport:
         return "\n".join(lines)
 
 
-def empirical_constants(st: Records, led: dict[str, np.ndarray],
+def empirical_constants(st: Trajectory, led: dict[str, np.ndarray],
                         params: MixtureParams) -> dict[str, float]:
     """Measured suprema of the norms the first a priori estimate controls."""
     g, times = st.grid, st.times
@@ -691,8 +661,8 @@ def build_report(
 ) -> EstimateReport:
     """Run the requested audits on whichever diagnosed trajectories are given.
 
-    Each given frame is stacked once, and its stack and ledger columns go to
-    every audit of that frame and to :func:`empirical_constants`.  Audits
+    Each given trajectory and its ledger columns go to every audit of that
+    frame and to :func:`empirical_constants`, with no copy.  Audits
     whose frame is absent, or that need more records than it has, are
     reported as SKIP (they do not fail the report).  The total mass ``d`` is
     the initial Eulerian mass when that frame is present, else the Lagrangian
@@ -709,17 +679,17 @@ def build_report(
     for frame, traj in given.items():
         if traj.frame != frame:
             raise WrongFrame(f"a {traj.frame} trajectory passed as the {frame} one")
-        inputs[frame] = (_stack(traj), _ledger(traj))
+        inputs[frame] = (traj, _ledger(traj))
     inputs[None] = next(iter(inputs.values()))  # the Eulerian frame when present
     if eulerian is not None:
-        dval = integrate(eulerian.states[0].rho, eulerian.grid)
+        dval = integrate(eulerian.rho[0], eulerian.grid)
     else:
         dval = lagrangian.grid.domain_length
 
     results: dict[str, AuditResult] = {}
     for name in audits:
         frame, need, call = _AUDITS[name]
-        if frame not in inputs or len(inputs[frame][0].times) < need:
+        if frame not in inputs or len(inputs[frame][0]) < need:
             results[name] = AuditResult(name, SKIP, margin=0.0,
                                          details={"reason": _skip_reason(frame, need)})
             continue

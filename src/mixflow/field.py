@@ -1,4 +1,4 @@
-"""Grid, state containers and the discrete calculus shared by solvers and audits.
+"""Grid, ``State``, its record stack ``Trajectory`` and the discrete calculus of solvers and audits.
 
 The discretization is node-centered on a uniform grid: ``n_cells + 1`` nodes
 including both boundary points.  Quadrature is the composite trapezoidal rule,
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, NonPositiveDensity, ValidationError, WrongFrame
+from .errors import EmptyTrajectory, LengthMismatch, NonPositiveDensity, ValidationError, WrongFrame
 
 EULERIAN = "eulerian"
 LAGRANGIAN = "lagrangian"
@@ -60,12 +60,30 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_fields(frame: str, grid: Grid1D, lead: tuple, rho: np.ndarray, U: np.ndarray):
+    """Validate one state (``lead == ()``) or a stack of them on the leading axes
+    ``lead``: shapes, frame, finite values, positive density and zero walls."""
+    n = grid.n_nodes
+    if rho.shape != (*lead, n):
+        raise LengthMismatch(f"rho has shape {rho.shape}, expected {(*lead, n)}")
+    if U.ndim != len(lead) + 2 or U.shape[:-2] != lead or U.shape[-1] != n:
+        raise LengthMismatch(f"U has shape {U.shape}, expected ({'R, ' * len(lead)}N, {n})")
+    if frame not in (EULERIAN, LAGRANGIAN):
+        raise ValidationError(f"unknown frame {frame!r}")
+    if not np.all(np.isfinite(rho)) or not np.all(np.isfinite(U)):
+        raise ValidationError("state contains non-finite values")
+    if rho.min() <= 0:
+        raise NonPositiveDensity(f"min(rho) = {rho.min()} <= 0")
+    if np.abs(U[..., [0, -1]]).max() != 0.0:
+        raise ValidationError("boundary velocities must be exactly zero")
+
+
 @dataclass(frozen=True)
 class State:
     """Density and per-component velocities sampled at the grid nodes.
 
-    Immutable: the arrays are marked read-only so states can be shared across
-    threads and stored in trajectories without defensive copies.
+    Immutable: the arrays are marked read-only, also after pickling, so
+    states can be shared across threads and workers without defensive copies.
     """
 
     time: float
@@ -77,30 +95,12 @@ class State:
     def __post_init__(self):
         object.__setattr__(self, "rho", _readonly(self.rho))
         object.__setattr__(self, "U", _readonly(np.atleast_2d(self.U)))
-        self.validate()
-
-    def __setstate__(self, state):  # unpickled arrays come back writable
-        self.__dict__.update(state)
-        self.rho.setflags(write=False)
-        self.U.setflags(write=False)
-
-    def validate(self):
-        n = self.grid.n_nodes
-        if self.rho.shape != (n,):
-            raise LengthMismatch(f"rho has shape {self.rho.shape}, expected ({n},)")
-        if self.U.ndim != 2 or self.U.shape[1] != n:
-            raise LengthMismatch(f"U has shape {self.U.shape}, expected (N, {n})")
-        if self.frame not in (EULERIAN, LAGRANGIAN):
-            raise ValidationError(f"unknown frame {self.frame!r}")
+        _check_fields(self.frame, self.grid, (), self.rho, self.U)
         if self.time < 0:
             raise ValidationError("time must be >= 0")
-        if not np.all(np.isfinite(self.rho)) or not np.all(np.isfinite(self.U)):
-            raise ValidationError("state contains non-finite values")
-        if self.rho.min() <= 0:
-            raise NonPositiveDensity(f"min(rho) = {self.rho.min()} <= 0")
-        bnd = np.abs(self.U[:, [0, -1]])
-        if bnd.max() != 0.0:
-            raise ValidationError("boundary velocities must be exactly zero")
+
+    def __reduce__(self):  # unpickling re-runs the constructor: read-only, validated
+        return State, (self.time, self.frame, self.grid, self.rho, self.U)
 
     @property
     def n_components(self) -> int:
@@ -108,32 +108,41 @@ class State:
 
 
 class Trajectory:
-    """Time-ordered states plus the ledger of one run, one float column per
-    diagnostics field with one row per state; the ledger is filled afterwards
-    by :func:`mixflow.estimates.diagnose`."""
+    """The R >= 1 records of one run as one stack, validated once: strictly
+    increasing ``times`` (R,), ``rho`` (R, n) and ``U`` (R, N, n), all
+    C-contiguous and read-only.  ``diagnostics`` is the ledger, one float
+    column per field and row per record (:func:`mixflow.estimates.diagnose`)."""
 
-    def __init__(self, frame: str, grid: Grid1D):
-        self.frame = frame
-        self.grid = grid
-        self.states: list[State] = []
-        self.diagnostics: dict[str, np.ndarray] = {}
+    def __init__(self, frame: str, grid: Grid1D, times, rho, U, diagnostics=None):
+        self.frame, self.grid, self.diagnostics = frame, grid, diagnostics or {}
+        self.times, self.rho, self.U = (_readonly(np.ascontiguousarray(a, dtype=float))
+                                        for a in (times, rho, U))
+        if self.times.ndim != 1 or not self.times.size:
+            raise EmptyTrajectory(f"times of shape {self.times.shape}: need a row of records")
+        _check_fields(frame, grid, self.times.shape, self.rho, self.U)
+        if self.times[0] < 0 or (np.diff(self.times) <= 0).any():
+            raise ValidationError("trajectory time stamps must be >= 0 and strictly increase")
 
-    def append(self, state: State):
-        if state.frame != self.frame:
-            raise WrongFrame(f"appending {state.frame} state to {self.frame} trajectory")
-        if self.states and state.time <= self.states[-1].time:
-            raise ValidationError("trajectory time stamps must strictly increase")
-        self.states.append(state)
+    @classmethod
+    def stack(cls, states) -> Trajectory:
+        """The trajectory of the time-ordered ``states``, all of one frame."""
+        if len(frames := {s.frame for s in states}) > 1:
+            raise WrongFrame(f"stacking states of frames {sorted(frames)}")
+        return cls(states[0].frame, states[0].grid, *zip(*((s.time, s.rho, s.U) for s in states)))
 
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.states])
+    def __reduce__(self):
+        return Trajectory, (self.frame, self.grid, self.times, self.rho, self.U, self.diagnostics)
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def state(self, k: int) -> State:
+        """Record ``k`` as a :class:`State` viewing the stack's rows."""
+        return State(float(self.times[k]), self.frame, self.grid, self.rho[k], self.U[k])
 
     @property
     def final(self) -> State:
-        return self.states[-1]
-
-    def __len__(self) -> int:
-        return len(self.states)
+        return self.state(-1)
 
 
 # ---------------------------------------------------------------------------

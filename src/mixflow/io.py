@@ -92,8 +92,10 @@ def write_snapshot(path: str, state: State):
         fh.write("\n".join(lines) + "\n")
 
 
-def read_snapshot(path: str, time: float, frame: str) -> State:
-    """Read one snapshot; every format fault raises :class:`FileFormatError`."""
+def read_table(path: str) -> tuple[list[str], np.ndarray]:
+    """The header cells and the (rows, columns) numbers of a CSV table; an
+    unreadable file, a cell that is not a number, a ragged row, no data rows
+    or a column count other than the header's raises :class:`FileFormatError`."""
     try:
         with open(path, newline="") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no data rows: checked below
@@ -103,15 +105,22 @@ def read_snapshot(path: str, time: float, frame: str) -> State:
         raise FileFormatError(f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:  # a cell that is not a number, a ragged row
         raise FileFormatError(f"{path}: {exc}") from None
-    if header[:2] != ["x_or_y", "rho"]:
-        raise FileFormatError(f"{path}: expected header x_or_y,rho,u1,..., got {header}")
     if data.shape[0] == 0:
         raise FileFormatError(f"{path}: no data rows")
-    if data.shape[1] != len(header) or data.shape[1] < 3:
+    if data.shape[1] != len(header):
         raise FileFormatError(
-            f"{path}: {data.shape[1]} columns for the {len(header)} of header "
-            f"{','.join(header)}; expected x_or_y, rho and one column per velocity"
-        )
+            f"{path}: {data.shape[1]} columns for the {len(header)} of header {','.join(header)}")
+    return header, data
+
+
+def read_snapshot(path: str, time: float, frame: str) -> State:
+    """Read one snapshot; every format fault raises :class:`FileFormatError`."""
+    header, data = read_table(path)
+    if header[:2] != ["x_or_y", "rho"]:
+        raise FileFormatError(f"{path}: expected header x_or_y,rho,u1,..., got {header}")
+    if data.shape[1] < 3:  # the header is x_or_y,rho and nothing else
+        raise FileFormatError(f"{path}: 2 columns for the 2 of header x_or_y,rho; expected "
+                              "x_or_y, rho and one column per velocity")
     try:
         grid = Grid1D(domain_length=float(data[-1, 0]), n_cells=data.shape[0] - 1)
         # C-contiguous copies: reductions over strided columns can round
@@ -163,11 +172,9 @@ def read_diagnostics(path: str) -> dict[str, np.ndarray]:
 
 def save_trajectory(out_dir: str, traj: Trajectory, params: MixtureParams, scheme=None) -> str:
     os.makedirs(out_dir, exist_ok=True)
-    snaps = []
-    for k, state in enumerate(traj.states):
-        name = f"snap_{k:05d}.csv"
-        write_snapshot(os.path.join(out_dir, name), state)
-        snaps.append(name)
+    snaps = [f"snap_{k:05d}.csv" for k in range(len(traj))]
+    for k, name in enumerate(snaps):
+        write_snapshot(os.path.join(out_dir, name), traj.state(k))
     if traj.diagnostics:
         write_diagnostics(os.path.join(out_dir, "diag.csv"), traj.diagnostics)
     manifest = {
@@ -176,7 +183,7 @@ def save_trajectory(out_dir: str, traj: Trajectory, params: MixtureParams, schem
         "frame": traj.frame,
         "n_cells": traj.grid.n_cells,
         "domain_length": traj.grid.domain_length,
-        "times": [s.time for s in traj.states],
+        "times": traj.times.tolist(),
         "snapshots": snaps,
         "params": params_to_dict(params),
         "params_hash": params_hash(params),
@@ -247,17 +254,17 @@ def load_trajectory(
     pairs = list(zip(times, snaps))
     if final_only:
         pairs = pairs[-1:]
-    traj = Trajectory(frame, grid)
+    states = []
     for t, name in pairs:
         path = os.path.join(out_dir, name)
-        state = read_snapshot(path, t, frame)
+        states.append(state := read_snapshot(path, t, frame))
         if state.grid != grid or state.n_components != params.N:
             raise FileFormatError(
                 f"{path}: {state.grid.n_nodes} nodes on (0, {state.grid.domain_length}) and "
                 f"{state.n_components} velocities, the manifest gives {grid.n_nodes} nodes on "
                 f"(0, {grid.domain_length}) and {params.N}"
             )
-        traj.states.append(state)
+    traj = Trajectory.stack(states)
     dpath = os.path.join(out_dir, "diag.csv")
     if os.path.exists(dpath):
         traj.diagnostics = read_diagnostics(dpath)

@@ -36,10 +36,10 @@ re-check it:
     scratch it reads is rewritten by the kernel's next call
 
 Density positivity is a hard check at every stage: a violation aborts the
-run with the recorded trajectory (copies of the states) attached to the
-exception, it is never clipped.  :func:`_check_stage` returns the density it
-checked for the next tendencies, and :func:`step_once` returns its result's
-density, which :func:`run_loop` hands to the next stable-step estimate.
+run with the recorded trajectory attached to the exception, it is never
+clipped.  :func:`_check_stage` returns the density it checked for the next
+tendencies, and :func:`step_once` returns its result's density, which
+:func:`run_loop` hands to the next stable-step estimate.
 """
 
 from __future__ import annotations
@@ -258,26 +258,28 @@ def step_once(kernel, t, Y, dt, scheme, rho=None, shared=None):
 def run_loop(kernel, initial: State, t_end: float, scheme, snapshot_every: int = 20) -> Trajectory:
     """March from ``initial`` to ``t_end``, recording every ``snapshot_every`` steps.
 
-    The initial and final states are always recorded.  The trajectory holds
-    states only; :func:`mixflow.estimates.diagnose` fills its diagnostics.
-    On blow-up the partial trajectory is attached to the raised
-    :class:`SolverBlowup`.
+    The initial and final states are always recorded, as copies stacked into
+    the trajectory once at the end; :func:`mixflow.estimates.diagnose` fills
+    its diagnostics.  On blow-up the partial trajectory is attached to the
+    raised :class:`SolverBlowup`.
     """
     if snapshot_every < 1:
         raise ValidationError("snapshot_every must be >= 1")
-    traj = Trajectory(kernel.frame, kernel.grid)
+    times, rhos, Us = [], [], []
 
     def record(t, rho, Y):
-        traj.append(State(time=t, frame=kernel.frame, grid=kernel.grid,
-                          rho=np.array(rho), U=Y[1:].copy()))
+        times.append(t)
+        rhos.append(np.array(rho))
+        Us.append(Y[1:].copy())
 
+    trajectory = functools.partial(Trajectory, kernel.frame, kernel.grid, times, rhos, Us)
     t = float(initial.time)
     Y = kernel._states[0]
     Y[0], Y[1:] = kernel.to_evolved(np.array(initial.rho, dtype=float)), initial.U
     record(t, kernel.density_view(Y[0]), Y)
     t_stop = t_end - 1e-13 * max(t_end, 1.0)
     if not t < t_stop:
-        return traj
+        return trajectory()
 
     explicit_visc = scheme.time_integrator != SEMI_IMPLICIT
     steps = 0
@@ -292,6 +294,6 @@ def run_loop(kernel, initial: State, t_end: float, scheme, snapshot_every: int =
             if steps % snapshot_every == 0 or t >= t_stop:
                 record(t, rho, Y)
     except SolverBlowup as exc:
-        exc.trajectory = traj
+        exc.trajectory = trajectory()
         raise
-    return traj
+    return trajectory()

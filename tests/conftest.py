@@ -65,6 +65,11 @@ def friction_power(state, params):
     return -integrate((exch * state.U).sum(axis=0) * wgt, state.grid)
 
 
+def records(traj):
+    """The recorded states of ``traj`` in time order, one per row of its stack."""
+    return [traj.state(k) for k in range(len(traj))]
+
+
 def stack(q, U):
     """The integrators' state layout: q in row 0, one velocity per row below."""
     return np.concatenate([np.asarray(q, dtype=float)[None], np.asarray(U, dtype=float)])

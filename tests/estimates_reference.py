@@ -37,6 +37,11 @@ _AUDITS = {
 KNOWN_AUDITS = tuple(_AUDITS)
 
 
+def states(traj) -> list:
+    """The records of ``traj`` one state at a time, as the loops read them."""
+    return [traj.state(k) for k in range(len(traj))]
+
+
 # ---------------------------------------------------------------------------
 # per-state diagnostics: make_record and its functionals, one state per call
 
@@ -236,15 +241,15 @@ def _cumtrapz(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
 def attach_time_fields(traj: Trajectory, params: MixtureParams, derived: DerivedMatrices):
     """Fill the snapshot-difference diagnostics on an existing trajectory."""
     _require_states(traj, 2)
-    times = traj.times()
+    times = traj.times
     g = traj.grid
-    rhos = [s.rho for s in traj.states]
+    rhos = [s.rho for s in states(traj)]
     drho_dt = time_derivative_series(times, rhos)
     for rec, dr in zip(traj.diagnostics, drho_dt):
         rec.dt_rho_l2 = l2_norm(dr, g)
     if traj.frame == LAGRANGIAN:
         dln_dt = time_derivative_series(times, [np.log(r) for r in rhos])
-        for rec, s, dl in zip(traj.diagnostics, traj.states, dln_dt):
+        for rec, s, dl in zip(traj.diagnostics, states(traj), dln_dt):
             dv = sbp_derivative(s.U.mean(axis=0), g)
             rec.identity_residual = l2_norm(s.rho * dv + dl, g)
     if traj.frame == EULERIAN:
@@ -299,11 +304,11 @@ def audit_density_bounds(traj: Trajectory, dval: float, rel_tol: float = 1e-8) -
     """
     _require_states(traj)
     tol = rel_tol * dval
-    lo = min(float(s.rho.min()) for s in traj.states)
-    hi = max(float(s.rho.max()) for s in traj.states)
+    lo = min(float(s.rho.min()) for s in states(traj))
+    hi = max(float(s.rho.max()) for s in states(traj))
     worst = 0.0
     ok = lo > 0.0
-    for s in traj.states:
+    for s in states(traj):
         mn, mx = float(s.rho.min()), float(s.rho.max())
         worst = max(worst, mn - dval, dval - mx)
         if mn - dval > tol or dval - mx > tol:
@@ -338,20 +343,20 @@ def audit_w_balance(
     """
     _lagrangian_only(traj, "w balance")
     g = traj.grid
-    times = traj.times()
+    times = traj.times
     vw = derived.V_weights
     A = params.A
     gam, ktg = params.gamma, derived.K_tilde * params.gamma
 
-    ws = [w_field(s) for s in traj.states]
+    ws = [w_field(s) for s in states(traj)]
     phis = np.array([g.h * (w**2).sum() for w in ws])
-    vs = [np.einsum("j,jx->x", vw, s.U) for s in traj.states]
+    vs = [np.einsum("j,jx->x", vw, s.U) for s in states(traj)]
     dv_dt = time_derivative_series(times, vs)
     dphi = time_derivative_series(times, list(phis))
 
     residuals = []
     for m in range(1, len(times) - 1):
-        s = traj.states[m]
+        s = traj.state(m)
         w = ws[m]
         rho_f = face_mean(s.rho)
         pressure = ktg * g.h * float((rho_f**gam * w**2).sum())
@@ -400,13 +405,13 @@ def audit_gronwall_chain(
     _lagrangian_only(traj, "gronwall chain")
     g = traj.grid
     d = g.domain_length
-    times = traj.times()
+    times = traj.times
     vw = derived.V_weights
 
-    ws = [w_field(s) for s in traj.states]
+    ws = [w_field(s) for s in states(traj)]
     phi = np.array([g.h * (w**2).sum() for w in ws])
-    vs = [np.einsum("j,jx->x", vw, s.U) for s in traj.states]
-    s_series = np.array([pair_gap_over_sqrt_rho(s) for s in traj.states])
+    vs = [np.einsum("j,jx->x", vw, s.U) for s in states(traj)]
+    s_series = np.array([pair_gap_over_sqrt_rho(s) for s in states(traj)])
     int_s = _cumtrapz(times, s_series)
 
     c3 = max(
@@ -426,7 +431,7 @@ def audit_gronwall_chain(
                     * np.abs(face_gradient(v, g))
                 ).sum()
             )
-            for s, v in zip(traj.states, vs)
+            for s, v in zip(states(traj), vs)
         ]
     )
     int_cross = _cumtrapz(times, cross)[-1]
@@ -468,7 +473,7 @@ def audit_pointwise_bounds(traj: Trajectory, abs_tol: float = 1e-8) -> AuditResu
     d = g.domain_length
     worst_h = -math.inf
     worst_l = -math.inf
-    for s in traj.states:
+    for s in states(traj):
         wn = w_norm(s)
         lhs_h = float((1.0 / np.sqrt(s.rho)).max())
         worst_h = max(worst_h, lhs_h - (d**-0.5 + 0.5 * wn))
@@ -502,11 +507,11 @@ def alpha_series(traj: Trajectory, params: MixtureParams, derived: DerivedMatric
         raise WrongFrame("alpha is defined on Eulerian trajectories")
     _require_states(traj, 2)
     g = traj.grid
-    times = traj.times()
-    du_dt = time_derivative_series(times, [s.U for s in traj.states])
+    times = traj.times
+    du_dt = time_derivative_series(times, [s.U for s in states(traj)])
     inst = []
     quad = []
-    for s, du in zip(traj.states, du_dt):
+    for s, du in zip(states(traj), du_dt):
         quad.append(_visc_quad(s, params)[0])
         d2u = _second_derivative(s.U, g.h)
         md2 = params.M @ d2u
@@ -528,14 +533,14 @@ def audit_alpha_growth(
         raise WrongFrame("alpha audit expects the Eulerian trajectory")
     _require_states(traj, 3)
     g = traj.grid
-    times = traj.times()
+    times = traj.times
     a = alpha_series(traj, params, derived)
 
     row = params.A.sum(axis=1)
     c10_terms = []
     uinf_sq = []
     rho_max = 0.0
-    for s in traj.states:
+    for s in states(traj):
         exch = params.A @ s.U - row[:, None] * s.U
         press = diff(s.rho**params.gamma, g)
         c10_terms.append(
@@ -577,8 +582,8 @@ def audit_alpha_growth(
 def audit_velocity_damping(traj: Trajectory, params: MixtureParams) -> AuditResult:
     """Time integral of the pairwise velocity gaps; finite by the energy estimate."""
     _require_states(traj)
-    times = traj.times()
-    gaps = np.array([pairwise_velocity_gap_sq(s) for s in traj.states])
+    times = traj.times
+    gaps = np.array([pairwise_velocity_gap_sq(s) for s in states(traj)])
     total = float(_cumtrapz(times, gaps)[-1])
     verdict = PASS if math.isfinite(total) else FAIL
     return AuditResult(
@@ -601,10 +606,10 @@ def derivative_norm_report(traj: Trajectory, params: MixtureParams | None = None
         raise WrongFrame("derivative norm report expects the Eulerian trajectory")
     _require_states(traj, 2)
     g = traj.grid
-    times = traj.times()
+    times = traj.times
 
-    du_dt = time_derivative_series(times, [s.U for s in traj.states])
-    drho_dt = time_derivative_series(times, [s.rho for s in traj.states])
+    du_dt = time_derivative_series(times, [s.U for s in states(traj)])
+    drho_dt = time_derivative_series(times, [s.rho for s in states(traj)])
 
     sup_grad_u = 0.0
     sup_dtrho = 0.0
@@ -612,7 +617,7 @@ def derivative_norm_report(traj: Trajectory, params: MixtureParams | None = None
     d2_sq = []
     dt_sq = []
     uinf_sq = []
-    for s, du, dr in zip(traj.states, du_dt, drho_dt):
+    for s, du, dr in zip(states(traj), du_dt, drho_dt):
         jump = face_gradient(s.U, g)
         sup_grad_u = max(sup_grad_u, float(np.sqrt(g.h * (jump**2).sum(axis=1)).sum()))
         sup_dtrho = max(sup_dtrho, l2_norm(dr, g))
@@ -647,12 +652,12 @@ def derivative_norm_report(traj: Trajectory, params: MixtureParams | None = None
 def empirical_constants(traj: Trajectory, params: MixtureParams) -> dict[str, float]:
     """Measured suprema of the norms the first a priori estimate controls."""
     g = traj.grid
-    times = traj.times()
+    times = traj.times
     sup_sqrho_u = 0.0
     sup_rho_lgam = 0.0
     grad_sq = []
     gap_sq = []
-    for s in traj.states:
+    for s in states(traj):
         if traj.frame == EULERIAN:
             sup_sqrho_u = max(
                 sup_sqrho_u,
@@ -674,8 +679,8 @@ def empirical_constants(traj: Trajectory, params: MixtureParams) -> dict[str, fl
         "sup_t_rho_lgamma": sup_rho_lgam,
         "grad_u_l2_qt": float(np.sqrt(_cumtrapz(times, np.asarray(grad_sq))[-1])),
         "velocity_gap_l2_qt": float(np.sqrt(_cumtrapz(times, np.asarray(gap_sq))[-1])),
-        "rho_inf": min(float(s.rho.min()) for s in traj.states),
-        "rho_sup": max(float(s.rho.max()) for s in traj.states),
+        "rho_inf": min(float(s.rho.min()) for s in states(traj)),
+        "rho_sup": max(float(s.rho.max()) for s in states(traj)),
     }
     return out
 
@@ -700,7 +705,7 @@ def build_report(
     if eulerian is None and lagrangian is None:
         raise EmptyTrajectory("no trajectory supplied")
     if eulerian is not None:
-        dval = integrate(eulerian.states[0].rho, eulerian.grid)
+        dval = integrate(eulerian.state(0).rho, eulerian.grid)
     else:
         dval = lagrangian.grid.domain_length
 

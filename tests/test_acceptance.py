@@ -25,7 +25,7 @@ from mixflow.runner import execute, integrate
 from mixflow.scenarios import CORPUS, scenario_config
 from mixflow.timestepping import CENTRAL, UPWIND, SchemeConfig
 
-from conftest import friction_power
+from conftest import friction_power, records
 from reference import single_fluid_reference
 
 SEMI = "semi-implicit-viscosity"
@@ -128,8 +128,8 @@ def test_c02_mass_conservation(corpus_results):
     worst = 0.0
     for name, (result, _) in corpus_results.items():
         traj = result.eulerian
-        d0 = total_mass(traj.states[0])
-        drift = max(abs(total_mass(s) - d0) for s in traj.states) / d0
+        d0 = total_mass(traj.state(0))
+        drift = max(abs(total_mass(s) - d0) for s in records(traj)) / d0
         worst = max(worst, drift)
     verdict("C02 mass-conservation", worst <= 1e-10, f"max relative drift {worst:.2e}")
 
@@ -142,7 +142,7 @@ def test_c03_density_bounds(corpus_results):
         for traj in (result.eulerian, result.lagrangian):
             if traj is None:
                 continue
-            for s in traj.states:
+            for s in records(traj):
                 if not (s.rho.min() > 0.0 and s.rho.min() <= d0 + 1e-8 * d0
                         and d0 <= s.rho.max() + 1e-8 * d0):
                     ok = False
@@ -189,7 +189,7 @@ def test_c06_reduction_oracle(corpus_results):
     )
     worst = 0.0
     assert len(traj_mix) == len(traj_one)
-    for sm, so in zip(traj_mix.states, traj_one.states):
+    for sm, so in zip(records(traj_mix), records(traj_one)):
         worst = max(worst, np.abs(sm.rho - so.rho).max())
         for i in range(rc.params.N):
             worst = max(worst, np.abs(sm.U[i] - so.U[0]).max())
@@ -258,7 +258,7 @@ def test_c10_w_balance_residual(shear_residual_runs):
     params, derived, runs = shear_residual_runs
     res = {}
     for n, traj in runs.items():
-        audit = est.audit_w_balance(est._stack(traj), params, derived)
+        audit = est.audit_w_balance(traj, params, derived)
         late = [abs(r) for t, r in zip(audit.details["times"], audit.details["residuals"])
                 if t >= 0.25 * 0.3]
         res[n] = max(late)
@@ -304,8 +304,8 @@ def test_c12_gronwall_and_alpha(corpus_results):
             lagrange.euler_to_lagrange(init), rc.params, derived, scheme, 1.0,
             snapshot_every=8,
         ), rc.params, derived)
-        gron = est.audit_gronwall_chain(est._stack(traj_l), rc.params, derived)
-        alph = est.audit_alpha_growth(est._stack(traj_e), est._ledger(traj_e),
+        gron = est.audit_gronwall_chain(traj_l, rc.params, derived)
+        alph = est.audit_alpha_growth(traj_e, est._ledger(traj_e),
                                       rc.params, derived)
         consts[n] = {
             "c4": gron.details["c4"],

@@ -8,7 +8,7 @@ import pytest
 from mixflow import runner
 from mixflow.cli import EXIT_BLOWUP, EXIT_WORKER_DIED, cli_main
 from mixflow.errors import FileFormatError, SolverBlowup, WorkerDied
-from mixflow.field import EULERIAN, LAGRANGIAN
+from mixflow.field import EULERIAN, LAGRANGIAN, Trajectory
 from mixflow.runner import concurrently
 
 from test_io_cli import SMALL_CONFIG
@@ -70,6 +70,12 @@ class TestConcurrently:
         state = concurrently([lambda: 0, lambda: shear_state])[1]
         assert (state.rho == shear_state.rho).all() and (state.U == shear_state.U).all()
         assert not state.rho.flags.writeable and not state.U.flags.writeable
+        traj = Trajectory.stack([shear_state])
+        back = concurrently([lambda: 0, lambda: traj])[1]
+        for name in ("times", "rho", "U"):
+            got = getattr(back, name)
+            assert (got == getattr(traj, name)).all() and not got.flags.writeable, name
+            assert got.flags.c_contiguous, name
 
     def test_single_call_runs_in_process(self):
         assert concurrently([os.getpid]) == [os.getpid()]

@@ -1,4 +1,6 @@
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -304,6 +306,30 @@ def test_non_finite_descriptor_number_exits_2_before_any_output(tmp_path, capsys
     assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"config error: [initial] {key}: {reason}"]
     assert not out.exists()
+
+
+def _nan_rho_cell(lines):
+    cells = lines[5].split(",")
+    cells[1] = "nan"
+    return [*lines[:5], ",".join(cells), *lines[6:]]
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda lines: lines[:1], "random_smooth_init.csv: no data rows"),
+    (lambda lines: lines[:2], "needs 2 or more rows of finite x_or_y and rho"),
+    (_nan_rho_cell, "needs 2 or more rows of finite x_or_y and rho"),
+], ids=["header-only", "one-data-row", "nan-cell"])
+def test_malformed_table_exits_2_with_one_line(tmp_path, capsys, edit, reason):
+    data = os.path.join(os.path.dirname(io.__file__), "data")
+    shutil.copy(os.path.join(data, "random_smooth.ini"), tmp_path)
+    lines = open(os.path.join(data, "random_smooth_init.csv")).read().splitlines()
+    (tmp_path / "random_smooth_init.csv").write_text("\n".join(edit(lines)) + "\n")
+    argv = ["run", "--config", str(tmp_path / "random_smooth.ini"), "--out-dir",
+            str(tmp_path / "out")]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and reason in err, err
 
 
 def test_unknown_audit_fails_before_any_load(tmp_path, capsys, monkeypatch):

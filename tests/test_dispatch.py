@@ -1,8 +1,8 @@
 """One table per dispatch.
 
 ``runner.integrate`` picks the kernel from the start's frame through
-``runner.KERNELS``; ``estimates.build_report`` stacks each frame once and
-hands that stack and the frame's ledger to every audit through
+``runner.KERNELS``; ``estimates.build_report`` hands each frame's trajectory,
+which is its stack, and the frame's ledger to every audit through
 ``estimates._AUDITS``.
 """
 
@@ -36,10 +36,8 @@ def _bits(x):
 
 def _assert_same_states(a, b):
     assert a.frame == b.frame and len(a) == len(b)
-    for x, y in zip(a.states, b.states):
-        assert _bits(x.time) == _bits(y.time)
-        assert np.array_equal(_bits(x.rho), _bits(y.rho))
-        assert np.array_equal(_bits(x.U), _bits(y.U))
+    for name in ("times", "rho", "U"):
+        assert np.array_equal(_bits(getattr(a, name)), _bits(getattr(b, name))), name
 
 
 @pytest.mark.parametrize("frame", FRAMES)
@@ -83,19 +81,36 @@ def _two_frames(params2, derived2, grid64):
             for f in FRAMES]
 
 
-def test_one_stack_per_diagnose_and_per_frame_of_a_report(monkeypatch, params2, derived2, grid64):
+def test_audits_read_the_trajectory_arrays_without_a_copy(monkeypatch, params2, derived2,
+                                                          grid64):
     trajs = _two_frames(params2, derived2, grid64)
-    stacked = []
-    real_stack = est._stack
-    monkeypatch.setattr(est, "_stack", lambda traj: stacked.append(traj.frame) or real_stack(traj))
+    seen = []  # (frame, times, rho, U) of every stack a reader was handed
+
+    def spy(name):
+        real = getattr(est, name)
+
+        def call(st, *args):
+            seen.append((st.frame, st.times, st.rho, st.U))
+            return real(st, *args)
+        monkeypatch.setattr(est, name, call)
+
+    for name in ("energy", "attach_time_fields", "audit_w_balance", "audit_gronwall_chain",
+                 "audit_alpha_growth", "audit_pointwise_bounds", "derivative_norm_report",
+                 "audit_velocity_damping", "empirical_constants"):
+        spy(name)
     for traj in trajs:
         assert len(traj) >= 3
         est.diagnose(traj, params2, derived2)
-        assert stacked == [traj.frame]
-        stacked.clear()
     report = est.build_report(params2, derived2, eulerian=trajs[0], lagrangian=trajs[1])
     assert all(r.verdict != est.SKIP for r in report.results.values())
-    assert sorted(stacked) == FRAMES
+    by_frame = {traj.frame: traj for traj in trajs}
+    # diagnose: energy and the time fields per frame; the report: six audits
+    # and the constants
+    assert len(seen) == 2 * 2 + 6 + 1
+    for frame, *arrays in seen:
+        traj = by_frame[frame]
+        for got, own in zip(arrays, (traj.times, traj.rho, traj.U)):
+            assert np.shares_memory(got, own)
 
 
 def test_report_needs_each_frame_in_its_place_with_its_ledger(params2, derived2, grid64):

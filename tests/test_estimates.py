@@ -11,7 +11,7 @@ from mixflow.lagrange import euler_to_lagrange
 from mixflow.model import derive_matrices, make_params
 from mixflow.timestepping import SchemeConfig
 
-from conftest import friction_power, smooth_state
+from conftest import friction_power, records, smooth_state
 
 
 def eul_state(grid, rho, U, t=0.0):
@@ -23,9 +23,9 @@ def lag_state(grid, rho, U, t=0.0):
 
 
 def inputs(traj):
-    """What build_report hands a diagnosed trajectory's audits: its stack and
-    ledger columns."""
-    return est._stack(traj), est._ledger(traj)
+    """What build_report hands a diagnosed trajectory's audits: the trajectory
+    and its ledger columns."""
+    return traj, est._ledger(traj)
 
 
 class TestEnergy:
@@ -183,22 +183,22 @@ class TestEnergyBudget:
         r = est.audit_energy_budget(est._ledger(traj))
         assert r.verdict == est.FAIL
 
-    def test_empty_trajectory(self, params2, derived2, grid64):
+    def test_empty_trajectory(self, grid64):
+        n = grid64.n_nodes
         with pytest.raises(EmptyTrajectory):
-            est.build_report(params2, derived2, eulerian=Trajectory(EULERIAN, grid64),
-                             audits=("energy_budget",))
+            Trajectory(EULERIAN, grid64, np.empty(0), np.empty((0, n)), np.empty((0, 2, n)))
 
 
 class TestDensityBounds:
     def test_constant_equals_mass(self, params2, derived2, grid64):
-        tr = Trajectory(EULERIAN, grid64)
-        tr.append(eul_state(grid64, np.full(grid64.n_nodes, 1.3), np.zeros((2, grid64.n_nodes))))
+        tr = Trajectory.stack([eul_state(grid64, np.full(grid64.n_nodes, 1.3),
+                                         np.zeros((2, grid64.n_nodes)))])
         r = est.audit_density_bounds(est._ledger(est.diagnose(tr, params2, derived2)), 1.3)
         assert r.verdict == est.PASS
 
     def test_bracket_violation_detected(self, params2, derived2, grid64):
-        tr = Trajectory(EULERIAN, grid64)
-        tr.append(eul_state(grid64, np.full(grid64.n_nodes, 1.3), np.zeros((2, grid64.n_nodes))))
+        tr = Trajectory.stack([eul_state(grid64, np.full(grid64.n_nodes, 1.3),
+                                         np.zeros((2, grid64.n_nodes)))])
         led = est._ledger(est.diagnose(tr, params2, derived2))
         r = est.audit_density_bounds(led, 2.0)  # d above sup(rho): corrupted
         assert r.verdict == est.FAIL
@@ -219,7 +219,7 @@ class TestWBalanceAndGronwall:
         sl = lag_state(g, np.full(g.n_nodes, 1.5), np.zeros((2, g.n_nodes)))
         traj = est.diagnose(runner.integrate(sl, params2, derived2, SchemeConfig(), 0.05,
                                              snapshot_every=2), params2, derived2)
-        r = est.audit_w_balance(est._stack(traj), params2, derived2)
+        r = est.audit_w_balance(traj, params2, derived2)
         assert r.details["max_residual"] <= 1e-13
 
     def test_uniform_density_equal_velocity_zero(self, derived2):
@@ -230,17 +230,18 @@ class TestWBalanceAndGronwall:
         y = g.nodes()
         f = 0.05 * np.sin(np.pi * y)
         f[[0, -1]] = 0.0
-        tr = Trajectory(LAGRANGIAN, g)
-        for k, t in enumerate((0.0, 0.01, 0.02)):
-            tr.append(lag_state(g, np.ones(g.n_nodes), np.array([f, f]) * (1 + 0.1 * k), t=t))
-        r = est.audit_w_balance(est._stack(est.diagnose(tr, p, d)), p, d)
+        tr = Trajectory.stack([
+            lag_state(g, np.ones(g.n_nodes), np.array([f, f]) * (1 + 0.1 * k), t=t)
+            for k, t in enumerate((0.0, 0.01, 0.02))
+        ])
+        r = est.audit_w_balance(est.diagnose(tr, p, d), p, d)
         assert r.details["max_residual"] <= 1e-13
 
     def test_wbalance_residual_refines(self, params2, derived2):
         res = []
         for n in (32, 64):
             traj = self._lag_run(params2, derived2, n=n)
-            r = est.audit_w_balance(est._stack(traj), params2, derived2)
+            r = est.audit_w_balance(traj, params2, derived2)
             settle = [abs(x) for t, x in zip(r.details["times"], r.details["residuals"])
                       if t >= 0.05]
             res.append(max(settle))
@@ -248,7 +249,7 @@ class TestWBalanceAndGronwall:
 
     def test_gronwall_passes_generic(self, params2, derived2):
         traj = self._lag_run(params2, derived2)
-        r = est.audit_gronwall_chain(est._stack(traj), params2, derived2)
+        r = est.audit_gronwall_chain(traj, params2, derived2)
         assert r.verdict == est.PASS
         assert r.margin > 0
 
@@ -257,7 +258,7 @@ class TestWBalanceAndGronwall:
         sl = lag_state(g, np.full(g.n_nodes, 1.5), np.zeros((2, g.n_nodes)))
         traj = est.diagnose(runner.integrate(sl, params2, derived2, SchemeConfig(), 0.05,
                                              snapshot_every=2), params2, derived2)
-        r = est.audit_gronwall_chain(est._stack(traj), params2, derived2)
+        r = est.audit_gronwall_chain(traj, params2, derived2)
         assert r.verdict == est.PASS
 
     def test_pointwise_bounds_hold(self, params2, derived2):
@@ -290,10 +291,8 @@ class TestAlpha:
 
         u1 = np.array([0.0, 0.0, 0.0, 0.25, 0.5, 0.25, 0.0, 0.0, 0.0])
         U = np.array([u1, 0 * u1])
-        tr = Trajectory(EULERIAN, g)
         times = (0.0, 0.05, 0.1, 0.15)
-        for t in times:
-            tr.append(eul_state(g, np.ones(9), U, t=t))
+        tr = Trajectory.stack([eul_state(g, np.ones(9), U, t=t) for t in times])
         a = est.diagnose(tr, p, d).diagnostics["alpha"]
         assert np.allclose(a, 4.0 + 1120.0 * np.array(times), atol=1e-10)
 
@@ -367,9 +366,7 @@ class TestRecordsAndReport:
             "alpha_growth": "needs an Eulerian trajectory with >= 3 records",
             "derivative_norms": "needs an Eulerian trajectory with >= 2 records",
         }
-        two = Trajectory(EULERIAN, traj_e.grid)
-        for s in traj_e.states[:2]:
-            two.append(s)
+        two = Trajectory.stack(records(traj_e)[:2])
         assert reasons(eulerian=est.diagnose(two, params2, derived2)) == {
             "w_balance": "needs a Lagrangian trajectory with >= 3 records",
             "gronwall": "needs a Lagrangian trajectory with >= 3 records",
@@ -379,9 +376,8 @@ class TestRecordsAndReport:
 
     def test_density_bounds_reports_a_lagrangian_failure(self, params2, derived2, grid64):
         def single(frame, rho):
-            tr = Trajectory(frame, grid64)
-            tr.append(State(time=0.0, frame=frame, grid=grid64,
-                            rho=rho, U=np.zeros((2, grid64.n_nodes))))
+            tr = Trajectory.stack([State(time=0.0, frame=frame, grid=grid64,
+                                         rho=rho, U=np.zeros((2, grid64.n_nodes)))])
             return est.diagnose(tr, params2, derived2)
 
         def bounds(lag_rho):

@@ -10,7 +10,7 @@ from mixflow.field import EULERIAN, Grid1D, State, integrate, l2_norm, total_mas
 from mixflow.model import derive_matrices, make_params
 from mixflow.timestepping import CENTRAL, SEMI_IMPLICIT, UPWIND, SchemeConfig, step_once
 
-from conftest import euler_tendencies, stack
+from conftest import euler_tendencies, records, stack
 
 
 def rest_state(grid, n_comp=2, rho0=1.0):
@@ -176,8 +176,8 @@ class TestRun:
 
     def test_mass_conservation_and_bcs(self, params2, derived2, shear_state):
         traj = runner.integrate(shear_state, params2, derived2, SchemeConfig(), t_end=0.25, snapshot_every=25)
-        m0 = total_mass(traj.states[0])
-        for s in traj.states:
+        m0 = total_mass(traj.state(0))
+        for s in records(traj):
             assert abs(total_mass(s) - m0) <= 1e-10 * m0
             assert np.all(s.U[:, [0, -1]] == 0.0)
 
@@ -192,7 +192,7 @@ class TestRun:
         s = State(time=0.0, frame=EULERIAN, grid=grid64,
                   rho=1.0 + 0.2 * np.exp(-(((x - 0.5) / 0.2) ** 2)), U=np.array([f, f]))
         traj = runner.integrate(s, p, d, SchemeConfig(), t_end=0.5, snapshot_every=100)
-        for st in traj.states:
+        for st in records(traj):
             assert np.abs(st.U[0] - st.U[1]).max() <= 1e-10
 
     def test_per_step_energy_decay_semi_implicit(self, params2, derived2, shear_state):

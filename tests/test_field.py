@@ -59,17 +59,16 @@ class TestGridState:
             s.rho[0] = 2.0
 
     def test_trajectory_rejects_time_regression(self, grid64):
-        tr = Trajectory(EULERIAN, grid64)
         s0 = make_state(grid64, np.ones(grid64.n_nodes), np.zeros((1, grid64.n_nodes)))
-        tr.append(s0)
         with pytest.raises(ValidationError):
-            tr.append(s0)
+            Trajectory.stack([s0, s0])
 
     def test_trajectory_frame_guard(self, grid64):
-        tr = Trajectory(LAGRANGIAN, grid64)
         s0 = make_state(grid64, np.ones(grid64.n_nodes), np.zeros((1, grid64.n_nodes)))
+        s1 = make_state(grid64, np.ones(grid64.n_nodes), np.zeros((1, grid64.n_nodes)),
+                        frame=LAGRANGIAN, time=1.0)
         with pytest.raises(WrongFrame):
-            tr.append(s0)
+            Trajectory.stack([s1, s0])
 
 
 class TestQuadrature:

@@ -218,12 +218,11 @@ def ref_step_once(k, t, q, U, dt, scheme, tend):
 
 def ref_run_loop(k, initial, t_end, scheme, tend):
     """The unfused run loop, recording every step."""
-    traj = Trajectory(k.frame, k.grid)
+    states = []
 
     def record(t, q, U):
-        s = State(time=t, frame=k.frame, grid=k.grid, rho=np.array(REF_DENSITY[k.frame](q)),
-                  U=U.copy())
-        traj.append(s)
+        states.append(State(time=t, frame=k.frame, grid=k.grid,
+                            rho=np.array(REF_DENSITY[k.frame](q)), U=U.copy()))
 
     t = float(initial.time)
     q = k.to_evolved(np.array(initial.rho, dtype=float))
@@ -238,9 +237,9 @@ def ref_run_loop(k, initial, t_end, scheme, tend):
             t += dt
             record(t, q, U)
     except SolverBlowup as exc:
-        exc.trajectory = traj
+        exc.trajectory = Trajectory.stack(states)
         raise
-    return traj
+    return Trajectory.stack(states)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +255,12 @@ def assert_bit_equal(got, want):
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.array_equal(bits(g), bits(w))
+
+
+def assert_same_records(got, want):
+    """Equal record times and bit-equal recorded fields."""
+    assert got.times.tolist() == want.times.tolist()
+    assert_bit_equal([got.rho, got.U], [want.rho, want.U])
 
 
 def outcome(fn, *args):
@@ -385,9 +390,7 @@ def test_run_loop_bit_identical(integrator, case):
     if got[0] == "raise":
         assert got[1:] == want[1:]
         return
-    assert [s.time for s in got[1].states] == [s.time for s in want[1].states]
-    assert_bit_equal([s.rho for s in got[1].states], [s.rho for s in want[1].states])
-    assert_bit_equal([s.U for s in got[1].states], [s.U for s in want[1].states])
+    assert_same_records(got[1], want[1])
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +489,7 @@ def test_run_loop_fault_keeps_trajectory(frame, integrator, call, field, value):
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
     got, want = got.value.trajectory, want.value.trajectory
     assert len(got) == len(want) == 3
-    assert [s.time for s in got.states] == [s.time for s in want.states]
-    assert_bit_equal([s.rho for s in got.states], [s.rho for s in want.states])
-    assert_bit_equal([s.U for s in got.states], [s.U for s in want.states])
+    assert_same_records(got, want)
 
 
 # an infinite first solve reaches the second stage's tendencies, whose
@@ -611,8 +612,7 @@ def test_rk4_keeps_four_derivatives_alive(frame):
 
 
 def assert_states_unchanged(traj, copies):
-    assert_bit_equal([s.rho for s in traj.states], [rho for rho, _ in copies])
-    assert_bit_equal([s.U for s in traj.states], [U for _, U in copies])
+    assert_bit_equal([traj.rho, traj.U], copies)
 
 
 @pytest.mark.parametrize("frame", [EULERIAN, LAGRANGIAN])
@@ -625,9 +625,8 @@ def test_recorded_states_are_copies(frame, integrator):
         kern.to_evolved(case["rho"]), case["U"], integrator != SEMI_IMPLICIT), scheme, 1)
     assert len(traj) >= 5
     buffers = (*kern._states, *kern._derivs)
-    assert not any(np.shares_memory(a, b) for s in traj.states for a in (s.rho, s.U)
-                   for b in buffers)
-    copies = [(s.rho.copy(), s.U.copy()) for s in traj.states]
+    assert not any(np.shares_memory(a, b) for a in (traj.rho, traj.U) for b in buffers)
+    copies = [traj.rho.copy(), traj.U.copy()]
     for _ in march(kern, scheme, traj.final, 5):  # the same kernel steps on
         pass
     assert_states_unchanged(traj, copies)
@@ -639,7 +638,7 @@ def test_recorded_states_are_copies(frame, integrator):
         run_loop(kern, state, 1.0, scheme, 1)
     partial = info.value.trajectory
     assert len(partial) == 3
-    copies = [(s.rho.copy(), s.U.copy()) for s in partial.states]
+    copies = [partial.rho.copy(), partial.U.copy()]
     kern._rhs = rhs
     for _ in march(kern, scheme, state, 5):
         pass

@@ -17,6 +17,8 @@ from mixflow.model import derive_matrices
 from mixflow.runner import execute, integrate, save_result
 from mixflow.timestepping import SEMI_IMPLICIT, SchemeConfig
 
+from conftest import records
+
 SMALL_CONFIG = """
 [params]
 n_components = 2
@@ -62,7 +64,7 @@ class TestTrajectoryIO:
         assert params_back == params2
         assert back.frame == traj.frame
         assert len(back) == len(traj)
-        for a, b in zip(traj.states, back.states):
+        for a, b in zip(records(traj), records(back)):
             assert a.time == b.time
             assert np.array_equal(a.rho, b.rho)
             assert np.array_equal(a.U, b.U)
@@ -435,6 +437,19 @@ def _diag_edit(name, row, value, sub=EULERIAN):
     return corrupt
 
 
+def _diag_column(name, value, sub=EULERIAN):
+    """A corruption that sets every cell of one column of ``sub/diag.csv``."""
+    def corrupt(out):
+        path = os.path.join(out, sub, "diag.csv")
+        header, *lines = open(path).read().splitlines()
+        col = header.split(",").index(name)
+        rows = [line.split(",") for line in lines]
+        for cells in rows:
+            cells[col] = value(cells[col])
+        open(path, "w").write("\n".join([header, *map(",".join, rows)]) + "\n")
+    return corrupt
+
+
 class TestTrajectoryFormatFaults:
     def _copy(self, stored_run, tmp_path):
         out = str(tmp_path / "copy")
@@ -615,7 +630,7 @@ def shear_run(tmp_path_factory):
 
 
 class TestLedger:
-    """``check`` compares the stored state fields of ``diag.csv`` with their
+    """``check`` compares every stored field of ``diag.csv`` with its
     recomputation and names the first mismatch in row order in one line."""
 
     def _check(self, shear_run, tmp_path, capsys, corrupt):
@@ -644,6 +659,20 @@ class TestLedger:
         assert "np.float64(" not in reasons[0]
         assert " != recomputed " in reasons[0]
         assert audits["alpha_growth"]["verdict"] in ("PASS", "FAIL")
+
+    @pytest.mark.parametrize("corrupt, reason", [
+        (_diag_column("alpha", lambda c: repr(2 * float(c))), "eulerian: stored alpha row 0 = "),
+        (_diag_edit("identity_residual", 2, lambda c: "inf", LAGRANGIAN),
+         "lagrangian: stored identity_residual row 2 = inf != recomputed "),
+        (_diag_column("alpha", lambda c: ""), "eulerian: stored diagnostics lack alpha"),
+        (_diag_column("alpha", lambda c: "1.0", LAGRANGIAN),
+         "lagrangian: stored diagnostics have alpha, which does not apply"),
+    ], ids=["doubled-alpha", "inf-identity-residual", "blank-alpha-column",
+            "lagrangian-alpha-column"])
+    def test_time_field_mismatch_named(self, shear_run, tmp_path, capsys, corrupt, reason):
+        code, reasons, _ = self._check(shear_run, tmp_path, capsys, corrupt)
+        assert code == 1
+        assert len(reasons) == 1 and reasons[0].startswith(reason), reasons
 
     def test_overflowing_gronwall_ceiling_is_inf(self, shear_run, tmp_path, capsys):
         _, _, audits = self._check(shear_run, tmp_path, capsys, _interior_speed("1e3"))

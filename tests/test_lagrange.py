@@ -16,7 +16,7 @@ from mixflow.lagrange import (
 from mixflow.model import derive_matrices, make_params
 from mixflow.timestepping import CENTRAL, SchemeConfig, step_once
 
-from conftest import euler_tendencies, lagrange_tendencies, smooth_state, stack
+from conftest import euler_tendencies, lagrange_tendencies, records, smooth_state, stack
 
 
 def lagrangian_rest(grid, n_comp=2, rho0=2.0):
@@ -235,15 +235,15 @@ class TestRun:
     def test_volume_exactly_conserved(self, params2, derived2, shear_state):
         sl = euler_to_lagrange(shear_state)
         traj = runner.integrate(sl, params2, derived2, SchemeConfig(), t_end=0.3, snapshot_every=20)
-        vol0 = integrate(1.0 / np.asarray(traj.states[0].rho), sl.grid)
-        for s in traj.states:
+        vol0 = integrate(1.0 / np.asarray(traj.state(0).rho), sl.grid)
+        for s in records(traj):
             assert integrate(1.0 / np.asarray(s.rho), sl.grid) == pytest.approx(vol0, abs=1e-13)
 
     def test_mean_value_bracket(self, params2, derived2, shear_state):
         sl = euler_to_lagrange(shear_state)
         d = sl.grid.domain_length
         traj = runner.integrate(sl, params2, derived2, SchemeConfig(), t_end=0.3, snapshot_every=20)
-        for s in traj.states:
+        for s in records(traj):
             assert s.rho.min() <= d <= s.rho.max()
 
     def test_identity_residual_converges(self, params2, derived2):

@@ -7,6 +7,7 @@ from mixflow.model import derive_matrices, make_params
 from mixflow.runner import integrate
 from mixflow.timestepping import SchemeConfig
 
+from conftest import records
 from reference import single_fluid_params, single_fluid_reference
 
 
@@ -52,7 +53,7 @@ class TestSingleFluid:
                                           scheme=scheme, grid=g, t_end=0.4,
                                           snapshot_every=50)
         assert len(traj_mix) == len(traj_one)
-        for sm, so in zip(traj_mix.states, traj_one.states):
+        for sm, so in zip(records(traj_mix), records(traj_one)):
             assert sm.time == pytest.approx(so.time, abs=1e-13)
             assert np.abs(sm.rho - so.rho).max() <= 1e-10
             for i in range(3):
@@ -66,6 +67,6 @@ class TestSingleFluid:
                                       scheme=scheme, grid=g, t_end=30.0,
                                       T_final=40.0, snapshot_every=500)
         final = traj.final
-        dval = total_mass(traj.states[0])
+        dval = total_mass(traj.state(0))
         assert l2_norm(final.U[0], g) < 1e-3
         assert l2_norm(final.rho - dval, g) < 1e-3

@@ -126,4 +126,4 @@ def test_imex_blowup_in_solve_keeps_trajectory(params2, derived2, shear_state):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     traj = info.value.trajectory
     assert traj is not None and len(traj) == 1
-    assert traj.states[0].time == 0.0
+    assert traj.times[0] == 0.0
