@@ -18,13 +18,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from functools import partial
 
 import numpy as np
 
 from . import estimates, io, lagrange, mms
-from .config import RunConfig, advection, audit_names, integrator, parse_config_file
+from .config import FRAMES, advection, audit_names, parse_config_file
 from .errors import (
     FileFormatError, MixflowError, ParseError, SolverBlowup, ValidationError, WorkerDied,
 )
@@ -45,12 +45,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="integrate a configured problem")
     run.add_argument("--config", required=True)
-    run.add_argument("--out-dir", default=None, help="override [output] out_dir")
-    run.add_argument("--frame", default=None, choices=(EULERIAN, LAGRANGIAN, "both"))
-    run.add_argument("--n-cells", type=int, default=None)
-    run.add_argument("--t-end", type=float, default=None)
-    run.add_argument("--scheme", default=None, help="override the time integrator")
-    run.add_argument("--cfl", type=float, default=None)
+    # each flag below sets the INI key its dest names as <section>.<key>
+    run.add_argument("--out-dir", dest="output.out_dir", metavar="OUT_DIR",
+                     help="override [output] out_dir")
+    run.add_argument("--frame", dest="scheme.frame", choices=FRAMES)
+    run.add_argument("--n-cells", dest="scheme.n_cells", metavar="N_CELLS")
+    run.add_argument("--t-end", dest="scheme.t_end", metavar="T_END")
+    run.add_argument("--scheme", dest="scheme.integrator", metavar="SCHEME",
+                     help="override the time integrator")
+    run.add_argument("--cfl", dest="scheme.cfl", metavar="CFL")
     run.add_argument("--plots", action="store_true", help="also emit SVG plots")
     run.set_defaults(command=_cmd_run)
 
@@ -86,20 +89,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_overrides(rc: RunConfig, args) -> RunConfig:
-    kw = {key: value for key in ("out_dir", "frame", "n_cells", "t_end")
-          if (value := getattr(args, key)) is not None}
-    if args.scheme is not None or args.cfl is not None:
-        kw["scheme"] = replace(
-            rc.scheme,
-            time_integrator=integrator(args.scheme or rc.scheme.time_integrator),
-            cfl=args.cfl if args.cfl is not None else rc.scheme.cfl,
-        )
-    return replace(rc, **kw)
+def _settings(args) -> list[tuple[str, str, str]]:
+    """``run``'s flags as the (section, key, value) INI settings they make."""
+    return [(*dest.split("."), value) for dest, value in vars(args).items()
+            if "." in dest and value is not None]
 
 
 def _cmd_run(args) -> int:
-    rc = _apply_overrides(parse_config_file(args.config), args)
+    rc = parse_config_file(args.config, _settings(args))
     os.makedirs(rc.out_dir, exist_ok=True)  # a path that cannot be one fails before the solve
     try:
         result = execute(rc, progress=lambda msg: print(msg, file=sys.stderr))

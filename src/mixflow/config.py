@@ -7,7 +7,11 @@ Config files carry four sections::
     [initial]  rho = <descriptor>, u1 ... uN = <descriptor>
     [output]   out_dir, snapshot_every, audits
 
-Matrices are JSON row lists.  Initial-data descriptors look like
+:data:`KEYS` gives each ``[params]``, ``[scheme]`` and ``[output]`` key its
+parser and the field it sets.  Every ``[params]`` key is required; an absent
+other key keeps its field's default (``t_end`` that of ``t_final``), and
+``run``'s flags set keys before parsing.  Matrices are JSON row lists.
+Initial-data descriptors look like
 ``gaussian:base=1.0,amp=0.4,center=0.5,width=0.1`` or ``sine:k=1,amp=0.1``;
 velocity descriptors may sum several sine terms with ``+``.  Unknown sections
 or keys are rejected.  Serialization round-trips exactly (floats via repr).
@@ -19,7 +23,7 @@ import configparser
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,28 +93,19 @@ def audit_names(text: str) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class RhoSpec:
-    kind: str  # constant | affine | gaussian | table
+class Descriptor:
+    """A parsed initial-data descriptor: a density or velocity kind, or
+    ``table``, and its arguments in order (``sine`` has ``modes``, its
+    ``(k, amp)`` pairs)."""
+
+    kind: str
     args: tuple[tuple[str, object], ...]
-
-    def argdict(self):
-        return dict(self.args)
-
-
-@dataclass(frozen=True)
-class VelocitySpec:
-    kind: str  # zero | sine | table
-    # sine: modes = ((k, amp), ...); table: file/column
-    args: tuple[tuple[str, object], ...]
-
-    def argdict(self):
-        return dict(self.args)
 
 
 @dataclass(frozen=True)
 class InitialData:
-    rho: RhoSpec
-    u: tuple[VelocitySpec, ...]
+    rho: Descriptor
+    u: tuple[Descriptor, ...]
     base_dir: str = "."
 
 
@@ -143,18 +138,26 @@ def _finite(kv: dict[str, str], name: str, context: str) -> float:
     return value
 
 
-#: the float arguments of each analytic density descriptor, in order
-_RHO_ARGS = {"constant": ("value",), "affine": ("base", "slope"),
-             "gaussian": ("base", "amp", "center", "width")}
+#: each analytic density kind: its float arguments, in order, and its profile on the nodes x
+_RHO_KINDS = {
+    "constant": (("value",), lambda x, value: np.full_like(x, value)),
+    "affine": (("base", "slope"), lambda x, base, slope: base + slope * x),
+    "gaussian": (("base", "amp", "center", "width"), lambda x, base, amp, center, width:
+                 base + amp * np.exp(-(((x - center) / width) ** 2))),
+}
+#: the profile on the nodes x of every kind but table, given its arguments
+_PROFILES = {**{kind: profile for kind, (_, profile) in _RHO_KINDS.items()},
+             "zero": np.zeros_like,
+             "sine": lambda x, modes: sum(amp * np.sin(k * math.pi * x) for k, amp in modes)}
 
 
-def parse_rho_spec(text: str, context: str = "rho") -> RhoSpec:
+def parse_rho_spec(text: str, context: str = "rho") -> Descriptor:
     kind, _, body = text.partition(":")
     kind = kind.strip()
     kv = _parse_kv(body, context)
     try:
-        if kind in _RHO_ARGS:
-            args = tuple((name, _finite(kv, name, context)) for name in _RHO_ARGS[kind])
+        if kind in _RHO_KINDS:
+            args = tuple((name, _finite(kv, name, context)) for name in _RHO_KINDS[kind][0])
         elif kind == "table":
             args = (("file", kv.pop("file")), ("column", kv.pop("column", "rho")))
         else:
@@ -166,18 +169,18 @@ def parse_rho_spec(text: str, context: str = "rho") -> RhoSpec:
     _no_more(kv, context, kind)
     if kind == "gaussian" and not dict(args)["width"] > 0:
         raise ParseError(f"{context}: gaussian width must be positive, got {dict(args)['width']}")
-    return RhoSpec(kind, args)
+    return Descriptor(kind, args)
 
 
-def parse_velocity_spec(text: str, context: str = "u") -> VelocitySpec:
+def parse_velocity_spec(text: str, context: str = "u") -> Descriptor:
     text = text.strip()
     if text == "zero":
-        return VelocitySpec("zero", ())
+        return Descriptor("zero", ())
     kind, _, body = text.partition(":")
     if kind.strip() == "table":
         kv = _parse_kv(body, context)
         try:
-            spec = VelocitySpec("table", (("file", kv.pop("file")), ("column", kv.pop("column"))))
+            spec = Descriptor("table", (("file", kv.pop("file")), ("column", kv.pop("column"))))
         except KeyError as exc:
             raise ParseError(f"{context}: missing argument {exc} for table") from None
         _no_more(kv, context, "table")
@@ -194,27 +197,30 @@ def parse_velocity_spec(text: str, context: str = "u") -> VelocitySpec:
         except (KeyError, ValueError) as exc:
             raise ParseError(f"{context}: bad sine mode ({exc})") from None
         _no_more(kv, context, "sine")
-    return VelocitySpec("sine", (("modes", tuple(modes)),))
+    return Descriptor("sine", (("modes", tuple(modes)),))
 
 
-def _read_table_column(path: str, column: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read (x, column) from a snapshot-format CSV: 2 or more rows, finite values."""
+def _sample_table(path: str, column: str, x: np.ndarray) -> np.ndarray:
+    """``column`` of a snapshot-format CSV (2 or more rows, finite values) on the nodes ``x``."""
     header, data = read_table(path)
     if header[0] != "x_or_y" or column not in header:
         raise FileFormatError(f"table {path} lacks column {column!r} (header: {header})")
     xs, vals = data[:, 0], data[:, header.index(column)]
     if len(xs) < 2 or not (np.isfinite(xs).all() and np.isfinite(vals).all()):
         raise FileFormatError(f"table {path} needs 2 or more rows of finite x_or_y and {column}")
-    return xs, vals
-
-
-def _sample_table(path: str, column: str, x: np.ndarray) -> np.ndarray:
-    xs, vals = _read_table_column(path, column)
     if xs.size == x.size and np.allclose(xs, x, atol=1e-14):
         return vals.copy()
     if np.any(np.diff(xs) <= 0):
         raise FileFormatError(f"table {path} abscissae must strictly increase")
     return pchip(xs, vals, x)
+
+
+def _profile(spec: Descriptor, x: np.ndarray, base_dir: str) -> np.ndarray:
+    """``spec`` sampled on the nodes ``x``; a table's file is read from ``base_dir``."""
+    kv = dict(spec.args)
+    if spec.kind == "table":
+        return _sample_table(os.path.join(base_dir, kv["file"]), kv["column"], x)
+    return _PROFILES[spec.kind](x, **kv)
 
 
 def make_initial(data: InitialData, grid: Grid1D) -> State:
@@ -223,32 +229,10 @@ def make_initial(data: InitialData, grid: Grid1D) -> State:
     Density must be strictly positive; boundary velocities are zeroed exactly.
     """
     x = grid.nodes()
-    kv = data.rho.argdict()
-    if data.rho.kind == "constant":
-        rho = np.full_like(x, kv["value"])
-    elif data.rho.kind == "affine":
-        rho = kv["base"] + kv["slope"] * x
-    elif data.rho.kind == "gaussian":
-        rho = kv["base"] + kv["amp"] * np.exp(-(((x - kv["center"]) / kv["width"]) ** 2))
-    elif data.rho.kind == "table":
-        rho = _sample_table(os.path.join(data.base_dir, kv["file"]), kv["column"], x)
-    else:
-        raise ValidationError(f"unknown rho spec {data.rho.kind!r}")
+    rho = _profile(data.rho, x, data.base_dir)
     if rho.min() <= 0:
         raise NonPositiveDensity(f"initial density must be positive, min = {rho.min()}")
-
-    U = np.zeros((len(data.u), x.size))
-    for i, spec in enumerate(data.u):
-        if spec.kind == "zero":
-            continue
-        if spec.kind == "sine":
-            for k, amp in spec.argdict()["modes"]:
-                U[i] += amp * np.sin(k * math.pi * x)
-        elif spec.kind == "table":
-            skv = spec.argdict()
-            U[i] = _sample_table(os.path.join(data.base_dir, skv["file"]), skv["column"], x)
-        else:
-            raise ValidationError(f"unknown velocity spec {spec.kind!r}")
+    U = np.array([_profile(spec, x, data.base_dir) for spec in data.u])
     U[:, 0] = 0.0
     U[:, -1] = 0.0
     return State(time=0.0, frame=EULERIAN, grid=grid, rho=rho, U=U)
@@ -262,10 +246,10 @@ def make_initial(data: InitialData, grid: Grid1D) -> State:
 class RunConfig:
     params: MixtureParams
     scheme: SchemeConfig
-    n_cells: int
-    t_end: float
-    frame: str
     initial: InitialData
+    t_end: float
+    n_cells: int = 256
+    frame: str = EULERIAN
     snapshot_every: int = 20
     audit_set: tuple[str, ...] = KNOWN_AUDITS
     out_dir: str = "out"
@@ -287,108 +271,90 @@ class RunConfig:
             )
 
 
-_SECTION_KEYS = {
-    "params": {"n_components", "pressure_coeff", "gamma", "viscosity", "friction", "t_final"},
-    "scheme": {"integrator", "advection", "cfl", "density_floor", "n_cells", "t_end", "frame"},
-    "output": {"out_dir", "snapshot_every", "audits"},
+def _matrix(text: str) -> np.ndarray:
+    try:
+        return np.array(json.loads(text), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"expected JSON row lists ({exc})") from None
+
+
+#: every [params], [scheme] and [output] key: the parser of its text and the
+#: MixtureParams, SchemeConfig or RunConfig field it sets
+KEYS = {
+    "params": {"n_components": (int, "N"), "pressure_coeff": (float, "K"),
+               "gamma": (float, "gamma"), "viscosity": (_matrix, "M"),
+               "friction": (_matrix, "A"), "t_final": (float, "T_final")},
+    "scheme": {"integrator": (integrator, "time_integrator"),
+               "advection": (advection, "advection"), "cfl": (float, "cfl"),
+               "density_floor": (float, "artificial_floor"), "n_cells": (int, "n_cells"),
+               "t_end": (float, "t_end"), "frame": (str, "frame")},
+    "output": {"out_dir": (str, "out_dir"), "snapshot_every": (int, "snapshot_every"),
+               "audits": (audit_names, "audit_set")},
 }
 
 
-def parse_config(text: str, base_dir: str = ".") -> RunConfig:
-    """Parse and fully validate an INI config; unknown keys are rejected."""
+def _fields(cp: configparser.ConfigParser, section: str) -> dict[str, object]:
+    """The fields that the keys present in ``section`` set, in table order;
+    every [params] key must be present."""
+    present = cp[section] if section in cp else {}
+    out = {}
+    for key, (parse, field) in KEYS[section].items():
+        if key in present:
+            try:
+                out[field] = parse(present[key])
+            except ValueError as exc:
+                raise ParseError(f"[{section}] {key}: {exc}") from None
+        elif section == "params":
+            raise ParseError(f"missing key {key!r} in [params]")
+    return out
+
+
+def parse_config(text: str, base_dir: str = ".", overrides=()) -> RunConfig:
+    """Parse and fully validate an INI config; unknown keys are rejected.
+    Each ``(section, key, value)`` of ``overrides`` sets that key first."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ParseError(f"config parse error: {exc}") from None
+    for section, key, value in overrides:
+        cp.read_dict({section: {key: value}})
 
     for section in cp.sections():
-        if section not in ("params", "scheme", "initial", "output"):
+        if section not in (*KEYS, "initial"):
             raise ParseError(f"unknown section [{section}]")
         if section != "initial":
             for key in cp[section]:
-                if key not in _SECTION_KEYS[section]:
+                if key not in KEYS[section]:
                     raise ParseError(f"unknown key {key!r} in [{section}]")
     if "params" not in cp or "initial" not in cp:
         raise ParseError("config needs [params] and [initial] sections")
 
-    p = cp["params"]
-
-    def need(sec, key):
-        if key not in sec:
-            raise ParseError(f"missing key {key!r} in [{sec.name}]")
-        return sec[key]
-
-    def matrix(key):
-        try:
-            return np.array(json.loads(need(p, key)), dtype=float)
-        except (json.JSONDecodeError, ValueError) as exc:
-            raise ParseError(f"[params] {key}: expected JSON row lists ({exc})") from None
-
-    try:
-        params = MixtureParams(
-            N=int(need(p, "n_components")),
-            K=float(need(p, "pressure_coeff")),
-            gamma=float(need(p, "gamma")),
-            M=matrix("viscosity"),
-            A=matrix("friction"),
-            T_final=float(need(p, "t_final")),
-        )
-    except ValueError as exc:
-        raise ParseError(f"[params]: {exc}") from None
-    params = validate_params(params)
-
-    s = cp["scheme"] if "scheme" in cp else {}
-
-    def get(sec, key, default, cast=str):
-        try:
-            return cast(sec[key]) if key in sec else default
-        except ValueError as exc:
-            raise ParseError(f"bad value for {key!r}: {exc}") from None
-
-    scheme = SchemeConfig(
-        time_integrator=integrator(get(s, "integrator", RK2)),
-        advection=advection(get(s, "advection", UPWIND)),
-        cfl=get(s, "cfl", 0.4, float),
-        artificial_floor=get(s, "density_floor", 1e-12, float),
-    )
-    n_cells = get(s, "n_cells", 256, int)
-    t_end = get(s, "t_end", params.T_final, float)
-    frame = get(s, "frame", EULERIAN)
+    params = validate_params(MixtureParams(**_fields(cp, "params")))
+    kw = {"t_end": params.T_final, **_fields(cp, "scheme")}
+    scheme = SchemeConfig(**{f.name: kw.pop(f.name) for f in fields(SchemeConfig) if f.name in kw})
 
     ini = cp["initial"]
     if "rho" not in ini:
         raise ParseError("[initial] must define rho")
     rho_spec = parse_rho_spec(ini["rho"], "[initial] rho")
+    u_keys = [f"u{i}" for i in range(1, params.N + 1)]
     u_specs = []
-    for i in range(1, params.N + 1):
-        key = f"u{i}"
+    for key in u_keys:
         if key not in ini:
             raise ParseError(f"[initial] must define {key} (N = {params.N})")
         u_specs.append(parse_velocity_spec(ini[key], f"[initial] {key}"))
     for key in ini:
-        if key != "rho" and not (key.startswith("u") and key[1:].isdigit() and 1 <= int(key[1:]) <= params.N):
+        if key not in ("rho", *u_keys):
             raise ParseError(f"unknown key {key!r} in [initial]")
     initial = InitialData(rho=rho_spec, u=tuple(u_specs), base_dir=base_dir)
-
-    o = cp["output"] if "output" in cp else {}
-    return RunConfig(
-        params=params,
-        scheme=scheme,
-        n_cells=n_cells,
-        t_end=t_end,
-        frame=frame,
-        initial=initial,
-        snapshot_every=get(o, "snapshot_every", 20, int),
-        audit_set=audit_names(get(o, "audits", "all")),
-        out_dir=get(o, "out_dir", "out"),
-    )
+    return RunConfig(params, scheme, initial, **kw, **_fields(cp, "output"))
 
 
-def parse_config_file(path: str) -> RunConfig:
+def parse_config_file(path: str, overrides=()) -> RunConfig:
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from None
-    return parse_config(text, base_dir=os.path.dirname(os.path.abspath(path)))
+    return parse_config(text, os.path.dirname(os.path.abspath(path)), overrides)

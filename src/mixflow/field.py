@@ -20,10 +20,6 @@ from .errors import EmptyTrajectory, LengthMismatch, NonPositiveDensity, Validat
 EULERIAN = "eulerian"
 LAGRANGIAN = "lagrangian"
 
-#: densities at or below this value abort a run instead of being clipped
-DENSITY_FLOOR = 1e-12
-
-
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform 1D node grid on ``(0, domain_length)``.

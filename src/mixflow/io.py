@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 
@@ -170,7 +171,7 @@ def read_diagnostics(path: str) -> dict[str, np.ndarray]:
     return dict(zip(names, np.array(values).T.copy()))
 
 
-def save_trajectory(out_dir: str, traj: Trajectory, params: MixtureParams, scheme=None) -> str:
+def save_trajectory(out_dir: str, traj: Trajectory, params: MixtureParams, scheme) -> str:
     os.makedirs(out_dir, exist_ok=True)
     snaps = [f"snap_{k:05d}.csv" for k in range(len(traj))]
     for k, name in enumerate(snaps):
@@ -187,14 +188,8 @@ def save_trajectory(out_dir: str, traj: Trajectory, params: MixtureParams, schem
         "snapshots": snaps,
         "params": params_to_dict(params),
         "params_hash": params_hash(params),
+        "scheme": asdict(scheme),
     }
-    if scheme is not None:
-        manifest["scheme"] = {
-            "time_integrator": scheme.time_integrator,
-            "advection": scheme.advection,
-            "cfl": scheme.cfl,
-            "artificial_floor": scheme.artificial_floor,
-        }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -300,10 +295,9 @@ def _svg_polyline(xs, ys, x0, y0, w, h, xmin, xmax, ymin, ymax, color):
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def plot_series_svg(path: str, x: np.ndarray, series: dict[str, np.ndarray], title: str,
-                    width: int = 640, height: int = 360):
+def plot_series_svg(path: str, x: np.ndarray, series: dict[str, np.ndarray], title: str):
     """One SVG panel with labelled polylines over a shared abscissa."""
-    margin = 50
+    width, height, margin = 640, 360, 50
     w, h = width - 2 * margin, height - 2 * margin
     finite = [np.asarray(v)[np.isfinite(v)] for v in series.values()]
     ally = np.concatenate([v for v in finite if v.size]) if finite else np.array([0.0])

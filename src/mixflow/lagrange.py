@@ -50,7 +50,7 @@ def _resample(s_old: np.ndarray, state: State, s_new: np.ndarray):
     return rho, U
 
 
-def euler_to_lagrange(state: State, n_cells: int | None = None) -> State:
+def euler_to_lagrange(state: State) -> State:
     """Resample an Eulerian state onto the uniform mass grid over (0, d).
 
     Fields are interpolated with monotone cubics (no overshoot, so positivity
@@ -58,14 +58,13 @@ def euler_to_lagrange(state: State, n_cells: int | None = None) -> State:
     """
     if state.frame != EULERIAN:
         raise WrongFrame("euler_to_lagrange expects an Eulerian state")
-    n = n_cells or state.grid.n_cells
     y = _cumulative_trapezoid(np.asarray(state.rho), state.grid.h)  # y(x) = int_0^x rho ds
-    grid_y = Grid1D(domain_length=float(y[-1]), n_cells=n)
+    grid_y = Grid1D(domain_length=float(y[-1]), n_cells=state.grid.n_cells)
     rho_new, U_new = _resample(y, state, grid_y.nodes())
     return State(time=state.time, frame=LAGRANGIAN, grid=grid_y, rho=rho_new, U=U_new)
 
 
-def lagrange_to_euler(state: State, n_cells: int | None = None, drift_tol: float = 1e-4) -> State:
+def lagrange_to_euler(state: State, drift_tol: float = 1e-4) -> State:
     """Map a Lagrangian state back to the unit interval.
 
     x(y) = int_0^y ds/rho must land on 1; drift beyond ``drift_tol`` means the
@@ -74,7 +73,6 @@ def lagrange_to_euler(state: State, n_cells: int | None = None, drift_tol: float
     """
     if state.frame != LAGRANGIAN:
         raise WrongFrame("lagrange_to_euler expects a Lagrangian state")
-    n = n_cells or state.grid.n_cells
     x = _cumulative_trapezoid(1.0 / np.asarray(state.rho), state.grid.h)
     length = float(x[-1])
     if abs(length - 1.0) > drift_tol:
@@ -82,7 +80,7 @@ def lagrange_to_euler(state: State, n_cells: int | None = None, drift_tol: float
             f"reconstructed domain length {length:.8f} deviates from 1 by more than {drift_tol}"
         )
     x = x / length
-    grid_x = Grid1D(domain_length=1.0, n_cells=n)
+    grid_x = Grid1D(domain_length=1.0, n_cells=state.grid.n_cells)
     rho_new, U_new = _resample(x, state, grid_x.nodes())
     return State(time=state.time, frame=EULERIAN, grid=grid_x, rho=rho_new, U=U_new)
 

@@ -265,8 +265,6 @@ def mms_study(
     advection: str = CENTRAL,
     levels: tuple[int, ...] = (32, 64, 128),
     t_end: float = 0.25,
-    params: MixtureParams | None = None,
-    cfl: float = 0.4,
 ) -> ConvergenceTable:
     """Run the refinement ladder and measure the observed spatial order.
 
@@ -279,10 +277,10 @@ def mms_study(
         raise ValidationError(f"refinement levels must strictly increase, got {list(levels)}")
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValidationError(f"t_end must be positive and finite, got {t_end}")
-    params = params or default_params(T_final=max(2.0, t_end))
+    params = default_params(T_final=max(2.0, t_end))
     d = 1.0 if frame == EULERIAN else 2.0
     fields = ManufacturedFields(params=params, frame=frame, domain_length=d)
-    scheme = SchemeConfig(time_integrator="explicit-RK2", cfl=cfl, advection=advection)
+    scheme = SchemeConfig(time_integrator="explicit-RK2", advection=advection)
 
     errors = [_run_level(fields, n, scheme, t_end) for n in levels]
     combined = [e["combined"] for e in errors]

@@ -20,6 +20,7 @@ from .errors import (
     NotPositiveDefinite,
     NotSymmetric,
     SingularMatrix,
+    ValidationError,
 )
 
 _SYM_RTOL = 1e-12
@@ -112,9 +113,15 @@ def validate_params(p: MixtureParams) -> MixtureParams:
         raise NonPositiveEntry(f"gamma must be > 1, got {p.gamma}")
     if not p.T_final > 0:
         raise NonPositiveEntry(f"T_final must be > 0, got {p.T_final}")
+    for name, value in (("K", p.K), ("gamma", p.gamma), ("T_final", p.T_final)):
+        if not np.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
 
     _check_square("M", p.M, p.N)
     _check_square("A", p.A, p.N)
+    for name, mat in (("viscosity matrix M", p.M), ("friction matrix A", p.A)):
+        if not np.isfinite(mat).all():
+            raise ValidationError(f"{name} has a non-finite entry")
 
     scale_m = max(np.abs(p.M).max(), 1.0)
     if np.abs(p.M - p.M.T).max() > _SYM_RTOL * scale_m:

@@ -83,8 +83,8 @@ class SchemeConfig:
             raise ValidationError(f"unknown advection scheme {self.advection!r}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValidationError(f"cfl must be in (0, 1], got {self.cfl}")
-        if not self.artificial_floor > 0:
-            raise ValidationError("artificial_floor must be positive")
+        if not 0 < (floor := self.artificial_floor) < np.inf:
+            raise ValidationError(f"artificial_floor must be finite and > 0, got {floor}")
 
 
 class Kernel:

@@ -1,14 +1,14 @@
 import json
 import os
 import shutil
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
 from mixflow.config import (
-    RhoSpec,
+    Descriptor,
     RunConfig,
-    VelocitySpec,
     advection,
     integrator,
     make_initial,
@@ -22,14 +22,15 @@ from mixflow.errors import NonPositiveDensity, ParseError, ValidationError
 from mixflow.estimates import KNOWN_AUDITS
 from mixflow.field import EULERIAN, Grid1D
 from mixflow.scenarios import CORPUS, scenario_config
+from mixflow.timestepping import SchemeConfig
 
 from test_io_cli import SMALL_CONFIG
 
 
 # INI rendering of a parsed config, for the round-trip test
 
-def _render_rho_spec(spec: RhoSpec) -> str:
-    kv = spec.argdict()
+def _render_rho_spec(spec: Descriptor) -> str:
+    kv = dict(spec.args)
     if spec.kind == "constant":
         return f"constant:value={kv['value']!r}"
     if spec.kind == "affine":
@@ -44,13 +45,12 @@ def _render_rho_spec(spec: RhoSpec) -> str:
     raise ValueError(f"unknown rho spec {spec.kind!r}")
 
 
-def _render_velocity_spec(spec: VelocitySpec) -> str:
+def _render_velocity_spec(spec: Descriptor) -> str:
     if spec.kind == "zero":
         return "zero"
+    kv = dict(spec.args)
     if spec.kind == "table":
-        kv = spec.argdict()
         return f"table:file={kv['file']},column={kv['column']}"
-    kv = spec.argdict()
     return " + ".join(f"sine:k={k},amp={amp!r}" for k, amp in kv["modes"])
 
 
@@ -115,6 +115,12 @@ class TestParse:
         assert rc.frame == EULERIAN
         assert rc.scheme.time_integrator == "explicit-RK2"
         assert rc.audit_set == tuple(sorted(rc.audit_set, key=rc.audit_set.index))
+        # every absent [scheme] and [output] key keeps its dataclass default
+        assert rc.scheme == SchemeConfig()
+        defaults = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
+        assert set(defaults) == {"n_cells", "frame", "snapshot_every", "audit_set", "out_dir"}
+        assert {name: getattr(rc, name) for name in defaults} == defaults
+        assert rc.t_end == rc.params.T_final
 
     def test_bad_gamma_named(self):
         text = MINIMAL.replace("gamma = 1.4", "gamma = 0.9")
@@ -132,6 +138,12 @@ class TestParse:
     def test_unknown_key_rejected(self):
         with pytest.raises(ParseError):
             parse_config(MINIMAL + "\n[output]\nbanana = 1\n")
+
+    @pytest.mark.parametrize("key", ["u01", "u3", "u0"])
+    def test_unknown_initial_key_rejected(self, key):
+        # u01 is not u1, though int("01") == 1
+        with pytest.raises(ParseError, match=f"unknown key '{key}' in \\[initial\\]"):
+            parse_config(MINIMAL + f"{key} = zero\n")
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ParseError):
@@ -177,7 +189,7 @@ class TestDescriptors:
         assert parse_rho_spec("constant:value=2.0").kind == "constant"
         assert parse_rho_spec("affine:base=1.0,slope=0.5").kind == "affine"
         spec = parse_rho_spec("gaussian:base=1.0,amp=0.4,center=0.5,width=0.1")
-        assert spec.argdict()["width"] == 0.1
+        assert dict(spec.args)["width"] == 0.1
 
     def test_rho_missing_arg(self):
         with pytest.raises(ParseError):
@@ -186,7 +198,7 @@ class TestDescriptors:
     def test_velocity_kinds(self):
         assert parse_velocity_spec("zero").kind == "zero"
         v = parse_velocity_spec("sine:k=1,amp=0.1 + sine:k=2,amp=-0.05")
-        assert v.argdict()["modes"] == ((1, 0.1), (2, -0.05))
+        assert dict(v.args)["modes"] == ((1, 0.1), (2, -0.05))
 
     def test_velocity_unknown(self):
         with pytest.raises(ParseError):
@@ -288,24 +300,58 @@ def test_malformed_descriptor_exits_2_with_one_line(tmp_path, capsys, key, spec)
     assert len(err) == 1 and err[0].startswith(f"config error: [initial] {key}: "), err
 
 
-@pytest.mark.parametrize("key, spec, reason", [
-    ("rho", "constant:value=nan", "value must be finite, got nan"),
-    ("rho", "gaussian:base=1.0,amp=0.3,center=0.4,width=inf", "width must be finite, got inf"),
-    ("rho", "affine:base=1.0,slope=-inf", "slope must be finite, got -inf"),
-    ("u1", "sine:k=1,amp=inf", "amp must be finite, got inf"),
-    ("u1", "sine:k=1,amp=-inf", "amp must be finite, got -inf"),
-    ("u1", "sine:k=1,amp=0.1 + sine:k=2,amp=nan", "amp must be finite, got nan"),
+_RHO = "rho = gaussian:base=1.0,amp=0.3,center=0.4,width=0.15"
+_U1 = "u1 = sine:k=1,amp=0.1"
+_VISCOSITY = "viscosity = [[0.1, 0.02], [0.02, 0.1]]"
+
+
+@pytest.mark.parametrize("line, edited, reason", [
+    (_RHO, "rho = constant:value=nan", "[initial] rho: value must be finite, got nan"),
+    (_RHO, "rho = gaussian:base=1.0,amp=0.3,center=0.4,width=inf",
+     "[initial] rho: width must be finite, got inf"),
+    (_RHO, "rho = affine:base=1.0,slope=-inf", "[initial] rho: slope must be finite, got -inf"),
+    (_U1, "u1 = sine:k=1,amp=inf", "[initial] u1: amp must be finite, got inf"),
+    (_U1, "u1 = sine:k=1,amp=-inf", "[initial] u1: amp must be finite, got -inf"),
+    (_U1, "u1 = sine:k=1,amp=0.1 + sine:k=2,amp=nan", "[initial] u1: amp must be finite, got nan"),
+    ("t_final = 2.0", "t_final = inf", "T_final must be finite, got inf"),
+    ("pressure_coeff = 1.0", "pressure_coeff = inf", "K must be finite, got inf"),
+    ("gamma = 1.4", "gamma = inf", "gamma must be finite, got inf"),
+    (_VISCOSITY, "viscosity = [[Infinity, 0.02], [0.02, 0.1]]",
+     "viscosity matrix M has a non-finite entry"),
+    (_VISCOSITY, "viscosity = [[0.1, NaN], [NaN, 0.1]]",
+     "viscosity matrix M has a non-finite entry"),
+    ("friction = [[0.0, 0.4], [0.4, 0.0]]", "friction = [[0.0, Infinity], [Infinity, 0.0]]",
+     "friction matrix A has a non-finite entry"),
+    ("advection = upwind", "advection = upwind\ndensity_floor = inf",
+     "artificial_floor must be finite and > 0, got inf"),
 ], ids=["rho-nan", "gaussian-width-inf", "affine-slope-minus-inf", "sine-amp-inf",
-        "sine-amp-minus-inf", "second-mode-amp-nan"])
-def test_non_finite_descriptor_number_exits_2_before_any_output(tmp_path, capsys, key, spec,
+        "sine-amp-minus-inf", "second-mode-amp-nan", "t-final-inf", "pressure-coeff-inf",
+        "gamma-inf", "viscosity-inf", "viscosity-nan", "friction-inf", "density-floor-inf"])
+def test_non_finite_descriptor_number_exits_2_before_any_output(tmp_path, capsys, line, edited,
                                                                 reason):
-    shipped = {"rho": "gaussian:base=1.0,amp=0.3,center=0.4,width=0.15", "u1": "sine:k=1,amp=0.1"}
+    """Every non-finite [initial], [params] or [scheme] number ends the run
+    with one line before the output directory is made."""
     cfg = tmp_path / "case.ini"
-    cfg.write_text(SMALL_CONFIG.replace(f"{key} = {shipped[key]}", f"{key} = {spec}"))
+    assert line in SMALL_CONFIG
+    cfg.write_text(SMALL_CONFIG.replace(line, edited))
     out = tmp_path / "out"
     assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"config error: [initial] {key}: {reason}"]
+    assert capsys.readouterr().err.splitlines() == [f"config error: {reason}"]
     assert not out.exists()
+
+
+def test_manifest_with_infinite_t_final_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "case.ini"
+    cfg.write_text(SMALL_CONFIG)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out), "--frame",
+                     "eulerian", "--t-end", "0.02"]) == 0
+    manifest = out / "manifest.json"
+    manifest.write_text(manifest.read_text().replace('"t_final": 2.0', '"t_final": Infinity'))
+    capsys.readouterr()
+    assert cli_main(["check", "--traj", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].endswith("T_final must be finite, got inf"), err
 
 
 def _nan_rho_cell(lines):

@@ -10,7 +10,7 @@ import pytest
 
 from mixflow import estimates, io
 from mixflow.errors import FileFormatError
-from mixflow.cli import _apply_overrides, _build_parser, cli_main
+from mixflow.cli import _build_parser, _settings, cli_main
 from mixflow.config import parse_config
 from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D, State
 from mixflow.model import derive_matrices
@@ -246,24 +246,49 @@ snapshot_every = 10
         assert manifest["scheme"]["time_integrator"] == "explicit-RK4"
         assert manifest["scheme"]["cfl"] == 0.3
 
+    def test_flag_replaces_its_ini_key_before_parsing(self, tmp_path):
+        cfg = tmp_path / "case.ini"
+        cfg.write_text(SMALL_CONFIG.replace("advection = upwind", "advection = upwind\ncfl = x"))
+        out = str(tmp_path / "out")
+        argv = ["run", "--config", str(cfg), "--out-dir", out, "--frame", "eulerian",
+                "--t-end", "0.02"]
+        assert cli_main(argv) == 2
+        assert cli_main([*argv, "--cfl", "0.3"]) == 0
+        with open(os.path.join(out, "manifest.json")) as fh:
+            assert json.load(fh)["scheme"]["cfl"] == 0.3
+
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--n-cells", "abc", "[scheme] n_cells: invalid literal for int() with base 10: 'abc'"),
+        ("--t-end", "x", "[scheme] t_end: could not convert string to float: 'x'"),
+    ])
+    def test_malformed_flag_value_one_line(self, tmp_path, capsys, flag, value, reason):
+        cfg = tmp_path / "case.ini"
+        cfg.write_text(SMALL_CONFIG)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out), flag, value]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {reason}"]
+        assert not out.exists()
+
 
 class TestNameTableAndDispatch:
     """``run --scheme`` and ``mms --advection`` resolve names through the
     table the INI keys use; each verb dispatches to its handler."""
 
     @staticmethod
-    def _overridden(rc, *flags):
+    def _overridden(text, *flags):
+        """The config ``run`` makes of INI ``text`` and ``flags``."""
         args = _build_parser().parse_args(["run", "--config", "case.ini", *flags])
-        return _apply_overrides(rc, args)
+        return parse_config(text, overrides=_settings(args))
 
     @pytest.mark.parametrize("name", ["rk2", "RK4", "semi-implicit", "explicit-RK2"])
     def test_scheme_flag_matches_ini_integrator(self, name):
         ini = parse_config(SMALL_CONFIG.replace("integrator = rk2", f"integrator = {name}"))
-        assert self._overridden(parse_config(SMALL_CONFIG), "--scheme", name) == ini
+        assert self._overridden(SMALL_CONFIG, "--scheme", name) == ini
 
     def test_cfl_alone_keeps_the_ini_integrator(self):
-        base = parse_config(SMALL_CONFIG.replace("integrator = rk2", "integrator = semi-implicit"))
-        rc = self._overridden(base, "--cfl", "0.3")
+        text = SMALL_CONFIG.replace("integrator = rk2", "integrator = semi-implicit")
+        base = parse_config(text)
+        rc = self._overridden(text, "--cfl", "0.3")
         assert rc == replace(base, scheme=replace(base.scheme, cfl=0.3))
         assert rc.scheme.time_integrator == SEMI_IMPLICIT
 
