@@ -312,7 +312,9 @@ def _fields(cp: configparser.ConfigParser, section: str) -> dict[str, object]:
 def parse_config(text: str, base_dir: str = ".", overrides=()) -> RunConfig:
     """Parse and fully validate an INI config; unknown keys are rejected.
     Each ``(section, key, value)`` of ``overrides`` sets that key first."""
-    cp = configparser.ConfigParser(interpolation=None)
+    # a default-section name no one-line INI header can spell, so that
+    # [DEFAULT] is an ordinary section and is rejected as unknown
+    cp = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         cp.read_string(text)
     except configparser.Error as exc:

@@ -14,12 +14,18 @@ O(h^2).  The log-density slope field w lives on faces for the same reason:
 the mean-value bracket min rho <= d <= max rho, the Hoelder bound on
 1/sqrt(rho) and the pointwise bound on |ln rho| all have exact discrete
 proofs in that form.
+
+One rule, :func:`_verdict`, turns every audit's values into its verdict: the
+margin is the least ``slack - (lhs - bound)`` over the records and PASS
+means margin >= 0; an audit without a bound checks that its values are
+finite (margin +inf).  A non-finite value, an overflow of huge but finite
+data included, is a FAIL with margin -inf, never a NaN margin.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -44,19 +50,25 @@ PASS = "PASS"
 FAIL = "FAIL"
 SKIP = "SKIP"
 
-# name -> (frame the audit reads, None for either; records it needs before
-# build_report calls it, 0 for just the frame; call(st, led, params, derived,
-# d) on that frame's trajectory st and its ledger columns).  Each call looks
-# its audit up by module-level name when it runs.
+# name -> (the frames the audit reads, None for either; records it needs
+# before build_report calls it, 0 for just the frame; call(st, led, params,
+# derived, d) on that frame's trajectory st and its ledger columns).  Each
+# call looks its audit up by module-level name when it runs.  An audit runs
+# on each of its frames that is given and reports its first FAIL in that
+# order, else its last result: with both frames, density_bounds reports a
+# Lagrangian failure.
 _AUDITS = {
-    "energy_budget": (EULERIAN, 0, lambda st, led, p, dm, d: audit_energy_budget(led)),
-    "density_bounds": (None, 0, lambda st, led, p, dm, d: audit_density_bounds(led, d)),
-    "w_balance": (LAGRANGIAN, 3, lambda st, led, p, dm, d: audit_w_balance(st, p, dm)),
-    "gronwall": (LAGRANGIAN, 3, lambda st, led, p, dm, d: audit_gronwall_chain(st, p, dm)),
-    "alpha_growth": (EULERIAN, 3, lambda st, led, p, dm, d: audit_alpha_growth(st, led, p, dm)),
-    "pointwise_bounds": (LAGRANGIAN, 0, lambda st, led, p, dm, d: audit_pointwise_bounds(st, led)),
-    "derivative_norms": (EULERIAN, 2, lambda st, led, p, dm, d: derivative_norm_report(st, led)),
-    "velocity_damping": (None, 0, lambda st, led, p, dm, d: audit_velocity_damping(st, p)),
+    "energy_budget": ((EULERIAN,), 0, lambda st, led, p, dm, d: audit_energy_budget(led)),
+    "density_bounds": ((LAGRANGIAN, EULERIAN), 0,
+                       lambda st, led, p, dm, d: audit_density_bounds(led, d)),
+    "w_balance": ((LAGRANGIAN,), 3, lambda st, led, p, dm, d: audit_w_balance(st, p, dm)),
+    "gronwall": ((LAGRANGIAN,), 3, lambda st, led, p, dm, d: audit_gronwall_chain(st, p, dm)),
+    "alpha_growth": ((EULERIAN,), 3,
+                     lambda st, led, p, dm, d: audit_alpha_growth(st, led, p, dm)),
+    "pointwise_bounds": ((LAGRANGIAN,), 0,
+                         lambda st, led, p, dm, d: audit_pointwise_bounds(st, led)),
+    "derivative_norms": ((EULERIAN,), 2, lambda st, led, p, dm, d: derivative_norm_report(st, led)),
+    "velocity_damping": ((None,), 0, lambda st, led, p, dm, d: audit_velocity_damping(st, p)),
 }
 KNOWN_AUDITS = tuple(_AUDITS)
 
@@ -303,12 +315,30 @@ class AuditResult:
         return self.verdict != FAIL
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "verdict": self.verdict,
-            "margin": self.margin,
-            "details": self.details,
-        }
+        return asdict(self)
+
+
+def _excess(lhs, bound) -> float:
+    """The largest ``lhs - bound`` over the records; +inf when any value of
+    either is not finite."""
+    if np.isfinite(lhs).all() and np.isfinite(bound).all():
+        return float(np.max(np.subtract(lhs, bound)))
+    return math.inf
+
+
+def _verdict(name: str, lhs, bound=None, slack: float = 0.0, *, details: dict) -> AuditResult:
+    """The one verdict rule of every audit.
+
+    The margin is the least ``slack - (lhs - bound)`` over the records and
+    the audit PASSes iff it is >= 0.  Any non-finite ``lhs``, ``bound`` or
+    ``slack`` is a FAIL with margin -inf.  Without a bound the audit checks
+    that ``lhs`` is finite: margin +inf, else -inf.
+    """
+    if bound is None:
+        margin = math.inf if np.isfinite(lhs).all() else -math.inf
+    else:
+        margin = slack - _excess(lhs, bound) if math.isfinite(slack) else -math.inf
+    return AuditResult(name, PASS if margin >= 0 else FAIL, margin, details)
 
 
 # ---------------------------------------------------------------------------
@@ -323,21 +353,14 @@ def audit_energy_budget(led: dict[str, np.ndarray], rel_tol: float = 1e-6) -> Au
     """
     e = led["energy"]
     dissipated = _cumtrapz(led["time"], led["dissipation_visc"] + led["dissipation_fric"])
-    e0 = e[0]
-    excess = float((e + dissipated - e0).max())
+    e0, total = e[0], e + dissipated
     tol = rel_tol * e0
-    verdict = PASS if excess <= tol else FAIL
-    return AuditResult(
-        "energy_budget",
-        verdict,
-        margin=tol - excess,
-        details={
-            "e0": e0,
-            "max_excess": excess,
-            "tolerance": tol,
-            "min_dissipated": float(dissipated[-1]),
-        },
-    )
+    return _verdict("energy_budget", total, e0, tol, details={
+        "e0": e0,
+        "max_excess": _excess(total, e0),
+        "tolerance": tol,
+        "min_dissipated": float(dissipated[-1]),
+    })
 
 
 def audit_density_bounds(led: dict[str, np.ndarray], dval: float,
@@ -347,19 +370,15 @@ def audit_density_bounds(led: dict[str, np.ndarray], dval: float,
 
     The bracket is exact for the conservative schemes: the trapezoid mean of
     rho (Eulerian) or of 1/rho (Lagrangian) pins d between the extremes.
+    A record with rho_min <= 0 has an infinite defect.
     """
-    tol = rel_tol * dval
-    over, under = led["rho_min"] - dval, dval - led["rho_max"]
-    lo = float(led["rho_min"].min())
-    worst = max(0.0, float(over.max()), float(under.max()))
-    ok = lo > 0.0 and not ((over > tol) | (under > tol)).any()
-    return AuditResult(
-        "density_bounds",
-        PASS if ok else FAIL,
-        margin=tol - worst,
-        details={"rho_inf": lo, "rho_sup": float(led["rho_max"].max()), "d": dval,
-                 "max_bracket_defect": worst},
-    )
+    lo, hi = led["rho_min"], led["rho_max"]
+    defect = np.maximum(np.maximum(lo - dval, dval - hi), 0.0)
+    defect[lo <= 0.0] = math.inf
+    return _verdict("density_bounds", defect, 0.0, rel_tol * dval, details={
+        "rho_inf": float(lo.min()), "rho_sup": float(hi.max()), "d": dval,
+        "max_bracket_defect": _excess(defect, 0.0),
+    })
 
 
 def audit_w_balance(st: Trajectory, params: MixtureParams, derived: DerivedMatrices) -> AuditResult:
@@ -389,17 +408,11 @@ def audit_w_balance(st: Trajectory, params: MixtureParams, derived: DerivedMatri
     fric = sum((vw[j] * A[j, k] * g.h * (face_mean(U[:, k] - U[:, j]) / rho_f * w).sum(axis=-1)
                 for j, k in _pairs(params.N)), 0.0)
     residuals = np.abs(0.5 * dphi + pressure + dvw - fric)
-    max_res = float(residuals.max()) if residuals.size else 0.0
-    return AuditResult(
-        "w_balance",
-        PASS if math.isfinite(max_res) else FAIL,
-        margin=math.inf if math.isfinite(max_res) else -math.inf,
-        details={
-            "max_residual": max_res,
-            "times": times[1:-1].tolist(),
-            "residuals": residuals.tolist(),
-        },
-    )
+    return _verdict("w_balance", residuals, details={
+        "max_residual": float(residuals.max()) if residuals.size else 0.0,
+        "times": times[1:-1].tolist(),
+        "residuals": residuals.tolist(),
+    })
 
 
 def pair_gap_over_sqrt_rho(state: State | Trajectory) -> float | np.ndarray:
@@ -440,22 +453,13 @@ def audit_gronwall_chain(st: Trajectory, params: MixtureParams, derived: Derived
     )
     c5 = (4.0 / 3.0) * c3 * (1.0 + 1.0 / math.sqrt(d))
     bound = c4 * np.exp(c5 * int_s) + 1e-12 * max(1.0, d)
-    gaps = bound - phi
-    # an overflowed bound or phi proves nothing: FAIL, as alpha_growth does
-    margin = float(gaps.min()) if np.isfinite(gaps).all() else -math.inf
-    verdict = PASS if margin >= 0 else FAIL
-    return AuditResult(
-        "gronwall",
-        verdict,
-        margin=margin,
-        details={
-            "c3": float(c3),
-            "c4": float(c4),
-            "c5": float(c5),
-            "sup_w_sq": float(phi.max()),
-            "int_pair_gap": float(int_s[-1]),
-        },
-    )
+    return _verdict("gronwall", phi, bound, details={
+        "c3": float(c3),
+        "c4": float(c4),
+        "c5": float(c5),
+        "sup_w_sq": float(phi.max()),
+        "int_pair_gap": float(int_s[-1]),
+    })
 
 
 def audit_pointwise_bounds(st: Trajectory, led: dict[str, np.ndarray],
@@ -470,18 +474,11 @@ def audit_pointwise_bounds(st: Trajectory, led: dict[str, np.ndarray],
     """
     d = st.grid.domain_length
     wn = led["w_norm"]
-    lhs_h = (1.0 / np.sqrt(st.rho)).max(axis=-1)
-    worst_h = float((lhs_h - (d**-0.5 + 0.5 * wn)).max())
-    lhs_l = np.abs(np.log(st.rho)).max(axis=-1)
-    worst_l = float((lhs_l - (abs(math.log(d)) + math.sqrt(d) * wn)).max())
-    worst = max(worst_h, worst_l)
-    verdict = PASS if worst <= abs_tol else FAIL
-    return AuditResult(
-        "pointwise_bounds",
-        verdict,
-        margin=abs_tol - worst,
-        details={"max_holder_defect": worst_h, "max_log_defect": worst_l},
-    )
+    lhs = ((1.0 / np.sqrt(st.rho)).max(axis=-1), np.abs(np.log(st.rho)).max(axis=-1))
+    bound = (d**-0.5 + 0.5 * wn, abs(math.log(d)) + math.sqrt(d) * wn)
+    return _verdict("pointwise_bounds", np.concatenate(lhs), np.concatenate(bound), abs_tol,
+                    details={"max_holder_defect": _excess(lhs[0], bound[0]),
+                             "max_log_defect": _excess(lhs[1], bound[1])})
 
 
 def _second_derivative(f: np.ndarray, h: float) -> np.ndarray:
@@ -531,44 +528,25 @@ def audit_alpha_growth(
 
     growth = _cumtrapz(times, uinf_sq * a)
     bound = a[0] + c10 * (times - times[0]) + c11 * growth
-    scale = max(a.max(), 1.0)
-    slack = 1e-9 * scale + 1e-12
-    gaps = bound + slack - a
-    if not np.isfinite(gaps).all():  # alpha or its bound overflowed
-        margin = -math.inf
-    elif gaps.min() < 0 or gaps.size == 1:
-        margin = float(gaps.min())
-    else:
-        # the first record satisfies the bound as an identity; report the
-        # margin where the inequality actually has content
-        margin = float(gaps[1:].min())
+    slack = 1e-9 * max(a.max(), 1.0) + 1e-12
     sup_alpha_bound = float((a[0] + c10 * (times[-1] - times[0]))
                             * _or_inf(math.exp, c11 * _cumtrapz(times, uinf_sq)[-1]))
-    verdict = PASS if margin >= 0 else FAIL
-    return AuditResult(
-        "alpha_growth",
-        verdict,
-        margin=margin,
-        details={
-            "sup_alpha": float(a.max()),
-            "c10": c10,
-            "c11": c11,
-            "gronwall_ceiling": sup_alpha_bound,
-        },
-    )
+    # record 0 satisfies the bound as an identity: the inequality has content
+    # from record 1 on
+    return _verdict("alpha_growth", a[1:], (bound + slack)[1:], details={
+        "sup_alpha": float(a.max()),
+        "c10": c10,
+        "c11": c11,
+        "gronwall_ceiling": sup_alpha_bound,
+    })
 
 
 def audit_velocity_damping(st: Trajectory, params: MixtureParams) -> AuditResult:
     """Time integral of the pairwise velocity gaps; finite by the energy estimate."""
     gaps = pairwise_velocity_gap_sq(st)
-    total = float(_cumtrapz(st.times, gaps)[-1])
-    verdict = PASS if math.isfinite(total) else FAIL
-    return AuditResult(
-        "velocity_damping",
-        verdict,
-        margin=math.inf if verdict == PASS else -math.inf,
-        details={"int_pairwise_gap_sq": total, "final_gap_sq": float(gaps[-1])},
-    )
+    details = {"int_pairwise_gap_sq": float(_cumtrapz(st.times, gaps)[-1]),
+               "final_gap_sq": float(gaps[-1])}
+    return _verdict("velocity_damping", list(details.values()), details=details)
 
 
 def derivative_norm_report(st: Trajectory, led: dict[str, np.ndarray]) -> AuditResult:
@@ -598,9 +576,7 @@ def derivative_norm_report(st: Trajectory, led: dict[str, np.ndarray]) -> AuditR
             sum(np.sqrt(_cumtrapz(times, uinf_sq[:, i])[-1]) for i in range(uinf_sq.shape[1]))
         ),
     }
-    finite = all(math.isfinite(v) for v in values.values())
-    return AuditResult("derivative_norms", PASS if finite else FAIL,
-                       margin=math.inf if finite else -math.inf, details=values)
+    return _verdict("derivative_norms", list(values.values()), details=values)
 
 
 # ---------------------------------------------------------------------------
@@ -617,11 +593,10 @@ class EstimateReport:
         return all(r.passed for r in self.results.values())
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "audits": {k: v.to_dict() for k, v in self.results.items()},
-            "empirical_constants": self.empirical_constants,
-        }
+        """The report as plain data for JSON: strict JSON has no NaN, so a
+        NaN detail or constant (an overflow's inf - inf or 0 * inf) is None."""
+        fields = _nan_to_none(asdict(self))
+        return {"passed": self.passed, "audits": fields.pop("results"), **fields}
 
     def render_text(self) -> str:
         lines = [f"{'audit':<20} {'verdict':<8} margin"]
@@ -629,6 +604,14 @@ class EstimateReport:
             lines.append(f"{name:<20} {r.verdict:<8} {r.margin:.6g}")
         lines.append(f"{'overall':<20} {'PASS' if self.passed else 'FAIL':<8}")
         return "\n".join(lines)
+
+
+def _nan_to_none(obj):
+    if isinstance(obj, dict):
+        return {k: _nan_to_none(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_nan_to_none(v) for v in obj]
+    return None if isinstance(obj, float) and math.isnan(obj) else obj
 
 
 def empirical_constants(st: Trajectory, led: dict[str, np.ndarray],
@@ -688,17 +671,14 @@ def build_report(
 
     results: dict[str, AuditResult] = {}
     for name in audits:
-        frame, need, call = _AUDITS[name]
-        if frame not in inputs or len(inputs[frame][0]) < need:
+        frames, need, call = _AUDITS[name]
+        ready = [f for f in frames if f in inputs and len(inputs[f][0]) >= need]
+        if not ready:
             results[name] = AuditResult(name, SKIP, margin=0.0,
-                                         details={"reason": _skip_reason(frame, need)})
+                                         details={"reason": _skip_reason(frames[0], need)})
             continue
-        results[name] = call(*inputs[frame], params, derived, dval)
-        if name == "density_bounds" and len(given) == 2:
-            # with both frames, a Lagrangian failure is the reported result
-            lag = call(*inputs[LAGRANGIAN], params, derived, dval)
-            if not lag.passed:
-                results[name] = lag
+        runs = [call(*inputs[f], params, derived, dval) for f in ready]
+        results[name] = next((r for r in runs if not r.passed), runs[-1])
 
     consts = empirical_constants(*inputs[None], params)
     return EstimateReport(results=results, empirical_constants=consts)

@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .errors import FileFormatError, MixflowError
 from .estimates import FIELDS, STATE_FIELDS
 from .field import EULERIAN, LAGRANGIAN, Grid1D, State, Trajectory
 from .model import MixtureParams, validate_params
+from .timestepping import SchemeConfig
 
 FORMAT_NAME = "mixflow-trajectory"
 FORMAT_VERSION = 1
@@ -114,10 +115,13 @@ def read_table(path: str) -> tuple[list[str], np.ndarray]:
     return header, data
 
 
-def read_snapshot(path: str, time: float, frame: str) -> State:
-    """Read one snapshot; every format fault raises :class:`FileFormatError`."""
+def read_snapshot(path: str, time: float, frame: str, expect=None) -> State:
+    """Read one snapshot; every format fault raises :class:`FileFormatError`:
+    a header other than ``x_or_y,rho,u1,...``, a malformed row or value, a
+    grid and velocity count other than ``expect`` (a manifest's ``(grid,
+    N)``, when given) and an ``x_or_y`` column off the uniform grid."""
     header, data = read_table(path)
-    if header[:2] != ["x_or_y", "rho"]:
+    if header != ["x_or_y", "rho", *(f"u{i + 1}" for i in range(data.shape[1] - 2))]:
         raise FileFormatError(f"{path}: expected header x_or_y,rho,u1,..., got {header}")
     if data.shape[1] < 3:  # the header is x_or_y,rho and nothing else
         raise FileFormatError(f"{path}: 2 columns for the 2 of header x_or_y,rho; expected "
@@ -126,10 +130,20 @@ def read_snapshot(path: str, time: float, frame: str) -> State:
         grid = Grid1D(domain_length=float(data[-1, 0]), n_cells=data.shape[0] - 1)
         # C-contiguous copies: reductions over strided columns can round
         # differently from the same reductions in `run`
-        return State(time=time, frame=frame, grid=grid, rho=np.ascontiguousarray(data[:, 1]),
-                     U=np.ascontiguousarray(data[:, 2:].T))
+        state = State(time=time, frame=frame, grid=grid, rho=np.ascontiguousarray(data[:, 1]),
+                      U=np.ascontiguousarray(data[:, 2:].T))
     except MixflowError as exc:  # too few nodes, non-finite or non-positive values
         raise FileFormatError(f"{path}: {exc}") from None
+    if expect is not None and (grid, state.n_components) != expect:
+        raise FileFormatError(
+            f"{path}: {grid.n_nodes} nodes on (0, {grid.domain_length}) and "
+            f"{state.n_components} velocities, the manifest gives {expect[0].n_nodes} nodes on "
+            f"(0, {expect[0].domain_length}) and {expect[1]}"
+        )
+    if not np.abs(data[:, 0] - grid.nodes()).max() <= 1e-9 * grid.domain_length:
+        raise FileFormatError(
+            f"{path}: x_or_y is not the uniform grid on (0, {grid.domain_length})")
+    return state
 
 
 def write_diagnostics(path: str, ledger: dict[str, np.ndarray]):
@@ -203,12 +217,13 @@ def load_trajectory(
 
     Every format fault raises :class:`FileFormatError` naming the file: a
     missing or unreadable file, a manifest field that is missing or of the
-    wrong JSON type, parameters that fail
-    :func:`~mixflow.model.validate_params` or do not match the stored
-    ``params_hash``, an unknown frame, times that are not finite,
-    non-negative and strictly increasing, a snapshot index that is not a
-    list of file names, a malformed row or cell, and a snapshot whose grid
-    or velocity count differs from the manifest.
+    wrong JSON type, a version other than this one, a scheme that
+    :class:`~mixflow.timestepping.SchemeConfig` rejects or that lacks a
+    key, parameters that fail :func:`~mixflow.model.validate_params` or do
+    not match the stored ``params_hash``, an unknown frame, times that are
+    not finite, non-negative and strictly increasing, a snapshot index that
+    is not a list of file names, and any fault :func:`read_snapshot` finds,
+    a grid or velocity count other than the manifest's included.
     """
     mpath = os.path.join(out_dir, "manifest.json")
     try:
@@ -222,6 +237,15 @@ def load_trajectory(
         raise FileFormatError(f"{mpath} is not a {FORMAT_NAME} manifest")
 
     try:
+        if _field(manifest, "version", "an integer") != FORMAT_VERSION:
+            raise FileFormatError(f"version {manifest['version']} is not {FORMAT_VERSION}")
+        scheme = _field(manifest, "scheme", "an object")
+        if sorted(scheme) != (keys := sorted(f.name for f in fields(SchemeConfig))):
+            raise FileFormatError(
+                f"field 'scheme' must have the keys {keys}, got {json.dumps(sorted(scheme))[:60]}")
+        for key in ("cfl", "artificial_floor"):
+            _field(scheme, key, "a number")
+        SchemeConfig(**scheme)  # its own checks of the values
         params = validate_params(params_from_dict(_field(manifest, "params", "an object")))
         grid = Grid1D(domain_length=_field(manifest, "domain_length", "a number"),
                       n_cells=_field(manifest, "n_cells", "an integer"))
@@ -249,17 +273,8 @@ def load_trajectory(
     pairs = list(zip(times, snaps))
     if final_only:
         pairs = pairs[-1:]
-    states = []
-    for t, name in pairs:
-        path = os.path.join(out_dir, name)
-        states.append(state := read_snapshot(path, t, frame))
-        if state.grid != grid or state.n_components != params.N:
-            raise FileFormatError(
-                f"{path}: {state.grid.n_nodes} nodes on (0, {state.grid.domain_length}) and "
-                f"{state.n_components} velocities, the manifest gives {grid.n_nodes} nodes on "
-                f"(0, {grid.domain_length}) and {params.N}"
-            )
-    traj = Trajectory.stack(states)
+    traj = Trajectory.stack([read_snapshot(os.path.join(out_dir, name), t, frame, (grid, params.N))
+                             for t, name in pairs])
     dpath = os.path.join(out_dir, "diag.csv")
     if os.path.exists(dpath):
         traj.diagnostics = read_diagnostics(dpath)

@@ -340,6 +340,20 @@ def test_non_finite_descriptor_number_exits_2_before_any_output(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("header", ["[DEFAULT]\ncfl = 0.3\n", "[DEFAULT]\n"],
+                         ids=["with-key", "empty"])
+def test_default_section_is_an_unknown_section(tmp_path, capsys, header):
+    """configparser's [DEFAULT] is not a mixflow section: it is rejected like
+    any other unknown one, not spread into [params] and the rest."""
+    cfg = tmp_path / "shear.ini"
+    shipped = os.path.join(os.path.dirname(io.__file__), "data", "shear.ini")
+    cfg.write_text(header + open(shipped).read())
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["config error: unknown section [DEFAULT]"]
+    assert not out.exists()
+
+
 def test_manifest_with_infinite_t_final_exits_2(tmp_path, capsys):
     cfg = tmp_path / "case.ini"
     cfg.write_text(SMALL_CONFIG)

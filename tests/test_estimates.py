@@ -1,10 +1,13 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from mixflow import estimates as est
-from mixflow import runner
+from mixflow import io, runner
+from mixflow.cli import cli_main
 from mixflow.errors import EmptyTrajectory, WrongFrame
 from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D, State, Trajectory, integrate
 from mixflow.lagrange import euler_to_lagrange
@@ -408,3 +411,74 @@ class TestRecordsAndReport:
         r1 = est.audit_energy_budget(est._ledger(traj))
         r2 = est.audit_energy_budget(est._ledger(traj))
         assert r1.margin == r2.margin and r1.details == r2.details
+
+
+def _overflowing(frame, params, derived, speed=1e160, rho=1.0, n=32):
+    """A diagnosed three-record trajectory on n cells with interior velocities
+    of +-``speed`` (the components opposite) and uniform density ``rho``."""
+    grid = Grid1D(1.0, n)
+    U = np.zeros((2, grid.n_nodes))
+    U[0, 1:-1], U[1, 1:-1] = speed, -speed
+    traj = Trajectory(frame, grid, np.array([0.0, 0.01, 0.02]),
+                      np.full((3, grid.n_nodes), rho), np.stack([U] * 3))
+    with np.errstate(all="ignore"):
+        return est.diagnose(traj, params, derived)
+
+
+class TestNonFinite:
+    """Every audit goes through one verdict rule: a non-finite value FAILs
+    it with margin -inf, never a NaN margin and never a PASS."""
+
+    def test_overflowing_energy_fails_with_margin_minus_inf(self, params2, derived2):
+        # e0 overflows to inf, so E(t) + dissipated - E(0) is inf - inf
+        traj = _overflowing(EULERIAN, params2, derived2)
+        with np.errstate(all="ignore"):
+            r = est.build_report(params2, derived2, eulerian=traj).results["energy_budget"]
+        assert r.verdict == est.FAIL and r.margin == -math.inf
+        assert r.details["max_excess"] == math.inf
+
+    def test_overflowing_mass_fails_density_bounds(self, params2, derived2):
+        # rho = 1e308 makes the total mass d overflow; the bracket then proves nothing
+        traj = _overflowing(EULERIAN, params2, derived2, speed=0.0, rho=1e308)
+        with np.errstate(all="ignore"):
+            r = est.build_report(params2, derived2, eulerian=traj).results["density_bounds"]
+        assert r.details["d"] == math.inf
+        assert r.verdict == est.FAIL and r.margin == -math.inf
+
+    @pytest.mark.parametrize("name, frame, column", [
+        ("energy_budget", EULERIAN, "energy"),
+        ("density_bounds", EULERIAN, "rho_min"),
+        ("w_balance", LAGRANGIAN, None),
+        ("gronwall", LAGRANGIAN, None),
+        ("alpha_growth", EULERIAN, "alpha"),
+        ("pointwise_bounds", LAGRANGIAN, "w_norm"),
+        ("derivative_norms", EULERIAN, "dt_rho_l2"),
+        ("velocity_damping", EULERIAN, None),
+    ])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_each_audit_fails_a_non_finite_value(self, params2, derived2, name, frame, column,
+                                                 value):
+        # a ledger cell of the value, or, for the audits that read only the
+        # stack, velocities of +-1e308 whose differences overflow
+        traj = _overflowing(frame, params2, derived2, speed=0.1 if column else 1e308)
+        led = {k: v.copy() for k, v in traj.diagnostics.items()}
+        if column:
+            led[column][1] = value
+        with np.errstate(all="ignore"):
+            r = est._AUDITS[name][2](traj, led, params2, derived2, 1.0)
+        assert r.name == name
+        assert r.verdict == est.FAIL and r.margin == -math.inf
+
+    def test_check_of_a_stored_overflowing_trajectory(self, params2, derived2, tmp_path, capsys):
+        out = str(tmp_path / "traj")
+        io.save_trajectory(out, _overflowing(EULERIAN, params2, derived2), params2,
+                           SchemeConfig())
+        assert cli_main(["check", "--traj", out]) == 1
+        assert "energy_budget        FAIL     -inf" in capsys.readouterr().out
+        with open(os.path.join(out, "report.json")) as fh:
+            report = json.load(fh, parse_constant=lambda c: pytest.fail(f"{c} in report.json")
+                               if c == "NaN" else float(c))
+        audits = report["audits"]
+        assert audits["energy_budget"]["margin"] == -math.inf
+        # alpha's viscous quadrature sums inf and -inf: a NaN detail is written as null
+        assert audits["alpha_growth"]["details"]["sup_alpha"] is None

@@ -497,6 +497,17 @@ class TestTrajectoryFormatFaults:
         (_snapshot_edit(lambda lines: [r.rsplit(",", 1)[0] for r in lines]),
          "snap_00001.csv", "1 velocities"),
         (_snapshot_edit(lambda lines: lines[:5] + lines[6:]), "snap_00001.csv", "48 nodes"),
+        (_snapshot_edit(lambda lines: lines[:5] + ["0.5" + lines[5][lines[5].index(","):]]
+                        + lines[6:]), "snap_00001.csv", "x_or_y is not the uniform grid"),
+        (_snapshot_edit(lambda lines: ["x_or_y,rho,u1,v2", *lines[1:]]),
+         "snap_00001.csv", "expected header x_or_y,rho,u1,..."),
+        (_manifest_edit(lambda m: m.update(version=2)), "manifest.json", "version 2 is not 1"),
+        (_manifest_edit(lambda m: m["scheme"].pop("cfl")),
+         "manifest.json", "field 'scheme' must have the keys"),
+        (_manifest_edit(lambda m: m["scheme"].update(cfl=1.5)),
+         "manifest.json", "cfl must be in (0, 1]"),
+        (_manifest_edit(lambda m: m["scheme"].update(cfl="0.4")),
+         "manifest.json", "field 'cfl' must be a number, got \"0.4\""),
         (_manifest_edit(lambda m: m["params"].update(gamma=1.0)),
          "manifest.json", "gamma must be > 1"),
         (_manifest_edit(lambda m: m["params"]["viscosity"][0].__setitem__(1, 0.03)),
@@ -530,7 +541,8 @@ class TestTrajectoryFormatFaults:
         (_diag_edit("alpha", 1, lambda c: "", ""), "diag.csv", "line 3: alpha is empty"),
         (_diag_edit("w_norm", 3, lambda c: "abc", ""), "diag.csv", "line 5: could not convert"),
     ], ids=["header-only-snapshot", "two-column-snapshot", "columns-differ-from-header",
-            "velocity-count", "node-count", "gamma-one", "asymmetric-viscosity",
+            "velocity-count", "node-count", "interior-x", "velocity-name", "version",
+            "scheme-key", "scheme-cfl", "scheme-cfl-type", "gamma-one", "asymmetric-viscosity",
             "params-hash", "reversed-times", "non-finite-time", "negative-time",
             "unknown-frame", "snapshot-index", "domain-length", "params-type",
             "n-cells-type", "domain-length-type", "gamma-type", "ragged-friction",
