@@ -6,7 +6,7 @@ discrete counterparts of the model's a priori bounds (energy budget, density
 bounds, log-density balance, derivative norms) along every run.
 """
 
-from . import config, errors, estimates, euler, field, io, lagrange, mms, model, runner, scenarios
+from . import config, errors, estimates, euler, field, io, lagrange, mms, model, runner
 from .config import InitialData, RunConfig, make_initial, parse_config
 from .estimates import EstimateReport
 from .field import EULERIAN, LAGRANGIAN, Grid1D, State, Trajectory
@@ -42,6 +42,5 @@ __all__ = [
     "model",
     "parse_config",
     "runner",
-    "scenarios",
     "validate_params",
 ]

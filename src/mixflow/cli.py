@@ -54,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scheme", dest="scheme.integrator", metavar="SCHEME",
                      help="override the time integrator")
     run.add_argument("--cfl", dest="scheme.cfl", metavar="CFL")
-    run.add_argument("--plots", action="store_true", help="also emit SVG plots")
     run.set_defaults(command=_cmd_run)
 
     chk = sub.add_parser("check", help="re-audit a stored trajectory")
@@ -107,7 +106,7 @@ def _cmd_run(args) -> int:
             io.save_trajectory(sub, exc.trajectory, rc.params, rc.scheme)
             print(f"last valid trajectory saved under {sub}", file=sys.stderr)
         return EXIT_BLOWUP
-    save_result(result, rc.out_dir, plots=args.plots)
+    save_result(result, rc.out_dir)
     print(result.report.render_text())
     print(f"outputs under {rc.out_dir}")
     return EXIT_OK if result.report.passed else EXIT_AUDIT_FAIL
@@ -129,7 +128,7 @@ def _recompute(sub: str):
     its parameters and the stored diagnostics."""
     traj, params, _ = io.load_trajectory(sub)
     stored = traj.diagnostics
-    return estimates.diagnose(traj, params, derive_matrices(params)), params, stored
+    return estimates.diagnose(traj, params), params, stored
 
 
 def _ledger_fault(stored, fresh) -> str | None:
@@ -154,18 +153,16 @@ def _ledger_mismatch(stored, fresh) -> tuple[int, str] | None:
     relative 1e-9."""
     names = [f for f in estimates.FIELDS if f in fresh]
     a, b = (np.stack([led[f] for f in names], axis=-1) for led in (stored, fresh))
-    with np.errstate(invalid="ignore", over="ignore"):
-        close = np.isfinite(b) & (np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b)))
+    close = np.isfinite(b) & (np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b)))
     bad = np.argwhere(~((a == b) | (np.isnan(a) & np.isnan(b)) | close))
     return (int(bad[0, 0]), names[bad[0, 1]]) if len(bad) else None
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _cmd_check(args) -> int:
     """Recompute the diagnostics from the snapshots (one frame per forked
     worker), cross-check the stored ledger, then re-run the audits; any
-    mismatch or FAIL exits 1.  Huge stored values overflow to inf or NaN
-    without numpy warnings: the ledger reason and the verdicts report them."""
+    mismatch or FAIL exits 1.  Huge stored values overflow to inf or NaN:
+    the ledger reason and the verdicts report them."""
     root = args.traj
     audits = audit_names(args.audits)
     loaded = concurrently([partial(_recompute, sub) for sub in _trajectory_dirs(root)])
@@ -238,7 +235,10 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.command(args)
+        # overflow and division by zero give inf or NaN without a warning:
+        # the stage checks, the verdicts and the file checks report them
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return args.command(args)
     except SolverBlowup as exc:
         print(f"solver blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP

@@ -116,8 +116,7 @@ class LagrangeKernel(Kernel):
 
     @staticmethod
     def density_view(q):
-        with np.errstate(divide="ignore", over="ignore"):
-            return 1.0 / q
+        return 1.0 / q
 
     def _density(self, q, where):
         rho = self.density_view(q)

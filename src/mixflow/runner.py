@@ -14,7 +14,7 @@ from .errors import MixflowError, SolverBlowup, ValidationError, WorkerDied
 from .estimates import EstimateReport, build_report, diagnose
 from .euler import EulerKernel
 from .field import EULERIAN, LAGRANGIAN, Grid1D, State, Trajectory
-from .io import render_report_plots, save_report, save_trajectory
+from .io import save_report, save_trajectory
 from .lagrange import LagrangeKernel, euler_to_lagrange
 from .model import DerivedMatrices, MixtureParams, derive_matrices
 from .timestepping import Forcing, SchemeConfig, run_loop
@@ -26,8 +26,6 @@ KERNELS = {EULERIAN: EulerKernel, LAGRANGIAN: LagrangeKernel}
 @dataclass
 class RunResult:
     config: RunConfig
-    derived: DerivedMatrices
-    initial: State
     eulerian: Trajectory | None
     lagrangian: Trajectory | None
     report: EstimateReport
@@ -151,34 +149,26 @@ def execute(rc: RunConfig, progress=None) -> RunResult:
                              snapshot_every=rc.snapshot_every)
         except SolverBlowup as exc:  # the saved partial trajectory keeps its ledger
             if exc.trajectory is not None:
-                diagnose(exc.trajectory, rc.params, derived)
+                diagnose(exc.trajectory, rc.params)
             raise
-        return diagnose(traj, rc.params, derived)
+        return diagnose(traj, rc.params)
 
     announce = progress and (lambda k: progress(f"running {frames[k]} solver to t = {rc.t_end}"))
     trajs = dict(zip(frames, concurrently([partial(solve, f) for f in frames], announce)))
     traj_e, traj_l = trajs.get(EULERIAN), trajs.get(LAGRANGIAN)
     report = build_report(rc.params, derived, eulerian=traj_e, lagrangian=traj_l,
                           audits=rc.audit_set)
-    return RunResult(
-        config=rc, derived=derived, initial=initial,
-        eulerian=traj_e, lagrangian=traj_l, report=report,
-    )
+    return RunResult(config=rc, eulerian=traj_e, lagrangian=traj_l, report=report)
 
 
-def save_result(result: RunResult, out_dir: str, plots: bool = False) -> list[str]:
+def save_result(result: RunResult, out_dir: str) -> list[str]:
     """Write trajectory directories plus report.json under ``out_dir``."""
     rc = result.config
     os.makedirs(out_dir, exist_ok=True)
     trajs = [t for t in (result.eulerian, result.lagrangian) if t is not None]
     subs = [out_dir if len(trajs) == 1 else os.path.join(out_dir, t.frame) for t in trajs]
-
-    def save(traj: Trajectory, sub: str):
-        save_trajectory(sub, traj, rc.params, rc.scheme)
-        if plots:
-            render_report_plots(sub, traj)
-
-    concurrently([partial(save, t, sub) for t, sub in zip(trajs, subs)])
+    concurrently([partial(save_trajectory, sub, t, rc.params, rc.scheme)
+                  for t, sub in zip(trajs, subs)])
     report_path = os.path.join(out_dir, "report.json")
     save_report(report_path, result.report)
     return [*subs, report_path]

@@ -1,11 +1,25 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mixflow.data
+from mixflow.config import parse_config_file
 from mixflow.euler import EulerKernel
 from mixflow.field import EULERIAN, Grid1D, State, integrate
 from mixflow.lagrange import LagrangeKernel
 from mixflow.model import derive_matrices, make_params
 from mixflow.timestepping import SchemeConfig
+
+#: the directory of the shipped INI files
+DATA = Path(mixflow.data.__file__).parent
+#: the shipped scenarios, one INI file each in DATA
+CORPUS = ("rest", "equal_velocity", "shear", "gaussian_bump", "near_vacuum", "random_smooth")
+
+
+def scenario_config(name):
+    """The parsed shipped INI file ``mixflow/data/<name>.ini``."""
+    return parse_config_file(str(DATA / f"{name}.ini"))
 
 
 @pytest.fixture

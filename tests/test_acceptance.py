@@ -22,10 +22,9 @@ from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D, State, l2_norm, total_ma
 from mixflow.mms import mms_study
 from mixflow.model import derive_matrices, make_params
 from mixflow.runner import execute, integrate
-from mixflow.scenarios import CORPUS, scenario_config
 from mixflow.timestepping import CENTRAL, UPWIND, SchemeConfig
 
-from conftest import friction_power, records
+from conftest import CORPUS, friction_power, records, scenario_config
 from reference import single_fluid_reference
 
 SEMI = "semi-implicit-viscosity"
@@ -104,7 +103,7 @@ def shear_residual_runs():
         runs[n] = est.diagnose(integrate(
             lagrange.euler_to_lagrange(init), rc.params, derived, scheme,
             t_end=0.3, snapshot_every=2,
-        ), rc.params, derived)
+        ), rc.params)
     return rc.params, derived, runs
 
 
@@ -138,7 +137,7 @@ def test_c03_density_bounds(corpus_results):
     ok = True
     details = []
     for name, (result, _) in corpus_results.items():
-        d0 = total_mass(result.initial)
+        d0 = total_mass(result.eulerian.state(0))
         for traj in (result.eulerian, result.lagrangian):
             if traj is None:
                 continue
@@ -179,7 +178,7 @@ def test_c06_reduction_oracle(corpus_results):
     rc = scenario_config("equal_velocity")
     result, _ = corpus_results["equal_velocity"]
     traj_mix = result.eulerian
-    init = result.initial
+    init = result.eulerian.state(0)
     mu = float(rc.params.M[0, 0])
     traj_one = single_fluid_reference(
         np.asarray(init.rho), np.asarray(init.U[0]), K=rc.params.K,
@@ -299,11 +298,11 @@ def test_c12_gronwall_and_alpha(corpus_results):
     for n in (256, 512):
         init = make_initial(rc.initial, Grid1D(1.0, n))
         traj_e = est.diagnose(integrate(init, rc.params, derived, scheme, 1.0,
-                                        snapshot_every=8), rc.params, derived)
+                                        snapshot_every=8), rc.params)
         traj_l = est.diagnose(integrate(
             lagrange.euler_to_lagrange(init), rc.params, derived, scheme, 1.0,
             snapshot_every=8,
-        ), rc.params, derived)
+        ), rc.params)
         gron = est.audit_gronwall_chain(traj_l, rc.params, derived)
         alph = est.audit_alpha_growth(traj_e, est._ledger(traj_e),
                                       rc.params, derived)
@@ -337,7 +336,7 @@ def test_c13_long_time_relaxation():
     final = result.eulerian.final
     g = final.grid
     u_norm = max(l2_norm(final.U[i], g) for i in range(rc.params.N))
-    rho_gap = l2_norm(final.rho - total_mass(result.initial), g)
+    rho_gap = l2_norm(final.rho - total_mass(result.eulerian.state(0)), g)
     ok = u_norm < 1e-3 and rho_gap < 1e-2
     verdict("C13 long-time-relaxation", ok,
             f"max ||u||_2 = {u_norm:.2e}, ||rho - d||_2 = {rho_gap:.2e}")

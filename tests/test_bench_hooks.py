@@ -52,7 +52,7 @@ def test_build_report_spans_one_per_audit(params2, derived2, grid64):
     traj_l = integrate(euler_to_lagrange(s), params2, derived2, scheme, 0.05, snapshot_every=10)
     for traj in (traj_e, traj_l):
         assert len(traj) >= 3
-        estimates.diagnose(traj, params2, derived2)
+        estimates.diagnose(traj, params2)
 
     tracer = tracing.Tracer()
     tracer.install()

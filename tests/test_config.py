@@ -21,9 +21,9 @@ from mixflow.cli import cli_main
 from mixflow.errors import NonPositiveDensity, ParseError, ValidationError
 from mixflow.estimates import KNOWN_AUDITS
 from mixflow.field import EULERIAN, Grid1D
-from mixflow.scenarios import CORPUS, scenario_config
 from mixflow.timestepping import SchemeConfig
 
+from conftest import CORPUS, scenario_config
 from test_io_cli import SMALL_CONFIG
 
 
@@ -274,10 +274,6 @@ class TestScenarios:
         rc = scenario_config("near_vacuum")
         s = make_initial(rc.initial, Grid1D(1.0, 256))
         assert s.rho.min() == pytest.approx(0.05, abs=1e-3)
-
-    def test_unknown_scenario(self):
-        with pytest.raises(ValidationError):
-            scenario_config("piston")
 
 
 # descriptors that ran, or were misread, instead of being rejected

@@ -100,7 +100,7 @@ def test_audits_read_the_trajectory_arrays_without_a_copy(monkeypatch, params2, 
         spy(name)
     for traj in trajs:
         assert len(traj) >= 3
-        est.diagnose(traj, params2, derived2)
+        est.diagnose(traj, params2)
     report = est.build_report(params2, derived2, eulerian=trajs[0], lagrangian=trajs[1])
     assert all(r.verdict != est.SKIP for r in report.results.values())
     by_frame = {traj.frame: traj for traj in trajs}
@@ -117,8 +117,8 @@ def test_report_needs_each_frame_in_its_place_with_its_ledger(params2, derived2,
     traj_e, traj_l = _two_frames(params2, derived2, grid64)
     with pytest.raises(EmptyTrajectory):  # no ledger yet
         est.build_report(params2, derived2, eulerian=traj_e, audits=("velocity_damping",))
-    est.diagnose(traj_e, params2, derived2)
-    est.diagnose(traj_l, params2, derived2)
+    est.diagnose(traj_e, params2)
+    est.diagnose(traj_l, params2)
     with pytest.raises(WrongFrame):
         est.build_report(params2, derived2, lagrangian=traj_e, audits=("velocity_damping",))
     with pytest.raises(WrongFrame):

@@ -167,21 +167,21 @@ class TestEnergyBudget:
     def test_rest_budget_constant(self, params2, derived2, grid64):
         s = eul_state(grid64, np.ones(grid64.n_nodes), np.zeros((2, grid64.n_nodes)))
         traj = est.diagnose(runner.integrate(s, params2, derived2, SchemeConfig(), 0.2,
-                                             snapshot_every=20), params2, derived2)
+                                             snapshot_every=20), params2)
         r = est.audit_energy_budget(est._ledger(traj))
         assert r.verdict == est.PASS
         assert r.details["max_excess"] == pytest.approx(0.0, abs=1e-13)
 
     def test_decaying_run_passes(self, params2, derived2, shear_state):
         traj = est.diagnose(runner.integrate(shear_state, params2, derived2, SchemeConfig(), 0.3,
-                                             snapshot_every=10), params2, derived2)
+                                             snapshot_every=10), params2)
         r = est.audit_energy_budget(est._ledger(traj))
         assert r.verdict == est.PASS
         assert r.margin > 0
 
     def test_injected_energy_fails(self, params2, derived2, shear_state):
         traj = est.diagnose(runner.integrate(shear_state, params2, derived2, SchemeConfig(), 0.3,
-                                             snapshot_every=10), params2, derived2)
+                                             snapshot_every=10), params2)
         traj.diagnostics["energy"][-1] *= 1.01  # corrupt the ledger
         r = est.audit_energy_budget(est._ledger(traj))
         assert r.verdict == est.FAIL
@@ -196,13 +196,13 @@ class TestDensityBounds:
     def test_constant_equals_mass(self, params2, derived2, grid64):
         tr = Trajectory.stack([eul_state(grid64, np.full(grid64.n_nodes, 1.3),
                                          np.zeros((2, grid64.n_nodes)))])
-        r = est.audit_density_bounds(est._ledger(est.diagnose(tr, params2, derived2)), 1.3)
+        r = est.audit_density_bounds(est._ledger(est.diagnose(tr, params2)), 1.3)
         assert r.verdict == est.PASS
 
     def test_bracket_violation_detected(self, params2, derived2, grid64):
         tr = Trajectory.stack([eul_state(grid64, np.full(grid64.n_nodes, 1.3),
                                          np.zeros((2, grid64.n_nodes)))])
-        led = est._ledger(est.diagnose(tr, params2, derived2))
+        led = est._ledger(est.diagnose(tr, params2))
         r = est.audit_density_bounds(led, 2.0)  # d above sup(rho): corrupted
         assert r.verdict == est.FAIL
 
@@ -215,13 +215,13 @@ class TestWBalanceAndGronwall:
             sl, params2, derived2,
             SchemeConfig(time_integrator="semi-implicit-viscosity", cfl=0.3),
             t_end, snapshot_every=2,
-        ), params2, derived2)
+        ), params2)
 
     def test_rest_residual_zero(self, params2, derived2):
         g = Grid1D(1.5, 32)
         sl = lag_state(g, np.full(g.n_nodes, 1.5), np.zeros((2, g.n_nodes)))
         traj = est.diagnose(runner.integrate(sl, params2, derived2, SchemeConfig(), 0.05,
-                                             snapshot_every=2), params2, derived2)
+                                             snapshot_every=2), params2)
         r = est.audit_w_balance(traj, params2, derived2)
         assert r.details["max_residual"] <= 1e-13
 
@@ -237,7 +237,7 @@ class TestWBalanceAndGronwall:
             lag_state(g, np.ones(g.n_nodes), np.array([f, f]) * (1 + 0.1 * k), t=t)
             for k, t in enumerate((0.0, 0.01, 0.02))
         ])
-        r = est.audit_w_balance(est.diagnose(tr, p, d), p, d)
+        r = est.audit_w_balance(est.diagnose(tr, p), p, d)
         assert r.details["max_residual"] <= 1e-13
 
     def test_wbalance_residual_refines(self, params2, derived2):
@@ -260,7 +260,7 @@ class TestWBalanceAndGronwall:
         g = Grid1D(1.5, 32)
         sl = lag_state(g, np.full(g.n_nodes, 1.5), np.zeros((2, g.n_nodes)))
         traj = est.diagnose(runner.integrate(sl, params2, derived2, SchemeConfig(), 0.05,
-                                             snapshot_every=2), params2, derived2)
+                                             snapshot_every=2), params2)
         r = est.audit_gronwall_chain(traj, params2, derived2)
         assert r.verdict == est.PASS
 
@@ -274,7 +274,7 @@ class TestAlpha:
     def test_rest_alpha_zero(self, params2, derived2, grid64):
         s = eul_state(grid64, np.ones(grid64.n_nodes), np.zeros((2, grid64.n_nodes)))
         traj = est.diagnose(runner.integrate(s, params2, derived2, SchemeConfig(), 0.1,
-                                             snapshot_every=10), params2, derived2)
+                                             snapshot_every=10), params2)
         a = traj.diagnostics["alpha"]
         assert np.abs(a).max() <= 1e-20
 
@@ -296,12 +296,12 @@ class TestAlpha:
         U = np.array([u1, 0 * u1])
         times = (0.0, 0.05, 0.1, 0.15)
         tr = Trajectory.stack([eul_state(g, np.ones(9), U, t=t) for t in times])
-        a = est.diagnose(tr, p, d).diagnostics["alpha"]
+        a = est.diagnose(tr, p).diagnostics["alpha"]
         assert np.allclose(a, 4.0 + 1120.0 * np.array(times), atol=1e-10)
 
     def test_alpha_growth_audit_passes(self, params2, derived2, shear_state):
         traj = est.diagnose(runner.integrate(shear_state, params2, derived2, SchemeConfig(), 0.3,
-                                             snapshot_every=10), params2, derived2)
+                                             snapshot_every=10), params2)
         r = est.audit_alpha_growth(*inputs(traj), params2, derived2)
         assert r.verdict == est.PASS
         assert math.isfinite(r.details["sup_alpha"])
@@ -311,7 +311,7 @@ class TestAlpha:
 class TestDerivativeNorms:
     def test_report_finite_for_smooth_run(self, params2, derived2, shear_state):
         traj = est.diagnose(runner.integrate(shear_state, params2, derived2, SchemeConfig(), 0.2,
-                                             snapshot_every=10), params2, derived2)
+                                             snapshot_every=10), params2)
         r = est.derivative_norm_report(*inputs(traj))
         assert r.verdict == est.PASS
         for v in r.details.values():
@@ -323,7 +323,7 @@ class TestDerivativeNorms:
             traj = est.diagnose(runner.integrate(smooth_state(Grid1D(1.0, n)), params2, derived2,
                                                  SchemeConfig(time_integrator="semi-implicit-viscosity",
                                                               cfl=0.3),
-                                                 0.2, snapshot_every=4), params2, derived2)
+                                                 0.2, snapshot_every=4), params2)
             values.append(est.derivative_norm_report(*inputs(traj)).details)
         for key in ("sup_grad_u_l2", "rho_x_sup_l2", "u_l2_linf"):
             assert values[0][key] == pytest.approx(values[1][key], rel=0.05)
@@ -332,7 +332,7 @@ class TestDerivativeNorms:
 class TestRecordsAndReport:
     def test_attach_time_fields(self, params2, derived2, shear_state):
         traj = est.diagnose(runner.integrate(shear_state, params2, derived2, SchemeConfig(), 0.1,
-                                             snapshot_every=10), params2, derived2)
+                                             snapshot_every=10), params2)
         led = traj.diagnostics  # time fields attached by diagnose
         assert len(led["dt_rho_l2"]) == len(traj) and np.isfinite(led["dt_rho_l2"]).all()
         assert len(led["alpha"]) == len(traj)
@@ -340,7 +340,7 @@ class TestRecordsAndReport:
 
     def test_build_report_skips_missing_frames(self, params2, derived2, shear_state):
         traj = est.diagnose(runner.integrate(shear_state, params2, derived2, SchemeConfig(), 0.1,
-                                             snapshot_every=10), params2, derived2)
+                                             snapshot_every=10), params2)
         rep = est.build_report(params2, derived2, eulerian=traj)
         assert rep.results["w_balance"].verdict == est.SKIP
         assert rep.results["energy_budget"].verdict == est.PASS
@@ -351,9 +351,9 @@ class TestRecordsAndReport:
     def test_build_report_skip_reasons(self, params2, derived2, shear_state):
         scheme = SchemeConfig()
         traj_e = est.diagnose(runner.integrate(shear_state, params2, derived2, scheme, 0.1,
-                                               snapshot_every=10), params2, derived2)
+                                               snapshot_every=10), params2)
         traj_l = est.diagnose(runner.integrate(euler_to_lagrange(shear_state), params2, derived2,
-                                               scheme, 0.1, snapshot_every=10), params2, derived2)
+                                               scheme, 0.1, snapshot_every=10), params2)
 
         def reasons(**trajs):
             rep = est.build_report(params2, derived2, **trajs)
@@ -370,7 +370,7 @@ class TestRecordsAndReport:
             "derivative_norms": "needs an Eulerian trajectory with >= 2 records",
         }
         two = Trajectory.stack(records(traj_e)[:2])
-        assert reasons(eulerian=est.diagnose(two, params2, derived2)) == {
+        assert reasons(eulerian=est.diagnose(two, params2)) == {
             "w_balance": "needs a Lagrangian trajectory with >= 3 records",
             "gronwall": "needs a Lagrangian trajectory with >= 3 records",
             "alpha_growth": "needs an Eulerian trajectory with >= 3 records",
@@ -381,7 +381,7 @@ class TestRecordsAndReport:
         def single(frame, rho):
             tr = Trajectory.stack([State(time=0.0, frame=frame, grid=grid64,
                                          rho=rho, U=np.zeros((2, grid64.n_nodes)))])
-            return est.diagnose(tr, params2, derived2)
+            return est.diagnose(tr, params2)
 
         def bounds(lag_rho):
             rep = est.build_report(params2, derived2,
@@ -399,7 +399,7 @@ class TestRecordsAndReport:
 
     def test_report_dict_shape(self, params2, derived2, shear_state):
         traj = est.diagnose(runner.integrate(shear_state, params2, derived2, SchemeConfig(), 0.1,
-                                             snapshot_every=10), params2, derived2)
+                                             snapshot_every=10), params2)
         rep = est.build_report(params2, derived2, eulerian=traj)
         dd = rep.to_dict()
         assert set(dd) == {"passed", "audits", "empirical_constants"}
@@ -407,13 +407,13 @@ class TestRecordsAndReport:
 
     def test_audits_are_deterministic(self, params2, derived2, shear_state):
         traj = est.diagnose(runner.integrate(shear_state, params2, derived2, SchemeConfig(), 0.1,
-                                             snapshot_every=10), params2, derived2)
+                                             snapshot_every=10), params2)
         r1 = est.audit_energy_budget(est._ledger(traj))
         r2 = est.audit_energy_budget(est._ledger(traj))
         assert r1.margin == r2.margin and r1.details == r2.details
 
 
-def _overflowing(frame, params, derived, speed=1e160, rho=1.0, n=32):
+def _overflowing(frame, params, speed=1e160, rho=1.0, n=32):
     """A diagnosed three-record trajectory on n cells with interior velocities
     of +-``speed`` (the components opposite) and uniform density ``rho``."""
     grid = Grid1D(1.0, n)
@@ -422,7 +422,7 @@ def _overflowing(frame, params, derived, speed=1e160, rho=1.0, n=32):
     traj = Trajectory(frame, grid, np.array([0.0, 0.01, 0.02]),
                       np.full((3, grid.n_nodes), rho), np.stack([U] * 3))
     with np.errstate(all="ignore"):
-        return est.diagnose(traj, params, derived)
+        return est.diagnose(traj, params)
 
 
 class TestNonFinite:
@@ -431,7 +431,7 @@ class TestNonFinite:
 
     def test_overflowing_energy_fails_with_margin_minus_inf(self, params2, derived2):
         # e0 overflows to inf, so E(t) + dissipated - E(0) is inf - inf
-        traj = _overflowing(EULERIAN, params2, derived2)
+        traj = _overflowing(EULERIAN, params2)
         with np.errstate(all="ignore"):
             r = est.build_report(params2, derived2, eulerian=traj).results["energy_budget"]
         assert r.verdict == est.FAIL and r.margin == -math.inf
@@ -439,7 +439,7 @@ class TestNonFinite:
 
     def test_overflowing_mass_fails_density_bounds(self, params2, derived2):
         # rho = 1e308 makes the total mass d overflow; the bracket then proves nothing
-        traj = _overflowing(EULERIAN, params2, derived2, speed=0.0, rho=1e308)
+        traj = _overflowing(EULERIAN, params2, speed=0.0, rho=1e308)
         with np.errstate(all="ignore"):
             r = est.build_report(params2, derived2, eulerian=traj).results["density_bounds"]
         assert r.details["d"] == math.inf
@@ -460,7 +460,7 @@ class TestNonFinite:
                                                  value):
         # a ledger cell of the value, or, for the audits that read only the
         # stack, velocities of +-1e308 whose differences overflow
-        traj = _overflowing(frame, params2, derived2, speed=0.1 if column else 1e308)
+        traj = _overflowing(frame, params2, speed=0.1 if column else 1e308)
         led = {k: v.copy() for k, v in traj.diagnostics.items()}
         if column:
             led[column][1] = value
@@ -469,10 +469,9 @@ class TestNonFinite:
         assert r.name == name
         assert r.verdict == est.FAIL and r.margin == -math.inf
 
-    def test_check_of_a_stored_overflowing_trajectory(self, params2, derived2, tmp_path, capsys):
+    def test_check_of_a_stored_overflowing_trajectory(self, params2, tmp_path, capsys):
         out = str(tmp_path / "traj")
-        io.save_trajectory(out, _overflowing(EULERIAN, params2, derived2), params2,
-                           SchemeConfig())
+        io.save_trajectory(out, _overflowing(EULERIAN, params2), params2, SchemeConfig())
         assert cli_main(["check", "--traj", out]) == 1
         assert "energy_budget        FAIL     -inf" in capsys.readouterr().out
         with open(os.path.join(out, "report.json")) as fh:

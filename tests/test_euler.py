@@ -198,7 +198,7 @@ class TestRun:
     def test_per_step_energy_decay_semi_implicit(self, params2, derived2, shear_state):
         scheme = SchemeConfig(time_integrator="semi-implicit-viscosity")
         traj = estimates.diagnose(runner.integrate(shear_state, params2, derived2, scheme, t_end=0.3,
-                                                   snapshot_every=1), params2, derived2)
+                                                   snapshot_every=1), params2)
         e = traj.diagnostics["energy"]
         tol_step = 1e-8 * e[0]
         assert np.all(np.diff(e) <= tol_step)

@@ -13,11 +13,10 @@ from mixflow.errors import FileFormatError
 from mixflow.cli import _build_parser, _settings, cli_main
 from mixflow.config import parse_config
 from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D, State
-from mixflow.model import derive_matrices
 from mixflow.runner import execute, integrate, save_result
 from mixflow.timestepping import SEMI_IMPLICIT, SchemeConfig
 
-from conftest import records
+from conftest import DATA, records
 
 SMALL_CONFIG = """
 [params]
@@ -58,7 +57,7 @@ def small_run(tmp_path_factory):
 class TestTrajectoryIO:
     def test_round_trip(self, params2, derived2, shear_state, tmp_path):
         traj = estimates.diagnose(integrate(shear_state, params2, derived2, SchemeConfig(), 0.1,
-                                            snapshot_every=10), params2, derived2)
+                                            snapshot_every=10), params2)
         io.save_trajectory(str(tmp_path), traj, params2, SchemeConfig())
         back, params_back, manifest = io.load_trajectory(str(tmp_path))
         assert params_back == params2
@@ -190,10 +189,34 @@ snapshot_every = 10
         # fields of its ledger as check recomputes them
         traj, params, _ = io.load_trajectory(os.path.join(out, "eulerian"))
         stored = traj.diagnostics
-        fresh = estimates.diagnose(traj, params, derive_matrices(params)).diagnostics
+        fresh = estimates.diagnose(traj, params).diagnostics
         assert len(stored["time"]) >= 2
         for name in ("dt_rho_l2", "alpha"):
             assert np.array_equal(stored[name], fresh[name])
+
+    @pytest.mark.parametrize("frame", [EULERIAN, LAGRANGIAN])
+    @pytest.mark.parametrize("key, value", [
+        ("u1", "sine:k=1,amp=1e200"),
+        ("friction", "[[0.0, 1e308], [1e308, 0.0]]"),
+    ], ids=["velocity", "friction"])
+    def test_overflowing_run_prints_only_its_reason(self, tmp_path, capsys, frame, key, value):
+        # the shipped shear scenario with an overflowing velocity or friction:
+        # the blow-up is reported in three lines, with no numpy warning
+        lines = (DATA / "shear.ini").read_text().splitlines()
+        cfg = tmp_path / "overflow.ini"
+        cfg.write_text("\n".join(f"{key} = {value}" if line.startswith(f"{key} = ") else line
+                                 for line in lines))
+        out = str(tmp_path / "out")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["run", "--config", str(cfg), "--out-dir", out, "--n-cells", "32",
+                             "--t-end", "0.001", "--frame", frame])
+        assert code == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        progress, reason, saved = capsys.readouterr().err.splitlines()
+        assert progress == f"running {frame} solver to t = 0.001"
+        assert reason.startswith("solver blow-up: ")
+        assert saved == f"last valid trajectory saved under {os.path.join(out, frame)}"
 
     def test_transform_round_trip(self, tmp_path, shear_state):
         snap = tmp_path / "s.csv"
@@ -771,5 +794,6 @@ def test_ledger_comparison(stored, fresh, match):
         rows[1, 1], rows[2, -1] = energy, u_linf
         return dict(zip(names, rows.T))
 
-    got = _ledger_mismatch(ledger(stored, 3.0), ledger(fresh, 4.0))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # as cli_main sets it
+        got = _ledger_mismatch(ledger(stored, 3.0), ledger(fresh, 4.0))
     assert got == ((2, "u_linf") if match else (1, "energy"))

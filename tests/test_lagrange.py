@@ -261,7 +261,7 @@ class TestRun:
             U[:, -1] = 0.0
             sl = State(time=0.0, frame=LAGRANGIAN, grid=g, rho=rho, U=U)
             traj = estimates.diagnose(runner.integrate(sl, params2, derived2, scheme, t_end=0.15,
-                                                       snapshot_every=2), params2, derived2)
+                                                       snapshot_every=2), params2)
             led = traj.diagnostics
             late = led["identity_residual"][1:-1][led["time"][1:-1] >= 0.25 * 0.15]
             res.append(max(late))

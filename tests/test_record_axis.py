@@ -21,7 +21,8 @@ from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D, State, Trajectory
 from mixflow.lagrange import euler_to_lagrange
 from mixflow.model import derive_matrices, make_params
 from mixflow.runner import integrate
-from mixflow.scenarios import CORPUS, scenario_config
+
+from conftest import CORPUS, scenario_config
 
 
 def _params(rng, n_comp):
@@ -54,7 +55,7 @@ def _diagnose_both(traj, params, derived):
     old.diagnostics = [ref.make_record(s, params, derived) for s in ref.states(old)]
     if len(old) >= 2:
         ref.attach_time_fields(old, params, derived)
-    return est.diagnose(traj, params, derived), old
+    return est.diagnose(traj, params), old
 
 
 def _assert_same_ledger(ledger, old, names=est.FIELDS):
