@@ -9,7 +9,7 @@ Verbs::
     transform  map a snapshot between the two coordinate frames
 
 Exit codes: 0 success / all audits PASS, 1 audit FAIL, 2 usage or config
-error, 3 solver blow-up, 4 a forked frame worker died without a result.
+error, 3 solver blow-up, 4 a forked worker died without a result.
 """
 
 from __future__ import annotations

@@ -78,4 +78,4 @@ class ParseError(MixflowError):
 
 
 class WorkerDied(MixflowError):
-    """A forked frame worker exited without returning a result or an error."""
+    """A forked worker exited without returning a result or an error."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
 import signal
@@ -21,6 +22,8 @@ from .timestepping import Forcing, SchemeConfig, run_loop
 
 #: the kernel that integrates a state of each frame
 KERNELS = {EULERIAN: EulerKernel, LAGRANGIAN: LagrangeKernel}
+#: prctl option that sends the calling process a signal when its parent ends
+_PR_SET_PDEATHSIG = 1
 
 
 @dataclass
@@ -62,19 +65,23 @@ def concurrently(calls, announce=None) -> list:
     in call order is raised with its type, message and attributes (such as
     ``SolverBlowup.trajectory``); a worker that exits without a result
     raises :class:`WorkerDied`.  Workers whose result is no longer needed
-    are terminated, and every worker is reaped before this returns.
+    are terminated, and every worker is reaped before this returns.  On
+    Linux no worker outlives the calling process, however that ends (even by
+    SIGKILL); on other platforms a worker of a killed caller runs on until
+    its call returns.
     """
     workers, results = [], []  # workers: [pid, read end of its pipe, reaped]
     try:
         if len(calls) > 1:
             sys.stdout.flush()  # a buffer copied by fork would be written twice
             sys.stderr.flush()
+        caller = os.getpid()
         for call in calls[1:]:
             rfd, wfd = os.pipe()
             pid = os.fork()
             if pid == 0:
                 os.close(rfd)
-                _work(call, wfd)
+                _work(call, wfd, caller)
             os.close(wfd)
             workers.append([pid, open(rfd, "rb"), False])
         for k, call in enumerate(calls):
@@ -104,12 +111,21 @@ def concurrently(calls, announce=None) -> list:
             pipe.close()
 
 
-def _work(call, fd: int):
+def _work(call, fd: int, caller: int):
     """Body of a forked worker: write the pickled ``(True, result)`` or
     ``(False, error)`` to ``fd`` and leave with ``os._exit``, so none of the
-    parent's exit handlers or pending ``finally`` blocks run here."""
+    parent's exit handlers or pending ``finally`` blocks run here.  On Linux
+    the kernel kills the worker when ``caller`` ends, and a worker whose
+    caller ended before that was arranged (it then has another parent)
+    leaves at once."""
     code = 1
     try:
+        if sys.platform.startswith("linux"):
+            prctl = ctypes.CDLL(None).prctl
+            prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+            prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+            if os.getppid() != caller:
+                return
         try:
             outcome = (True, call())
         except BaseException as exc:  # raised again in the parent

@@ -1,6 +1,9 @@
 """Frames in forked workers: `runner.concurrently` and the CLI verbs built on it."""
 
 import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -48,6 +51,15 @@ def _assert_no_children():
     """Every worker was reaped: this process has no child left, running or exited."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _gone(pid):
+    """Whether process ``pid`` has ended: it no longer exists or is a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
 
 
 def _tree(root):
@@ -123,6 +135,37 @@ class TestConcurrently:
         with pytest.raises(ValueError):
             concurrently([lambda: _raise(ValueError()), lambda: 2], said.append)
         assert said == [0]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the parent-death signal is Linux's")
+    def test_worker_dies_with_a_killed_caller(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(runner.__file__)))
+        code = ("import time; from mixflow.runner import concurrently; "
+                "concurrently([lambda: time.sleep(60)] * 2)")
+        caller = subprocess.Popen([sys.executable, "-c", code],
+                                  env={**os.environ, "PYTHONPATH": src})
+        worker = None
+        try:
+            deadline = time.monotonic() + 30
+            while worker is None and time.monotonic() < deadline:
+                with open(f"/proc/{caller.pid}/task/{caller.pid}/children") as fh:
+                    pids = fh.read().split()
+                if pids:
+                    worker = int(pids[0])
+                else:
+                    time.sleep(0.02)
+            assert worker is not None, "the caller forked no worker within 30 s"
+            caller.kill()
+            caller.wait()
+            deadline = time.monotonic() + 5
+            while not _gone(worker) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _gone(worker), "the worker outlived its killed caller"
+        finally:
+            caller.kill()
+            caller.wait()
+            if worker is not None and not _gone(worker):
+                os.kill(worker, signal.SIGKILL)
 
 
 def _replace_lagrangian_solve(monkeypatch, body):

@@ -366,8 +366,11 @@ class TestMmsArguments:
         ["--t-end", "-0.1"],
         ["--t-end", "nan"],
         ["--t-end", "inf"],
+        ["--levels", "4,64,128"],
     ])
-    def test_bad_arguments_exit_2_one_line(self, args, capsys):
+    def test_bad_arguments_exit_2_one_line(self, args, capsys, monkeypatch):
+        # every level is checked before the ladder forks its worker
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before the levels were checked"))
         assert cli_main(["mms", *args]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ")

@@ -1,5 +1,11 @@
-import numpy as np
+import os
 
+import numpy as np
+import pytest
+
+from mixflow import mms
+from mixflow.cli import EXIT_BLOWUP, cli_main
+from mixflow.errors import SolverBlowup
 from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D
 from mixflow.mms import ManufacturedFields, default_params, mms_study
 from mixflow.model import derive_matrices
@@ -7,6 +13,7 @@ from mixflow.runner import integrate
 from mixflow.timestepping import CENTRAL, UPWIND, SchemeConfig
 
 from conftest import euler_tendencies, lagrange_tendencies
+from test_concurrent import _assert_no_children
 
 
 class TestForcing:
@@ -77,3 +84,54 @@ class TestStudy:
         table = mms_study(frame=EULERIAN, advection=CENTRAL, levels=(32, 64), t_end=0.1)
         txt = table.render_text()
         assert "n_cells" in txt and ("PASS" in txt or "FAIL" in txt)
+
+
+def _bits(errors, *numbers):
+    """The per-level ``errors`` and ``numbers`` as int64 bit patterns."""
+    values = [v for errs in errors for v in errs.values()] + list(numbers)
+    return np.array(values, dtype=float).view(np.int64)
+
+
+class TestLadderInWorker:
+    """The finest level runs in the calling process, the coarser ones in one worker."""
+
+    @pytest.mark.parametrize("frame", [EULERIAN, LAGRANGIAN])
+    @pytest.mark.parametrize("advection", [CENTRAL, UPWIND])
+    def test_table_bit_equal_to_levels_in_process(self, frame, advection, monkeypatch):
+        levels, t_end = (8, 16, 32), 0.05
+        table = mms_study(frame=frame, advection=advection, levels=levels, t_end=t_end)
+        fields = ManufacturedFields(params=default_params(), frame=frame,
+                                    domain_length=1.0 if frame == EULERIAN else 2.0)
+        scheme = SchemeConfig(time_integrator="explicit-RK2", advection=advection)
+        errors = [mms._run_level(fields, Grid1D(fields.domain_length, n), scheme, t_end)
+                  for n in levels]
+        assert [list(e) for e in table.errors] == [list(e) for e in errors]
+        assert (_bits(table.errors) == _bits(errors)).all()
+        monkeypatch.setattr(mms, "concurrently", lambda calls: [call() for call in calls])
+        alone = mms_study(frame=frame, advection=advection, levels=levels, t_end=t_end)
+        assert (_bits(table.errors, *table.orders, table.slope)
+                == _bits(alone.errors, *alone.orders, alone.slope)).all()
+
+    @pytest.mark.parametrize("levels", [(8, 16), (8, 16, 32), (8, 12, 16, 24, 32)])
+    def test_one_fork_per_study(self, levels, monkeypatch):
+        forks, real_fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        table = mms_study(levels=levels, t_end=0.01)
+        assert len(forks) == 1
+        assert table.levels == list(levels) and len(table.errors) == len(levels)
+        _assert_no_children()
+
+    def test_blowup_at_a_coarse_level_crosses_the_worker(self, monkeypatch, capfd):
+        real_run_level = mms._run_level
+
+        def run_level(fields, grid, scheme, t_end):
+            if grid.n_cells == 16:
+                raise SolverBlowup("non-finite state at t = 0.005")
+            return real_run_level(fields, grid, scheme, t_end)
+
+        monkeypatch.setattr(mms, "_run_level", run_level)
+        assert cli_main(["mms", "--levels", "8,16,32", "--t-end", "0.01"]) == EXIT_BLOWUP
+        _assert_no_children()
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == "solver blow-up: non-finite state at t = 0.005\n"
