@@ -119,7 +119,7 @@ def _trajectory_dirs(root: str) -> list[str]:
     subs = [os.path.join(root, frame) for frame in (EULERIAN, LAGRANGIAN)]
     subs = [sub for sub in subs if os.path.exists(os.path.join(sub, "manifest.json"))]
     if not subs:
-        raise ParseError(f"no trajectory manifest under {root}")
+        raise FileFormatError(f"{root}: no trajectory manifest")
     return subs
 
 

@@ -36,6 +36,7 @@ from .field import (
     State,
     Trajectory,
     _scalar,
+    cumulative_trapezoid,
     diff,
     face_gradient,
     face_harmonic_mean,
@@ -258,12 +259,6 @@ def time_derivative_series(times: np.ndarray, values) -> np.ndarray:
     return out
 
 
-def _cumtrapz(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(vals, dtype=float)
-    out[1:] = np.cumsum(0.5 * np.diff(times) * (vals[1:] + vals[:-1]))
-    return out
-
-
 def _linf_sq(U: np.ndarray) -> np.ndarray:
     """||u_i||_inf^2 per record and component.  Each max is squared as a
     Python float (C ``pow``), like the one-state functionals, since numpy's
@@ -353,7 +348,8 @@ def audit_energy_budget(led: dict[str, np.ndarray]) -> AuditResult:
     time integral is the trapezoid over record times.
     """
     e = led["energy"]
-    dissipated = _cumtrapz(led["time"], led["dissipation_visc"] + led["dissipation_fric"])
+    dissipated = cumulative_trapezoid(led["dissipation_visc"] + led["dissipation_fric"],
+                                      np.diff(led["time"]))
     e0, total = e[0], e + dissipated
     tol = 1e-6 * e0
     return _verdict("energy_budget", total, e0, tol, details={
@@ -437,7 +433,7 @@ def audit_gronwall_chain(st: Trajectory, params: MixtureParams, derived: Derived
     w = w_field(st)
     phi = g.h * (w**2).sum(axis=-1)
     v = np.einsum("j,rjx->rx", vw, st.U)
-    int_s = _cumtrapz(times, pair_gap_over_sqrt_rho(st))
+    int_s = cumulative_trapezoid(pair_gap_over_sqrt_rho(st), np.diff(times))
 
     c3 = max(abs(vw[j]) * params.A[j, k] for j, k in _pairs(params.N))
     sup_v2 = float(l2_norm(v, g).max()) ** 2
@@ -446,7 +442,7 @@ def audit_gronwall_chain(st: Trajectory, params: MixtureParams, derived: Derived
         * np.abs(face_gradient(st.U.mean(axis=1), g))
         * np.abs(face_gradient(v, g))
     ).sum(axis=-1)
-    int_cross = _cumtrapz(times, cross)[-1]
+    int_cross = cumulative_trapezoid(cross, np.diff(times))[-1]
     v0w0 = g.h * float((face_mean(v[0]) * w[0]).sum())
 
     c4 = (4.0 / 3.0) * (
@@ -501,7 +497,7 @@ def _alpha(st: Trajectory, params: MixtureParams) -> np.ndarray:
     du_dt = time_derivative_series(st.times, st.U)
     md2 = params.M @ _second_derivative(st.U, g.h)
     inst = integrate(st.rho * _sum_sq(du_dt) + _sum_sq(md2) / st.rho, g)
-    return _visc_quad(st, params) + _cumtrapz(st.times, inst)
+    return _visc_quad(st, params) + cumulative_trapezoid(inst, np.diff(st.times))
 
 
 def audit_alpha_growth(
@@ -527,11 +523,12 @@ def audit_alpha_growth(
     uinf_sq = sum(_linf_sq(st.U).T)  # sum over components, left to right
     c11 = 3.0 * float(led["rho_max"].max()) / (params.N * derived.C0)
 
-    growth = _cumtrapz(times, uinf_sq * a)
+    dts = np.diff(times)
+    growth = cumulative_trapezoid(uinf_sq * a, dts)
     bound = a[0] + c10 * (times - times[0]) + c11 * growth
     slack = 1e-9 * max(a.max(), 1.0) + 1e-12
     sup_alpha_bound = float((a[0] + c10 * (times[-1] - times[0]))
-                            * _or_inf(math.exp, c11 * _cumtrapz(times, uinf_sq)[-1]))
+                            * _or_inf(math.exp, c11 * cumulative_trapezoid(uinf_sq, dts)[-1]))
     # record 0 satisfies the bound as an identity: the inequality has content
     # from record 1 on
     return _verdict("alpha_growth", a[1:], (bound + slack)[1:], details={
@@ -545,7 +542,7 @@ def audit_alpha_growth(
 def audit_velocity_damping(st: Trajectory) -> AuditResult:
     """Time integral of the pairwise velocity gaps; finite by the energy estimate."""
     gaps = pairwise_velocity_gap_sq(st)
-    details = {"int_pairwise_gap_sq": float(_cumtrapz(st.times, gaps)[-1]),
+    details = {"int_pairwise_gap_sq": float(cumulative_trapezoid(gaps, np.diff(st.times))[-1]),
                "final_gap_sq": float(gaps[-1])}
     return _verdict("velocity_damping", list(details.values()), details=details)
 
@@ -560,9 +557,10 @@ def derivative_norm_report(st: Trajectory, led: dict[str, np.ndarray]) -> AuditR
     regularity constants.
     """
     g, times = st.grid, st.times
+    dts = np.diff(times)
 
     def l2_qt(X):  # sqrt(sum_i ||X_i||^2_{L2(Q)}) of an (R, N, n) stack
-        return float(np.sqrt(_cumtrapz(times, integrate(_sum_sq(X), g))[-1]))
+        return float(np.sqrt(cumulative_trapezoid(integrate(_sum_sq(X), g), dts)[-1]))
 
     jump = face_gradient(st.U, g)
     uinf_sq = _linf_sq(st.U)
@@ -573,9 +571,7 @@ def derivative_norm_report(st: Trajectory, led: dict[str, np.ndarray]) -> AuditR
         "u_t_l2_qt": l2_qt(time_derivative_series(times, st.U)),
         "rho_t_sup_l2": float(led["dt_rho_l2"].max()),
         "rho_x_sup_l2": float(led["grad_rho_l2"].max()),
-        "u_l2_linf": float(
-            sum(np.sqrt(_cumtrapz(times, uinf_sq[:, i])[-1]) for i in range(uinf_sq.shape[1]))
-        ),
+        "u_l2_linf": float(sum(np.sqrt(cumulative_trapezoid(u, dts)[-1]) for u in uinf_sq.T)),
     }
     return _verdict("derivative_norms", list(values.values()), details=values)
 
@@ -618,7 +614,7 @@ def _nan_to_none(obj):
 def empirical_constants(st: Trajectory, led: dict[str, np.ndarray],
                         params: MixtureParams) -> dict[str, float]:
     """Measured suprema of the norms the first a priori estimate controls."""
-    g, times = st.grid, st.times
+    g, dts = st.grid, np.diff(st.times)
     if st.frame == EULERIAN:
         u_l2 = l2_norm(np.sqrt(st.rho)[:, None, :] * st.U, g)
         rho_int = integrate(st.rho**params.gamma, g)
@@ -629,8 +625,9 @@ def empirical_constants(st: Trajectory, led: dict[str, np.ndarray],
         "sup_t_sqrt_rho_u_l2": float(sum(u_l2.T).max()),  # components summed left to right
         # the power is monotone, so the sup is taken before it
         "sup_t_rho_lgamma": float(rho_int.max()) ** (1.0 / params.gamma),
-        "grad_u_l2_qt": float(np.sqrt(_cumtrapz(times, velocity_gradient_sq(st))[-1])),
-        "velocity_gap_l2_qt": float(np.sqrt(_cumtrapz(times, pairwise_velocity_gap_sq(st))[-1])),
+        "grad_u_l2_qt": float(np.sqrt(cumulative_trapezoid(velocity_gradient_sq(st), dts)[-1])),
+        "velocity_gap_l2_qt":
+            float(np.sqrt(cumulative_trapezoid(pairwise_velocity_gap_sq(st), dts)[-1])),
         "rho_inf": float(led["rho_min"].min()),
         "rho_sup": float(led["rho_max"].max()),
     }

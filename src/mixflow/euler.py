@@ -58,13 +58,11 @@ class EulerKernel(Kernel):
         self._gp = np.empty(n - 2)
         self._D, self._flux = np.empty((1 + N, n - 1)), np.empty((N, n - 1))
         self._rhsb, self._tmp, self._Md = np.empty((3, N, n - 2))
-        self._fric, self._fr = np.empty((2, N, n))
         self._v_l, self._v_r = self._v[:-1], self._v[1:]
         self._F_l, self._F_r, self._P_l, self._P_r = self._F[:-1], self._F[1:], self._P[:-1], self._P[1:]
         self._drho, self._jump = self._D[0], self._D[1:]
         self._jump_l, self._jump_r = self._jump[:, :-1], self._jump[:, 1:]
         self._flux_l, self._flux_r = self._flux[:, :-1], self._flux[:, 1:]
-        self._fric_c = self._fric[:, 1:-1]
 
     # density itself is the evolved variable in this frame
     @staticmethod
@@ -144,9 +142,7 @@ class EulerKernel(Kernel):
             d2u /= self._hh
             rhs += np.matmul(p.M, d2u, out=self._Md)
 
-        fric = np.matmul(p.A, y.U, out=self._fric)
-        fric -= np.multiply(self._row_sum_A, y.U, out=self._fr)
-        rhs += self._fric_c
+        rhs += self._friction(y.U)
 
         if self._upwind:
             a *= rho_f

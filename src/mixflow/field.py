@@ -6,7 +6,7 @@ which together with the flux-form operators used by the solvers makes the
 discrete integration-by-parts identities exact up to one boundary term.  Many
 of the inequality audits in :mod:`mixflow.estimates` rely on that structure,
 so the helpers here are the single source of truth for integrals, norms and
-difference operators.
+difference operators, the running integral :func:`cumulative_trapezoid` included.
 """
 
 from __future__ import annotations
@@ -154,6 +154,15 @@ def integrate(f: np.ndarray, grid: Grid1D) -> float | np.ndarray:
         raise LengthMismatch(f"array length {f.shape[-1]} != {grid.n_nodes} nodes")
     h = grid.h
     return _scalar(h * (f[..., 1:-1].sum(axis=-1) + 0.5 * (f[..., 0] + f[..., -1])))
+
+
+def cumulative_trapezoid(f: np.ndarray, dx) -> np.ndarray:
+    """Running trapezoidal integral of the samples ``f``, 0 at the first one;
+    ``dx`` is the uniform spacing or the array of the ``f.size - 1`` gaps."""
+    f = np.asarray(f, dtype=float)
+    out = np.zeros_like(f)
+    np.cumsum(0.5 * dx * (f[1:] + f[:-1]), out=out[1:])
+    return out
 
 
 def diff(f: np.ndarray, grid: Grid1D) -> np.ndarray:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import warnings
 from dataclasses import asdict, fields
@@ -298,6 +299,8 @@ def _svg_polyline(xs, ys, x0, y0, w, h, xmin, xmax, ymin, ymax, color):
         ymax = ymin + 1.0
     pts = []
     for x, y in zip(xs, ys):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            continue
         px = x0 + (x - xmin) / (xmax - xmin) * w
         py = y0 + h - (y - ymin) / (ymax - ymin) * h
         pts.append(f"{px:.2f},{py:.2f}")
@@ -314,9 +317,9 @@ def plot_series_svg(path: str, x: np.ndarray, series: dict[str, np.ndarray], tit
     """One SVG panel with labelled polylines over a shared abscissa."""
     width, height, margin = 640, 360, 50
     w, h = width - 2 * margin, height - 2 * margin
-    finite = [np.asarray(v)[np.isfinite(v)] for v in series.values()]
-    ally = np.concatenate([v for v in finite if v.size]) if finite else np.array([0.0])
-    ymin, ymax = float(ally.min()), float(ally.max())
+    ally = np.concatenate([np.asarray(v, dtype=float) for v in series.values()] or [[0.0]])
+    ally = ally[np.isfinite(ally)]
+    ymin, ymax = (float(ally.min()), float(ally.max())) if ally.size else (0.0, 0.0)
     if ymin == ymax:
         ymin -= 0.5
         ymax += 0.5

@@ -21,19 +21,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DensityFloor, DomainLengthDrift, ValidationError, WrongFrame
-from .field import EULERIAN, LAGRANGIAN, Grid1D, State, face_harmonic_mean, pchip
+from .field import (
+    EULERIAN, LAGRANGIAN, Grid1D, State, cumulative_trapezoid, face_harmonic_mean, pchip,
+)
 from .timestepping import Kernel, tridiagonal_solve
 
 
 # ---------------------------------------------------------------------------
 # coordinate maps
-
-
-def _cumulative_trapezoid(f: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty(f.size)
-    out[0] = 0.0
-    np.cumsum(0.5 * h * (f[1:] + f[:-1]), out=out[1:])
-    return out
 
 
 def _resample(s_old: np.ndarray, state: State, s_new: np.ndarray):
@@ -58,7 +53,7 @@ def euler_to_lagrange(state: State) -> State:
     """
     if state.frame != EULERIAN:
         raise WrongFrame("euler_to_lagrange expects an Eulerian state")
-    y = _cumulative_trapezoid(np.asarray(state.rho), state.grid.h)  # y(x) = int_0^x rho ds
+    y = cumulative_trapezoid(state.rho, state.grid.h)  # y(x) = int_0^x rho ds
     grid_y = Grid1D(domain_length=float(y[-1]), n_cells=state.grid.n_cells)
     rho_new, U_new = _resample(y, state, grid_y.nodes())
     return State(time=state.time, frame=LAGRANGIAN, grid=grid_y, rho=rho_new, U=U_new)
@@ -73,7 +68,7 @@ def lagrange_to_euler(state: State, drift_tol: float = 1e-4) -> State:
     """
     if state.frame != LAGRANGIAN:
         raise WrongFrame("lagrange_to_euler expects a Lagrangian state")
-    x = _cumulative_trapezoid(1.0 / np.asarray(state.rho), state.grid.h)
+    x = cumulative_trapezoid(1.0 / np.asarray(state.rho), state.grid.h)
     length = float(x[-1])
     if abs(length - 1.0) > drift_tol:
         raise DomainLengthDrift(
@@ -106,8 +101,7 @@ class LagrangeKernel(Kernel):
         # node, face and interior-node scratch, and the views the tendencies read
         self._v, self._gp = np.empty(n), np.empty(n - 2)
         self._jump, (self._lap, self._Ml) = np.empty((N, n - 1)), np.empty((2, N, n - 2))
-        self._fric, self._fr = np.empty((2, N, n))
-        self._v_ll, self._v_rr, self._fric_c = self._v[:-2], self._v[2:], self._fric[:, 1:-1]
+        self._v_ll, self._v_rr = self._v[:-2], self._v[2:]
         self._flux_l, self._flux_r = self._jump[:, :-1], self._jump[:, 1:]
 
     @staticmethod
@@ -148,11 +142,9 @@ class LagrangeKernel(Kernel):
         grad_p = np.subtract(pg[2:], pg[:-2], out=self._gp)  # interior SBP rows
         grad_p /= h2
         grad_p *= -p.K
-        fric = np.matmul(p.A, y.U, out=self._fric)
-        fric -= np.multiply(self._row_sum_A, y.U, out=self._fr)
 
         o.walls[...] = 0.0
-        rhs = np.divide(self._fric_c, rho[1:-1], out=o.U_c)
+        rhs = np.divide(self._friction(y.U), rho[1:-1], out=o.U_c)
         np.add(grad_p, rhs, out=rhs)
         if include_viscous:
             # d(rho du/dy)/dy at interior nodes, flux form, harmonic face density

@@ -48,7 +48,7 @@ def integrate(
     if t_end > params.T_final:
         raise ValidationError(f"t_end = {t_end} exceeds T_final = {params.T_final}")
     kernel = KERNELS[initial.frame](initial.grid, params, derived, scheme, forcing)
-    return run_loop(kernel, initial, t_end, scheme, snapshot_every)
+    return run_loop(kernel, initial, t_end, snapshot_every)
 
 
 def concurrently(calls, announce=None) -> list:

@@ -13,6 +13,8 @@ inputs and constants and allocates, with their slice views, two state
 buffers (a step writes its result into the one its input is not, so the
 input survives the step and the result the next one) and four derivative
 buffers, all live in RK4; each kernel adds its own scratch the same way.
+``Kernel._friction(U)`` is the exchange term of both frames, and ``kernel.scheme``
+the one scheme a run reads: integrator, CFL number and every density floor.
 
 Public entries check the density of ``q`` against the floor on every call and
 return new arrays: ``tendencies(t, q, U) -> (dq, dU)`` (full right-hand
@@ -110,10 +112,20 @@ class Kernel:
         self._derivs = tuple(np.zeros(shape) for _ in range(4))
         self._public = (np.zeros(shape), np.zeros(shape))  # input and result of tendencies
         self._bound = {id(a): _Views(a) for a in (*self._states, *self._derivs, *self._public)}
+        self._fric, self._fr = np.empty((2, params.N, self.nodes.size))
+        self._fric_c = self._fric[:, 1:-1]
 
     def _views(self, Y):
         """Views into ``Y``: made once for the kernel's own buffers, per call otherwise."""
         return self._bound.get(id(Y)) or _Views(Y)
+
+    def _friction(self, U):
+        """The exchange ``sum_j A_ij (u_j - u_i)`` as ``A U - rowsum(A) U`` at
+        the interior nodes, a view of the kernel's buffer."""
+        p, fric = self.params, self._fric
+        np.matmul(p.A, U, out=fric)
+        fric -= np.multiply(self._row_sum_A, U, out=self._fr)
+        return self._fric_c
 
     def _fresh_rhs(self, t, q, U, include_viscous):
         """The public tendencies: the density check, then ``(dq, dU)`` in new arrays."""
@@ -175,9 +187,9 @@ def _finite(a):
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 
-def _check_stage(kernel, Y, floor, where, U=None):
-    """Raise on non-finite or sub-floor fields of ``Y``, with the velocities
-    ``U`` in place of ``Y[1:]`` when given; return the checked density."""
+def _check_stage(kernel, Y, where, U=None):
+    """Raise on non-finite fields of ``Y`` or a density at or below the floor of
+    ``kernel.scheme``, with ``U`` in place of ``Y[1:]`` when given; return the density."""
     rho = kernel.density_view(Y[0])
     if U is None and kernel.frame == EULERIAN:  # rho is row 0: one scan
         finite = _finite(Y)
@@ -185,20 +197,20 @@ def _check_stage(kernel, Y, floor, where, U=None):
         finite = _finite(rho) and _finite(Y[1:] if U is None else U)
     if not finite:
         raise NonFinite(f"non-finite values in {where}")
+    floor = kernel.scheme.artificial_floor
     if rho[rho.argmin()] <= floor:  # the least value, without a ufunc reduction
         raise DensityFloor(f"min(rho) = {rho.min():.3e} <= floor {floor:.1e} in {where}")
     return rho
 
 
-def step_once(kernel, t, Y, dt, scheme, rho=None, shared=None):
-    """Advance the stacked state ``Y`` by one step of the configured integrator.
+def step_once(kernel, t, Y, dt, rho=None, shared=None):
+    """Advance the stacked state ``Y`` by one step of the kernel's integrator.
 
     ``rho`` is the already checked density of ``Y[0]`` and ``shared`` what
     ``kernel._stable_dt`` returned for the same fields; without ``rho`` the
     kernel's own density check runs first.  Returns the new state, written
     into the kernel's state buffer that ``Y`` is not, and its checked density.
     """
-    floor = scheme.artificial_floor
     rhs = kernel._rhs
     if rho is None:
         rho = kernel._density(Y[0], f"at t = {t:.6g}")
@@ -207,19 +219,19 @@ def step_once(kernel, t, Y, dt, scheme, rho=None, shared=None):
     K1, K2, K3, K4 = kernel._derivs
     rho_n = None  # density of the result, when a stage has checked it already
 
-    if scheme.time_integrator == RK2:
+    if kernel.scheme.time_integrator == RK2:
         rhs(t, Y, rho, True, K1, shared)
         np.add(Y, np.multiply(K1, dt, out=S), out=S)
-        rhs(t + dt, S, _check_stage(kernel, S, floor, "RK2 stage"), True, K2)
+        rhs(t + dt, S, _check_stage(kernel, S, "RK2 stage"), True, K2)
         K1 += K2
         K1 *= 0.5 * dt
         np.add(Y, K1, out=S)
 
-    elif scheme.time_integrator == RK4:
+    elif kernel.scheme.time_integrator == RK4:
         rhs(t, Y, rho, True, K1, shared)
         for c, K, L in ((0.5 * dt, K1, K2), (0.5 * dt, K2, K3), (dt, K3, K4)):
             np.add(Y, np.multiply(K, c, out=S), out=S)
-            rhs(t + c, S, _check_stage(kernel, S, floor, "RK4 stage"), True, L)
+            rhs(t + c, S, _check_stage(kernel, S, "RK4 stage"), True, L)
         K2 *= 2
         K1 += K2
         K3 *= 2
@@ -228,34 +240,31 @@ def step_once(kernel, t, Y, dt, scheme, rho=None, shared=None):
         K1 *= dt / 6.0
         np.add(Y, K1, out=S)
 
-    elif scheme.time_integrator == SEMI_IMPLICIT:
+    else:  # SEMI_IMPLICIT; SchemeConfig admits no other name
         g, d = _ARS_GAMMA, _ARS_DELTA
         rhs(t, Y, rho, False, K1, shared)
         np.add(Y, np.multiply(K1, g * dt, out=S), out=S)  # q2 and b2, the solve's right side
-        rho2 = _check_stage(kernel, S, floor, "IMEX stage", Y[1:])
+        rho2 = _check_stage(kernel, S, "IMEX stage", Y[1:])
         U2 = kernel.viscous_solve(rho2, S[1:], g * dt)
         k2i = (U2 - S[1:]) / (g * dt)  # = L_visc(rho2) @ U2, recovered from the solve
         S[1:] = U2
         rhs(t + g * dt, S, rho2, False, K2)
         S[0] = Y[0] + dt * (d * K1[0] + (1.0 - d) * K2[0])
-        rho_n = _check_stage(kernel, S, floor, "IMEX stage")
+        rho_n = _check_stage(kernel, S, "IMEX stage")
         b3 = Y[1:] + dt * (d * K1[1:] + (1.0 - d) * K2[1:] + (1.0 - g) * k2i)
         S[1:] = kernel.viscous_solve(rho_n, b3, g * dt)
-
-    else:
-        raise ValidationError(f"unknown time integrator {scheme.time_integrator!r}")
 
     # Dirichlet walls: tendencies are zero there, but enforce exactly anyway
     kernel._views(S).walls[...] = 0.0
     if rho_n is None:
-        return S, _check_stage(kernel, S, floor, "step result")
+        return S, _check_stage(kernel, S, "step result")
     # IMEX: q_n passed the stage check before the second solve; only U_n is new
     if not _finite(S[1:]):
         raise NonFinite("non-finite values in step result")
     return S, rho_n
 
 
-def run_loop(kernel, initial: State, t_end: float, scheme, snapshot_every: int = 20) -> Trajectory:
+def run_loop(kernel, initial: State, t_end: float, snapshot_every: int = 20) -> Trajectory:
     """March from ``initial`` to ``t_end``, recording every ``snapshot_every`` steps.
 
     The initial and final states are always recorded, as copies stacked into
@@ -281,14 +290,14 @@ def run_loop(kernel, initial: State, t_end: float, scheme, snapshot_every: int =
     if not t < t_stop:
         return trajectory()
 
-    explicit_visc = scheme.time_integrator != SEMI_IMPLICIT
+    explicit_visc = kernel.scheme.time_integrator != SEMI_IMPLICIT
     steps = 0
     try:
         rho = kernel._density(Y[0], "in stable_dt")
         while t < t_stop:
             dt, shared = kernel._stable_dt(rho, Y[1:], explicit_visc)
-            dt = min(dt * scheme.cfl, t_end - t)
-            Y, rho = step_once(kernel, t, Y, dt, scheme, rho, shared)
+            dt = min(dt * kernel.scheme.cfl, t_end - t)
+            Y, rho = step_once(kernel, t, Y, dt, rho, shared)
             t += dt
             steps += 1
             if steps % snapshot_every == 0 or t >= t_stop:

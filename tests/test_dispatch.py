@@ -45,7 +45,7 @@ def test_integrate_equals_run_loop(frame, params2, derived2, grid64):
     start = _start(frame, grid64)
     scheme = SchemeConfig()
     kern = BUILT[frame](start.grid, params2, derived2, scheme)
-    want = run_loop(kern, start, 0.02, scheme, 7)
+    want = run_loop(kern, start, 0.02, 7)
     assert len(want) >= 3
     _assert_same_states(integrate(start, params2, derived2, scheme, 0.02, snapshot_every=7), want)
 
@@ -62,7 +62,7 @@ def test_integrate_equals_run_loop_with_mms_forcing(frame):
         start = fields.state(Grid1D(d, 32))
         if build:
             kern = BUILT[frame](start.grid, params, derived, scheme, fields.forcing)
-            runs.append(run_loop(kern, start, 0.05, scheme, 5))
+            runs.append(run_loop(kern, start, 0.05, 5))
         else:
             runs.append(integrate(start, params, derived, scheme, 0.05, snapshot_every=5,
                                   forcing=fields.forcing))

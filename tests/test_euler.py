@@ -31,7 +31,7 @@ def step(state, params, derived, scheme, dt=None):
     kern = EulerKernel(state.grid, params, derived, scheme)
     if dt is None:
         dt = stable_dt(state, params, derived, scheme)
-    Y, _ = step_once(kern, state.time, stack(state.rho, state.U), dt, scheme)
+    Y, _ = step_once(kern, state.time, stack(state.rho, state.U), dt)
     return dt, Y[0], Y[1:]
 
 
@@ -159,7 +159,7 @@ class TestStep:
         from mixflow.errors import NonFinite
 
         with pytest.raises(NonFinite):
-            step_once(kern, 0.0, stack(s.rho, U), 1e-5, SchemeConfig())
+            step_once(kern, 0.0, stack(s.rho, U), 1e-5)
 
 
 class TestRun:

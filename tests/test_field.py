@@ -12,6 +12,7 @@ from mixflow.field import (
     Grid1D,
     State,
     Trajectory,
+    cumulative_trapezoid,
     diff,
     face_gradient,
     face_harmonic_mean,
@@ -102,6 +103,30 @@ class TestQuadrature:
         lhs = integrate(a * f + b * w, g)
         rhs = a * integrate(f, g) + b * integrate(w, g)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+class TestCumulativeTrapezoid:
+    def test_zero_at_the_first_sample(self):
+        assert cumulative_trapezoid(np.array([3.0, -1.0, 2.0]), 0.5)[0] == 0.0
+        assert cumulative_trapezoid(np.array([3.0, -1.0]), np.array([0.25]))[0] == 0.0
+
+    def test_affine_exact_with_a_spacing(self):
+        g = Grid1D(2.0, 13)
+        x = g.nodes()
+        got = cumulative_trapezoid(1.5 - 0.75 * x, g.h)
+        assert got == pytest.approx(1.5 * x - 0.375 * x**2, abs=1e-14)
+
+    def test_affine_exact_with_gaps(self):
+        x = np.sort(np.random.default_rng(5).uniform(0.0, 3.0, 20))
+        got = cumulative_trapezoid(2.0 + 0.5 * x, np.diff(x))
+        want = 2.0 * (x - x[0]) + 0.25 * (x**2 - x[0] ** 2)
+        assert got.shape == x.shape
+        assert got == pytest.approx(want, abs=1e-13)
+
+    def test_last_value_is_the_quadrature(self):
+        g = Grid1D(1.0, 40)
+        f = np.exp(np.sin(3.0 * g.nodes()))
+        assert cumulative_trapezoid(f, g.h)[-1] == pytest.approx(integrate(f, g), rel=1e-14)
 
 
 class TestDiff:

@@ -359,7 +359,7 @@ def test_step_once_bit_identical(integrator, case):
     want = outcome(ref_step_once, kern, t, q, U, dt, scheme, ref_tend(kern))
 
     # standalone: the step checks the density of q itself
-    got = outcome(step_once, kern, t, stack(q, U), dt, scheme)
+    got = outcome(step_once, kern, t, stack(q, U), dt)
     if got[0] == "ok":
         Y_n, rho_n = got[1]
         assert_bit_equal([rho_n], [kern.density_view(Y_n[0])])
@@ -369,7 +369,7 @@ def test_step_once_bit_identical(integrator, case):
     # run-loop hand-off: checked density and stable_dt's shared values
     rho = kern._density(q, "in stable_dt")
     _, shared = kern._stable_dt(rho, U, explicit)
-    got = outcome(step_once, kern, t, stack(q, U), dt, scheme, rho, shared)
+    got = outcome(step_once, kern, t, stack(q, U), dt, rho, shared)
     if got[0] == "ok":
         got = ("ok", (got[1][0][0], got[1][0][1:]))
     assert_same_outcome(got, want)
@@ -385,7 +385,7 @@ def test_run_loop_bit_identical(integrator, case):
     q = kern.to_evolved(case["rho"])
     t_end = case["t"] + 4.5 * scheme.cfl * kern.stable_dt(q, case["U"], integrator != SEMI_IMPLICIT)
     want = outcome(ref_run_loop, kern, state, t_end, scheme, ref_tend(kern))
-    got = outcome(run_loop, kern, state, t_end, scheme, 1)
+    got = outcome(run_loop, kern, state, t_end, 1)
     assert got[0] == want[0]
     if got[0] == "raise":
         assert got[1:] == want[1:]
@@ -468,7 +468,7 @@ def test_stage_fault_same_as_unfused(frame, integrator, call, field, value):
                    poison(ref_tend(kern), call, field, value))
     assert want[0] == "raise"
     kern._rhs = poison(kern._rhs, call, field, value)
-    got = outcome(step_once, kern, t, stack(q, U), dt, scheme)
+    got = outcome(step_once, kern, t, stack(q, U), dt)
     assert got == want
 
 
@@ -485,7 +485,7 @@ def test_run_loop_fault_keeps_trajectory(frame, integrator, call, field, value):
         ref_run_loop(kern, state, 1.0, scheme, poison(ref_tend(kern), call, field, value))
     kern._rhs = poison(kern._rhs, call, field, value)
     with pytest.raises(SolverBlowup) as got:
-        run_loop(kern, state, 1.0, scheme, 1)
+        run_loop(kern, state, 1.0, 1)
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
     got, want = got.value.trajectory, want.value.trajectory
     assert len(got) == len(want) == 3
@@ -511,12 +511,12 @@ def test_imex_solve_fault_same_as_unfused(frame, call, value):
     want = outcome(ref_step_once, kern, t, q, U, dt, scheme, ref_tend(kern))
     assert want[0] == "raise"
     kern.viscous_solve = poison_solve(solve, call, value)
-    assert outcome(step_once, kern, t, stack(q, U), dt, scheme) == want
+    assert outcome(step_once, kern, t, stack(q, U), dt) == want
 
     state = State(time=0.0, frame=frame, grid=case["grid"], rho=case["rho"], U=U)
     kern.viscous_solve = poison_solve(solve, call + 2 * 2, value)  # third step, two solves each
     with pytest.raises(SolverBlowup) as info:
-        run_loop(kern, state, 1.0, scheme, 1)
+        run_loop(kern, state, 1.0, 1)
     assert (type(info.value), str(info.value)) == want[1:]
     assert len(info.value.trajectory) == 3
 
@@ -532,13 +532,13 @@ def test_entry_density_at_floor_same_as_unfused(frame, integrator):
     U, t = case["U"], case["t"]
     want = outcome(ref_step_once, kern, t, q, U, 1e-4, scheme, ref_tend(kern))
     assert want[0] == "raise" and want[1] is DensityFloor
-    assert outcome(step_once, kern, t, stack(q, U), 1e-4, scheme) == want
+    assert outcome(step_once, kern, t, stack(q, U), 1e-4) == want
 
     # in the run loop the first stable-step estimate reports it
     state = State(time=0.0, frame=frame, grid=case["grid"], rho=case["rho"], U=U)
     want = outcome(REF_STABLE_DT[frame], kern, q, U, integrator != SEMI_IMPLICIT)
     with pytest.raises(DensityFloor) as info:
-        run_loop(kern, state, 1.0, scheme)
+        run_loop(kern, state, 1.0)
     assert ("raise", DensityFloor, str(info.value)) == want
     assert len(info.value.trajectory) == 1
 
@@ -555,7 +555,7 @@ def march(kern, scheme, state, steps):
     explicit = scheme.time_integrator != SEMI_IMPLICIT
     for _ in range(steps):
         dt, shared = kern._stable_dt(rho, Y[1:], explicit)
-        Y, rho = step_once(kern, t, Y, dt * scheme.cfl, scheme, rho, shared)
+        Y, rho = step_once(kern, t, Y, dt * scheme.cfl, rho, shared)
         t += dt * scheme.cfl
         yield t, Y
 
@@ -603,7 +603,7 @@ def test_rk4_keeps_four_derivatives_alive(frame):
         return rhs(t, Y, rho, include_viscous, out, shared)
 
     kern._rhs = recording
-    Y_n, _ = step_once(kern, t, stack(q, U), dt, scheme)
+    Y_n, _ = step_once(kern, t, stack(q, U), dt)
     assert len(outs) == 4
     assert not any(np.shares_memory(a, b) for i, a in enumerate(outs) for b in outs[i + 1:])
     assert not any(np.shares_memory(a, Y_n) for a in outs)
@@ -622,7 +622,7 @@ def test_recorded_states_are_copies(frame, integrator):
     kern, scheme = make_kernel(case, integrator)
     state = State(time=0.0, frame=frame, grid=case["grid"], rho=case["rho"], U=case["U"])
     traj = run_loop(kern, state, 4.5 * scheme.cfl * kern.stable_dt(
-        kern.to_evolved(case["rho"]), case["U"], integrator != SEMI_IMPLICIT), scheme, 1)
+        kern.to_evolved(case["rho"]), case["U"], integrator != SEMI_IMPLICIT), 1)
     assert len(traj) >= 5
     buffers = (*kern._states, *kern._derivs)
     assert not any(np.shares_memory(a, b) for a in (traj.rho, traj.U) for b in buffers)
@@ -635,7 +635,7 @@ def test_recorded_states_are_copies(frame, integrator):
     rhs = kern._rhs
     kern._rhs = poison(rhs, 2 * CALLS_PER_STEP[integrator] + 1, "q", np.nan)
     with pytest.raises(SolverBlowup) as info:
-        run_loop(kern, state, 1.0, scheme, 1)
+        run_loop(kern, state, 1.0, 1)
     partial = info.value.trajectory
     assert len(partial) == 3
     copies = [partial.rho.copy(), partial.U.copy()]

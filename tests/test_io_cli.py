@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import warnings
 from dataclasses import replace
@@ -217,6 +218,33 @@ snapshot_every = 10
         assert progress == f"running {frame} solver to t = 0.001"
         assert reason.startswith("solver blow-up: ")
         assert saved == f"last valid trajectory saved under {os.path.join(out, frame)}"
+
+    def test_report_on_a_ledger_without_finite_values(self, tmp_path, capsys):
+        # velocities of 1e160 overflow the energy and both dissipation rates
+        # to inf in every record of the saved partial trajectory
+        lines = (DATA / "shear.ini").read_text().splitlines()
+        cfg = tmp_path / "overflow.ini"
+        cfg.write_text("\n".join("u1 = sine:k=1,amp=1e160" if line.startswith("u1 = ") else line
+                                 for line in lines))
+        out = str(tmp_path / "out")
+        assert cli_main(["run", "--config", str(cfg), "--out-dir", out, "--n-cells", "32",
+                         "--t-end", "1e-7", "--frame", "eulerian"]) == 3
+        led = io.read_diagnostics(os.path.join(out, EULERIAN, "diag.csv"))
+        for name in ("energy", "dissipation_visc", "dissipation_fric"):
+            assert np.isinf(led[name]).all()
+        capsys.readouterr()
+        assert cli_main(["report", "--traj", out]) == 0
+        made = capsys.readouterr().out.split()
+        assert len(made) == 3
+        for path in made:
+            with open(path) as fh:
+                points = re.findall(r'points="([^"]*)"', fh.read())
+            assert points and not any("inf" in p or "nan" in p for p in points)
+
+    @pytest.mark.parametrize("verb", ["check", "report"])
+    def test_directory_without_a_trajectory(self, tmp_path, capsys, verb):
+        assert cli_main([verb, "--traj", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path}: no trajectory manifest\n"
 
     def test_transform_round_trip(self, tmp_path, shear_state):
         snap = tmp_path / "s.csv"

@@ -6,13 +6,10 @@ from scipy.interpolate import PchipInterpolator
 
 from mixflow import estimates, runner
 from mixflow.errors import DomainLengthDrift, ValidationError, WrongFrame
-from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D, State, diff, integrate, l2_norm
-from mixflow.lagrange import (
-    LagrangeKernel,
-    euler_to_lagrange,
-    _cumulative_trapezoid,
-    lagrange_to_euler,
+from mixflow.field import (
+    EULERIAN, LAGRANGIAN, Grid1D, State, cumulative_trapezoid, diff, integrate, l2_norm,
 )
+from mixflow.lagrange import LagrangeKernel, euler_to_lagrange, lagrange_to_euler
 from mixflow.model import derive_matrices, make_params
 from mixflow.timestepping import CENTRAL, SchemeConfig, step_once
 
@@ -29,13 +26,13 @@ class TestMassMap:
     def test_unit_density_is_identity(self, grid64):
         s = State(time=0.0, frame=EULERIAN, grid=grid64,
                   rho=np.ones(grid64.n_nodes), U=np.zeros((2, grid64.n_nodes)))
-        y = _cumulative_trapezoid(s.rho, grid64.h)
+        y = cumulative_trapezoid(s.rho, grid64.h)
         assert np.allclose(y, grid64.nodes(), atol=1e-15)
         assert euler_to_lagrange(s).grid.domain_length == pytest.approx(1.0, abs=1e-14)
 
     def test_monotone_and_round_trip(self, shear_state):
         x_nodes = shear_state.grid.nodes()
-        y_nodes = _cumulative_trapezoid(shear_state.rho, shear_state.grid.h)
+        y_nodes = cumulative_trapezoid(shear_state.rho, shear_state.grid.h)
         assert np.all(np.diff(y_nodes) > 0)
         x = np.linspace(0, 1, 23)
         y = PchipInterpolator(x_nodes, y_nodes)(x)
@@ -43,7 +40,7 @@ class TestMassMap:
         assert np.abs(back - x).max() <= 2 * shear_state.grid.h
 
     def test_endpoints(self, shear_state):
-        y = _cumulative_trapezoid(shear_state.rho, shear_state.grid.h)
+        y = cumulative_trapezoid(shear_state.rho, shear_state.grid.h)
         assert y[0] == 0.0
         d = euler_to_lagrange(shear_state).grid.domain_length
         assert d == y[-1]
@@ -204,7 +201,7 @@ class TestRhs:
             v = s.U.mean(axis=0)
             x = g.nodes()
             y = sl.grid.nodes()
-            xs = PchipInterpolator(_cumulative_trapezoid(s.rho, g.h), x)(y)
+            xs = PchipInterpolator(cumulative_trapezoid(s.rho, g.h), x)(y)
             material = dU_e[0] + v * diff(s.U[0], g)
             err = dU_l[0] - PchipInterpolator(x, material)(xs)
             errs.append(l2_norm(err, sl.grid))
@@ -224,7 +221,7 @@ class TestRun:
         kern = LagrangeKernel(sl.grid, params2, derived2, scheme)
         tau = kern.to_evolved(np.array(sl.rho))
         dt = kern.stable_dt(tau, np.asarray(sl.U), True) * scheme.cfl
-        Y, rho = step_once(kern, sl.time, stack(tau, sl.U), dt, scheme)
+        Y, rho = step_once(kern, sl.time, stack(tau, sl.U), dt)
         U = Y[1:]
         assert dt > 0
         assert np.all(U[:, [0, -1]] == 0.0)

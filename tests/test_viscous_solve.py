@@ -121,7 +121,7 @@ def test_imex_blowup_in_solve_keeps_trajectory(params2, derived2, shear_state):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(NonFinite) as info:
-            run_loop(kern, shear_state, 0.1, IMEX)
+            run_loop(kern, shear_state, 0.1)
     # the non-finite right-hand side is rejected before any arithmetic on it
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     traj = info.value.trajectory
