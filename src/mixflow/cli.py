@@ -15,7 +15,6 @@ error, 3 solver blow-up, 4 a forked worker died without a result.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict
@@ -200,10 +199,7 @@ def _cmd_mms(args) -> int:
     table = mms.mms_study(frame=args.frame, advection=adv, levels=levels, t_end=args.t_end)
     print(table.render_text())
     if args.out_dir:
-        out = os.path.join(args.out_dir, f"mms_{args.frame}_{adv}.json")
-        with open(out, "w") as fh:
-            json.dump(asdict(table), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        io.write_json(os.path.join(args.out_dir, f"mms_{args.frame}_{adv}.json"), asdict(table))
     return EXIT_OK if table.passed else EXIT_AUDIT_FAIL
 
 

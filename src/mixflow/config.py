@@ -35,7 +35,7 @@ from .errors import (
 )
 from .estimates import KNOWN_AUDITS
 from .field import EULERIAN, LAGRANGIAN, Grid1D, State, pchip
-from .io import read_table
+from .io import PARAMS, read_table
 from .model import MixtureParams, validate_params
 from .timestepping import CENTRAL, INTEGRATORS, RK2, RK4, SEMI_IMPLICIT, UPWIND, SchemeConfig
 
@@ -278,12 +278,11 @@ def _matrix(text: str) -> np.ndarray:
         raise ValueError(f"expected JSON row lists ({exc})") from None
 
 
+_PARSERS = {"an integer": int, "a number": float, "a matrix of numbers": _matrix}
 #: every [params], [scheme] and [output] key: the parser of its text and the
-#: MixtureParams, SchemeConfig or RunConfig field it sets
+#: MixtureParams (:data:`mixflow.io.PARAMS`), SchemeConfig or RunConfig field it sets
 KEYS = {
-    "params": {"n_components": (int, "N"), "pressure_coeff": (float, "K"),
-               "gamma": (float, "gamma"), "viscosity": (_matrix, "M"),
-               "friction": (_matrix, "A"), "t_final": (float, "T_final")},
+    "params": {key: (_PARSERS[kind], name) for key, (name, kind) in PARAMS.items()},
     "scheme": {"integrator": (integrator, "time_integrator"),
                "advection": (advection, "advection"), "cfl": (float, "cfl"),
                "density_floor": (float, "artificial_floor"), "n_cells": (int, "n_cells"),

@@ -91,15 +91,17 @@ def energy(state: State | Trajectory, params: MixtureParams) -> float | np.ndarr
     The pressure part is counted once per component, mirroring the estimate
     the budget audit discretizes.  In mass coordinates dx = dy / rho.
     """
-    g = state.grid
-    K, gam, N = params.K, params.gamma, params.N
+    speed_sq = (state.U**2).sum(axis=-2)
     if state.frame == EULERIAN:
-        kinetic = 0.5 * integrate(state.rho * (state.U**2).sum(axis=-2), g)
-        internal = N * K / (gam - 1.0) * integrate(state.rho**gam, g)
-    else:
-        kinetic = 0.5 * integrate((state.U**2).sum(axis=-2), g)
-        internal = N * K / (gam - 1.0) * integrate(state.rho ** (gam - 1.0), g)
-    return kinetic + internal
+        speed_sq = state.rho * speed_sq
+    gam = params.gamma
+    internal = params.N * params.K / (gam - 1.0) * _rho_gamma_integral(state, gam)
+    return 0.5 * integrate(speed_sq, state.grid) + internal
+
+
+def _rho_gamma_integral(st: State | Trajectory, gamma: float) -> float | np.ndarray:
+    """int rho^gamma dx in the frame's measure: int rho^(gamma-1) dy in mass coordinates."""
+    return integrate(st.rho ** (gamma if st.frame == EULERIAN else gamma - 1.0), st.grid)
 
 
 def velocity_gradient_sq(state: State | Trajectory) -> float | np.ndarray:
@@ -309,9 +311,6 @@ class AuditResult:
     @property
     def passed(self) -> bool:
         return self.verdict != FAIL
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _excess(lhs, bound) -> float:
@@ -615,16 +614,12 @@ def empirical_constants(st: Trajectory, led: dict[str, np.ndarray],
                         params: MixtureParams) -> dict[str, float]:
     """Measured suprema of the norms the first a priori estimate controls."""
     g, dts = st.grid, np.diff(st.times)
-    if st.frame == EULERIAN:
-        u_l2 = l2_norm(np.sqrt(st.rho)[:, None, :] * st.U, g)
-        rho_int = integrate(st.rho**params.gamma, g)
-    else:
-        u_l2 = l2_norm(st.U, g)
-        rho_int = integrate(st.rho ** (params.gamma - 1.0), g)
+    u_l2 = l2_norm(np.sqrt(st.rho)[:, None, :] * st.U if st.frame == EULERIAN else st.U, g)
     return {
         "sup_t_sqrt_rho_u_l2": float(sum(u_l2.T).max()),  # components summed left to right
         # the power is monotone, so the sup is taken before it
-        "sup_t_rho_lgamma": float(rho_int.max()) ** (1.0 / params.gamma),
+        "sup_t_rho_lgamma":
+            float(_rho_gamma_integral(st, params.gamma).max()) ** (1.0 / params.gamma),
         "grad_u_l2_qt": float(np.sqrt(cumulative_trapezoid(velocity_gradient_sq(st), dts)[-1])),
         "velocity_gap_l2_qt":
             float(np.sqrt(cumulative_trapezoid(pairwise_velocity_gap_sq(st), dts)[-1])),

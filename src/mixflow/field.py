@@ -200,13 +200,6 @@ def pchip(x: np.ndarray, y: np.ndarray, at: np.ndarray) -> np.ndarray:
     return PchipInterpolator(x, y)(at)
 
 
-def total_mass(state: State) -> float:
-    """Total mass of an Eulerian state; defines the Lagrangian domain length."""
-    if state.frame != EULERIAN:
-        raise WrongFrame("total_mass is defined on the Eulerian frame")
-    return integrate(state.rho, state.grid)
-
-
 # ---------------------------------------------------------------------------
 # face-based helpers
 #

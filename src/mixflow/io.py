@@ -34,15 +34,20 @@ FORMAT_NAME = "mixflow-trajectory"
 FORMAT_VERSION = 1
 
 
+#: each [params] key of a config file and of a manifest: the MixtureParams
+#: field it sets and the JSON kind (a key of ``_KINDS``) a manifest gives it
+PARAMS = {
+    "n_components": ("N", "an integer"),
+    "pressure_coeff": ("K", "a number"),
+    "gamma": ("gamma", "a number"),
+    "viscosity": ("M", "a matrix of numbers"),
+    "friction": ("A", "a matrix of numbers"),
+    "t_final": ("T_final", "a number"),
+}
+
+
 def params_to_dict(p: MixtureParams) -> dict:
-    return {
-        "n_components": p.N,
-        "pressure_coeff": p.K,
-        "gamma": p.gamma,
-        "viscosity": p.M.tolist(),
-        "friction": p.A.tolist(),
-        "t_final": p.T_final,
-    }
+    return {key: np.asarray(getattr(p, name)).tolist() for key, (name, _) in PARAMS.items()}
 
 
 def _is_number(v) -> bool:
@@ -71,14 +76,7 @@ def _field(d: dict, key: str, kind: str):
 
 
 def params_from_dict(d: dict) -> MixtureParams:
-    return MixtureParams(
-        N=_field(d, "n_components", "an integer"),
-        K=_field(d, "pressure_coeff", "a number"),
-        gamma=_field(d, "gamma", "a number"),
-        M=np.array(_field(d, "viscosity", "a matrix of numbers")),
-        A=np.array(_field(d, "friction", "a matrix of numbers")),
-        T_final=_field(d, "t_final", "a number"),
-    )
+    return MixtureParams(**{name: _field(d, key, kind) for key, (name, kind) in PARAMS.items()})
 
 
 def params_hash(p: MixtureParams) -> str:
@@ -205,9 +203,7 @@ def save_trajectory(out_dir: str, traj: Trajectory, params: MixtureParams, schem
         "params_hash": params_hash(params),
         "scheme": asdict(scheme),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return out_dir
 
 
@@ -282,10 +278,15 @@ def load_trajectory(
     return traj, params, manifest
 
 
-def save_report(path: str, report) -> None:
+def write_json(path: str, obj) -> None:
+    """``obj`` as JSON with sorted keys and a one-space indent, newline-terminated."""
     with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
+        json.dump(obj, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def save_report(path: str, report) -> None:
+    write_json(path, report.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +296,6 @@ def save_report(path: str, report) -> None:
 def _svg_polyline(xs, ys, x0, y0, w, h, xmin, xmax, ymin, ymax, color):
     if xmax <= xmin:
         xmax = xmin + 1.0
-    if ymax <= ymin:
-        ymax = ymin + 1.0
     pts = []
     for x, y in zip(xs, ys):
         if not (math.isfinite(x) and math.isfinite(y)):
@@ -320,9 +319,9 @@ def plot_series_svg(path: str, x: np.ndarray, series: dict[str, np.ndarray], tit
     ally = np.concatenate([np.asarray(v, dtype=float) for v in series.values()] or [[0.0]])
     ally = ally[np.isfinite(ally)]
     ymin, ymax = (float(ally.min()), float(ally.max())) if ally.size else (0.0, 0.0)
-    if ymin == ymax:
-        ymin -= 0.5
-        ymax += 0.5
+    if ymin == ymax:  # a flat panel: +-0.5, or one ulp where 0.5 rounds away
+        pad = max(0.5, math.ulp(ymin))
+        ymin, ymax = ymin - pad, ymax + pad
     xmin, xmax = float(np.min(x)), float(np.max(x))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',

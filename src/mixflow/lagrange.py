@@ -31,32 +31,31 @@ from .timestepping import Kernel, tridiagonal_solve
 # coordinate maps
 
 
-def _resample(s_old: np.ndarray, state: State, s_new: np.ndarray):
-    """``state.rho`` and ``state.U`` moved from the nodes ``s_old`` to
-    ``s_new`` by monotone cubics, with the wall velocities set to zero.
-    A map whose nodes ``s_old`` do not strictly increase (a density so
-    extreme that a cell's increment rounds away) raises ValidationError."""
+def _remap(state: State, s_old: np.ndarray, length: float, frame: str) -> State:
+    """``state`` moved from the nodes ``s_old`` to the uniform ``frame`` grid
+    over (0, ``length``) by monotone cubics (no overshoot, so the density
+    stays positive), with the wall velocities set to zero.  A map that is
+    not finite (a total mass that overflows) or whose nodes do not strictly
+    increase (a density so extreme that a cell's increment rounds away)
+    raises ValidationError."""
+    if not np.isfinite(s_old).all():
+        raise ValidationError(f"mass map must be finite, got a total of {s_old[-1]}")
     if np.any(np.diff(s_old) <= 0):
         raise ValidationError("mass map must be strictly monotone")
-    rho = pchip(s_old, state.rho, s_new)
+    grid = Grid1D(domain_length=length, n_cells=state.grid.n_cells)
+    s_new = grid.nodes()
     U = np.array([pchip(s_old, u, s_new) for u in state.U])
     U[:, 0] = 0.0
     U[:, -1] = 0.0
-    return rho, U
+    return State(time=state.time, frame=frame, grid=grid, rho=pchip(s_old, state.rho, s_new), U=U)
 
 
 def euler_to_lagrange(state: State) -> State:
-    """Resample an Eulerian state onto the uniform mass grid over (0, d).
-
-    Fields are interpolated with monotone cubics (no overshoot, so positivity
-    of the density survives the resampling).
-    """
+    """Resample an Eulerian state onto the uniform mass grid over (0, d)."""
     if state.frame != EULERIAN:
         raise WrongFrame("euler_to_lagrange expects an Eulerian state")
     y = cumulative_trapezoid(state.rho, state.grid.h)  # y(x) = int_0^x rho ds
-    grid_y = Grid1D(domain_length=float(y[-1]), n_cells=state.grid.n_cells)
-    rho_new, U_new = _resample(y, state, grid_y.nodes())
-    return State(time=state.time, frame=LAGRANGIAN, grid=grid_y, rho=rho_new, U=U_new)
+    return _remap(state, y, float(y[-1]), LAGRANGIAN)
 
 
 def lagrange_to_euler(state: State, drift_tol: float = 1e-4) -> State:
@@ -74,10 +73,7 @@ def lagrange_to_euler(state: State, drift_tol: float = 1e-4) -> State:
         raise DomainLengthDrift(
             f"reconstructed domain length {length:.8f} deviates from 1 by more than {drift_tol}"
         )
-    x = x / length
-    grid_x = Grid1D(domain_length=1.0, n_cells=state.grid.n_cells)
-    rho_new, U_new = _resample(x, state, grid_x.nodes())
-    return State(time=state.time, frame=EULERIAN, grid=grid_x, rho=rho_new, U=U_new)
+    return _remap(state, x / length, 1.0, EULERIAN)
 
 
 # ---------------------------------------------------------------------------

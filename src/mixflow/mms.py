@@ -30,14 +30,12 @@ from .errors import ValidationError
 from .field import EULERIAN, Grid1D, State, l2_norm
 from .model import MixtureParams, derive_matrices, make_params
 from .runner import concurrently, integrate
-from .timestepping import CENTRAL, UPWIND, SchemeConfig
+from .timestepping import CENTRAL, END_SLACK, UPWIND, SchemeConfig
 
 #: observed spatial order must not fall below these
 ORDER_THRESHOLDS = {CENTRAL: 1.7, UPWIND: 0.8}
 
 _DEFAULT_C = (0.14, 0.10)
-#: node arrays whose spatial forcing factors one ManufacturedFields keeps
-_MAX_GRIDS = 8
 
 
 def default_params(T_final: float = 2.0) -> MixtureParams:
@@ -102,13 +100,14 @@ class ManufacturedFields:
     def forcing(self, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Source terms ``(s_rho, s_U)`` at time ``t`` on the nodes ``x``.
 
-        The factors that depend on ``x`` alone are computed once per node
-        array, keyed by its values, and the result for the last ``(t, x)`` is
-        returned again for a repeat: in RK2 the second stage of one step and
-        the first stage of the next run at the same time.  The returned
-        arrays are shared between such calls and therefore read-only.  Every
-        precomputed product keeps the factor order of the closed form, so the
-        result is bit-equal to evaluating it from scratch.
+        The factors that depend on ``x`` alone are kept for the last node
+        array, keyed by its values (a study solves one grid at a time per
+        process), and the result for the last ``(t, x)`` is returned again
+        for a repeat: in RK2 the second stage of one step and the first
+        stage of the next run at the same time.  The returned arrays are
+        shared between such calls and therefore read-only.  Every
+        precomputed product keeps the factor order of the closed form, so
+        the result is bit-equal to evaluating it from scratch.
         """
         x = np.asarray(x, dtype=float)
         # hex: the signs of zero sources follow the sign of a zero t
@@ -116,12 +115,9 @@ class ManufacturedFields:
         cache = self._cache
         if cache.last[0] == key:
             return cache.last[1]
-        spatial = cache.grids.get(key[1:])
-        if spatial is None:
-            if len(cache.grids) >= _MAX_GRIDS:
-                del cache.grids[next(iter(cache.grids))]
-            spatial = cache.grids[key[1:]] = self._spatial_factors(x)
-        out = self._evaluate(t, spatial)
+        if cache.grid[0] != key[1:]:
+            cache.grid = (key[1:], self._spatial_factors(x))
+        out = self._evaluate(t, cache.grid[1])
         for a in out:
             a.flags.writeable = False
         cache.last = (key, out)
@@ -184,10 +180,10 @@ class _Spatial(NamedTuple):
 
 
 class _ForcingCache:
-    """Per-grid spatial factors and the last evaluated ``(t, x)``."""
+    """The spatial factors of the last node array and the last evaluated ``(t, x)``."""
 
     def __init__(self):
-        self.grids: dict = {}
+        self.grid = (None, None)  # (node key, factors)
         self.last = (None, None)  # (key, result)
 
 
@@ -246,8 +242,8 @@ def mms_study(
         raise ValidationError("need at least two refinement levels")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValidationError(f"refinement levels must strictly increase, got {list(levels)}")
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ValidationError(f"t_end must be positive and finite, got {t_end}")
+    if not (math.isfinite(t_end) and t_end > END_SLACK):  # then run_loop takes a step
+        raise ValidationError(f"t_end must be finite and above {END_SLACK}, got {t_end}")
     params = default_params(T_final=max(2.0, t_end))
     d = 1.0 if frame == EULERIAN else 2.0
     fields = ManufacturedFields(params=params, frame=frame, domain_length=d)

@@ -62,6 +62,8 @@ SEMI_IMPLICIT = "semi-implicit-viscosity"
 INTEGRATORS = (RK2, RK4, SEMI_IMPLICIT)
 UPWIND = "first-order-upwind"
 CENTRAL = "central-2"
+#: a run stops once within END_SLACK * max(t_end, 1) of t_end: a shorter horizon takes no step
+END_SLACK = 1e-13
 
 #: forcing callback: (t, nodes) -> (s_rho, s_U) tendencies to add
 Forcing = Callable[[float, np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -286,7 +288,7 @@ def run_loop(kernel, initial: State, t_end: float, snapshot_every: int = 20) -> 
     Y = kernel._states[0]
     Y[0], Y[1:] = kernel.to_evolved(np.array(initial.rho, dtype=float)), initial.U
     record(t, kernel.density_view(Y[0]), Y)
-    t_stop = t_end - 1e-13 * max(t_end, 1.0)
+    t_stop = t_end - END_SLACK * max(t_end, 1.0)
     if not t < t_stop:
         return trajectory()
 

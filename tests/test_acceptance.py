@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from mixflow import estimates as est
-from mixflow import io, lagrange
+from mixflow import field, io, lagrange
 from mixflow.cli import cli_main
 from mixflow.config import make_initial
-from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D, State, l2_norm, total_mass
+from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D, State, l2_norm
 from mixflow.mms import mms_study
 from mixflow.model import derive_matrices, make_params
 from mixflow.runner import execute, integrate
@@ -127,8 +127,8 @@ def test_c02_mass_conservation(corpus_results):
     worst = 0.0
     for name, (result, _) in corpus_results.items():
         traj = result.eulerian
-        d0 = total_mass(traj.state(0))
-        drift = max(abs(total_mass(s) - d0) for s in records(traj)) / d0
+        d0 = field.integrate(traj.rho[0], traj.grid)
+        drift = max(abs(field.integrate(s.rho, s.grid) - d0) for s in records(traj)) / d0
         worst = max(worst, drift)
     verdict("C02 mass-conservation", worst <= 1e-10, f"max relative drift {worst:.2e}")
 
@@ -137,7 +137,7 @@ def test_c03_density_bounds(corpus_results):
     ok = True
     details = []
     for name, (result, _) in corpus_results.items():
-        d0 = total_mass(result.eulerian.state(0))
+        d0 = field.integrate(result.eulerian.rho[0], result.eulerian.grid)
         for traj in (result.eulerian, result.lagrangian):
             if traj is None:
                 continue
@@ -336,7 +336,7 @@ def test_c13_long_time_relaxation():
     final = result.eulerian.final
     g = final.grid
     u_norm = max(l2_norm(final.U[i], g) for i in range(rc.params.N))
-    rho_gap = l2_norm(final.rho - total_mass(result.eulerian.state(0)), g)
+    rho_gap = l2_norm(final.rho - field.integrate(result.eulerian.rho[0], g), g)
     ok = u_norm < 1e-3 and rho_gap < 1e-2
     verdict("C13 long-time-relaxation", ok,
             f"max ||u||_2 = {u_norm:.2e}, ||rho - d||_2 = {rho_gap:.2e}")

@@ -1,3 +1,4 @@
+import configparser
 import json
 import os
 import shutil
@@ -23,7 +24,7 @@ from mixflow.estimates import KNOWN_AUDITS
 from mixflow.field import EULERIAN, Grid1D
 from mixflow.timestepping import SchemeConfig
 
-from conftest import CORPUS, scenario_config
+from conftest import CORPUS, DATA, scenario_config
 from test_io_cli import SMALL_CONFIG
 
 
@@ -256,6 +257,17 @@ class TestMakeInitial:
 
 
 class TestScenarios:
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_ini_and_manifest_name_the_same_params(self, name):
+        # a shipped INI file's [params] keys are the keys a manifest stores,
+        # and the manifest's parameters read back equal
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read(DATA / f"{name}.ini")
+        params = scenario_config(name).params
+        stored = io.params_to_dict(params)
+        assert sorted(cp["params"]) == sorted(stored)
+        assert io.params_from_dict(json.loads(json.dumps(stored))) == params
+
     def test_corpus_parses(self):
         for name in CORPUS:
             rc = scenario_config(name)

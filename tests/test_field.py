@@ -19,7 +19,6 @@ from mixflow.field import (
     integrate,
     l2_norm,
     sbp_derivative,
-    total_mass,
 )
 
 
@@ -188,22 +187,6 @@ class TestNorms:
         g = Grid1D(1.0, 32)
         f = np.sin(5 * g.nodes())
         assert l2_norm(lam * f, g) == pytest.approx(abs(lam) * l2_norm(f, g), abs=1e-12)
-
-
-class TestTotalMass:
-    def test_constant_density(self, grid64):
-        s = make_state(grid64, np.full(grid64.n_nodes, 2.0), np.zeros((2, grid64.n_nodes)))
-        assert total_mass(s) == pytest.approx(2.0, abs=1e-14)
-
-    def test_affine_density(self, grid64):
-        s = make_state(grid64, 1.0 + grid64.nodes(), np.zeros((2, grid64.n_nodes)))
-        assert total_mass(s) == pytest.approx(1.5, abs=1e-14)
-
-    def test_wrong_frame(self, grid64):
-        s = make_state(grid64, np.ones(grid64.n_nodes), np.zeros((2, grid64.n_nodes)),
-                       frame=LAGRANGIAN)
-        with pytest.raises(WrongFrame):
-            total_mass(s)
 
 
 class TestFaceHelpers:

@@ -120,6 +120,18 @@ class TestReportAndPlots:
             text = open(path).read()
             assert text.startswith("<svg") and "polyline" in text
 
+    @pytest.mark.parametrize("value, low, high", [(1.0, "0.5", "1.5"), (1e20, "1e+20", "1e+20")])
+    def test_flat_series_drawn_mid_panel(self, tmp_path, value, low, high):
+        # a flat series is widened by 0.5 each way, or by one ulp where 0.5
+        # rounds away, so its points sit mid-panel (y = 50 + 260 / 2)
+        path = str(tmp_path / "flat.svg")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            io.plot_series_svg(path, [0.0, 1.0, 2.0], {"a": np.full(3, value)}, "t")
+        text = open(path).read()
+        assert re.findall(r'points="([^"]*)"', text) == ["50.00,180.00 320.00,180.00 590.00,180.00"]
+        assert re.findall(r'font-size="11">([^<]*)</text>', text)[2:] == [low, high]
+
 
 class TestCli:
     def _write_config(self, tmp_path, text=SMALL_CONFIG):
@@ -369,6 +381,26 @@ class TestNameTableAndDispatch:
         assert cli_main(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: mixflow ")
 
+    def test_overflowing_total_mass_exits_2(self, tmp_path, capsys):
+        # rho = 1e308 is finite, its total mass int rho dx is not: the map to
+        # mass coordinates is rejected in run (frame both) and transform alike
+        lines = (DATA / "shear.ini").read_text().splitlines()
+        cfg = tmp_path / "heavy.ini"
+        cfg.write_text("\n".join("rho = constant:value=1e308" if line.startswith("rho = ") else line
+                                 for line in lines))
+        reason = "config error: mass map must be finite, got a total of inf\n"
+        assert cli_main(["run", "--config", str(cfg), "--n-cells", "16", "--t-end", "1e-6",
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == reason
+        g = Grid1D(1.0, 16)
+        snap = tmp_path / "heavy.csv"
+        io.write_snapshot(str(snap), State(time=0.0, frame=EULERIAN, grid=g,
+                                           rho=np.full(g.n_nodes, 1e308), U=np.zeros((2, g.n_nodes))))
+        assert cli_main(["transform", "--snap", str(snap), "--frame", EULERIAN,
+                         "--out", str(tmp_path / "lag.csv")]) == 2
+        assert capsys.readouterr().err == reason
+        assert not (tmp_path / "lag.csv").exists()
+
     def test_transform_degenerate_mass_map_exit_2(self, tmp_path, capsys):
         # two adjacent nodes so dense that their cell adds nothing to
         # x(y) = int dy / rho; the other nodes are scaled so the volume is 1
@@ -395,6 +427,7 @@ class TestMmsArguments:
         ["--t-end", "nan"],
         ["--t-end", "inf"],
         ["--levels", "4,64,128"],
+        ["--t-end", "1e-13"],  # within run_loop's end slack: no step would be taken
     ])
     def test_bad_arguments_exit_2_one_line(self, args, capsys, monkeypatch):
         # every level is checked before the ladder forks its worker

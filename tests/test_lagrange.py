@@ -55,6 +55,14 @@ class TestMassMap:
         with pytest.raises(ValidationError, match="strictly monotone"):
             lagrange_to_euler(s, drift_tol=1.0)
 
+    def test_overflowing_total_mass_rejected(self, grid64):
+        # int rho dx of rho = 1e308 overflows to inf; the map must not reach
+        # the interpolator, which rejects non-finite nodes with a ValueError
+        s = State(time=0.0, frame=EULERIAN, grid=grid64, rho=np.full(grid64.n_nodes, 1e308),
+                  U=np.zeros((2, grid64.n_nodes)))
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="must be finite"):
+            euler_to_lagrange(s)
+
 
 class TestTransforms:
     def test_unit_density_unchanged(self, grid64):

@@ -8,6 +8,7 @@ random trajectories and on solver runs in both frames every diagnostic of
 """
 
 import copy
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -122,8 +123,8 @@ def test_record_axis_matches_per_record_loops(seed, n_comp, n_cells, n_rec):
                      ref.empirical_constants(old[frame], params))
         for name in ("density_bounds", "velocity_damping"):
             call_new, call_old = est._AUDITS[name][2], ref._AUDITS[name][2]
-            _assert_same(call_new(*inputs, params, derived, 1.0).to_dict(),
-                         call_old(old[frame], params, derived, 1.0).to_dict())
+            _assert_same(asdict(call_new(*inputs, params, derived, 1.0)),
+                         asdict(call_old(old[frame], params, derived, 1.0)))
 
 
 @pytest.mark.parametrize("name", CORPUS)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mixflow.errors import NonPositiveEntry
-from mixflow.field import EULERIAN, Grid1D, State, l2_norm, total_mass
+from mixflow import field
+from mixflow.field import EULERIAN, Grid1D, State, l2_norm
 from mixflow.model import derive_matrices, make_params
 from mixflow.runner import integrate
 from mixflow.timestepping import SchemeConfig
@@ -67,6 +68,6 @@ class TestSingleFluid:
                                       scheme=scheme, grid=g, t_end=30.0,
                                       T_final=40.0, snapshot_every=500)
         final = traj.final
-        dval = total_mass(traj.state(0))
+        dval = field.integrate(traj.rho[0], traj.grid)
         assert l2_norm(final.U[0], g) < 1e-3
         assert l2_norm(final.rho - dval, g) < 1e-3
