@@ -8,8 +8,8 @@ Verbs::
     report     SVG plots of a stored trajectory (read-only)
     transform  map a snapshot between the two coordinate frames
 
-Exit codes: 0 success / all audits PASS, 1 audit FAIL, 2 usage or config
-error, 3 solver blow-up, 4 a forked worker died without a result.
+Exit codes: 0 success / all audits PASS, 1 audit FAIL, 2 usage, config or
+input error or out of memory, 3 solver blow-up, 4 a forked worker died.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import (
 from .field import EULERIAN, LAGRANGIAN
 from .model import derive_matrices
 from .runner import concurrently, execute, save_result
+from .timestepping import CENTRAL
 
 EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
@@ -62,8 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ms = sub.add_parser("mms", help="manufactured-solution convergence study")
     ms.add_argument("--frame", default=EULERIAN, choices=(EULERIAN, LAGRANGIAN))
-    ms.add_argument("--advection", default="central-2",
-                    choices=("central-2", "first-order-upwind", "central", "upwind"))
+    ms.add_argument("--advection", default=CENTRAL)
     ms.add_argument("--levels", default="32,64,128")
     ms.add_argument("--t-end", type=float, default=0.25)
     ms.add_argument("--out-dir", default=None)
@@ -169,18 +169,11 @@ def _cmd_check(args) -> int:
     if any(p != params for _, p, _ in loaded[1:]):
         raise FileFormatError(f"{root}: the frames' manifests give different params")
     derived = derive_matrices(params)
+    report = estimates.build_report(params, derived, [traj for traj, _, _ in loaded], audits)
     faults = [f"{traj.frame}: {why}" for traj, _, stored in loaded
               if (why := _ledger_fault(stored, traj.diagnostics)) is not None]
     for line in faults:
         print(line, file=sys.stderr)
-    recomputed = {traj.frame: traj for traj, _, _ in loaded}
-
-    report = estimates.build_report(
-        params, derived,
-        eulerian=recomputed.get(EULERIAN),
-        lagrangian=recomputed.get(LAGRANGIAN),
-        audits=audits,
-    )
     io.save_report(os.path.join(root, "report.json"), report)
     print(report.render_text())
     if faults:
@@ -246,6 +239,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except MixflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:  # an output path that cannot be written
         if exc.filename is None:

@@ -257,8 +257,7 @@ class RunConfig:
     def __post_init__(self):
         if self.frame not in FRAMES:
             raise ValidationError(f"frame must be one of {FRAMES}, got {self.frame!r}")
-        if self.n_cells < 8:
-            raise ValidationError("n_cells must be >= 8")
+        Grid1D(domain_length=1.0, n_cells=self.n_cells)  # the grid of the run checks n_cells
         if not 0 < self.t_end <= self.params.T_final:
             raise ValidationError(
                 f"t_end must lie in (0, T_final = {self.params.T_final}], got {self.t_end}"
@@ -274,7 +273,7 @@ class RunConfig:
 def _matrix(text: str) -> np.ndarray:
     try:
         return np.array(json.loads(text), dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"expected JSON row lists ({exc})") from None
 
 

@@ -631,36 +631,29 @@ def empirical_constants(st: Trajectory, led: dict[str, np.ndarray],
 def build_report(
     params: MixtureParams,
     derived: DerivedMatrices,
-    eulerian: Trajectory | None = None,
-    lagrangian: Trajectory | None = None,
+    trajectories: list[Trajectory],
     audits: tuple[str, ...] = KNOWN_AUDITS,
 ) -> EstimateReport:
-    """Run the requested audits on whichever diagnosed trajectories are given.
+    """Run the requested audits on the diagnosed ``trajectories``, at most one per frame.
 
-    Each given trajectory and its ledger columns go to every audit of that
-    frame and to :func:`empirical_constants`, with no copy.  Audits
-    whose frame is absent, or that need more records than it has, are
-    reported as SKIP (they do not fail the report).  The total mass ``d`` is
-    the initial Eulerian mass when that frame is present, else the Lagrangian
-    domain length, so `run` and `check` audit a trajectory against the same
-    ``d``.
+    Each trajectory is filed under its own frame, and it and its ledger
+    columns go to every audit of that frame and to
+    :func:`empirical_constants`, with no copy.  Audits whose frame is absent,
+    or that need more records than it has, are reported as SKIP (they do not
+    fail the report).  The total mass ``d`` is the initial Eulerian mass when
+    that frame is present, else the Lagrangian domain length, so `run` and
+    `check` audit a trajectory against the same ``d``.
     """
     for name in audits:
         if name not in KNOWN_AUDITS:
             raise ValidationError(f"unknown audit {name!r}; known: {KNOWN_AUDITS}")
-    given = {f: t for f, t in ((EULERIAN, eulerian), (LAGRANGIAN, lagrangian)) if t is not None}
-    if not given:
-        raise EmptyTrajectory("no trajectory supplied")
-    inputs = {}
-    for frame, traj in given.items():
-        if traj.frame != frame:
-            raise WrongFrame(f"a {traj.frame} trajectory passed as the {frame} one")
-        inputs[frame] = (traj, _ledger(traj))
+    inputs = {f: (t, _ledger(t)) for f in (EULERIAN, LAGRANGIAN) for t in trajectories
+              if t.frame == f}
+    if not inputs or len(inputs) < len(trajectories):
+        raise WrongFrame(f"need one or two distinct frames, got {[t.frame for t in trajectories]}")
     inputs[None] = next(iter(inputs.values()))  # the Eulerian frame when present
-    if eulerian is not None:
-        dval = integrate(eulerian.rho[0], eulerian.grid)
-    else:
-        dval = lagrangian.grid.domain_length
+    st = inputs[None][0]
+    dval = integrate(st.rho[0], st.grid) if st.frame == EULERIAN else st.grid.domain_length
 
     results: dict[str, AuditResult] = {}
     for name in audits:

@@ -19,6 +19,8 @@ from .errors import EmptyTrajectory, LengthMismatch, NonPositiveDensity, Validat
 
 EULERIAN = "eulerian"
 LAGRANGIAN = "lagrangian"
+#: the most cells a grid may have: n_cells + 1 nodes fit LAPACK's 32-bit n in dgtsv
+_MAX_CELLS = 2**31 - 2
 
 @dataclass(frozen=True)
 class Grid1D:
@@ -33,8 +35,8 @@ class Grid1D:
     n_cells: int
 
     def __post_init__(self):
-        if self.n_cells < 8:
-            raise ValidationError(f"n_cells must be >= 8, got {self.n_cells}")
+        if not 8 <= self.n_cells <= _MAX_CELLS:
+            raise ValidationError(f"n_cells must lie in [8, {_MAX_CELLS}], got {self.n_cells}")
         if not self.domain_length > 0:
             raise ValidationError("domain_length must be positive")
 

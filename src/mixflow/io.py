@@ -252,7 +252,7 @@ def load_trajectory(
         stamps = np.array(times, dtype=float)
     except KeyError as exc:
         raise FileFormatError(f"{mpath}: missing field {exc}") from None
-    except (MixflowError, TypeError, ValueError) as exc:
+    except (MixflowError, OverflowError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{mpath}: {exc}") from None
     if stored_hash != params_hash(params):
         raise FileFormatError(f"{mpath}: params_hash does not match the stored parameters")

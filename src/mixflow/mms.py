@@ -30,7 +30,7 @@ from .errors import ValidationError
 from .field import EULERIAN, Grid1D, State, l2_norm
 from .model import MixtureParams, derive_matrices, make_params
 from .runner import concurrently, integrate
-from .timestepping import CENTRAL, END_SLACK, UPWIND, SchemeConfig
+from .timestepping import CENTRAL, END_SLACK, RK2, UPWIND, SchemeConfig
 
 #: observed spatial order must not fall below these
 ORDER_THRESHOLDS = {CENTRAL: 1.7, UPWIND: 0.8}
@@ -244,10 +244,10 @@ def mms_study(
         raise ValidationError(f"refinement levels must strictly increase, got {list(levels)}")
     if not (math.isfinite(t_end) and t_end > END_SLACK):  # then run_loop takes a step
         raise ValidationError(f"t_end must be finite and above {END_SLACK}, got {t_end}")
-    params = default_params(T_final=max(2.0, t_end))
+    params = default_params()
     d = 1.0 if frame == EULERIAN else 2.0
     fields = ManufacturedFields(params=params, frame=frame, domain_length=d)
-    scheme = SchemeConfig(time_integrator="explicit-RK2", advection=advection)
+    scheme = SchemeConfig(time_integrator=RK2, advection=advection)
     *coarse, finest = [Grid1D(domain_length=d, n_cells=n) for n in levels]
 
     finest_errors, coarse_errors = concurrently([

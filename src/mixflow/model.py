@@ -143,10 +143,7 @@ def validate_params(p: MixtureParams) -> MixtureParams:
 
 def derive_matrices(p: MixtureParams) -> DerivedMatrices:
     """Invert M and extract the spectral quantities used by the audits."""
-    try:
-        m_inv = np.linalg.inv(p.M)
-    except np.linalg.LinAlgError as exc:  # unreachable for validated M
-        raise SingularMatrix(f"viscosity matrix not invertible: {exc}") from None
+    m_inv = np.linalg.inv(p.M)
     m_inv = 0.5 * (m_inv + m_inv.T)  # symmetrize round-off
 
     resid = np.linalg.norm(p.M @ m_inv - np.eye(p.N)) / max(np.linalg.norm(p.M), 1e-300)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .config import RunConfig, make_initial
-from .errors import MixflowError, SolverBlowup, ValidationError, WorkerDied
+from .errors import MixflowError, SolverBlowup, WorkerDied
 from .estimates import EstimateReport, build_report, diagnose
 from .euler import EulerKernel
 from .field import EULERIAN, LAGRANGIAN, Grid1D, State, Trajectory
@@ -45,8 +45,6 @@ def integrate(
 ) -> Trajectory:
     """Integrate ``initial`` to ``t_end`` with the kernel of its frame,
     recording every ``snapshot_every``-th step (see :func:`run_loop`)."""
-    if t_end > params.T_final:
-        raise ValidationError(f"t_end = {t_end} exceeds T_final = {params.T_final}")
     kernel = KERNELS[initial.frame](initial.grid, params, derived, scheme, forcing)
     return run_loop(kernel, initial, t_end, snapshot_every)
 
@@ -171,10 +169,8 @@ def execute(rc: RunConfig, progress=None) -> RunResult:
 
     announce = progress and (lambda k: progress(f"running {frames[k]} solver to t = {rc.t_end}"))
     trajs = dict(zip(frames, concurrently([partial(solve, f) for f in frames], announce)))
-    traj_e, traj_l = trajs.get(EULERIAN), trajs.get(LAGRANGIAN)
-    report = build_report(rc.params, derived, eulerian=traj_e, lagrangian=traj_l,
-                          audits=rc.audit_set)
-    return RunResult(config=rc, eulerian=traj_e, lagrangian=traj_l, report=report)
+    report = build_report(rc.params, derived, list(trajs.values()), audits=rc.audit_set)
+    return RunResult(rc, trajs.get(EULERIAN), trajs.get(LAGRANGIAN), report)
 
 
 def save_result(result: RunResult, out_dir: str) -> list[str]:

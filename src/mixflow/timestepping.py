@@ -274,8 +274,6 @@ def run_loop(kernel, initial: State, t_end: float, snapshot_every: int = 20) -> 
     its diagnostics.  On blow-up the partial trajectory is attached to the
     raised :class:`SolverBlowup`.
     """
-    if snapshot_every < 1:
-        raise ValidationError("snapshot_every must be >= 1")
     times, rhos, Us = [], [], []
 
     def record(t, rho, Y):

@@ -57,7 +57,7 @@ def test_build_report_spans_one_per_audit(params2, derived2, grid64):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        report = estimates.build_report(params2, derived2, eulerian=traj_e, lagrangian=traj_l)
+        report = estimates.build_report(params2, derived2, [traj_e, traj_l])
     finally:
         tracer.uninstall()
     assert all(r.verdict != estimates.SKIP for r in report.results.values())

@@ -24,7 +24,9 @@ from test_io_cli import SMALL_CONFIG
 CLOSING = "stored diagnostics disagree with the snapshots"
 
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    # integers beyond float range, which JSON holds and float() cannot take
+    | st.integers(min_value=2**1024) | st.integers(max_value=-2**1024),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
                                                                  max_size=3),
     max_leaves=6,

@@ -332,13 +332,18 @@ _VISCOSITY = "viscosity = [[0.1, 0.02], [0.02, 0.1]]"
      "friction matrix A has a non-finite entry"),
     ("advection = upwind", "advection = upwind\ndensity_floor = inf",
      "artificial_floor must be finite and > 0, got inf"),
+    (_VISCOSITY, f"viscosity = [[1{'0' * 400}, 0.02], [0.02, 0.1]]",
+     "[params] viscosity: expected JSON row lists (int too large to convert to float)"),
+    ("snapshot_every = 10", "snapshot_every = 0", "snapshot_every must be >= 1"),
 ], ids=["rho-nan", "gaussian-width-inf", "affine-slope-minus-inf", "sine-amp-inf",
         "sine-amp-minus-inf", "second-mode-amp-nan", "t-final-inf", "pressure-coeff-inf",
-        "gamma-inf", "viscosity-inf", "viscosity-nan", "friction-inf", "density-floor-inf"])
+        "gamma-inf", "viscosity-inf", "viscosity-nan", "friction-inf", "density-floor-inf",
+        "viscosity-beyond-float", "snapshot-every-zero"])
 def test_non_finite_descriptor_number_exits_2_before_any_output(tmp_path, capsys, line, edited,
                                                                 reason):
-    """Every non-finite [initial], [params] or [scheme] number ends the run
-    with one line before the output directory is made."""
+    """Every non-finite [initial], [params] or [scheme] number, and every
+    out-of-range one, ends the run with one line before the output
+    directory is made."""
     cfg = tmp_path / "case.ini"
     assert line in SMALL_CONFIG
     cfg.write_text(SMALL_CONFIG.replace(line, edited))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mixflow import estimates as est
-from mixflow.errors import EmptyTrajectory, ValidationError, WrongFrame
+from mixflow.errors import EmptyTrajectory, WrongFrame
 from mixflow.euler import EulerKernel
 from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D
 from mixflow.lagrange import LagrangeKernel, euler_to_lagrange
@@ -70,12 +70,6 @@ def test_integrate_equals_run_loop_with_mms_forcing(frame):
     _assert_same_states(runs[1], runs[0])
 
 
-@pytest.mark.parametrize("frame", FRAMES)
-def test_integrate_rejects_t_end_beyond_the_horizon(frame, params2, derived2, grid64):
-    with pytest.raises(ValidationError, match="exceeds T_final"):
-        integrate(_start(frame, grid64), params2, derived2, SchemeConfig(), 1.5 * params2.T_final)
-
-
 def _two_frames(params2, derived2, grid64):
     return [integrate(_start(f, grid64), params2, derived2, SchemeConfig(), 0.05, snapshot_every=10)
             for f in FRAMES]
@@ -101,7 +95,7 @@ def test_audits_read_the_trajectory_arrays_without_a_copy(monkeypatch, params2, 
     for traj in trajs:
         assert len(traj) >= 3
         est.diagnose(traj, params2)
-    report = est.build_report(params2, derived2, eulerian=trajs[0], lagrangian=trajs[1])
+    report = est.build_report(params2, derived2, trajs)
     assert all(r.verdict != est.SKIP for r in report.results.values())
     by_frame = {traj.frame: traj for traj in trajs}
     # diagnose: energy and the time fields per frame; the report: six audits
@@ -116,10 +110,12 @@ def test_audits_read_the_trajectory_arrays_without_a_copy(monkeypatch, params2, 
 def test_report_needs_each_frame_in_its_place_with_its_ledger(params2, derived2, grid64):
     traj_e, traj_l = _two_frames(params2, derived2, grid64)
     with pytest.raises(EmptyTrajectory):  # no ledger yet
-        est.build_report(params2, derived2, eulerian=traj_e, audits=("velocity_damping",))
+        est.build_report(params2, derived2, [traj_e], audits=("velocity_damping",))
     est.diagnose(traj_e, params2)
     est.diagnose(traj_l, params2)
-    with pytest.raises(WrongFrame):
-        est.build_report(params2, derived2, lagrangian=traj_e, audits=("velocity_damping",))
-    with pytest.raises(WrongFrame):
-        est.build_report(params2, derived2, eulerian=traj_l, audits=("density_bounds",))
+    for trajs in ([], [traj_e, traj_e], [traj_l, traj_e, traj_l]):
+        with pytest.raises(WrongFrame, match="need one or two distinct frames"):
+            est.build_report(params2, derived2, trajs, audits=("density_bounds",))
+    # each trajectory is filed under its own frame, whatever its place
+    assert (est.build_report(params2, derived2, [traj_l, traj_e]).to_dict()
+            == est.build_report(params2, derived2, [traj_e, traj_l]).to_dict())

@@ -341,7 +341,7 @@ class TestRecordsAndReport:
     def test_build_report_skips_missing_frames(self, params2, derived2, shear_state):
         traj = est.diagnose(runner.integrate(shear_state, params2, derived2, SchemeConfig(), 0.1,
                                              snapshot_every=10), params2)
-        rep = est.build_report(params2, derived2, eulerian=traj)
+        rep = est.build_report(params2, derived2, [traj])
         assert rep.results["w_balance"].verdict == est.SKIP
         assert rep.results["energy_budget"].verdict == est.PASS
         assert rep.passed
@@ -355,22 +355,22 @@ class TestRecordsAndReport:
         traj_l = est.diagnose(runner.integrate(euler_to_lagrange(shear_state), params2, derived2,
                                                scheme, 0.1, snapshot_every=10), params2)
 
-        def reasons(**trajs):
-            rep = est.build_report(params2, derived2, **trajs)
+        def reasons(*trajs):
+            rep = est.build_report(params2, derived2, trajs)
             return {k: r.details["reason"] for k, r in rep.results.items() if r.verdict == est.SKIP}
 
-        assert reasons(eulerian=traj_e) == {
+        assert reasons(traj_e) == {
             "w_balance": "needs a Lagrangian trajectory with >= 3 records",
             "gronwall": "needs a Lagrangian trajectory with >= 3 records",
             "pointwise_bounds": "no Lagrangian trajectory",
         }
-        assert reasons(lagrangian=traj_l) == {
+        assert reasons(traj_l) == {
             "energy_budget": "no Eulerian trajectory",
             "alpha_growth": "needs an Eulerian trajectory with >= 3 records",
             "derivative_norms": "needs an Eulerian trajectory with >= 2 records",
         }
         two = Trajectory.stack(records(traj_e)[:2])
-        assert reasons(eulerian=est.diagnose(two, params2)) == {
+        assert reasons(est.diagnose(two, params2)) == {
             "w_balance": "needs a Lagrangian trajectory with >= 3 records",
             "gronwall": "needs a Lagrangian trajectory with >= 3 records",
             "alpha_growth": "needs an Eulerian trajectory with >= 3 records",
@@ -385,8 +385,8 @@ class TestRecordsAndReport:
 
         def bounds(lag_rho):
             rep = est.build_report(params2, derived2,
-                                   eulerian=single(EULERIAN, np.ones(grid64.n_nodes)),
-                                   lagrangian=single(LAGRANGIAN, lag_rho),
+                                   [single(EULERIAN, np.ones(grid64.n_nodes)),
+                                    single(LAGRANGIAN, lag_rho)],
                                    audits=("density_bounds",))
             return rep.results["density_bounds"]
 
@@ -400,7 +400,7 @@ class TestRecordsAndReport:
     def test_report_dict_shape(self, params2, derived2, shear_state):
         traj = est.diagnose(runner.integrate(shear_state, params2, derived2, SchemeConfig(), 0.1,
                                              snapshot_every=10), params2)
-        rep = est.build_report(params2, derived2, eulerian=traj)
+        rep = est.build_report(params2, derived2, [traj])
         dd = rep.to_dict()
         assert set(dd) == {"passed", "audits", "empirical_constants"}
         assert "gronwall" in dd["audits"]
@@ -433,7 +433,7 @@ class TestNonFinite:
         # e0 overflows to inf, so E(t) + dissipated - E(0) is inf - inf
         traj = _overflowing(EULERIAN, params2)
         with np.errstate(all="ignore"):
-            r = est.build_report(params2, derived2, eulerian=traj).results["energy_budget"]
+            r = est.build_report(params2, derived2, [traj]).results["energy_budget"]
         assert r.verdict == est.FAIL and r.margin == -math.inf
         assert r.details["max_excess"] == math.inf
 
@@ -441,7 +441,7 @@ class TestNonFinite:
         # rho = 1e308 makes the total mass d overflow; the bracket then proves nothing
         traj = _overflowing(EULERIAN, params2, speed=0.0, rho=1e308)
         with np.errstate(all="ignore"):
-            r = est.build_report(params2, derived2, eulerian=traj).results["density_bounds"]
+            r = est.build_report(params2, derived2, [traj]).results["density_bounds"]
         assert r.details["d"] == math.inf
         assert r.verdict == est.FAIL and r.margin == -math.inf
 

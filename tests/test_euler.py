@@ -170,10 +170,6 @@ class TestRun:
         assert np.abs(traj.final.rho - 1.0).max() <= 1e-12
         assert np.abs(traj.final.U).max() <= 1e-12
 
-    def test_t_end_capped_by_horizon(self, params2, derived2, grid64):
-        with pytest.raises(ValidationError):
-            runner.integrate(rest_state(grid64), params2, derived2, SchemeConfig(), t_end=5.0)
-
     def test_mass_conservation_and_bcs(self, params2, derived2, shear_state):
         traj = runner.integrate(shear_state, params2, derived2, SchemeConfig(), t_end=0.25, snapshot_every=25)
         m0 = integrate(traj.rho[0], traj.grid)

@@ -166,6 +166,20 @@ class TestCli:
         bad.write_text(SMALL_CONFIG.replace("gamma = 1.4", "gamma = 0.5"))
         assert cli_main(["run", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 16.0 GiB for an array with shape (2147483647,)"),
+         "error: Unable to allocate 16.0 GiB for an array with shape (2147483647,)"),
+        (MemoryError(), "error: out of memory"),
+    ], ids=["numpy-message", "bare"])
+    def test_out_of_memory_exit_2_one_line(self, tmp_path, capsys, monkeypatch, error, line):
+        # stands in for a grid the size rule admits but memory cannot hold
+        def exhausted(grid):
+            raise error
+        monkeypatch.setattr(Grid1D, "nodes", exhausted)
+        cfg = self._write_config(tmp_path)
+        assert cli_main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+
     def test_blowup_exit_3(self, tmp_path):
         # compressive mean flow drains the rarefaction side below the floor
         text = """
@@ -323,6 +337,8 @@ snapshot_every = 10
     @pytest.mark.parametrize("flag, value, reason", [
         ("--n-cells", "abc", "[scheme] n_cells: invalid literal for int() with base 10: 'abc'"),
         ("--t-end", "x", "[scheme] t_end: could not convert string to float: 'x'"),
+        # beyond the 32-bit size of the banded solve: refused at parse time
+        ("--n-cells", "1" + "0" * 20, "n_cells must lie in [8, 2147483646], got 1" + "0" * 20),
     ])
     def test_malformed_flag_value_one_line(self, tmp_path, capsys, flag, value, reason):
         cfg = tmp_path / "case.ini"
@@ -361,6 +377,12 @@ class TestNameTableAndDispatch:
         assert cli_main(["run", "--config", str(cfg), "--scheme", "bogus"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "config error: unknown integrator 'bogus'\n"
+        assert captured.out == ""
+
+    def test_unknown_advection_one_line(self, capsys):
+        assert cli_main(["mms", "--advection", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: unknown advection 'bogus'\n"
         assert captured.out == ""
 
     def test_mms_advection_alias_writes_the_same_file(self, tmp_path):
@@ -428,6 +450,7 @@ class TestMmsArguments:
         ["--t-end", "inf"],
         ["--levels", "4,64,128"],
         ["--t-end", "1e-13"],  # within run_loop's end slack: no step would be taken
+        ["--levels", "8,1" + "0" * 20],  # a grid no array can hold
     ])
     def test_bad_arguments_exit_2_one_line(self, args, capsys, monkeypatch):
         # every level is checked before the ladder forks its worker
@@ -623,6 +646,8 @@ class TestTrajectoryFormatFaults:
          "manifest.json", "field 'friction' must be a matrix of numbers"),
         (_manifest_edit(lambda m: m["times"].__setitem__(1, "0.1")),
          "manifest.json", "field 'times' must be a list of numbers"),
+        (_manifest_edit(lambda m: m["params"]["viscosity"][0].__setitem__(0, 10**400)),
+         "manifest.json", "int too large to convert to float"),
         # a state field must be complete; a time field complete or empty throughout
         (_diag_edit("energy", 2, lambda c: "", ""), "diag.csv", "line 4: energy is empty"),
         (_diag_edit("alpha", 1, lambda c: "", ""), "diag.csv", "line 3: alpha is empty"),
@@ -633,7 +658,8 @@ class TestTrajectoryFormatFaults:
             "params-hash", "reversed-times", "non-finite-time", "negative-time",
             "unknown-frame", "snapshot-index", "domain-length", "params-type",
             "n-cells-type", "domain-length-type", "gamma-type", "ragged-friction",
-            "times-type", "empty-cell", "partly-empty-time-column", "non-numeric-diag-cell"])
+            "times-type", "viscosity-beyond-float", "empty-cell", "partly-empty-time-column",
+            "non-numeric-diag-cell"])
     def test_corrupt_store(self, stored_run, tmp_path, capsys, corrupt, name, reason):
         out = self._copy(stored_run, tmp_path)
         corrupt(out)
@@ -659,6 +685,14 @@ class TestTrajectoryFormatFaults:
 
         _manifest_edit(edit)(os.path.join(out, "lagrangian"))
         self._check_fails_naming(out, "the frames' manifests give different params", capsys)
+
+    def test_two_stores_of_one_frame(self, small_run, tmp_path, capsys):
+        rc, _ = small_run
+        out = str(tmp_path / "both")
+        shutil.copytree(rc.out_dir, out)
+        _manifest_edit(lambda m: m.update(frame=LAGRANGIAN))(os.path.join(out, EULERIAN))
+        err = self._check_fails_naming(out, "need one or two distinct frames", capsys)
+        assert err == "error: need one or two distinct frames, got ['lagrangian', 'lagrangian']\n"
 
     @pytest.mark.parametrize("speed", ["1e154", "1e160"])
     def test_overflowing_derivative_norms_fail_the_audit(self, stored_run, tmp_path, capsys,

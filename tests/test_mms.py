@@ -80,6 +80,13 @@ class TestStudy:
         table = mms_study(frame=LAGRANGIAN, advection=CENTRAL, levels=(32, 64), t_end=0.2)
         assert table.slope >= 1.7
 
+    def test_orders_hold_at_a_horizon_of_one_step(self):
+        # each level's error is one step's spatial truncation, which scales
+        # with t_end and stays 8x to 110x above round-off at 2e-13
+        short = mms_study(levels=(8, 16, 32), t_end=2e-13)
+        long = mms_study(levels=(8, 16, 32), t_end=1e-9)
+        assert np.allclose(short.orders, long.orders, rtol=0, atol=1e-2)
+
     def test_render_text(self):
         table = mms_study(frame=EULERIAN, advection=CENTRAL, levels=(32, 64), t_end=0.1)
         txt = table.render_text()

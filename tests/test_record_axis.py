@@ -113,7 +113,7 @@ def test_record_axis_matches_per_record_loops(seed, n_comp, n_cells, n_rec):
         _assert_same_ledger({f: np.array([r[f] for r in recs]) for f in est.STATE_FIELDS},
                             old[frame].diagnostics, est.STATE_FIELDS)
 
-    report = est.build_report(params, derived, eulerian=new[EULERIAN], lagrangian=new[LAGRANGIAN])
+    report = est.build_report(params, derived, [new[EULERIAN], new[LAGRANGIAN]])
     expected = ref.build_report(params, derived, eulerian=old[EULERIAN], lagrangian=old[LAGRANGIAN])
     assert all(r.verdict != est.SKIP for r in report.results.values())
     _assert_same(report.to_dict(), expected.to_dict())
