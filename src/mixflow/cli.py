@@ -187,8 +187,9 @@ def _cmd_mms(args) -> int:
     except ValueError:
         raise ParseError(f"--levels takes comma-separated integers, got {args.levels!r}") from None
     adv = advection(args.advection)
-    if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)  # before the study, as in run
+    if args.out_dir:  # made before the study runs, as in run, but not for one it refuses
+        mms.ladder(args.frame, levels, args.t_end)
+        os.makedirs(args.out_dir, exist_ok=True)
     table = mms.mms_study(frame=args.frame, advection=adv, levels=levels, t_end=args.t_end)
     print(table.render_text())
     if args.out_dir:

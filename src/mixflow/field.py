@@ -189,17 +189,38 @@ def _scalar(x: np.ndarray) -> float | np.ndarray:
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _pchip_end(h0, h1, m0, m1):
+    """The three-point end slope: 0 against the end secant ``m0``, at most 3 ``m0`` at a turn."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    turn = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(np.sign(d) != np.sign(m0), 0.0, np.where(turn, 3.0 * m0, d))
+
+
 def pchip(x: np.ndarray, y: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """The monotone cubic (PCHIP) interpolant of ``y`` over the strictly
-    increasing ``x``, evaluated at ``at``; it does not overshoot the data.
-
-    scipy.interpolate is imported on the first call, not with mixflow: the
-    verbs that never interpolate (``check``, ``report``, ``mms``) start
-    without it.
-    """
-    from scipy.interpolate import PchipInterpolator
-
-    return PchipInterpolator(x, y)(at)
+    """The monotone cubic (PCHIP) interpolant of each row of ``y`` (..., n) over
+    the n >= 2 strictly increasing ``x`` at ``at``, extrapolated beyond the
+    ends; it does not overshoot the data.  Fritsch & Carlson, SIAM J. Numer.
+    Anal. 17 (1980): weighted harmonic-mean node slopes, 0 at an extremum, and
+    Moler's three-point ends, each operation that of scipy's
+    ``PchipInterpolator(x, y)(at)`` in its order (the cubic summed in the power
+    basis, as ``PPoly`` does), so the bits agree."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if h.size == 1:  # two nodes: the line through them
+        d = np.concatenate([m, m], axis=-1)
+    else:
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            mean = 1.0 / ((w1 / m[..., :-1] + w2 / m[..., 1:]) / (w1 + w2))
+        turn = (np.sign(m[..., 1:]) != np.sign(m[..., :-1])) | (m[..., 1:] == 0) | (m[..., :-1] == 0)
+        d = np.concatenate([_pchip_end(h[0], h[1], m[..., :1], m[..., 1:2]),
+                            np.where(turn, 0.0, mean),
+                            _pchip_end(h[-1], h[-2], m[..., -1:], m[..., -2:-1])], axis=-1)
+    t = (d[..., :-1] + d[..., 1:] - 2 * m) / h
+    i = np.clip(np.searchsorted(x, at, side="right") - 1, 0, h.size - 1)
+    s = at - x[i]
+    return (0.0 + y[..., i] + d[..., i] * s + ((m - d[..., :-1]) / h - t)[..., i] * (s * s)
+            + (t / h)[..., i] * (s * s * s))
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,9 @@ def _remap(state: State, s_old: np.ndarray, length: float, frame: str) -> State:
     if np.any(np.diff(s_old) <= 0):
         raise ValidationError("mass map must be strictly monotone")
     grid = Grid1D(domain_length=length, n_cells=state.grid.n_cells)
-    s_new = grid.nodes()
-    U = np.array([pchip(s_old, u, s_new) for u in state.U])
-    U[:, 0] = 0.0
-    U[:, -1] = 0.0
-    return State(time=state.time, frame=frame, grid=grid, rho=pchip(s_old, state.rho, s_new), U=U)
+    out = pchip(s_old, np.vstack([state.rho, state.U]), grid.nodes())
+    out[1:, [0, -1]] = 0.0
+    return State(time=state.time, frame=frame, grid=grid, rho=out[0], U=out[1:])
 
 
 def euler_to_lagrange(state: State) -> State:

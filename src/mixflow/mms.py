@@ -224,6 +224,18 @@ def _run_level(fields: ManufacturedFields, grid: Grid1D, scheme: SchemeConfig, t
     return errs
 
 
+def ladder(frame: str, levels: tuple[int, ...], t_end: float) -> list[Grid1D]:
+    """The grids of the refinement ``levels``, checked with the horizon ``t_end``."""
+    if len(levels) < 2:
+        raise ValidationError("need at least two refinement levels")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValidationError(f"refinement levels must strictly increase, got {list(levels)}")
+    if not (math.isfinite(t_end) and t_end > END_SLACK):  # then run_loop takes a step
+        raise ValidationError(f"t_end must be finite and above {END_SLACK}, got {t_end}")
+    d = 1.0 if frame == EULERIAN else 2.0
+    return [Grid1D(domain_length=d, n_cells=n) for n in levels]
+
+
 def mms_study(
     frame: str = EULERIAN,
     advection: str = CENTRAL,
@@ -238,17 +250,9 @@ def mms_study(
     one after another in one forked worker (:func:`runner.concurrently`);
     every level's grid is checked before either starts.
     """
-    if len(levels) < 2:
-        raise ValidationError("need at least two refinement levels")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValidationError(f"refinement levels must strictly increase, got {list(levels)}")
-    if not (math.isfinite(t_end) and t_end > END_SLACK):  # then run_loop takes a step
-        raise ValidationError(f"t_end must be finite and above {END_SLACK}, got {t_end}")
-    params = default_params()
-    d = 1.0 if frame == EULERIAN else 2.0
-    fields = ManufacturedFields(params=params, frame=frame, domain_length=d)
+    *coarse, finest = ladder(frame, levels, t_end)
+    fields = ManufacturedFields(default_params(), frame, finest.domain_length)
     scheme = SchemeConfig(time_integrator=RK2, advection=advection)
-    *coarse, finest = [Grid1D(domain_length=d, n_cells=n) for n in levels]
 
     finest_errors, coarse_errors = concurrently([
         lambda: _run_level(fields, finest, scheme, t_end),

@@ -153,8 +153,8 @@ def execute(rc: RunConfig, progress=None) -> RunResult:
     derived = derive_matrices(rc.params)
 
     frames = [f for f in (EULERIAN, LAGRANGIAN) if rc.frame in (f, "both")]
-    # the mass-coordinate start is built here, before any fork, so that a
-    # frame worker inherits scipy.interpolate instead of importing it anew
+    # the mass-coordinate start is built before either solve, so that a map it
+    # refuses (a total mass that overflows) ends the run before the first step
     starts = {f: initial if f == EULERIAN else euler_to_lagrange(initial) for f in frames}
 
     def solve(frame: str) -> Trajectory:

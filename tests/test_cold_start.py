@@ -1,4 +1,5 @@
-"""scipy is loaded on first use, not with mixflow.
+"""Only the semi-implicit solve loads scipy (LAPACK's dgtsv from scipy.linalg);
+every other verb and an explicit run never do.
 
 Each case runs in a fresh interpreter, because this test process has
 imported scipy already.  The interpreter prints, as its last line, the JSON
@@ -18,6 +19,7 @@ from mixflow.cli import cli_main
 from test_io_cli import SMALL_CONFIG
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mixflow.__file__)))
+DATA = os.path.join(os.path.dirname(os.path.abspath(mixflow.__file__)), "data")
 SHORT_CONFIG = SMALL_CONFIG.replace("t_end = 0.15", "t_end = 0.02")
 
 CLI = """
@@ -29,9 +31,14 @@ EXECUTE = """
 import sys
 from mixflow.config import parse_config
 from mixflow.runner import execute
-before = "scipy.interpolate" in sys.modules
 execute(parse_config(sys.argv[1]))
-print(before)
+"""
+TRANSFORM = """
+import sys
+from mixflow.cli import cli_main
+snap, lag, eul = sys.argv[1:]
+assert cli_main(["transform", "--snap", snap, "--frame", "eulerian", "--out", lag]) == 0
+assert cli_main(["transform", "--snap", lag, "--frame", "lagrangian", "--out", eul]) == 0
 """
 SCIPY_MODULES = """
 print(__import__("json").dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
@@ -84,8 +91,31 @@ def test_mms_loads_no_scipy(tmp_path):
     assert scipy == []
 
 
-def test_two_frame_execute_transforms_before_the_fork():
-    # the worker of the second frame inherits scipy.interpolate from the caller
-    lines, scipy = fresh(EXECUTE, SHORT_CONFIG)
-    assert lines == ["False"]
-    assert "scipy.interpolate" in scipy
+def test_two_frame_execute_loads_no_scipy():
+    # RK2 in both frames: the start of the mass-coordinate frame is interpolated
+    assert "integrator = rk2" in SHORT_CONFIG and "frame = both" in SHORT_CONFIG
+    assert fresh(EXECUTE, SHORT_CONFIG) == ([], [])
+
+
+def test_transform_both_ways_loads_no_scipy(rk2_run, tmp_path):
+    snap, lag, eul = (os.path.join(rk2_run, "snap_00000.csv"),
+                      str(tmp_path / "lag.csv"), str(tmp_path / "eul.csv"))
+    lines, scipy = fresh(TRANSFORM, snap, lag, eul)
+    assert lines == [f"eulerian -> lagrangian: wrote {lag}", f"lagrangian -> eulerian: wrote {eul}"]
+    assert scipy == []
+
+
+def test_table_run_that_interpolates_loads_no_scipy(tmp_path):
+    # the table's 1025 rows do not match 49 nodes, so both frames interpolate it
+    lines, scipy = fresh(CLI, "run", "--config", os.path.join(DATA, "random_smooth.ini"),
+                         "--n-cells", "48", "--t-end", "0.001", "--out-dir", str(tmp_path))
+    assert lines[-1] == f"outputs under {tmp_path}"
+    assert scipy == []
+
+
+def test_semi_implicit_run_loads_scipy_linalg_only(tmp_path):
+    # both frames: dgtsv for the viscous solves, the transform without scipy
+    _, scipy = fresh(CLI, "run", "--config", os.path.join(DATA, "shear.ini"), "--n-cells", "32",
+                     "--t-end", "0.01", "--scheme", "semi-implicit", "--out-dir", str(tmp_path))
+    assert "scipy.linalg" in scipy
+    assert not any(m.startswith("scipy.interpolate") for m in scipy)

@@ -405,6 +405,18 @@ def test_malformed_table_exits_2_with_one_line(tmp_path, capsys, edit, reason):
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and reason in err, err
 
 
+def test_table_whose_slopes_overflow_exits_2_with_one_line(tmp_path, capsys):
+    # finite rows whose secant 1e300 / 1e-300 overflows: the interpolated
+    # density is not finite, and the state built from it is refused
+    data = os.path.join(os.path.dirname(io.__file__), "data")
+    shutil.copy(os.path.join(data, "random_smooth.ini"), tmp_path)
+    (tmp_path / "random_smooth_init.csv").write_text(
+        "x_or_y,rho,u1,u2,u3\n0.0,1.0,0,0,0\n1e-300,1e300,0,0,0\n1.0,1.0,0,0,0\n")
+    assert cli_main(["run", "--config", str(tmp_path / "random_smooth.ini"), "--n-cells", "16",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: state contains non-finite values\n"
+
+
 def test_unknown_audit_fails_before_any_load(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "case.ini"
     cfg.write_text(SMALL_CONFIG)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixflow.errors import LengthMismatch, NonPositiveDensity, ValidationError, WrongFrame
@@ -18,6 +18,7 @@ from mixflow.field import (
     face_harmonic_mean,
     integrate,
     l2_norm,
+    pchip,
     sbp_derivative,
 )
 
@@ -202,3 +203,50 @@ class TestFaceHelpers:
         rho = np.random.default_rng(3).uniform(0.05, 5.0, 97)
         expect = 2.0 * rho[1:] * rho[:-1] / (rho[1:] + rho[:-1])
         assert np.array_equal(face_harmonic_mean(rho), expect)
+
+
+@st.composite
+def pchip_cases(draw):
+    """Strictly increasing ``x`` (n >= 2, uneven or even gaps), a stack of
+    rows ``y`` drawn largely from a few values, so that flat stretches, exact
+    zeros, -0.0 and sign changes are common, and points ``at`` on every
+    breakpoint, at both ends, between them and beyond them."""
+    n = draw(st.integers(2, 24))
+    gap = st.one_of(st.sampled_from([0.25, 1.0]), st.floats(1e-3, 10.0))
+    x = draw(st.floats(-5.0, 5.0)) + np.concatenate([[0.0], np.cumsum(draw(
+        st.lists(gap, min_size=n - 1, max_size=n - 1)))])
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), st.floats(-1e6, 1e6))
+    rows = draw(st.integers(1, 3))
+    y = np.array(draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                               min_size=rows, max_size=rows)))
+    inside = draw(st.lists(st.floats(x[0] - 3.0, x[-1] + 3.0), max_size=12))
+    at = np.concatenate([x, [x[0] - 1.0, x[-1] + 0.5], inside])
+    return x, y, at
+
+
+class TestPchip:
+    # at x = 1 every term of the cubic is -0.0; scipy's sum starts at 0.0
+    NEGATIVE_ZERO_SUM = (np.array([0.0, 1.0, 3.0]), np.array([[1.0, -0.0, -3.0]]),
+                         np.array([1.0]))
+
+    @given(pchip_cases())
+    @example(NEGATIVE_ZERO_SUM)
+    @settings(max_examples=200, deadline=None)
+    def test_bits_of_scipy(self, case):
+        from scipy.interpolate import PchipInterpolator
+
+        x, y, at = case
+        assert np.all(np.diff(x) > 0)
+        got = pchip(x, y, at)
+        assert got.shape == (len(y), len(at))
+        for row, out in zip(y, got):
+            with np.errstate(over="ignore"):  # scipy's w / m for a subnormal secant m
+                want = PchipInterpolator(x, row)(at).view(np.int64)
+            assert np.array_equal(out.view(np.int64), want)
+            assert np.array_equal(pchip(x, row, at).view(np.int64), want)
+
+    def test_monotone_data_no_overshoot(self):
+        x = np.array([0.0, 1.0, 1.5, 4.0, 4.1])
+        y = np.array([1.0, 1.0, 3.0, 3.0, 10.0])
+        got = pchip(x, y, np.linspace(0.0, 4.1, 200))
+        assert np.all(np.diff(got) >= 0) and got.min() == 1.0 and got.max() == 10.0

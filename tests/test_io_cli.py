@@ -438,20 +438,23 @@ class TestNameTableAndDispatch:
         assert not (tmp_path / "eul.csv").exists()
 
 
+BAD_MMS_ARGUMENTS = [
+    ["--levels", "32,x"],
+    ["--levels", "32"],
+    ["--levels", "32,32"],
+    ["--levels", "64,32"],
+    ["--t-end", "0"],
+    ["--t-end", "-0.1"],
+    ["--t-end", "nan"],
+    ["--t-end", "inf"],
+    ["--levels", "4,64,128"],
+    ["--t-end", "1e-13"],  # within run_loop's end slack: no step would be taken
+    ["--levels", "8,1" + "0" * 20],  # a grid no array can hold
+]
+
+
 class TestMmsArguments:
-    @pytest.mark.parametrize("args", [
-        ["--levels", "32,x"],
-        ["--levels", "32"],
-        ["--levels", "32,32"],
-        ["--levels", "64,32"],
-        ["--t-end", "0"],
-        ["--t-end", "-0.1"],
-        ["--t-end", "nan"],
-        ["--t-end", "inf"],
-        ["--levels", "4,64,128"],
-        ["--t-end", "1e-13"],  # within run_loop's end slack: no step would be taken
-        ["--levels", "8,1" + "0" * 20],  # a grid no array can hold
-    ])
+    @pytest.mark.parametrize("args", BAD_MMS_ARGUMENTS)
     def test_bad_arguments_exit_2_one_line(self, args, capsys, monkeypatch):
         # every level is checked before the ladder forks its worker
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before the levels were checked"))
@@ -459,6 +462,13 @@ class TestMmsArguments:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("args", BAD_MMS_ARGUMENTS)
+    def test_refused_study_makes_no_out_dir(self, args, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert cli_main(["mms", *args, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
 
 class TestUnwritableOutputs:
