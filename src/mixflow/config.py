@@ -37,7 +37,9 @@ from .estimates import KNOWN_AUDITS
 from .field import EULERIAN, LAGRANGIAN, Grid1D, State, pchip
 from .io import PARAMS, read_table
 from .model import MixtureParams, validate_params
-from .timestepping import CENTRAL, INTEGRATORS, RK2, RK4, SEMI_IMPLICIT, UPWIND, SchemeConfig
+from .timestepping import (
+    CENTRAL, END_SLACK, INTEGRATORS, RK2, RK4, SEMI_IMPLICIT, UPWIND, SchemeConfig,
+)
 
 FRAMES = (EULERIAN, LAGRANGIAN, "both")
 
@@ -212,7 +214,10 @@ def _sample_table(path: str, column: str, x: np.ndarray) -> np.ndarray:
         return vals.copy()
     if np.any(np.diff(xs) <= 0):
         raise FileFormatError(f"table {path} abscissae must strictly increase")
-    return pchip(xs, vals, x)
+    out = pchip(xs, vals, x)
+    if not np.isfinite(out).all():  # a secant that overflows
+        raise FileFormatError(f"table {path} column {column!r} interpolates to non-finite values")
+    return out
 
 
 def _profile(spec: Descriptor, x: np.ndarray, base_dir: str) -> np.ndarray:
@@ -258,10 +263,9 @@ class RunConfig:
         if self.frame not in FRAMES:
             raise ValidationError(f"frame must be one of {FRAMES}, got {self.frame!r}")
         Grid1D(domain_length=1.0, n_cells=self.n_cells)  # the grid of the run checks n_cells
-        if not 0 < self.t_end <= self.params.T_final:
-            raise ValidationError(
-                f"t_end must lie in (0, T_final = {self.params.T_final}], got {self.t_end}"
-            )
+        if not END_SLACK < self.t_end <= self.params.T_final:  # then run_loop takes a step
+            raise ValidationError(f"t_end must lie in ({END_SLACK}, T_final = "
+                                  f"{self.params.T_final}], got {self.t_end}")
         if self.snapshot_every < 1:
             raise ValidationError("snapshot_every must be >= 1")
         if len(self.initial.u) != self.params.N:

@@ -142,7 +142,8 @@ class EulerKernel(Kernel):
             d2u /= self._hh
             rhs += np.matmul(p.M, d2u, out=self._Md)
 
-        rhs += self._friction(y.U)
+        p.exchange(y.U, self._fric, self._fr)
+        rhs += self._fric_c
 
         if self._upwind:
             a *= rho_f

@@ -138,7 +138,8 @@ class LagrangeKernel(Kernel):
         grad_p *= -p.K
 
         o.walls[...] = 0.0
-        rhs = np.divide(self._friction(y.U), rho[1:-1], out=o.U_c)
+        p.exchange(y.U, self._fric, self._fr)
+        rhs = np.divide(self._fric_c, rho[1:-1], out=o.U_c)
         np.add(grad_p, rhs, out=rhs)
         if include_viscous:
             # d(rho du/dy)/dy at interior nodes, flux form, harmonic face density

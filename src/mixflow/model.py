@@ -6,6 +6,7 @@ off-diagonal entries.  Everything downstream (solvers, audits) assumes the
 invariants enforced by :func:`validate_params`, and several audits consume
 the derived quantities (M inverse, the coercivity constant C0 = min eig M,
 the effective pressure coefficient and the row weights of M inverse).
+:meth:`MixtureParams.exchange` is the one drag law of kernels, audits and forcing.
 """
 
 from __future__ import annotations
@@ -53,6 +54,16 @@ class MixtureParams:
         A.setflags(write=False)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "A", A)
+        if A.ndim == 2:  # validate_params refuses any other A
+            row = A.sum(axis=1)
+            object.__setattr__(self, "_row_sums", (row[:, None], row))  # by U.ndim == 1
+
+    def exchange(self, U, out=None, scratch=None):
+        """The drag ``sum_j A_ij (u_j - u_i)``, ``A U - rowsum(A) U``, on ``U`` of shape (N,),
+        (N, n) or (R, N, n); ``out`` and ``scratch`` shaped like ``U`` make it allocate nothing."""
+        out = np.matmul(self.A, U, out=out)
+        out -= np.multiply(self._row_sums[U.ndim == 1], U, out=scratch)
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, MixtureParams):

@@ -13,8 +13,8 @@ inputs and constants and allocates, with their slice views, two state
 buffers (a step writes its result into the one its input is not, so the
 input survives the step and the result the next one) and four derivative
 buffers, all live in RK4; each kernel adds its own scratch the same way.
-``Kernel._friction(U)`` is the exchange term of both frames, and ``kernel.scheme``
-the one scheme a run reads: integrator, CFL number and every density floor.
+``params.exchange(U, kernel._fric, kernel._fr)`` is the drag of both frames, and
+``kernel.scheme`` the one scheme a run reads: integrator, CFL number and every density floor.
 
 Public entries check the density of ``q`` against the floor on every call and
 return new arrays: ``tendencies(t, q, U) -> (dq, dU)`` (full right-hand
@@ -101,7 +101,6 @@ class Kernel:
         self.scheme = scheme
         self.forcing = forcing
         self.nodes = grid.nodes()
-        self._row_sum_A = params.A.sum(axis=1)[:, None]
         self._N = params.N
         self._h = grid.h
         self._2h = 2 * grid.h
@@ -114,20 +113,12 @@ class Kernel:
         self._derivs = tuple(np.zeros(shape) for _ in range(4))
         self._public = (np.zeros(shape), np.zeros(shape))  # input and result of tendencies
         self._bound = {id(a): _Views(a) for a in (*self._states, *self._derivs, *self._public)}
-        self._fric, self._fr = np.empty((2, params.N, self.nodes.size))
+        self._fric, self._fr = np.empty((2, params.N, self.nodes.size))  # out, scratch of exchange
         self._fric_c = self._fric[:, 1:-1]
 
     def _views(self, Y):
         """Views into ``Y``: made once for the kernel's own buffers, per call otherwise."""
         return self._bound.get(id(Y)) or _Views(Y)
-
-    def _friction(self, U):
-        """The exchange ``sum_j A_ij (u_j - u_i)`` as ``A U - rowsum(A) U`` at
-        the interior nodes, a view of the kernel's buffer."""
-        p, fric = self.params, self._fric
-        np.matmul(p.A, U, out=fric)
-        fric -= np.multiply(self._row_sum_A, U, out=self._fr)
-        return self._fric_c
 
     def _fresh_rhs(self, t, q, U, include_viscous):
         """The public tendencies: the density check, then ``(dq, dU)`` in new arrays."""

@@ -17,11 +17,12 @@ from mixflow.config import (
     parse_rho_spec,
     parse_velocity_spec,
 )
-from mixflow import io
+from mixflow import io, runner
 from mixflow.cli import cli_main
 from mixflow.errors import NonPositiveDensity, ParseError, ValidationError
 from mixflow.estimates import KNOWN_AUDITS
 from mixflow.field import EULERIAN, Grid1D
+from mixflow.model import derive_matrices
 from mixflow.timestepping import SchemeConfig
 
 from conftest import CORPUS, DATA, scenario_config
@@ -405,16 +406,51 @@ def test_malformed_table_exits_2_with_one_line(tmp_path, capsys, edit, reason):
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and reason in err, err
 
 
-def test_table_whose_slopes_overflow_exits_2_with_one_line(tmp_path, capsys):
-    # finite rows whose secant 1e300 / 1e-300 overflows: the interpolated
-    # density is not finite, and the state built from it is refused
+def _run_overflowing_table(tmp_path, rows):
+    """Exit code of a random_smooth run whose table has the data ``rows``, and its table."""
     data = os.path.join(os.path.dirname(io.__file__), "data")
     shutil.copy(os.path.join(data, "random_smooth.ini"), tmp_path)
-    (tmp_path / "random_smooth_init.csv").write_text(
-        "x_or_y,rho,u1,u2,u3\n0.0,1.0,0,0,0\n1e-300,1e300,0,0,0\n1.0,1.0,0,0,0\n")
-    assert cli_main(["run", "--config", str(tmp_path / "random_smooth.ini"), "--n-cells", "16",
-                     "--out-dir", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "config error: state contains non-finite values\n"
+    table = tmp_path / "random_smooth_init.csv"
+    table.write_text("x_or_y,rho,u1,u2,u3\n" + rows)
+    return cli_main(["run", "--config", str(tmp_path / "random_smooth.ini"), "--n-cells", "16",
+                     "--out-dir", str(tmp_path / "out")]), table
+
+
+def test_table_whose_slopes_overflow_exits_2_with_one_line(tmp_path, capsys):
+    # finite rows whose secant 1e300 / 1e-300 overflows: the interpolated
+    # column is not finite, and the table is refused by file and column
+    code, table = _run_overflowing_table(
+        tmp_path, "0.0,1.0,0,0,0\n1e-300,1e300,0,0,0\n1.0,1.0,0,0,0\n")
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: table {table} column 'rho' interpolates to non-finite values"]
+
+
+def test_table_velocity_whose_slopes_overflow_exits_2_with_one_line(tmp_path, capsys):
+    code, table = _run_overflowing_table(
+        tmp_path, "0.0,1.0,0,0,0\n1e-300,1.0,1e300,0,0\n1.0,1.0,0,0,0\n")
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: table {table} column 'u1' interpolates to non-finite values"]
+
+
+@pytest.mark.parametrize("t_end", ["1e-14", "1e-13", "0"])
+def test_horizon_that_takes_no_step_exits_2_before_any_output(tmp_path, capsys, t_end):
+    # run_loop stops END_SLACK short of t_end, so below it a run records t = 0 alone
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", os.path.join(DATA, "shear.ini"), "--t-end", t_end,
+                     "--n-cells", "16", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: t_end must lie in (1e-13, T_final = 2.0], got {float(t_end)}"]
+    assert not out.exists()
+
+
+def test_shortest_accepted_horizon_takes_a_step():
+    rc = parse_config(MINIMAL + "\n[scheme]\nt_end = 2e-13\n")
+    grid = Grid1D(domain_length=1.0, n_cells=8)
+    traj = runner.integrate(make_initial(rc.initial, grid), rc.params,
+                            derive_matrices(rc.params), rc.scheme, rc.t_end)
+    assert list(traj.times) == [0.0, 2e-13]
 
 
 def test_unknown_audit_fails_before_any_load(tmp_path, capsys, monkeypatch):

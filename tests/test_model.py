@@ -63,6 +63,9 @@ class TestValidate:
             validate_params(base_params(M=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
         with pytest.raises(BadDimension):
             validate_params(base_params(A=np.zeros((3, 3)) + 1.0))
+        for A in (1.0, [1.0, 1.0], np.ones((2, 2, 2))):  # no row sums to take
+            with pytest.raises(BadDimension):
+                validate_params(base_params(A=A))
 
     def test_friction_diagonal_ignored(self):
         # a_ii multiplies (u_i - u_i) = 0, so any diagonal is acceptable
@@ -128,3 +131,38 @@ class TestDerive:
         d = derive_matrices(p)
         assert np.allclose(d.Q @ np.diag(d.lam) @ d.Q.T, p.M, atol=1e-12)
         assert d.C0 == pytest.approx(float(d.lam.min()))
+
+
+def _friction_params(N):
+    rng = np.random.default_rng(N)
+    A = rng.uniform(0.1, 2.0, (N, N))
+    A = A + A.T
+    np.fill_diagonal(A, rng.uniform(-3.0, 3.0, N))  # the diagonal must not enter
+    return make_params(N, 1.0, 1.4, np.eye(N), A, 1.0)
+
+
+class TestExchange:
+    """``MixtureParams.exchange`` against the pairwise drag sum_j A_ij (u_j - u_i)."""
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("lead", [(), (7,), (4, 7)], ids=["N", "N-n", "R-N-n"])
+    def test_pairwise_definition(self, N, lead):
+        p = _friction_params(N)
+        shape = (*lead[:-1], N, *lead[-1:])  # (N,), (N, n) or (R, N, n)
+        U = np.random.default_rng(1).normal(size=shape)
+        Ui = np.moveaxis(U, -2 if lead else 0, 0)  # component axis first
+        pairwise = np.moveaxis(np.array([
+            sum(p.A[i, j] * (Ui[j] - Ui[i]) for j in range(N) if j != i) for i in range(N)
+        ]), 0, -2 if lead else 0)
+        out = p.exchange(U)
+        assert out.shape == U.shape
+        np.testing.assert_allclose(out, pairwise, rtol=1e-13, atol=1e-13 * np.abs(U).max())
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("lead", [(), (7,), (4, 7)], ids=["N", "N-n", "R-N-n"])
+    def test_buffered_call_is_bit_equal(self, N, lead):
+        p = _friction_params(N)
+        U = np.random.default_rng(2).normal(size=(*lead[:-1], N, *lead[-1:]))
+        out, scratch = np.full(U.shape, np.nan), np.full(U.shape, np.nan)
+        assert p.exchange(U, out, scratch) is out
+        np.testing.assert_array_equal(out.view(np.int64), p.exchange(U).view(np.int64))
