@@ -29,7 +29,7 @@ from .errors import (
 )
 from .field import EULERIAN, LAGRANGIAN
 from .model import derive_matrices
-from .runner import concurrently, execute, save_result
+from .runner import concurrently, execute, initial_states, save_result
 from .timestepping import CENTRAL
 
 EXIT_OK = 0
@@ -75,7 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "(check validates every snapshot)",
     )
     rep.add_argument("--traj", required=True)
-    rep.add_argument("--out-dir", default=None, help="defaults next to the trajectory")
+    rep.add_argument("--out-dir", default=None,
+                     help="defaults next to the trajectory; a two-frame run's plots go to "
+                     "OUT_DIR/<frame>")
     rep.set_defaults(command=_cmd_report)
 
     tr = sub.add_parser("transform", help="map a snapshot between frames")
@@ -95,9 +97,10 @@ def _settings(args) -> list[tuple[str, str, str]]:
 
 def _cmd_run(args) -> int:
     rc = parse_config_file(args.config, _settings(args))
+    starts = initial_states(rc)  # initial data it refuses leaves no output behind
     os.makedirs(rc.out_dir, exist_ok=True)  # a path that cannot be one fails before the solve
     try:
-        result = execute(rc, progress=lambda msg: print(msg, file=sys.stderr))
+        result = execute(rc, progress=lambda msg: print(msg, file=sys.stderr), starts=starts)
     except SolverBlowup as exc:
         print(f"solver blow-up: {exc}", file=sys.stderr)
         if exc.trajectory is not None:
@@ -198,10 +201,12 @@ def _cmd_mms(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    made = []
-    for sub in _trajectory_dirs(args.traj):
+    subs, made = _trajectory_dirs(args.traj), []
+    for sub in subs:
         traj, _, _ = io.load_trajectory(sub, final_only=True)
         out_dir = args.out_dir or sub
+        if args.out_dir and len(subs) > 1:  # two frames: one directory each
+            out_dir = os.path.join(args.out_dir, traj.frame)
         os.makedirs(out_dir, exist_ok=True)
         made += io.render_report_plots(out_dir, traj)
     for path in made:

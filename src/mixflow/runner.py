@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .config import RunConfig, make_initial
-from .errors import MixflowError, SolverBlowup, WorkerDied
+from .errors import MixflowError, SolverBlowup, ValidationError, WorkerDied
 from .estimates import EstimateReport, build_report, diagnose
 from .euler import EulerKernel
 from .field import EULERIAN, LAGRANGIAN, Grid1D, State, Trajectory
@@ -142,20 +142,36 @@ def _work(call, fd: int, caller: int):
         os._exit(code)
 
 
-def execute(rc: RunConfig, progress=None) -> RunResult:
+def initial_states(rc: RunConfig) -> dict[str, State]:
+    """The start of each frame ``rc`` runs, built from its initial data once.
+
+    The mass-coordinate start is mapped from the Eulerian one, so a map it
+    refuses (a total mass that overflows) ends the run before any output, as
+    does a ``density_floor`` at or above a start's least density, which the
+    first step's density check would refuse.
+    """
+    initial = make_initial(rc.initial, Grid1D(domain_length=1.0, n_cells=rc.n_cells))
+    frames = [f for f in (EULERIAN, LAGRANGIAN) if rc.frame in (f, "both")]
+    starts = {f: initial if f == EULERIAN else euler_to_lagrange(initial) for f in frames}
+    floor = rc.scheme.artificial_floor
+    if any(s.rho.min() <= floor for s in starts.values()):
+        least = ", ".join(f"{f} {s.rho.min():.6g}" for f, s in starts.items())
+        raise ValidationError(
+            f"density_floor = {floor:.6g} is not below the least initial density: {least}")
+    return starts
+
+
+def execute(rc: RunConfig, progress=None, starts=None) -> RunResult:
     """Run the configured problem in the requested frame(s) and audit it.
 
     ``frame = "both"`` runs the Eulerian problem and, concurrently, its
     mass-coordinate twin started from the transformed initial data.
+    ``starts`` are the frames' :func:`initial_states`, built here when not
+    given.
     """
-    grid = Grid1D(domain_length=1.0, n_cells=rc.n_cells)
-    initial = make_initial(rc.initial, grid)
+    starts = starts or initial_states(rc)
+    frames = list(starts)
     derived = derive_matrices(rc.params)
-
-    frames = [f for f in (EULERIAN, LAGRANGIAN) if rc.frame in (f, "both")]
-    # the mass-coordinate start is built before either solve, so that a map it
-    # refuses (a total mass that overflows) ends the run before the first step
-    starts = {f: initial if f == EULERIAN else euler_to_lagrange(initial) for f in frames}
 
     def solve(frame: str) -> Trajectory:
         try:

@@ -27,12 +27,6 @@ import sys
 from mixflow.cli import cli_main
 assert cli_main(sys.argv[1:]) == 0
 """
-EXECUTE = """
-import sys
-from mixflow.config import parse_config
-from mixflow.runner import execute
-execute(parse_config(sys.argv[1]))
-"""
 TRANSFORM = """
 import sys
 from mixflow.cli import cli_main
@@ -91,10 +85,14 @@ def test_mms_loads_no_scipy(tmp_path):
     assert scipy == []
 
 
-def test_two_frame_execute_loads_no_scipy():
-    # RK2 in both frames: the start of the mass-coordinate frame is interpolated
-    assert "integrator = rk2" in SHORT_CONFIG and "frame = both" in SHORT_CONFIG
-    assert fresh(EXECUTE, SHORT_CONFIG) == ([], [])
+def test_two_frame_execute_loads_no_scipy(tmp_path):
+    # shear.ini runs RK2 in both frames: the start of the mass-coordinate frame
+    # is interpolated, and a worker saves that frame's files
+    lines, scipy = fresh(CLI, "run", "--config", os.path.join(DATA, "shear.ini"), "--t-end", "0.01",
+                         "--n-cells", "32", "--out-dir", str(tmp_path))
+    assert lines[-1] == f"outputs under {tmp_path}"
+    assert sorted(os.listdir(tmp_path)) == ["eulerian", "lagrangian", "report.json"]
+    assert scipy == []
 
 
 def test_transform_both_ways_loads_no_scipy(rk2_run, tmp_path):

@@ -17,6 +17,7 @@ from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D, State
 from mixflow.runner import execute, integrate, save_result
 from mixflow.timestepping import SEMI_IMPLICIT, SchemeConfig
 
+import cli_cases
 from conftest import DATA, records
 
 SMALL_CONFIG = """
@@ -371,20 +372,6 @@ class TestNameTableAndDispatch:
         assert rc == replace(base, scheme=replace(base.scheme, cfl=0.3))
         assert rc.scheme.time_integrator == SEMI_IMPLICIT
 
-    def test_unknown_scheme_one_line(self, tmp_path, capsys):
-        cfg = tmp_path / "case.ini"
-        cfg.write_text(SMALL_CONFIG)
-        assert cli_main(["run", "--config", str(cfg), "--scheme", "bogus"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "config error: unknown integrator 'bogus'\n"
-        assert captured.out == ""
-
-    def test_unknown_advection_one_line(self, capsys):
-        assert cli_main(["mms", "--advection", "bogus"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "config error: unknown advection 'bogus'\n"
-        assert captured.out == ""
-
     def test_mms_advection_alias_writes_the_same_file(self, tmp_path):
         blobs = []
         for spelling in ("upwind", "first-order-upwind"):
@@ -402,26 +389,6 @@ class TestNameTableAndDispatch:
         assert "the following arguments are required: verb" in capsys.readouterr().err
         assert cli_main(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: mixflow ")
-
-    def test_overflowing_total_mass_exits_2(self, tmp_path, capsys):
-        # rho = 1e308 is finite, its total mass int rho dx is not: the map to
-        # mass coordinates is rejected in run (frame both) and transform alike
-        lines = (DATA / "shear.ini").read_text().splitlines()
-        cfg = tmp_path / "heavy.ini"
-        cfg.write_text("\n".join("rho = constant:value=1e308" if line.startswith("rho = ") else line
-                                 for line in lines))
-        reason = "config error: mass map must be finite, got a total of inf\n"
-        assert cli_main(["run", "--config", str(cfg), "--n-cells", "16", "--t-end", "1e-6",
-                         "--out-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == reason
-        g = Grid1D(1.0, 16)
-        snap = tmp_path / "heavy.csv"
-        io.write_snapshot(str(snap), State(time=0.0, frame=EULERIAN, grid=g,
-                                           rho=np.full(g.n_nodes, 1e308), U=np.zeros((2, g.n_nodes))))
-        assert cli_main(["transform", "--snap", str(snap), "--frame", EULERIAN,
-                         "--out", str(tmp_path / "lag.csv")]) == 2
-        assert capsys.readouterr().err == reason
-        assert not (tmp_path / "lag.csv").exists()
 
     def test_transform_degenerate_mass_map_exit_2(self, tmp_path, capsys):
         # two adjacent nodes so dense that their cell adds nothing to
@@ -905,3 +872,41 @@ def test_ledger_comparison(stored, fresh, match):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # as cli_main sets it
         got = _ledger_mismatch(ledger(stored, 3.0), ledger(fresh, 4.0))
     assert got == ((2, "u_linf") if match else (1, "energy"))
+
+
+@pytest.fixture(scope="session")
+def stored_two_frames(tmp_path_factory):
+    return cli_cases.stored_run(str(tmp_path_factory.mktemp("cases")), cli_cases.in_process)
+
+
+@pytest.mark.parametrize("case", cli_cases.CASES, ids=lambda case: case.id)
+def test_cli_case(case, tmp_path, stored_two_frames):
+    assert cli_cases.faults(case, str(tmp_path), cli_cases.in_process, stored_two_frames) == []
+
+
+# documented lines no row can print: a worker death and a MemoryError take a
+# monkeypatch (tests/test_concurrent.py, TestCli.test_out_of_memory_exit_2_one_line)
+ELSEWHERE = ("error: worker 1 exited with code 9 before returning a result",
+             "error: out of memory")
+
+
+def test_readme_exit_lines_have_rows():
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    section = readme.split("\n## Exit codes\n")[1].split("\n## ")[0]
+    documented = re.findall(r"^ +- `([^`]+)`", section, re.M)
+    assert len(documented) >= 20
+    lines = [line for case in cli_cases.CASES for line in case.err] + list(ELSEWHERE)
+    patterns = [re.sub(r"<[^<>]+>", ".+", re.escape(doc)) for doc in documented]
+    assert [doc for doc, pat in zip(documented, patterns)
+            if not any(re.fullmatch(pat, line) for line in lines)] == []
+
+
+def test_report_of_two_frames_into_one_out_dir(shear_run, tmp_path, capsys):
+    out = tmp_path / "plots"
+    assert cli_main(["report", "--traj", shear_run, "--out-dir", str(out)]) == 0
+    made = capsys.readouterr().out.split()
+    assert sorted(made) == sorted(str(out / frame / name) for frame in (EULERIAN, LAGRANGIAN)
+                                  for name in os.listdir(out / frame))
+    assert len(made) == 6
+    for frame in (EULERIAN, LAGRANGIAN):
+        assert f"({frame})" in (out / frame / "plot_final_profiles.svg").read_text()
