@@ -18,7 +18,6 @@ import argparse
 import os
 import sys
 from dataclasses import asdict
-from functools import partial
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .field import EULERIAN, LAGRANGIAN
 from .model import derive_matrices
-from .runner import concurrently, execute, initial_states, save_result
+from .runner import execute, initial_states, save_result
 from .timestepping import CENTRAL
 
 EXIT_OK = 0
@@ -72,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser(
         "report",
         help="render SVG plots for a stored run from diag.csv and the last snapshot "
-        "(check validates every snapshot)",
+        "(check validates every record)",
     )
     rep.add_argument("--traj", required=True)
     rep.add_argument("--out-dir", default=None,
@@ -125,14 +124,6 @@ def _trajectory_dirs(root: str) -> list[str]:
     return subs
 
 
-def _recompute(sub: str):
-    """A stored trajectory with its diagnostics recomputed from the snapshots,
-    its parameters and the stored diagnostics."""
-    traj, params, _ = io.load_trajectory(sub)
-    stored = traj.diagnostics
-    return estimates.diagnose(traj, params), params, stored
-
-
 def _ledger_fault(stored, fresh) -> str | None:
     """Why the stored ledger disagrees with its recomputation ``fresh`` (a row
     count, a field on one side only, the first differing value), else None."""
@@ -161,20 +152,21 @@ def _ledger_mismatch(stored, fresh) -> tuple[int, str] | None:
 
 
 def _cmd_check(args) -> int:
-    """Recompute the diagnostics from the snapshots (one frame per forked
-    worker), cross-check the stored ledger, then re-run the audits; any
-    mismatch or FAIL exits 1.  Huge stored values overflow to inf or NaN:
-    the ledger reason and the verdicts report them."""
+    """Recompute the diagnostics from the stored records, cross-check the
+    stored ledger, then re-run the audits; any mismatch or FAIL exits 1.
+    Huge stored values overflow to inf or NaN: the ledger reason and the
+    verdicts report them."""
     root = args.traj
     audits = audit_names(args.audits)
-    loaded = concurrently([partial(_recompute, sub) for sub in _trajectory_dirs(root)])
+    loaded = [io.load_trajectory(sub)[:2] for sub in _trajectory_dirs(root)]
     params = loaded[0][1]
-    if any(p != params for _, p, _ in loaded[1:]):
+    if any(p != params for _, p in loaded[1:]):
         raise FileFormatError(f"{root}: the frames' manifests give different params")
-    derived = derive_matrices(params)
-    report = estimates.build_report(params, derived, [traj for traj, _, _ in loaded], audits)
-    faults = [f"{traj.frame}: {why}" for traj, _, stored in loaded
-              if (why := _ledger_fault(stored, traj.diagnostics)) is not None]
+    stored = [traj.diagnostics for traj, _ in loaded]
+    trajs = [estimates.diagnose(traj, params) for traj, _ in loaded]
+    report = estimates.build_report(params, derive_matrices(params), trajs, audits)
+    faults = [f"{traj.frame}: {why}" for traj, led in zip(trajs, stored)
+              if (why := _ledger_fault(led, traj.diagnostics)) is not None]
     for line in faults:
         print(line, file=sys.stderr)
     io.save_report(os.path.join(root, "report.json"), report)

@@ -3,14 +3,16 @@
 A trajectory directory contains::
 
     manifest.json   frame, grid, times, parameter echo + hash, file index
-    snap_<k>.csv    one snapshot per recorded time, header x_or_y,rho,u1,...,uN
+                    with the shape and sha256 of each file
+    states.npy      the records, <f8 (R, 1 + N, n): rho, then u1..uN (NEP 1)
+    snap_<R-1>.csv  the final record, header x_or_y,rho,u1,...,uN
     diag.csv        the ledger: one column per estimates.FIELDS name, one row
                     per record; a time field that does not apply is empty
                     throughout, every other column complete
     report.json     EstimateReport (written by `run` and `check`)
 
-All numeric formatting is repr-based (locale independent, round-trips float64
-exactly), so identical runs produce bit-identical files.
+Text numbers are repr-based (locale independent, exact for float64) and
+states.npy holds the raw float64, so identical runs give bit-identical files.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import math
 import os
 import warnings
 from dataclasses import asdict, fields
+from io import BytesIO
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from .model import MixtureParams, validate_params
 from .timestepping import SchemeConfig
 
 FORMAT_NAME = "mixflow-trajectory"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 #: each [params] key of a config file and of a manifest: the MixtureParams
@@ -114,11 +117,10 @@ def read_table(path: str) -> tuple[list[str], np.ndarray]:
     return header, data
 
 
-def read_snapshot(path: str, time: float, frame: str, expect=None) -> State:
+def read_snapshot(path: str, time: float, frame: str) -> State:
     """Read one snapshot; every format fault raises :class:`FileFormatError`:
-    a header other than ``x_or_y,rho,u1,...``, a malformed row or value, a
-    grid and velocity count other than ``expect`` (a manifest's ``(grid,
-    N)``, when given) and an ``x_or_y`` column off the uniform grid."""
+    a header other than ``x_or_y,rho,u1,...``, a malformed row or value and
+    an ``x_or_y`` column off the uniform grid."""
     header, data = read_table(path)
     if header != ["x_or_y", "rho", *(f"u{i + 1}" for i in range(data.shape[1] - 2))]:
         raise FileFormatError(f"{path}: expected header x_or_y,rho,u1,..., got {header}")
@@ -127,22 +129,23 @@ def read_snapshot(path: str, time: float, frame: str, expect=None) -> State:
                               "x_or_y, rho and one column per velocity")
     try:
         grid = Grid1D(domain_length=float(data[-1, 0]), n_cells=data.shape[0] - 1)
-        # C-contiguous copies: reductions over strided columns can round
-        # differently from the same reductions in `run`
+        # C-contiguous copies: reductions over strided columns can round differently
         state = State(time=time, frame=frame, grid=grid, rho=np.ascontiguousarray(data[:, 1]),
                       U=np.ascontiguousarray(data[:, 2:].T))
     except MixflowError as exc:  # too few nodes, non-finite or non-positive values
         raise FileFormatError(f"{path}: {exc}") from None
-    if expect is not None and (grid, state.n_components) != expect:
-        raise FileFormatError(
-            f"{path}: {grid.n_nodes} nodes on (0, {grid.domain_length}) and "
-            f"{state.n_components} velocities, the manifest gives {expect[0].n_nodes} nodes on "
-            f"(0, {expect[0].domain_length}) and {expect[1]}"
-        )
     if not np.abs(data[:, 0] - grid.nodes()).max() <= 1e-9 * grid.domain_length:
         raise FileFormatError(
             f"{path}: x_or_y is not the uniform grid on (0, {grid.domain_length})")
     return state
+
+
+def _read(path: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FileFormatError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def write_diagnostics(path: str, ledger: dict[str, np.ndarray]):
@@ -164,11 +167,7 @@ def read_diagnostics(path: str) -> dict[str, np.ndarray]:
     field whose column is empty throughout is absent; any other empty cell,
     a cell that is not a number or a row of the wrong length raises
     :class:`FileFormatError` naming its line."""
-    try:
-        with open(path, newline="") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc.strerror}") from None
+    lines = _read(path).decode(errors="replace").splitlines()  # a stray byte: a bad cell
     header = lines[0].strip().split(",") if lines else []
     if header != list(FIELDS):
         raise FileFormatError(f"{path}: unexpected diagnostics columns {header}")
@@ -184,11 +183,12 @@ def read_diagnostics(path: str) -> dict[str, np.ndarray]:
     return dict(zip(names, np.array(values).T.copy()))
 
 
-def save_trajectory(out_dir: str, traj: Trajectory, params: MixtureParams, scheme) -> str:
+def save_trajectory(out_dir: str, traj: Trajectory, params: MixtureParams, scheme):
     os.makedirs(out_dir, exist_ok=True)
-    snaps = [f"snap_{k:05d}.csv" for k in range(len(traj))]
-    for k, name in enumerate(snaps):
-        write_snapshot(os.path.join(out_dir, name), traj.state(k))
+    states = np.concatenate([traj.rho[:, None], traj.U], axis=1, dtype="<f8")
+    spath, final = os.path.join(out_dir, "states.npy"), f"snap_{len(traj) - 1:05d}.csv"
+    np.save(spath, states)
+    write_snapshot(os.path.join(out_dir, final), traj.final)
     if traj.diagnostics:
         write_diagnostics(os.path.join(out_dir, "diag.csv"), traj.diagnostics)
     manifest = {
@@ -198,37 +198,33 @@ def save_trajectory(out_dir: str, traj: Trajectory, params: MixtureParams, schem
         "n_cells": traj.grid.n_cells,
         "domain_length": traj.grid.domain_length,
         "times": traj.times.tolist(),
-        "snapshots": snaps,
+        "states_shape": list(states.shape),
+        "states_sha256": hashlib.sha256(_read(spath)).hexdigest(),
+        "snapshots": [final],
+        "snapshot_sha256": hashlib.sha256(_read(os.path.join(out_dir, final))).hexdigest(),
         "params": params_to_dict(params),
         "params_hash": params_hash(params),
         "scheme": asdict(scheme),
     }
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    return out_dir
 
 
-def load_trajectory(
-    out_dir: str, final_only: bool = False
-) -> tuple[Trajectory, MixtureParams, dict]:
-    """Read a trajectory directory; with ``final_only`` only its last snapshot.
+def load_trajectory(out_dir: str, final_only=False) -> tuple[Trajectory, MixtureParams, dict]:
+    """Read a trajectory directory; with ``final_only`` only its last record.
 
     Every format fault raises :class:`FileFormatError` naming the file: a
-    missing or unreadable file, a manifest field that is missing or of the
-    wrong JSON type, a version other than this one, a scheme that
-    :class:`~mixflow.timestepping.SchemeConfig` rejects or that lacks a
-    key, parameters that fail :func:`~mixflow.model.validate_params` or do
-    not match the stored ``params_hash``, an unknown frame, times that are
-    not finite, non-negative and strictly increasing, a snapshot index that
-    is not a list of file names, and any fault :func:`read_snapshot` finds,
-    a grid or velocity count other than the manifest's included.
+    missing or unreadable file; a manifest field that is missing, of the
+    wrong JSON type or refused (a version other than this one, a scheme or
+    parameters their own checks reject, a stale ``params_hash``, times not
+    finite, non-negative and strictly increasing, a ``states_shape`` other
+    than ``[len(times), 1 + N, n_cells + 1]``); a ``states.npy`` that is not
+    a whole ``<f8`` .npy file of that shape; a sha256 other than the
+    manifest's; and records that :class:`Trajectory` refuses.
     """
     mpath = os.path.join(out_dir, "manifest.json")
     try:
-        with open(mpath) as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {mpath}: {exc}") from None
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(_read(mpath))
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise FileFormatError(f"bad manifest {mpath}: {exc}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
         raise FileFormatError(f"{mpath} is not a {FORMAT_NAME} manifest")
@@ -248,7 +244,8 @@ def load_trajectory(
                       n_cells=_field(manifest, "n_cells", "an integer"))
         frame, snaps = manifest["frame"], manifest["snapshots"]
         times = _field(manifest, "times", "a list of numbers")
-        stored_hash = manifest["params_hash"]
+        stored_hash, stored_shape = manifest["params_hash"], manifest["states_shape"]
+        digests = manifest["states_sha256"], manifest["snapshot_sha256"]
         stamps = np.array(times, dtype=float)
     except KeyError as exc:
         raise FileFormatError(f"{mpath}: missing field {exc}") from None
@@ -263,15 +260,28 @@ def load_trajectory(
         raise FileFormatError(
             f"{mpath}: times must be finite, non-negative and strictly increasing"
         )
-    if not isinstance(snaps, list) or not all(isinstance(name, str) for name in snaps):
-        raise FileFormatError(f"{mpath}: snapshots must be a list of file names")
-    if not snaps or len(times) != len(snaps):
-        raise FileFormatError(f"{mpath}: {len(times)} times for {len(snaps)} snapshots")
-    pairs = list(zip(times, snaps))
-    if final_only:
-        pairs = pairs[-1:]
-    traj = Trajectory.stack([read_snapshot(os.path.join(out_dir, name), t, frame, (grid, params.N))
-                             for t, name in pairs])
+    if stored_shape != list(shape := (len(times), 1 + params.N, grid.n_nodes)):
+        raise FileFormatError(f"{mpath}: states_shape {json.dumps(stored_shape)[:60]} is not {list(shape)}")
+    if not (isinstance(snaps, list) and len(snaps) == 1 and isinstance(snaps[0], str)):
+        raise FileFormatError(f"{mpath}: snapshots must be a list of one file name")
+    spath, cpath = os.path.join(out_dir, "states.npy"), os.path.join(out_dir, snaps[0])
+    blobs = _read(spath), _read(cpath)
+    try:  # an .npz archive becomes the array of its member names, refused below
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's repair of a Python 2 header
+            states = np.asarray(np.load(BytesIO(blobs[0]), allow_pickle=False))
+    except Exception:  # np.load raises errors of many types for a malformed file
+        raise FileFormatError(f"{spath}: not a whole .npy file") from None
+    if states.dtype.str != "<f8" or states.shape != shape:
+        raise FileFormatError(f"{spath}: {states.dtype.str} {states.shape}, expected <f8 {shape}")
+    for path, blob, digest in zip((spath, cpath), blobs, digests):
+        if hashlib.sha256(blob).hexdigest() != digest:
+            raise FileFormatError(f"{path}: sha256 does not match the manifest")
+    keep = slice(-1 if final_only else 0, None)
+    try:  # C-contiguous copies, validated as any trajectory
+        traj = Trajectory(frame, grid, stamps[keep], states[keep, 0], states[keep, 1:])
+    except MixflowError as exc:
+        raise FileFormatError(f"{spath}: {exc}") from None
     dpath = os.path.join(out_dir, "diag.csv")
     if os.path.exists(dpath):
         traj.diagnostics = read_diagnostics(dpath)

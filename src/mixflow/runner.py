@@ -191,12 +191,10 @@ def execute(rc: RunConfig, progress=None, starts=None) -> RunResult:
 
 def save_result(result: RunResult, out_dir: str) -> list[str]:
     """Write trajectory directories plus report.json under ``out_dir``."""
-    rc = result.config
-    os.makedirs(out_dir, exist_ok=True)
     trajs = [t for t in (result.eulerian, result.lagrangian) if t is not None]
     subs = [out_dir if len(trajs) == 1 else os.path.join(out_dir, t.frame) for t in trajs]
-    concurrently([partial(save_trajectory, sub, t, rc.params, rc.scheme)
-                  for t, sub in zip(trajs, subs)])
+    for traj, sub in zip(trajs, subs):
+        save_trajectory(sub, traj, result.config.params, result.config.scheme)
     report_path = os.path.join(out_dir, "report.json")
     save_report(report_path, result.report)
     return [*subs, report_path]

@@ -12,10 +12,11 @@ Arguments and lines are templates over the row's empty directory
 ``{store}`` and the shipped data directory ``{data}``; a setup step may add
 fields of its own.
 
-``tests/test_io_cli.py`` runs every row in-process through ``cli_main``;
-``python tests/cli_cases.py [ID ...]`` runs every row, or the named ones,
-in subprocesses through the ``mixflow`` script on ``PATH`` and exits 1 when
-a row fails.
+``tests/test_io_cli.py`` runs every row in-process through ``cli_main``,
+the rows of ``STORE_FAULTS`` under the test ids ``test_corrupt_store`` gave
+them as pytest cases; ``python tests/cli_cases.py [ID ...]`` runs every
+row, or the named ones, in subprocesses through the ``mixflow`` script on
+``PATH`` and exits 1 when a row fails.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ import tempfile
 import traceback
 import warnings
 from dataclasses import dataclass
+
+from conftest import rewrite_states
 
 DATA = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                                      "src", "mixflow", "data"))
@@ -79,8 +82,11 @@ def ini(name, *edits, table=None):
 
 
 def store(fields, mixflow):
-    """A copy of the stored two-frame run as ``{store}``."""
+    """A copy of the stored two-frame run as ``{store}``; its final Eulerian
+    snapshot, the one file name of that frame's manifest, is ``{final}``."""
     shutil.copytree(fields["pristine"], fields["store"])
+    with open(os.path.join(fields["store"], "eulerian", "manifest.json")) as fh:
+        fields["final"] = json.load(fh)["snapshots"][0]
 
 
 def column(path, name, value, rows=slice(None)):
@@ -109,6 +115,40 @@ def manifest(change):
         change(data)
         with open(path, "w") as fh:
             json.dump(data, fh)
+    return step
+
+
+def new_records(change):
+    """Store ``change(states)`` as the Eulerian records of ``{store}``, with
+    their sha256 in the manifest (``conftest.rewrite_states``)."""
+    return lambda fields, mixflow: rewrite_states(os.path.join(fields["store"], "eulerian"),
+                                                  change)
+
+
+def raw(path, change):
+    """Rewrite the bytes of the file at ``path`` as ``change(data)``."""
+    def step(fields, mixflow):
+        with open(path.format(**fields), "rb") as fh:
+            data = fh.read()
+        with open(path.format(**fields), "wb") as fh:
+            fh.write(change(data))
+    return step
+
+
+def put(index, value):
+    """A change of a records array that sets ``states[index]`` to ``value``."""
+    def change(states):
+        states[index] = value
+        return states
+    return change
+
+
+def remove(path, then=None):
+    """Remove the file at ``path``; ``then(path)``, when given, runs next."""
+    def step(fields, mixflow):
+        os.remove(path.format(**fields))
+        if then is not None:
+            then(path.format(**fields))
     return step
 
 
@@ -145,6 +185,108 @@ DENSE_PAIR = "x_or_y,rho,u1,u2\n" + "".join(
 # finite table rows whose u1 slope, 1e300 over a gap of 1e-300, overflows
 SLOPE_OVERFLOW = ["x_or_y,rho,u1,u2,u3", "0.0,1.0,0,0,0", "1e-300,1.0,1e300,0,0", "1.0,1.0,0,0,0"]
 
+
+CHECK = ("check", "--traj", "{store}")
+EUL = "{store}/eulerian"
+MANIFEST, STATES = f"error: {EUL}/manifest.json: ", f"error: {EUL}/states.npy: "
+NOT_NPY = STATES + "not a whole .npy file"
+TIMES = MANIFEST + "times must be finite, non-negative and strictly increasing"
+SCHEME_KEYS = ("field 'scheme' must have the keys ['advection', 'artificial_floor', 'cfl', "
+               "'time_integrator'], got [\"advection\", \"artificial_floor\", \"time_integrator\"]")
+
+
+#: a corrupted stored run: ``check`` exits 2 with one line naming the file
+STORE_FAULTS = [
+    # states.npy: missing or unreadable, not a whole .npy file, another dtype
+    # or shape, another sha256, and records Trajectory refuses
+    Case("missing-states", CHECK, 2,
+         (f"error: cannot read {EUL}/states.npy: No such file or directory",),
+         (store, remove(EUL + "/states.npy"))),
+    Case("unreadable-states", CHECK, 2, (f"error: cannot read {EUL}/states.npy: Is a directory",),
+         (store, remove(EUL + "/states.npy", os.mkdir))),
+    Case("interior-x", CHECK, 2, (NOT_NPY,),
+         (store, raw(EUL + "/states.npy", lambda b: b"x" + b[1:]))),
+    Case("header-only-snapshot", CHECK, 2, (NOT_NPY,),
+         (store, raw(EUL + "/states.npy", lambda b: b[:10 + int.from_bytes(b[8:10], "little")]))),
+    Case("columns-differ-from-header", CHECK, 2, (NOT_NPY,),
+         (store, raw(EUL + "/states.npy", lambda b: b[:-8]))),
+    Case("velocity-name", CHECK, 2, (STATES + "<f4 (2, 3, 33), expected <f8 (2, 3, 33)",),
+         (store, new_records(lambda s: s.astype("<f4")))),
+    Case("two-column-snapshot", CHECK, 2, (STATES + "<f8 (2, 1, 33), expected <f8 (2, 3, 33)",),
+         (store, new_records(lambda s: s[:, :1]))),
+    Case("velocity-count", CHECK, 2, (STATES + "<f8 (2, 2, 33), expected <f8 (2, 3, 33)",),
+         (store, new_records(lambda s: s[:, :-1]))),
+    Case("node-count", CHECK, 2, (STATES + "<f8 (2, 3, 32), expected <f8 (2, 3, 33)",),
+         (store, new_records(lambda s: s[..., :-1]))),
+    Case("domain-length", CHECK, 2, (STATES + "<f8 (2, 3, 33), expected <f8 (2, 3, 41)",),
+         (store, manifest(lambda m: m.update(n_cells=40, states_shape=[len(m["times"]), 3, 41])))),
+    Case("states-digest", CHECK, 2, (STATES + "sha256 does not match the manifest",),
+         (store, raw(EUL + "/states.npy", lambda b: b[:-1] + bytes([b[-1] ^ 1])))),
+    Case("final-snapshot-digest", CHECK, 2,
+         (f"error: {EUL}/{{final}}: sha256 does not match the manifest",),
+         (store, column(EUL + "/{final}", "u1", lambda c: "0.5", slice(3, 4)))),
+    Case("non-finite-record", CHECK, 2, (STATES + "state contains non-finite values",),
+         (store, new_records(put((0, 1, 5), float("nan"))))),
+    Case("non-positive-density", CHECK, 2, (STATES + "min(rho) = -1.0 <= 0",),
+         (store, new_records(put((1, 0, 5), -1.0)))),
+    Case("non-zero-wall", CHECK, 2, (STATES + "boundary velocities must be exactly zero",),
+         (store, new_records(put((1, 2, 0), 0.5)))),
+    # manifest.json
+    Case("version", CHECK, 2, (MANIFEST + "version 1 is not 2",),  # a store of format 1
+         (store, manifest(lambda m: m.update(version=1)))),
+    Case("non-utf8-manifest", CHECK, 2,
+         (f"error: bad manifest {EUL}/manifest.json: 'utf-8' codec can't decode byte 0xff in "
+          "position 74: invalid start byte",),
+         (store, raw(EUL + "/manifest.json", lambda b: b.replace(b"eulerian", b"euler\xffan")))),
+    Case("scheme-key", CHECK, 2, (MANIFEST + SCHEME_KEYS,),
+         (store, manifest(lambda m: m["scheme"].pop("cfl")))),
+    Case("scheme-cfl", CHECK, 2, (MANIFEST + "cfl must be in (0, 1], got 1.5",),
+         (store, manifest(lambda m: m["scheme"].update(cfl=1.5)))),
+    Case("scheme-cfl-type", CHECK, 2, (MANIFEST + "field 'cfl' must be a number, got \"0.4\"",),
+         (store, manifest(lambda m: m["scheme"].update(cfl="0.4")))),
+    Case("gamma-one", CHECK, 2, (MANIFEST + "gamma must be > 1, got 1.0",),
+         (store, manifest(lambda m: m["params"].update(gamma=1.0)))),
+    Case("asymmetric-viscosity", CHECK, 2, (MANIFEST + "viscosity matrix M is not symmetric",),
+         (store, manifest(lambda m: m["params"]["viscosity"][0].__setitem__(1, 0.05)))),
+    Case("params-hash", CHECK, 2,
+         (MANIFEST + "params_hash does not match the stored parameters",),
+         (store, manifest(lambda m: m["params"].update(pressure_coeff=1.5)))),
+    Case("reversed-times", CHECK, 2, (TIMES,), (store, manifest(lambda m: m["times"].reverse()))),
+    Case("non-finite-time", CHECK, 2, (TIMES,),
+         (store, manifest(lambda m: m["times"].__setitem__(1, float("nan"))))),
+    Case("negative-time", CHECK, 2, (TIMES,),
+         (store, manifest(lambda m: m.update(times=[t - 1.0 for t in m["times"]])))),
+    Case("unknown-frame", CHECK, 2, (MANIFEST + "unknown frame 'physical'",),
+         (store, manifest(lambda m: m.update(frame="physical")))),
+    Case("snapshot-index", CHECK, 2, (MANIFEST + "snapshots must be a list of one file name",),
+         (store, manifest(lambda m: m["snapshots"].__setitem__(0, 7)))),
+    Case("params-type", CHECK, 2, (MANIFEST + "field 'params' must be an object, got [1, 2]",),
+         (store, manifest(lambda m: m.update(params=[1, 2])))),
+    Case("n-cells-type", CHECK, 2, (MANIFEST + "field 'n_cells' must be an integer, got \"x\"",),
+         (store, manifest(lambda m: m.update(n_cells="x")))),
+    Case("domain-length-type", CHECK, 2,
+         (MANIFEST + "field 'domain_length' must be a number, got null",),
+         (store, manifest(lambda m: m.update(domain_length=None)))),
+    Case("gamma-type", CHECK, 2, (MANIFEST + "field 'gamma' must be a number, got \"1.4\"",),
+         (store, manifest(lambda m: m["params"].update(gamma="1.4")))),
+    Case("ragged-friction", CHECK, 2,
+         (MANIFEST + "field 'friction' must be a matrix of numbers, got [[0.0, 0.4], [0.4]]",),
+         (store, manifest(lambda m: m["params"]["friction"][1].pop()))),
+    Case("times-type", CHECK, 2,
+         (MANIFEST + "field 'times' must be a list of numbers, got [0.0, \"0.1\"]",),
+         (store, manifest(lambda m: m["times"].__setitem__(1, "0.1")))),
+    # diag.csv: a state field must be complete; a time field complete or empty throughout
+    Case("empty-cell", CHECK, 2, (f"error: {EUL}/diag.csv: line 3: energy is empty",),
+         (store, column(EUL + "/diag.csv", "energy", lambda c: "", slice(1, 2)))),
+    Case("partly-empty-time-column", CHECK, 2, (f"error: {EUL}/diag.csv: line 3: alpha is empty",),
+         (store, column(EUL + "/diag.csv", "alpha", lambda c: "", slice(1, 2)))),
+    Case("non-numeric-diag-cell", CHECK, 2,
+         (f"error: {EUL}/diag.csv: line 3: could not convert string to float: 'abc'",),
+         (store, column(EUL + "/diag.csv", "w_norm", lambda c: "abc", slice(1, 2)))),
+    Case("non-utf8-diag", CHECK, 2,  # the byte decodes to U+FFFD
+         (f"error: {EUL}/diag.csv: line 3: could not convert string to float: '\ufffd.01'",),
+         (store, raw(EUL + "/diag.csv", lambda b: b.replace(b"\n0.01", b"\n\xff.01")))),
+]
 
 CASES = [
     # exit 1: the stored ledger disagrees with its recomputation
@@ -225,13 +367,13 @@ CASES = [
     Case("out-dir-below-a-file",
          ("run", "--config", SHEAR, "--n-cells", "16", "--out-dir", "{tmp}/afile/run"), 2,
          ("error: {tmp}/afile/run: Not a directory",), (write("{tmp}/afile", ""),)),
-    Case("transform-into-missing-dir", ("transform", "--snap", "{store}/eulerian/snap_00000.csv",
+    Case("transform-into-missing-dir", ("transform", "--snap", "{store}/eulerian/{final}",
                                         "--frame", "eulerian", "--out", "{tmp}/missing/lag.csv"),
          2, ("error: {tmp}/missing/lag.csv: No such file or directory",), (store,)),
-    Case("heavy-mass-transform", ("transform", "--snap", "{store}/eulerian/snap_00000.csv",
+    Case("heavy-mass-transform", ("transform", "--snap", "{store}/eulerian/{final}",
                                   "--frame", "eulerian", "--out", "{out}"), 2,
          ("config error: mass map must be finite, got a total of inf",),
-         (store, column("{store}/eulerian/snap_00000.csv", "rho", lambda c: "1e308"))),
+         (store, column("{store}/eulerian/{final}", "rho", lambda c: "1e308"))),
     Case("mass-map-not-monotone", ("transform", "--snap", "{tmp}/lag.csv", "--frame",
                                    "lagrangian", "--out", "{out}"), 2,
          ("config error: mass map must be strictly monotone",),
@@ -245,11 +387,12 @@ CASES = [
          ("error: {store}/eulerian/diag.csv: line 2: energy is empty",),
          (store, column("{store}/eulerian/diag.csv", "energy", lambda c: "", slice(1)))),
     Case("missing-snapshot", ("check", "--traj", "{store}"), 2,
-         ("error: cannot read {store}/eulerian/snap_00001.csv: No such file or directory",),
-         (store, lambda fields, mixflow: os.remove(f"{fields['store']}/eulerian/snap_00001.csv"))),
+         ("error: cannot read {store}/eulerian/{final}: No such file or directory",),
+         (store, remove("{store}/eulerian/{final}"))),
     Case("manifest-entry-beyond-float", ("check", "--traj", "{store}"), 2,
          ("error: {store}/eulerian/manifest.json: int too large to convert to float",),
          (store, manifest(lambda m: m["params"]["viscosity"][0].__setitem__(0, 10**400)))),
+    *STORE_FAULTS,
     # exit 3: a blow-up saves the last valid trajectory
     Case("overflowing-run", (*RUN, "--n-cells", "32", "--t-end", "0.001", "--frame", "eulerian",
                              "--out-dir", "{out}"), 3, BLOWUP,

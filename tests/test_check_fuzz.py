@@ -1,9 +1,10 @@
-"""``check`` on a stored run with one corrupted field or cell.
+"""``check`` on a stored run with one corrupted field, cell, byte or float.
 
-Each example copies a tiny stored two-frame run and changes one manifest
-field, one ``diag.csv`` cell or one snapshot cell of one frame.  ``check``
-must end with exit 1 or 2 and a one-line reason, never a traceback, and the
-``report.json`` it leaves holds no NaN.
+Each example copies a tiny stored two-frame run and changes, in one frame,
+one manifest field, one ``diag.csv`` cell, one byte of ``states.npy``, one
+float of ``states.npy`` (its sha256 rewritten to match) or one cell of the
+final snapshot.  ``check`` must end with exit 1 or 2 and a one-line reason,
+never a traceback, and the ``report.json`` it leaves holds no NaN.
 """
 
 import json
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from mixflow.cli import cli_main
 from mixflow.field import EULERIAN, LAGRANGIAN
 
+from conftest import rewrite_states
 from test_io_cli import SMALL_CONFIG
 
 CLOSING = "stored diagnostics disagree with the snapshots"
@@ -68,6 +70,26 @@ def _edit_manifest(sub, data):
     json.dump(manifest, open(path, "w"))
 
 
+def _edit_byte(path, data):
+    blob = bytearray(open(path, "rb").read())
+    k = data.draw(st.integers(0, len(blob) - 1), label="byte")
+    value = data.draw(st.integers(0, 255), label="value")
+    assume(value != blob[k])
+    blob[k] = value
+    open(path, "wb").write(blob)
+
+
+def _edit_float(sub, data):
+    def change(states):
+        k = tuple(data.draw(st.integers(0, n - 1), label=axis)
+                  for n, axis in zip(states.shape, ("record", "row", "node")))
+        value = data.draw(st.floats(), label="float")
+        assume(_material(repr(float(states[k])), repr(value)))
+        states[k] = value
+        return states
+    rewrite_states(sub, change)
+
+
 def _edit_cell(path, data):
     rows = [line.split(",") for line in open(path).read().splitlines()]
     row = data.draw(st.integers(0, len(rows) - 1), label="row")
@@ -85,12 +107,19 @@ def test_one_corruption_fails_check_with_one_line(tiny_run, tmp_path_factory, da
     out = str(tmp_path_factory.mktemp("fuzz") / "traj")
     shutil.copytree(tiny_run, out)
     sub = os.path.join(out, data.draw(st.sampled_from([EULERIAN, LAGRANGIAN]), label="frame"))
-    target = data.draw(st.sampled_from(["manifest.json", "diag.csv", "snap_00000.csv",
-                                        "snap_00001.csv"]), label="file")
+    target = data.draw(st.sampled_from(["manifest.json", "diag.csv", "states.npy byte",
+                                        "states.npy float", "final snapshot"]), label="target")
     if target == "manifest.json":
         _edit_manifest(sub, data)
-    else:
+    elif target == "diag.csv":
         _edit_cell(os.path.join(sub, target), data)
+    elif target == "states.npy byte":
+        _edit_byte(os.path.join(sub, "states.npy"), data)
+    elif target == "states.npy float":
+        _edit_float(sub, data)
+    else:
+        with open(os.path.join(sub, "manifest.json")) as fh:
+            _edit_cell(os.path.join(sub, json.load(fh)["snapshots"][0]), data)
 
     stdout, stderr = StringIO(), StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):

@@ -87,7 +87,7 @@ def test_mms_loads_no_scipy(tmp_path):
 
 def test_two_frame_execute_loads_no_scipy(tmp_path):
     # shear.ini runs RK2 in both frames: the start of the mass-coordinate frame
-    # is interpolated, and a worker saves that frame's files
+    # is interpolated, and a worker solves that frame
     lines, scipy = fresh(CLI, "run", "--config", os.path.join(DATA, "shear.ini"), "--t-end", "0.01",
                          "--n-cells", "32", "--out-dir", str(tmp_path))
     assert lines[-1] == f"outputs under {tmp_path}"
@@ -96,7 +96,9 @@ def test_two_frame_execute_loads_no_scipy(tmp_path):
 
 
 def test_transform_both_ways_loads_no_scipy(rk2_run, tmp_path):
-    snap, lag, eul = (os.path.join(rk2_run, "snap_00000.csv"),
+    with open(os.path.join(rk2_run, "manifest.json")) as fh:
+        final = json.load(fh)["snapshots"][0]
+    snap, lag, eul = (os.path.join(rk2_run, final),
                       str(tmp_path / "lag.csv"), str(tmp_path / "eul.csv"))
     lines, scipy = fresh(TRANSFORM, snap, lag, eul)
     assert lines == [f"eulerian -> lagrangian: wrote {lag}", f"lagrangian -> eulerian: wrote {eul}"]

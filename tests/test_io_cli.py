@@ -18,7 +18,7 @@ from mixflow.runner import execute, integrate, save_result
 from mixflow.timestepping import SEMI_IMPLICIT, SchemeConfig
 
 import cli_cases
-from conftest import DATA, records
+from conftest import DATA, records, rewrite_states
 
 SMALL_CONFIG = """
 [params]
@@ -86,11 +86,31 @@ class TestTrajectoryIO:
             manifest = json.load(fh)
         assert manifest["frame"] == "eulerian"
         assert manifest["n_cells"] == rc.n_cells
-        assert len(manifest["times"]) == len(manifest["snapshots"])
-        assert "params_hash" in manifest and len(manifest["params_hash"]) == 64
+        assert manifest["version"] == 2
+        assert manifest["states_shape"] == [len(manifest["times"]), 3, rc.n_cells + 1]
+        assert manifest["snapshots"] == [f"snap_{len(manifest['times']) - 1:05d}.csv"]
+        for key in ("params_hash", "states_sha256", "snapshot_sha256"):
+            assert len(manifest[key]) == 64
+
+    def test_layout(self, small_run, tmp_path):
+        # each frame directory holds the records as one array equal to the
+        # run's, the final record as the CSV write_snapshot makes, the ledger
+        # and the manifest, and nothing else
+        rc, result = small_run
+        for traj in (result.eulerian, result.lagrangian):
+            sub = os.path.join(rc.out_dir, traj.frame)
+            final = f"snap_{len(traj) - 1:05d}.csv"
+            assert sorted(os.listdir(sub)) == sorted(["manifest.json", "states.npy", "diag.csv",
+                                                      final])
+            states = np.load(os.path.join(sub, "states.npy"), allow_pickle=False)
+            assert states.dtype.str == "<f8"
+            assert np.array_equal(states[:, 0].view(np.int64), traj.rho.view(np.int64))
+            assert np.array_equal(states[:, 1:].view(np.int64), traj.U.view(np.int64))
+            io.write_snapshot(str(tmp_path / final), traj.final)
+            assert (tmp_path / final).read_bytes() == open(os.path.join(sub, final), "rb").read()
 
     def test_determinism_bit_identical(self, tmp_path):
-        rc = replace(parse_config(SMALL_CONFIG), frame=EULERIAN, n_cells=32, t_end=0.05)
+        rc = replace(parse_config(SMALL_CONFIG), n_cells=32, t_end=0.05)
         blobs = []
         for sub in ("a", "b"):
             out = tmp_path / sub
@@ -507,15 +527,6 @@ def stored_run(tmp_path_factory):
     return out
 
 
-def _snapshot_edit(edit, name="snap_00001.csv"):
-    """A corruption that rewrites the lines of one snapshot file."""
-    def corrupt(out):
-        path = os.path.join(out, name)
-        lines = open(path).read().splitlines()
-        open(path, "w").write("\n".join(edit(lines)) + "\n")
-    return corrupt
-
-
 def _manifest_edit(edit):
     """A corruption that edits the parsed manifest in place and writes it back."""
     def corrupt(out):
@@ -527,13 +538,11 @@ def _manifest_edit(edit):
 
 
 def _interior_speed(speed, sub=EULERIAN):
-    """Every interior velocity of ``sub/snap_00001.csv`` set to ``speed``."""
-    def edit(lines):
-        rows = [line.split(",") for line in lines]
-        for row in rows[2:-1]:  # below the header, between the walls
-            row[2:] = [speed] * (len(row) - 2)
-        return [",".join(row) for row in rows]
-    return lambda out: _snapshot_edit(edit)(os.path.join(out, sub))
+    """Every interior velocity of record 1 of ``sub`` set to ``speed``."""
+    def change(states):
+        states[1, 1:, 1:-1] = float(speed)
+        return states
+    return lambda out: rewrite_states(os.path.join(out, sub), change)
 
 
 def _diag_edit(name, row, value, sub=EULERIAN):
@@ -575,75 +584,12 @@ class TestTrajectoryFormatFaults:
         assert err.startswith("error: ") and name in err
         return err
 
-    @pytest.mark.parametrize("corrupt, name, reason", [
-        (_snapshot_edit(lambda lines: lines[:1]), "snap_00001.csv", "no data rows"),
-        (_snapshot_edit(lambda lines: [",".join(r.split(",")[:2]) for r in lines]),
-         "snap_00001.csv", "2 columns"),
-        (_snapshot_edit(lambda lines: lines[:1] + [r.rsplit(",", 1)[0] for r in lines[1:]]),
-         "snap_00001.csv", "3 columns for the 4 of header"),
-        (_snapshot_edit(lambda lines: [r.rsplit(",", 1)[0] for r in lines]),
-         "snap_00001.csv", "1 velocities"),
-        (_snapshot_edit(lambda lines: lines[:5] + lines[6:]), "snap_00001.csv", "48 nodes"),
-        (_snapshot_edit(lambda lines: lines[:5] + ["0.5" + lines[5][lines[5].index(","):]]
-                        + lines[6:]), "snap_00001.csv", "x_or_y is not the uniform grid"),
-        (_snapshot_edit(lambda lines: ["x_or_y,rho,u1,v2", *lines[1:]]),
-         "snap_00001.csv", "expected header x_or_y,rho,u1,..."),
-        (_manifest_edit(lambda m: m.update(version=2)), "manifest.json", "version 2 is not 1"),
-        (_manifest_edit(lambda m: m["scheme"].pop("cfl")),
-         "manifest.json", "field 'scheme' must have the keys"),
-        (_manifest_edit(lambda m: m["scheme"].update(cfl=1.5)),
-         "manifest.json", "cfl must be in (0, 1]"),
-        (_manifest_edit(lambda m: m["scheme"].update(cfl="0.4")),
-         "manifest.json", "field 'cfl' must be a number, got \"0.4\""),
-        (_manifest_edit(lambda m: m["params"].update(gamma=1.0)),
-         "manifest.json", "gamma must be > 1"),
-        (_manifest_edit(lambda m: m["params"]["viscosity"][0].__setitem__(1, 0.03)),
-         "manifest.json", "M is not symmetric"),
-        (_manifest_edit(lambda m: m["params"].update(pressure_coeff=1.5)),
-         "manifest.json", "params_hash does not match"),
-        (_manifest_edit(lambda m: m["times"].reverse()),
-         "manifest.json", "strictly increasing"),
-        (_manifest_edit(lambda m: m["times"].__setitem__(1, float("nan"))),
-         "manifest.json", "strictly increasing"),
-        (_manifest_edit(lambda m: m.update(times=[t - 1.0 for t in m["times"]])),
-         "manifest.json", "non-negative"),
-        (_manifest_edit(lambda m: m.update(frame="physical")), "manifest.json", "unknown frame"),
-        (_manifest_edit(lambda m: m["snapshots"].__setitem__(0, 7)),
-         "manifest.json", "list of file names"),
-        (_manifest_edit(lambda m: m.update(domain_length=3.0)), "snap_00000.csv", "(0, 3.0)"),
-        (_manifest_edit(lambda m: m.update(params=[1, 2])),
-         "manifest.json", "field 'params' must be an object, got [1, 2]"),
-        (_manifest_edit(lambda m: m.update(n_cells="x")),
-         "manifest.json", "field 'n_cells' must be an integer, got \"x\""),
-        (_manifest_edit(lambda m: m.update(domain_length=None)),
-         "manifest.json", "field 'domain_length' must be a number, got null"),
-        (_manifest_edit(lambda m: m["params"].update(gamma="1.4")),
-         "manifest.json", "field 'gamma' must be a number"),
-        (_manifest_edit(lambda m: m["params"]["friction"][1].pop()),
-         "manifest.json", "field 'friction' must be a matrix of numbers"),
-        (_manifest_edit(lambda m: m["times"].__setitem__(1, "0.1")),
-         "manifest.json", "field 'times' must be a list of numbers"),
-        (_manifest_edit(lambda m: m["params"]["viscosity"][0].__setitem__(0, 10**400)),
-         "manifest.json", "int too large to convert to float"),
-        # a state field must be complete; a time field complete or empty throughout
-        (_diag_edit("energy", 2, lambda c: "", ""), "diag.csv", "line 4: energy is empty"),
-        (_diag_edit("alpha", 1, lambda c: "", ""), "diag.csv", "line 3: alpha is empty"),
-        (_diag_edit("w_norm", 3, lambda c: "abc", ""), "diag.csv", "line 5: could not convert"),
-    ], ids=["header-only-snapshot", "two-column-snapshot", "columns-differ-from-header",
-            "velocity-count", "node-count", "interior-x", "velocity-name", "version",
-            "scheme-key", "scheme-cfl", "scheme-cfl-type", "gamma-one", "asymmetric-viscosity",
-            "params-hash", "reversed-times", "non-finite-time", "negative-time",
-            "unknown-frame", "snapshot-index", "domain-length", "params-type",
-            "n-cells-type", "domain-length-type", "gamma-type", "ragged-friction",
-            "times-type", "viscosity-beyond-float", "empty-cell", "partly-empty-time-column",
-            "non-numeric-diag-cell"])
-    def test_corrupt_store(self, stored_run, tmp_path, capsys, corrupt, name, reason):
-        out = self._copy(stored_run, tmp_path)
-        corrupt(out)
-        assert reason in self._check_fails_naming(out, name, capsys)
+    @pytest.mark.parametrize("case", cli_cases.STORE_FAULTS, ids=lambda case: case.id)
+    def test_corrupt_store(self, case, tmp_path, stored_two_frames):
+        assert cli_cases.faults(case, str(tmp_path), cli_cases.in_process, stored_two_frames) == []
 
     def test_typed_field_from_the_check_worker(self, small_run, tmp_path, capsys):
-        # with both frames stored, the Lagrangian directory is read in a forked worker
+        # with both frames stored, the fault of the second one is named
         rc, _ = small_run
         out = str(tmp_path / "both")
         shutil.copytree(rc.out_dir, out)
@@ -706,11 +652,6 @@ class TestTrajectoryFormatFaults:
         audit = report["audits"]["alpha_growth"]
         assert audit["verdict"] == "FAIL" and audit["margin"] == -math.inf
 
-    def test_missing_snapshot_file(self, stored_run, tmp_path, capsys):
-        out = self._copy(stored_run, tmp_path)
-        os.remove(os.path.join(out, "snap_00001.csv"))
-        self._check_fails_naming(out, "snap_00001.csv", capsys)
-
     def test_short_diagnostics_row(self, stored_run, tmp_path, capsys):
         out = self._copy(stored_run, tmp_path)
         diag = os.path.join(out, "diag.csv")
@@ -722,14 +663,21 @@ class TestTrajectoryFormatFaults:
             io.read_diagnostics(diag)
 
     def test_non_numeric_snapshot_cell(self, stored_run, tmp_path, capsys):
+        # the final snapshot: check refuses its sha256, transform its cell
         out = self._copy(stored_run, tmp_path)
-        snap = os.path.join(out, "snap_00002.csv")
+        with open(os.path.join(out, "manifest.json")) as fh:
+            snap = os.path.join(out, json.load(fh)["snapshots"][0])
         lines = open(snap).read().splitlines()
         cells = lines[4].split(",")
         cells[1] = "abc"
         lines[4] = ",".join(cells)
         open(snap, "w").write("\n".join(lines) + "\n")
-        self._check_fails_naming(out, "snap_00002.csv", capsys)
+        err = self._check_fails_naming(out, os.path.basename(snap), capsys)
+        assert err == f"error: {snap}: sha256 does not match the manifest\n"
+        assert cli_main(["transform", "--snap", snap, "--frame", EULERIAN,
+                         "--out", str(tmp_path / "lag.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {snap}: ") and "'abc'" in err and err.count("\n") == 1
 
     def test_manifest_index_mismatch(self, stored_run, tmp_path, capsys):
         out = self._copy(stored_run, tmp_path)
@@ -741,18 +689,24 @@ class TestTrajectoryFormatFaults:
 
     def test_report_reads_only_the_last_snapshot(self, stored_run, tmp_path, capsys):
         # the same SVGs as rendered from the fully loaded trajectory, even with
-        # an earlier snapshot gone, which check still reports
+        # an earlier record no trajectory may hold, which check still reports
         full = str(tmp_path / "full")
         os.makedirs(full)
         io.render_report_plots(full, io.load_trajectory(stored_run)[0])
         out = self._copy(stored_run, tmp_path)
-        os.remove(os.path.join(out, "snap_00000.csv"))
+
+        def negative_density(states):
+            states[0, 0, 3] = -1.0
+            return states
+
+        rewrite_states(out, negative_density)
         assert cli_main(["report", "--traj", out]) == 0
         for name in os.listdir(full):
             assert open(os.path.join(out, name), "rb").read() == open(
                 os.path.join(full, name), "rb").read()
         capsys.readouterr()
-        self._check_fails_naming(out, "snap_00000.csv", capsys)
+        err = self._check_fails_naming(out, "states.npy", capsys)
+        assert err.endswith(": min(rho) = -1.0 <= 0\n")
 
 
 @pytest.fixture(scope="module")
@@ -879,7 +833,8 @@ def stored_two_frames(tmp_path_factory):
     return cli_cases.stored_run(str(tmp_path_factory.mktemp("cases")), cli_cases.in_process)
 
 
-@pytest.mark.parametrize("case", cli_cases.CASES, ids=lambda case: case.id)
+@pytest.mark.parametrize("case", [c for c in cli_cases.CASES if c not in cli_cases.STORE_FAULTS],
+                         ids=lambda case: case.id)
 def test_cli_case(case, tmp_path, stored_two_frames):
     assert cli_cases.faults(case, str(tmp_path), cli_cases.in_process, stored_two_frames) == []
 
