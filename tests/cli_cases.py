@@ -248,6 +248,8 @@ STORE_FAULTS = [
          (store, manifest(lambda m: m["params"].update(gamma=1.0)))),
     Case("asymmetric-viscosity", CHECK, 2, (MANIFEST + "viscosity matrix M is not symmetric",),
          (store, manifest(lambda m: m["params"]["viscosity"][0].__setitem__(1, 0.05)))),
+    Case("viscosity-beyond-float", CHECK, 2, (MANIFEST + "int too large to convert to float",),
+         (store, manifest(lambda m: m["params"]["viscosity"][0].__setitem__(0, 10**400)))),
     Case("params-hash", CHECK, 2,
          (MANIFEST + "params_hash does not match the stored parameters",),
          (store, manifest(lambda m: m["params"].update(pressure_coeff=1.5)))),
