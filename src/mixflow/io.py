@@ -88,8 +88,7 @@ def params_hash(p: MixtureParams) -> str:
 
 
 def write_snapshot(path: str, state: State):
-    n_comp = state.U.shape[0]
-    header = "x_or_y,rho," + ",".join(f"u{i+1}" for i in range(n_comp))
+    header = "x_or_y,rho," + ",".join(f"u{i + 1}" for i in range(len(state.U)))
     rows = np.vstack([state.grid.nodes(), state.rho, state.U]).T.tolist()
     lines = [header, *(",".join(map(repr, row)) for row in rows)]
     with open(path, "w", newline="") as fh:
@@ -219,7 +218,8 @@ def load_trajectory(out_dir: str, final_only=False) -> tuple[Trajectory, Mixture
     finite, non-negative and strictly increasing, a ``states_shape`` other
     than ``[len(times), 1 + N, n_cells + 1]``); a ``states.npy`` that is not
     a whole ``<f8`` .npy file of that shape; a sha256 other than the
-    manifest's; and records that :class:`Trajectory` refuses.
+    manifest's; a final snapshot :func:`read_snapshot` refuses or on
+    another grid or velocity count; and records :class:`Trajectory` refuses.
     """
     mpath = os.path.join(out_dir, "manifest.json")
     try:
@@ -243,10 +243,9 @@ def load_trajectory(out_dir: str, final_only=False) -> tuple[Trajectory, Mixture
         grid = Grid1D(domain_length=_field(manifest, "domain_length", "a number"),
                       n_cells=_field(manifest, "n_cells", "an integer"))
         frame, snaps = manifest["frame"], manifest["snapshots"]
-        times = _field(manifest, "times", "a list of numbers")
         stored_hash, stored_shape = manifest["params_hash"], manifest["states_shape"]
         digests = manifest["states_sha256"], manifest["snapshot_sha256"]
-        stamps = np.array(times, dtype=float)
+        stamps = np.array(_field(manifest, "times", "a list of numbers"), dtype=float)
     except KeyError as exc:
         raise FileFormatError(f"{mpath}: missing field {exc}") from None
     except (MixflowError, OverflowError, TypeError, ValueError) as exc:
@@ -257,26 +256,33 @@ def load_trajectory(out_dir: str, final_only=False) -> tuple[Trajectory, Mixture
         raise FileFormatError(f"{mpath}: unknown frame {frame!r}")
     if (stamps.ndim != 1 or not np.isfinite(stamps).all() or (stamps[:1] < 0).any()
             or (np.diff(stamps) <= 0).any()):
-        raise FileFormatError(
-            f"{mpath}: times must be finite, non-negative and strictly increasing"
-        )
-    if stored_shape != list(shape := (len(times), 1 + params.N, grid.n_nodes)):
+        raise FileFormatError(f"{mpath}: times must be finite, non-negative and strictly increasing")
+    if stored_shape != list(shape := (len(stamps), 1 + params.N, grid.n_nodes)):
         raise FileFormatError(f"{mpath}: states_shape {json.dumps(stored_shape)[:60]} is not {list(shape)}")
     if not (isinstance(snaps, list) and len(snaps) == 1 and isinstance(snaps[0], str)):
         raise FileFormatError(f"{mpath}: snapshots must be a list of one file name")
     spath, cpath = os.path.join(out_dir, "states.npy"), os.path.join(out_dir, snaps[0])
-    blobs = _read(spath), _read(cpath)
+    blob = _read(spath)
     try:  # an .npz archive becomes the array of its member names, refused below
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy's repair of a Python 2 header
-            states = np.asarray(np.load(BytesIO(blobs[0]), allow_pickle=False))
+            states = np.asarray(np.load(BytesIO(blob), allow_pickle=False))
+    except MemoryError:
+        raise
     except Exception:  # np.load raises errors of many types for a malformed file
         raise FileFormatError(f"{spath}: not a whole .npy file") from None
     if states.dtype.str != "<f8" or states.shape != shape:
         raise FileFormatError(f"{spath}: {states.dtype.str} {states.shape}, expected <f8 {shape}")
-    for path, blob, digest in zip((spath, cpath), blobs, digests):
-        if hashlib.sha256(blob).hexdigest() != digest:
+    for path, data, digest in zip((spath, cpath), (blob, _read(cpath)), digests):
+        if hashlib.sha256(data).hexdigest() != digest:
             raise FileFormatError(f"{path}: sha256 does not match the manifest")
+    del blob  # states holds the records: one copy fewer while Trajectory copies them
+    final = read_snapshot(cpath, stamps[-1], frame)  # states.npy has no x column: this one does
+    if (final.grid, final.n_components) != (grid, params.N):
+        raise FileFormatError(
+            f"{cpath}: {final.grid.n_nodes} nodes on (0, {final.grid.domain_length}) and "
+            f"{final.n_components} velocities, the manifest gives {grid.n_nodes} nodes on "
+            f"(0, {grid.domain_length}) and {params.N}")
     keep = slice(-1 if final_only else 0, None)
     try:  # C-contiguous copies, validated as any trajectory
         traj = Trajectory(frame, grid, stamps[keep], states[keep, 0], states[keep, 1:])
@@ -313,10 +319,7 @@ def _svg_polyline(xs, ys, x0, y0, w, h, xmin, xmax, ymin, ymax, color):
         px = x0 + (x - xmin) / (xmax - xmin) * w
         py = y0 + h - (y - ymin) / (ymax - ymin) * h
         pts.append(f"{px:.2f},{py:.2f}")
-    return (
-        f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
-        f'points="{" ".join(pts)}"/>'
-    )
+    return f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{" ".join(pts)}"/>'
 
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -346,10 +349,8 @@ def plot_series_svg(path: str, x: np.ndarray, series: dict[str, np.ndarray], tit
     for idx, (label, ys) in enumerate(series.items()):
         color = _COLORS[idx % len(_COLORS)]
         parts.append(_svg_polyline(x, ys, margin, margin, w, h, xmin, xmax, ymin, ymax, color))
-        parts.append(
-            f'<text x="{width-margin-4}" y="{margin+14+idx*14}" text-anchor="end" '
-            f'font-size="11" fill="{color}">{label}</text>'
-        )
+        parts.append(f'<text x="{width-margin-4}" y="{margin+14+idx*14}" text-anchor="end" '
+                     f'font-size="11" fill="{color}">{label}</text>')
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
@@ -372,11 +373,8 @@ def render_report_plots(out_dir: str, traj: Trajectory):
         written.append(os.path.join(out_dir, name))
         plot_series_svg(written[-1], led["time"], {k: led[f] for k, f in series.items()}, title)
     final = traj.final
-    x = final.grid.nodes()
-    profiles = {"rho": np.asarray(final.rho)}
-    for i in range(final.U.shape[0]):
-        profiles[f"u{i+1}"] = np.asarray(final.U[i])
-    p3 = os.path.join(out_dir, "plot_final_profiles.svg")
-    plot_series_svg(p3, x, profiles, f"final profiles, t = {final.time:.4g} ({traj.frame})")
-    written.append(p3)
+    written.append(os.path.join(out_dir, "plot_final_profiles.svg"))
+    plot_series_svg(written[-1], final.grid.nodes(),
+                    {"rho": final.rho, **{f"u{i + 1}": u for i, u in enumerate(final.U)}},
+                    f"final profiles, t = {final.time:.4g} ({traj.frame})")
     return written

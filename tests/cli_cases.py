@@ -12,9 +12,9 @@ Arguments and lines are templates over the row's empty directory
 ``{store}`` and the shipped data directory ``{data}``; a setup step may add
 fields of its own.
 
-``tests/test_io_cli.py`` runs every row in-process through ``cli_main``,
-the rows of ``STORE_FAULTS`` under the test ids ``test_corrupt_store`` gave
-them as pytest cases; ``python tests/cli_cases.py [ID ...]`` runs every
+``tests/test_io_cli.py`` runs every row in-process through ``cli_main``:
+``CASES`` as ``test_cli_case`` and ``STORE_FAULTS`` as
+``test_corrupt_store``; ``python tests/cli_cases.py [ID ...]`` runs every
 row, or the named ones, in subprocesses through the ``mixflow`` script on
 ``PATH`` and exits 1 when a row fails.
 """
@@ -33,7 +33,7 @@ import traceback
 import warnings
 from dataclasses import dataclass
 
-from conftest import rewrite_states
+from conftest import redigest, rewrite_states
 
 DATA = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                                      "src", "mixflow", "data"))
@@ -125,6 +125,16 @@ def new_records(change):
                                                   change)
 
 
+def final_snapshot(change):
+    """Rewrite the lines of the final Eulerian snapshot of ``{store}`` as
+    ``change(lines)``, with the file's sha256 in the manifest
+    (``conftest.redigest``)."""
+    def step(fields, mixflow):
+        edit("{store}/eulerian/{final}", change)(fields, mixflow)
+        redigest(os.path.join(fields["store"], "eulerian"))
+    return step
+
+
 def raw(path, change):
     """Rewrite the bytes of the file at ``path`` as ``change(data)``."""
     def step(fields, mixflow):
@@ -189,6 +199,7 @@ SLOPE_OVERFLOW = ["x_or_y,rho,u1,u2,u3", "0.0,1.0,0,0,0", "1e-300,1.0,1e300,0,0"
 CHECK = ("check", "--traj", "{store}")
 EUL = "{store}/eulerian"
 MANIFEST, STATES = f"error: {EUL}/manifest.json: ", f"error: {EUL}/states.npy: "
+FINAL = f"error: {EUL}/{{final}}: "
 NOT_NPY = STATES + "not a whole .npy file"
 TIMES = MANIFEST + "times must be finite, non-negative and strictly increasing"
 SCHEME_KEYS = ("field 'scheme' must have the keys ['advection', 'artificial_floor', 'cfl', "
@@ -204,26 +215,22 @@ STORE_FAULTS = [
          (store, remove(EUL + "/states.npy"))),
     Case("unreadable-states", CHECK, 2, (f"error: cannot read {EUL}/states.npy: Is a directory",),
          (store, remove(EUL + "/states.npy", os.mkdir))),
-    Case("interior-x", CHECK, 2, (NOT_NPY,),
+    Case("bad-magic", CHECK, 2, (NOT_NPY,),
          (store, raw(EUL + "/states.npy", lambda b: b"x" + b[1:]))),
-    Case("header-only-snapshot", CHECK, 2, (NOT_NPY,),
+    Case("header-only-states", CHECK, 2, (NOT_NPY,),
          (store, raw(EUL + "/states.npy", lambda b: b[:10 + int.from_bytes(b[8:10], "little")]))),
-    Case("columns-differ-from-header", CHECK, 2, (NOT_NPY,),
+    Case("truncated-data", CHECK, 2, (NOT_NPY,),
          (store, raw(EUL + "/states.npy", lambda b: b[:-8]))),
-    Case("velocity-name", CHECK, 2, (STATES + "<f4 (2, 3, 33), expected <f8 (2, 3, 33)",),
+    Case("float32-states", CHECK, 2, (STATES + "<f4 (2, 3, 33), expected <f8 (2, 3, 33)",),
          (store, new_records(lambda s: s.astype("<f4")))),
-    Case("two-column-snapshot", CHECK, 2, (STATES + "<f8 (2, 1, 33), expected <f8 (2, 3, 33)",),
+    Case("rho-only-states", CHECK, 2, (STATES + "<f8 (2, 1, 33), expected <f8 (2, 3, 33)",),
          (store, new_records(lambda s: s[:, :1]))),
-    Case("velocity-count", CHECK, 2, (STATES + "<f8 (2, 2, 33), expected <f8 (2, 3, 33)",),
-         (store, new_records(lambda s: s[:, :-1]))),
     Case("node-count", CHECK, 2, (STATES + "<f8 (2, 3, 32), expected <f8 (2, 3, 33)",),
          (store, new_records(lambda s: s[..., :-1]))),
-    Case("domain-length", CHECK, 2, (STATES + "<f8 (2, 3, 33), expected <f8 (2, 3, 41)",),
-         (store, manifest(lambda m: m.update(n_cells=40, states_shape=[len(m["times"]), 3, 41])))),
     Case("states-digest", CHECK, 2, (STATES + "sha256 does not match the manifest",),
          (store, raw(EUL + "/states.npy", lambda b: b[:-1] + bytes([b[-1] ^ 1])))),
     Case("final-snapshot-digest", CHECK, 2,
-         (f"error: {EUL}/{{final}}: sha256 does not match the manifest",),
+         (FINAL + "sha256 does not match the manifest",),
          (store, column(EUL + "/{final}", "u1", lambda c: "0.5", slice(3, 4)))),
     Case("non-finite-record", CHECK, 2, (STATES + "state contains non-finite values",),
          (store, new_records(put((0, 1, 5), float("nan"))))),
@@ -231,6 +238,32 @@ STORE_FAULTS = [
          (store, new_records(put((1, 0, 5), -1.0)))),
     Case("non-zero-wall", CHECK, 2, (STATES + "boundary velocities must be exactly zero",),
          (store, new_records(put((1, 2, 0), 0.5)))),
+    # the final snapshot, rewritten with its sha256: read as transform reads
+    # it, then on the manifest's grid and velocity count
+    Case("header-only-snapshot", CHECK, 2, (FINAL + "no data rows",),
+         (store, final_snapshot(lambda lines: lines[:1]))),
+    Case("two-column-snapshot", CHECK, 2,
+         (FINAL + "2 columns for the 2 of header x_or_y,rho; expected x_or_y, rho and one "
+          "column per velocity",),
+         (store, final_snapshot(lambda lines: [",".join(r.split(",")[:2]) for r in lines]))),
+    Case("columns-differ-from-header", CHECK, 2,
+         (FINAL + "3 columns for the 4 of header x_or_y,rho,u1,u2",),
+         (store, final_snapshot(lambda lines: lines[:1] + [r.rsplit(",", 1)[0]
+                                                           for r in lines[1:]]))),
+    Case("velocity-name", CHECK, 2,
+         (FINAL + "expected header x_or_y,rho,u1,..., got ['x_or_y', 'rho', 'u1', 'v2']",),
+         (store, final_snapshot(lambda lines: ["x_or_y,rho,u1,v2", *lines[1:]]))),
+    Case("interior-x", CHECK, 2, (FINAL + "x_or_y is not the uniform grid on (0, 1.0)",),
+         (store, final_snapshot(lambda lines: lines[:5] + ["0.5" + lines[5][lines[5].index(","):]]
+                                + lines[6:]))),
+    Case("velocity-count", CHECK, 2,
+         (FINAL + "33 nodes on (0, 1.0) and 1 velocities, the manifest gives 33 nodes on "
+          "(0, 1.0) and 2",),
+         (store, final_snapshot(lambda lines: [r.rsplit(",", 1)[0] for r in lines]))),
+    Case("domain-length", CHECK, 2,  # states.npy holds no x column; the final snapshot does
+         (FINAL + "33 nodes on (0, 1.0) and 2 velocities, the manifest gives 33 nodes on "
+          "(0, 3.0) and 2",),
+         (store, manifest(lambda m: m.update(domain_length=3.0)))),
     # manifest.json
     Case("version", CHECK, 2, (MANIFEST + "version 1 is not 2",),  # a store of format 1
          (store, manifest(lambda m: m.update(version=1)))),
@@ -391,10 +424,13 @@ CASES = [
     Case("missing-snapshot", ("check", "--traj", "{store}"), 2,
          ("error: cannot read {store}/eulerian/{final}: No such file or directory",),
          (store, remove("{store}/eulerian/{final}"))),
+    Case("report-on-another-grid", ("report", "--traj", "{store}"), 2,
+         ("error: {store}/eulerian/{final}: 33 nodes on (0, 1.0) and 2 velocities, the manifest "
+          "gives 33 nodes on (0, 3.0) and 2",),
+         (store, manifest(lambda m: m.update(domain_length=3.0)))),
     Case("manifest-entry-beyond-float", ("check", "--traj", "{store}"), 2,
          ("error: {store}/eulerian/manifest.json: int too large to convert to float",),
-         (store, manifest(lambda m: m["params"]["viscosity"][0].__setitem__(0, 10**400)))),
-    *STORE_FAULTS,
+         (store, manifest(lambda m: m["times"].__setitem__(1, 10**400)))),
     # exit 3: a blow-up saves the last valid trajectory
     Case("overflowing-run", (*RUN, "--n-cells", "32", "--t-end", "0.001", "--frame", "eulerian",
                              "--out-dir", "{out}"), 3, BLOWUP,
@@ -405,6 +441,11 @@ CASES = [
           command(*RUN, "--n-cells", "32", "--t-end", "1e-7", "--frame", "eulerian", "--out-dir",
                   "{out}", code=3)), out_made=True),
 ]
+
+
+#: every row: ``CASES`` and, under the test ids ``test_corrupt_store`` gives
+#: them, ``STORE_FAULTS``
+ROWS = [*CASES, *STORE_FAULTS]
 
 
 # -- runners -----------------------------------------------------------------
@@ -466,13 +507,13 @@ def stored_run(root: str, mixflow) -> str:
 
 
 def main(ids: list[str]) -> int:
-    unknown = set(ids) - {case.id for case in CASES}
+    unknown = set(ids) - {case.id for case in ROWS}
     if unknown:
         sys.exit(f"unknown row ids: {sorted(unknown)}")
     failed = 0
     with tempfile.TemporaryDirectory() as root:
         pristine = stored_run(root, script)
-        for k, case in enumerate(c for c in CASES if not ids or c.id in ids):
+        for k, case in enumerate(c for c in ROWS if not ids or c.id in ids):
             tmp = os.path.join(root, f"row{k}")
             os.mkdir(tmp)
             found = faults(case, tmp, script, pristine)
@@ -480,7 +521,7 @@ def main(ids: list[str]) -> int:
             print("FAIL" if found else "ok", case.id, flush=True)
             for fault in found:
                 print("   ", fault)
-    print(f"{failed} of {len(ids) or len(CASES)} rows failed")
+    print(f"{failed} of {len(ids) or len(ROWS)} rows failed")
     return 1 if failed else 0
 
 

@@ -106,17 +106,24 @@ def lagrange_tendencies(state, params, derived, scheme=None):
     return -(rho * rho) * dtau, dU
 
 
-def rewrite_states(sub, change):
-    """Store ``change(states)`` as the records of the trajectory directory
-    ``sub``, where ``states`` is its ``states.npy`` array, writable, and
-    give the manifest the new file's sha256: of the store's checks, only
-    those of the array itself can then refuse it."""
-    path = os.path.join(sub, "states.npy")
-    np.save(path, change(np.load(path)))
+def redigest(sub):
+    """Give the manifest of the trajectory directory ``sub`` the sha256 of
+    its ``states.npy`` and of its final snapshot as they are now: of the
+    store's checks, only those of the files' contents can then refuse them."""
     mpath = os.path.join(sub, "manifest.json")
     with open(mpath) as fh:
         manifest = json.load(fh)
-    with open(path, "rb") as fh:
-        manifest["states_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+    for key, name in ("states_sha256", "states.npy"), ("snapshot_sha256", manifest["snapshots"][0]):
+        with open(os.path.join(sub, name), "rb") as fh:
+            manifest[key] = hashlib.sha256(fh.read()).hexdigest()
     with open(mpath, "w") as fh:
         json.dump(manifest, fh)
+
+
+def rewrite_states(sub, change):
+    """Store ``change(states)`` as the records of the trajectory directory
+    ``sub``, where ``states`` is its ``states.npy`` array, writable, with
+    the new file's sha256 in the manifest (:func:`redigest`)."""
+    path = os.path.join(sub, "states.npy")
+    np.save(path, change(np.load(path)))
+    redigest(sub)

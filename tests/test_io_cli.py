@@ -588,6 +588,14 @@ class TestTrajectoryFormatFaults:
     def test_corrupt_store(self, case, tmp_path, stored_two_frames):
         assert cli_cases.faults(case, str(tmp_path), cli_cases.in_process, stored_two_frames) == []
 
+    def test_store_beyond_memory_is_not_a_format_fault(self, stored_run, capsys, monkeypatch):
+        # a whole states.npy too large to load: README's out-of-memory line
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+        monkeypatch.setattr(np, "load", exhausted)
+        assert cli_main(["check", "--traj", stored_run]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
+
     def test_typed_field_from_the_check_worker(self, small_run, tmp_path, capsys):
         # with both frames stored, the fault of the second one is named
         rc, _ = small_run
@@ -833,8 +841,7 @@ def stored_two_frames(tmp_path_factory):
     return cli_cases.stored_run(str(tmp_path_factory.mktemp("cases")), cli_cases.in_process)
 
 
-@pytest.mark.parametrize("case", [c for c in cli_cases.CASES if c not in cli_cases.STORE_FAULTS],
-                         ids=lambda case: case.id)
+@pytest.mark.parametrize("case", cli_cases.CASES, ids=lambda case: case.id)
 def test_cli_case(case, tmp_path, stored_two_frames):
     assert cli_cases.faults(case, str(tmp_path), cli_cases.in_process, stored_two_frames) == []
 
@@ -850,7 +857,7 @@ def test_readme_exit_lines_have_rows():
     section = readme.split("\n## Exit codes\n")[1].split("\n## ")[0]
     documented = re.findall(r"^ +- `([^`]+)`", section, re.M)
     assert len(documented) >= 20
-    lines = [line for case in cli_cases.CASES for line in case.err] + list(ELSEWHERE)
+    lines = [line for case in cli_cases.ROWS for line in case.err] + list(ELSEWHERE)
     patterns = [re.sub(r"<[^<>]+>", ".+", re.escape(doc)) for doc in documented]
     assert [doc for doc, pat in zip(documented, patterns)
             if not any(re.fullmatch(pat, line) for line in lines)] == []
