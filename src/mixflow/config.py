@@ -357,8 +357,8 @@ def parse_config(text: str, base_dir: str = ".", overrides=()) -> RunConfig:
 
 def parse_config_file(path: str, overrides=()) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from None
     return parse_config(text, os.path.dirname(os.path.abspath(path)), overrides)

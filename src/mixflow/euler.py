@@ -32,7 +32,7 @@ from .errors import DensityFloor
 from .field import EULERIAN, Grid1D
 from .model import DerivedMatrices, MixtureParams
 # run_loop is not called here: perfbench/selftest.py resolves it as euler.run_loop
-from .timestepping import UPWIND, Forcing, Kernel, SchemeConfig, run_loop, tridiagonal_solve  # noqa: F401
+from .timestepping import UPWIND, Forcing, Kernel, SchemeConfig, operands, run_loop, tridiagonal_solve  # noqa: F401
 
 
 class EulerKernel(Kernel):
@@ -49,20 +49,24 @@ class EulerKernel(Kernel):
         forcing: Forcing | None = None,
     ):
         super().__init__(grid, params, derived, scheme, forcing)
-        self._p_coef = params.gamma / (params.gamma - 1.0)
+        vars(self._c).update(operands(p_coef=params.gamma / (params.gamma - 1.0)))
         self._upwind = scheme.advection == UPWIND
         n, N = self.nodes.size, params.N
-        # node, face and interior-node scratch, and the views the tendencies read
-        self._v, self._speed, self._e2 = np.empty((3, n))
-        self._v_f, self._rho_f, self._F, self._a, self._P, self._e = np.empty((6, n - 1))
-        self._gp = np.empty(n - 2)
-        self._D, self._flux = np.empty((1 + N, n - 1)), np.empty((N, n - 1))
-        self._rhsb, self._tmp, self._Md = np.empty((3, N, n - 2))
-        self._v_l, self._v_r = self._v[:-1], self._v[1:]
-        self._F_l, self._F_r, self._P_l, self._P_r = self._F[:-1], self._F[1:], self._P[:-1], self._P[1:]
-        self._drho, self._jump = self._D[0], self._D[1:]
-        self._jump_l, self._jump_r = self._jump[:, :-1], self._jump[:, 1:]
-        self._flux_l, self._flux_r = self._flux[:, :-1], self._flux[:, 1:]
+        self._W, self._Wf = self._zeros(2, 2, n)  # nodes: rho and v; faces: their means, v_f's pad 0
+        self._rg, self._a, self._e, self._speed, self._e2 = self._zeros(5, n)
+        self._D = self._zeros(1 + N, n)  # faces: jumps of rho and of each u_i
+        G = self._zeros((N + 1) * n + 1)  # a zero, then faces: F jump_i and the pressure term P
+        self._S = self._zeros(N + 1, n)  # nodes: G over each node's two faces, all written
+        self._H = self._zeros(1 + N if self._upwind else 1, n)  # faces: F, upwind u fluxes
+        self._T, self._Md = self._zeros(2, N, n)  # nodes: d2u, M d2u
+        (self._rho, self._v), (self._rho_f, self._v_f) = self._W, self._Wf
+        self._drho, self._jump, self._F, self._Hu = self._D[0], self._D[1:], self._H[0], self._H[1:]
+        (self._FJ, self._P), (self._conv, self._grad_p) = ((A[:N], A[N]) for A in (G[1:].reshape(N + 1, n), self._S))
+        self._rg_r, self._rg_l, self._e_l = self._rg[1:], self._rg[:-1], self._e[:-1]
+        W, Wf, H = self._W.reshape(-1), self._Wf.reshape(-1), self._H.reshape(-1)
+        self._W_r, self._W_l, self._Wf_l, self._Dm = W[1:], W[:-1], Wf[:-1], self._D.reshape(-1)[:-1]
+        self._G_r, self._G_l, self._H_r, self._H_l = G[1:], G[:-1], H[1:], H[:-1]
+        self._Sf, self._T_c = self._S.reshape(-1), self._T.reshape(-1)[1:-1]
 
     # density itself is the evolved variable in this frame
     @staticmethod
@@ -88,77 +92,74 @@ class EulerKernel(Kernel):
         return self._fresh_rhs(t, rho, U, False)
 
     def _shared(self, rho, U):
-        """``rho**(gamma-1)`` for stable_dt and the tendencies; mean velocity into ``_v``."""
+        """``rho**(gamma-1)`` into ``_rg`` and the mean velocity into ``_v``."""
         np.add.reduce(U, 0, out=self._v)
-        self._v /= self._N
-        return rho ** self._g1
+        self._v /= self._c.N
+        return np.power(rho, self._c.g1, out=self._rg)
 
     def _rhs(self, t, Y, rho, include_viscous, out, shared=None):
-        p = self.params
-        h = self._h
+        p, c = self.params, self._c
         y, o = self._views(Y), self._views(out)
-        rg = self._shared(rho, y.U) if shared is None else shared
+        if shared is None:
+            self._shared(rho, y.U)
+        self._rho[...] = rho
 
-        # face mass flux F; the upwind variant adds the density-jump diffusion
-        # with face coefficient a = 0.5 |v_f|
+        # face means of v and rho, and the face mass flux F; the upwind
+        # variant adds the density-jump diffusion with face coefficient a = 0.5 |v_f|
         v_f, rho_f, F, a = self._v_f, self._rho_f, self._F, self._a
-        np.add(self._v_r, self._v_l, out=v_f)
-        v_f *= 0.5
-        np.add(y.q_r, y.q_l, out=rho_f)
-        rho_f *= 0.5
+        np.add(self._W_r, self._W_l, out=self._Wf_l)
+        self._Wf_l *= c.half
         np.multiply(v_f, rho_f, out=F)
-        np.subtract(y.Y_r, y.Y_l, out=self._D)  # face jumps of rho and of each u_i
+        np.subtract(y.f_r, y.f_l, out=self._Dm)  # face jumps of rho and of each u_i
         if self._upwind:
             np.abs(v_f, out=a)
-            a *= 0.5
+            a *= c.half
             self._drho *= a
             F -= self._drho
+            a *= rho_f
+            np.multiply(a, self._jump, out=self._Hu)  # theta * du / h * h
 
-        # continuity; half cells at the walls, where the wall flux rho*v is 0
-        d = np.subtract(self._F_r, self._F_l, out=o.q_c)
-        np.negative(d, out=d)
-        d /= h
-        o.q[0] = -2.0 * F[0] / h
-        o.q[-1] = 2.0 * F[-1] / h
+        # continuity, with the upwind velocity flux differences in the rows
+        # below it; half cells at the walls, where the wall flux rho*v is 0
+        d, d_r = (o.f, o.f_r) if self._upwind else (o.q, o.q_r)
+        np.subtract(self._H_r, self._H_l, out=d_r)
+        np.negative(o.q_r, out=o.q_r)
+        o.q[0] = -2.0 * F[0]
+        o.q[-1] = 2.0 * F[-2]
+        d /= c.h
 
-        rhs, tmp = self._rhsb, self._tmp
-        np.multiply(self._F_r, self._jump_r, out=rhs)
-        rhs += np.multiply(self._F_l, self._jump_l, out=tmp)
+        # convection and pressure: both face terms summed at the nodes in one call
+        np.multiply(F, self._jump, out=self._FJ)
+        np.multiply(c.p_coef, rho_f, out=self._P)
+        np.subtract(self._rg_r, self._rg_l, out=self._e_l)
+        self._P *= self._e
+        np.add(self._G_r, self._G_l, out=self._Sf)
+        rhs, grad_p = self._conv, self._grad_p
         np.negative(rhs, out=rhs)
-        rhs /= self._2h                                   # convection
-
-        P, grad_p = self._P, self._gp
-        np.multiply(self._p_coef, rho_f, out=P)
-        P *= np.subtract(rg[1:], rg[:-1], out=self._e)
-        np.add(self._P_r, self._P_l, out=grad_p)
-        grad_p /= self._2h
-        grad_p *= p.K
+        self._S /= c.h2
+        grad_p *= c.K
         rhs -= grad_p
 
         if include_viscous:
-            d2u = np.multiply(y.U_c, 2.0, out=tmp)
-            np.subtract(y.U_rr, d2u, out=d2u)
-            d2u += y.U_ll
-            d2u /= self._hh
-            rhs += np.matmul(p.M, d2u, out=self._Md)
+            d2u = np.multiply(y.u_c, c.two, out=self._T_c)
+            np.subtract(y.u_rr, d2u, out=d2u)
+            d2u += y.u_ll
+            d2u /= c.hh
+            rhs += np.matmul(p.M, self._T, out=self._Md)
 
-        p.exchange(y.U, self._fric, self._fr)
-        rhs += self._fric_c
+        rhs += p.exchange(y.U, self._fric, self._fr)
 
         if self._upwind:
-            a *= rho_f
-            np.multiply(a, self._jump, out=self._flux)  # theta * du / h * h
-            d = np.subtract(self._flux_r, self._flux_l, out=tmp)
-            d /= h
-            rhs += d
-
-        o.walls[...] = 0.0
-        np.divide(rhs, y.q_c, out=o.U_c)
+            o.U += rhs
+            o.U /= y.q
+        else:
+            np.divide(rhs, y.q, out=o.U)
 
         if self.forcing is not None:
             s_rho, s_u = self.forcing(t, self.nodes)
             o.q += s_rho
-            o.U_c += s_u[:, 1:-1]
+            o.U += s_u
+        o.walls[...] = 0.0
         return out
 
     # -- stability & implicit solve ------------------------------------------
@@ -169,7 +170,7 @@ class EulerKernel(Kernel):
     def _stable_dt(self, rho, U, explicit_viscosity):
         rg = self._shared(rho, U)
         speed = np.abs(self._v, out=self._speed)
-        speed += np.sqrt(np.multiply(self._Kg, rg, out=self._e2), out=self._e2)
+        speed += np.sqrt(np.multiply(self._c.Kg, rg, out=self._e2), out=self._e2)
         # extremes by arg-index lookups, cheaper than ufunc reductions
         dt = self._h / speed[speed.argmax()]
         if explicit_viscosity:

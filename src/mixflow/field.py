@@ -247,14 +247,14 @@ def face_mean(f: np.ndarray) -> np.ndarray:
     return 0.5 * (f[..., 1:] + f[..., :-1])
 
 
-def face_harmonic_mean(rho: np.ndarray) -> np.ndarray:
+def face_harmonic_mean(rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Harmonic mean ``2 a b / (a + b)`` of the two node values of each face.
 
     The mass-coordinate viscous operator and its dissipation audit weight
     face gradients with it.  Faces of a stack of densities lie along the
-    last axis.
+    last axis; ``out``, when given, takes the result.
     """
-    out = 2.0 * rho[..., 1:]
+    out = np.multiply(2.0, rho[..., 1:], out=out)
     out *= rho[..., :-1]
     out /= rho[..., 1:] + rho[..., :-1]
     return out

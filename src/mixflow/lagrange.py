@@ -24,7 +24,7 @@ from .errors import DensityFloor, DomainLengthDrift, ValidationError, WrongFrame
 from .field import (
     EULERIAN, LAGRANGIAN, Grid1D, State, cumulative_trapezoid, face_harmonic_mean, pchip,
 )
-from .timestepping import Kernel, tridiagonal_solve
+from .timestepping import Kernel, operands, tridiagonal_solve
 
 
 # ---------------------------------------------------------------------------
@@ -91,20 +91,20 @@ class LagrangeKernel(Kernel):
 
     def __init__(self, grid, params, derived, scheme, forcing=None):
         super().__init__(grid, params, derived, scheme, forcing)
+        vars(self._c).update(operands(one=1.0, gamma=params.gamma, neg_K=-params.K))
         n, N = self.nodes.size, params.N
-        # node, face and interior-node scratch, and the views the tendencies read
-        self._v, self._gp = np.empty(n), np.empty(n - 2)
-        self._jump, (self._lap, self._Ml) = np.empty((N, n - 1)), np.empty((2, N, n - 2))
-        self._v_ll, self._v_rr = self._v[:-2], self._v[2:]
-        self._flux_l, self._flux_r = self._jump[:, :-1], self._jump[:, 1:]
+        self._v, self._pg, self._gp, self._harm, self._s = self._zeros(5, n)
+        self._J, self._L, self._Ml = self._zeros(3, N, n)  # faces: rho_f du; nodes: its differences, M of them
+        self._v_ll, self._v_rr, self._pg_ll, self._pg_rr = self._v[:-2], self._v[2:], self._pg[:-2], self._pg[2:]
+        self._gp_c, self._harm_l = self._gp[1:-1], self._harm[:-1]
+        self._J_l, self._J_r, self._L_r = self._J.reshape(-1)[:-1], self._J.reshape(-1)[1:], self._L.reshape(-1)[1:]
 
     @staticmethod
     def to_evolved(rho):
         return 1.0 / rho
 
-    @staticmethod
-    def density_view(q):
-        return 1.0 / q
+    def density_view(self, q):
+        return np.divide(self._c.one, q)
 
     def _density(self, q, where):
         rho = self.density_view(q)
@@ -120,42 +120,41 @@ class LagrangeKernel(Kernel):
 
     def _rhs(self, t, Y, rho, include_viscous, out, shared=None):
         # ``shared`` is unused: stable_dt computes nothing the tendencies need
-        p = self.params
-        h, h2 = self._h, self._2h
+        p, c = self.params, self._c
         y, o = self._views(Y), self._views(out)
 
         # dv/dy with the SBP closure of field.sbp_derivative, written out
         v = np.add.reduce(y.U, 0, out=self._v)
-        v /= self._N
+        v /= c.N
         d = np.subtract(self._v_rr, self._v_ll, out=o.q_c)
-        d /= h2
-        o.q[0] = (v[1] - v[0]) / h
-        o.q[-1] = (v[-1] - v[-2]) / h
+        d /= c.h2
+        o.q[0] = (v[1] - v[0]) / self._h
+        o.q[-1] = (v[-1] - v[-2]) / self._h
 
-        pg = rho**p.gamma
-        grad_p = np.subtract(pg[2:], pg[:-2], out=self._gp)  # interior SBP rows
-        grad_p /= h2
-        grad_p *= -p.K
+        np.power(rho, c.gamma, out=self._pg)
+        grad_p = np.subtract(self._pg_rr, self._pg_ll, out=self._gp_c)  # interior SBP rows
+        grad_p /= c.h2
+        grad_p *= c.neg_K
 
-        o.walls[...] = 0.0
-        p.exchange(y.U, self._fric, self._fr)
-        rhs = np.divide(self._fric_c, rho[1:-1], out=o.U_c)
-        np.add(grad_p, rhs, out=rhs)
+        rhs = np.divide(p.exchange(y.U, self._fric, self._fr), rho, out=o.U)
+        np.add(self._gp, rhs, out=rhs)
         if include_viscous:
             # d(rho du/dy)/dy at interior nodes, flux form, harmonic face density
-            flux = np.subtract(y.U_r, y.U_l, out=self._jump)
-            flux *= face_harmonic_mean(rho)
-            lap = np.subtract(self._flux_r, self._flux_l, out=self._lap)
-            lap /= self._hh
-            rhs += np.matmul(p.M, lap, out=self._Ml)
+            np.subtract(y.u_r, y.u_l, out=self._J_l)
+            face_harmonic_mean(rho, out=self._harm_l)
+            self._J *= self._harm
+            lap = np.subtract(self._J_r, self._J_l, out=self._L_r)
+            lap /= c.hh
+            rhs += np.matmul(p.M, self._L, out=self._Ml)
 
         if self.forcing is not None:
             s_rho, s_u = self.forcing(t, self.nodes)
             # d(tau)/dt = -s_rho / rho^2 for a density source s_rho
-            s = s_rho * y.q
+            s = np.multiply(s_rho, y.q, out=self._s)
             s *= y.q
             o.q -= s
-            rhs += s_u[:, 1:-1]
+            rhs += s_u
+        o.walls[...] = 0.0
         return out
 
     def stable_dt(self, q, U, explicit_viscosity=True):
@@ -163,7 +162,7 @@ class LagrangeKernel(Kernel):
 
     def _stable_dt(self, rho, U, explicit_viscosity):
         # signal speed in mass coordinates is rho * c
-        c = np.sqrt(self._Kg * rho ** self._g1)
+        c = np.sqrt(self._c.Kg * rho ** self._c.g1)
         c *= rho
         # extremes by arg-index lookups, cheaper than ufunc reductions
         dt = self._h / c[c.argmax()]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import NamedTuple
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import ValidationError
 from .field import EULERIAN, Grid1D, State, l2_norm
 from .model import MixtureParams, derive_matrices, make_params
 from .runner import concurrently, integrate
-from .timestepping import CENTRAL, END_SLACK, RK2, UPWIND, SchemeConfig
+from .timestepping import CENTRAL, END_SLACK, RK2, UPWIND, SchemeConfig, operands
 
 #: observed spatial order must not fall below these
 ORDER_THRESHOLDS = {CENTRAL: 1.7, UPWIND: 0.8}
@@ -70,7 +70,11 @@ class ManufacturedFields:
             )
         # evaluation state; the fields are frozen, so what it holds stays valid
         object.__setattr__(self, "_c", np.array(self.c))
+        object.__setattr__(self, "_neg_c", -self._c)
         object.__setattr__(self, "_cache", _ForcingCache())
+        object.__setattr__(self, "_k", SimpleNamespace(**operands(
+            pi=math.pi, s1=math.pi / self.domain_length, rho_base=self.rho_base,
+            gamma=self.params.gamma, g1=self.params.gamma - 1.0, K=self.params.K)))
 
     # -- exact fields --------------------------------------------------------
 
@@ -123,59 +127,68 @@ class ManufacturedFields:
         return out
 
     def _spatial_factors(self, x):
+        """The factors that depend on the nodes alone (s1 = pi/d, s2 = 2 pi/d),
+        stacked where one time factor multiplies them, and scratch."""
         s1, s2 = math.pi / self.domain_length, 2.0 * math.pi / self.domain_length
-        sin1 = np.sin(s1 * x)
-        cos1 = np.cos(s1 * x)
-        sin2 = np.sin(s2 * x)
-        return _Spatial(
-            sin1=sin1,
-            cos1=cos1,
-            amp_sin2=self.rho_amp * sin2,
-            neg_amp_sin2=-self.rho_amp * sin2,
-            amp_s2_cos2=self.rho_amp * s2 * np.cos(s2 * x),
-            s1_cos1=s1 * cos1,
-            neg_pi2_sin1=-(math.pi**2) * sin1,
-        )
+        sin1, cos1, sin2 = np.sin(s1 * x), np.cos(s1 * x), np.sin(s2 * x)
+        work, vec, N = np.zeros((6, x.size)), np.zeros((5, self.params.N)), self.params.N
+        return SimpleNamespace(
+            by_ct=np.stack([self.rho_amp * sin2, self.rho_amp * s2 * np.cos(s2 * x)]),
+            by_gbar=np.stack([s1 * cos1, sin1]),  # times the mean of g
+            by_vec=np.stack([sin1, sin1, -(math.pi**2) * sin1])[:, None],  # times vec_cols
+            sin1=sin1, cos1=cos1, neg_amp_sin2=-self.rho_amp * sin2,
+            work=tuple(work), ct_out=work[:2], gbar_out=work[2:4], terms=np.zeros((3, N, x.size)),
+            vec=tuple(vec), vec_cols=vec[:3, :, None], g_col=vec[3, :, None])
 
     def _evaluate(self, t, f):
-        """``(s_rho, s_U)`` at ``t`` from the spatial factors ``f``, in either frame."""
-        p = self.params
+        """``(s_rho, s_U)`` at ``t`` from the spatial factors ``f``, in either frame:
+        the closed form in its factor order, written into the results or ``f``."""
+        p, k = self.params, self._k
         ct, st = math.cos(t), math.sin(t)
-        g = self._c * ct
+        dg, exch, mu_g, g, scratch = f.vec
+        np.multiply(self._c, ct, out=g)
         gbar = np.add.reduce(g) / g.size  # the sum and division of g.mean()
-        dg = -self._c * st
-        rho = self.rho_base + f.amp_sin2 * ct
-        drho_dt = f.neg_amp_sin2 * st
-        drho_dx = f.amp_s2_cos2 * ct  # d/dy in mass coordinates, as dv_dx below
-        dv_dx = f.s1_cos1 * gbar
-        dpress_dx = p.gamma * rho ** (p.gamma - 1.0) * drho_dx
-        mu_g = p.M @ g
-        exch = p.exchange(g)
-        du_dt = f.sin1 * dg[:, None]
-        fric = f.sin1 * exch[:, None] / rho
+        np.multiply(self._neg_c, st, out=dg)
+        p.exchange(g, exch, scratch)
+        np.matmul(p.M, g, out=mu_g)
+        rho, drho_dx, dv_dx, v, a, b = f.work  # d/dy in mass coordinates, as dv_dx
+        np.multiply(f.by_ct, ct, out=f.ct_out)
+        rho += k.rho_base
+        np.multiply(f.by_gbar, gbar, out=f.gbar_out)
+        s_rho = np.multiply(f.neg_amp_sin2, st)  # drho_dt
+        dpress_dx = np.power(rho, k.g1, out=a)
+        dpress_dx *= k.gamma
+        dpress_dx *= drho_dx
+        dpress_dx *= k.K  # K dpress_dx from here on
+        # du_dt, the drag before its division by rho, and the Eulerian viscous term
+        du_dt, fric, visc = np.multiply(f.by_vec, f.vec_cols, out=f.terms)
         if self.frame == EULERIAN:
-            v = f.sin1 * gbar
-            s_rho = drho_dt + drho_dx * v + rho * dv_dx
-            conv = (v * math.pi * f.cos1) * g[:, None]
-            visc = f.neg_pi2_sin1 * mu_g[:, None] / rho
-            return s_rho, du_dt + conv + p.K * dpress_dx / rho - visc - fric
-        s1 = math.pi / self.domain_length
-        s_rho = drho_dt + rho * rho * dv_dx
-        # d/dy (rho du_j/dy) = g_j s1 (drho/dy cos - rho s1 sin)
-        visc = mu_g[:, None] * (s1 * (drho_dx * f.cos1 - rho * s1 * f.sin1))
-        return s_rho, du_dt + p.K * dpress_dx - visc - fric
-
-
-class _Spatial(NamedTuple):
-    """Forcing factors that depend on the nodes alone (s1 = pi/d, s2 = 2 pi/d)."""
-
-    sin1: np.ndarray  # sin(s1 x)
-    cos1: np.ndarray  # cos(s1 x)
-    amp_sin2: np.ndarray  # rho_amp sin(s2 x)
-    neg_amp_sin2: np.ndarray  # -rho_amp sin(s2 x)
-    amp_s2_cos2: np.ndarray  # rho_amp s2 cos(s2 x)
-    s1_cos1: np.ndarray  # s1 cos(s1 x)
-    neg_pi2_sin1: np.ndarray  # -pi^2 sin(s1 x), physical-space viscous shape
+            f.terms[1:] /= rho
+            s_rho += np.multiply(drho_dx, v, out=b)
+            dv_dx *= rho
+            s_rho += dv_dx
+            v *= k.pi
+            v *= f.cos1
+            s_u = np.multiply(v, f.g_col)  # convection
+            s_u += du_dt
+            dpress_dx /= rho
+            s_u += dpress_dx
+        else:
+            fric /= rho
+            np.multiply(rho, rho, out=b)
+            b *= dv_dx
+            s_rho += b
+            s_u = np.add(du_dt, dpress_dx)
+            # d/dy (rho du_j/dy) = g_j s1 (drho/dy cos - rho s1 sin)
+            np.multiply(rho, k.s1, out=b)
+            b *= f.sin1
+            np.multiply(drho_dx, f.cos1, out=v)
+            v -= b
+            v *= k.s1
+            np.multiply(f.vec_cols[2], v, out=visc)
+        s_u -= visc
+        s_u -= fric
+        return s_rho, s_u
 
 
 class _ForcingCache:

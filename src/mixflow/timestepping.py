@@ -9,24 +9,33 @@ whose discrete volume any stage combination conserves), rows 1..N the
 velocities, so each stage combination, wall zeroing and (for q = rho) finite
 check is one numpy call.  Both kernels derive from :class:`Kernel`, whose
 constructor ``(grid, params, derived, scheme, forcing=None)`` keeps the
-inputs and constants and allocates, with their slice views, two state
-buffers (a step writes its result into the one its input is not, so the
-input survives the step and the result the next one) and four derivative
-buffers, all live in RK4; each kernel adds its own scratch the same way.
-``params.exchange(U, kernel._fric, kernel._fr)`` is the drag of both frames, and
-``kernel.scheme`` the one scheme a run reads: integrator, CFL number and every density floor.
+inputs and allocates two state buffers (a step writes its result into the
+one its input is not, so the input survives the step and the result the
+next one), four derivative buffers, all live in RK4, and each kernel's
+scratch, every array listed in ``kernel._scratch``.  ``params.exchange(U,
+kernel._fric, kernel._fr)`` is the drag of both frames, and ``kernel.scheme``
+the one scheme a run reads: integrator, CFL number and every density floor.
+
+Scratch is C-contiguous rows of n columns: one call on shifted slices of
+the flattened rows (:class:`_Views`) takes a stencil over every row.  A face
+row's last column is a pad, as are the first and last of a row of interior
+nodes; pads start at zero, stay finite and reach no result.  Rows with the
+same operations share a call, results fill whole rows, walls are zeroed
+after, and float operands are 0-d arrays (:func:`operands`).  A rewrite for
+speed keeps each element's operations, down to the sign of a zero: it may
+regroup calls or swap the operands of ``+`` and ``*``, but ``b - a`` is not
+``-(a - b)``, which is -0.0 where a == b.
 
 Public entries check the density of ``q`` against the floor on every call and
 return new arrays: ``tendencies(t, q, U) -> (dq, dU)`` (full right-hand
 side), ``explicit_tendencies`` (without the viscous coupling, for IMEX),
 ``stable_dt(q, U, explicit_viscosity) -> dt`` (these three are there for the
 benchmark harness, ``perfbench/``, and the tests; runs do not call them),
-``viscous_solve(rho, B,
-coef)``, which solves ``(I - coef * L_visc(rho)) U = B`` with Dirichlet
-walls and raises :class:`~mixflow.errors.NonFinite` on non-finite input,
-and ``to_evolved(rho)``/``density_view(q)``.  The integrators use private
-entries that take an already checked density and neither recompute nor
-re-check it:
+``viscous_solve(rho, B, coef)``, which solves ``(I - coef * L_visc(rho)) U =
+B`` with Dirichlet walls and raises :class:`~mixflow.errors.NonFinite` on
+non-finite input, and ``to_evolved(rho)``/``density_view(q)``.  The
+integrators use private entries that take an already checked density and
+neither recompute nor re-check it:
 
 ``kernel._density(q, where) -> rho``
     the public methods' check; ``where`` ends the error message
@@ -49,6 +58,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -101,20 +111,25 @@ class Kernel:
         self.scheme = scheme
         self.forcing = forcing
         self.nodes = grid.nodes()
-        self._N = params.N
-        self._h = grid.h
-        self._2h = 2 * grid.h
+        n, N = self.nodes.size, params.N
+        self._h = grid.h  # Python floats for scalar formulas
         self._hh = grid.h * grid.h
-        self._g1 = params.gamma - 1.0
-        self._Kg = params.K * params.gamma
         self._2lam_max = 2.0 * derived.lam_max
-        shape = (1 + params.N, self.nodes.size)
-        self._states = (np.zeros(shape), np.zeros(shape))
-        self._derivs = tuple(np.zeros(shape) for _ in range(4))
-        self._public = (np.zeros(shape), np.zeros(shape))  # input and result of tendencies
+        self._c = SimpleNamespace(**operands(
+            half=0.5, two=2.0, N=N, h=grid.h, h2=2 * grid.h, hh=self._hh, K=params.K,
+            g1=params.gamma - 1.0, Kg=params.K * params.gamma))
+        self._scratch = ()  # every array the kernel writes, for tests to poison
+        self._states = tuple(self._zeros(1 + N, n) for _ in range(2))
+        self._derivs = tuple(self._zeros(1 + N, n) for _ in range(4))
+        self._public = tuple(self._zeros(1 + N, n) for _ in range(2))  # input and result of tendencies
         self._bound = {id(a): _Views(a) for a in (*self._states, *self._derivs, *self._public)}
-        self._fric, self._fr = np.empty((2, params.N, self.nodes.size))  # out, scratch of exchange
-        self._fric_c = self._fric[:, 1:-1]
+        self._fric, self._fr = self._zeros(2, N, n)  # out, scratch of exchange
+        self._dt = tuple(self._zeros(3, 1))  # a step's multiples of dt, as array operands
+
+    def _zeros(self, *shape):
+        """A zeroed scratch array, listed in ``self._scratch``."""
+        self._scratch += (np.zeros(shape),)
+        return self._scratch[-1]
 
     def _views(self, Y):
         """Views into ``Y``: made once for the kernel's own buffers, per call otherwise."""
@@ -130,14 +145,16 @@ class Kernel:
 
 
 class _Views:
-    """Rows and shifted columns of one stacked ``(1 + N, n)`` array."""
+    """Rows of one ``(1 + N, n)`` array; ``f``/``u`` slice its flattened rows, all or the velocities."""
 
     def __init__(self, Y):
-        self.q, self.U, self.walls = Y[0], Y[1:], Y[1:, :: Y.shape[1] - 1]
-        self.q_l, self.q_r, self.q_c = Y[0, :-1], Y[0, 1:], Y[0, 1:-1]
-        self.Y_l, self.Y_r = Y[:, :-1], Y[:, 1:]
-        self.U_l, self.U_r, self.U_c = Y[1:, :-1], Y[1:, 1:], Y[1:, 1:-1]
-        self.U_ll, self.U_rr = Y[1:, :-2], Y[1:, 2:]
+        n = Y.shape[1]
+        self.q, self.U, self.walls = Y[0], Y[1:], Y[1:, :: n - 1]
+        self.q_r, self.q_c = Y[0, 1:], Y[0, 1:-1]
+        f = Y.reshape(-1)
+        self.f, self.f_r, self.f_l = f, f[1:], f[:-1]
+        self.u_r, self.u_l = f[n + 1:], f[n:-1]
+        self.u_rr, self.u_c, self.u_ll = f[n + 2:], f[n + 1:-1], f[n:-2]
 
 
 @functools.cache
@@ -173,6 +190,11 @@ def tridiagonal_solve(Q, lower, diag, upper, B):
         if info > 0:
             raise SingularMatrix(f"tridiagonal system {k} is singular (zero pivot {info})")
     return Q @ out
+
+
+def operands(**values):
+    """``values`` as 0-d float64 arrays, which a ufunc takes faster than floats."""
+    return {name: np.array(float(x)) for name, x in values.items()}
 
 
 def _finite(a):
@@ -211,32 +233,37 @@ def step_once(kernel, t, Y, dt, rho=None, shared=None):
     S = B if Y is A or Y.base is A else A  # never the buffer Y lives in
     K1, K2, K3, K4 = kernel._derivs
     rho_n = None  # density of the result, when a stage has checked it already
+    f_dt, f_a, f_b = kernel._dt  # array operands, set from dt below
+    f_dt[0] = dt
 
     if kernel.scheme.time_integrator == RK2:
         rhs(t, Y, rho, True, K1, shared)
-        np.add(Y, np.multiply(K1, dt, out=S), out=S)
+        np.add(Y, np.multiply(K1, f_dt, out=S), out=S)
         rhs(t + dt, S, _check_stage(kernel, S, "RK2 stage"), True, K2)
         K1 += K2
-        K1 *= 0.5 * dt
+        f_a[0] = 0.5 * dt
+        K1 *= f_a
         np.add(Y, K1, out=S)
 
     elif kernel.scheme.time_integrator == RK4:
+        f_a[0], f_b[0] = 0.5 * dt, dt / 6.0
         rhs(t, Y, rho, True, K1, shared)
-        for c, K, L in ((0.5 * dt, K1, K2), (0.5 * dt, K2, K3), (dt, K3, K4)):
-            np.add(Y, np.multiply(K, c, out=S), out=S)
+        for c, f, K, L in ((0.5 * dt, f_a, K1, K2), (0.5 * dt, f_a, K2, K3), (dt, f_dt, K3, K4)):
+            np.add(Y, np.multiply(K, f, out=S), out=S)
             rhs(t + c, S, _check_stage(kernel, S, "RK4 stage"), True, L)
-        K2 *= 2
+        K2 *= kernel._c.two
         K1 += K2
-        K3 *= 2
+        K3 *= kernel._c.two
         K1 += K3
         K1 += K4
-        K1 *= dt / 6.0
+        K1 *= f_b
         np.add(Y, K1, out=S)
 
     else:  # SEMI_IMPLICIT; SchemeConfig admits no other name
         g, d = _ARS_GAMMA, _ARS_DELTA
+        f_a[0] = g * dt
         rhs(t, Y, rho, False, K1, shared)
-        np.add(Y, np.multiply(K1, g * dt, out=S), out=S)  # q2 and b2, the solve's right side
+        np.add(Y, np.multiply(K1, f_a, out=S), out=S)  # q2 and b2, the solve's right side
         rho2 = _check_stage(kernel, S, "IMEX stage", Y[1:])
         U2 = kernel.viscous_solve(rho2, S[1:], g * dt)
         k2i = (U2 - S[1:]) / (g * dt)  # = L_visc(rho2) @ U2, recovered from the solve

@@ -375,6 +375,10 @@ CASES = [
          (ini("shear", ("viscosity = ", f"viscosity = [[{BEYOND_FLOAT}, 0.03], [0.03, 0.1]]")),)),
     Case("no-audits-requested", (*RUN, "--out-dir", "{out}"), 2,
          ("config error: no audits requested",), (ini("shear", ("audits = ", "audits = ,")),)),
+    Case("non-utf8-config", (*RUN, "--n-cells", "16", "--t-end", "0.001", "--out-dir", "{out}"),
+         2, ("config error: cannot read config {tmp}/case.ini: 'utf-8' codec can't decode byte "
+             "0xff in position 513: invalid start byte",),
+         (ini("shear"), raw("{tmp}/case.ini", lambda b: b + b"\xff"))),
     # exit 2: initial data, refused before any output
     Case("header-only-table", (*RUN, "--out-dir", "{out}"), 2,
          ("error: {tmp}/random_smooth_init.csv: no data rows",),
