@@ -311,16 +311,18 @@ def _fields(cp: configparser.ConfigParser, section: str) -> dict[str, object]:
     return out
 
 
-def parse_config(text: str, base_dir: str = ".", overrides=()) -> RunConfig:
+def parse_config(text: str, base_dir: str = ".", overrides=(),
+                 source: str = "<string>") -> RunConfig:
     """Parse and fully validate an INI config; unknown keys are rejected.
-    Each ``(section, key, value)`` of ``overrides`` sets that key first."""
+    Each ``(section, key, value)`` of ``overrides`` sets that key first;
+    a syntax error names ``source`` and its line."""
     # a default-section name no one-line INI header can spell, so that
     # [DEFAULT] is an ordinary section and is rejected as unknown
     cp = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise ParseError(f"config parse error: {exc}") from None
+        cp.read_string(text, source=source)
+    except configparser.Error as exc:  # its message spans up to three lines
+        raise ParseError(f"config parse error: {' '.join(str(exc).split())}") from None
     for section, key, value in overrides:
         cp.read_dict({section: {key: value}})
 
@@ -361,4 +363,4 @@ def parse_config_file(path: str, overrides=()) -> RunConfig:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from None
-    return parse_config(text, os.path.dirname(os.path.abspath(path)), overrides)
+    return parse_config(text, os.path.dirname(os.path.abspath(path)), overrides, path)

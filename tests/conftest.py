@@ -127,3 +127,39 @@ def rewrite_states(sub, change):
     path = os.path.join(sub, "states.npy")
     np.save(path, change(np.load(path)))
     redigest(sub)
+
+
+@pytest.fixture(scope="session")
+def stored_two_frames(tmp_path_factory):
+    """The stored two-frame run the store rows of ``tests/cli_cases.py`` copy."""
+    import cli_cases
+
+    return cli_cases.stored_run(str(tmp_path_factory.mktemp("cases")), cli_cases.in_process)
+
+
+def run_row(row, tmp, pristine):
+    """Run the row ``row`` of ``tests/cli_cases.py`` in-process in the empty
+    directory ``tmp``; its store rows copy ``pristine``."""
+    import cli_cases
+
+    case = next(case for case in cli_cases.ROWS if case.id == row)
+    assert cli_cases.faults(case, str(tmp), cli_cases.in_process, pristine) == [], row
+
+
+def row_test(*rows, cases=None):
+    """A test that runs rows of ``tests/cli_cases.py`` with :func:`run_row`:
+    the ``rows`` in turn, or one case per item of ``cases``, a ``{case id:
+    row id}`` dict or a list of row ids that are their own case ids.  It is
+    a staticmethod, so that a class may hold it too."""
+    if cases is None:
+        def test(tmp_path, stored_two_frames):
+            for k, row in enumerate(rows):
+                (tmp_path / str(k)).mkdir()
+                run_row(row, tmp_path / str(k), stored_two_frames)
+        return staticmethod(test)
+    cases = cases if isinstance(cases, dict) else {row: row for row in cases}
+
+    @pytest.mark.parametrize("row", cases.values(), ids=cases)
+    def test(row, tmp_path, stored_two_frames):
+        run_row(row, tmp_path, stored_two_frames)
+    return staticmethod(test)

@@ -1,7 +1,5 @@
 import configparser
 import json
-import os
-import shutil
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -18,15 +16,12 @@ from mixflow.config import (
     parse_velocity_spec,
 )
 from mixflow import io, runner
-from mixflow.cli import cli_main
 from mixflow.errors import NonPositiveDensity, ParseError, ValidationError
-from mixflow.estimates import KNOWN_AUDITS
 from mixflow.field import EULERIAN, Grid1D
 from mixflow.model import derive_matrices
 from mixflow.timestepping import SchemeConfig
 
-from conftest import CORPUS, DATA, scenario_config
-from test_io_cli import SMALL_CONFIG
+from conftest import CORPUS, DATA, row_test, scenario_config
 
 
 # INI rendering of a parsed config, for the round-trip test
@@ -289,160 +284,28 @@ class TestScenarios:
         assert s.rho.min() == pytest.approx(0.05, abs=1e-3)
 
 
-# descriptors that ran, or were misread, instead of being rejected
-MALFORMED = {
-    "misspelt-gaussian-argument": ("rho", "gaussian:base=1.0,amp=0.3,center=0.4,width=0.15,wdith=9"),
-    "unknown-sine-argument": ("u1", "sine:k=1,amp=0.1,phase=3"),
-    "table-prefix": ("u1", "tablex:file=a,column=b"),
-    "repeated-argument": ("rho", "constant:value=1,value=2"),
-    "zero-gaussian-width": ("rho", "gaussian:base=1.0,amp=0.3,center=0.4,width=0"),
-}
-
-
-@pytest.mark.parametrize("key, spec", MALFORMED.values(), ids=list(MALFORMED))
-def test_malformed_descriptor_exits_2_with_one_line(tmp_path, capsys, key, spec):
-    shipped = {"rho": "gaussian:base=1.0,amp=0.3,center=0.4,width=0.15", "u1": "sine:k=1,amp=0.1"}
-    cfg = tmp_path / "case.ini"
-    cfg.write_text(SMALL_CONFIG.replace(f"{key} = {shipped[key]}", f"{key} = {spec}"))
-    assert cli_main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"config error: [initial] {key}: "), err
-
-
-_RHO = "rho = gaussian:base=1.0,amp=0.3,center=0.4,width=0.15"
-_U1 = "u1 = sine:k=1,amp=0.1"
-_VISCOSITY = "viscosity = [[0.1, 0.02], [0.02, 0.1]]"
-
-
-@pytest.mark.parametrize("line, edited, reason", [
-    (_RHO, "rho = constant:value=nan", "[initial] rho: value must be finite, got nan"),
-    (_RHO, "rho = gaussian:base=1.0,amp=0.3,center=0.4,width=inf",
-     "[initial] rho: width must be finite, got inf"),
-    (_RHO, "rho = affine:base=1.0,slope=-inf", "[initial] rho: slope must be finite, got -inf"),
-    (_U1, "u1 = sine:k=1,amp=inf", "[initial] u1: amp must be finite, got inf"),
-    (_U1, "u1 = sine:k=1,amp=-inf", "[initial] u1: amp must be finite, got -inf"),
-    (_U1, "u1 = sine:k=1,amp=0.1 + sine:k=2,amp=nan", "[initial] u1: amp must be finite, got nan"),
-    ("t_final = 2.0", "t_final = inf", "T_final must be finite, got inf"),
-    ("pressure_coeff = 1.0", "pressure_coeff = inf", "K must be finite, got inf"),
-    ("gamma = 1.4", "gamma = inf", "gamma must be finite, got inf"),
-    (_VISCOSITY, "viscosity = [[Infinity, 0.02], [0.02, 0.1]]",
-     "viscosity matrix M has a non-finite entry"),
-    (_VISCOSITY, "viscosity = [[0.1, NaN], [NaN, 0.1]]",
-     "viscosity matrix M has a non-finite entry"),
-    ("friction = [[0.0, 0.4], [0.4, 0.0]]", "friction = [[0.0, Infinity], [Infinity, 0.0]]",
-     "friction matrix A has a non-finite entry"),
-    ("advection = upwind", "advection = upwind\ndensity_floor = inf",
-     "artificial_floor must be finite and > 0, got inf"),
-    (_VISCOSITY, f"viscosity = [[1{'0' * 400}, 0.02], [0.02, 0.1]]",
-     "[params] viscosity: expected JSON row lists (int too large to convert to float)"),
-    ("snapshot_every = 10", "snapshot_every = 0", "snapshot_every must be >= 1"),
-], ids=["rho-nan", "gaussian-width-inf", "affine-slope-minus-inf", "sine-amp-inf",
-        "sine-amp-minus-inf", "second-mode-amp-nan", "t-final-inf", "pressure-coeff-inf",
-        "gamma-inf", "viscosity-inf", "viscosity-nan", "friction-inf", "density-floor-inf",
-        "viscosity-beyond-float", "snapshot-every-zero"])
-def test_non_finite_descriptor_number_exits_2_before_any_output(tmp_path, capsys, line, edited,
-                                                                reason):
-    """Every non-finite [initial], [params] or [scheme] number, and every
-    out-of-range one, ends the run with one line before the output
-    directory is made."""
-    cfg = tmp_path / "case.ini"
-    assert line in SMALL_CONFIG
-    cfg.write_text(SMALL_CONFIG.replace(line, edited))
-    out = tmp_path / "out"
-    assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"config error: {reason}"]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("header", ["[DEFAULT]\ncfl = 0.3\n", "[DEFAULT]\n"],
-                         ids=["with-key", "empty"])
-def test_default_section_is_an_unknown_section(tmp_path, capsys, header):
-    """configparser's [DEFAULT] is not a mixflow section: it is rejected like
-    any other unknown one, not spread into [params] and the rest."""
-    cfg = tmp_path / "shear.ini"
-    shipped = os.path.join(os.path.dirname(io.__file__), "data", "shear.ini")
-    cfg.write_text(header + open(shipped).read())
-    out = tmp_path / "out"
-    assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err.splitlines() == ["config error: unknown section [DEFAULT]"]
-    assert not out.exists()
-
-
-def test_manifest_with_infinite_t_final_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "case.ini"
-    cfg.write_text(SMALL_CONFIG)
-    out = tmp_path / "out"
-    assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out), "--frame",
-                     "eulerian", "--t-end", "0.02"]) == 0
-    manifest = out / "manifest.json"
-    manifest.write_text(manifest.read_text().replace('"t_final": 2.0', '"t_final": Infinity'))
-    capsys.readouterr()
-    assert cli_main(["check", "--traj", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].endswith("T_final must be finite, got inf"), err
-
-
-def _nan_rho_cell(lines):
-    cells = lines[5].split(",")
-    cells[1] = "nan"
-    return [*lines[:5], ",".join(cells), *lines[6:]]
-
-
-@pytest.mark.parametrize("edit, reason", [
-    (lambda lines: lines[:1], "random_smooth_init.csv: no data rows"),
-    (lambda lines: lines[:2], "needs 2 or more rows of finite x_or_y and rho"),
-    (_nan_rho_cell, "needs 2 or more rows of finite x_or_y and rho"),
-], ids=["header-only", "one-data-row", "nan-cell"])
-def test_malformed_table_exits_2_with_one_line(tmp_path, capsys, edit, reason):
-    data = os.path.join(os.path.dirname(io.__file__), "data")
-    shutil.copy(os.path.join(data, "random_smooth.ini"), tmp_path)
-    lines = open(os.path.join(data, "random_smooth_init.csv")).read().splitlines()
-    (tmp_path / "random_smooth_init.csv").write_text("\n".join(edit(lines)) + "\n")
-    argv = ["run", "--config", str(tmp_path / "random_smooth.ini"), "--out-dir",
-            str(tmp_path / "out")]
-    assert cli_main(argv) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert len(err.splitlines()) == 1 and err.startswith("error: ") and reason in err, err
-
-
-def _run_overflowing_table(tmp_path, rows):
-    """Exit code of a random_smooth run whose table has the data ``rows``, and its table."""
-    data = os.path.join(os.path.dirname(io.__file__), "data")
-    shutil.copy(os.path.join(data, "random_smooth.ini"), tmp_path)
-    table = tmp_path / "random_smooth_init.csv"
-    table.write_text("x_or_y,rho,u1,u2,u3\n" + rows)
-    return cli_main(["run", "--config", str(tmp_path / "random_smooth.ini"), "--n-cells", "16",
-                     "--out-dir", str(tmp_path / "out")]), table
-
-
-def test_table_whose_slopes_overflow_exits_2_with_one_line(tmp_path, capsys):
-    # finite rows whose secant 1e300 / 1e-300 overflows: the interpolated
-    # column is not finite, and the table is refused by file and column
-    code, table = _run_overflowing_table(
-        tmp_path, "0.0,1.0,0,0,0\n1e-300,1e300,0,0,0\n1.0,1.0,0,0,0\n")
-    assert code == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: table {table} column 'rho' interpolates to non-finite values"]
-
-
-def test_table_velocity_whose_slopes_overflow_exits_2_with_one_line(tmp_path, capsys):
-    code, table = _run_overflowing_table(
-        tmp_path, "0.0,1.0,0,0,0\n1e-300,1.0,1e300,0,0\n1.0,1.0,0,0,0\n")
-    assert code == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: table {table} column 'u1' interpolates to non-finite values"]
-
-
-@pytest.mark.parametrize("t_end", ["1e-14", "1e-13", "0"])
-def test_horizon_that_takes_no_step_exits_2_before_any_output(tmp_path, capsys, t_end):
-    # run_loop stops END_SLACK short of t_end, so below it a run records t = 0 alone
-    out = tmp_path / "out"
-    assert cli_main(["run", "--config", os.path.join(DATA, "shear.ini"), "--t-end", t_end,
-                     "--n-cells", "16", "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"config error: t_end must lie in (1e-13, T_final = 2.0], got {float(t_end)}"]
-    assert not out.exists()
+# tests folded into rows of tests/cli_cases.py, under their own case ids
+test_malformed_descriptor_exits_2_with_one_line = row_test(cases=[
+    "misspelt-gaussian-argument", "unknown-sine-argument", "table-prefix", "repeated-argument",
+    "zero-gaussian-width"])
+test_non_finite_descriptor_number_exits_2_before_any_output = row_test(cases={
+    **{case: case for case in (
+        "rho-nan", "gaussian-width-inf", "affine-slope-minus-inf", "sine-amp-minus-inf",
+        "second-mode-amp-nan", "pressure-coeff-inf", "gamma-inf", "viscosity-inf", "viscosity-nan",
+        "friction-inf", "density-floor-inf", "snapshot-every-zero")},
+    "sine-amp-inf": "non-finite-amplitude", "t-final-inf": "infinite-t-final",
+    "viscosity-beyond-float": "matrix-entry-beyond-float"})
+test_default_section_is_an_unknown_section = row_test(cases={
+    "with-key": "default-section-with-key", "empty": "unknown-section"})
+test_manifest_with_infinite_t_final_exits_2 = row_test("manifest-infinite-t-final")
+test_malformed_table_exits_2_with_one_line = row_test(cases={
+    "header-only": "header-only-table", "one-data-row": "one-row-table",
+    "nan-cell": "nan-table-cell"})
+test_table_whose_slopes_overflow_exits_2_with_one_line = row_test("table-rho-slope-overflow")
+test_table_velocity_whose_slopes_overflow_exits_2_with_one_line = row_test("table-slope-overflow")
+test_horizon_that_takes_no_step_exits_2_before_any_output = row_test(cases={
+    "1e-14": "run-horizon-too-short", "1e-13": "run-horizon-1e-13", "0": "run-horizon-zero"})
+test_unknown_audit_fails_before_any_load = row_test("unknown-audit")
 
 
 def test_shortest_accepted_horizon_takes_a_step():
@@ -451,22 +314,3 @@ def test_shortest_accepted_horizon_takes_a_step():
     traj = runner.integrate(make_initial(rc.initial, grid), rc.params,
                             derive_matrices(rc.params), rc.scheme, rc.t_end)
     assert list(traj.times) == [0.0, 2e-13]
-
-
-def test_unknown_audit_fails_before_any_load(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "case.ini"
-    cfg.write_text(SMALL_CONFIG)
-    out = str(tmp_path / "out")
-    assert cli_main(["run", "--config", str(cfg), "--out-dir", out]) == 0
-    capsys.readouterr()
-    loads = []
-
-    def load(*args, **kwargs):
-        loads.append(args)
-        raise AssertionError("a trajectory was loaded")
-
-    monkeypatch.setattr(io, "load_trajectory", load)
-    assert cli_main(["check", "--traj", out, "--audits", "gronwall,bogus"]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"config error: unknown audit 'bogus'; known: {KNOWN_AUDITS}"]
-    assert loads == []

@@ -13,12 +13,12 @@ from mixflow import estimates, io
 from mixflow.errors import FileFormatError
 from mixflow.cli import _build_parser, _settings, cli_main
 from mixflow.config import parse_config
-from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D, State
+from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D
 from mixflow.runner import execute, integrate, save_result
 from mixflow.timestepping import SEMI_IMPLICIT, SchemeConfig
 
 import cli_cases
-from conftest import DATA, records, rewrite_states
+from conftest import DATA, records, rewrite_states, row_test, run_row
 
 SMALL_CONFIG = """
 [params]
@@ -167,25 +167,8 @@ class TestCli:
         assert os.path.exists(os.path.join(out, "report.json"))
         assert cli_main(["check", "--traj", out]) == 0
 
-    def test_check_detects_tampered_energy(self, tmp_path):
-        cfg = self._write_config(tmp_path)
-        out = str(tmp_path / "out")
-        assert cli_main(["run", "--config", cfg, "--out-dir", out]) == 0
-        diag = os.path.join(out, "eulerian", "diag.csv")
-        lines = open(diag).read().splitlines()
-        header = lines[0].split(",")
-        col = header.index("energy")
-        cells = lines[-1].split(",")
-        cells[col] = repr(float(cells[col]) * 1.02)
-        lines[-1] = ",".join(cells)
-        open(diag, "w").write("\n".join(lines) + "\n")
-        assert cli_main(["check", "--traj", out]) == 1
-
-    def test_usage_error_exit_2(self, tmp_path):
-        assert cli_main(["run", "--config", str(tmp_path / "missing.ini")]) == 2
-        bad = tmp_path / "bad.ini"
-        bad.write_text(SMALL_CONFIG.replace("gamma = 1.4", "gamma = 0.5"))
-        assert cli_main(["run", "--config", str(bad)]) == 2
+    test_check_detects_tampered_energy = row_test("tampered-energy")
+    test_usage_error_exit_2 = row_test("missing-config", "gamma-below-one")
 
     @pytest.mark.parametrize("error, line", [
         (MemoryError("Unable to allocate 16.0 GiB for an array with shape (2147483647,)"),
@@ -242,29 +225,9 @@ snapshot_every = 10
         for name in ("dt_rho_l2", "alpha"):
             assert np.array_equal(stored[name], fresh[name])
 
-    @pytest.mark.parametrize("frame", [EULERIAN, LAGRANGIAN])
-    @pytest.mark.parametrize("key, value", [
-        ("u1", "sine:k=1,amp=1e200"),
-        ("friction", "[[0.0, 1e308], [1e308, 0.0]]"),
-    ], ids=["velocity", "friction"])
-    def test_overflowing_run_prints_only_its_reason(self, tmp_path, capsys, frame, key, value):
-        # the shipped shear scenario with an overflowing velocity or friction:
-        # the blow-up is reported in three lines, with no numpy warning
-        lines = (DATA / "shear.ini").read_text().splitlines()
-        cfg = tmp_path / "overflow.ini"
-        cfg.write_text("\n".join(f"{key} = {value}" if line.startswith(f"{key} = ") else line
-                                 for line in lines))
-        out = str(tmp_path / "out")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = cli_main(["run", "--config", str(cfg), "--out-dir", out, "--n-cells", "32",
-                             "--t-end", "0.001", "--frame", frame])
-        assert code == 3
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        progress, reason, saved = capsys.readouterr().err.splitlines()
-        assert progress == f"running {frame} solver to t = 0.001"
-        assert reason.startswith("solver blow-up: ")
-        assert saved == f"last valid trajectory saved under {os.path.join(out, frame)}"
+    test_overflowing_run_prints_only_its_reason = row_test(cases={
+        "velocity-eulerian": "overflowing-run", **{case: f"overflowing-{case}" for case in (
+            "velocity-lagrangian", "friction-eulerian", "friction-lagrangian")}})
 
     def test_report_on_a_ledger_without_finite_values(self, tmp_path, capsys):
         # velocities of 1e160 overflow the energy and both dissipation rates
@@ -288,10 +251,8 @@ snapshot_every = 10
                 points = re.findall(r'points="([^"]*)"', fh.read())
             assert points and not any("inf" in p or "nan" in p for p in points)
 
-    @pytest.mark.parametrize("verb", ["check", "report"])
-    def test_directory_without_a_trajectory(self, tmp_path, capsys, verb):
-        assert cli_main([verb, "--traj", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == f"error: {tmp_path}: no trajectory manifest\n"
+    test_directory_without_a_trajectory = row_test(cases={
+        "check": "no-trajectory-manifest", "report": "report-without-trajectory"})
 
     def test_transform_round_trip(self, tmp_path, shear_state):
         snap = tmp_path / "s.csv"
@@ -355,19 +316,12 @@ snapshot_every = 10
         with open(os.path.join(out, "manifest.json")) as fh:
             assert json.load(fh)["scheme"]["cfl"] == 0.3
 
-    @pytest.mark.parametrize("flag, value, reason", [
-        ("--n-cells", "abc", "[scheme] n_cells: invalid literal for int() with base 10: 'abc'"),
-        ("--t-end", "x", "[scheme] t_end: could not convert string to float: 'x'"),
-        # beyond the 32-bit size of the banded solve: refused at parse time
-        ("--n-cells", "1" + "0" * 20, "n_cells must lie in [8, 2147483646], got 1" + "0" * 20),
-    ])
-    def test_malformed_flag_value_one_line(self, tmp_path, capsys, flag, value, reason):
-        cfg = tmp_path / "case.ini"
-        cfg.write_text(SMALL_CONFIG)
-        out = tmp_path / "out"
-        assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out), flag, value]) == 2
-        assert capsys.readouterr().err.splitlines() == [f"config error: {reason}"]
-        assert not out.exists()
+    test_malformed_flag_value_one_line = row_test(cases={
+        "--n-cells-abc-[scheme] n_cells: invalid literal for int() with base 10: 'abc'":
+            "malformed-n-cells",
+        "--t-end-x-[scheme] t_end: could not convert string to float: 'x'": "malformed-t-end",
+        "--n-cells-100000000000000000000-n_cells must lie in [8, 2147483646], got "
+        "100000000000000000000": "n-cells-beyond-grid"})
 
 
 class TestNameTableAndDispatch:
@@ -410,105 +364,42 @@ class TestNameTableAndDispatch:
         assert cli_main(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: mixflow ")
 
-    def test_transform_degenerate_mass_map_exit_2(self, tmp_path, capsys):
-        # two adjacent nodes so dense that their cell adds nothing to
-        # x(y) = int dy / rho; the other nodes are scaled so the volume is 1
-        g = Grid1D(1.0, 64)
-        rho = np.full(g.n_nodes, 62 / 64)
-        rho[30:32] = 1e300
-        snap = tmp_path / "lag.csv"
-        io.write_snapshot(str(snap), State(time=0.0, frame=LAGRANGIAN, grid=g, rho=rho,
-                                           U=np.zeros((2, g.n_nodes))))
-        assert cli_main(["transform", "--snap", str(snap), "--frame", LAGRANGIAN,
-                         "--out", str(tmp_path / "eul.csv")]) == 2
-        assert capsys.readouterr().err == "config error: mass map must be strictly monotone\n"
-        assert not (tmp_path / "eul.csv").exists()
+    test_transform_degenerate_mass_map_exit_2 = row_test("mass-map-not-monotone")
 
 
-BAD_MMS_ARGUMENTS = [
-    ["--levels", "32,x"],
-    ["--levels", "32"],
-    ["--levels", "32,32"],
-    ["--levels", "64,32"],
-    ["--t-end", "0"],
-    ["--t-end", "-0.1"],
-    ["--t-end", "nan"],
-    ["--t-end", "inf"],
-    ["--levels", "4,64,128"],
-    ["--t-end", "1e-13"],  # within run_loop's end slack: no step would be taken
-    ["--levels", "8,1" + "0" * 20],  # a grid no array can hold
-]
+#: the mms rows of tests/cli_cases.py under the case ids of the tests they replaced
+MMS_CASES = {f"args{k}": row for k, row in enumerate([
+    "mms-levels-not-integer", "mms-one-level", "mms-repeated-level", "mms-decreasing-levels",
+    "mms-zero-horizon", "mms-negative-horizon", "mms-nan-horizon", "mms-infinite-horizon",
+    "mms-level-below-grid", "mms-horizon-1e-13", "mms-level-beyond-grid"])}
 
 
 class TestMmsArguments:
-    @pytest.mark.parametrize("args", BAD_MMS_ARGUMENTS)
-    def test_bad_arguments_exit_2_one_line(self, args, capsys, monkeypatch):
+    @pytest.mark.parametrize("row", MMS_CASES.values(), ids=MMS_CASES)
+    def test_bad_arguments_exit_2_one_line(self, row, tmp_path, stored_two_frames, monkeypatch):
         # every level is checked before the ladder forks its worker
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before the levels were checked"))
-        assert cli_main(["mms", *args]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ")
-        assert len(err.strip().splitlines()) == 1
+        run_row(row, tmp_path, stored_two_frames)
 
-    @pytest.mark.parametrize("args", BAD_MMS_ARGUMENTS)
-    def test_refused_study_makes_no_out_dir(self, args, tmp_path, capsys):
-        out = tmp_path / "d"
-        assert cli_main(["mms", *args, "--out-dir", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("config error: ")
-        assert not out.exists()
+    test_refused_study_makes_no_out_dir = row_test(cases=MMS_CASES)
 
 
 class TestUnwritableOutputs:
     """An output path that cannot be written exits 2 with one line naming it."""
 
-    def _one_line(self, capsys, path):
-        captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {path}: ")
-        assert len(captured.err.splitlines()) == 1
-        return captured
+    test_run_out_dir_below_a_file = row_test("out-dir-below-a-file")
+    test_transform_out_in_missing_directory = row_test("transform-into-missing-dir")
 
-    def test_run_out_dir_below_a_file(self, tmp_path, capsys):
-        cfg = tmp_path / "case.ini"
-        cfg.write_text(SMALL_CONFIG)
-        (tmp_path / "afile").write_text("")
-        out = str(tmp_path / "afile" / "run")
-        assert cli_main(["run", "--config", str(cfg), "--out-dir", out]) == 2
-        captured = self._one_line(capsys, out)
-        assert captured.err.endswith(": Not a directory\n")
-        assert captured.out == ""  # the solve never started
-
-    def test_mms_out_dir_is_a_file(self, tmp_path, capsys):
-        out = tmp_path / "afile"
-        out.write_text("")
-        assert cli_main(["mms", "--levels", "8,16", "--t-end", "0.01",
-                         "--out-dir", str(out)]) == 2
-        assert self._one_line(capsys, out).err.endswith(": File exists\n")
-        assert out.read_text() == ""
-
-    def test_transform_out_in_missing_directory(self, tmp_path, capsys, shear_state):
-        snap = tmp_path / "s.csv"
-        io.write_snapshot(str(snap), shear_state)
-        out = str(tmp_path / "missing" / "lag.csv")
-        assert cli_main(["transform", "--snap", str(snap), "--frame", EULERIAN,
-                         "--out", out]) == 2
-        assert self._one_line(capsys, out).err.endswith(": No such file or directory\n")
+    def test_mms_out_dir_is_a_file(self, tmp_path, stored_two_frames):
+        run_row("mms-out-dir-is-a-file", tmp_path, stored_two_frames)
+        assert (tmp_path / "afile").read_text() == ""
 
 
 class TestEmptyAuditList:
-    @pytest.mark.parametrize("audits", [",", " , ", ""])
-    def test_check_flag(self, small_run, audits, capsys):
-        rc, _ = small_run
-        assert cli_main(["check", "--traj", rc.out_dir, "--audits", audits]) == 2
-        assert capsys.readouterr().err == "config error: no audits requested\n"
-
-    @pytest.mark.parametrize("value", ["", ",", " , ,"])
-    def test_ini_key(self, tmp_path, value, capsys):
-        cfg = tmp_path / "case.ini"
-        cfg.write_text(SMALL_CONFIG.replace("audits = all", f"audits = {value}"))
-        out = tmp_path / "out"
-        assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
-        assert capsys.readouterr().err == "config error: no audits requested\n"
-        assert not out.exists()
+    test_check_flag = row_test(cases={
+        ",": "check-comma-audits", " , ": "check-blank-audits", "": "check-empty-audits"})
+    test_ini_key = row_test(cases={
+        "": "empty-audits", ",": "no-audits-requested", " , ,": "blank-audits"})
 
     def test_all_and_named_lists_unchanged(self):
         assert parse_config(SMALL_CONFIG).audit_set == estimates.KNOWN_AUDITS
@@ -525,16 +416,6 @@ def stored_run(tmp_path_factory):
     out = str(root / "out")
     assert cli_main(["run", "--config", str(cfg), "--out-dir", out]) == 0
     return out
-
-
-def _manifest_edit(edit):
-    """A corruption that edits the parsed manifest in place and writes it back."""
-    def corrupt(out):
-        path = os.path.join(out, "manifest.json")
-        manifest = json.load(open(path))
-        edit(manifest)
-        json.dump(manifest, open(path, "w"))
-    return corrupt
 
 
 def _interior_speed(speed, sub=EULERIAN):
@@ -558,35 +439,23 @@ def _diag_edit(name, row, value, sub=EULERIAN):
     return corrupt
 
 
-def _diag_column(name, value, sub=EULERIAN):
-    """A corruption that sets every cell of one column of ``sub/diag.csv``."""
-    def corrupt(out):
-        path = os.path.join(out, sub, "diag.csv")
-        header, *lines = open(path).read().splitlines()
-        col = header.split(",").index(name)
-        rows = [line.split(",") for line in lines]
-        for cells in rows:
-            cells[col] = value(cells[col])
-        open(path, "w").write("\n".join([header, *map(",".join, rows)]) + "\n")
-    return corrupt
-
-
 class TestTrajectoryFormatFaults:
     def _copy(self, stored_run, tmp_path):
         out = str(tmp_path / "copy")
         shutil.copytree(stored_run, out)
         return out
 
-    def _check_fails_naming(self, out, name, capsys):
-        assert cli_main(["check", "--traj", out]) == 2
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
-        assert err.startswith("error: ") and name in err
-        return err
+    test_corrupt_store = row_test(cases=[case.id for case in cli_cases.STORE_FAULTS])
+    test_typed_field_from_the_check_worker = row_test("lagrangian-n-cells-type")
+    test_frames_with_different_params = row_test("frames-with-different-params")
+    test_two_stores_of_one_frame = row_test("two-stores-of-one-frame")
+    test_non_numeric_snapshot_cell = row_test("final-snapshot-digest", "transform-non-numeric-cell")
+    test_manifest_index_mismatch = row_test("times-shorter-than-states")
 
-    @pytest.mark.parametrize("case", cli_cases.STORE_FAULTS, ids=lambda case: case.id)
-    def test_corrupt_store(self, case, tmp_path, stored_two_frames):
-        assert cli_cases.faults(case, str(tmp_path), cli_cases.in_process, stored_two_frames) == []
+    def test_short_diagnostics_row(self, tmp_path, stored_two_frames):
+        run_row("short-diag-row", tmp_path, stored_two_frames)
+        with pytest.raises(FileFormatError, match="line 3"):
+            io.read_diagnostics(str(tmp_path / "store" / "eulerian" / "diag.csv"))
 
     def test_store_beyond_memory_is_not_a_format_fault(self, stored_run, capsys, monkeypatch):
         # a whole states.npy too large to load: README's out-of-memory line
@@ -595,35 +464,6 @@ class TestTrajectoryFormatFaults:
         monkeypatch.setattr(np, "load", exhausted)
         assert cli_main(["check", "--traj", stored_run]) == 2
         assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
-
-    def test_typed_field_from_the_check_worker(self, small_run, tmp_path, capsys):
-        # with both frames stored, the fault of the second one is named
-        rc, _ = small_run
-        out = str(tmp_path / "both")
-        shutil.copytree(rc.out_dir, out)
-        _manifest_edit(lambda m: m.update(n_cells="x"))(os.path.join(out, "lagrangian"))
-        err = self._check_fails_naming(out, os.path.join("lagrangian", "manifest.json"), capsys)
-        assert "field 'n_cells' must be an integer" in err
-
-    def test_frames_with_different_params(self, small_run, tmp_path, capsys):
-        rc, _ = small_run
-        out = str(tmp_path / "both")
-        shutil.copytree(rc.out_dir, out)
-
-        def edit(m):  # valid parameters with a matching hash, but not the Eulerian ones
-            m["params"]["pressure_coeff"] = 1.5
-            m["params_hash"] = io.params_hash(io.params_from_dict(m["params"]))
-
-        _manifest_edit(edit)(os.path.join(out, "lagrangian"))
-        self._check_fails_naming(out, "the frames' manifests give different params", capsys)
-
-    def test_two_stores_of_one_frame(self, small_run, tmp_path, capsys):
-        rc, _ = small_run
-        out = str(tmp_path / "both")
-        shutil.copytree(rc.out_dir, out)
-        _manifest_edit(lambda m: m.update(frame=LAGRANGIAN))(os.path.join(out, EULERIAN))
-        err = self._check_fails_naming(out, "need one or two distinct frames", capsys)
-        assert err == "error: need one or two distinct frames, got ['lagrangian', 'lagrangian']\n"
 
     @pytest.mark.parametrize("speed", ["1e154", "1e160"])
     def test_overflowing_derivative_norms_fail_the_audit(self, stored_run, tmp_path, capsys,
@@ -660,41 +500,6 @@ class TestTrajectoryFormatFaults:
         audit = report["audits"]["alpha_growth"]
         assert audit["verdict"] == "FAIL" and audit["margin"] == -math.inf
 
-    def test_short_diagnostics_row(self, stored_run, tmp_path, capsys):
-        out = self._copy(stored_run, tmp_path)
-        diag = os.path.join(out, "diag.csv")
-        lines = open(diag).read().splitlines()
-        lines[2] = lines[2].rsplit(",", 3)[0]
-        open(diag, "w").write("\n".join(lines) + "\n")
-        self._check_fails_naming(out, "diag.csv", capsys)
-        with pytest.raises(FileFormatError, match="line 3"):
-            io.read_diagnostics(diag)
-
-    def test_non_numeric_snapshot_cell(self, stored_run, tmp_path, capsys):
-        # the final snapshot: check refuses its sha256, transform its cell
-        out = self._copy(stored_run, tmp_path)
-        with open(os.path.join(out, "manifest.json")) as fh:
-            snap = os.path.join(out, json.load(fh)["snapshots"][0])
-        lines = open(snap).read().splitlines()
-        cells = lines[4].split(",")
-        cells[1] = "abc"
-        lines[4] = ",".join(cells)
-        open(snap, "w").write("\n".join(lines) + "\n")
-        err = self._check_fails_naming(out, os.path.basename(snap), capsys)
-        assert err == f"error: {snap}: sha256 does not match the manifest\n"
-        assert cli_main(["transform", "--snap", snap, "--frame", EULERIAN,
-                         "--out", str(tmp_path / "lag.csv")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {snap}: ") and "'abc'" in err and err.count("\n") == 1
-
-    def test_manifest_index_mismatch(self, stored_run, tmp_path, capsys):
-        out = self._copy(stored_run, tmp_path)
-        mpath = os.path.join(out, "manifest.json")
-        manifest = json.load(open(mpath))
-        manifest["times"].pop()
-        json.dump(manifest, open(mpath, "w"))
-        self._check_fails_naming(out, "manifest.json", capsys)
-
     def test_report_reads_only_the_last_snapshot(self, stored_run, tmp_path, capsys):
         # the same SVGs as rendered from the fully loaded trajectory, even with
         # an earlier record no trajectory may hold, which check still reports
@@ -713,8 +518,8 @@ class TestTrajectoryFormatFaults:
             assert open(os.path.join(out, name), "rb").read() == open(
                 os.path.join(full, name), "rb").read()
         capsys.readouterr()
-        err = self._check_fails_naming(out, "states.npy", capsys)
-        assert err.endswith(": min(rho) = -1.0 <= 0\n")
+        assert cli_main(["check", "--traj", out]) == 2
+        assert capsys.readouterr().err == f"error: {out}/states.npy: min(rho) = -1.0 <= 0\n"
 
 
 @pytest.fixture(scope="module")
@@ -757,19 +562,10 @@ class TestLedger:
         assert " != recomputed " in reasons[0]
         assert audits["alpha_growth"]["verdict"] in ("PASS", "FAIL")
 
-    @pytest.mark.parametrize("corrupt, reason", [
-        (_diag_column("alpha", lambda c: repr(2 * float(c))), "eulerian: stored alpha row 0 = "),
-        (_diag_edit("identity_residual", 2, lambda c: "inf", LAGRANGIAN),
-         "lagrangian: stored identity_residual row 2 = inf != recomputed "),
-        (_diag_column("alpha", lambda c: ""), "eulerian: stored diagnostics lack alpha"),
-        (_diag_column("alpha", lambda c: "1.0", LAGRANGIAN),
-         "lagrangian: stored diagnostics have alpha, which does not apply"),
-    ], ids=["doubled-alpha", "inf-identity-residual", "blank-alpha-column",
-            "lagrangian-alpha-column"])
-    def test_time_field_mismatch_named(self, shear_run, tmp_path, capsys, corrupt, reason):
-        code, reasons, _ = self._check(shear_run, tmp_path, capsys, corrupt)
-        assert code == 1
-        assert len(reasons) == 1 and reasons[0].startswith(reason), reasons
+    test_time_field_mismatch_named = row_test(cases={
+        "doubled-alpha": "doubled-alpha-column",
+        **{case: case for case in ("inf-identity-residual", "blank-alpha-column",
+                                   "lagrangian-alpha-column")}})
 
     def test_overflowing_gronwall_ceiling_is_inf(self, shear_run, tmp_path, capsys):
         _, _, audits = self._check(shear_run, tmp_path, capsys, _interior_speed("1e3"))
@@ -791,14 +587,7 @@ class TestLedger:
         assert audit["verdict"] == "FAIL" and audit["margin"] == -math.inf
         assert audit["details"]["c4"] == math.inf
 
-    def test_header_only_ledger(self, shear_run, tmp_path, capsys):
-        out = str(tmp_path / "copy")
-        shutil.copytree(shear_run, out)
-        path = os.path.join(out, EULERIAN, "diag.csv")
-        header = open(path).readline()
-        open(path, "w").write(header)
-        assert cli_main(["check", "--traj", out]) == 1
-        assert "eulerian: diagnostics rows != snapshots" in capsys.readouterr().err
+    test_header_only_ledger = row_test("header-only-ledger")
 
     def test_untouched_ledger_passes(self, shear_run, tmp_path, capsys):
         code, reasons, _ = self._check(shear_run, tmp_path, capsys, lambda out: None)
@@ -836,14 +625,13 @@ def test_ledger_comparison(stored, fresh, match):
     assert got == ((2, "u_linf") if match else (1, "energy"))
 
 
-@pytest.fixture(scope="session")
-def stored_two_frames(tmp_path_factory):
-    return cli_cases.stored_run(str(tmp_path_factory.mktemp("cases")), cli_cases.in_process)
+test_cli_case = row_test(cases=[case.id for case in cli_cases.ROWS])
 
 
-@pytest.mark.parametrize("case", cli_cases.CASES, ids=lambda case: case.id)
-def test_cli_case(case, tmp_path, stored_two_frames):
-    assert cli_cases.faults(case, str(tmp_path), cli_cases.in_process, stored_two_frames) == []
+def test_row_ids_are_unique():
+    # pytest would suffix a repeated id, and cli_cases.py selects rows by id
+    ids = [case.id for case in cli_cases.ROWS]
+    assert sorted({row for row in ids if ids.count(row) > 1}) == []
 
 
 # documented lines no row can print: a worker death and a MemoryError take a
