@@ -15,6 +15,7 @@ input error or out of memory, 3 solver blow-up, 4 a forked worker died.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import asdict
@@ -38,7 +39,9 @@ EXIT_BLOWUP = 3
 EXIT_WORKER_DIED = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process; ``cli_main`` calls ``_cmd_<verb>`` by name per call."""
     ap = argparse.ArgumentParser(prog="mixflow", description=__doc__.split("\n")[0])
     sub = ap.add_subparsers(dest="verb", required=True)
 
@@ -53,12 +56,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scheme", dest="scheme.integrator", metavar="SCHEME",
                      help="override the time integrator")
     run.add_argument("--cfl", dest="scheme.cfl", metavar="CFL")
-    run.set_defaults(command=_cmd_run)
 
     chk = sub.add_parser("check", help="re-audit a stored trajectory")
     chk.add_argument("--traj", required=True, help="run output directory")
     chk.add_argument("--audits", default="all")
-    chk.set_defaults(command=_cmd_check)
 
     ms = sub.add_parser("mms", help="manufactured-solution convergence study")
     ms.add_argument("--frame", default=EULERIAN, choices=(EULERIAN, LAGRANGIAN))
@@ -66,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ms.add_argument("--levels", default="32,64,128")
     ms.add_argument("--t-end", type=float, default=0.25)
     ms.add_argument("--out-dir", default=None)
-    ms.set_defaults(command=_cmd_mms)
 
     rep = sub.add_parser(
         "report",
@@ -77,14 +77,12 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--out-dir", default=None,
                      help="defaults next to the trajectory; a two-frame run's plots go to "
                      "OUT_DIR/<frame>")
-    rep.set_defaults(command=_cmd_report)
 
     tr = sub.add_parser("transform", help="map a snapshot between frames")
     tr.add_argument("--snap", required=True, help="snapshot CSV file")
     tr.add_argument("--frame", required=True, choices=(EULERIAN, LAGRANGIAN),
                     help="frame the snapshot is currently in")
     tr.add_argument("--out", required=True)
-    tr.set_defaults(command=_cmd_transform)
     return ap
 
 
@@ -225,7 +223,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         # overflow and division by zero give inf or NaN without a warning:
         # the stage checks, the verdicts and the file checks report them
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return args.command(args)
+            return globals()[f"_cmd_{args.verb}"](args)
     except SolverBlowup as exc:
         print(f"solver blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP

@@ -20,6 +20,7 @@ or keys are rejected.  Serialization round-trips exactly (floats via repr).
 from __future__ import annotations
 
 import configparser
+import functools
 import json
 import math
 import os
@@ -202,9 +203,9 @@ def parse_velocity_spec(text: str, context: str = "u") -> Descriptor:
     return Descriptor("sine", (("modes", tuple(modes)),))
 
 
-def _sample_table(path: str, column: str, x: np.ndarray) -> np.ndarray:
-    """``column`` of a snapshot-format CSV (2 or more rows, finite values) on the nodes ``x``."""
-    header, data = read_table(path)
+def _sample_table(path: str, column: str, x: np.ndarray, read) -> np.ndarray:
+    """``column`` of the snapshot-format CSV ``read(path)`` (2+ rows, finite values) on ``x``."""
+    header, data = read(path)
     if header[0] != "x_or_y" or column not in header:
         raise FileFormatError(f"table {path} lacks column {column!r} (header: {header})")
     xs, vals = data[:, 0], data[:, header.index(column)]
@@ -220,11 +221,11 @@ def _sample_table(path: str, column: str, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _profile(spec: Descriptor, x: np.ndarray, base_dir: str) -> np.ndarray:
+def _profile(spec: Descriptor, x: np.ndarray, base_dir: str, read) -> np.ndarray:
     """``spec`` sampled on the nodes ``x``; a table's file is read from ``base_dir``."""
     kv = dict(spec.args)
     if spec.kind == "table":
-        return _sample_table(os.path.join(base_dir, kv["file"]), kv["column"], x)
+        return _sample_table(os.path.join(base_dir, kv["file"]), kv["column"], x, read)
     return _PROFILES[spec.kind](x, **kv)
 
 
@@ -234,10 +235,11 @@ def make_initial(data: InitialData, grid: Grid1D) -> State:
     Density must be strictly positive; boundary velocities are zeroed exactly.
     """
     x = grid.nodes()
-    rho = _profile(data.rho, x, data.base_dir)
+    read = functools.cache(read_table)  # a table file named by several descriptors is read once
+    rho = _profile(data.rho, x, data.base_dir, read)
     if rho.min() <= 0:
         raise NonPositiveDensity(f"initial density must be positive, min = {rho.min()}")
-    U = np.array([_profile(spec, x, data.base_dir) for spec in data.u])
+    U = np.array([_profile(spec, x, data.base_dir, read) for spec in data.u])
     U[:, 0] = 0.0
     U[:, -1] = 0.0
     return State(time=0.0, frame=EULERIAN, grid=grid, rho=rho, U=U)

@@ -32,7 +32,7 @@ from .errors import DensityFloor
 from .field import EULERIAN, Grid1D
 from .model import DerivedMatrices, MixtureParams
 # run_loop is not called here: perfbench/selftest.py resolves it as euler.run_loop
-from .timestepping import UPWIND, Forcing, Kernel, SchemeConfig, operands, run_loop, tridiagonal_solve  # noqa: F401
+from .timestepping import UPWIND, Forcing, Kernel, SchemeConfig, operands, run_loop  # noqa: F401
 
 
 class EulerKernel(Kernel):
@@ -177,16 +177,20 @@ class EulerKernel(Kernel):
             dt = min(dt, self._hh * rho[rho.argmin()] / self._2lam_max)
         return float(dt), rg
 
-    def viscous_solve(self, rho, B, coef):
+    def viscous_solve(self, rho, B, coef, out=None):
         """Solve (I - coef * diag(1/rho) M d2) U = B, Dirichlet walls.
 
         M is diagonalized once (M = Q diag(lam) Q^T); each eigen-component is
         an independent scalar tridiagonal system.
         """
-        d = self.derived
-        h = self._h
-        base = coef / (rho * h * h)
-        c = d.lam[:, None] * base
-        c[:, 0] = 0.0  # wall rows are the identity
-        c[:, -1] = 0.0
-        return tridiagonal_solve(d.Q, -c[:, 1:], 1.0 + 2.0 * c, -c[:, :-1], B)
+        c, o = self._diag, self._c
+        np.multiply(rho, o.h, out=c)  # row k: lam_k coef / (rho h^2), walls 0
+        c *= o.h
+        np.divide(coef, c, out=c)
+        c *= self._lam
+        self._diag_walls[...] = 0.0  # wall rows are the identity
+        np.negative(c[:, 1:], out=self._lower)
+        np.negative(c[:, :-1], out=self._upper)
+        c *= o.two
+        c += o.one
+        return self._tridiagonal_solve(B, out)

@@ -106,7 +106,8 @@ def read_table(path: str) -> tuple[list[str], np.ndarray]:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc.strerror}") from None
-    except ValueError as exc:  # a cell that is not a number, a ragged row
+    except ValueError as exc:  # a cell that is not a number, a ragged row: named by its line
+        _raise_bad_line(path)
         raise FileFormatError(f"{path}: {exc}") from None
     if data.shape[0] == 0:
         raise FileFormatError(f"{path}: no data rows")
@@ -114,6 +115,22 @@ def read_table(path: str) -> tuple[list[str], np.ndarray]:
         raise FileFormatError(
             f"{path}: {data.shape[1]} columns for the {len(header)} of header {','.join(header)}")
     return header, data
+
+
+def _raise_bad_line(path: str):
+    """Raise :class:`FileFormatError` on the first line of the CSV table ``path``, numbered as
+    in ``read_diagnostics``, with a cell count other than the header's or a cell that is not a
+    number; blank lines and ``#`` comments are skipped, as ``np.loadtxt`` skips them."""
+    header, *rows = _read(path).decode(errors="replace").splitlines()
+    header = header.strip().split(",")
+    for k, row in enumerate(rows, start=2):
+        if cells := row.partition("#")[0].strip():
+            cells = cells.split(",")
+            if len(cells) != len(header):
+                raise FileFormatError(f"{path}: line {k} has {len(cells)} cells, expected "
+                                      f"{len(header)}")
+            for name, cell in zip(header, cells):
+                _cell(path, k, name, cell)
 
 
 def read_snapshot(path: str, time: float, frame: str) -> State:

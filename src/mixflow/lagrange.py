@@ -24,7 +24,7 @@ from .errors import DensityFloor, DomainLengthDrift, ValidationError, WrongFrame
 from .field import (
     EULERIAN, LAGRANGIAN, Grid1D, State, cumulative_trapezoid, face_harmonic_mean, pchip,
 )
-from .timestepping import Kernel, operands, tridiagonal_solve
+from .timestepping import Kernel, operands
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +91,11 @@ class LagrangeKernel(Kernel):
 
     def __init__(self, grid, params, derived, scheme, forcing=None):
         super().__init__(grid, params, derived, scheme, forcing)
-        vars(self._c).update(operands(one=1.0, gamma=params.gamma, neg_K=-params.K))
+        vars(self._c).update(operands(gamma=params.gamma, neg_K=-params.K))
         n, N = self.nodes.size, params.N
         self._v, self._pg, self._gp, self._harm, self._s = self._zeros(5, n)
         self._J, self._L, self._Ml = self._zeros(3, N, n)  # faces: rho_f du; nodes: its differences, M of them
+        self._coef_lam = self._zeros(N, 1)  # the viscous solve's coef * lam
         self._v_ll, self._v_rr, self._pg_ll, self._pg_rr = self._v[:-2], self._v[2:], self._pg[:-2], self._pg[2:]
         self._gp_c, self._harm_l = self._gp[1:-1], self._harm[:-1]
         self._J_l, self._J_r, self._L_r = self._J.reshape(-1)[:-1], self._J.reshape(-1)[1:], self._L.reshape(-1)[1:]
@@ -170,17 +171,20 @@ class LagrangeKernel(Kernel):
             dt = min(dt, self._hh / (self._2lam_max * rho[rho.argmax()]))
         return float(dt), None
 
-    def viscous_solve(self, rho, B, coef):
-        d = self.derived
-        conduct = face_harmonic_mean(rho) / self._hh  # face conductances
-        c = (coef * d.lam)[:, None] * conduct  # one value per face
+    def viscous_solve(self, rho, B, coef, out=None):
+        c, diag = self._upper, self._diag
+        conduct = face_harmonic_mean(rho, out=self._harm_l)  # face conductances
+        conduct /= self._c.hh
+        np.multiply(coef, self._lam, out=self._coef_lam)
+        np.multiply(self._coef_lam, conduct, out=c)  # one value per face
         # wall rows are the identity (first upper and last lower entry zero);
         # interior row j couples w_{j-1} and w_{j+1} through the conductances
         # c[j-1] and c[j] of its two faces
-        diag = np.ones((c.shape[0], rho.size))
-        diag[:, 1:-1] = 1.0 + c[:, :-1] + c[:, 1:]
-        upper = -c
-        lower = upper.copy()
-        lower[:, -1] = 0.0
-        upper[:, 0] = 0.0
-        return tridiagonal_solve(d.Q, lower, diag, upper, B)
+        inner = np.add(c[:, :-1], self._c.one, out=diag[:, 1:-1])
+        inner += c[:, 1:]
+        self._diag_walls[...] = 1.0
+        np.negative(c, out=self._lower)
+        np.negative(c, out=c)
+        self._lower[:, -1] = 0.0
+        c[:, 0] = 0.0
+        return self._tridiagonal_solve(B, out)

@@ -31,9 +31,14 @@ return new arrays: ``tendencies(t, q, U) -> (dq, dU)`` (full right-hand
 side), ``explicit_tendencies`` (without the viscous coupling, for IMEX),
 ``stable_dt(q, U, explicit_viscosity) -> dt`` (these three are there for the
 benchmark harness, ``perfbench/``, and the tests; runs do not call them),
-``viscous_solve(rho, B, coef)``, which solves ``(I - coef * L_visc(rho)) U =
-B`` with Dirichlet walls and raises :class:`~mixflow.errors.NonFinite` on
-non-finite input, and ``to_evolved(rho)``/``density_view(q)``.  The
+``viscous_solve(rho, B, coef, out=None)``, which solves ``(I - coef *
+L_visc(rho)) U = B`` with Dirichlet walls into ``out`` (which may be ``B``)
+or a new array and raises :class:`~mixflow.errors.NonFinite` on non-finite
+input, and ``to_evolved(rho)``/``density_view(q)``.  A solve rewrites the
+kernel's ``_band`` (its ``_lower``, ``_diag`` and ``_upper`` rows), ``_eig``
+and, in mass coordinates, ``_harm`` and ``_coef_lam``; the semi-implicit step
+passes ``_U2`` as its first solve's ``out`` and its result's velocities as the
+second's.  The
 integrators use private entries that take an already checked density and
 neither recompute nor re-check it:
 
@@ -116,8 +121,9 @@ class Kernel:
         self._hh = grid.h * grid.h
         self._2lam_max = 2.0 * derived.lam_max
         self._c = SimpleNamespace(**operands(
-            half=0.5, two=2.0, N=N, h=grid.h, h2=2 * grid.h, hh=self._hh, K=params.K,
-            g1=params.gamma - 1.0, Kg=params.K * params.gamma))
+            one=1.0, half=0.5, two=2.0, N=N, h=grid.h, h2=2 * grid.h, hh=self._hh, K=params.K,
+            g1=params.gamma - 1.0, Kg=params.K * params.gamma,
+            ars_d=_ARS_DELTA, ars_1_d=1.0 - _ARS_DELTA, ars_1_g=1.0 - _ARS_GAMMA))
         self._scratch = ()  # every array the kernel writes, for tests to poison
         self._states = tuple(self._zeros(1 + N, n) for _ in range(2))
         self._derivs = tuple(self._zeros(1 + N, n) for _ in range(4))
@@ -125,6 +131,13 @@ class Kernel:
         self._bound = {id(a): _Views(a) for a in (*self._states, *self._derivs, *self._public)}
         self._fric, self._fr = self._zeros(2, N, n)  # out, scratch of exchange
         self._dt = tuple(self._zeros(3, 1))  # a step's multiples of dt, as array operands
+        # the viscous solve: a band without pads (one scan covers it), W = Q^T B, U2 of IMEX
+        self._band = self._zeros(N * (3 * n - 2))
+        bands = np.split(self._band, [N * (n - 1), N * (2 * n - 1)])
+        self._lower, self._diag, self._upper = (a.reshape(N, -1) for a in bands)
+        self._diag_walls, self._lam = self._diag[:, :: n - 1], derived.lam[:, None]
+        self._eig, self._U2 = self._zeros(2, N, n)
+        self._systems = tuple(zip(self._lower, self._diag, self._upper, self._eig))
 
     def _zeros(self, *shape):
         """A zeroed scratch array, listed in ``self._scratch``."""
@@ -142,6 +155,24 @@ class Kernel:
         Y[0], Y[1:] = q, U
         self._rhs(t, Y, rho, include_viscous, out)
         return out[0].copy(), out[1:].copy()
+
+    def _tridiagonal_solve(self, B, out):
+        """``Q x`` into ``out`` (which may be ``B``; None: a new array), where
+        ``T_k x_k = W[k]`` is solved in place in ``W = Q^T B`` by LAPACK ``dgtsv``
+        and row k of ``_lower``, ``_diag`` and ``_upper`` holds the sub-, main and
+        super-diagonal of ``T_k``.  Non-finite input raises :class:`NonFinite`
+        before any arithmetic on it, so a blow-up in an implicit stage ends the
+        run like any other; a zero pivot raises :class:`SingularMatrix`."""
+        if not (_finite(self._band) and _finite(B)):
+            raise NonFinite("non-finite input to the tridiagonal solve")
+        Q, W = self.derived.Q, self._eig
+        if not _finite(np.matmul(Q.T, B, out=W)):
+            raise NonFinite("non-finite input to the tridiagonal solve")
+        dgtsv = _dgtsv()
+        for k, system in enumerate(self._systems):
+            if (info := dgtsv(*system, 1, 1, 1, 1)[4]) > 0:  # in place: the solution is W[k]
+                raise SingularMatrix(f"tridiagonal system {k} is singular (zero pivot {info})")
+        return np.matmul(Q, W, out=out)
 
 
 class _Views:
@@ -165,31 +196,6 @@ def _dgtsv():
     from scipy.linalg.lapack import dgtsv
 
     return dgtsv
-
-
-def tridiagonal_solve(Q, lower, diag, upper, B):
-    """Solve the systems ``T_k`` in the eigenbasis ``Q`` with LAPACK ``dgtsv``.
-
-    ``W = Q^T B`` is solved row by row, ``T_k x_k = W[k]``, and ``Q x`` is
-    returned with the shape of ``B`` (N, n).  Row k of ``lower`` (N, n-1),
-    ``diag`` (N, n) and ``upper`` (N, n-1) holds the sub-, main and
-    super-diagonal of ``T_k``.  Non-finite input raises :class:`NonFinite`
-    before any arithmetic on it, so a blow-up in an implicit stage ends the
-    run like any other; a zero pivot raises :class:`SingularMatrix`.
-    """
-    for a in (lower, diag, upper, B):
-        if not _finite(a):
-            raise NonFinite("non-finite input to the tridiagonal solve")
-    W = Q.T @ B
-    if not _finite(W):
-        raise NonFinite("non-finite input to the tridiagonal solve")
-    out = np.empty_like(W)
-    dgtsv = _dgtsv()
-    for k in range(W.shape[0]):
-        _, _, _, out[k], info = dgtsv(lower[k], diag[k], upper[k], W[k])
-        if info > 0:
-            raise SingularMatrix(f"tridiagonal system {k} is singular (zero pivot {info})")
-    return Q @ out
 
 
 def operands(**values):
@@ -260,19 +266,27 @@ def step_once(kernel, t, Y, dt, rho=None, shared=None):
         np.add(Y, K1, out=S)
 
     else:  # SEMI_IMPLICIT; SchemeConfig admits no other name
-        g, d = _ARS_GAMMA, _ARS_DELTA
-        f_a[0] = g * dt
+        c, gdt = kernel._c, _ARS_GAMMA * dt
+        f_a[0] = gdt
         rhs(t, Y, rho, False, K1, shared)
         np.add(Y, np.multiply(K1, f_a, out=S), out=S)  # q2 and b2, the solve's right side
         rho2 = _check_stage(kernel, S, "IMEX stage", Y[1:])
-        U2 = kernel.viscous_solve(rho2, S[1:], g * dt)
-        k2i = (U2 - S[1:]) / (g * dt)  # = L_visc(rho2) @ U2, recovered from the solve
+        U2 = kernel.viscous_solve(rho2, S[1:], gdt, kernel._U2)
+        k2i = np.subtract(U2, S[1:], out=K3[1:])  # = L_visc(rho2) @ U2, recovered from the solve
+        k2i /= f_a
         S[1:] = U2
-        rhs(t + g * dt, S, rho2, False, K2)
-        S[0] = Y[0] + dt * (d * K1[0] + (1.0 - d) * K2[0])
+        rhs(t + gdt, S, rho2, False, K2)
+        K1 *= c.ars_d  # d K1 + (1 - d) K2, every row
+        K2 *= c.ars_1_d
+        K1 += K2
+        np.add(Y[0], np.multiply(K1[0], f_dt, out=S[0]), out=S[0])
         rho_n = _check_stage(kernel, S, "IMEX stage")
-        b3 = Y[1:] + dt * (d * K1[1:] + (1.0 - d) * K2[1:] + (1.0 - g) * k2i)
-        S[1:] = kernel.viscous_solve(rho_n, b3, g * dt)
+        k2i *= c.ars_1_g
+        dU = K1[1:]
+        dU += k2i
+        dU *= f_dt
+        np.add(Y[1:], dU, out=S[1:])  # b3, the second solve's right side, solved in place
+        kernel.viscous_solve(rho_n, S[1:], gdt, S[1:])
 
     # Dirichlet walls: tendencies are zero there, but enforce exactly anyway
     kernel._views(S).walls[...] = 0.0

@@ -521,6 +521,10 @@ CASES = [
     Case("nan-table-cell", (*RUN, "--out-dir", "{out}"), 2, (TOO_FEW_ROWS,),
          (ini("random_smooth", table=lambda lines: lines),
           column(TABLE, "rho", lambda c: "nan", slice(4, 5)))),
+    Case("non-numeric-table-cell", (*RUN, "--out-dir", "{out}"), 2,
+         (f"error: {TABLE}: line 6: could not convert string to float: 'abc'",),
+         (ini("random_smooth", table=lambda lines: lines),
+          column(TABLE, "u2", lambda c: "abc", slice(4, 5)))),
     # finite rows whose slope in one column, 1e300 over a gap of 1e-300, overflows
     *(Case(id, (*RUN, "--n-cells", "16", "--out-dir", "{out}"), 2,
            (f"error: table {TABLE} column '{name}' interpolates to non-finite values",),
@@ -566,8 +570,12 @@ CASES = [
          ("config error: mass map must be strictly monotone",),
          (write("{tmp}/lag.csv", DENSE_PAIR),)),
     Case("transform-non-numeric-cell", (*TO_LAGRANGIAN, "--out", "{out}"), 2,
-         (FINAL + "could not convert string 'abc' to float64 at row 3, column 2.",),
+         (FINAL + "line 5: could not convert string to float: 'abc'",),
          (store, column(EUL + "/{final}", "rho", lambda c: "abc", slice(3, 4)))),
+    Case("transform-ragged-row", (*TO_LAGRANGIAN, "--out", "{out}"), 2,
+         (FINAL + "line 5 has 3 cells, expected 4",),
+         (store, edit(EUL + "/{final}",
+                      lambda lines: [*lines[:4], lines[4].rsplit(",", 1)[0], *lines[5:]]))),
     # exit 2: stored runs
     Case("no-trajectory-manifest", ("check", "--traj", "{tmp}"), 2,
          ("error: {tmp}: no trajectory manifest",)),

@@ -278,6 +278,18 @@ class TestScenarios:
             s = make_initial(rc.initial, Grid1D(1.0, 64))
             assert s.rho.min() > 0.0
 
+    def test_table_named_four_times_is_read_once_per_call(self, monkeypatch):
+        rc = scenario_config("random_smooth")
+        reads = []
+        monkeypatch.setattr("mixflow.config.read_table",
+                            lambda path: reads.append(path) or io.read_table(path))
+        want = make_initial(rc.initial, Grid1D(1.0, 64))
+        assert len(reads) == 1
+        again = make_initial(rc.initial, Grid1D(1.0, 64))  # no cache across calls
+        assert len(reads) == 2
+        for a, b in ((want.rho, again.rho), (want.U, again.U)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
     def test_near_vacuum_floor(self):
         rc = scenario_config("near_vacuum")
         s = make_initial(rc.initial, Grid1D(1.0, 256))

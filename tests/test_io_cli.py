@@ -628,6 +628,18 @@ def test_ledger_comparison(stored, fresh, match):
 test_cli_case = row_test(cases=[case.id for case in cli_cases.ROWS])
 
 
+def test_two_calls_build_one_parser_and_call_the_verb_of_the_moment(monkeypatch):
+    # the verb is looked up per call, so a wrapper installed after the first
+    # call (the benchmark's tracer) still sees every later one
+    _build_parser.cache_clear()
+    assert cli_main(["check", "--traj", "a", "--audits", ","]) == 2
+    seen = []
+    monkeypatch.setattr("mixflow.cli._cmd_check", lambda args: seen.append(args.traj) or 0)
+    assert cli_main(["check", "--traj", "b"]) == 0
+    assert seen == ["b"]
+    assert _build_parser.cache_info().misses == 1
+
+
 def test_row_ids_are_unique():
     # pytest would suffix a repeated id, and cli_cases.py selects rows by id
     ids = [case.id for case in cli_cases.ROWS]

@@ -14,7 +14,9 @@ from mixflow.euler import EulerKernel
 from mixflow.field import Grid1D
 from mixflow.lagrange import LagrangeKernel
 from mixflow.model import derive_matrices, make_params
-from mixflow.timestepping import SEMI_IMPLICIT, SchemeConfig, run_loop
+from mixflow.timestepping import SEMI_IMPLICIT, SchemeConfig, _dgtsv, run_loop
+
+from conftest import scenario_config
 
 IMEX = SchemeConfig(time_integrator=SEMI_IMPLICIT)
 KERNELS = (EulerKernel, LagrangeKernel)
@@ -97,6 +99,56 @@ def test_viscous_solve_matches_banded_and_dense(kernel_cls, inputs):
     system = np.eye(B.size) - coef * dense_viscous_operator(kern, rho)
     dense = np.linalg.solve(system, B.ravel()).reshape(B.shape)
     np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12 * max(np.abs(B).max(), 1.0))
+
+
+def bits(a):
+    return a.view(np.int64)
+
+
+@pytest.mark.parametrize("kernel_cls", KERNELS)
+@given(inputs=solve_inputs())
+@settings(max_examples=20, deadline=None)
+def test_viscous_solve_into_out_equals_a_fresh_solve(kernel_cls, inputs):
+    M, n_cells, rho, B, coef = inputs
+    kern = make_kernel(kernel_cls, M, n_cells)
+    want = make_kernel(kernel_cls, M, n_cells).viscous_solve(rho, B, coef)
+    out = np.full_like(B, np.nan)
+    assert kern.viscous_solve(rho, B, coef, out) is out
+    assert np.array_equal(bits(out), bits(want))
+    inplace = B.copy()  # the step's second solve: out is B
+    assert kern.viscous_solve(rho, inplace, coef, inplace) is inplace
+    assert np.array_equal(bits(inplace), bits(want))
+
+
+# a density whose band overflows: coef / (rho h^2) in physical coordinates,
+# the harmonic face density in mass coordinates
+@pytest.mark.parametrize("kernel_cls, rho", [(EulerKernel, 1e-308), (LagrangeKernel, 1e305)])
+def test_overflowing_band_is_refused_by_its_scan(kernel_cls, rho):
+    rc = scenario_config("shear")
+    grid = Grid1D(1.0, rc.n_cells)
+    kern = kernel_cls(grid, rc.params, derive_matrices(rc.params), IMEX)
+    B = np.zeros((rc.params.N, grid.n_cells + 1))
+    with np.errstate(over="ignore"), pytest.raises(NonFinite) as info:
+        kern.viscous_solve(np.full(grid.n_cells + 1, rho), B, 1.0)
+    assert str(info.value) == "non-finite input to the tridiagonal solve"
+
+
+@pytest.mark.parametrize("kernel_cls", KERNELS)
+def test_dgtsv_solves_in_the_rows_it_is_passed(kernel_cls, params2, derived2, shear_state):
+    # the solve reads its result from the kernel's own rows: a LAPACK wrapper
+    # that copied them would leave W[k] unsolved
+    kern = kernel_cls(shear_state.grid, params2, derived2, IMEX)
+    n = shear_state.grid.n_cells + 1
+    rng = np.random.default_rng(5)
+    for k, (lower, diag, upper, w) in enumerate(kern._systems):
+        lower[:], diag[:], upper[:] = -rng.random(n - 1), 3.0 + rng.random(n), -rng.random(n - 1)
+        w[:] = rng.random(n)
+        system = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        want = np.linalg.solve(system, w)
+        _, d, _, x, info = _dgtsv()(lower, diag, upper, w, 1, 1, 1, 1)
+        assert info == 0
+        assert np.shares_memory(x, kern._eig[k]) and np.shares_memory(d, kern._diag[k])
+        np.testing.assert_allclose(kern._eig[k], want, rtol=1e-12)
 
 
 @pytest.mark.parametrize("kernel_cls", KERNELS)
