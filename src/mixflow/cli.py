@@ -239,10 +239,9 @@ def cli_main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:  # an output path that cannot be written
-        if exc.filename is None:
-            raise
-        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # an output path that cannot be written, a full disk
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

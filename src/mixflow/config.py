@@ -28,12 +28,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    FileFormatError,
-    NonPositiveDensity,
-    ParseError,
-    ValidationError,
-)
+from .errors import FileFormatError, ParseError, ValidationError
 from .estimates import KNOWN_AUDITS
 from .field import EULERIAN, LAGRANGIAN, Grid1D, State, pchip
 from .io import PARAMS, read_table
@@ -238,7 +233,7 @@ def make_initial(data: InitialData, grid: Grid1D) -> State:
     read = functools.cache(read_table)  # a table file named by several descriptors is read once
     rho = _profile(data.rho, x, data.base_dir, read)
     if rho.min() <= 0:
-        raise NonPositiveDensity(f"initial density must be positive, min = {rho.min()}")
+        raise ValidationError(f"initial density must be positive, min = {rho.min()}")
     U = np.array([_profile(spec, x, data.base_dir, read) for spec in data.u])
     U[:, 0] = 0.0
     U[:, -1] = 0.0

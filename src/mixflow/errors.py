@@ -1,4 +1,4 @@
-"""Exception taxonomy shared by all mixflow modules."""
+"""Exception taxonomy shared by all mixflow modules: one class per way a command ends."""
 
 
 class MixflowError(Exception):
@@ -7,38 +7,6 @@ class MixflowError(Exception):
 
 class ValidationError(MixflowError):
     """A physical-parameter or configuration invariant is violated."""
-
-
-class NotSymmetric(ValidationError):
-    pass
-
-
-class NotPositiveDefinite(ValidationError):
-    pass
-
-
-class NonPositiveEntry(ValidationError):
-    pass
-
-
-class BadDimension(ValidationError):
-    pass
-
-
-class SingularMatrix(MixflowError):
-    pass
-
-
-class LengthMismatch(MixflowError):
-    pass
-
-
-class WrongFrame(MixflowError):
-    """Operation applied to a state/trajectory in the wrong coordinate frame."""
-
-
-class NonPositiveDensity(ValidationError):
-    pass
 
 
 class SolverBlowup(MixflowError):
@@ -59,14 +27,6 @@ class DensityFloor(SolverBlowup):
 
 class NonFinite(SolverBlowup):
     """NaN/Inf detected in the evolved fields."""
-
-
-class DomainLengthDrift(MixflowError):
-    """Reconstructed Eulerian domain length drifted too far from 1."""
-
-
-class EmptyTrajectory(MixflowError):
-    pass
 
 
 class FileFormatError(MixflowError):

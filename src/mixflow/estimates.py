@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import EmptyTrajectory, WrongFrame
+from .errors import MixflowError
 from .field import (
     EULERIAN,
     LAGRANGIAN,
@@ -81,7 +81,7 @@ KNOWN_AUDITS = tuple(_AUDITS)
 def _ledger(traj: Trajectory) -> dict[str, np.ndarray]:
     """The ledger of ``traj``; a trajectory without one row per state raises."""
     if (rows := len(traj.diagnostics.get("time", ()))) != len(traj):
-        raise EmptyTrajectory(f"{rows} diagnostics records for {len(traj)} states")
+        raise MixflowError(f"{rows} diagnostics records for {len(traj)} states")
     return traj.diagnostics
 
 
@@ -161,7 +161,7 @@ def w_field(state: State | Trajectory) -> np.ndarray:
     audited bounds involving ||w|| hold exactly at the discrete level.
     """
     if state.frame != LAGRANGIAN:
-        raise WrongFrame("w_field expects a Lagrangian state")
+        raise MixflowError("w_field expects a Lagrangian state")
     return face_gradient(np.log(state.rho), state.grid)
 
 
@@ -245,7 +245,7 @@ def time_derivative_series(times: np.ndarray, values) -> np.ndarray:
     """
     v = np.asarray(values, dtype=float)
     if len(v) < 2:
-        raise EmptyTrajectory("need at least two records for time derivatives")
+        raise MixflowError("need at least two records for time derivatives")
     dt = np.diff(times).reshape(-1, *(1,) * (v.ndim - 1))
     out = np.empty_like(v)
     out[0] = 0.0 + (-1.0 / dt[0]) * v[0] + (1.0 / dt[0]) * v[1]
@@ -645,7 +645,7 @@ def build_report(
     inputs = {f: (t, _ledger(t)) for f in (EULERIAN, LAGRANGIAN) for t in trajectories
               if t.frame == f}
     if not inputs or len(inputs) < len(trajectories):
-        raise WrongFrame(f"need one or two distinct frames, got {[t.frame for t in trajectories]}")
+        raise MixflowError(f"need one or two distinct frames, got {[t.frame for t in trajectories]}")
     inputs[None] = next(iter(inputs.values()))  # the Eulerian frame when present
     st = inputs[None][0]
     dval = integrate(st.rho[0], st.grid) if st.frame == EULERIAN else st.grid.domain_length

@@ -85,11 +85,8 @@ class EulerKernel(Kernel):
 
     # -- tendencies ----------------------------------------------------------
 
-    def tendencies(self, t, rho, U):
-        return self._fresh_rhs(t, rho, U, True)
-
-    def explicit_tendencies(self, t, rho, U):
-        return self._fresh_rhs(t, rho, U, False)
+    tendencies, explicit_tendencies, stable_dt = (
+        Kernel.tendencies, Kernel.explicit_tendencies, Kernel.stable_dt)
 
     def _shared(self, rho, U):
         """``rho**(gamma-1)`` into ``_rg`` and the mean velocity into ``_v``."""
@@ -163,9 +160,6 @@ class EulerKernel(Kernel):
         return out
 
     # -- stability & implicit solve ------------------------------------------
-
-    def stable_dt(self, rho, U, explicit_viscosity=True):
-        return self._stable_dt(self._density(rho, "in stable_dt"), U, explicit_viscosity)[0]
 
     def _stable_dt(self, rho, U, explicit_viscosity):
         rg = self._shared(rho, U)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTrajectory, LengthMismatch, NonPositiveDensity, ValidationError, WrongFrame
+from .errors import MixflowError, ValidationError
 
 EULERIAN = "eulerian"
 LAGRANGIAN = "lagrangian"
@@ -63,15 +63,15 @@ def _check_fields(frame: str, grid: Grid1D, lead: tuple, rho: np.ndarray, U: np.
     ``lead``: shapes, frame, finite values, positive density and zero walls."""
     n = grid.n_nodes
     if rho.shape != (*lead, n):
-        raise LengthMismatch(f"rho has shape {rho.shape}, expected {(*lead, n)}")
+        raise MixflowError(f"rho has shape {rho.shape}, expected {(*lead, n)}")
     if U.ndim != len(lead) + 2 or U.shape[:-2] != lead or U.shape[-1] != n:
-        raise LengthMismatch(f"U has shape {U.shape}, expected ({'R, ' * len(lead)}N, {n})")
+        raise MixflowError(f"U has shape {U.shape}, expected ({'R, ' * len(lead)}N, {n})")
     if frame not in (EULERIAN, LAGRANGIAN):
         raise ValidationError(f"unknown frame {frame!r}")
     if not np.all(np.isfinite(rho)) or not np.all(np.isfinite(U)):
         raise ValidationError("state contains non-finite values")
     if rho.min() <= 0:
-        raise NonPositiveDensity(f"min(rho) = {rho.min()} <= 0")
+        raise ValidationError(f"min(rho) = {rho.min()} <= 0")
     if np.abs(U[..., [0, -1]]).max() != 0.0:
         raise ValidationError("boundary velocities must be exactly zero")
 
@@ -116,7 +116,7 @@ class Trajectory:
         self.times, self.rho, self.U = (_readonly(np.ascontiguousarray(a, dtype=float))
                                         for a in (times, rho, U))
         if self.times.ndim != 1 or not self.times.size:
-            raise EmptyTrajectory(f"times of shape {self.times.shape}: need a row of records")
+            raise MixflowError(f"times of shape {self.times.shape}: need a row of records")
         _check_fields(frame, grid, self.times.shape, self.rho, self.U)
         if self.times[0] < 0 or (np.diff(self.times) <= 0).any():
             raise ValidationError("trajectory time stamps must be >= 0 and strictly increase")
@@ -125,7 +125,7 @@ class Trajectory:
     def stack(cls, states) -> Trajectory:
         """The trajectory of the time-ordered ``states``, all of one frame."""
         if len(frames := {s.frame for s in states}) > 1:
-            raise WrongFrame(f"stacking states of frames {sorted(frames)}")
+            raise MixflowError(f"stacking states of frames {sorted(frames)}")
         return cls(states[0].frame, states[0].grid, *zip(*((s.time, s.rho, s.U) for s in states)))
 
     def __reduce__(self):
@@ -147,13 +147,19 @@ class Trajectory:
 # discrete calculus
 
 
+def _on_nodes(f, grid: Grid1D, dtype=None) -> np.ndarray:
+    """``f`` as an array of ``dtype``, refused unless its last axis holds ``grid``'s nodes."""
+    f = np.asarray(f, dtype=dtype)
+    if f.shape[-1] != grid.n_nodes:
+        raise MixflowError(f"array length {f.shape[-1]} != {grid.n_nodes} nodes")
+    return f
+
+
 def integrate(f: np.ndarray, grid: Grid1D) -> float | np.ndarray:
     """Composite trapezoidal quadrature along the last axis; exact for affine
     integrands.  A float for one sampled field, an array over the leading
     axes for a stack of them (each row summed as in the one-field call)."""
-    f = np.asarray(f)
-    if f.shape[-1] != grid.n_nodes:
-        raise LengthMismatch(f"array length {f.shape[-1]} != {grid.n_nodes} nodes")
+    f = _on_nodes(f, grid)
     h = grid.h
     return _scalar(h * (f[..., 1:-1].sum(axis=-1) + 0.5 * (f[..., 0] + f[..., -1])))
 
@@ -169,9 +175,7 @@ def cumulative_trapezoid(f: np.ndarray, dx) -> np.ndarray:
 
 def diff(f: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Node derivative: central interior, one-sided second order at the ends."""
-    f = np.asarray(f, dtype=float)
-    if f.shape[-1] != grid.n_nodes:
-        raise LengthMismatch(f"array length {f.shape[-1]} != {grid.n_nodes} nodes")
+    f = _on_nodes(f, grid, float)
     h = grid.h
     out = np.empty_like(f)
     out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2 * h)
@@ -234,9 +238,7 @@ def pchip(x: np.ndarray, y: np.ndarray, at: np.ndarray) -> np.ndarray:
 
 
 def face_gradient(f: np.ndarray, grid: Grid1D) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if f.shape[-1] != grid.n_nodes:
-        raise LengthMismatch(f"array length {f.shape[-1]} != {grid.n_nodes} nodes")
+    f = _on_nodes(f, grid, float)
     out = f[..., 1:] - f[..., :-1]
     out /= grid.h
     return out
@@ -269,9 +271,7 @@ def sbp_derivative(f: np.ndarray, grid: Grid1D) -> np.ndarray:
     (written out in ``LagrangeKernel._rhs``) so the discrete fluid volume is
     conserved to round-off.
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape[-1] != grid.n_nodes:
-        raise LengthMismatch(f"array length {f.shape[-1]} != {grid.n_nodes} nodes")
+    f = _on_nodes(f, grid, float)
     h = grid.h
     out = np.empty_like(f)
     out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2 * h)

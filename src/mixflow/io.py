@@ -172,7 +172,9 @@ def write_diagnostics(path: str, ledger: dict[str, np.ndarray]):
 
 
 def _cell(path: str, k: int, name: str, cell: str) -> float:
-    try:
+    try:  # np.loadtxt refuses what float() reads as digit groups or non-ASCII digits
+        if "_" in cell or not cell.isascii():
+            raise ValueError(f"could not convert string to float: {cell!r}")
         return float(cell)
     except ValueError as exc:
         raise FileFormatError(f"{path}: line {k}: {exc if cell else f'{name} is empty'}") from None

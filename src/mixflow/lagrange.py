@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DensityFloor, DomainLengthDrift, ValidationError, WrongFrame
+from .errors import DensityFloor, MixflowError, ValidationError
 from .field import (
     EULERIAN, LAGRANGIAN, Grid1D, State, cumulative_trapezoid, face_harmonic_mean, pchip,
 )
@@ -51,7 +51,7 @@ def _remap(state: State, s_old: np.ndarray, length: float, frame: str) -> State:
 def euler_to_lagrange(state: State) -> State:
     """Resample an Eulerian state onto the uniform mass grid over (0, d)."""
     if state.frame != EULERIAN:
-        raise WrongFrame("euler_to_lagrange expects an Eulerian state")
+        raise MixflowError("euler_to_lagrange expects an Eulerian state")
     y = cumulative_trapezoid(state.rho, state.grid.h)  # y(x) = int_0^x rho ds
     return _remap(state, y, float(y[-1]), LAGRANGIAN)
 
@@ -60,17 +60,16 @@ def lagrange_to_euler(state: State, drift_tol: float = 1e-4) -> State:
     """Map a Lagrangian state back to the unit interval.
 
     x(y) = int_0^y ds/rho must land on 1; drift beyond ``drift_tol`` means the
-    two formulations have diverged and raises :class:`DomainLengthDrift`.
+    two formulations have diverged and raises :class:`MixflowError`.
     Smaller drift is renormalized away so the result lives exactly on (0, 1).
     """
     if state.frame != LAGRANGIAN:
-        raise WrongFrame("lagrange_to_euler expects a Lagrangian state")
+        raise MixflowError("lagrange_to_euler expects a Lagrangian state")
     x = cumulative_trapezoid(1.0 / np.asarray(state.rho), state.grid.h)
     length = float(x[-1])
     if abs(length - 1.0) > drift_tol:
-        raise DomainLengthDrift(
-            f"reconstructed domain length {length:.8f} deviates from 1 by more than {drift_tol}"
-        )
+        raise MixflowError(
+            f"reconstructed domain length {length:.8f} deviates from 1 by more than {drift_tol}")
     return _remap(state, x / length, 1.0, EULERIAN)
 
 
@@ -113,11 +112,8 @@ class LagrangeKernel(Kernel):
             raise DensityFloor(f"density below floor {where}")
         return rho
 
-    def tendencies(self, t, q, U):
-        return self._fresh_rhs(t, q, U, True)
-
-    def explicit_tendencies(self, t, q, U):
-        return self._fresh_rhs(t, q, U, False)
+    tendencies, explicit_tendencies, stable_dt = (
+        Kernel.tendencies, Kernel.explicit_tendencies, Kernel.stable_dt)
 
     def _rhs(self, t, Y, rho, include_viscous, out, shared=None):
         # ``shared`` is unused: stable_dt computes nothing the tendencies need
@@ -157,9 +153,6 @@ class LagrangeKernel(Kernel):
             rhs += s_u
         o.walls[...] = 0.0
         return out
-
-    def stable_dt(self, q, U, explicit_viscosity=True):
-        return self._stable_dt(self._density(q, "in stable_dt"), U, explicit_viscosity)[0]
 
     def _stable_dt(self, rho, U, explicit_viscosity):
         # signal speed in mass coordinates is rho * c

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadDimension,
-    NonPositiveEntry,
-    NotPositiveDefinite,
-    NotSymmetric,
-    SingularMatrix,
-    ValidationError,
-)
+from .errors import MixflowError, ValidationError
 
 _SYM_RTOL = 1e-12
 
@@ -105,7 +98,7 @@ class DerivedMatrices:
 
 def _check_square(name: str, mat: np.ndarray, n: int):
     if mat.ndim != 2 or mat.shape != (n, n):
-        raise BadDimension(f"{name} must be {n}x{n}, got shape {mat.shape}")
+        raise ValidationError(f"{name} must be {n}x{n}, got shape {mat.shape}")
 
 
 def validate_params(p: MixtureParams) -> MixtureParams:
@@ -117,13 +110,13 @@ def validate_params(p: MixtureParams) -> MixtureParams:
     beyond symmetry and positivity are imposed on M.
     """
     if int(p.N) != p.N or p.N < 2:
-        raise NonPositiveEntry(f"N must be an integer >= 2, got {p.N}")
+        raise ValidationError(f"N must be an integer >= 2, got {p.N}")
     if not p.K > 0:
-        raise NonPositiveEntry(f"K must be > 0, got {p.K}")
+        raise ValidationError(f"K must be > 0, got {p.K}")
     if not p.gamma > 1:
-        raise NonPositiveEntry(f"gamma must be > 1, got {p.gamma}")
+        raise ValidationError(f"gamma must be > 1, got {p.gamma}")
     if not p.T_final > 0:
-        raise NonPositiveEntry(f"T_final must be > 0, got {p.T_final}")
+        raise ValidationError(f"T_final must be > 0, got {p.T_final}")
     for name, value in (("K", p.K), ("gamma", p.gamma), ("T_final", p.T_final)):
         if not np.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
@@ -136,19 +129,19 @@ def validate_params(p: MixtureParams) -> MixtureParams:
 
     scale_m = max(np.abs(p.M).max(), 1.0)
     if np.abs(p.M - p.M.T).max() > _SYM_RTOL * scale_m:
-        raise NotSymmetric("viscosity matrix M is not symmetric")
+        raise ValidationError("viscosity matrix M is not symmetric")
     scale_a = max(np.abs(p.A).max(), 1.0)
     if np.abs(p.A - p.A.T).max() > _SYM_RTOL * scale_a:
-        raise NotSymmetric("friction matrix A is not symmetric")
+        raise ValidationError("friction matrix A is not symmetric")
 
     off = ~np.eye(p.N, dtype=bool)
     if not np.all(p.A[off] > 0):
-        raise NonPositiveEntry("off-diagonal friction coefficients must be > 0")
+        raise ValidationError("off-diagonal friction coefficients must be > 0")
 
     try:
         np.linalg.cholesky(p.M)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("viscosity matrix M is not positive definite") from None
+        raise ValidationError("viscosity matrix M is not positive definite") from None
     return p
 
 
@@ -159,12 +152,12 @@ def derive_matrices(p: MixtureParams) -> DerivedMatrices:
 
     resid = np.linalg.norm(p.M @ m_inv - np.eye(p.N)) / max(np.linalg.norm(p.M), 1e-300)
     if resid > 1e-10:
-        raise SingularMatrix(f"M @ M_inv deviates from identity by {resid:.3e}")
+        raise MixflowError(f"M @ M_inv deviates from identity by {resid:.3e}")
 
     lam, q = np.linalg.eigh(p.M)
     c0 = float(lam[0])
     if c0 <= 0:
-        raise SingularMatrix(f"smallest eigenvalue {c0} <= 0 after validation")
+        raise MixflowError(f"smallest eigenvalue {c0} <= 0 after validation")
 
     k_tilde = float(p.K / p.N * m_inv.sum())
     v_weights = m_inv.sum(axis=0) / p.N

@@ -27,20 +27,20 @@ regroup calls or swap the operands of ``+`` and ``*``, but ``b - a`` is not
 ``-(a - b)``, which is -0.0 where a == b.
 
 Public entries check the density of ``q`` against the floor on every call and
-return new arrays: ``tendencies(t, q, U) -> (dq, dU)`` (full right-hand
-side), ``explicit_tendencies`` (without the viscous coupling, for IMEX),
-``stable_dt(q, U, explicit_viscosity) -> dt`` (these three are there for the
-benchmark harness, ``perfbench/``, and the tests; runs do not call them),
-``viscous_solve(rho, B, coef, out=None)``, which solves ``(I - coef *
-L_visc(rho)) U = B`` with Dirichlet walls into ``out`` (which may be ``B``)
-or a new array and raises :class:`~mixflow.errors.NonFinite` on non-finite
-input, and ``to_evolved(rho)``/``density_view(q)``.  A solve rewrites the
-kernel's ``_band`` (its ``_lower``, ``_diag`` and ``_upper`` rows), ``_eig``
-and, in mass coordinates, ``_harm`` and ``_coef_lam``; the semi-implicit step
-passes ``_U2`` as its first solve's ``out`` and its result's velocities as the
-second's.  The
-integrators use private entries that take an already checked density and
-neither recompute nor re-check it:
+return new arrays.  ``tendencies(t, q, U) -> (dq, dU)`` (full right-hand
+side), ``explicit_tendencies`` (without the viscous coupling, for IMEX) and
+``stable_dt(q, U, explicit_viscosity) -> dt`` serve the benchmark harness and
+the tests, not runs; :class:`Kernel` defines them once and each kernel class
+binds them again by name, as ``perfbench/tracing.py`` wraps a class's own.
+``viscous_solve(rho, B, coef, out=None)`` solves ``(I - coef * L_visc(rho))
+U = B`` with Dirichlet walls into ``out`` (which may be ``B``) or a new array
+and raises :class:`~mixflow.errors.NonFinite` on non-finite input;
+``to_evolved(rho) -> q`` and ``density_view(q) -> rho`` convert.  A solve
+rewrites the kernel's ``_band`` (its ``_lower``, ``_diag`` and ``_upper``
+rows), ``_eig`` and, in mass coordinates, ``_harm`` and ``_coef_lam``; the
+semi-implicit step passes ``_U2`` as its first solve's ``out`` and its
+result's velocities as the second's.  The integrators use private entries
+that take an already checked density and neither recompute nor re-check it:
 
 ``kernel._density(q, where) -> rho``
     the public methods' check; ``where`` ends the error message
@@ -68,7 +68,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DensityFloor, NonFinite, SingularMatrix, SolverBlowup, ValidationError
+from .errors import DensityFloor, MixflowError, NonFinite, SolverBlowup, ValidationError
 from .field import EULERIAN, State, Trajectory
 
 RK2 = "explicit-RK2"
@@ -156,13 +156,22 @@ class Kernel:
         self._rhs(t, Y, rho, include_viscous, out)
         return out[0].copy(), out[1:].copy()
 
+    def tendencies(self, t, q, U):
+        return self._fresh_rhs(t, q, U, True)
+
+    def explicit_tendencies(self, t, q, U):
+        return self._fresh_rhs(t, q, U, False)
+
+    def stable_dt(self, q, U, explicit_viscosity=True):
+        return self._stable_dt(self._density(q, "in stable_dt"), U, explicit_viscosity)[0]
+
     def _tridiagonal_solve(self, B, out):
         """``Q x`` into ``out`` (which may be ``B``; None: a new array), where
         ``T_k x_k = W[k]`` is solved in place in ``W = Q^T B`` by LAPACK ``dgtsv``
         and row k of ``_lower``, ``_diag`` and ``_upper`` holds the sub-, main and
         super-diagonal of ``T_k``.  Non-finite input raises :class:`NonFinite`
         before any arithmetic on it, so a blow-up in an implicit stage ends the
-        run like any other; a zero pivot raises :class:`SingularMatrix`."""
+        run like any other; a zero pivot raises :class:`MixflowError`."""
         if not (_finite(self._band) and _finite(B)):
             raise NonFinite("non-finite input to the tridiagonal solve")
         Q, W = self.derived.Q, self._eig
@@ -171,7 +180,7 @@ class Kernel:
         dgtsv = _dgtsv()
         for k, system in enumerate(self._systems):
             if (info := dgtsv(*system, 1, 1, 1, 1)[4]) > 0:  # in place: the solution is W[k]
-                raise SingularMatrix(f"tridiagonal system {k} is singular (zero pivot {info})")
+                raise MixflowError(f"tridiagonal system {k} is singular (zero pivot {info})")
         return np.matmul(Q, W, out=out)
 
 

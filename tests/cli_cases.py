@@ -167,6 +167,11 @@ def remove(path, then=None):
     return step
 
 
+def mkdir(path):
+    """Make the directory ``path``."""
+    return lambda fields, mixflow: os.mkdir(path.format(**fields))
+
+
 def write(path, text):
     """Write ``text`` to the file at ``path``."""
     def step(fields, mixflow):
@@ -321,6 +326,8 @@ STORE_FAULTS = [Case(id, CHECK, 2, (line,), (store, corrupt)) for id, line, corr
      manifest(lambda m: m.update(n_cells="x"), "lagrangian")),
     ("domain-length-type", MANIFEST + "field 'domain_length' must be a number, got null",
      manifest(lambda m: m.update(domain_length=None))),
+    ("negative-domain-length", MANIFEST + "domain_length must be positive",
+     manifest(lambda m: m.update(domain_length=-1.0))),
     ("gamma-type", MANIFEST + "field 'gamma' must be a number, got \"1.4\"",
      manifest(lambda m: m["params"].update(gamma="1.4"))),
     ("ragged-friction",
@@ -382,6 +389,8 @@ BAD_INI = [
      "[initial] u1: missing argument 'file' for table"),
     ("bad-sine-mode", "u1 = sine:k=x,amp=0.1",
      "[initial] u1: bad sine mode (invalid literal for int() with base 10: 'x')"),
+    ("non-numeric-constant", "rho = constant:value=abc",
+     "[initial] rho: could not convert string to float: 'abc'"),
     # every number must be finite and in range
     ("rho-nan", "rho = constant:value=nan", "[initial] rho: value must be finite, got nan"),
     ("gaussian-width-inf", "rho = gaussian:base=1.0,amp=0.3,center=0.4,width=inf",
@@ -405,6 +414,8 @@ BAD_INI = [
     ("density-floor-inf", ("[scheme]", "[scheme]\ndensity_floor = inf"),
      "artificial_floor must be finite and > 0, got inf"),
     ("snapshot-every-zero", "snapshot_every = 0", "snapshot_every must be >= 1"),
+    ("unknown-ini-frame", "frame = sideways",
+     "frame must be one of ('eulerian', 'lagrangian', 'both'), got 'sideways'"),
 ]
 
 #: ``mms`` arguments refused before any level is solved or its directory
@@ -525,6 +536,9 @@ CASES = [
          (f"error: {TABLE}: line 6: could not convert string to float: 'abc'",),
          (ini("random_smooth", table=lambda lines: lines),
           column(TABLE, "u2", lambda c: "abc", slice(4, 5)))),
+    Case("table-is-a-directory", (*RUN, "--out-dir", "{out}"), 2,
+         ("error: cannot read {tmp}/adir: Is a directory",),
+         (ini("shear", "rho = table:file=adir"), mkdir("{tmp}/adir"))),
     # finite rows whose slope in one column, 1e300 over a gap of 1e-300, overflows
     *(Case(id, (*RUN, "--n-cells", "16", "--out-dir", "{out}"), 2,
            (f"error: table {TABLE} column '{name}' interpolates to non-finite values",),
@@ -576,6 +590,18 @@ CASES = [
          (FINAL + "line 5 has 3 cells, expected 4",),
          (store, edit(EUL + "/{final}",
                       lambda lines: [*lines[:4], lines[4].rsplit(",", 1)[0], *lines[5:]]))),
+    Case("transform-digit-group-cell", (*TO_LAGRANGIAN, "--out", "{out}"), 2,
+         (FINAL + "line 5: could not convert string to float: '1_0'",),
+         (store, column(EUL + "/{final}", "rho", lambda c: "1_0", slice(3, 4)))),
+    Case("transform-negative-density", (*TO_LAGRANGIAN, "--out", "{out}"), 2,
+         (FINAL + "min(rho) = -1.0 <= 0",),
+         (store, column(EUL + "/{final}", "rho", lambda c: "-1.0", slice(3, 4)))),
+    Case("transform-four-row-snapshot", (*TO_LAGRANGIAN, "--out", "{out}"), 2,
+         (FINAL + "n_cells must lie in [8, 2147483646], got 3",),
+         (store, edit(EUL + "/{final}", lambda lines: lines[:5]))),
+    # an OSError without a file name: the reason alone
+    Case("transform-onto-full-device", (*TO_LAGRANGIAN, "--out", "/dev/full"), 2,
+         ("error: No space left on device",), (store,)),
     # exit 2: stored runs
     Case("no-trajectory-manifest", ("check", "--traj", "{tmp}"), 2,
          ("error: {tmp}: no trajectory manifest",)),

@@ -92,6 +92,19 @@ def stack(q, U):
     return np.concatenate([np.asarray(q, dtype=float)[None], np.asarray(U, dtype=float)])
 
 
+def bits(a):
+    """The float64 values of ``a`` as int64 bit patterns: -0.0 and NaN payloads show."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def assert_bit_equal(got, want):
+    """Sequences of arrays of equal length, shapes and bits."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(bits(g), bits(w))
+
+
 def euler_tendencies(state, params, derived, scheme=None):
     """(drho/dt, dU/dt) of an Eulerian state through the kernel."""
     kern = EulerKernel(state.grid, params, derived, scheme or SchemeConfig())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mixflow.errors import EmptyTrajectory, NonFinite, ValidationError, WrongFrame
+from mixflow.errors import MixflowError, NonFinite, ValidationError
 from mixflow.estimates import (
     FAIL, PASS, SKIP, AuditResult, EstimateReport, _skip_reason, w_field,
 )
@@ -190,7 +190,7 @@ def pairwise_velocity_gap_sq(state: State) -> float:
 
 def _require_states(traj: Trajectory, min_len: int = 1):
     if len(traj) < min_len:
-        raise EmptyTrajectory(f"need at least {min_len} recorded states, have {len(traj)}")
+        raise MixflowError(f"need at least {min_len} recorded states, have {len(traj)}")
 
 
 def time_derivative_weights(times: np.ndarray):
@@ -200,7 +200,7 @@ def time_derivative_weights(times: np.ndarray):
     """
     m = len(times)
     if m < 2:
-        raise EmptyTrajectory("need at least two records for time derivatives")
+        raise MixflowError("need at least two records for time derivatives")
     out = []
     for k in range(m):
         if k == 0:
@@ -270,11 +270,11 @@ def audit_energy_budget(
     is the trapezoid over record times.
     """
     if traj.frame != EULERIAN:
-        raise WrongFrame("energy budget is audited on the Eulerian trajectory")
+        raise MixflowError("energy budget is audited on the Eulerian trajectory")
     _require_states(traj)
     recs = traj.diagnostics
     if not recs:
-        raise EmptyTrajectory("trajectory has no diagnostics records")
+        raise MixflowError("trajectory has no diagnostics records")
     times = np.array([r.time for r in recs])
     e = np.array([r.energy for r in recs])
     d = np.array([r.dissipation_visc + r.dissipation_fric for r in recs])
@@ -324,7 +324,7 @@ def audit_density_bounds(traj: Trajectory, dval: float, rel_tol: float = 1e-8) -
 
 def _lagrangian_only(traj: Trajectory, what: str):
     if traj.frame != LAGRANGIAN:
-        raise WrongFrame(f"{what} is audited on the Lagrangian trajectory")
+        raise MixflowError(f"{what} is audited on the Lagrangian trajectory")
     _require_states(traj, 3)
 
 
@@ -467,7 +467,7 @@ def audit_pointwise_bounds(traj: Trajectory, abs_tol: float = 1e-8) -> AuditResu
     With the face-based w these hold exactly; abs_tol only absorbs round-off.
     """
     if traj.frame != LAGRANGIAN:
-        raise WrongFrame("pointwise bounds are audited on the Lagrangian trajectory")
+        raise MixflowError("pointwise bounds are audited on the Lagrangian trajectory")
     _require_states(traj)
     g = traj.grid
     d = g.domain_length
@@ -504,7 +504,7 @@ def alpha_series(traj: Trajectory, params: MixtureParams, derived: DerivedMatric
           + int_0^t sum_i int[ rho (du_i/dt)^2 + (sum_j M_ij u_j'')^2 / rho ]
     """
     if traj.frame != EULERIAN:
-        raise WrongFrame("alpha is defined on Eulerian trajectories")
+        raise MixflowError("alpha is defined on Eulerian trajectories")
     _require_states(traj, 2)
     g = traj.grid
     times = traj.times
@@ -530,7 +530,7 @@ def audit_alpha_growth(
     reports the Gronwall exponential bound as the ceiling constant.
     """
     if traj.frame != EULERIAN:
-        raise WrongFrame("alpha audit expects the Eulerian trajectory")
+        raise MixflowError("alpha audit expects the Eulerian trajectory")
     _require_states(traj, 3)
     g = traj.grid
     times = traj.times
@@ -603,7 +603,7 @@ def derivative_norm_report(traj: Trajectory, params: MixtureParams | None = None
     regularity constants.
     """
     if traj.frame != EULERIAN:
-        raise WrongFrame("derivative norm report expects the Eulerian trajectory")
+        raise MixflowError("derivative norm report expects the Eulerian trajectory")
     _require_states(traj, 2)
     g = traj.grid
     times = traj.times
@@ -703,7 +703,7 @@ def build_report(
         if name not in KNOWN_AUDITS:
             raise ValidationError(f"unknown audit {name!r}; known: {KNOWN_AUDITS}")
     if eulerian is None and lagrangian is None:
-        raise EmptyTrajectory("no trajectory supplied")
+        raise MixflowError("no trajectory supplied")
     if eulerian is not None:
         dval = integrate(eulerian.state(0).rho, eulerian.grid)
     else:

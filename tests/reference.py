@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from mixflow.errors import NonPositiveEntry
+from mixflow.errors import ValidationError
 from mixflow.field import EULERIAN, Grid1D, State, Trajectory
 from mixflow.model import MixtureParams, derive_matrices
 from mixflow.runner import integrate
@@ -27,9 +27,9 @@ from mixflow.timestepping import SchemeConfig
 
 def single_fluid_params(K: float, gamma: float, mu: float, T_final: float) -> MixtureParams:
     if not mu > 0:
-        raise NonPositiveEntry(f"viscosity mu must be > 0, got {mu}")
+        raise ValidationError(f"viscosity mu must be > 0, got {mu}")
     if not (K > 0 and gamma > 1 and T_final > 0):
-        raise NonPositiveEntry("K > 0, gamma > 1 and T_final > 0 required")
+        raise ValidationError("K > 0, gamma > 1 and T_final > 0 required")
     # no validate_params here: N = 1 is the whole point of the oracle
     return MixtureParams(N=1, K=K, gamma=gamma, M=[[mu]], A=[[0.0]], T_final=T_final)
 

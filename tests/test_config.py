@@ -16,7 +16,7 @@ from mixflow.config import (
     parse_velocity_spec,
 )
 from mixflow import io, runner
-from mixflow.errors import NonPositiveDensity, ParseError, ValidationError
+from mixflow.errors import ParseError, ValidationError
 from mixflow.field import EULERIAN, Grid1D
 from mixflow.model import derive_matrices
 from mixflow.timestepping import SchemeConfig
@@ -127,9 +127,7 @@ class TestParse:
 
     def test_matrix_row_length_rejected(self):
         text = MINIMAL.replace("[[1.0, 0.0], [0.0, 1.0]]", "[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]")
-        from mixflow.errors import BadDimension
-
-        with pytest.raises(BadDimension):
+        with pytest.raises(ValidationError, match=r"M must be 2x2, got shape \(2, 3\)"):
             parse_config(text)
 
     def test_unknown_key_rejected(self):
@@ -227,7 +225,7 @@ class TestMakeInitial:
     def test_nonpositive_density_rejected(self):
         g = Grid1D(1.0, 16)
         text = MINIMAL.replace("rho = constant:value=1.0", "rho = affine:base=0.5,slope=-1.0")
-        with pytest.raises(NonPositiveDensity):
+        with pytest.raises(ValidationError, match="initial density must be positive, min = -0.5"):
             make_initial(parse_config(text).initial, g)
 
     def test_table_round_trip(self, tmp_path):

@@ -35,7 +35,7 @@ from mixflow.timestepping import (
     step_once,
 )
 
-from conftest import stack
+from conftest import assert_bit_equal, bits, stack
 
 KERNELS = {EULERIAN: EulerKernel, LAGRANGIAN: LagrangeKernel}
 
@@ -244,17 +244,6 @@ def ref_run_loop(k, initial, t_end, scheme, tend):
 
 # ---------------------------------------------------------------------------
 # comparison helpers
-
-
-def bits(a):
-    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
-
-
-def assert_bit_equal(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape
-        assert np.array_equal(bits(g), bits(w))
 
 
 def assert_same_records(got, want):

@@ -22,6 +22,8 @@ from mixflow.mms import ManufacturedFields, default_params
 from mixflow.model import derive_matrices, make_params
 from mixflow.timestepping import RK2, SchemeConfig, run_loop
 
+from conftest import assert_bit_equal
+
 # ---------------------------------------------------------------------------
 # reference: the closed form, evaluated from scratch on every call
 
@@ -94,17 +96,6 @@ def ref_forcing_lagrangian(f, t, y):
 def ref_forcing(f, t, x):
     ref = ref_forcing_eulerian if f.frame == EULERIAN else ref_forcing_lagrangian
     return ref(f, t, x)
-
-
-def bits(a):
-    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
-
-
-def assert_bit_equal(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape
-        assert np.array_equal(bits(g), bits(w))
 
 
 # ---------------------------------------------------------------------------

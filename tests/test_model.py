@@ -1,12 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from mixflow.errors import (
-    BadDimension,
-    NonPositiveEntry,
-    NotPositiveDefinite,
-    NotSymmetric,
-)
+from mixflow.errors import ValidationError
 from mixflow.model import MixtureParams, derive_matrices, make_params, validate_params
 
 
@@ -29,42 +26,43 @@ class TestValidate:
     def test_indefinite_matrix_rejected(self):
         # eigenvalues of [[1,2],[2,1]] are 3 and -1 (characteristic polynomial
         # (1-l)^2 - 4), so Cholesky must fail
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(ValidationError, match="viscosity matrix M is not positive definite"):
             validate_params(base_params(M=[[1.0, 2.0], [2.0, 1.0]]))
 
     def test_gamma_boundary_rejected(self):
-        with pytest.raises(NonPositiveEntry):
+        with pytest.raises(ValidationError, match="gamma must be > 1, got 1.0"):
             validate_params(base_params(gamma=1.0))
 
-    @pytest.mark.parametrize("field,value,exc", [
-        ("N", 1, NonPositiveEntry),
-        ("K", 0.0, NonPositiveEntry),
-        ("K", -1.0, NonPositiveEntry),
-        ("T_final", 0.0, NonPositiveEntry),
-    ])
-    def test_scalar_invariants(self, field, value, exc):
-        with pytest.raises(exc):
+    @pytest.mark.parametrize("field,value,match", [
+        ("N", 1, "N must be an integer >= 2, got 1"),
+        ("K", 0.0, "K must be > 0, got 0.0"),
+        ("K", -1.0, "K must be > 0, got -1.0"),
+        ("T_final", 0.0, "T_final must be > 0, got 0.0"),
+    ], ids=["N-1-NonPositiveEntry", "K-0.0-NonPositiveEntry", "K--1.0-NonPositiveEntry",
+            "T_final-0.0-NonPositiveEntry"])
+    def test_scalar_invariants(self, field, value, match):
+        with pytest.raises(ValidationError, match=match):
             validate_params(base_params(**{field: value}))
 
     def test_asymmetric_viscosity_rejected(self):
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(ValidationError, match="viscosity matrix M is not symmetric"):
             validate_params(base_params(M=[[1.0, 0.1], [0.0, 1.0]]))
 
     def test_asymmetric_friction_rejected(self):
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(ValidationError, match="friction matrix A is not symmetric"):
             validate_params(base_params(A=[[0.0, 1.0], [2.0, 0.0]]))
 
     def test_nonpositive_friction_rejected(self):
-        with pytest.raises(NonPositiveEntry):
+        with pytest.raises(ValidationError, match="off-diagonal friction coefficients must be > 0"):
             validate_params(base_params(A=[[0.0, 0.0], [0.0, 0.0]]))
 
     def test_wrong_shape_rejected(self):
-        with pytest.raises(BadDimension):
+        with pytest.raises(ValidationError, match=r"M must be 2x2, got shape \(2, 3\)"):
             validate_params(base_params(M=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-        with pytest.raises(BadDimension):
+        with pytest.raises(ValidationError, match=r"A must be 2x2, got shape \(3, 3\)"):
             validate_params(base_params(A=np.zeros((3, 3)) + 1.0))
-        for A in (1.0, [1.0, 1.0], np.ones((2, 2, 2))):  # no row sums to take
-            with pytest.raises(BadDimension):
+        for A, shape in ((1.0, "()"), ([1.0, 1.0], "(2,)"), (np.ones((2, 2, 2)), "(2, 2, 2)")):
+            with pytest.raises(ValidationError, match=re.escape(f"A must be 2x2, got shape {shape}")):
                 validate_params(base_params(A=A))
 
     def test_friction_diagonal_ignored(self):

@@ -23,7 +23,7 @@ from mixflow.lagrange import euler_to_lagrange
 from mixflow.model import derive_matrices, make_params
 from mixflow.runner import integrate
 
-from conftest import CORPUS, scenario_config
+from conftest import CORPUS, bits, scenario_config
 
 
 def _params(rng, n_comp):
@@ -46,10 +46,6 @@ def _trajectory(rng, frame, grid, n_comp, n_rec):
     return Trajectory.stack(states)
 
 
-def _bits(x):
-    return np.asarray(x, dtype=np.float64).view(np.int64)
-
-
 def _diagnose_both(traj, params, derived):
     """(diagnose's copy, the oracle's copy) of ``traj`` with their diagnostics."""
     old = copy.deepcopy(traj)
@@ -69,7 +65,7 @@ def _assert_same_ledger(ledger, old, names=est.FIELDS):
             continue
         col = ledger[name]
         assert col.dtype == np.float64 and col.shape == (len(old),), name
-        assert None not in want and (_bits(col) == _bits(want)).all(), (name, col, want)
+        assert None not in want and (bits(col) == bits(want)).all(), (name, col, want)
 
 
 def _assert_same(new, old, path="report"):
@@ -84,7 +80,7 @@ def _assert_same(new, old, path="report"):
         for k, (a, b) in enumerate(zip(new, old)):
             _assert_same(a, b, f"{path}[{k}]")
     elif isinstance(old, float):
-        assert _bits(new) == _bits(old), (path, new, old)
+        assert bits(new) == bits(old), (path, new, old)
     else:
         assert new == old, path
 

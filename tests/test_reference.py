@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixflow.errors import NonPositiveEntry
+from mixflow.errors import ValidationError
 from mixflow import field
 from mixflow.field import EULERIAN, Grid1D, State, l2_norm
 from mixflow.model import derive_matrices, make_params
@@ -23,7 +23,7 @@ def bump_initial(n):
 
 class TestSingleFluid:
     def test_rejects_bad_viscosity(self):
-        with pytest.raises(NonPositiveEntry):
+        with pytest.raises(ValidationError, match="viscosity mu must be > 0, got 0.0"):
             single_fluid_params(K=1.0, gamma=1.4, mu=0.0, T_final=1.0)
 
     def test_rest_fixed_point(self):

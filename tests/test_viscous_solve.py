@@ -16,7 +16,7 @@ from mixflow.lagrange import LagrangeKernel
 from mixflow.model import derive_matrices, make_params
 from mixflow.timestepping import SEMI_IMPLICIT, SchemeConfig, _dgtsv, run_loop
 
-from conftest import scenario_config
+from conftest import bits, scenario_config
 
 IMEX = SchemeConfig(time_integrator=SEMI_IMPLICIT)
 KERNELS = (EulerKernel, LagrangeKernel)
@@ -99,10 +99,6 @@ def test_viscous_solve_matches_banded_and_dense(kernel_cls, inputs):
     system = np.eye(B.size) - coef * dense_viscous_operator(kern, rho)
     dense = np.linalg.solve(system, B.ravel()).reshape(B.shape)
     np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12 * max(np.abs(B).max(), 1.0))
-
-
-def bits(a):
-    return a.view(np.int64)
 
 
 @pytest.mark.parametrize("kernel_cls", KERNELS)
