@@ -265,10 +265,6 @@ class RunConfig:
                                   f"{self.params.T_final}], got {self.t_end}")
         if self.snapshot_every < 1:
             raise ValidationError("snapshot_every must be >= 1")
-        if len(self.initial.u) != self.params.N:
-            raise ValidationError(
-                f"initial data lists {len(self.initial.u)} velocities for N = {self.params.N}"
-            )
 
 
 def _matrix(text: str) -> np.ndarray:

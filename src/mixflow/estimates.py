@@ -237,15 +237,13 @@ def make_record(state: State, params: MixtureParams, derived: DerivedMatrices) -
 
 
 def time_derivative_series(times: np.ndarray, values) -> np.ndarray:
-    """d/dt along the leading (record) axis of the array-like ``values``.
+    """d/dt along the leading (record) axis, 2 or more long, of the array-like ``values``.
 
     3-point non-uniform interior stencils, 2-point one-sided at the ends;
     every row sums its terms left to right from zero,
     ``0 + w_prev*v_prev + w_mid*v_mid + w_next*v_next``.
     """
     v = np.asarray(values, dtype=float)
-    if len(v) < 2:
-        raise MixflowError("need at least two records for time derivatives")
     dt = np.diff(times).reshape(-1, *(1,) * (v.ndim - 1))
     out = np.empty_like(v)
     out[0] = 0.0 + (-1.0 / dt[0]) * v[0] + (1.0 / dt[0]) * v[1]

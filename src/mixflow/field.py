@@ -94,8 +94,6 @@ class State:
         object.__setattr__(self, "rho", _readonly(self.rho))
         object.__setattr__(self, "U", _readonly(np.atleast_2d(self.U)))
         _check_fields(self.frame, self.grid, (), self.rho, self.U)
-        if self.time < 0:
-            raise ValidationError("time must be >= 0")
 
     def __reduce__(self):  # unpickling re-runs the constructor: read-only, validated
         return State, (self.time, self.frame, self.grid, self.rho, self.U)

@@ -17,13 +17,16 @@ states.npy holds the raw float64, so identical runs give bit-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import operator
 import os
 import warnings
 from dataclasses import asdict, fields
 from io import BytesIO
+from itertools import chain, compress, cycle
 
 import numpy as np
 
@@ -95,42 +98,47 @@ def write_snapshot(path: str, state: State):
         fh.write("\n".join(lines) + "\n")
 
 
+def read_csv(path: str, header=None, optional=()) -> tuple[list[str], np.ndarray]:
+    """The header cells and the (rows, columns) numbers of the CSV file ``path``,
+    whose header must be ``header`` when one is given; a column named in
+    ``optional`` that is empty throughout is dropped, header cell and all.
+
+    Lines end at ``\\n`` (or ``\\r\\n``) and nowhere else, text from a ``#`` on
+    is a comment and a blank line is skipped.  An unreadable file, another
+    header, a line with a cell count other than the header's or a cell
+    :func:`_cell` refuses raises :class:`FileFormatError` naming its line."""
+    text = _read(path).decode(errors="replace").replace("\r\n", "\n")  # stray byte: a bad cell
+    head, _, body = text.partition("\n")
+    names, lines = head.strip().split(","), body.removesuffix("\n").split("\n")
+    split = operator.methodcaller("split", ",")
+    if header is not None and names != list(header):
+        raise FileFormatError(f"{path}: unexpected columns {names}")
+    plain = body.isascii() and "_" not in body  # so float() reads each cell as _cell does
+    if plain and {line.count(",") for line in lines} == {len(names) - 1}:
+        keep = [bool(cell) or name not in optional for name, cell in zip(names, split(lines[0]))]
+
+        def masked(mask):  # row by row, the cells of the columns where ``mask`` holds
+            return compress(chain.from_iterable(map(split, lines)), cycle(mask))
+        with contextlib.suppress(ValueError):  # float() refuses a cell: named below
+            if all(keep) or not any(masked(map(operator.not_, keep))):
+                data = np.fromiter(map(float, masked(keep)), float, len(lines) * sum(keep))
+                return list(compress(names, keep)), data.reshape(len(lines), -1)
+    rows = [(k, row.split(",")) for k, line in enumerate(lines, start=2)
+            if (row := line.partition("#")[0]).strip()]
+    for k, row in rows:
+        if len(row) != len(names):
+            raise FileFormatError(f"{path}: line {k} has {len(row)} cells, expected {len(names)}")
+    keep = [name not in optional or any(row[i] for _, row in rows) for i, name in enumerate(names)]
+    data = [[_cell(path, k, *cell) for cell in compress(zip(names, row), keep)] for k, row in rows]
+    return list(compress(names, keep)), np.array(data, dtype=float).reshape(len(rows), sum(keep))
+
+
 def read_table(path: str) -> tuple[list[str], np.ndarray]:
-    """The header cells and the (rows, columns) numbers of a CSV table; an
-    unreadable file, a cell that is not a number, a ragged row, no data rows
-    or a column count other than the header's raises :class:`FileFormatError`."""
-    try:
-        with open(path, newline="") as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no data rows: checked below
-            header = fh.readline().strip().split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc.strerror}") from None
-    except ValueError as exc:  # a cell that is not a number, a ragged row: named by its line
-        _raise_bad_line(path)
-        raise FileFormatError(f"{path}: {exc}") from None
-    if data.shape[0] == 0:
+    """:func:`read_csv` of a file with one or more data rows."""
+    header, data = read_csv(path)
+    if not len(data):
         raise FileFormatError(f"{path}: no data rows")
-    if data.shape[1] != len(header):
-        raise FileFormatError(
-            f"{path}: {data.shape[1]} columns for the {len(header)} of header {','.join(header)}")
     return header, data
-
-
-def _raise_bad_line(path: str):
-    """Raise :class:`FileFormatError` on the first line of the CSV table ``path``, numbered as
-    in ``read_diagnostics``, with a cell count other than the header's or a cell that is not a
-    number; blank lines and ``#`` comments are skipped, as ``np.loadtxt`` skips them."""
-    header, *rows = _read(path).decode(errors="replace").splitlines()
-    header = header.strip().split(",")
-    for k, row in enumerate(rows, start=2):
-        if cells := row.partition("#")[0].strip():
-            cells = cells.split(",")
-            if len(cells) != len(header):
-                raise FileFormatError(f"{path}: line {k} has {len(cells)} cells, expected "
-                                      f"{len(header)}")
-            for name, cell in zip(header, cells):
-                _cell(path, k, name, cell)
 
 
 def read_snapshot(path: str, time: float, frame: str) -> State:
@@ -172,7 +180,9 @@ def write_diagnostics(path: str, ledger: dict[str, np.ndarray]):
 
 
 def _cell(path: str, k: int, name: str, cell: str) -> float:
-    try:  # np.loadtxt refuses what float() reads as digit groups or non-ASCII digits
+    """Cell ``cell`` of column ``name`` on line ``k``: the number float() reads
+    in it, without digit groups or non-ASCII digits."""
+    try:
         if "_" in cell or not cell.isascii():
             raise ValueError(f"could not convert string to float: {cell!r}")
         return float(cell)
@@ -181,24 +191,10 @@ def _cell(path: str, k: int, name: str, cell: str) -> float:
 
 
 def read_diagnostics(path: str) -> dict[str, np.ndarray]:
-    """The ledger stored in ``path``, empty for a file without rows.  A time
-    field whose column is empty throughout is absent; any other empty cell,
-    a cell that is not a number or a row of the wrong length raises
-    :class:`FileFormatError` naming its line."""
-    lines = _read(path).decode(errors="replace").splitlines()  # a stray byte: a bad cell
-    header = lines[0].strip().split(",") if lines else []
-    if header != list(FIELDS):
-        raise FileFormatError(f"{path}: unexpected diagnostics columns {header}")
-    rows = [line.strip().split(",") for line in lines[1:]]
-    for k, cells in enumerate(rows, start=2):
-        if len(cells) != len(header):
-            raise FileFormatError(f"{path}: line {k} has {len(cells)} cells, expected {len(header)}")
-    if not rows:
-        return {}
-    names = [f for i, f in enumerate(FIELDS) if f in STATE_FIELDS or any(r[i] for r in rows)]
-    values = [[_cell(path, k, f, c) for f, c in zip(FIELDS, cells) if f in names]
-              for k, cells in enumerate(rows, start=2)]
-    return dict(zip(names, np.array(values).T.copy()))
+    """The ledger stored in ``path``, empty for a file without rows; a time
+    field whose column is empty throughout is absent (:func:`read_csv`)."""
+    names, data = read_csv(path, FIELDS, FIELDS[len(STATE_FIELDS):])
+    return dict(zip(names, data.T.copy())) if len(data) else {}
 
 
 def save_trajectory(out_dir: str, traj: Trajectory, params: MixtureParams, scheme):

@@ -106,8 +106,9 @@ def validate_params(p: MixtureParams) -> MixtureParams:
 
     Symmetry is tested entrywise to relative tolerance 1e-12 and positive
     definiteness by attempting a Cholesky factorization, the cheapest
-    definitive test for small dense matrices.  No structural assumptions
-    beyond symmetry and positivity are imposed on M.
+    definitive test for small dense matrices; ``M @ inv(M) - I``, which is
+    dimensionless, must have a norm <= 1e-10 at any scale of M.  No structural
+    assumptions beyond symmetry and positivity are imposed on M.
     """
     if int(p.N) != p.N or p.N < 2:
         raise ValidationError(f"N must be an integer >= 2, got {p.N}")
@@ -142,6 +143,8 @@ def validate_params(p: MixtureParams) -> MixtureParams:
         np.linalg.cholesky(p.M)
     except np.linalg.LinAlgError:
         raise ValidationError("viscosity matrix M is not positive definite") from None
+    if not (resid := np.linalg.norm(p.M @ np.linalg.inv(p.M) - np.eye(p.N))) <= 1e-10:
+        raise ValidationError(f"M @ M_inv deviates from identity by {resid:.3e}")
     return p
 
 
@@ -149,11 +152,6 @@ def derive_matrices(p: MixtureParams) -> DerivedMatrices:
     """Invert M and extract the spectral quantities used by the audits."""
     m_inv = np.linalg.inv(p.M)
     m_inv = 0.5 * (m_inv + m_inv.T)  # symmetrize round-off
-
-    resid = np.linalg.norm(p.M @ m_inv - np.eye(p.N)) / max(np.linalg.norm(p.M), 1e-300)
-    if resid > 1e-10:
-        raise MixflowError(f"M @ M_inv deviates from identity by {resid:.3e}")
-
     lam, q = np.linalg.eigh(p.M)
     c0 = float(lam[0])
     if c0 <= 0:

@@ -270,7 +270,7 @@ STORE_FAULTS = [Case(id, CHECK, 2, (line,), (store, corrupt)) for id, line, corr
      FINAL + "2 columns for the 2 of header x_or_y,rho; expected x_or_y, rho and one "
      "column per velocity",
      final_snapshot(lambda lines: [",".join(r.split(",")[:2]) for r in lines])),
-    ("columns-differ-from-header", FINAL + "3 columns for the 4 of header x_or_y,rho,u1,u2",
+    ("columns-differ-from-header", FINAL + "line 2 has 3 cells, expected 4",
      final_snapshot(lambda lines: lines[:1] + [r.rsplit(",", 1)[0] for r in lines[1:]])),
     ("velocity-name",
      FINAL + "expected header x_or_y,rho,u1,..., got ['x_or_y', 'rho', 'u1', 'v2']",
@@ -391,6 +391,8 @@ BAD_INI = [
      "[initial] u1: bad sine mode (invalid literal for int() with base 10: 'x')"),
     ("non-numeric-constant", "rho = constant:value=abc",
      "[initial] rho: could not convert string to float: 'abc'"),
+    ("constant-without-value", "rho = constant",
+     "[initial] rho: missing argument 'value' for 'constant'"),
     # every number must be finite and in range
     ("rho-nan", "rho = constant:value=nan", "[initial] rho: value must be finite, got nan"),
     ("gaussian-width-inf", "rho = gaussian:base=1.0,amp=0.3,center=0.4,width=inf",
@@ -411,6 +413,9 @@ BAD_INI = [
      "viscosity matrix M has a non-finite entry"),
     ("friction-inf", "friction = [[0.0, Infinity], [Infinity, 0.0]]",
      "friction matrix A has a non-finite entry"),
+    # an inverse whose residual, which is dimensionless, exceeds 1e-10 at any scale of M
+    ("near-singular-viscosity", "viscosity = [[1, 0.999999999], [0.999999999, 1]]",
+     "M @ M_inv deviates from identity by 5.000e-10"),
     ("density-floor-inf", ("[scheme]", "[scheme]\ndensity_floor = inf"),
      "artificial_floor must be finite and > 0, got inf"),
     ("snapshot-every-zero", "snapshot_every = 0", "snapshot_every must be >= 1"),
@@ -449,12 +454,17 @@ CASES = [
     Case("check-named-audits", (*CHECK, "--audits", "gronwall,alpha_growth,density_bounds"), 0,
          (), (store,)),
     Case("report-clean", ("report", "--traj", "{store}"), 0, (), (store,)),
+    Case("check-crlf-ledger", CHECK, 0, (),  # its empty identity_residual column ends in \r
+         (store, raw(EUL + "/diag.csv", lambda b: b.replace(b"\n", b"\r\n")))),
     Case("mms-eulerian", ("mms", "--levels", "8,16", "--t-end", "0.01", "--out-dir", "{out}"), 0,
          out_made=True),
     Case("mms-lagrangian-upwind", ("mms", "--frame", "lagrangian", "--advection", "upwind",
                                    "--levels", "8,16,32", "--t-end", "0.01"), 0),
     Case("transform-to-lagrangian", (*TO_LAGRANGIAN, "--out", "{out}"), 0, (), (store,),
          out_made=True),
+    Case("tiny-viscosity", (*RUN, "--n-cells", "16", "--t-end", "0.001", "--out-dir", "{out}"), 0,
+         progress("0.001", "eulerian", "lagrangian"),
+         (ini("shear", "viscosity = [[3e-9, 1e-9], [1e-9, 2e-9]]"),), out_made=True),
     Case("transform-to-eulerian", ("transform", "--snap", "{tmp}/lag.csv", "--frame",
                                    "lagrangian", "--out", "{out}"), 0, (),
          (store, command(*TO_LAGRANGIAN, "--out", "{tmp}/lag.csv", code=0, err=())),
@@ -593,6 +603,12 @@ CASES = [
     Case("transform-digit-group-cell", (*TO_LAGRANGIAN, "--out", "{out}"), 2,
          (FINAL + "line 5: could not convert string to float: '1_0'",),
          (store, column(EUL + "/{final}", "rho", lambda c: "1_0", slice(3, 4)))),
+    Case("transform-control-byte-cell", (*TO_LAGRANGIAN, "--out", "{out}"), 2,
+         (FINAL + "line 5: could not convert string to float: '1\\x1c'",),
+         (store, column(EUL + "/{final}", "rho", lambda c: "1\x1c", slice(3, 4)))),
+    Case("transform-non-utf8-header", (*TO_LAGRANGIAN, "--out", "{out}"), 2,  # as in diag.csv
+         (FINAL + "expected header x_or_y,rho,u1,..., got ['x_or_y', 'rho', 'u1\ufffd', 'u2']",),
+         (store, raw(EUL + "/{final}", lambda b: b.replace(b"u1", b"u1\xff", 1)))),
     Case("transform-negative-density", (*TO_LAGRANGIAN, "--out", "{out}"), 2,
          (FINAL + "min(rho) = -1.0 <= 0",),
          (store, column(EUL + "/{final}", "rho", lambda c: "-1.0", slice(3, 4)))),

@@ -628,6 +628,38 @@ def test_ledger_comparison(stored, fresh, match):
 test_cli_case = row_test(cases=[case.id for case in cli_cases.ROWS])
 
 
+#: one cell text on line 3 of a final snapshot (transform), of an initial-data
+#: table (run) and of diag.csv (check)
+ONE_CELL = [("transform", (*cli_cases.TO_LAGRANGIAN, "--out", "{out}"), cli_cases.store,
+             "{store}/eulerian/{final}", "rho"),
+            ("run", (*cli_cases.RUN, "--n-cells", "8", "--t-end", "1e-6", "--out-dir", "{out}"),
+             cli_cases.ini("random_smooth", table=lambda lines: lines), cli_cases.TABLE, "rho"),
+            ("check", cli_cases.CHECK, cli_cases.store, "{store}/eulerian/diag.csv", "energy")]
+
+
+@pytest.mark.parametrize("cell, refused", [
+    pytest.param("1\x1c", True, id="control-byte"), pytest.param("1_0", True, id="digit-group"),
+    pytest.param("١", True, id="arabic-indic-one"), pytest.param(" 1 ", False, id="spaces"),
+    pytest.param("nan", False, id="nan"), pytest.param("inf", False, id="inf"),
+    pytest.param("1e400", False, id="beyond-float"), pytest.param("+1", False, id="plus-sign"),
+    pytest.param("0x1p3", True, id="hex-float"), pytest.param("", True, id="empty")])
+def test_every_csv_reads_a_cell_alike(cell, refused, tmp_path, stored_two_frames):
+    # each file refuses the cell on its line 3, with the same reason, or reads it as a number
+    verdicts = []
+    for verb, argv, setup, path, name in ONE_CELL:
+        fields = {"tmp": str(tmp_path / verb), "out": str(tmp_path / verb / "out"),
+                  "store": str(tmp_path / verb / "store"), "data": DATA,
+                  "pristine": stored_two_frames}
+        os.mkdir(fields["tmp"])
+        for step in setup, cli_cases.column(path, name, lambda c: cell, slice(1, 2)):
+            step(fields, cli_cases.in_process)
+        err = cli_cases.in_process([arg.format(**fields) for arg in argv])[2]
+        verdicts.append([re.sub(rf": {name} is empty$", ": empty", line)
+                         for line in re.findall(r": (line \d+.*)$", err, re.M)])
+    assert verdicts[0] == verdicts[1] == verdicts[2], verdicts
+    assert [line.split(":")[0] for line in verdicts[0]] == (["line 3"] if refused else [])
+
+
 def test_two_calls_build_one_parser_and_call_the_verb_of_the_moment(monkeypatch):
     # the verb is looked up per call, so a wrapper installed after the first
     # call (the benchmark's tracer) still sees every later one

@@ -130,6 +130,20 @@ def test_overflowing_band_is_refused_by_its_scan(kernel_cls, rho):
 
 
 @pytest.mark.parametrize("kernel_cls", KERNELS)
+def test_overflowing_projection_is_refused_by_its_scan(kernel_cls):
+    # a finite band and right-hand side whose eigenbasis projection Q^T B overflows
+    rc = scenario_config("shear")
+    grid = Grid1D(1.0, rc.n_cells)
+    kern = kernel_cls(grid, rc.params, derive_matrices(rc.params), IMEX)
+    B = np.full((rc.params.N, grid.n_cells + 1), 1.5e308)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(kern.derived.Q.T @ B).all()
+        with pytest.raises(NonFinite) as info:
+            kern.viscous_solve(np.ones(grid.n_cells + 1), B, 1.0)
+    assert str(info.value) == "non-finite input to the tridiagonal solve"
+
+
+@pytest.mark.parametrize("kernel_cls", KERNELS)
 def test_dgtsv_solves_in_the_rows_it_is_passed(kernel_cls, params2, derived2, shear_state):
     # the solve reads its result from the kernel's own rows: a LAPACK wrapper
     # that copied them would leave W[k] unsolved
