@@ -40,8 +40,6 @@ EXEMPT = {
         "a worker whose caller ended before the worker could ask to die with it",
     ("model.py", "return NotImplemented"):
         "MixtureParams compared with another type: the program never does",
-    ("model.py", 'raise MixflowError(f"smallest eigenvalue {c0} <= 0 after validation")'):
-        "validate_params' Cholesky test already refuses such an M",
     ("timestepping.py",
      'raise MixflowError(f"tridiagonal system {k} is singular (zero pivot {info})")'):
         "the systems are diagonally dominant with unit walls, so no pivot is zero",

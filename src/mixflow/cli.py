@@ -124,29 +124,22 @@ def _trajectory_dirs(root: str) -> list[str]:
 
 def _ledger_fault(stored, fresh) -> str | None:
     """Why the stored ledger disagrees with its recomputation ``fresh`` (a row
-    count, a field on one side only, the first differing value), else None."""
+    count, a field on one side only, the first differing value in row order),
+    else None.  Two values agree when they are identical (equal infinities, or
+    both NaN) or finite and within a relative 1e-9."""
     if len(stored.get("time", ())) != len(fresh["time"]):
         return "diagnostics rows != snapshots"
     for name in estimates.FIELDS:
         if (name in stored) != (name in fresh):
             return (f"stored diagnostics lack {name}" if name in fresh
                     else f"stored diagnostics have {name}, which does not apply")
-    if (bad := _ledger_mismatch(stored, fresh)) is not None:
-        k, name = bad
-        return (f"stored {name} row {k} = {stored[name][k].item()!r} "
-                f"!= recomputed {fresh[name][k].item()!r}")
-
-
-def _ledger_mismatch(stored, fresh) -> tuple[int, str] | None:
-    """(row, field) of the first field of ``fresh`` whose stored value
-    differs, in row order; None when all agree.  Two values agree when they
-    are identical (equal infinities, or both NaN) or finite and within a
-    relative 1e-9."""
     names = [f for f in estimates.FIELDS if f in fresh]
     a, b = (np.stack([led[f] for f in names], axis=-1) for led in (stored, fresh))
     close = np.isfinite(b) & (np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b)))
-    bad = np.argwhere(~((a == b) | (np.isnan(a) & np.isnan(b)) | close))
-    return (int(bad[0, 0]), names[bad[0, 1]]) if len(bad) else None
+    if len(bad := np.argwhere(~((a == b) | (np.isnan(a) & np.isnan(b)) | close))):
+        k, name = int(bad[0, 0]), names[bad[0, 1]]
+        return (f"stored {name} row {k} = {stored[name][k].item()!r} "
+                f"!= recomputed {fresh[name][k].item()!r}")
 
 
 def _cmd_check(args) -> int:

@@ -71,7 +71,8 @@ class ManufacturedFields:
         # evaluation state; the fields are frozen, so what it holds stays valid
         object.__setattr__(self, "_c", np.array(self.c))
         object.__setattr__(self, "_neg_c", -self._c)
-        object.__setattr__(self, "_cache", _ForcingCache())
+        # the spatial factors of the last node array, the last (t, x) and its result
+        object.__setattr__(self, "_cache", SimpleNamespace(grid=(None, None), last=(None, None)))
         object.__setattr__(self, "_k", SimpleNamespace(**operands(
             pi=math.pi, s1=math.pi / self.domain_length, rho_base=self.rho_base,
             gamma=self.params.gamma, g1=self.params.gamma - 1.0, K=self.params.K)))
@@ -189,14 +190,6 @@ class ManufacturedFields:
         s_u -= visc
         s_u -= fric
         return s_rho, s_u
-
-
-class _ForcingCache:
-    """The spatial factors of the last node array and the last evaluated ``(t, x)``."""
-
-    def __init__(self):
-        self.grid = (None, None)  # (node key, factors)
-        self.last = (None, None)  # (key, result)
 
 
 @dataclass

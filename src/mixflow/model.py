@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MixflowError, ValidationError
+from .errors import ValidationError
 
 _SYM_RTOL = 1e-12
 
@@ -154,8 +154,6 @@ def derive_matrices(p: MixtureParams) -> DerivedMatrices:
     m_inv = 0.5 * (m_inv + m_inv.T)  # symmetrize round-off
     lam, q = np.linalg.eigh(p.M)
     c0 = float(lam[0])
-    if c0 <= 0:
-        raise MixflowError(f"smallest eigenvalue {c0} <= 0 after validation")
 
     k_tilde = float(p.K / p.N * m_inv.sum())
     v_weights = m_inv.sum(axis=0) / p.N

@@ -83,6 +83,11 @@ END_SLACK = 1e-13
 #: forcing callback: (t, nodes) -> (s_rho, s_U) tendencies to add
 Forcing = Callable[[float, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
+#: the explicit Runge-Kutta methods, one row each: the stages' multiples of dt,
+#: the divisor of the weights (1 for the first and last derivative, 2 between)
+#: and the name the stage checks print
+_EXPLICIT = {RK2: ((1.0,), 2.0, "RK2 stage"), RK4: ((0.5, 0.5, 1.0), 6.0, "RK4 stage")}
+
 # ARS(2,2,2) IMEX coefficients; the implicit half is L-stable.
 _ARS_GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
 _ARS_DELTA = 1.0 - 1.0 / (2.0 * _ARS_GAMMA)
@@ -130,7 +135,7 @@ class Kernel:
         self._public = tuple(self._zeros(1 + N, n) for _ in range(2))  # input and result of tendencies
         self._bound = {id(a): _Views(a) for a in (*self._states, *self._derivs, *self._public)}
         self._fric, self._fr = self._zeros(2, N, n)  # out, scratch of exchange
-        self._dt = tuple(self._zeros(3, 1))  # a step's multiples of dt, as array operands
+        self._dt = tuple(self._zeros(2, 1))  # a step's multiples of dt, as array operands
         # the viscous solve: a band without pads (one scan covers it), W = Q^T B, U2 of IMEX
         self._band = self._zeros(N * (3 * n - 2))
         bands = np.split(self._band, [N * (n - 1), N * (2 * n - 1)])
@@ -172,10 +177,8 @@ class Kernel:
         super-diagonal of ``T_k``.  Non-finite input raises :class:`NonFinite`
         before any arithmetic on it, so a blow-up in an implicit stage ends the
         run like any other; a zero pivot raises :class:`MixflowError`."""
-        if not (_finite(self._band) and _finite(B)):
-            raise NonFinite("non-finite input to the tridiagonal solve")
         Q, W = self.derived.Q, self._eig
-        if not _finite(np.matmul(Q.T, B, out=W)):
+        if not (_finite(self._band) and _finite(B) and _finite(np.matmul(Q.T, B, out=W))):
             raise NonFinite("non-finite input to the tridiagonal solve")
         dgtsv = _dgtsv()
         for k, system in enumerate(self._systems):
@@ -247,61 +250,49 @@ def step_once(kernel, t, Y, dt, rho=None, shared=None):
     A, B = kernel._states
     S = B if Y is A or Y.base is A else A  # never the buffer Y lives in
     K1, K2, K3, K4 = kernel._derivs
-    rho_n = None  # density of the result, when a stage has checked it already
-    f_dt, f_a, f_b = kernel._dt  # array operands, set from dt below
-    f_dt[0] = dt
+    f_dt, f_a = kernel._dt  # array operands, set from dt below
 
-    if kernel.scheme.time_integrator == RK2:
+    if kernel.scheme.time_integrator in _EXPLICIT:
+        stages, divisor, where = _EXPLICIT[kernel.scheme.time_integrator]
         rhs(t, Y, rho, True, K1, shared)
-        np.add(Y, np.multiply(K1, f_dt, out=S), out=S)
-        rhs(t + dt, S, _check_stage(kernel, S, "RK2 stage"), True, K2)
-        K1 += K2
-        f_a[0] = 0.5 * dt
+        for c, K, L in zip(stages, (K1, K2, K3), (K2, K3, K4)):
+            f_a[0] = c * dt
+            np.add(Y, np.multiply(K, f_a, out=S), out=S)
+            rhs(t + c * dt, S, _check_stage(kernel, S, where), True, L)
+            if K is not K1:  # an inner stage: weight 2
+                K *= kernel._c.two
+                K1 += K
+        K1 += L
+        f_a[0] = dt / divisor
         K1 *= f_a
+        # every K has +0.0 walls (_rhs zeroes them), so S keeps Y's zero walls
         np.add(Y, K1, out=S)
-
-    elif kernel.scheme.time_integrator == RK4:
-        f_a[0], f_b[0] = 0.5 * dt, dt / 6.0
-        rhs(t, Y, rho, True, K1, shared)
-        for c, f, K, L in ((0.5 * dt, f_a, K1, K2), (0.5 * dt, f_a, K2, K3), (dt, f_dt, K3, K4)):
-            np.add(Y, np.multiply(K, f, out=S), out=S)
-            rhs(t + c, S, _check_stage(kernel, S, "RK4 stage"), True, L)
-        K2 *= kernel._c.two
-        K1 += K2
-        K3 *= kernel._c.two
-        K1 += K3
-        K1 += K4
-        K1 *= f_b
-        np.add(Y, K1, out=S)
-
-    else:  # SEMI_IMPLICIT; SchemeConfig admits no other name
-        c, gdt = kernel._c, _ARS_GAMMA * dt
-        f_a[0] = gdt
-        rhs(t, Y, rho, False, K1, shared)
-        np.add(Y, np.multiply(K1, f_a, out=S), out=S)  # q2 and b2, the solve's right side
-        rho2 = _check_stage(kernel, S, "IMEX stage", Y[1:])
-        U2 = kernel.viscous_solve(rho2, S[1:], gdt, kernel._U2)
-        k2i = np.subtract(U2, S[1:], out=K3[1:])  # = L_visc(rho2) @ U2, recovered from the solve
-        k2i /= f_a
-        S[1:] = U2
-        rhs(t + gdt, S, rho2, False, K2)
-        K1 *= c.ars_d  # d K1 + (1 - d) K2, every row
-        K2 *= c.ars_1_d
-        K1 += K2
-        np.add(Y[0], np.multiply(K1[0], f_dt, out=S[0]), out=S[0])
-        rho_n = _check_stage(kernel, S, "IMEX stage")
-        k2i *= c.ars_1_g
-        dU = K1[1:]
-        dU += k2i
-        dU *= f_dt
-        np.add(Y[1:], dU, out=S[1:])  # b3, the second solve's right side, solved in place
-        kernel.viscous_solve(rho_n, S[1:], gdt, S[1:])
-
-    # Dirichlet walls: tendencies are zero there, but enforce exactly anyway
-    kernel._views(S).walls[...] = 0.0
-    if rho_n is None:
         return S, _check_stage(kernel, S, "step result")
-    # IMEX: q_n passed the stage check before the second solve; only U_n is new
+
+    # SEMI_IMPLICIT; SchemeConfig admits no other name
+    c, gdt = kernel._c, _ARS_GAMMA * dt
+    f_dt[0], f_a[0] = dt, gdt
+    rhs(t, Y, rho, False, K1, shared)
+    np.add(Y, np.multiply(K1, f_a, out=S), out=S)  # q2 and b2, the solve's right side
+    rho2 = _check_stage(kernel, S, "IMEX stage", Y[1:])
+    U2 = kernel.viscous_solve(rho2, S[1:], gdt, kernel._U2)
+    k2i = np.subtract(U2, S[1:], out=K3[1:])  # = L_visc(rho2) @ U2, recovered from the solve
+    k2i /= f_a
+    S[1:] = U2
+    rhs(t + gdt, S, rho2, False, K2)
+    K1 *= c.ars_d  # d K1 + (1 - d) K2, every row
+    K2 *= c.ars_1_d
+    K1 += K2
+    np.add(Y[0], np.multiply(K1[0], f_dt, out=S[0]), out=S[0])
+    rho_n = _check_stage(kernel, S, "IMEX stage")
+    k2i *= c.ars_1_g
+    dU = K1[1:]
+    dU += k2i
+    dU *= f_dt
+    np.add(Y[1:], dU, out=S[1:])  # b3, the second solve's right side, solved in place
+    kernel.viscous_solve(rho_n, S[1:], gdt, S[1:])
+    kernel._views(S).walls[...] = 0.0  # Dirichlet walls: the solve may leave -0.0 there
+    # q_n passed the stage check before the second solve; only U_n is new
     if not _finite(S[1:]):
         raise NonFinite("non-finite values in step result")
     return S, rho_n
@@ -329,7 +320,7 @@ def run_loop(kernel, initial: State, t_end: float, snapshot_every: int = 20) -> 
     record(t, kernel.density_view(Y[0]), Y)
     t_stop = t_end - END_SLACK * max(t_end, 1.0)
 
-    explicit_visc = kernel.scheme.time_integrator != SEMI_IMPLICIT
+    explicit_visc = kernel.scheme.time_integrator in _EXPLICIT
     steps = 0
     try:
         rho = kernel._density(Y[0], "in stable_dt")

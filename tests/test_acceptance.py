@@ -19,10 +19,10 @@ from mixflow import field, io, lagrange
 from mixflow.cli import cli_main
 from mixflow.config import make_initial
 from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D, State, l2_norm
-from mixflow.mms import mms_study
+from mixflow.mms import ManufacturedFields, default_params, mms_study
 from mixflow.model import derive_matrices, make_params
 from mixflow.runner import execute, integrate
-from mixflow.timestepping import CENTRAL, UPWIND, SchemeConfig
+from mixflow.timestepping import CENTRAL, RK2, RK4, UPWIND, SchemeConfig
 
 from conftest import CORPUS, friction_power, records, scenario_config
 from reference import single_fluid_reference
@@ -363,3 +363,39 @@ def test_c14_cli_end_to_end(tmp_path):
     ok = code_run == 0 and code_check == 0 and code_tampered == 1
     verdict("C14 cli-end-to-end", ok,
             f"run {code_run}, check {code_check}, tampered check {code_tampered}")
+
+
+def test_c15_temporal_order():
+    # each integrator's order in time on the manufactured solution: at one n,
+    # the error at cfl 0.8/0.4/0.2 is taken against cfl 0.05, so the spatial
+    # error cancels; design orders 2 (RK2, ARS(2,2,2)) and 4 (RK4)
+    params = default_params()
+    derived = derive_matrices(params)
+    thresholds = {"RK2": (RK2, 1.9), "RK4": (RK4, 3.8), "IMEX": (SEMI, 1.9)}
+    worst = dict.fromkeys(thresholds, math.inf)
+    details = []
+    for frame, d in ((EULERIAN, 1.0), (LAGRANGIAN, 2.0)):
+        fields = ManufacturedFields(params, frame, d)
+        grid = Grid1D(d, 32)
+        initial = fields.state(grid)
+        for name, (integrator, _) in thresholds.items():
+            for advection in (CENTRAL, UPWIND):
+                def final(cfl):
+                    scheme = SchemeConfig(time_integrator=integrator, cfl=cfl,
+                                          advection=advection)
+                    return integrate(initial, params, derived, scheme, 0.1,
+                                     snapshot_every=10**9, forcing=fields.forcing).final
+
+                ref = final(0.05)
+                errors = [math.sqrt(sum(l2_norm(a - b, grid) ** 2
+                                        for a, b in zip((st.rho, *st.U), (ref.rho, *ref.U))))
+                          for st in map(final, (0.8, 0.4, 0.2))]
+                orders = [math.log2(e1 / e2) for e1, e2 in zip(errors, errors[1:])]
+                worst[name] = min(worst[name], *orders)
+                details.append(f"{frame[:4]}/{name}/{advection.split('-')[0]}: "
+                               + ", ".join(f"{o:.2f}" for o in orders))
+    ok = all(worst[name] >= low for name, (_, low) in thresholds.items())
+    verdict("C15 temporal-order", ok,
+            "worst " + ", ".join(f"{name} {worst[name]:.2f} (>= {low})"
+                                 for name, (_, low) in thresholds.items())
+            + "; " + "; ".join(details))

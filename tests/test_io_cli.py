@@ -609,7 +609,7 @@ class TestLedger:
     (1e308, -1e308, False),
 ])
 def test_ledger_comparison(stored, fresh, match):
-    from mixflow.cli import _ledger_mismatch
+    from mixflow.cli import _ledger_fault
 
     # the case is the energy of row 1, between an agreeing row 0 and a row 2
     # whose u_linf disagrees
@@ -621,8 +621,8 @@ def test_ledger_comparison(stored, fresh, match):
         return dict(zip(names, rows.T))
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # as cli_main sets it
-        got = _ledger_mismatch(ledger(stored, 3.0), ledger(fresh, 4.0))
-    assert got == ((2, "u_linf") if match else (1, "energy"))
+        got = _ledger_fault(ledger(stored, 3.0), ledger(fresh, 4.0))
+    assert got.startswith("stored u_linf row 2 = " if match else "stored energy row 1 = ")
 
 
 test_cli_case = row_test(cases=[case.id for case in cli_cases.ROWS])
