@@ -16,14 +16,24 @@ sequences run at once.
 
 The two trees are then compared byte for byte.  One line is printed,
 
-    commands C, files F, identical I, differing D, only in A X, only in B Y
+    commands C, files F, identical I, differing D, only in A X, only in B Y, expected E
 
-followed by every path that differs or exists on one side only; the exit
-code is 1 when there is any such path, and ``DIR`` is then kept for a look,
-and 0 otherwise, ``DIR`` removed.  A corpus run may
-exit non-zero (an audit FAIL, a blow-up): exit codes are compared, never
-required to be 0.  To compare uncommitted work, pass ``$(git stash create)``
-as a revision.  The stdlib is all it uses.
+followed by every path that differs or exists on one side only and is not
+expected.  ``--expect FILE`` names the intended moves: each line of FILE that
+is neither blank nor a ``#`` comment reads ``PATTERN [FIELD ...]``, where
+PATTERN is an ``fnmatch`` pattern over the printed relative paths, such as
+``runs/*-rk4-*/*``.  A differing or one-sided path that a line without
+FIELDs matches is expected; with FIELDs, a differing path is expected when
+the two files differ in those fields alone: for a CSV file the headers are
+equal and every other column's cells are equal as text, and two JSON
+documents are equal once the dotted key paths (``audits.gronwall.margin``)
+are removed from both.  A line that matches no differing or one-sided path
+is printed as ``unused: <line>``.  The exit code is 1 when any path is
+printed or any line unused, and ``DIR`` is then kept for a look, and 0
+otherwise, ``DIR`` removed.  A corpus run may exit non-zero (an audit FAIL,
+a blow-up): exit codes are compared, never required to be 0.  To compare
+uncommitted work, pass ``$(git stash create)`` as a revision.  The stdlib is
+all it uses.
 """
 
 from __future__ import annotations
@@ -31,8 +41,10 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import filecmp
+import fnmatch
 import glob
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -65,6 +77,10 @@ def corpus() -> dict[str, list[list[str]]]:
                     ["check", "--traj", traj],
                     ["report", "--traj", traj],
                 ]
+    jobs["runs/random_smooth-n100"] = [
+        ["run", "--config", os.path.join(DATA, "random_smooth.ini"), "--out-dir",
+         "runs/random_smooth-n100", "--n-cells", "100", "--t-end", "0.03"],
+        ["check", "--traj", "runs/random_smooth-n100"]]
     # both transforms, of the final snapshots of a two-frame run
     jobs["runs/shear-rk2-both"] += [
         ["transform", "--snap", f"runs/shear-rk2-both/{frame}/snap_*.csv", "--frame", frame,
@@ -133,11 +149,59 @@ def files(top: str) -> set[str]:
     return {os.path.relpath(os.path.join(d, f), top) for d, _, fs in os.walk(top) for f in fs}
 
 
+def read_expect(path: str) -> list[tuple[str, str, list[str]]]:
+    """(line, PATTERN, FIELDs) of each line of an expect file that is
+    neither blank nor a comment."""
+    rules = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                pattern, *fields = line.split()
+                rules.append((line, pattern, fields))
+    return rules
+
+
+def differ_only_in(a: str, b: str, fields: list[str]) -> bool:
+    """Whether the files ``a`` and ``b`` are equal but for the CSV columns
+    or JSON key paths ``fields``; other kinds of file never are."""
+    if a.endswith(".csv"):
+        rows = []
+        for path in (a, b):
+            with open(path, "rb") as fh:
+                rows.append([line.split(b",") for line in fh.read().splitlines()])
+        if len(rows[0]) != len(rows[1]) or rows[0][:1] != rows[1][:1]:
+            return False
+        drop = {k for k, name in enumerate(rows[0][0]) if name.decode() in fields}
+        return all([c for k, c in enumerate(x) if k not in drop]
+                   == [c for k, c in enumerate(y) if k not in drop] for x, y in zip(*rows))
+    if a.endswith(".json"):
+        docs = []
+        for path in (a, b):
+            with open(path) as fh:
+                doc = json.load(fh)
+            for field in fields:
+                *parents, last = field.split(".")
+                node = doc
+                for key in parents:
+                    node = node.get(key) if isinstance(node, dict) else None
+                if isinstance(node, dict):
+                    node.pop(last, None)
+            docs.append(doc)
+        return docs[0] == docs[1]
+    return False
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", metavar="A")
     parser.add_argument("b", metavar="B")
+    parser.add_argument("--expect", metavar="FILE", help="the intended differences")
     args = parser.parse_args(argv)
+    try:
+        rules = read_expect(args.expect) if args.expect else []
+    except OSError as exc:
+        parser.error(f"cannot read {args.expect}: {exc.strerror}")
     revs = [subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", "--quiet",
                             f"{r}^{{commit}}"], capture_output=True, text=True).stdout.strip()
             for r in (args.a, args.b)]
@@ -159,14 +223,25 @@ def main(argv=None) -> int:
     both = sorted(fa & fb)
     differ = [p for p in both if not filecmp.cmp(os.path.join(a, p), os.path.join(b, p),
                                                  shallow=False)]
-    print(f"commands {sum(map(len, jobs.values()))}, files {len(fa | fb)}, "
-          f"identical {len(both) - len(differ)}, differing {len(differ)}, "
-          f"only in A {len(fa - fb)}, only in B {len(fb - fa)}")
+    unexpected, used = [], set()
     for label, paths in (("differs", differ), ("only in A", sorted(fa - fb)),
                          ("only in B", sorted(fb - fa))):
         for path in paths:
-            print(f"{label}: {path}")
-    if differ or fa != fb:
+            hits = [(line, fields) for line, pattern, fields in rules
+                    if fnmatch.fnmatchcase(path, pattern)]
+            used.update(line for line, _ in hits)
+            if not any(not fields or label == "differs" and differ_only_in(
+                    os.path.join(a, path), os.path.join(b, path), fields) for _, fields in hits):
+                unexpected.append(f"{label}: {path}")
+    moved = len(differ) + len(fa ^ fb)
+    print(f"commands {sum(map(len, jobs.values()))}, files {len(fa | fb)}, "
+          f"identical {len(both) - len(differ)}, differing {len(differ)}, "
+          f"only in A {len(fa - fb)}, only in B {len(fb - fa)}, "
+          f"expected {moved - len(unexpected)}")
+    unexpected += [f"unused: {line}" for line, _, _ in rules if line not in used]
+    for line in unexpected:
+        print(line)
+    if unexpected:
         print(f"outputs kept in {work}", file=sys.stderr)
         return 1
     shutil.rmtree(work)

@@ -14,11 +14,10 @@ traced, so what only such runs execute counts as never run.
 
 A statement counts as run when any of its own lines (those of its nested
 statements excepted) is.  Every statement never run is printed as
-``file:line: text``, unless ``EXEMPT`` lists its file and first line with
-the reason no test runs it, as is every exemption that names no such
-statement; the exit code is 1 when any line is printed and 0 otherwise.
-Docstrings are not statements.  The stdlib is all it uses; a run takes about
-twice tier-1's own time.
+``file:line: text``, with no list of excused ones; the exit code is 1 when
+any is printed or a test failed, and 0 otherwise.  Docstrings are not
+statements.  The stdlib is all it uses; a run takes about twice tier-1's
+own time.
 """
 
 from __future__ import annotations
@@ -31,29 +30,6 @@ import threading
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "mixflow")
-
-#: (file, first line of the statement, stripped): why no tier-1 test runs it
-EXEMPT = {
-    ("cli.py", "sys.exit(cli_main())"): "the installed script's entry, run by subprocess tests",
-    ("cli.py", "main()"): "python -m mixflow.cli, run by subprocess tests",
-    ("runner.py", "return"):
-        "a worker whose caller ended before the worker could ask to die with it",
-    ("model.py", "return NotImplemented"):
-        "MixtureParams compared with another type: the program never does",
-    ("timestepping.py",
-     'raise MixflowError(f"tridiagonal system {k} is singular (zero pivot {info})")'):
-        "the systems are diagonally dominant with unit walls, so no pivot is zero",
-    ("field.py",
-     "raise MixflowError(f\"U has shape {U.shape}, expected ({'R, ' * len(lead)}N, {n})\")"):
-        "an internal invariant: every State and Trajectory gets arrays of its grid's shape",
-    ("field.py", 'raise ValidationError(f"unknown frame {frame!r}")'):
-        "an internal invariant: RunConfig, the CLI and load_trajectory refuse the frame first",
-    ("mms.py", 'raise ValidationError("need one velocity amplitude per component")'):
-        "an argument check: the program builds ManufacturedFields with its default amplitudes",
-    ("mms.py", 'raise ValidationError("grid does not match the manufactured domain")'):
-        "an argument check: the program samples the fields on their own domain",
-}
-
 
 def statements(path: str) -> list[tuple[int, str, set[int]]]:
     """(first line, its stripped text, own lines) of every statement of the
@@ -121,23 +97,16 @@ def main(args: list[str]) -> int:
         os.remove(os.path.join(dump_dir, name))
     os.rmdir(dump_dir)
 
-    unrun, exempt = [], set()
+    unrun = []
     for name in sorted(os.listdir(PACKAGE)):
         if name.endswith(".py"):
             path = os.path.join(PACKAGE, name)
-            for line, text, own in statements(path):
-                if any((path, k) in seen for k in own):
-                    continue
-                if (name, text) in EXEMPT:
-                    exempt.add((name, text))
-                else:
-                    unrun.append(f"src/mixflow/{name}:{line}: {text}")
-    unrun += [f"exempt but run or gone: src/mixflow/{name}: {text}"
-              for name, text in EXEMPT if (name, text) not in exempt]
-    print(f"tests exited {status}; {len(unrun)} statements never run outside the exemptions")
+            unrun += [f"src/mixflow/{name}:{line}: {text}" for line, text, own in statements(path)
+                      if not any((path, k) in seen for k in own)]
+    print(f"tests exited {status}; {len(unrun)} statements never run")
     for line in unrun:
         print(line)
-    return 1 if unrun else 0
+    return 1 if unrun or status else 0
 
 
 if __name__ == "__main__":

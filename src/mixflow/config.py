@@ -259,12 +259,13 @@ class RunConfig:
     def __post_init__(self):
         if self.frame not in FRAMES:
             raise ValidationError(f"frame must be one of {FRAMES}, got {self.frame!r}")
-        Grid1D(domain_length=1.0, n_cells=self.n_cells)  # the grid of the run checks n_cells
         if not END_SLACK < self.t_end <= self.params.T_final:  # then run_loop takes a step
             raise ValidationError(f"t_end must lie in ({END_SLACK}, T_final = "
                                   f"{self.params.T_final}], got {self.t_end}")
         if self.snapshot_every < 1:
             raise ValidationError("snapshot_every must be >= 1")
+        if not self.out_dir:
+            raise ValidationError("out_dir must not be empty")
 
 
 def _matrix(text: str) -> np.ndarray:

@@ -29,10 +29,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DensityFloor
-from .field import EULERIAN, Grid1D
-from .model import DerivedMatrices, MixtureParams
+from .field import EULERIAN
 # run_loop is not called here: perfbench/selftest.py resolves it as euler.run_loop
-from .timestepping import UPWIND, Forcing, Kernel, SchemeConfig, operands, run_loop  # noqa: F401
+from .timestepping import UPWIND, Kernel, operands, run_loop  # noqa: F401
 
 
 class EulerKernel(Kernel):
@@ -40,14 +39,7 @@ class EulerKernel(Kernel):
 
     frame = EULERIAN
 
-    def __init__(
-        self,
-        grid: Grid1D,
-        params: MixtureParams,
-        derived: DerivedMatrices,
-        scheme: SchemeConfig,
-        forcing: Forcing | None = None,
-    ):
+    def __init__(self, grid, params, derived, scheme, forcing=None):
         super().__init__(grid, params, derived, scheme, forcing)
         vars(self._c).update(operands(p_coef=params.gamma / (params.gamma - 1.0)))
         self._upwind = scheme.advection == UPWIND

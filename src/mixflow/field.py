@@ -58,16 +58,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_fields(frame: str, grid: Grid1D, lead: tuple, rho: np.ndarray, U: np.ndarray):
+def _check_fields(grid: Grid1D, lead: tuple, rho: np.ndarray, U: np.ndarray):
     """Validate one state (``lead == ()``) or a stack of them on the leading axes
-    ``lead``: shapes, frame, finite values, positive density and zero walls."""
+    ``lead``: shapes, finite values, positive density and zero walls."""
     n = grid.n_nodes
     if rho.shape != (*lead, n):
         raise MixflowError(f"rho has shape {rho.shape}, expected {(*lead, n)}")
     if U.ndim != len(lead) + 2 or U.shape[:-2] != lead or U.shape[-1] != n:
         raise MixflowError(f"U has shape {U.shape}, expected ({'R, ' * len(lead)}N, {n})")
-    if frame not in (EULERIAN, LAGRANGIAN):
-        raise ValidationError(f"unknown frame {frame!r}")
     if not np.all(np.isfinite(rho)) or not np.all(np.isfinite(U)):
         raise ValidationError("state contains non-finite values")
     if rho.min() <= 0:
@@ -93,14 +91,10 @@ class State:
     def __post_init__(self):
         object.__setattr__(self, "rho", _readonly(self.rho))
         object.__setattr__(self, "U", _readonly(np.atleast_2d(self.U)))
-        _check_fields(self.frame, self.grid, (), self.rho, self.U)
+        _check_fields(self.grid, (), self.rho, self.U)
 
     def __reduce__(self):  # unpickling re-runs the constructor: read-only, validated
         return State, (self.time, self.frame, self.grid, self.rho, self.U)
-
-    @property
-    def n_components(self) -> int:
-        return self.U.shape[0]
 
 
 class Trajectory:
@@ -115,7 +109,7 @@ class Trajectory:
                                         for a in (times, rho, U))
         if self.times.ndim != 1 or not self.times.size:
             raise MixflowError(f"times of shape {self.times.shape}: need a row of records")
-        _check_fields(frame, grid, self.times.shape, self.rho, self.U)
+        _check_fields(grid, self.times.shape, self.rho, self.U)
         if self.times[0] < 0 or (np.diff(self.times) <= 0).any():
             raise ValidationError("trajectory time stamps must be >= 0 and strictly increase")
 

@@ -293,10 +293,10 @@ def load_trajectory(out_dir: str, final_only=False) -> tuple[Trajectory, Mixture
             raise FileFormatError(f"{path}: sha256 does not match the manifest")
     del blob  # states holds the records: one copy fewer while Trajectory copies them
     final = read_snapshot(cpath, stamps[-1], frame)  # states.npy has no x column: this one does
-    if (final.grid, final.n_components) != (grid, params.N):
+    if (final.grid, len(final.U)) != (grid, params.N):
         raise FileFormatError(
             f"{cpath}: {final.grid.n_nodes} nodes on (0, {final.grid.domain_length}) and "
-            f"{final.n_components} velocities, the manifest gives {grid.n_nodes} nodes on "
+            f"{len(final.U)} velocities, the manifest gives {grid.n_nodes} nodes on "
             f"(0, {grid.domain_length}) and {params.N}")
     keep = slice(-1 if final_only else 0, None)
     try:  # C-contiguous copies, validated as any trajectory

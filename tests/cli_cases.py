@@ -581,6 +581,11 @@ CASES = [
     Case("out-dir-below-a-file",
          ("run", "--config", SHEAR, "--n-cells", "16", "--out-dir", "{tmp}/afile/run"), 2,
          ("error: {tmp}/afile/run: Not a directory",), (write("{tmp}/afile", ""),)),
+    Case("empty-out-dir", (*RUN, "--n-cells", "16", "--t-end", "0.001"), 2,
+         ("config error: out_dir must not be empty",), (ini("shear", "out_dir = "),)),
+    Case("empty-out-dir-flag",
+         ("run", "--config", SHEAR, "--n-cells", "16", "--t-end", "0.001", "--out-dir", ""), 2,
+         ("config error: out_dir must not be empty",)),
     Case("mms-out-dir-is-a-file",
          ("mms", "--levels", "8,16", "--t-end", "0.01", "--out-dir", "{tmp}/afile"), 2,
          ("error: {tmp}/afile: File exists",), (write("{tmp}/afile", ""),)),

@@ -167,6 +167,21 @@ class TestConcurrently:
             if worker is not None and not _gone(worker):
                 os.kill(worker, signal.SIGKILL)
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the parent-death signal is Linux's")
+    def test_orphaned_worker_leaves_without_calling(self):
+        # a worker whose parent is not its caller: the caller ended before
+        # the worker could ask to die with it
+        rfd, wfd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            runner._work(lambda: os.write(wfd, b"called"), wfd, caller=os.getppid() + 1)
+        os.close(wfd)
+        with open(rfd, "rb") as pipe:
+            assert pipe.read() == b""
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1
+        _assert_no_children()
+
 
 def _replace_lagrangian_solve(monkeypatch, body):
     """Make ``runner.integrate`` call ``body()`` for a Lagrangian start."""

@@ -53,6 +53,8 @@ class TestGridState:
     def test_state_length_mismatch(self, grid64):
         with pytest.raises(MixflowError, match=r"rho has shape \(5,\), expected \(65,\)"):
             make_state(grid64, np.ones(5), np.zeros((2, 5)))
+        with pytest.raises(MixflowError, match=r"U has shape \(2, 5\), expected \(N, 65\)"):
+            make_state(grid64, np.ones(grid64.n_nodes), np.zeros((2, 5)))
 
     def test_state_arrays_immutable(self, grid64):
         s = make_state(grid64, np.ones(grid64.n_nodes), np.zeros((1, grid64.n_nodes)))

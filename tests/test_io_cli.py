@@ -2,14 +2,17 @@ import json
 import math
 import os
 import re
+import runpy
 import shutil
+import sys
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from mixflow import estimates, io
+from mixflow import cli, estimates, io
 from mixflow.errors import FileFormatError
 from mixflow.cli import _build_parser, _settings, cli_main
 from mixflow.config import parse_config
@@ -358,11 +361,23 @@ class TestNameTableAndDispatch:
         assert sorted(json.loads(blobs[0])) == [
             "advection", "errors", "frame", "levels", "orders", "passed", "slope", "threshold"]
 
-    def test_no_verb_and_help(self, capsys):
+    def test_no_verb_and_help(self, capsys, monkeypatch):
         assert cli_main([]) == 2
         assert "the following arguments are required: verb" in capsys.readouterr().err
         assert cli_main(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: mixflow ")
+        # the console script's entry and ``python -m mixflow.cli`` read sys.argv;
+        # runpy warns when the module it runs as __main__ is already imported
+        def as_main():
+            del sys.modules["mixflow.cli"]
+            runpy.run_module("mixflow.cli", run_name="__main__")
+
+        monkeypatch.setattr(sys, "argv", ["mixflow", "--help"])
+        for entry in (cli.main, as_main):
+            with mock.patch.dict(sys.modules), pytest.raises(SystemExit) as exc:
+                entry()
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: mixflow ")
 
     test_transform_degenerate_mass_map_exit_2 = row_test("mass-map-not-monotone")
 

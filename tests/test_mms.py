@@ -5,7 +5,7 @@ import pytest
 
 from mixflow import mms
 from mixflow.cli import EXIT_BLOWUP, cli_main
-from mixflow.errors import SolverBlowup
+from mixflow.errors import SolverBlowup, ValidationError
 from mixflow.field import EULERIAN, LAGRANGIAN, Grid1D
 from mixflow.mms import ManufacturedFields, default_params, mms_study
 from mixflow.model import derive_matrices
@@ -31,6 +31,14 @@ class TestForcing:
                          snapshot_every=10**9, forcing=fields.forcing)
         assert np.abs(traj.final.rho - 2.0).max() <= 1e-12
         assert np.abs(traj.final.U).max() <= 1e-12
+
+    def test_arguments_checked(self):
+        # a short c would broadcast into every component of the kernel's state
+        with pytest.raises(ValidationError, match="need one velocity amplitude per component"):
+            ManufacturedFields(params=default_params(), c=(0.1,))
+        fields = ManufacturedFields(params=default_params(), frame=LAGRANGIAN, domain_length=2.0)
+        with pytest.raises(ValidationError, match="grid does not match the manufactured domain"):
+            fields.state(Grid1D(1.0, 32))
 
     def test_forcing_matches_discrete_residual_eulerian(self):
         # on fine grids the injected source must converge to the negative of

@@ -74,6 +74,11 @@ class TestValidate:
         p = base_params()
         assert validate_params(validate_params(p)) is p
 
+    def test_equality_is_by_value(self):
+        assert base_params() == base_params(M=np.eye(2), A=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert base_params() != base_params(A=[[0.0, 2.0], [2.0, 0.0]])
+        assert base_params() != "params"
+
 
 class TestDerive:
     def test_identity(self):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_banded
 
-from mixflow.errors import NonFinite
+from mixflow import timestepping
+from mixflow.errors import MixflowError, NonFinite
 from mixflow.euler import EulerKernel
 from mixflow.field import Grid1D
 from mixflow.lagrange import LagrangeKernel
@@ -159,6 +160,16 @@ def test_dgtsv_solves_in_the_rows_it_is_passed(kernel_cls, params2, derived2, sh
         assert info == 0
         assert np.shares_memory(x, kern._eig[k]) and np.shares_memory(d, kern._diag[k])
         np.testing.assert_allclose(kern._eig[k], want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kernel_cls", KERNELS)
+def test_zero_pivot_is_refused(kernel_cls, params2, derived2, shear_state, monkeypatch):
+    # the bands are diagonally dominant, so only a stand-in for dgtsv reports a zero pivot
+    monkeypatch.setattr(timestepping, "_dgtsv", lambda: lambda *args: (None,) * 4 + (3,))
+    kern = kernel_cls(shear_state.grid, params2, derived2, IMEX)
+    with pytest.raises(MixflowError) as info:
+        kern.viscous_solve(np.array(shear_state.rho), np.array(shear_state.U), 1e-3)
+    assert str(info.value) == "tridiagonal system 0 is singular (zero pivot 3)"
 
 
 @pytest.mark.parametrize("kernel_cls", KERNELS)
