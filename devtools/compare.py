@@ -34,6 +34,21 @@ otherwise, ``DIR`` removed.  A corpus run may exit non-zero (an audit FAIL,
 a blow-up): exit codes are compared, never required to be 0.  To compare
 uncommitted work, pass ``$(git stash create)`` as a revision.  The stdlib is
 all it uses.
+
+``--bench WORKLOAD`` times the two revisions instead.  Both are exported
+side by side, as ``DIR/A`` and ``DIR/B``, and in each tree
+
+    python3 perfbench/run.py --workload WORKLOAD --seed k --seconds S --trace 0
+
+runs for k = 1 to 10, A first when k is even and B first when it is odd,
+with S the ``run_seconds`` of ``BENCHMARK.json``.  From each run's
+``.perfbench_out/results-WORKLOAD-seed<k>-trace0.json`` it prints, for each
+end-to-end metric of ``BENCHMARK.json``, both medians, A's quartiles and in
+how many of the ten pairs B is lower; then each side's failed out of
+attempted operations and its median ``record.import_s``, the raw time of
+the benchmark's own ``import mixflow.cli``.  No bytes are compared.  The
+exit code is 1 when a run leaves no record, each of which is printed, and 0
+otherwise; ``DIR`` is removed either way.
 """
 
 from __future__ import annotations
@@ -47,6 +62,7 @@ import io
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -61,6 +77,9 @@ FRAMES = ("both", "eulerian", "lagrangian")
 #: shear.ini with one line replaced, each of which blows up: (name, key, value)
 BLOWUPS = (("huge_u1", "u1", "sine:k=1,amp=1e200"),
            ("huge_friction", "friction", "[[0.0, 1e308], [1e308, 0.0]]"))
+with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
+    BENCHMARK = json.load(_fh)
+PAIRS = 10
 
 
 def corpus() -> dict[str, list[list[str]]]:
@@ -192,11 +211,56 @@ def differ_only_in(a: str, b: str, fields: list[str]) -> bool:
     return False
 
 
+def bench(work: str, revs: list[str], workload: str) -> int:
+    """Run ``workload`` in alternated pairs at the revisions ``revs`` under
+    ``work`` and print the comparison; 1 when a run leaves no record."""
+    for side, rev in zip("AB", revs):
+        export(rev, os.path.join(work, side))
+    runs, missing = {}, []
+    for k in range(1, PAIRS + 1):
+        for side in "BA" if k % 2 else "AB":
+            tree = os.path.join(work, side)
+            subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
+                            str(k), "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"],
+                           cwd=tree, stdout=subprocess.DEVNULL, stdin=subprocess.DEVNULL)
+            try:
+                with open(os.path.join(tree, ".perfbench_out",
+                                       f"results-{workload}-seed{k}-trace0.json")) as fh:
+                    runs[side, k] = json.load(fh)
+            except OSError:
+                missing.append(f"no record: {side} seed {k}")
+            print(f"{side} seed {k} done", file=sys.stderr)
+    if missing:
+        print("\n".join(missing))
+        return 1
+
+    def values(side, get):
+        return [get(runs[side, k]) for k in range(1, PAIRS + 1)]
+    for metric in BENCHMARK["end_to_end"]:
+        a, b = (values(side, lambda r: r["result"]["metrics"][metric["name"]]["value"])
+                for side in "AB")
+        q1, _, q3 = statistics.quantiles(a, n=4)
+        print(f"{metric['name']} ({metric['unit']}): A {statistics.median(a):.4g} (quartiles "
+              f"{q1:.4g} to {q3:.4g}), B {statistics.median(b):.4g}, B lower in "
+              f"{sum(y < x for x, y in zip(a, b))} of {PAIRS} pairs")
+    failed, attempted, imports = ([values(side, get) for side in "AB"] for get in (
+        lambda r: r["result"]["failed"], lambda r: r["result"]["attempted"],
+        lambda r: r["record"]["import_s"]))
+    print(f"failed: A {sum(failed[0])} of {sum(attempted[0])}, "
+          f"B {sum(failed[1])} of {sum(attempted[1])}")
+    print(f"import_s (raw): A {statistics.median(imports[0]):.4g}, "
+          f"B {statistics.median(imports[1]):.4g}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", metavar="A")
     parser.add_argument("b", metavar="B")
-    parser.add_argument("--expect", metavar="FILE", help="the intended differences")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--expect", metavar="FILE", help="the intended differences")
+    mode.add_argument("--bench", metavar="WORKLOAD", help="time WORKLOAD instead",
+                      choices=[w["name"] for w in BENCHMARK["workloads"]])
     args = parser.parse_args(argv)
     try:
         rules = read_expect(args.expect) if args.expect else []
@@ -211,6 +275,11 @@ def main(argv=None) -> int:
     if os.path.commonpath([work, ROOT]) == ROOT:
         os.rmdir(work)
         parser.error(f"{work} lies inside the checkout: set TMPDIR elsewhere")
+    if args.bench:
+        try:
+            return bench(work, revs, args.bench)
+        finally:
+            shutil.rmtree(work)
     jobs = corpus()
     for side, rev in zip("AB", revs):
         print(f"{side}: {rev}", file=sys.stderr)

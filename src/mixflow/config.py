@@ -31,7 +31,7 @@ import numpy as np
 from .errors import FileFormatError, ParseError, ValidationError
 from .estimates import KNOWN_AUDITS
 from .field import EULERIAN, LAGRANGIAN, Grid1D, State, pchip
-from .io import PARAMS, read_table
+from .io import PARAMS, read_csv
 from .model import MixtureParams, validate_params
 from .timestepping import (
     CENTRAL, END_SLACK, INTEGRATORS, RK2, RK4, SEMI_IMPLICIT, UPWIND, SchemeConfig,
@@ -230,7 +230,7 @@ def make_initial(data: InitialData, grid: Grid1D) -> State:
     Density must be strictly positive; boundary velocities are zeroed exactly.
     """
     x = grid.nodes()
-    read = functools.cache(read_table)  # a table file named by several descriptors is read once
+    read = functools.cache(read_csv)  # a table file named by several descriptors is read once
     rho = _profile(data.rho, x, data.base_dir, read)
     if rho.min() <= 0:
         raise ValidationError(f"initial density must be positive, min = {rho.min()}")

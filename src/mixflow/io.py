@@ -5,7 +5,7 @@ A trajectory directory contains::
     manifest.json   frame, grid, times, parameter echo + hash, file index
                     with the shape and sha256 of each file
     states.npy      the records, <f8 (R, 1 + N, n): rho, then u1..uN (NEP 1)
-    snap_<R-1>.csv  the final record, header x_or_y,rho,u1,...,uN
+    snap_<R-1>.csv  the last record with its nodes, header x_or_y,rho,u1,...,uN
     diag.csv        the ledger: one column per estimates.FIELDS name, one row
                     per record; a time field that does not apply is empty
                     throughout, every other column complete
@@ -106,51 +106,38 @@ def read_csv(path: str, header=None, optional=()) -> tuple[list[str], np.ndarray
     Lines end at ``\\n`` (or ``\\r\\n``) and nowhere else, text from a ``#`` on
     is a comment and a blank line is skipped.  An unreadable file, another
     header, a line with a cell count other than the header's or a cell
-    :func:`_cell` refuses raises :class:`FileFormatError` naming its line."""
+    :func:`_cell` refuses raises :class:`FileFormatError` naming its line.
+    The lines are held comment-stripped, and a row is split when it is used."""
     text = _read(path).decode(errors="replace").replace("\r\n", "\n")  # stray byte: a bad cell
     head, _, body = text.partition("\n")
-    names, lines = head.strip().split(","), body.removesuffix("\n").split("\n")
-    split = operator.methodcaller("split", ",")
+    names, split = head.strip().split(","), operator.methodcaller("split", ",")
     if header is not None and names != list(header):
         raise FileFormatError(f"{path}: unexpected columns {names}")
-    plain = body.isascii() and "_" not in body  # so float() reads each cell as _cell does
-    if plain and {line.count(",") for line in lines} == {len(names) - 1}:
-        keep = [bool(cell) or name not in optional for name, cell in zip(names, split(lines[0]))]
-
-        def masked(mask):  # row by row, the cells of the columns where ``mask`` holds
-            return compress(chain.from_iterable(map(split, lines)), cycle(mask))
-        with contextlib.suppress(ValueError):  # float() refuses a cell: named below
-            if all(keep) or not any(masked(map(operator.not_, keep))):
-                data = np.fromiter(map(float, masked(keep)), float, len(lines) * sum(keep))
-                return list(compress(names, keep)), data.reshape(len(lines), -1)
-    rows = [(k, row.split(",")) for k, line in enumerate(lines, start=2)
-            if (row := line.partition("#")[0]).strip()]
-    for k, row in rows:
-        if len(row) != len(names):
-            raise FileFormatError(f"{path}: line {k} has {len(row)} cells, expected {len(names)}")
-    keep = [name not in optional or any(row[i] for _, row in rows) for i, name in enumerate(names)]
-    data = [[_cell(path, k, *cell) for cell in compress(zip(names, row), keep)] for k, row in rows]
-    return list(compress(names, keep)), np.array(data, dtype=float).reshape(len(rows), sum(keep))
-
-
-def read_table(path: str) -> tuple[list[str], np.ndarray]:
-    """:func:`read_csv` of a file with one or more data rows."""
-    header, data = read_csv(path)
-    if not len(data):
-        raise FileFormatError(f"{path}: no data rows")
-    return header, data
+    lines = [line.partition("#")[0] for line in body.split("\n")]  # line k of the file: lines[k - 2]
+    for k, line in enumerate(lines, start=2):
+        if (cells := line.count(",") + 1) != len(names) and line.strip():
+            raise FileFormatError(f"{path}: line {k} has {cells} cells, expected {len(names)}")
+    rows = list(filter(str.strip, lines))
+    keep = [name not in optional or any(split(row)[i] for row in rows) for i, name in enumerate(names)]
+    kept, shape = list(compress(names, keep)), (len(rows), sum(keep))
+    with contextlib.suppress(ValueError):  # float() refuses a cell: _cell names it below
+        if body.isascii() and "_" not in body:  # so float() reads each cell as _cell does
+            cells = compress(chain.from_iterable(map(split, rows)), cycle(keep))
+            return kept, np.fromiter(map(float, cells), float, shape[0] * shape[1]).reshape(shape)
+    data = [[_cell(path, k, *cell) for cell in compress(zip(names, split(line)), keep)]
+            for k, line in enumerate(lines, start=2) if line.strip()]
+    return kept, np.array(data, dtype=float).reshape(shape)
 
 
 def read_snapshot(path: str, time: float, frame: str) -> State:
-    """Read one snapshot; every format fault raises :class:`FileFormatError`:
-    a header other than ``x_or_y,rho,u1,...``, a malformed row or value and
-    an ``x_or_y`` column off the uniform grid."""
-    header, data = read_table(path)
-    if header != ["x_or_y", "rho", *(f"u{i + 1}" for i in range(data.shape[1] - 2))]:
+    """Read one snapshot as ``transform --snap`` does; every format fault raises
+    :class:`FileFormatError`: no data rows, a header other than ``x_or_y,rho,u1,...``,
+    a malformed row or value and an ``x_or_y`` column off the uniform grid."""
+    header, data = read_csv(path)
+    if not len(data):
+        raise FileFormatError(f"{path}: no data rows")
+    if header != ["x_or_y", "rho", *(f"u{i + 1}" for i in range(max(len(header) - 2, 1)))]:
         raise FileFormatError(f"{path}: expected header x_or_y,rho,u1,..., got {header}")
-    if data.shape[1] < 3:  # the header is x_or_y,rho and nothing else
-        raise FileFormatError(f"{path}: 2 columns for the 2 of header x_or_y,rho; expected "
-                              "x_or_y, rho and one column per velocity")
     try:
         grid = Grid1D(domain_length=float(data[-1, 0]), n_cells=data.shape[0] - 1)
         # C-contiguous copies: reductions over strided columns can round differently
@@ -233,8 +220,9 @@ def load_trajectory(out_dir: str, final_only=False) -> tuple[Trajectory, Mixture
     finite, non-negative and strictly increasing, a ``states_shape`` other
     than ``[len(times), 1 + N, n_cells + 1]``); a ``states.npy`` that is not
     a whole ``<f8`` .npy file of that shape; a sha256 other than the
-    manifest's; a final snapshot :func:`read_snapshot` refuses or on
-    another grid or velocity count; and records :class:`Trajectory` refuses.
+    manifest's; records :class:`Trajectory` refuses; and a final snapshot
+    :func:`read_csv` refuses or that is not, header and bits, the last record
+    ``x_or_y,rho,u1,...,uN`` on the manifest's grid.
     """
     mpath = os.path.join(out_dir, "manifest.json")
     try:
@@ -292,17 +280,16 @@ def load_trajectory(out_dir: str, final_only=False) -> tuple[Trajectory, Mixture
         if hashlib.sha256(data).hexdigest() != digest:
             raise FileFormatError(f"{path}: sha256 does not match the manifest")
     del blob  # states holds the records: one copy fewer while Trajectory copies them
-    final = read_snapshot(cpath, stamps[-1], frame)  # states.npy has no x column: this one does
-    if (final.grid, len(final.U)) != (grid, params.N):
-        raise FileFormatError(
-            f"{cpath}: {final.grid.n_nodes} nodes on (0, {final.grid.domain_length}) and "
-            f"{len(final.U)} velocities, the manifest gives {grid.n_nodes} nodes on "
-            f"(0, {grid.domain_length}) and {params.N}")
     keep = slice(-1 if final_only else 0, None)
     try:  # C-contiguous copies, validated as any trajectory
         traj = Trajectory(frame, grid, stamps[keep], states[keep, 0], states[keep, 1:])
     except MixflowError as exc:
         raise FileFormatError(f"{spath}: {exc}") from None
+    names, data = read_csv(cpath)  # states.npy has no x column: this file does
+    last = np.vstack([grid.nodes(), states[-1]]).T
+    if (names != ["x_or_y", "rho", *(f"u{i + 1}" for i in range(params.N))]
+            or not np.array_equal(data.view(np.int64), last.view(np.int64))):
+        raise FileFormatError(f"{cpath}: not the last record of states.npy on the manifest's grid")
     dpath = os.path.join(out_dir, "diag.csv")
     if os.path.exists(dpath):
         traj.diagnostics = read_diagnostics(dpath)

@@ -26,6 +26,9 @@ from .field import (
 )
 from .timestepping import Kernel, operands
 
+#: the most the domain length that lagrange_to_euler reconstructs may drift from 1
+DRIFT_TOL = 1e-4
+
 
 # ---------------------------------------------------------------------------
 # coordinate maps
@@ -56,10 +59,10 @@ def euler_to_lagrange(state: State) -> State:
     return _remap(state, y, float(y[-1]), LAGRANGIAN)
 
 
-def lagrange_to_euler(state: State, drift_tol: float = 1e-4) -> State:
+def lagrange_to_euler(state: State) -> State:
     """Map a Lagrangian state back to the unit interval.
 
-    x(y) = int_0^y ds/rho must land on 1; drift beyond ``drift_tol`` means the
+    x(y) = int_0^y ds/rho must land on 1; drift beyond ``DRIFT_TOL`` means the
     two formulations have diverged and raises :class:`MixflowError`.
     Smaller drift is renormalized away so the result lives exactly on (0, 1).
     """
@@ -67,9 +70,9 @@ def lagrange_to_euler(state: State, drift_tol: float = 1e-4) -> State:
         raise MixflowError("lagrange_to_euler expects a Lagrangian state")
     x = cumulative_trapezoid(1.0 / np.asarray(state.rho), state.grid.h)
     length = float(x[-1])
-    if abs(length - 1.0) > drift_tol:
+    if abs(length - 1.0) > DRIFT_TOL:
         raise MixflowError(
-            f"reconstructed domain length {length:.8f} deviates from 1 by more than {drift_tol}")
+            f"reconstructed domain length {length:.8f} deviates from 1 by more than {DRIFT_TOL}")
     return _remap(state, x / length, 1.0, EULERIAN)
 
 

@@ -222,10 +222,22 @@ CHECK = ("check", "--traj", "{store}")
 EUL, LAG = "{store}/eulerian", "{store}/lagrangian"
 MANIFEST, STATES = f"error: {EUL}/manifest.json: ", f"error: {EUL}/states.npy: "
 FINAL = f"error: {EUL}/{{final}}: "
+NOT_LAST = FINAL + "not the last record of states.npy on the manifest's grid"
 NOT_NPY = STATES + "not a whole .npy file"
 TIMES = MANIFEST + "times must be finite, non-negative and strictly increasing"
 SCHEME_KEYS = ("field 'scheme' must have the keys ['advection', 'artificial_floor', 'cfl', "
                "'time_integrator'], got [\"advection\", \"artificial_floor\", \"time_integrator\"]")
+
+
+def interior_x(lines):
+    """Snapshot lines with the abscissa of node 4 moved to 0.5."""
+    return [*lines[:5], "0.5" + lines[5][lines[5].index(","):], *lines[6:]]
+
+
+def scaled_rho(line):
+    """A snapshot line with its rho cell multiplied by 1.5."""
+    x, rho, rest = line.split(",", 2)
+    return f"{x},{float(rho) * 1.5!r},{rest}"
 
 
 def other_params(m):
@@ -263,35 +275,28 @@ STORE_FAULTS = [Case(id, CHECK, 2, (line,), (store, corrupt)) for id, line, corr
     ("non-positive-density", STATES + "min(rho) = -1.0 <= 0", new_records(put((1, 0, 5), -1.0))),
     ("non-zero-wall", STATES + "boundary velocities must be exactly zero",
      new_records(put((1, 2, 0), 0.5))),
-    # the final snapshot, rewritten with its sha256: read as transform reads
-    # it, then on the manifest's grid and velocity count
-    ("header-only-snapshot", FINAL + "no data rows", final_snapshot(lambda lines: lines[:1])),
-    ("two-column-snapshot",
-     FINAL + "2 columns for the 2 of header x_or_y,rho; expected x_or_y, rho and one "
-     "column per velocity",
+    # the final snapshot, rewritten with its sha256: a CSV file whose header
+    # and bits are those of the last record on the manifest's grid
+    ("header-only-snapshot", NOT_LAST, final_snapshot(lambda lines: lines[:1])),
+    ("two-column-snapshot", NOT_LAST,
      final_snapshot(lambda lines: [",".join(r.split(",")[:2]) for r in lines])),
     ("columns-differ-from-header", FINAL + "line 2 has 3 cells, expected 4",
      final_snapshot(lambda lines: lines[:1] + [r.rsplit(",", 1)[0] for r in lines[1:]])),
-    ("velocity-name",
-     FINAL + "expected header x_or_y,rho,u1,..., got ['x_or_y', 'rho', 'u1', 'v2']",
-     final_snapshot(lambda lines: ["x_or_y,rho,u1,v2", *lines[1:]])),
-    ("interior-x", FINAL + "x_or_y is not the uniform grid on (0, 1.0)",
-     final_snapshot(lambda lines: [*lines[:5], "0.5" + lines[5][lines[5].index(","):],
-                                   *lines[6:]])),
-    ("velocity-count",
-     FINAL + "33 nodes on (0, 1.0) and 1 velocities, the manifest gives 33 nodes on "
-     "(0, 1.0) and 2",
-     final_snapshot(lambda lines: [r.rsplit(",", 1)[0] for r in lines])),
+    ("velocity-name", NOT_LAST, final_snapshot(lambda lines: ["x_or_y,rho,u1,v2", *lines[1:]])),
+    ("interior-x", NOT_LAST, final_snapshot(interior_x)),
+    ("velocity-count", NOT_LAST, final_snapshot(lambda lines: [r.rsplit(",", 1)[0] for r in lines])),
+    ("final-snapshot-value", NOT_LAST,  # a value that only the records refute
+     final_snapshot(lambda lines: [*lines[:4], scaled_rho(lines[4]), *lines[5:]])),
     ("domain-length",  # states.npy holds no x column; the final snapshot does
-     FINAL + "33 nodes on (0, 1.0) and 2 velocities, the manifest gives 33 nodes on "
-     "(0, 3.0) and 2",
-     manifest(lambda m: m.update(domain_length=3.0))),
+     NOT_LAST, manifest(lambda m: m.update(domain_length=3.0))),
     # manifest.json; version 1 is a store of the earlier format
     ("version", MANIFEST + "version 1 is not 2", manifest(lambda m: m.update(version=1))),
     ("non-utf8-manifest",
      f"error: bad manifest {EUL}/manifest.json: 'utf-8' codec can't decode byte 0xff in "
      "position 74: invalid start byte",
      raw(EUL + "/manifest.json", lambda b: b.replace(b"eulerian", b"euler\xffan"))),
+    ("foreign-manifest", f"error: {EUL}/manifest.json is not a mixflow-trajectory manifest",
+     manifest(lambda m: m.update(format="other"))),
     ("missing-times", MANIFEST + "missing field 'times'", manifest(lambda m: m.pop("times"))),
     ("times-shorter-than-states", MANIFEST + "states_shape [2, 3, 33] is not [1, 3, 33]",
      manifest(lambda m: m["times"].pop())),
@@ -346,6 +351,11 @@ STORE_FAULTS = [Case(id, CHECK, 2, (line,), (store, corrupt)) for id, line, corr
     ("non-utf8-diag",  # the byte decodes to U+FFFD
      f"error: {EUL}/diag.csv: line 3: could not convert string to float: '\ufffd.01'",
      raw(EUL + "/diag.csv", lambda b: b.replace(b"\n0.01", b"\n\xff.01"))),
+    ("diag-header",
+     f"error: {EUL}/diag.csv: unexpected columns ['time', 'Energy', 'dissipation_visc', "
+     "'dissipation_fric', 'rho_min', 'rho_max', 'w_norm', 'grad_rho_l2', 'u_linf', 'dt_rho_l2', "
+     "'alpha', 'identity_residual']",
+     edit(EUL + "/diag.csv", lambda lines: [lines[0].replace("energy", "Energy"), *lines[1:]])),
     ("short-diag-row", f"error: {EUL}/diag.csv: line 3 has 9 cells, expected 12",
      edit(EUL + "/diag.csv", lambda lines: [*lines[:2], lines[2].rsplit(",", 3)[0]])),
 ]]
@@ -534,8 +544,7 @@ CASES = [
              "0xff in position 513: invalid start byte",),
          (ini("shear"), raw("{tmp}/case.ini", lambda b: b + b"\xff"))),
     # exit 2: initial data, refused before any output
-    Case("header-only-table", (*RUN, "--out-dir", "{out}"), 2,
-         (f"error: {TABLE}: no data rows",),
+    Case("header-only-table", (*RUN, "--out-dir", "{out}"), 2, (TOO_FEW_ROWS,),
          (ini("random_smooth", table=lambda lines: lines[:1]),)),
     Case("one-row-table", (*RUN, "--out-dir", "{out}"), 2, (TOO_FEW_ROWS,),
          (ini("random_smooth", table=lambda lines: lines[:2]),)),
@@ -617,6 +626,11 @@ CASES = [
     Case("transform-negative-density", (*TO_LAGRANGIAN, "--out", "{out}"), 2,
          (FINAL + "min(rho) = -1.0 <= 0",),
          (store, column(EUL + "/{final}", "rho", lambda c: "-1.0", slice(3, 4)))),
+    Case("transform-header-only-snapshot", (*TO_LAGRANGIAN, "--out", "{out}"), 2,
+         (FINAL + "no data rows",), (store, edit(EUL + "/{final}", lambda lines: lines[:1]))),
+    Case("transform-interior-x", (*TO_LAGRANGIAN, "--out", "{out}"), 2,
+         (FINAL + "x_or_y is not the uniform grid on (0, 1.0)",),
+         (store, edit(EUL + "/{final}", interior_x))),
     Case("transform-four-row-snapshot", (*TO_LAGRANGIAN, "--out", "{out}"), 2,
          (FINAL + "n_cells must lie in [8, 2147483646], got 3",),
          (store, edit(EUL + "/{final}", lambda lines: lines[:5]))),
@@ -641,8 +655,7 @@ CASES = [
          ("error: cannot read {store}/eulerian/{final}: No such file or directory",),
          (store, remove(EUL + "/{final}"))),
     Case("report-on-another-grid", ("report", "--traj", "{store}"), 2,
-         ("error: {store}/eulerian/{final}: 33 nodes on (0, 1.0) and 2 velocities, the manifest "
-          "gives 33 nodes on (0, 3.0) and 2",),
+         (NOT_LAST,),
          (store, manifest(lambda m: m.update(domain_length=3.0)))),
     Case("manifest-entry-beyond-float", CHECK, 2,
          ("error: {store}/eulerian/manifest.json: int too large to convert to float",),

@@ -3,8 +3,10 @@
 Each example copies a tiny stored two-frame run and changes, in one frame,
 one manifest field, one ``diag.csv`` cell, one byte of ``states.npy``, one
 float of ``states.npy`` (its sha256 rewritten to match) or one cell of the
-final snapshot.  ``check`` must end with exit 1 or 2 and a one-line reason,
-never a traceback, and the ``report.json`` it leaves holds no NaN.
+final snapshot, with or without its sha256 rewritten.  ``check`` must end
+with exit 1 or 2 and a one-line reason, never a traceback, and the
+``report.json`` it leaves holds no NaN; a re-digested final snapshot must
+still be the last record, so each edit of it exits 2.
 """
 
 import json
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from mixflow.cli import cli_main
 from mixflow.field import EULERIAN, LAGRANGIAN
 
-from conftest import rewrite_states
+from conftest import redigest, rewrite_states
 from test_io_cli import SMALL_CONFIG
 
 CLOSING = "stored diagnostics disagree with the snapshots"
@@ -108,7 +110,8 @@ def test_one_corruption_fails_check_with_one_line(tiny_run, tmp_path_factory, da
     shutil.copytree(tiny_run, out)
     sub = os.path.join(out, data.draw(st.sampled_from([EULERIAN, LAGRANGIAN]), label="frame"))
     target = data.draw(st.sampled_from(["manifest.json", "diag.csv", "states.npy byte",
-                                        "states.npy float", "final snapshot"]), label="target")
+                                        "states.npy float", "final snapshot",
+                                        "final snapshot, re-digested"]), label="target")
     if target == "manifest.json":
         _edit_manifest(sub, data)
     elif target == "diag.csv":
@@ -120,12 +123,15 @@ def test_one_corruption_fails_check_with_one_line(tiny_run, tmp_path_factory, da
     else:
         with open(os.path.join(sub, "manifest.json")) as fh:
             _edit_cell(os.path.join(sub, json.load(fh)["snapshots"][0]), data)
+        if target == "final snapshot, re-digested":
+            redigest(sub)
 
     stdout, stderr = StringIO(), StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
         code = cli_main(["check", "--traj", out])
     err = stderr.getvalue().splitlines()
     assert "Traceback" not in stderr.getvalue()
+    assert code == 2 or target != "final snapshot, re-digested", err
     if code == 2:
         assert len(err) == 1, err
     else:

@@ -279,8 +279,8 @@ class TestScenarios:
     def test_table_named_four_times_is_read_once_per_call(self, monkeypatch):
         rc = scenario_config("random_smooth")
         reads = []
-        monkeypatch.setattr("mixflow.config.read_table",
-                            lambda path: reads.append(path) or io.read_table(path))
+        monkeypatch.setattr("mixflow.config.read_csv",
+                            lambda path: reads.append(path) or io.read_csv(path))
         want = make_initial(rc.initial, Grid1D(1.0, 64))
         assert len(reads) == 1
         again = make_initial(rc.initial, Grid1D(1.0, 64))  # no cache across calls

@@ -463,9 +463,6 @@ class TestTrajectoryFormatFaults:
     test_corrupt_store = row_test(cases=[case.id for case in cli_cases.STORE_FAULTS])
     test_typed_field_from_the_check_worker = row_test("lagrangian-n-cells-type")
     test_frames_with_different_params = row_test("frames-with-different-params")
-    test_two_stores_of_one_frame = row_test("two-stores-of-one-frame")
-    test_non_numeric_snapshot_cell = row_test("final-snapshot-digest", "transform-non-numeric-cell")
-    test_manifest_index_mismatch = row_test("times-shorter-than-states")
 
     def test_short_diagnostics_row(self, tmp_path, stored_two_frames):
         run_row("short-diag-row", tmp_path, stored_two_frames)
@@ -673,6 +670,19 @@ def test_every_csv_reads_a_cell_alike(cell, refused, tmp_path, stored_two_frames
                          for line in re.findall(r": (line \d+.*)$", err, re.M)])
     assert verdicts[0] == verdicts[1] == verdicts[2], verdicts
     assert [line.split(":")[0] for line in verdicts[0]] == (["line 3"] if refused else [])
+
+
+def test_text_in_comments_alone_reads_as_without_them(tmp_path):
+    # text float() reads and _cell refuses sends every cell through _cell;
+    # when it sits in comments alone, that gives the plain file's numbers
+    table = os.path.join(DATA, "random_smooth_init.csv")
+    lines = open(table).read().splitlines()
+    (tmp_path / "commented.csv").write_text(
+        "\n".join([lines[0], "# ρ_0, u_1: scaled", lines[1] + " # 1_0", *lines[2:]]) + "\n")
+    names, want = io.read_csv(table)
+    got_names, got = io.read_csv(str(tmp_path / "commented.csv"))
+    assert got_names == names and len(want) == len(lines) - 1
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_two_calls_build_one_parser_and_call_the_verb_of_the_moment(monkeypatch):
